@@ -38,11 +38,8 @@ from .oracles import (
     SphereNoise,
     SymmetrizedParetoNoise,
     TwoPointNoise,
-    certify_moment,
     clipping_bias_probe,
     make_noise,
-    query,
-    sample_noise,
 )
 from .optimizers import (
     ClipSpec,

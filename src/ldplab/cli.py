@@ -1,7 +1,7 @@
 """Command-line orchestration: simulate, tail, fit, verify, rates, compare-sota, report.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 IO error,
-4 insufficient data, 5 verification failure.
+Exit codes: 0 success, 2 configuration/usage error (any argument the
+library rejects), 3 IO error, 4 insufficient data, 5 verification failure.
 
 All CSV output is UTF-8 with a header row, '.' decimal separator and LF line
 endings; the first line is a '#' comment carrying the tool version, the
@@ -34,13 +34,15 @@ from .config import (
 from .montecarlo import (
     LEMMA_SUITES,
     InsufficientDataError,
+    TailEstimate,
     appendix_f_enumeration,
     fit_decay,
     run_ensemble,
     tail_from_hitting_times,
     verify_lemma_suite,
+    wilson_interval,
 )
-from .oracles import PreconditionViolation
+from .optimizers import RunConfig
 from .svgplot import line_chart
 from .theory import (
     RateSpec,
@@ -129,16 +131,23 @@ def _resolve_out(flag_value: str | None, config_dir: str) -> str:
     return config_dir
 
 
-def _parse_t_grid(spec: str | None, horizon: int):
-    if spec is None:
-        return None
+def _parse_t_grid(spec: str, expand_range) -> np.ndarray:
+    """A --t-grid value: 'lo:hi' through expand_range(lo, hi), or a comma list."""
     try:
-        if ":" in spec:
-            lo, hi = spec.split(":", 1)
-            return np.arange(int(lo), int(hi) + 1, dtype=np.int64)
-        return np.asarray(sorted({int(tok) for tok in spec.split(",")}), dtype=np.int64)
+        if ":" not in spec:
+            return np.asarray(sorted({int(tok) for tok in spec.split(",")}), dtype=np.int64)
+        lo, hi = (int(tok) for tok in spec.split(":", 1))
     except ValueError as e:
         raise ConfigError(f"--t-grid: cannot parse {spec!r}: {e}") from e
+    return expand_range(lo, hi)
+
+
+def _read_manifest(meta_path: str) -> dict:
+    try:
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as e:
+        raise OSError(f"{meta_path}: corrupt run manifest: {e}") from e
 
 
 _HIT_PREFIX = "hit_"
@@ -164,8 +173,7 @@ def _cmd_simulate(args) -> int:
     outdir = _resolve_out(args.out, exp.output_dir)
     meta_path = os.path.join(outdir, "meta.json")
     if os.path.exists(meta_path) and not args.force:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            old = json.load(fh)
+        old = _read_manifest(meta_path)
         if old.get("config_digest") != exp.digest:
             print(
                 f"error: {outdir} holds results for digest {old.get('config_digest')}, "
@@ -226,14 +234,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_results(results_dir: str):
+    """(manifest, re-parsed Experiment, trajsummary header, rows) of a results directory."""
     meta_path = os.path.join(results_dir, "meta.json")
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise OSError(f"{meta_path}: corrupt run manifest: {e}") from e
+    meta = _read_manifest(meta_path)
+    config = meta.get("config") if isinstance(meta, dict) else None
+    if not isinstance(config, dict):
+        raise OSError(f"{meta_path}: corrupt run manifest: no config object")
+    # analysis never uses the output block (nor does the digest), so an
+    # output key this version no longer accepts must not block it
+    exp = parse_config({k: v for k, v in config.items() if k != "output"})
     comment, header, rows = _read_csv(os.path.join(results_dir, "trajsummary.csv"))
-    return meta, header, rows
+    return meta, exp, header, rows
 
 
 def _hit_column(header: list, rows: list, epsilon: float, horizon: int) -> np.ndarray:
@@ -252,22 +263,17 @@ def _hit_column(header: list, rows: list, epsilon: float, horizon: int) -> np.nd
     return hit
 
 
-def _theory_rate_for(meta: dict) -> RateSpec | None:
-    """Reconstruct the applicable closed-form tail law from a run manifest."""
-    cert = meta.get("certified", {})
-    cfg = meta.get("config", {})
-    method = cfg.get("method", {})
-    G = cert.get("G")
-    if G is None:
-        return None
-    if method.get("kind") == "vanilla" and "M" in cert:
-        return rate_sgd(M=cert["M"], G=G)
-    if method.get("kind") == "clipped":
-        clip = method.get("clip", {})
-        if clip.get("kind") == "paper-eq5":
-            return rate_csgd(G=G, p=clip["p"])
-        if clip.get("kind") == "general-C":
-            return rate_csgd_generalC(G=G, C=clip["C"], p=clip["p"])
+def _theory_rate_for(rc: RunConfig) -> RateSpec | None:
+    """The closed-form tail law that applies to a run configuration, if any."""
+    cert = rc.certified_constants()
+    G = cert["G"]
+    if rc.method == "vanilla":
+        return rate_sgd(M=cert["M"], G=G) if "M" in cert else None
+    clip = rc.clip_schedule
+    if clip.kind == "paper-eq5":
+        return rate_csgd(G=G, p=clip.p)
+    if clip.kind == "general-C":
+        return rate_csgd_generalC(G=G, C=clip.G_or_C, p=clip.p)
     return None
 
 
@@ -281,22 +287,14 @@ def _anchored_curve(nt_fn, slope: float, t_grid: np.ndarray, p_anchor: float, t_
     return ts, p_anchor * np.exp(slope * (nt - nt0))
 
 
-def _cmd_tail(args) -> int:
-    meta, header, rows = _load_results(args.results_dir)
+def _write_tail(path: str, meta: dict, header: list, rows: list, epsilon: float, t_grid) -> TailEstimate:
+    """Estimate one epsilon's tail from a results directory and write it as a tail CSV."""
     T = int(meta["horizon_T"])
-    digest = meta["config_digest"]
-    hit = _hit_column(header, rows, args.epsilon, T)
-    t_grid = _parse_t_grid(args.t_grid, T)
-    if t_grid is None:
-        tg = meta.get("config", {}).get("ensemble", {}).get("t_grid")
-        t_grid = np.asarray(tg, dtype=np.int64) if tg else np.arange(1, T + 1)
-    diverged_count = int(meta.get("diverged_runs", 0))
-    tail = tail_from_hitting_times(hit, T, args.epsilon, t_grid, digest, diverged_count)
-
-    out_csv = os.path.join(args.results_dir, "tail.csv")
+    hit = _hit_column(header, rows, epsilon, T)
+    tail = tail_from_hitting_times(hit, T, epsilon, t_grid, int(meta.get("diverged_runs", 0)))
     _write_csv(
-        out_csv,
-        _provenance_comment(digest, meta.get("certified", {})),
+        path,
+        _provenance_comment(meta["config_digest"], meta.get("certified", {})),
         ["t", "epsilon", "N", "exceed", "p_hat", "ci_low", "ci_high"],
         (
             [int(t), tail.epsilon, tail.n_runs, int(c), p, lo, hi]
@@ -305,6 +303,18 @@ def _cmd_tail(args) -> int:
             )
         ),
     )
+    return tail
+
+
+def _cmd_tail(args) -> int:
+    meta, exp, header, rows = _load_results(args.results_dir)
+    digest = meta["config_digest"]
+    if args.t_grid is None:
+        t_grid = exp.t_grid
+    else:
+        t_grid = _parse_t_grid(args.t_grid, lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64))
+    out_csv = os.path.join(args.results_dir, "tail.csv")
+    tail = _write_tail(out_csv, meta, header, rows, args.epsilon, t_grid)
     print(f"wrote {out_csv}")
 
     if not args.no_svg:
@@ -322,13 +332,12 @@ def _cmd_tail(args) -> int:
             t_anchor = int(tail.t_grid[anchor_idx])
             p_anchor = float(tail.p_hat[anchor_idx])
             overlays = []
-            rate = _theory_rate_for(meta)
+            rate = _theory_rate_for(exp.run_config)
             if rate is not None:
                 overlays.append(
                     (f"{rate.name} bound shape", rate.decay_rate_nt, -rate.rate_function_I(args.epsilon))
                 )
-            for entry in meta.get("config", {}).get("analysis", {}).get("sota", []):
-                curve = sota_curves(entry["kind"], **{k: v for k, v in entry.items() if k != "kind"})
+            for curve in exp.sota:
                 overlays.append((f"{curve.name} shape", curve.decay_rate_nt, curve.asymptotic_slope(args.epsilon)))
             for k, (label, nt_fn, slope) in enumerate(overlays):
                 anchored = _anchored_curve(nt_fn, slope, tail.t_grid, p_anchor, t_anchor)
@@ -359,7 +368,8 @@ def _cmd_tail(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tail_from_csv(path: str):
+def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
+    """(digest from the provenance comment, estimate rebuilt from the counts) of a tail CSV."""
     comment, header, rows = _read_csv(path)
     cols = {name: i for i, name in enumerate(header)}
     for needed in ("t", "epsilon", "N", "exceed", "p_hat"):
@@ -369,14 +379,10 @@ def _tail_from_csv(path: str):
     exceed = np.asarray([int(r[cols["exceed"]]) for r in rows], dtype=np.int64)
     n = int(rows[0][cols["N"]])
     epsilon = float(rows[0][cols["epsilon"]])
-    digest = comment.get("digest", "unknown")
     # rebuild the estimate from counts so intervals are always consistent
-    from .montecarlo import wilson_interval, TailEstimate
-
     p_hat = exceed / n
     lo, hi = wilson_interval(exceed, n)
-    return TailEstimate(
-        config_digest=digest,
+    return comment.get("digest", "unknown"), TailEstimate(
         n_runs=n,
         epsilon=epsilon,
         t_grid=t,
@@ -388,26 +394,14 @@ def _tail_from_csv(path: str):
     )
 
 
-def _candidate_specs(names, p: float | None):
-    specs = []
-    for name in names:
-        if name == "power-over-log":
-            if p is None:
-                raise ConfigError("candidate 'power-over-log' requires --p")
-            specs.append(decay_family(name, p=p))
-        else:
-            specs.append(decay_family(name))
-    return specs
-
-
 def _cmd_fit(args) -> int:
-    tail = _tail_from_csv(args.tail_csv)
+    digest, tail = _tail_from_csv(args.tail_csv)
     names = args.candidates.split(",") if args.candidates else ["sqrt-t", "t-over-log", "linear-t"]
-    fits = fit_decay(tail, _candidate_specs(names, args.p))
+    fits = fit_decay(tail, [decay_family(name, p=args.p) for name in names])
     out_csv = os.path.join(os.path.dirname(os.path.abspath(args.tail_csv)), "fit.csv")
     _write_csv(
         out_csv,
-        _provenance_comment(tail.config_digest, {}),
+        _provenance_comment(digest, {}),
         ["candidate", "slope_hat", "intercept", "r_squared", "points_used"],
         ([f.candidate, f.slope_hat, f.intercept, f.r_squared, f.points_used] for f in fits),
     )
@@ -506,17 +500,21 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rates_t_grid(spec: str | None) -> np.ndarray:
-    if spec:
-        if ":" in spec:
-            lo, hi = spec.split(":", 1)
-            lo, hi = int(lo), int(hi)
-        else:
-            return np.asarray(sorted({int(t) for t in spec.split(",")}), dtype=np.int64)
-    else:
-        lo, hi = 10, 10**6
+def _log_t_grid(lo: int, hi: int) -> np.ndarray:
+    """61 log-spaced integer steps from lo to hi, deduplicated, keeping t >= 3."""
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi), 61)).astype(np.int64))
     return grid[grid >= 3]
+
+
+def _write_curves(args, source: str, curves) -> None:
+    """One (t, n_t, family, slope) row per curve and grid point; curves are (spec, slope) pairs."""
+    t_grid = _parse_t_grid(args.t_grid, _log_t_grid) if args.t_grid else _log_t_grid(10, 10**6)
+    rows = []
+    for spec, slope in curves:
+        label = spec.name + "".join(f" {k}={v:g}" for k, v in sorted(spec.params.items()))
+        for t in t_grid:
+            rows.append([int(t), float(spec.decay_rate_nt(float(t))), label, slope])
+    _write_csv(args.out, _provenance_comment(source, {}), ["t", "n_t", "family", "slope"], rows)
 
 
 def _cmd_rates(args) -> int:
@@ -529,14 +527,7 @@ def _cmd_rates(args) -> int:
             rates.append(rate_csgd_generalC(args.G, args.C, args.p))
     if not rates:
         raise ConfigError("rates: provide --M (bounded-noise law) and/or --p (clipped law)")
-    t_grid = _rates_t_grid(args.t_grid)
-    rows = []
-    for rate in rates:
-        slope = -float(rate.rate_function_I(args.epsilon))
-        label = rate.name + "".join(f" {k}={v:g}" for k, v in sorted(rate.params.items()))
-        for t in t_grid:
-            rows.append([int(t), float(rate.decay_rate_nt(float(t))), label, slope])
-    _write_csv(args.out, _provenance_comment("rates", {}), ["t", "n_t", "family", "slope"], rows)
+    _write_curves(args, "rates", [(r, -float(r.rate_function_I(args.epsilon))) for r in rates])
     print(f"wrote {args.out} ({len(rates)} families, epsilon={args.epsilon:g})")
     return EXIT_OK
 
@@ -555,14 +546,7 @@ def _cmd_compare_sota(args) -> int:
         curves.append(sota_curves("armacki-nsgd", C=args.C, L=args.L))
     if not curves:
         raise ConfigError("compare-sota: provide --B, --sigma/--delta/--L/--p, and/or --C/--L")
-    t_grid = _rates_t_grid(args.t_grid)
-    rows = []
-    for curve in curves:
-        slope = float(curve.asymptotic_slope(args.epsilon))
-        label = curve.name + "".join(f" {k}={v:g}" for k, v in sorted(curve.params.items()))
-        for t in t_grid:
-            rows.append([int(t), float(curve.decay_rate_nt(float(t))), label, slope])
-    _write_csv(args.out, _provenance_comment("compare-sota", {}), ["t", "n_t", "family", "slope"], rows)
+    _write_curves(args, "compare-sota", [(c, float(c.asymptotic_slope(args.epsilon))) for c in curves])
     print(f"wrote {args.out} ({len(curves)} curves, epsilon={args.epsilon:g})")
     return EXIT_OK
 
@@ -573,43 +557,23 @@ def _cmd_compare_sota(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    meta, header, rows = _load_results(args.results_dir)
-    T = int(meta["horizon_T"])
-    digest = meta["config_digest"]
-    cfg = meta.get("config", {})
-    eps_grid = cfg.get("ensemble", {}).get("epsilon_grid", [])
-    tg = cfg.get("ensemble", {}).get("t_grid")
-    t_grid = np.asarray(tg, dtype=np.int64) if tg else np.arange(1, T + 1)
-    candidates = list(cfg.get("analysis", {}).get("candidates", []))
-    candidate_p = cfg.get("analysis", {}).get("candidate_p")
-
+    meta, exp, header, rows = _load_results(args.results_dir)
     lines = [
         f"{TOOL_NAME} {TOOL_VERSION} report",
         f"results: {os.path.abspath(args.results_dir)}",
-        f"config digest: {digest}",
-        f"runs: {meta['n_runs']}  horizon T: {T}  diverged: {meta.get('diverged_runs', 0)}",
+        f"config digest: {meta['config_digest']}",
+        f"runs: {meta['n_runs']}  horizon T: {meta['horizon_T']}  diverged: {meta.get('diverged_runs', 0)}",
         "",
     ]
-    for j, eps in enumerate(eps_grid):
-        hit = _hit_column(header, rows, eps, T)
-        tail = tail_from_hitting_times(hit, T, eps, t_grid, digest, int(meta.get("diverged_runs", 0)))
-        _write_csv(
-            os.path.join(args.results_dir, f"tail_eps{j}.csv"),
-            _provenance_comment(digest, meta.get("certified", {})),
-            ["t", "epsilon", "N", "exceed", "p_hat", "ci_low", "ci_high"],
-            (
-                [int(t), tail.epsilon, tail.n_runs, int(c), p, lo, hi]
-                for t, c, p, lo, hi in zip(
-                    tail.t_grid, tail.exceed_count, tail.p_hat, tail.ci_low, tail.ci_high
-                )
-            ),
-        )
+    for j, eps in enumerate(exp.run_config.epsilon_grid.tolist()):
+        path = os.path.join(args.results_dir, f"tail_eps{j}.csv")
+        tail = _write_tail(path, meta, header, rows, eps, exp.t_grid)
         lines.append(f"epsilon = {eps:g}:")
         shown = list(zip(tail.t_grid, tail.p_hat))[:12]
         lines.extend(f"  t={int(t):>5d}  p_hat={p:.6g}" for t, p in shown)
-        if candidates:
+        if exp.candidates:
             try:
-                fits = fit_decay(tail, _candidate_specs(candidates, candidate_p))
+                fits = fit_decay(tail, exp.candidates)
             except InsufficientDataError as e:
                 lines.append(f"  fit: skipped ({e})")
             else:
@@ -705,15 +669,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PreconditionViolation as e:
-        print(f"precondition violation: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except InsufficientDataError as e:
         print(f"insufficient data: {e}", file=sys.stderr)
         return EXIT_INSUFFICIENT
+    except ValueError as e:  # ConfigError, PreconditionViolation and rejected arguments
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO

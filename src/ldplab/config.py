@@ -1,31 +1,33 @@
-"""Experiment configuration: schema, validation, digests, and presets.
+"""Experiment configuration: schema, validation, the digest, and presets.
 
 Configs are JSON documents with blocks ``cost``, ``oracle``, ``method``,
-``ensemble`` and optional ``analysis`` / ``output``.  Validation is strict:
+``ensemble`` and optional ``analysis`` / ``output``.  ``parse_config`` is the
+only path from a document to the objects the lab uses.  Validation is strict:
 unknown keys are errors, not warnings, because a silently ignored typo in an
 epsilon or a moment order invalidates an experiment.  Every error message is
 anchored to the JSON path of the offending entry.
+
+The config digest covers the whole document except its ``output`` block,
+which only says where results go.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import CostSpec, huber_cost, pseudo_huber_cost, synthetic_logistic_cost
 from .oracles import AdditiveOracle, BatchSubsampleOracle, OracleSpec, make_noise
 from .optimizers import ClipSpec, RunConfig, ScheduleSpec
+from .theory import decay_family, sota_curves
 
 TOOL_NAME = "ldplab"
 TOOL_VERSION = "0.1.0"
 
 PRESET_NAMES = ("appendix-f", "sgd-bounded", "csgd-pareto")
-
-_FAMILY_NAMES = ("sqrt-t", "t-over-log", "power-over-log", "t-over-log2", "linear-t")
-_SOTA_KINDS = ("liu-sgd", "nguyen-csgd", "armacki-nsgd")
 
 
 class ConfigError(ValueError):
@@ -164,17 +166,46 @@ class Experiment:
     digest: str
     run_config: RunConfig
     n_runs: int
-    t_grid: np.ndarray | None
-    candidates: tuple
-    candidate_p: float | None
-    sota: tuple
+    t_grid: np.ndarray  # default tail grid: ensemble.t_grid, else 1..horizon_T
+    candidates: tuple  # RateSpecs fitted by `report`
+    sota: tuple  # SotaCurves overlaid by `tail`
     output_dir: str
-    formats: tuple
 
 
 def config_digest(doc: dict) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """sha256 (16 hex digits) of the sorted compact JSON of doc without its output block."""
+    content = {k: v for k, v in doc.items() if k != "output"}
+    blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _build_analysis(ana: dict) -> tuple:
+    """(candidate RateSpecs, SotaCurves) of an analysis block."""
+    _require_keys(ana, "analysis", (), ("candidates", "candidate_p", "sota"))
+    candidate_p = None
+    if "candidate_p" in ana:
+        candidate_p = float(_number(ana, "analysis", "candidate_p"))
+        if not 1.0 < candidate_p <= 2.0:
+            raise ConfigError("analysis.candidate_p: must lie in (1, 2]")
+    names = ana.get("candidates", [])
+    if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
+        raise ConfigError("analysis.candidates: expected a list of family names")
+    try:
+        candidates = tuple(decay_family(name, p=candidate_p) for name in names)
+    except ValueError as e:
+        raise ConfigError(f"analysis.candidates: {e}") from e
+    entries = ana.get("sota", [])
+    if not isinstance(entries, list):
+        raise ConfigError("analysis.sota: expected a list of curve specs")
+    sota = []
+    for i, entry in enumerate(entries):
+        path = f"analysis.sota[{i}]"
+        _require_keys(entry, path, ("kind",), ("B", "sigma", "delta", "L", "C", "p"))
+        try:
+            sota.append(sota_curves(**entry))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: {e}") from e
+    return candidates, tuple(sota)
 
 
 def parse_config(doc: dict) -> Experiment:
@@ -212,7 +243,7 @@ def parse_config(doc: dict) -> Experiment:
     seed = _integer(ens, "ensemble", "seed")
     init_x1 = _vector(ens, "ensemble", "init_x1")
     epsilon_grid = _vector(ens, "ensemble", "epsilon_grid")
-    t_grid = None
+    t_grid = np.arange(1, horizon + 1, dtype=np.int64)
     if "t_grid" in ens:
         tg = ens["t_grid"]
         if not isinstance(tg, list) or not all(isinstance(t, int) and not isinstance(t, bool) for t in tg):
@@ -236,55 +267,17 @@ def parse_config(doc: dict) -> Experiment:
     except ValueError as e:
         raise ConfigError(f"ensemble/method: {e}") from e
 
-    candidates: tuple = ()
-    candidate_p = None
-    sota: tuple = ()
-    if "analysis" in doc:
-        ana = doc["analysis"]
-        _require_keys(ana, "analysis", (), ("candidates", "candidate_p", "sota"))
-        if "candidates" in ana:
-            cands = ana["candidates"]
-            if not isinstance(cands, list) or not all(isinstance(c, str) for c in cands):
-                raise ConfigError("analysis.candidates: expected a list of family names")
-            for c in cands:
-                if c not in _FAMILY_NAMES:
-                    raise ConfigError(
-                        f"analysis.candidates: unknown family {c!r}; expected one of {_FAMILY_NAMES}"
-                    )
-            candidates = tuple(cands)
-        if "candidate_p" in ana:
-            candidate_p = float(_number(ana, "analysis", "candidate_p"))
-            if not 1.0 < candidate_p <= 2.0:
-                raise ConfigError("analysis.candidate_p: must lie in (1, 2]")
-        if "sota" in ana:
-            entries = ana["sota"]
-            if not isinstance(entries, list):
-                raise ConfigError("analysis.sota: expected a list of curve specs")
-            for i, entry in enumerate(entries):
-                _require_keys(
-                    entry, f"analysis.sota[{i}]", ("kind",), ("B", "sigma", "delta", "L", "C", "p")
-                )
-                if entry["kind"] not in _SOTA_KINDS:
-                    raise ConfigError(
-                        f"analysis.sota[{i}].kind: unknown kind {entry['kind']!r}"
-                    )
-            sota = tuple(entries)
+    candidates, sota = _build_analysis(doc.get("analysis", {}))
 
     digest = config_digest(doc)
     output_dir = f"results/{digest}"
-    formats = ("csv", "svg")
     if "output" in doc:
         out = doc["output"]
-        _require_keys(out, "output", (), ("directory", "formats"))
+        _require_keys(out, "output", (), ("directory",))
         if "directory" in out:
             if not isinstance(out["directory"], str) or not out["directory"]:
                 raise ConfigError("output.directory: expected a non-empty string")
             output_dir = out["directory"]
-        if "formats" in out:
-            fmts = out["formats"]
-            if not isinstance(fmts, list) or not all(f in ("csv", "svg") for f in fmts):
-                raise ConfigError("output.formats: expected a list drawn from ['csv', 'svg']")
-            formats = tuple(fmts)
 
     return Experiment(
         raw=doc,
@@ -293,10 +286,8 @@ def parse_config(doc: dict) -> Experiment:
         n_runs=n_runs,
         t_grid=t_grid,
         candidates=candidates,
-        candidate_p=candidate_p,
         sota=sota,
         output_dir=output_dir,
-        formats=formats,
     )
 
 
@@ -336,7 +327,7 @@ def preset_config(name: str) -> dict:
                 "candidates": ["sqrt-t", "t-over-log", "linear-t"],
                 "sota": [{"kind": "liu-sgd", "B": 0.6}],
             },
-            "output": {"directory": "results/appendix-f", "formats": ["csv", "svg"]},
+            "output": {"directory": "results/appendix-f"},
         }
     if name == "sgd-bounded":
         return {
@@ -354,7 +345,7 @@ def preset_config(name: str) -> dict:
                 "candidates": ["sqrt-t", "t-over-log", "linear-t"],
                 "sota": [{"kind": "liu-sgd", "B": 0.5}],
             },
-            "output": {"directory": "results/sgd-bounded", "formats": ["csv", "svg"]},
+            "output": {"directory": "results/sgd-bounded"},
         }
     if name == "csgd-pareto":
         return {
@@ -387,6 +378,6 @@ def preset_config(name: str) -> dict:
                     {"kind": "nguyen-csgd", "sigma": 1.26, "delta": 1.55, "L": 1.0, "p": 1.5}
                 ],
             },
-            "output": {"directory": "results/csgd-pareto", "formats": ["csv", "svg"]},
+            "output": {"directory": "results/csgd-pareto"},
         }
     raise ConfigError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")

@@ -56,9 +56,6 @@ class CostSpec:
     def gradient(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class HuberCost(CostSpec):
@@ -106,9 +103,6 @@ class HuberCost(CostSpec):
         safe_r = np.where(r > 0, r, 1.0)
         return np.where(r <= g, x, g * x / safe_r)
 
-    def describe(self) -> dict:
-        return {"name": self.name, "threshold_G": self.threshold_G, "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class PseudoHuberCost(CostSpec):
@@ -150,9 +144,6 @@ class PseudoHuberCost(CostSpec):
     def gradient(self, x):
         x = _as_points(x, self.dim)
         return x / np.sqrt(1.0 + (x / self.scale) ** 2)
-
-    def describe(self) -> dict:
-        return {"name": self.name, "scale": self.scale, "dim": self.dim}
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,15 +228,6 @@ class LogisticBatchCost(CostSpec):
         w = -self.labels * _sigmoid(-margins)
         w_sub = np.take_along_axis(w, idx, axis=1)  # (n, b)
         return np.einsum("nb,nbd->nd", w_sub, self.features[idx]) / idx.shape[1]
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "n_samples": self.n_samples,
-            "dim": self.dim,
-            "features_sum": float(self.features.sum()),
-            "labels_sum": float(self.labels.sum()),
-        }
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ with Wilson score intervals.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,6 @@ from .oracles import (
 )
 from .optimizers import EnsembleArrays, RunConfig, TrajectoryRecord, simulate_runs
 from .rng import run_generator
-from .theory import RateSpec
 
 ENSEMBLE_CHUNK = 1 << 14  # fixed: chunk layout must not depend on worker count
 
@@ -59,21 +59,7 @@ class EnsembleResult:
         """TrajectoryRecord for the i-th run (full mode only)."""
         if not self.record_full:
             raise ValueError("ensemble was run in lean mode; re-run with record_full=True")
-        a = self.arrays
-        T = a.horizon_T
-        hitting = {}
-        for j, e in enumerate(a.epsilon_grid):
-            t = int(a.hit[i, j])
-            hitting[float(e)] = float(t) if t <= T else math.inf
-        return TrajectoryRecord(
-            run_index=int(a.run_indices[i]),
-            grad_norm_sq=a.grad_norm_sq[i],
-            running_min=a.running_min[i],
-            running_avg=a.running_avg[i],
-            clip_event_count=int(a.clip_events[i]),
-            hitting_time=hitting,
-            diverged=bool(a.diverged[i]),
-        )
+        return self.arrays.record(i)
 
 
 def _concat_arrays(parts: list[EnsembleArrays]) -> EnsembleArrays:
@@ -110,7 +96,8 @@ def run_ensemble(
     """N independent runs with indices 0..N-1.
 
     Streams are derived from (config.seed, run_index) only, and chunking is
-    fixed, so the result is bit-identical for every ``workers`` setting.
+    fixed, so the result is bit-identical for every ``workers`` setting.  At
+    most min(workers, chunks, CPUs) worker processes are started.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValueError("N must be a positive integer")
@@ -118,7 +105,8 @@ def run_ensemble(
         (config, lo, min(lo + ENSEMBLE_CHUNK, N), record_full, check_invariants)
         for lo in range(0, N, ENSEMBLE_CHUNK)
     ]
-    if workers <= 1 or len(jobs) == 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         parts = [_chunk_job(j) for j in jobs]
     else:
         ctx = multiprocessing.get_context("fork")
@@ -147,7 +135,6 @@ def wilson_interval(count, n: int, confidence: float = 0.95):
 class TailEstimate:
     """Exceedance estimates of P(F_t > epsilon) over an ensemble."""
 
-    config_digest: str
     n_runs: int
     epsilon: float
     t_grid: np.ndarray
@@ -159,8 +146,10 @@ class TailEstimate:
 
     def __post_init__(self):
         # exceedance events are nested in t, so the estimates must be monotone
-        assert np.all(np.diff(self.p_hat) <= 0), "tail estimates must be non-increasing in t"
-        assert np.all((self.ci_low <= self.p_hat) & (self.p_hat <= self.ci_high))
+        if not np.all(np.diff(self.p_hat) <= 0):
+            raise ValueError("tail estimates must be non-increasing in t")
+        if not np.all((self.ci_low <= self.p_hat) & (self.p_hat <= self.ci_high)):
+            raise ValueError("confidence intervals must contain p_hat")
 
 
 def tail_from_hitting_times(
@@ -168,7 +157,6 @@ def tail_from_hitting_times(
     horizon_T: int,
     epsilon: float,
     t_grid,
-    config_digest: str,
     diverged_count: int,
     confidence: float = 0.95,
 ) -> TailEstimate:
@@ -190,7 +178,6 @@ def tail_from_hitting_times(
     p_hat = exceed / n
     lo, hi = wilson_interval(exceed, n, confidence)
     return TailEstimate(
-        config_digest=config_digest,
         n_runs=int(n),
         epsilon=float(epsilon),
         t_grid=t_grid,
@@ -220,7 +207,6 @@ def estimate_tail(result: EnsembleResult, epsilon: float, t_grid=None) -> TailEs
         T,
         float(eps_grid[j]),
         t_grid,
-        result.config.digest(),
         result.diverged_count,
     )
 
@@ -274,8 +260,6 @@ def fit_decay(tail: TailEstimate, candidates) -> list[DecayFit]:
 # ---------------------------------------------------------------------------
 # statistical verification suites
 # ---------------------------------------------------------------------------
-
-LEMMA_SUITES = ("mgf-bounded", "mgf-inner", "clip-bias", "clip-subgauss", "batch-bound")
 
 _MGF_NORM_MULTIPLIERS = (0.1, 1.0, 4.0 / 3.0, 2.0, 5.0)
 
@@ -444,6 +428,16 @@ def _suite_batch_bound(n_queries, seed, m=64, dim=4, batch_sizes=(1, 8, 32)) -> 
     return LemmaSuiteReport("batch-bound", checks)
 
 
+_LEMMA_SUITE_RUNNERS = {
+    "mgf-bounded": _suite_mgf_bounded,
+    "mgf-inner": _suite_mgf_inner,
+    "clip-bias": _suite_clip_bias,
+    "clip-subgauss": _suite_clip_subgauss,
+    "batch-bound": _suite_batch_bound,
+}
+LEMMA_SUITES = tuple(_LEMMA_SUITE_RUNNERS)
+
+
 def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801, **params) -> LemmaSuiteReport:
     """Run one statistical verification suite and report margins.
 
@@ -452,17 +446,9 @@ def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801,
     concentration), 'batch-bound' (hard subsample-noise bound).
     Precondition violations raise rather than count as statistical failures.
     """
-    if suite == "mgf-bounded":
-        return _suite_mgf_bounded(n_samples, seed, **params)
-    if suite == "mgf-inner":
-        return _suite_mgf_inner(n_samples, seed, **params)
-    if suite == "clip-bias":
-        return _suite_clip_bias(n_samples, seed, **params)
-    if suite == "clip-subgauss":
-        return _suite_clip_subgauss(n_samples, seed, **params)
-    if suite == "batch-bound":
-        return _suite_batch_bound(n_samples, seed, **params)
-    raise ValueError(f"unknown suite {suite!r}; expected one of {LEMMA_SUITES}")
+    if suite not in _LEMMA_SUITE_RUNNERS:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {LEMMA_SUITES}")
+    return _LEMMA_SUITE_RUNNERS[suite](n_samples, seed, **params)
 
 
 # ---------------------------------------------------------------------------

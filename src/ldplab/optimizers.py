@@ -12,8 +12,6 @@ batching, ordering, and worker count.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -53,14 +51,6 @@ class ScheduleSpec:
         if self.kind == "constant" and not (self.c is not None and self.c > 0):
             raise ValueError("constant schedule requires c > 0")
 
-    def describe(self) -> dict:
-        d = {"kind": self.kind}
-        for k in ("a", "p", "c"):
-            v = getattr(self, k)
-            if v is not None:
-                d[k] = v
-        return d
-
 
 @dataclass(frozen=True)
 class ClipSpec:
@@ -92,12 +82,6 @@ class ClipSpec:
         if self.kind == "paper-eq5":
             return 2.0 * self.G_or_C
         return self.G_or_C
-
-    def describe(self) -> dict:
-        d = {"kind": self.kind, "G_or_C": self.G_or_C}
-        if self.p is not None:
-            d["p"] = self.p
-        return d
 
 
 def step_size(schedule: ScheduleSpec, t):
@@ -198,25 +182,6 @@ class RunConfig:
                     f"1/L = {limit:.6g} for this cost"
                 )
 
-    def describe(self) -> dict:
-        d = {
-            "method": self.method,
-            "cost": self.cost.describe(),
-            "oracle": self.oracle.describe(),
-            "init_x1": [float(c) for c in self.init_x1],
-            "horizon_T": self.horizon_T,
-            "step": self.step_schedule.describe(),
-            "seed": self.seed,
-            "epsilon_grid": [float(e) for e in self.epsilon_grid],
-        }
-        if self.clip_schedule is not None:
-            d["clip"] = self.clip_schedule.describe()
-        return d
-
-    def digest(self) -> str:
-        blob = json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
     def certified_constants(self) -> dict:
         """Constants echoed into output headers for provenance."""
         out = {
@@ -274,6 +239,23 @@ class EnsembleArrays:
     @property
     def n_runs(self) -> int:
         return self.run_indices.size
+
+    def record(self, i: int) -> TrajectoryRecord:
+        """Row i as a TrajectoryRecord; needs the full-mode arrays."""
+        T = self.horizon_T
+        hitting = {}
+        for j, e in enumerate(self.epsilon_grid):
+            t = int(self.hit[i, j])
+            hitting[float(e)] = float(t) if t <= T else math.inf
+        return TrajectoryRecord(
+            run_index=int(self.run_indices[i]),
+            grad_norm_sq=self.grad_norm_sq[i],
+            running_min=self.running_min[i],
+            running_avg=self.running_avg[i],
+            clip_event_count=int(self.clip_events[i]),
+            hitting_time=hitting,
+            diverged=bool(self.diverged[i]),
+        )
 
 
 def simulate_runs(
@@ -376,40 +358,36 @@ def simulate_runs(
 
 
 def _assert_invariants(arrays: EnsembleArrays) -> None:
-    """Hard asserts: prefix-min monotone, min <= avg, hit <=> exceedance."""
+    """Hard checks, kept under python -O: prefix-min monotone, min <= avg,
+    hit <=> exceedance.  Raises ValueError on the first violation."""
+
+    def require(ok, message):
+        if not ok:
+            raise ValueError(f"ensemble invariant violated: {message}")
+
     ok = ~arrays.diverged
     if arrays.running_min is not None:
         rmin = arrays.running_min[ok]
         ravg = arrays.running_avg[ok]
         if rmin.size:
-            assert np.all(np.diff(rmin, axis=1) <= 0), "running minimum increased"
+            require(np.all(np.diff(rmin, axis=1) <= 0), "running minimum increased")
             tol = 1e-9 * np.maximum(1.0, np.abs(ravg))
-            assert np.all(ravg >= rmin - tol), "running average dipped below running minimum"
+            require(np.all(ravg >= rmin - tol), "running average dipped below running minimum")
             T = arrays.horizon_T
             t_axis = np.arange(1, T + 1)
             for j, e in enumerate(arrays.epsilon_grid):
                 exceeded = rmin > e  # (n_ok, T)
                 ht = arrays.hit[ok, j][:, None]  # (n_ok, 1)
-                assert np.array_equal(ht > t_axis[None, :], exceeded), (
-                    "hitting time and exceedance disagree"
+                require(
+                    np.array_equal(ht > t_axis[None, :], exceeded),
+                    "hitting time and exceedance disagree",
                 )
-    assert np.all(arrays.hit >= 1) and np.all(arrays.hit <= arrays.horizon_T + 1)
+    require(
+        np.all(arrays.hit >= 1) and np.all(arrays.hit <= arrays.horizon_T + 1),
+        "hitting time outside [1, horizon_T + 1]",
+    )
 
 
 def run_trajectory(config: RunConfig, run_index: int) -> TrajectoryRecord:
     """One run's full record; identical to the matching ensemble row."""
-    arrays = simulate_runs(config, [run_index], record_full=True)
-    T = config.horizon_T
-    hitting = {}
-    for j, e in enumerate(config.epsilon_grid):
-        t = int(arrays.hit[0, j])
-        hitting[float(e)] = float(t) if t <= T else math.inf
-    return TrajectoryRecord(
-        run_index=int(run_index),
-        grad_norm_sq=arrays.grad_norm_sq[0],
-        running_min=arrays.running_min[0],
-        running_avg=arrays.running_avg[0],
-        clip_event_count=int(arrays.clip_events[0]),
-        hitting_time=hitting,
-        diverged=bool(arrays.diverged[0]),
-    )
+    return simulate_runs(config, [run_index], record_full=True).record(0)

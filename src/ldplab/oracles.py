@@ -17,7 +17,7 @@ of T steps can be drawn in one call and trajectories replayed exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,10 @@ class NoiseModel:
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n iid noise vectors; shape (n, dim).
 
-        The draw pattern per vector is fixed for each kind, so blocks of any
-        size taken from the same stream position agree prefix-wise with the
-        per-step consumption of a trajectory.
+        The draw pattern is fixed for each kind, so the same size taken from
+        the same stream position gives the same block.  Blocks of different
+        sizes need not share a prefix: symmetrized-pareto draws all n normals
+        before the n uniforms.
         """
         raise NotImplementedError
 
@@ -61,9 +62,6 @@ class NoiseModel:
 
     def moment_bound(self, p: float) -> float:
         """Exact closed-form p-th moment E||z||^p."""
-        raise NotImplementedError
-
-    def describe(self) -> dict:
         raise NotImplementedError
 
 
@@ -91,9 +89,6 @@ class SphereNoise(NoiseModel):
 
     def moment_bound(self, p):
         return self.radius**p
-
-    def describe(self):
-        return {"kind": self.kind, "radius": self.radius, "dim": self.dim}
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +119,6 @@ class TwoPointNoise(NoiseModel):
 
     def moment_bound(self, p):
         return float(np.linalg.norm(self.v)) ** p
-
-    def describe(self):
-        return {"kind": self.kind, "v": [float(c) for c in self.v]}
 
 
 @dataclass(frozen=True)
@@ -172,15 +164,6 @@ class SymmetrizedParetoNoise(NoiseModel):
             raise ValueError(f"moment of order {p} is infinite for tail index {self.tail_index}")
         return self.tail_index * self.x_m**p / (self.tail_index - p)
 
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "x_m": self.x_m,
-            "tail_index": self.tail_index,
-            "moment_order": self.moment_order,
-            "dim": self.dim,
-        }
-
 
 @dataclass(frozen=True)
 class GaussianNoise(NoiseModel):
@@ -208,9 +191,6 @@ class GaussianNoise(NoiseModel):
         log_m = (p / 2.0) * math.log(2.0) + math.lgamma((self.dim + p) / 2.0) - math.lgamma(self.dim / 2.0)
         return self.scale**p * math.exp(log_m)
 
-    def describe(self):
-        return {"kind": self.kind, "scale": self.scale, "dim": self.dim}
-
 
 _NOISE_KINDS = {
     "sphere-bounded": SphereNoise,
@@ -227,18 +207,8 @@ def make_noise(kind: str, **params) -> NoiseModel:
     return _NOISE_KINDS[kind](**params)
 
 
-def sample_noise(model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """One noise draw from the model's distribution."""
-    return model.sample_block(rng, 1)[0]
-
-
-def certify_moment(model: NoiseModel, p: float) -> float:
-    """Exact p-th moment bound sigma^p for the model; raises if infinite."""
-    return model.moment_bound(p)
-
-
 class OracleSpec:
-    """Stochastic first-order oracle: query(x) returns an unbiased estimate of grad f(x)."""
+    """Stochastic first-order oracle: unbiased estimates of grad f(x)."""
 
     mode: str = "abstract"
     cost: CostSpec
@@ -255,17 +225,11 @@ class OracleSpec:
         """n independent oracle outputs at a fixed point; shape (n, dim)."""
         raise NotImplementedError
 
-    def query(self, x, rng: np.random.Generator) -> np.ndarray:
-        return self.query_block(x, rng, 1)[0]
-
     def moment_certificate(self) -> tuple:
         """(p, sigma_p) usable in the clipped-mean bias bound.
 
         An a.s. bound M certifies the second moment: E||z||^2 <= M^2.
         """
-        raise NotImplementedError
-
-    def describe(self) -> dict:
         raise NotImplementedError
 
 
@@ -301,9 +265,6 @@ class AdditiveOracle(OracleSpec):
         if tag == "as-bound":
             return (2.0, payload**2)
         return payload
-
-    def describe(self):
-        return {"mode": self.mode, "noise": self.noise.describe()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,14 +313,6 @@ class BatchSubsampleOracle(OracleSpec):
 
     def moment_certificate(self):
         return (2.0, self.noise_bound() ** 2)
-
-    def describe(self):
-        return {"mode": self.mode, "batch_size": self.batch_size}
-
-
-def query(oracle: OracleSpec, x, rng: np.random.Generator) -> np.ndarray:
-    """Single oracle query at x using the given stream."""
-    return oracle.query(x, rng)
 
 
 def clip_rows(g: np.ndarray, gamma: float) -> np.ndarray:

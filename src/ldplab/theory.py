@@ -330,14 +330,9 @@ def sota_curves(kind: str, **params) -> SotaCurve:
         )
     if kind == "armacki-nsgd":
         C, L = need("C", "L")
-
-        def nt(t):
-            t = _as_t(t)
-            return _scalar_out(np.sqrt(t) / np.log(t))
-
         return SotaCurve(
             kind,
-            nt,
+            _nt_power_over_logpow(0.5, 1.0),
             lambda eps: -min(eps, math.sqrt(eps)) / (16.0 * C**4 * L**2),
             {"C": C, "L": L},
         )

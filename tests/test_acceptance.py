@@ -265,7 +265,6 @@ def test_criterion_10_decay_fit_self_consistency():
         p = np.exp(-c_true * np.asarray(gen.decay_rate_nt(t_grid.astype(float))))
         n = 10**9
         tail = TailEstimate(
-            config_digest="synthetic",
             n_runs=n,
             epsilon=0.1,
             t_grid=t_grid,

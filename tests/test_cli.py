@@ -101,6 +101,20 @@ def test_missing_or_corrupt_results_exit_code(tiny_config, tmp_path):
     assert main(["tail", out, "--epsilon", "0.18"]) == 3
 
 
+def test_analysis_ignores_manifest_output_block(tiny_config):
+    # results whose recorded output block has a key the schema no longer knows stay readable
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    meta_path = os.path.join(out, "meta.json")
+    meta = json.loads(open(meta_path).read())
+    meta["config"]["output"]["retired_key"] = ["csv", "svg"]
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    assert main(["report", out]) == 0
+    assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 0
+
+
 def test_fit_insufficient_data_exit_code(tiny_config, tmp_path):
     config_path, doc = tiny_config
     out = doc["output"]["directory"]
@@ -135,6 +149,31 @@ def test_verify_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli_mod, "verify_lemma_suite", failing_suite)
     assert main(["verify", "mgf-bounded", "--samples", "1000"]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tail", "{R}", "--epsilon", "0.18", "--t-grid", "0:99"],
+        ["fit", "{R}/tail.csv", "--candidates", "bogus"],
+        ["verify", "clip-bias", "--samples", "1000"],
+        ["rates", "--epsilon", "0.1", "--p", "3"],
+        ["rates", "--epsilon", "0.1", "--M", "1", "--t-grid", "abc"],
+    ],
+    ids=["tail-t-grid-below-1", "fit-unknown-family", "verify-too-few-samples",
+         "rates-p-out-of-range", "rates-bad-t-grid"],
+)
+def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, capsys):
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    monkeypatch.chdir(tmp_path)
+    if argv[0] in ("tail", "fit"):
+        assert main(["simulate", "--config", config_path]) == 0
+        assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 0
+    capsys.readouterr()
+    assert main([a.format(R=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_rates_and_sota_csv(tmp_path):

@@ -103,6 +103,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cubed-t"):
             parse_config(base_doc)
 
+    def test_sota_curve_missing_parameter(self, base_doc):
+        base_doc["analysis"]["sota"] = [{"kind": "liu-sgd"}]
+        with pytest.raises(ConfigError, match=r"^analysis\.sota\[0\]: .*\['B'\]"):
+            parse_config(base_doc)
+
+    def test_power_over_log_candidate_needs_candidate_p(self, base_doc):
+        base_doc["analysis"]["candidates"] = ["power-over-log"]
+        with pytest.raises(ConfigError, match=r"^analysis\.candidates: .*moment order p") as info:
+            parse_config(base_doc)
+        assert "--p" not in str(info.value)
+        base_doc["analysis"]["candidate_p"] = 1.5
+        assert [c.name for c in parse_config(base_doc).candidates] == ["power-over-log"]
+
 
 class TestDigest:
     def test_digest_stable_under_key_order(self, base_doc):
@@ -114,10 +127,12 @@ class TestDigest:
         other["ensemble"]["seed"] += 1
         assert config_digest(base_doc) != config_digest(other)
 
-    def test_run_config_digest_matches_reconstruction(self, base_doc):
-        a = parse_config(base_doc).run_config
-        b = parse_config(copy.deepcopy(base_doc)).run_config
-        assert a.digest() == b.digest()
+    def test_digest_ignores_output_block(self, base_doc):
+        moved = copy.deepcopy(base_doc)
+        moved["output"]["directory"] = "elsewhere/results"
+        assert config_digest(base_doc) == config_digest(moved)
+        del moved["output"]
+        assert config_digest(base_doc) == config_digest(moved)
 
 
 def test_load_config_anchors_syntax_errors(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ldplab
+from ldplab import montecarlo
 from ldplab.costs import huber_cost
 from ldplab.montecarlo import (
     InsufficientDataError,
@@ -64,6 +69,52 @@ class TestEnsemble:
         res = run_ensemble(solvable_instance(T=4), 4)
         with pytest.raises(ValueError):
             res.record(0)
+
+    def test_worker_count_bounded_by_chunks_and_cpus(self, monkeypatch):
+        # a stub pool records max_workers and runs the chunks inline, so no
+        # worker process is ever started here
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        config = solvable_instance(T=2)
+        n = montecarlo.ENSEMBLE_CHUNK + 1  # two chunks
+        res = run_ensemble(config, n, workers=10**4)
+        assert started == [2]
+        np.testing.assert_array_equal(res.arrays.hit, run_ensemble(config, n).arrays.hit)
+
+
+def test_tail_invariant_survives_python_O():
+    # TailEstimate checks its invariants with exceptions, which -O keeps
+    code = (
+        "import numpy as np\n"
+        "from ldplab.montecarlo import TailEstimate\n"
+        "p = np.array([0.1, 0.2])\n"
+        "try:\n"
+        "    TailEstimate(n_runs=10, epsilon=0.1, t_grid=np.array([1, 2]),\n"
+        "                 exceed_count=np.array([1, 2]), p_hat=p, ci_low=p, ci_high=p,\n"
+        "                 diverged_count=0)\n"
+        "except ValueError as e:\n"
+        "    print('rejected:', e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected: tail estimates must be non-increasing in t"
 
 
 class TestEstimateTail:
@@ -126,7 +177,6 @@ def synthetic_tail(nt_fn, c, t_grid, n_runs=10**9):
     exceed = np.maximum((p * n_runs).astype(np.int64), 0)
     lo, hi = np.maximum(p - 1e-9, 0.0), np.minimum(p + 1e-9, 1.0)
     return TailEstimate(
-        config_digest="synthetic",
         n_runs=n_runs,
         epsilon=0.1,
         t_grid=t_grid,
@@ -159,7 +209,6 @@ class TestFitDecay:
     def test_flat_tail_zero_slopes(self):
         p = np.full(self.t_grid.size, 0.5)
         tail = TailEstimate(
-            config_digest="synthetic",
             n_runs=10**6,
             epsilon=0.1,
             t_grid=self.t_grid,
