@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -86,39 +87,53 @@ def _provenance_comment(digest: str, certified: dict) -> str:
     return "# " + " ".join(parts)
 
 
-def _write_csv(path: str, comment: str, header: list, rows) -> None:
+_BLOCK_ROWS = 1 << 16
+
+
+def _write_csv(path: str, comment: str, header: list, rows=(), columns=None) -> None:
+    """Write a provenance comment, a header and a body.
+
+    The body is either ``rows`` (any cells) or ``columns``, equal-length
+    integer or bool arrays; the latter is formatted 2^16 rows at a time with
+    one %-format per block and gives the same bytes as the same rows would.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(comment + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt_cell(v) for v in row])
+        if columns is not None:
+            line = ",".join(["%d"] * len(columns)) + "\n"
+            for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+                block = np.column_stack([c[lo : lo + _BLOCK_ROWS] for c in columns]).astype(np.int64)
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def _read_csv(path: str):
-    """Returns (comment key/value dict, header list, rows as string lists)."""
+def _read_csv(path: str, dtype=np.int64):
+    """(comment key/value dict, header list, body as a 2-D ``dtype`` array).
+
+    The body is parsed in one pass; a ragged row, a row whose length is not
+    the header's, or a cell that is not a ``dtype`` number raises ValueError.
+    """
     meta = {}
-    header = None
-    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for record in csv.reader(line for line in fh if not line.startswith("#")):
-            if not record:
-                continue
-            if header is None:
-                header = record
-            else:
-                rows.append(record)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
+        line = fh.readline()
+        while line.startswith("#"):
             for token in line[1:].split():
                 if "=" in token:
                     k, v = token.split("=", 1)
                     meta[k] = v
-    if header is None:
-        raise OSError(f"{path}: no CSV header found")
-    return meta, header, rows
+            line = fh.readline()
+        header = next(csv.reader([line]), None)
+        if not header:
+            raise OSError(f"{path}: no CSV header found")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body: callers check row counts
+            body = np.loadtxt(fh, dtype=dtype, delimiter=",", ndmin=2)
+    if body.size and body.shape[1] != len(header):
+        raise ValueError(f"rows have {body.shape[1]} columns, the header {len(header)}")
+    return meta, header, body
 
 
 def _resolve_out(flag_value: str | None, config_dir: str) -> str:
@@ -193,21 +208,6 @@ def _cmd_simulate(args) -> int:
         f"{_HIT_PREFIX}{repr(float(e))}" for e in eps_grid
     ]
     hit_out = np.where(arrays.hit <= T, arrays.hit, -1)  # -1 encodes "never within T"
-
-    def rows():
-        for i in range(arrays.n_runs):
-            yield [
-                int(arrays.run_indices[i]),
-                bool(arrays.diverged[i]),
-                int(arrays.clip_events[i]),
-            ] + [int(h) for h in hit_out[i]]
-
-    _write_csv(
-        os.path.join(outdir, "trajsummary.csv"),
-        _provenance_comment(exp.digest, certified),
-        header,
-        rows(),
-    )
     meta = {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
@@ -218,9 +218,27 @@ def _cmd_simulate(args) -> int:
         "horizon_T": T,
         "diverged_runs": result.diverged_count,
     }
-    with open(meta_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # both files go to temp names first and replace the old ones summary
+    # first, manifest last; a summary whose digest is not the manifest's is
+    # rejected on load, so an interrupted write never mixes old and new
+    summary_path = os.path.join(outdir, "trajsummary.csv")
+    tmp_summary, tmp_meta = summary_path + ".tmp", meta_path + ".tmp"
+    try:
+        _write_csv(
+            tmp_summary,
+            _provenance_comment(exp.digest, certified),
+            header,
+            columns=[arrays.run_indices, arrays.diverged, arrays.clip_events, *hit_out.T],
+        )
+        with open(tmp_meta, "w", encoding="utf-8", newline="") as fh:
+            json.dump(meta, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(tmp_summary, summary_path)
+        os.replace(tmp_meta, meta_path)
+    finally:
+        for tmp in (tmp_summary, tmp_meta):
+            if os.path.exists(tmp):
+                os.remove(tmp)
     print(
         f"simulated {exp.n_runs} runs (T={T}, digest={exp.digest}, "
         f"diverged={result.diverged_count}) -> {outdir}"
@@ -234,7 +252,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_results(results_dir: str):
-    """(manifest, re-parsed Experiment, trajsummary header, rows) of a results directory."""
+    """(manifest, re-parsed Experiment, trajsummary header, body) of a results directory.
+
+    A summary that does not parse as integers, whose rows are not the
+    header's width, whose row count is not the manifest's n_runs, or whose
+    digest is not the manifest's is corrupt: an OSError.
+    """
     meta_path = os.path.join(results_dir, "meta.json")
     meta = _read_manifest(meta_path)
     config = meta.get("config") if isinstance(meta, dict) else None
@@ -243,11 +266,25 @@ def _load_results(results_dir: str):
     # analysis never uses the output block (nor does the digest), so an
     # output key this version no longer accepts must not block it
     exp = parse_config({k: v for k, v in config.items() if k != "output"})
-    comment, header, rows = _read_csv(os.path.join(results_dir, "trajsummary.csv"))
-    return meta, exp, header, rows
+    summary_path = os.path.join(results_dir, "trajsummary.csv")
+    try:
+        comment, header, body = _read_csv(summary_path)
+    except ValueError as e:
+        raise OSError(f"{summary_path}: corrupt trajsummary: {e}") from e
+    if body.shape[0] != meta.get("n_runs"):
+        raise OSError(
+            f"{summary_path}: corrupt trajsummary: {body.shape[0]} rows, "
+            f"the manifest records {meta.get('n_runs')} runs"
+        )
+    if comment.get("digest") != meta.get("config_digest"):
+        raise OSError(
+            f"{summary_path}: corrupt trajsummary: digest {comment.get('digest')} is not "
+            f"the manifest's {meta.get('config_digest')}"
+        )
+    return meta, exp, header, body
 
 
-def _hit_column(header: list, rows: list, epsilon: float, horizon: int) -> np.ndarray:
+def _hit_column(header: list, body: np.ndarray, epsilon: float, horizon: int) -> np.ndarray:
     eps_cols = {}
     for j, name in enumerate(header):
         if name.startswith(_HIT_PREFIX):
@@ -258,7 +295,7 @@ def _hit_column(header: list, rows: list, epsilon: float, horizon: int) -> np.nd
             f"epsilon={epsilon!r} was not recorded; available: {sorted(eps_cols)}"
         )
     j = eps_cols[matches[0]]
-    hit = np.asarray([int(r[j]) for r in rows], dtype=np.int64)
+    hit = body[:, j].copy()
     hit[hit < 0] = horizon + 1
     return hit
 
@@ -287,10 +324,10 @@ def _anchored_curve(nt_fn, slope: float, t_grid: np.ndarray, p_anchor: float, t_
     return ts, p_anchor * np.exp(slope * (nt - nt0))
 
 
-def _write_tail(path: str, meta: dict, header: list, rows: list, epsilon: float, t_grid) -> TailEstimate:
+def _write_tail(path: str, meta: dict, header: list, body: np.ndarray, epsilon: float, t_grid) -> TailEstimate:
     """Estimate one epsilon's tail from a results directory and write it as a tail CSV."""
     T = int(meta["horizon_T"])
-    hit = _hit_column(header, rows, epsilon, T)
+    hit = _hit_column(header, body, epsilon, T)
     tail = tail_from_hitting_times(hit, T, epsilon, t_grid, int(meta.get("diverged_runs", 0)))
     _write_csv(
         path,
@@ -307,14 +344,14 @@ def _write_tail(path: str, meta: dict, header: list, rows: list, epsilon: float,
 
 
 def _cmd_tail(args) -> int:
-    meta, exp, header, rows = _load_results(args.results_dir)
+    meta, exp, header, body = _load_results(args.results_dir)
     digest = meta["config_digest"]
     if args.t_grid is None:
         t_grid = exp.t_grid
     else:
         t_grid = _parse_t_grid(args.t_grid, lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64))
     out_csv = os.path.join(args.results_dir, "tail.csv")
-    tail = _write_tail(out_csv, meta, header, rows, args.epsilon, t_grid)
+    tail = _write_tail(out_csv, meta, header, body, args.epsilon, t_grid)
     print(f"wrote {out_csv}")
 
     if not args.no_svg:
@@ -370,15 +407,17 @@ def _cmd_tail(args) -> int:
 
 def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
     """(digest from the provenance comment, estimate rebuilt from the counts) of a tail CSV."""
-    comment, header, rows = _read_csv(path)
+    comment, header, body = _read_csv(path, dtype=str)
     cols = {name: i for i, name in enumerate(header)}
     for needed in ("t", "epsilon", "N", "exceed", "p_hat"):
         if needed not in cols:
             raise ConfigError(f"{path}: missing column {needed!r}")
-    t = np.asarray([int(r[cols["t"]]) for r in rows], dtype=np.int64)
-    exceed = np.asarray([int(r[cols["exceed"]]) for r in rows], dtype=np.int64)
-    n = int(rows[0][cols["N"]])
-    epsilon = float(rows[0][cols["epsilon"]])
+    if body.shape[0] == 0:
+        raise ConfigError(f"{path}: no tail rows")
+    t = body[:, cols["t"]].astype(np.int64)
+    exceed = body[:, cols["exceed"]].astype(np.int64)
+    n = int(body[0, cols["N"]])
+    epsilon = float(body[0, cols["epsilon"]])
     # rebuild the estimate from counts so intervals are always consistent
     p_hat = exceed / n
     lo, hi = wilson_interval(exceed, n)
@@ -557,7 +596,7 @@ def _cmd_compare_sota(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    meta, exp, header, rows = _load_results(args.results_dir)
+    meta, exp, header, body = _load_results(args.results_dir)
     lines = [
         f"{TOOL_NAME} {TOOL_VERSION} report",
         f"results: {os.path.abspath(args.results_dir)}",
@@ -567,7 +606,7 @@ def _cmd_report(args) -> int:
     ]
     for j, eps in enumerate(exp.run_config.epsilon_grid.tolist()):
         path = os.path.join(args.results_dir, f"tail_eps{j}.csv")
-        tail = _write_tail(path, meta, header, rows, eps, exp.t_grid)
+        tail = _write_tail(path, meta, header, body, eps, exp.t_grid)
         lines.append(f"epsilon = {eps:g}:")
         shown = list(zip(tail.t_grid, tail.p_hat))[:12]
         lines.extend(f"  t={int(t):>5d}  p_hat={p:.6g}" for t, p in shown)

@@ -17,7 +17,6 @@ from fractions import Fraction
 import multiprocessing
 
 import numpy as np
-from scipy import stats
 
 from .costs import huber_cost, synthetic_logistic_cost
 from .oracles import (
@@ -120,7 +119,11 @@ def wilson_interval(count, n: int, confidence: float = 0.95):
     count = np.asarray(count, dtype=np.float64)
     if n < 1:
         raise ValueError("n must be positive")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    # ndtri is the standard normal quantile (scipy.stats.norm.ppf calls it);
+    # importing it here keeps scipy.stats out of every command's start-up
+    from scipy.special import ndtri
+
+    z = ndtri(0.5 + confidence / 2.0)
     p_hat = count / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom

@@ -23,6 +23,10 @@ from .rng import StreamPool
 
 DIVERGENCE_LIMIT = 1e9
 
+# Raw variates drawn per slab of runs.  Bounds the slab's raw buffers and the
+# temporaries of its transform; the pre-drawn randomness itself is (runs, T-1, ...).
+_SLAB_RAW_BYTES = 1 << 22
+
 _STEP_KINDS = ("sgd-sqrt", "csgd-power", "constant")
 _CLIP_KINDS = ("paper-eq5", "general-C", "constant")
 
@@ -267,10 +271,10 @@ def simulate_runs(
     """Execute the given run indices, vectorized over runs.
 
     Each run's oracle randomness is pre-drawn from its private stream (the
-    randomness is state-independent), after which the recursion is
-    deterministic.  Diverged runs (an iterate exceeding DIVERGENCE_LIMIT in
-    norm, or going non-finite) are frozen, flagged, and reported as never
-    hitting any threshold.
+    randomness is state-independent), a slab of runs at a time, after which
+    the recursion is deterministic.  Diverged runs (an iterate exceeding
+    DIVERGENCE_LIMIT in norm, or going non-finite) are frozen, flagged, and
+    reported as never hitting any threshold.
     """
     idx = np.asarray(run_indices, dtype=np.int64)
     B = idx.size
@@ -284,11 +288,12 @@ def simulate_runs(
     randomness = None
     if n_steps > 0 and B > 0:
         pool = StreamPool(config.seed)
-        first = config.oracle.randomness_block(pool.reset(int(idx[0])), n_steps)
-        randomness = np.empty((B,) + first.shape, dtype=first.dtype)
-        randomness[0] = first
-        for i in range(1, B):
-            randomness[i] = config.oracle.randomness_block(pool.reset(int(idx[i])), n_steps)
+        slab = max(1, _SLAB_RAW_BYTES // (8 * n_steps * sum(config.oracle.raw_widths())))
+        for lo in range(0, B, slab):
+            block = config.oracle.randomness_block(pool, idx[lo : lo + slab], n_steps)
+            if randomness is None:
+                randomness = np.empty((B,) + block.shape[1:], dtype=block.dtype)
+            randomness[lo : lo + slab] = block
 
     x = np.broadcast_to(config.init_x1, (B, d)).copy()
     diverged = np.zeros(B, dtype=bool)

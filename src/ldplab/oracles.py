@@ -9,9 +9,17 @@ Two oracle modes are provided:
   gradient over a uniformly random index subset of fixed size.
 
 Every model carries a certified statistical property: an almost-sure norm
-bound M, or a closed-form bound sigma^p on the p-th moment.  The noise draw
-for one step consumes a fixed pattern of values from its stream, so a block
-of T steps can be drawn in one call and trajectories replayed exactly.
+bound M, or a closed-form bound sigma^p on the p-th moment.
+
+Drawing is split in two.  The *raw draw* fills float64 buffers from a
+stream, always in the same order: every standard normal of the block first,
+then every uniform on [0, 1).  ``raw_widths`` says how many of each one
+query consumes.  The *transform* (unit rows, signs, Pareto radii, argsort)
+is a pure function of those buffers and works over any leading shape, so a
+slab of many runs, each filled from its own stream, is transformed in one
+call with the same bytes as transforming each run alone.  ``sample_block``
+(probes) and ``OracleSpec.randomness_block`` (ensembles) are both a
+transform of a raw draw.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec, LogisticBatchCost
+from .rng import StreamPool
 
 _PROBE_CHUNK = 1 << 16
 
@@ -40,11 +49,28 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _raw_draw(rng: np.random.Generator, widths: tuple[int, int], n: int):
+    """(normals, uniforms) of n queries from one stream; shapes (n, widths[0]), (n, widths[1]).
+
+    Every normal is drawn before every uniform.
+    """
+    return rng.standard_normal((n, widths[0])), rng.random((n, widths[1]))
+
+
 class NoiseModel:
     """Zero-mean noise with a certified bound (a.s. or moment)."""
 
     kind: str = "abstract"
     dim: int
+
+    def raw_widths(self) -> tuple[int, int]:
+        """(normals, uniforms) one noise vector consumes from its stream."""
+        raise NotImplementedError
+
+    def transform(self, normals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Noise vectors from raw buffers of shapes (..., normals) and
+        (..., uniforms) as sized by raw_widths; shape (..., dim)."""
+        raise NotImplementedError
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n iid noise vectors; shape (n, dim).
@@ -54,7 +80,7 @@ class NoiseModel:
         sizes need not share a prefix: symmetrized-pareto draws all n normals
         before the n uniforms.
         """
-        raise NotImplementedError
+        return self.transform(*_raw_draw(rng, self.raw_widths(), n))
 
     def certificate(self) -> tuple:
         """('as-bound', M) or ('moment', (p, sigma_p))."""
@@ -80,9 +106,11 @@ class SphereNoise(NoiseModel):
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise ValueError("dim must be a positive integer")
 
-    def sample_block(self, rng, n):
-        z = rng.standard_normal((n, self.dim))
-        return self.radius * _unit_rows(z)
+    def raw_widths(self):
+        return (self.dim, 0)
+
+    def transform(self, normals, uniforms):
+        return self.radius * _unit_rows(normals)
 
     def certificate(self):
         return ("as-bound", self.radius)
@@ -109,10 +137,12 @@ class TwoPointNoise(NoiseModel):
     def dim(self) -> int:
         return self.v.size
 
-    def sample_block(self, rng, n):
-        u = rng.random(n)
-        signs = np.where(u < 0.5, 1.0, -1.0)
-        return signs[:, None] * self.v
+    def raw_widths(self):
+        return (0, 1)
+
+    def transform(self, normals, uniforms):
+        signs = np.where(uniforms[..., 0] < 0.5, 1.0, -1.0)
+        return signs[..., None] * self.v
 
     def certificate(self):
         return ("as-bound", float(np.linalg.norm(self.v)))
@@ -150,11 +180,12 @@ class SymmetrizedParetoNoise(NoiseModel):
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise ValueError("dim must be a positive integer")
 
-    def sample_block(self, rng, n):
-        z = rng.standard_normal((n, self.dim))
-        u = rng.random(n)
-        radii = self.x_m * (1.0 - u) ** (-1.0 / self.tail_index)
-        return radii[:, None] * _unit_rows(z)
+    def raw_widths(self):
+        return (self.dim, 1)
+
+    def transform(self, normals, uniforms):
+        radii = self.x_m * (1.0 - uniforms[..., 0]) ** (-1.0 / self.tail_index)
+        return radii[..., None] * _unit_rows(normals)
 
     def certificate(self):
         return ("moment", (self.moment_order, self.moment_bound(self.moment_order)))
@@ -180,8 +211,11 @@ class GaussianNoise(NoiseModel):
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise ValueError("dim must be a positive integer")
 
-    def sample_block(self, rng, n):
-        return self.scale * rng.standard_normal((n, self.dim))
+    def raw_widths(self):
+        return (self.dim, 0)
+
+    def transform(self, normals, uniforms):
+        return self.scale * normals
 
     def certificate(self):
         return ("moment", (2.0, self.moment_bound(2.0)))
@@ -213,9 +247,33 @@ class OracleSpec:
     mode: str = "abstract"
     cost: CostSpec
 
-    def randomness_block(self, rng: np.random.Generator, n_steps: int) -> np.ndarray:
-        """Pre-draw the randomness for n_steps queries (state-independent)."""
+    def raw_widths(self) -> tuple[int, int]:
+        """(normals, uniforms) one query consumes from its stream."""
         raise NotImplementedError
+
+    def transform(self, normals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """A query's randomness from raw buffers, over any leading shape."""
+        raise NotImplementedError
+
+    def randomness_block(self, pool: StreamPool, run_indices, n_steps: int) -> np.ndarray:
+        """Pre-draw n_steps queries for each run of a slab; shape (runs, n_steps, ...).
+
+        The randomness is state-independent.  The pool is reset once per run
+        and fills that run's rows of raw buffers shared by the slab; the slab
+        is then transformed in one call.  Row i is therefore exactly what
+        run_indices[i] draws alone, whatever the slab.
+        """
+        n_normals, n_uniforms = self.raw_widths()
+        run_indices = np.asarray(run_indices, dtype=np.int64)
+        normals = np.empty((run_indices.size, n_steps, n_normals))
+        uniforms = np.empty((run_indices.size, n_steps, n_uniforms))
+        for i, run in enumerate(run_indices.tolist()):
+            rng = pool.reset(run)
+            if n_normals:  # the order of _raw_draw: normals, then uniforms
+                rng.standard_normal(out=normals[i])
+            if n_uniforms:
+                rng.random(out=uniforms[i])
+        return self.transform(normals, uniforms)
 
     def gradients(self, x_batch: np.ndarray, randomness: np.ndarray) -> np.ndarray:
         """Apply one step of pre-drawn randomness to a batch of points."""
@@ -248,8 +306,11 @@ class AdditiveOracle(OracleSpec):
                 f"noise dimension {self.noise.dim} does not match cost dimension {self.cost.dim}"
             )
 
-    def randomness_block(self, rng, n_steps):
-        return self.noise.sample_block(rng, n_steps)
+    def raw_widths(self):
+        return self.noise.raw_widths()
+
+    def transform(self, normals, uniforms):
+        return self.noise.transform(normals, uniforms)
 
     def gradients(self, x_batch, randomness):
         return self.cost.gradient(x_batch) + randomness
@@ -285,12 +346,14 @@ class BatchSubsampleOracle(OracleSpec):
         if not (isinstance(self.batch_size, int) and 1 <= self.batch_size < m):
             raise ValueError(f"batch_size must satisfy 1 <= batch_size < {m}")
 
-    def randomness_block(self, rng, n_steps):
+    def raw_widths(self):
+        # a fixed consumption of m uniforms per step
+        return (0, self.cost.n_samples)
+
+    def transform(self, normals, uniforms):
         # argsort of iid uniforms = uniform random permutation; keeping the
-        # first batch_size entries gives a uniform subset, at a fixed
-        # consumption of m uniforms per step
-        u = rng.random((n_steps, self.cost.n_samples))
-        return np.argsort(u, axis=1)[:, : self.batch_size]
+        # first batch_size entries gives a uniform subset
+        return np.argsort(uniforms, axis=-1)[..., : self.batch_size]
 
     def gradients(self, x_batch, randomness):
         return self.cost.subset_mean_gradients(x_batch, randomness)
@@ -303,7 +366,7 @@ class BatchSubsampleOracle(OracleSpec):
         out = np.empty((n, self.cost.dim))
         for lo in range(0, n, _PROBE_CHUNK):
             hi = min(lo + _PROBE_CHUNK, n)
-            idx = self.randomness_block(rng, hi - lo)
+            idx = self.transform(*_raw_draw(rng, self.raw_widths(), hi - lo))
             out[lo:hi] = grads[idx].mean(axis=1)
         return out
 

@@ -1,9 +1,14 @@
+import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ldplab
+from ldplab import cli
 from ldplab.cli import main
 from ldplab.config import preset_config
 
@@ -215,3 +220,108 @@ def test_env_var_output_root(tiny_config, tmp_path, monkeypatch):
     monkeypatch.setenv("LDPLAB_OUT", str(root))
     assert main(["simulate", "--config", str(cfg)]) == 0
     assert (root / "rel" / "results" / "trajsummary.csv").exists()
+
+
+def _summary_lines(out):
+    with open(os.path.join(out, "trajsummary.csv"), encoding="utf-8") as fh:
+        return fh.readlines()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda lines: lines[:10] + [lines[10].rsplit(",", 1)[0] + "\n"] + lines[11:],
+        lambda lines: lines[: len(lines) // 2],
+        lambda lines: lines[:10] + [lines[10].replace(",", ",x", 1)] + lines[11:],
+    ],
+    ids=["truncated-row", "cut-off-file", "non-integer-cell"],
+)
+def test_corrupt_trajsummary_is_io_error(corrupt, tiny_config, capsys):
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    lines = corrupt(_summary_lines(out))
+    with open(os.path.join(out, "trajsummary.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 3
+    assert main(["report", out]) == 3
+    err = capsys.readouterr().err
+    assert err.count("corrupt trajsummary") == 2
+
+
+@pytest.mark.parametrize("failing_replace", [1, 2], ids=["summary-replace-fails", "manifest-replace-fails"])
+def test_interrupted_simulate_never_mixes_results(failing_replace, tiny_config, tmp_path, monkeypatch, capsys):
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    names = ("meta.json", "trajsummary.csv")
+    old = {name: open(os.path.join(out, name), "rb").read() for name in names}
+    doc["ensemble"]["seed"] += 1
+    config2 = tmp_path / "config2.json"
+    config2.write_text(json.dumps(doc))
+
+    real_replace, targets = os.replace, []
+
+    def replace(src, dst):
+        targets.append(os.path.basename(dst))
+        if len(targets) == failing_replace:
+            raise OSError("interrupted")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["simulate", "--config", str(config2), "--force"]) == 3
+    monkeypatch.undo()
+    assert targets == ["trajsummary.csv", "meta.json"][:failing_replace]
+    assert sorted(os.listdir(out)) == sorted(names)  # no temp file left behind
+    assert open(os.path.join(out, "meta.json"), "rb").read() == old["meta.json"]
+    capsys.readouterr()
+    if failing_replace == 1:  # nothing replaced: the old results load
+        assert open(os.path.join(out, "trajsummary.csv"), "rb").read() == old["trajsummary.csv"]
+        assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 0
+    else:  # a new summary beside the old manifest is refused
+        assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 3
+        assert "corrupt trajsummary" in capsys.readouterr().err
+
+
+def test_block_writer_matches_row_writer_and_reader(tmp_path):
+    rng = np.random.default_rng(3)
+    n = (1 << 16) + 5  # a full block of rows and a short one
+    run_index = np.arange(n, dtype=np.int64)
+    diverged = rng.random(n) < 0.1
+    clip_events = rng.integers(0, 50, n)
+    hits = rng.integers(1, 17, (n, 2)).astype(np.int32)
+    hits[rng.random((n, 2)) < 0.3] = -1
+    hits[diverged] = -1
+    comment = "# tool=ldplab digest=0123456789abcdef M=0.6"
+    header = ["run_index", "diverged", "clip_events", "hit_0.18", "hit_0.5"]
+
+    block_path = tmp_path / "block.csv"
+    cli._write_csv(str(block_path), comment, header, columns=[run_index, diverged, clip_events, *hits.T])
+    # reference: one csv.writer row per run, as the summary was first written
+    row_path = tmp_path / "rows.csv"
+    with open(row_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(comment + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(n):
+            writer.writerow(
+                [int(run_index[i]), "1" if diverged[i] else "0", int(clip_events[i])] + [int(h) for h in hits[i]]
+            )
+    assert block_path.read_bytes() == row_path.read_bytes()
+
+    meta, got_header, body = cli._read_csv(str(block_path))
+    assert meta == {"tool": "ldplab", "digest": "0123456789abcdef", "M": "0.6"}
+    assert got_header == header
+    assert body.dtype == np.int64
+    np.testing.assert_array_equal(body, np.column_stack([run_index, diverged, clip_events, hits]))
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    code = "import sys, ldplab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

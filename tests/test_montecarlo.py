@@ -43,6 +43,25 @@ class TestWilson:
         p = count / n
         assert 0.0 <= lo[0] <= p <= hi[0] <= 1.0
 
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    def test_z_is_norm_ppf_bitwise(self, confidence):
+        # scipy.stats is imported here only: the library must not need it
+        from scipy import stats
+        from scipy.special import ndtri
+
+        q = 0.5 + confidence / 2.0
+        z = stats.norm.ppf(q)
+        assert ndtri(q) == z
+        # the interval with the reference z, in the formula's own operation order
+        count, n = np.arange(0, 1001, 7, dtype=np.float64), 1000
+        p_hat = count / n
+        denom = 1.0 + z * z / n
+        center = (p_hat + z * z / (2.0 * n)) / denom
+        half = (z / denom) * np.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
+        lo, hi = wilson_interval(count, n, confidence)
+        np.testing.assert_array_equal(lo, np.minimum(np.clip(center - half, 0.0, 1.0), p_hat))
+        np.testing.assert_array_equal(hi, np.maximum(np.clip(center + half, 0.0, 1.0), p_hat))
+
 
 class TestEnsemble:
     def test_single_run_equals_trajectory(self):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldplab import optimizers
+from ldplab.config import PRESET_NAMES, parse_config, preset_config
 from ldplab.costs import huber_cost, pseudo_huber_cost
 from ldplab.oracles import AdditiveOracle, SphereNoise, TwoPointNoise
 from ldplab.optimizers import (
@@ -257,3 +259,42 @@ class TestTrajectories:
         np.testing.assert_array_equal(lean.hit, full.hit)
         np.testing.assert_array_equal(lean.clip_events, full.clip_events)
         np.testing.assert_array_equal(lean.final_min, full.running_min[:, -1])
+
+
+def _batch_subsample_config():
+    doc = preset_config("sgd-bounded")
+    doc["cost"] = {"name": "batch-logistic", "m": 12, "dim": 3, "dataset_seed": 4}
+    doc["oracle"] = {"mode": "batch-subsample", "batch_size": 4}
+    doc["method"] = {"kind": "vanilla", "step": {"kind": "constant", "c": 0.2}}
+    doc["ensemble"]["init_x1"] = [1.0, -1.0, 0.5]
+    doc["ensemble"]["horizon_T"] = 60
+    return parse_config(doc).run_config
+
+
+_INVARIANCE_CONFIGS = [
+    *((name, lambda name=name: parse_config(preset_config(name)).run_config) for name in PRESET_NAMES),
+    ("batch-subsample", _batch_subsample_config),
+]
+
+
+_SUMMARIES = ("run_indices", "diverged", "clip_events", "hit", "final_min", "final_avg")
+
+
+def _summaries(*parts):
+    return {name: np.concatenate([getattr(p, name) for p in parts]) for name in _SUMMARIES}
+
+
+@pytest.mark.parametrize("make_config", [c for _, c in _INVARIANCE_CONFIGS], ids=[n for n, _ in _INVARIANCE_CONFIGS])
+def test_results_independent_of_chunks_and_slabs(make_config, monkeypatch):
+    # streams are keyed per run, so neither the runs per call nor the runs
+    # per drawing slab may change a single bit
+    config = make_config()
+    whole = _summaries(simulate_runs(config, np.arange(3000)))
+    pieces = _summaries(*(simulate_runs(config, np.arange(lo, min(lo + 777, 3000))) for lo in range(0, 3000, 777)))
+    # slabs of 97 runs, the last one short
+    per_run = 8 * (config.horizon_T - 1) * sum(config.oracle.raw_widths())
+    monkeypatch.setattr(optimizers, "_SLAB_RAW_BYTES", 97 * per_run)
+    slabs = _summaries(simulate_runs(config, np.arange(3000)))
+    for name in _SUMMARIES:
+        np.testing.assert_array_equal(whole[name], pieces[name], err_msg=name)
+        np.testing.assert_array_equal(whole[name], slabs[name], err_msg=name)

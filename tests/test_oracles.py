@@ -16,7 +16,15 @@ from ldplab.oracles import (
     clipping_bias_probe,
     make_noise,
 )
-from ldplab.rng import run_generator
+from ldplab.rng import StreamPool, run_generator
+
+
+_NOISE_MODELS = [
+    SphereNoise(radius=1.0, dim=3),
+    TwoPointNoise(v=np.array([0.5, 0.5])),
+    SymmetrizedParetoNoise(x_m=1.0, tail_index=3.0, moment_order=1.5, dim=3),
+    GaussianNoise(scale=0.8, dim=3),
+]
 
 
 class TestNoiseModels:
@@ -50,16 +58,7 @@ class TestNoiseModels:
         with pytest.raises(ValueError):
             make_noise("cauchy", dim=2)
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            SphereNoise(radius=1.0, dim=3),
-            TwoPointNoise(v=np.array([0.5, 0.5])),
-            SymmetrizedParetoNoise(x_m=1.0, tail_index=3.0, moment_order=1.5, dim=3),
-            GaussianNoise(scale=0.8, dim=3),
-        ],
-        ids=lambda m: m.kind,
-    )
+    @pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.kind)
     def test_unbiasedness(self, model):
         n = 10**6
         z = model.sample_block(run_generator(99, 0), n)
@@ -73,6 +72,29 @@ class TestNoiseModels:
         a = model.sample_block(run_generator(4, 7), 5)
         b = model.sample_block(run_generator(4, 7), 5)
         np.testing.assert_array_equal(a, b)
+
+
+class TestRawDrawAndTransform:
+    @pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.kind)
+    def test_slab_rows_equal_single_run_blocks(self, model):
+        # row i of a slab drawn through the shared pool is the block that
+        # run alone draws from a fresh generator of its stream
+        oracle = AdditiveOracle(cost=huber_cost(1.0, model.dim), noise=model)
+        runs = np.array([0, 5, 2, 1 << 40, 17])
+        slab = oracle.randomness_block(StreamPool(11), runs, 9)
+        assert slab.shape == (runs.size, 9, model.dim)
+        for i, run in enumerate(runs):
+            np.testing.assert_array_equal(slab[i], model.sample_block(run_generator(11, int(run)), 9))
+
+    def test_batch_slab_rows_equal_single_run_draws(self):
+        cost = synthetic_logistic_cost(m=12, dim=3, seed=8)
+        oracle = BatchSubsampleOracle(cost=cost, batch_size=4)
+        runs = np.arange(6)
+        slab = oracle.randomness_block(StreamPool(3), runs, 7)
+        assert slab.shape == (6, 7, 4)
+        for i in runs:
+            u = run_generator(3, int(i)).random((7, 12))
+            np.testing.assert_array_equal(slab[i], np.argsort(u, axis=1)[:, :4])
 
 
 class TestCertifyMoment:
