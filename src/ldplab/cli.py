@@ -34,6 +34,7 @@ from .config import (
 )
 from .montecarlo import (
     LEMMA_SUITES,
+    PROBE_SUITES,
     InsufficientDataError,
     TailEstimate,
     appendix_f_enumeration,
@@ -44,6 +45,7 @@ from .montecarlo import (
     wilson_interval,
 )
 from .optimizers import RunConfig
+from .oracles import PROBE_MIN_SAMPLES
 from .svgplot import line_chart
 from .theory import (
     RateSpec,
@@ -482,6 +484,14 @@ def _cmd_verify(args) -> int:
     for s in wanted:
         if s not in _VERIFY_SUITES:
             raise ConfigError(f"unknown suite {s!r}; expected {_VERIFY_SUITES} or 'all'")
+    # checked before any suite runs, so a bad --samples prints no header and writes nothing
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples < PROBE_MIN_SAMPLES and set(wanted) & set(PROBE_SUITES):
+        raise ValueError(
+            f"--samples must be at least {PROBE_MIN_SAMPLES} for {', '.join(PROBE_SUITES)}, "
+            f"got {args.samples}"
+        )
 
     all_pass = True
     csv_rows = []

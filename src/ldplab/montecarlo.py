@@ -26,6 +26,7 @@ from .oracles import (
     SymmetrizedParetoNoise,
     TwoPointNoise,
     clipping_bias_probe,
+    _mgf_grid_moments,
     _unit_rows,
 )
 from .optimizers import EnsembleArrays, RunConfig, TrajectoryRecord, simulate_runs
@@ -328,11 +329,10 @@ def _suite_mgf_inner(n_samples, seed, noises=None, n_directions=8) -> LemmaSuite
         dirs = _unit_rows(rng.standard_normal((n_directions, noise.dim)))
         z = noise.sample_block(rng, n_samples)
         proj = z @ dirs.T  # (n, n_directions)
-        for mult in _MGF_NORM_MULTIPLIERS:
-            r = mult / M
-            vals = np.exp(r * proj)
-            est = vals.mean(axis=0)
-            se = vals.std(axis=0) / math.sqrt(n_samples)
+        radii = [mult / M for mult in _MGF_NORM_MULTIPLIERS]
+        means, stds = _mgf_grid_moments(proj, radii)
+        for mult, r, est, std in zip(_MGF_NORM_MULTIPLIERS, radii, means, stds):
+            se = std / math.sqrt(n_samples)
             worst = int(np.argmax(est - 5.0 * se))
             bound = math.exp(3.0 * M**2 * r**2 / 4.0)
             checks.append(
@@ -346,8 +346,12 @@ def _suite_mgf_inner(n_samples, seed, noises=None, n_directions=8) -> LemmaSuite
     return LemmaSuiteReport("mgf-inner", checks)
 
 
-def _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed, dim=2):
-    """Clipped-oracle probes over (p, gamma, ||grad||/gamma) combinations."""
+def _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed, dim=2, **probe_options):
+    """Clipped-oracle probes over (p, gamma, ||grad||/gamma) combinations.
+
+    ``probe_options`` go to every probe; ``scale_multipliers=()`` skips its
+    MGF grid and keeps only the bias fields.
+    """
     probes = []
     k = 0
     for p in p_list:
@@ -359,7 +363,7 @@ def _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed, dim=2):
                 x[0] = frac * gamma  # inside the ball, so grad f(x) = x exactly
                 oracle = AdditiveOracle(cost=cost, noise=noise)
                 probe = clipping_bias_probe(
-                    oracle, x, gamma, n_samples, run_generator(seed, 3000 + k)
+                    oracle, x, gamma, n_samples, run_generator(seed, 3000 + k), **probe_options
                 )
                 probes.append((p, gamma, frac, probe))
                 k += 1
@@ -370,7 +374,8 @@ def _suite_clip_bias(n_samples, seed, p_list=(1.2, 1.5, 2.0), gammas=(2.0, 4.0, 
                      grad_fracs=(0.0, 0.25, 0.5)) -> LemmaSuiteReport:
     """||E[clipped] - grad f(x)|| <= 4 sigma^p gamma^(1-p) when ||grad|| <= gamma/2."""
     checks = []
-    for p, gamma, frac, probe in _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed):
+    probes = _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed, scale_multipliers=())
+    for p, gamma, frac, probe in probes:
         checks.append(
             _check(
                 f"p={p:g} gamma={gamma:g} ||grad||={frac:g}*gamma",
@@ -439,6 +444,7 @@ _LEMMA_SUITE_RUNNERS = {
     "batch-bound": _suite_batch_bound,
 }
 LEMMA_SUITES = tuple(_LEMMA_SUITE_RUNNERS)
+PROBE_SUITES = ("clip-bias", "clip-subgauss")  # built on clipping_bias_probe
 
 
 def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801, **params) -> LemmaSuiteReport:
@@ -451,6 +457,8 @@ def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801,
     """
     if suite not in _LEMMA_SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {LEMMA_SUITES}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     return _LEMMA_SUITE_RUNNERS[suite](n_samples, seed, **params)
 
 

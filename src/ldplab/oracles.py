@@ -33,6 +33,8 @@ from .costs import CostSpec, LogisticBatchCost
 from .rng import StreamPool
 
 _PROBE_CHUNK = 1 << 16
+_MGF_BLOCK_ROWS = 2048  # rows of the MGF grid per block: (2048, 6, 8) float64 is 768 KiB
+PROBE_MIN_SAMPLES = 10**5  # fewest samples clipping_bias_probe accepts
 
 
 class PreconditionViolation(ValueError):
@@ -390,6 +392,40 @@ def clip_rows(g: np.ndarray, gamma: float) -> np.ndarray:
 _SCALE_MULTIPLIERS = (0.1, 0.5, 1.0, 4.0 / 3.0, 2.0, 5.0)
 
 
+def _mgf_grid_moments(proj: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation over the rows of exp(s * proj), per scale s.
+
+    ``proj`` has shape (n, d); both results have shape (len(scales), d), and
+    row j equals ``np.exp(scales[j] * proj).mean(axis=0)`` and ``.std(axis=0)``
+    bit for bit.  numpy reduces axis 0 of a C-contiguous array by adding its
+    rows in order, so row blocks streamed through one cache-sized buffer,
+    with the running sum carried in the buffer's row 0, add the same numbers
+    in the same order.  The second pass recomputes exp to sum the squared
+    deviations from the mean, as numpy's var does, instead of storing the
+    (n, scales, d) grid.
+    """
+    n, d = proj.shape
+    scales = np.asarray(scales, dtype=np.float64)
+    buf = np.empty((min(n, _MGF_BLOCK_ROWS) + 1, scales.size, d))
+
+    def column_mean(center=None):
+        buf[0] = 0.0
+        for lo in range(0, n, _MGF_BLOCK_ROWS):
+            m = min(_MGF_BLOCK_ROWS, n - lo)
+            block = buf[1 : m + 1]
+            for j, s in enumerate(scales):  # one (m, d) product per scale beats a 3-D broadcast
+                np.multiply(proj[lo : lo + m], s, out=block[:, j])
+            np.exp(block, out=block)
+            if center is not None:
+                np.subtract(block, center, out=block)
+                np.multiply(block, block, out=block)
+            buf[0] = buf[: m + 1].sum(axis=0)
+        return buf[0] / n
+
+    mean = column_mean()
+    return mean, np.sqrt(column_mean(mean))
+
+
 @dataclass(frozen=True, eq=False)
 class ClippingBiasProbe:
     """Monte Carlo audit of the clipped oracle's mean bias and concentration.
@@ -424,15 +460,21 @@ def clipping_bias_probe(
     """Estimate the bias and sub-Gaussian margin of the gamma-clipped oracle.
 
     Requires ||grad f(x)|| <= gamma/2 (the regime where the bias bound
-    4 sigma^p gamma^(1-p) applies) and at least 10^5 samples.  Directions for
-    the MGF grid are drawn from the stream before the samples; scales are
-    multipliers of 1/(2 gamma), spanning both concentration regimes of the
-    clipped deviation theta (which satisfies ||theta|| <= 2 gamma a.s.).
+    4 sigma^p gamma^(1-p) applies) and at least PROBE_MIN_SAMPLES samples.
+    Directions for the MGF grid are drawn from the stream before the samples;
+    scales are multipliers of 1/(2 gamma), spanning both concentration regimes
+    of the clipped deviation theta (which satisfies ||theta|| <= 2 gamma a.s.).
+    An empty ``scale_multipliers`` skips the grid but still draws the
+    directions, so the bias fields equal the full probe's on the same stream;
+    ``margins`` then has shape (n_directions, 0) and ``subgaussian_margin``
+    is -inf.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if num_samples < 10**5:
-        raise ValueError("num_samples must be at least 10^5 for a meaningful probe")
+    if num_samples < PROBE_MIN_SAMPLES:
+        raise ValueError(
+            f"num_samples must be at least {PROBE_MIN_SAMPLES} for a meaningful probe"
+        )
     x = np.asarray(x, dtype=np.float64)
     grad = np.asarray(oracle.cost.gradient(x), dtype=np.float64)
     grad_norm = float(np.linalg.norm(grad))
@@ -458,16 +500,15 @@ def clipping_bias_probe(
     bias_norm = float(np.linalg.norm(bias_vec))
     bias_se = float(np.sqrt(np.sum(clipped.var(axis=0)) / num_samples))
 
-    theta = clipped - mean_clipped
-    proj = theta @ dirs.T  # (n, n_directions)
     margins = np.empty((n_directions, scales.size))
     margin_ses = np.empty_like(margins)
-    for j, s in enumerate(scales):
-        vals = np.exp(s * proj)
-        est = vals.mean(axis=0)
-        rel_se = vals.std(axis=0) / (est * np.sqrt(num_samples))
-        margins[:, j] = np.log(est) - 3.0 * gamma**2 * s**2
-        margin_ses[:, j] = rel_se
+    if scales.size:
+        theta = clipped - mean_clipped
+        proj = theta @ dirs.T  # (n, n_directions)
+        est, std = _mgf_grid_moments(proj, scales)
+        for j, s in enumerate(scales):
+            margins[:, j] = np.log(est[j]) - 3.0 * gamma**2 * s**2
+            margin_ses[:, j] = std[j] / (est[j] * np.sqrt(num_samples))
 
     return ClippingBiasProbe(
         bias_norm_estimate=bias_norm,
@@ -475,7 +516,7 @@ def clipping_bias_probe(
         bias_se=bias_se,
         margins=margins,
         margin_ses=margin_ses,
-        subgaussian_margin=float(margins.max()),
+        subgaussian_margin=float(margins.max(initial=-np.inf)),
         n_samples=num_samples,
         gamma=float(gamma),
     )

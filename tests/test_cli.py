@@ -181,6 +181,25 @@ def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, c
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mgf-bounded", "--samples", "0"],
+        ["batch-bound", "--samples", "-5"],
+        ["all", "--samples", "0"],
+        ["all", "--samples", "99999"],
+    ],
+    ids=["mgf-bounded-zero", "batch-bound-negative", "all-zero", "all-below-probe-floor"],
+)
+def test_verify_bad_samples_rejected_before_any_suite(argv, tmp_path, capsys):
+    vdir = tmp_path / "verify"
+    assert main(["verify", *argv, "--out", str(vdir)]) == 2
+    captured = capsys.readouterr()
+    assert "==" not in captured.out  # no suite header
+    assert captured.err.startswith("error: --samples") and captured.err.count("\n") == 1
+    assert not vdir.exists()
+
+
 def test_rates_and_sota_csv(tmp_path):
     rates_csv = str(tmp_path / "rates.csv")
     assert main(["rates", "--epsilon", "1.0", "--M", "1", "--G", "1", "--p", "1.5",

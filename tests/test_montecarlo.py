@@ -24,7 +24,7 @@ from ldplab.montecarlo import (
     wilson_interval,
 )
 from ldplab.optimizers import RunConfig, ScheduleSpec, run_trajectory
-from ldplab.oracles import AdditiveOracle, SphereNoise, TwoPointNoise
+from ldplab.oracles import AdditiveOracle, ClippingBiasProbe, SphereNoise, TwoPointNoise
 from ldplab.theory import decay_family, lower_bound_exact_prob
 
 from test_optimizers import solvable_instance
@@ -297,3 +297,29 @@ class TestVerifySuites:
         assert report.passed
         for c in report.checks:
             assert "0 violations" in c.label
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_nonpositive_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_lemma_suite("mgf-bounded", n_samples=n_samples)
+
+    @pytest.mark.parametrize(
+        "suite, calls, grid",
+        [("clip-bias", 27, {"scale_multipliers": ()}), ("clip-subgauss", 18, {})],
+        ids=["clip-bias", "clip-subgauss"],
+    )
+    def test_clip_suites_call_the_probe_once_per_grid_point(self, suite, calls, grid, monkeypatch):
+        # a stub in place of the probe: the suites must keep calling it once per
+        # (p, gamma, ||grad||/gamma) point, and clip-bias must ask for no MGF grid
+        seen = []
+
+        def counting_probe(oracle, x, gamma, num_samples, rng, **kwargs):
+            seen.append(kwargs)
+            shape = (8, len(kwargs.get("scale_multipliers", range(6))))
+            return ClippingBiasProbe(0.0, 1.0, 0.0, np.zeros(shape), np.zeros(shape), 0.0,
+                                     num_samples, gamma)
+
+        monkeypatch.setattr(montecarlo, "clipping_bias_probe", counting_probe)
+        report = verify_lemma_suite(suite, n_samples=10**5, seed=5)
+        assert len(seen) == len(report.checks) == calls
+        assert all(kwargs == grid for kwargs in seen)

@@ -12,6 +12,9 @@ from ldplab.oracles import (
     SphereNoise,
     SymmetrizedParetoNoise,
     TwoPointNoise,
+    _MGF_BLOCK_ROWS,
+    _SCALE_MULTIPLIERS,
+    _mgf_grid_moments,
     clip_rows,
     clipping_bias_probe,
     make_noise,
@@ -231,6 +234,57 @@ class TestClippingBiasProbe:
         oracle = self._oracle(SphereNoise(radius=1.0, dim=2))
         with pytest.raises(ValueError):
             clipping_bias_probe(oracle, np.zeros(2), 4.0, 10**4, run_generator(0, 4))
+
+    def test_bias_only_probe_matches_full_probe(self):
+        # an empty grid still draws the directions first, so the samples, and
+        # with them the bias fields, are the full probe's bit for bit
+        noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=2.0, moment_order=1.5, dim=2)
+        oracle = self._oracle(noise)
+        x = np.array([1.0, 0.0])
+        full = clipping_bias_probe(oracle, x, 4.0, 10**5, run_generator(0, 5))
+        bias = clipping_bias_probe(oracle, x, 4.0, 10**5, run_generator(0, 5), scale_multipliers=())
+        assert full.margins.shape == (8, len(_SCALE_MULTIPLIERS))
+        for name in ("bias_norm_estimate", "bias_se", "bias_bound"):
+            assert getattr(bias, name) == getattr(full, name)
+        assert bias.margins.shape == bias.margin_ses.shape == (8, 0)
+        assert bias.subgaussian_margin == -math.inf
+
+
+class TestMgfGridMoments:
+    @pytest.mark.parametrize(
+        "n", [1, _MGF_BLOCK_ROWS - 1, _MGF_BLOCK_ROWS, _MGF_BLOCK_ROWS + 1, 10**5 + 3]
+    )
+    def test_equals_numpy_mean_and_std_bitwise(self, n):
+        # projections of the clipped, centred Pareto output, as in the probe
+        noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=1.7, moment_order=1.2, dim=2)
+        rng = run_generator(7, n)
+        dirs = rng.standard_normal((8, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        clipped = clip_rows(noise.sample_block(rng, n), 2.0)
+        proj = (clipped - clipped.mean(axis=0)) @ dirs.T
+        scales = np.asarray(_SCALE_MULTIPLIERS) / (2.0 * 2.0)
+        mean, std = _mgf_grid_moments(proj, scales)
+        assert mean.shape == std.shape == (len(scales), 8)
+        for j, s in enumerate(scales):
+            vals = np.exp(s * proj)
+            assert np.array_equal(mean[j], vals.mean(axis=0))
+            assert np.array_equal(std[j], vals.std(axis=0))
+
+    def test_axis0_sum_of_contiguous_block_is_sequential(self):
+        # _mgf_grid_moments is bit-exact only because numpy adds the rows of a
+        # C-contiguous (m, k, d) block in order; a numpy that reorders this
+        # reduction must fail here, not only in the benchmark's byte gate
+        rng = np.random.default_rng(11)
+        block = rng.standard_normal((_MGF_BLOCK_ROWS + 1, 6, 8))
+        block *= 10.0 ** rng.integers(-6, 7, block.shape)
+        forward = block[0].copy()
+        for row in block[1:]:
+            forward = forward + row
+        backward = block[-1].copy()
+        for row in block[-2::-1]:
+            backward = backward + row
+        assert not np.array_equal(forward, backward)  # the data can tell orders apart
+        assert np.array_equal(block.sum(axis=0), forward)
 
 
 def test_clip_rows_scales_rows_above_threshold():
