@@ -48,7 +48,6 @@ from .optimizers import (
     TrajectoryRecord,
     clip_bias_onset,
     clip_threshold,
-    clip_vector,
     run_trajectory,
     simulate_runs,
     step_size,

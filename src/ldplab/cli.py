@@ -34,28 +34,24 @@ from .config import (
 )
 from .montecarlo import (
     LEMMA_SUITES,
-    PROBE_SUITES,
     InsufficientDataError,
     TailEstimate,
-    appendix_f_enumeration,
     fit_decay,
     run_ensemble,
     tail_from_hitting_times,
     verify_lemma_suite,
+    verify_request,
     wilson_interval,
 )
 from .optimizers import RunConfig
-from .oracles import PROBE_MIN_SAMPLES
 from .svgplot import line_chart
 from .theory import (
     RateSpec,
     decay_family,
-    lower_bound_exact_prob,
     rate_csgd,
     rate_csgd_generalC,
     rate_sgd,
     sota_curves,
-    transform_consistency,
 )
 
 EXIT_OK = 0
@@ -63,8 +59,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INSUFFICIENT = 4
 EXIT_VERIFY = 5
-
-_VERIFY_SUITES = LEMMA_SUITES + ("appendix-f-enum", "rates")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +150,8 @@ def _parse_t_grid(spec: str, expand_range) -> np.ndarray:
         lo, hi = (int(tok) for tok in spec.split(":", 1))
     except ValueError as e:
         raise ConfigError(f"--t-grid: cannot parse {spec!r}: {e}") from e
+    if not 1 <= lo <= hi:
+        raise ConfigError(f"--t-grid: {spec!r} is not a range lo:hi with 1 <= lo <= hi")
     return expand_range(lo, hi)
 
 
@@ -460,75 +456,23 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_rates_rows():
-    """Closed-form rate functions vs the numerical convex conjugate."""
-    cases = [
-        ("sgd (M=1, G=1)", rate_sgd(1.0, 1.0)),
-        ("sgd (M=2, G=0.5)", rate_sgd(2.0, 0.5)),
-        ("csgd p=1.5 (G=1)", rate_csgd(1.0, 1.5)),
-        ("csgd p=2 (G=1)", rate_csgd(1.0, 2.0)),
-        ("csgd general C=3 p=1.5 (G=1)", rate_csgd_generalC(1.0, 3.0, 1.5)),
-        ("csgd general C=3 p=2 (G=1)", rate_csgd_generalC(1.0, 3.0, 2.0)),
-    ]
-    rows = []
-    for label, rate in cases:
-        err = transform_consistency(rate)
-        rows.append((label, err, 1e-3, err <= 1e-3))
-    return rows
-
-
 def _cmd_verify(args) -> int:
-    wanted = args.suites or ["all"]
-    if wanted == ["all"]:
-        wanted = list(_VERIFY_SUITES)
-    for s in wanted:
-        if s not in _VERIFY_SUITES:
-            raise ConfigError(f"unknown suite {s!r}; expected {_VERIFY_SUITES} or 'all'")
-    # checked before any suite runs, so a bad --samples prints no header and writes nothing
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if args.samples < PROBE_MIN_SAMPLES and set(wanted) & set(PROBE_SUITES):
-        raise ValueError(
-            f"--samples must be at least {PROBE_MIN_SAMPLES} for {', '.join(PROBE_SUITES)}, "
-            f"got {args.samples}"
-        )
-
+    # the whole request is checked first, so a bad one prints no header and writes nothing
+    plan = verify_request(args.suites, args.samples, args.seed, args.enum_t_max)
     all_pass = True
     csv_rows = []
-    for suite in wanted:
+    for suite, params in plan:
         print(f"== {suite}")
-        if suite in LEMMA_SUITES:
-            report = verify_lemma_suite(suite, n_samples=args.samples, seed=args.seed)
-            for c in report.checks:
-                status = "PASS" if c.passed else "FAIL"
-                slack = f"{(c.empirical - c.bound) / c.se:+.2f} SE" if c.se > 0 else "hard"
-                print(
-                    f"  [{status}] {c.label}: empirical={c.empirical:.6g} "
-                    f"bound={c.bound:.6g} ({slack})"
-                )
-                csv_rows.append([suite, c.label, c.empirical, c.bound, c.se, c.passed])
-            all_pass &= report.passed
-        elif suite == "appendix-f-enum":
-            probs = appendix_f_enumeration(args.enum_t_max)
-            from fractions import Fraction
-
-            for t in sorted(probs):
-                closed = lower_bound_exact_prob(t)
-                equal = probs[t] == Fraction(closed)
-                all_pass &= equal
-                print(
-                    f"  [{'PASS' if equal else 'FAIL'}] t={t}: exact={probs[t]} "
-                    f"closed_form={closed!r} equal={equal}"
-                )
-                csv_rows.append([suite, f"t={t}", float(probs[t]), closed, 0.0, equal])
-        elif suite == "rates":
-            for label, err, tol, ok in _verify_rates_rows():
-                all_pass &= ok
-                print(
-                    f"  [{'PASS' if ok else 'FAIL'}] {label}: max rel err={err:.3g} "
-                    f"(tolerance {tol:g})"
-                )
-                csv_rows.append([suite, label, err, tol, 0.0, ok])
+        report = verify_lemma_suite(suite, **params)
+        for c in report.checks:
+            status = "PASS" if c.passed else "FAIL"
+            slack = f"{(c.empirical - c.bound) / c.se:+.2f} SE" if c.se > 0 else "hard"
+            print(
+                f"  [{status}] {c.label}: empirical={c.empirical:.6g} "
+                f"bound={c.bound:.6g} ({slack})"
+            )
+            csv_rows.append([suite, c.label, c.empirical, c.bound, c.se, c.passed])
+        all_pass &= report.passed
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -552,7 +496,10 @@ def _cmd_verify(args) -> int:
 def _log_t_grid(lo: int, hi: int) -> np.ndarray:
     """61 log-spaced integer steps from lo to hi, deduplicated, keeping t >= 3."""
     grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi), 61)).astype(np.int64))
-    return grid[grid >= 3]
+    grid = grid[grid >= 3]
+    if grid.size == 0:
+        raise ConfigError(f"--t-grid: {lo}:{hi} has no step t >= 3")
+    return grid
 
 
 def _write_curves(args, source: str, curves) -> None:
@@ -677,7 +624,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_ver = sub.add_parser("verify", help="run verification suites; exit 0 iff all pass")
-    p_ver.add_argument("suites", nargs="*", help=f"suites from {_VERIFY_SUITES} or 'all'")
+    p_ver.add_argument(
+        "suites", nargs="*", help=f"one or more of {', '.join(LEMMA_SUITES)}; or 'all' (the default)"
+    )
     p_ver.add_argument("--samples", type=int, default=10**6)
     p_ver.add_argument("--seed", type=int, default=20260801)
     p_ver.add_argument("--enum-t-max", dest="enum_t_max", type=int, default=20)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .costs import huber_cost, synthetic_logistic_cost
 from .oracles import (
+    PROBE_MIN_SAMPLES,
     AdditiveOracle,
     BatchSubsampleOracle,
     SphereNoise,
@@ -31,6 +32,13 @@ from .oracles import (
 )
 from .optimizers import EnsembleArrays, RunConfig, TrajectoryRecord, simulate_runs
 from .rng import run_generator
+from .theory import (
+    lower_bound_exact_prob,
+    rate_csgd,
+    rate_csgd_generalC,
+    rate_sgd,
+    transform_consistency,
+)
 
 ENSEMBLE_CHUNK = 1 << 14  # fixed: chunk layout must not depend on worker count
 
@@ -272,8 +280,10 @@ _MGF_NORM_MULTIPLIERS = (0.1, 1.0, 4.0 / 3.0, 2.0, 5.0)
 class LemmaCheck:
     """One empirical quantity against its asserted bound.
 
-    slack is measured in standard errors: pass iff empirical <= bound + 5 se
-    (exactly empirical <= bound when se = 0, e.g. hard a.s. bounds).
+    In the statistical suites slack is measured in standard errors: pass iff
+    empirical <= bound + 5 se (exactly empirical <= bound when se = 0, e.g.
+    hard a.s. bounds).  appendix-f-enum passes on exact equality with the
+    closed form, rates on an error at most its tolerance.
     """
 
     label: str
@@ -436,30 +446,93 @@ def _suite_batch_bound(n_queries, seed, m=64, dim=4, batch_sizes=(1, 8, 32)) -> 
     return LemmaSuiteReport("batch-bound", checks)
 
 
+def _suite_appendix_f_enum(n_samples, seed, t_max=20) -> LemmaSuiteReport:
+    """P(x_1 = ... = x_t) of the solvable instance equals 2^(1-t) exactly, t <= t_max."""
+    checks = []
+    for t, prob in appendix_f_enumeration(t_max).items():
+        closed = lower_bound_exact_prob(t)
+        checks.append(LemmaCheck(f"t={t}", float(prob), closed, 0.0, prob == Fraction(closed)))
+    return LemmaSuiteReport("appendix-f-enum", checks)
+
+
+_RATE_TOLERANCE = 1e-3
+
+
+def _suite_rates(n_samples, seed) -> LemmaSuiteReport:
+    """Closed-form rate functions vs the numerical convex conjugate of their
+    generating functions: max relative error <= 1e-3."""
+    cases = [
+        ("sgd (M=1, G=1)", rate_sgd(1.0, 1.0)),
+        ("sgd (M=2, G=0.5)", rate_sgd(2.0, 0.5)),
+        ("csgd p=1.5 (G=1)", rate_csgd(1.0, 1.5)),
+        ("csgd p=2 (G=1)", rate_csgd(1.0, 2.0)),
+        ("csgd general C=3 p=1.5 (G=1)", rate_csgd_generalC(1.0, 3.0, 1.5)),
+        ("csgd general C=3 p=2 (G=1)", rate_csgd_generalC(1.0, 3.0, 2.0)),
+    ]
+    checks = []
+    for label, rate in cases:
+        err = transform_consistency(rate)
+        checks.append(LemmaCheck(label, err, _RATE_TOLERANCE, 0.0, err <= _RATE_TOLERANCE))
+    return LemmaSuiteReport("rates", checks)
+
+
+# suite -> (runner, fewest samples it accepts); the only list of verify suites,
+# in the order ``verify all`` runs them
 _LEMMA_SUITE_RUNNERS = {
-    "mgf-bounded": _suite_mgf_bounded,
-    "mgf-inner": _suite_mgf_inner,
-    "clip-bias": _suite_clip_bias,
-    "clip-subgauss": _suite_clip_subgauss,
-    "batch-bound": _suite_batch_bound,
+    "mgf-bounded": (_suite_mgf_bounded, 1),
+    "mgf-inner": (_suite_mgf_inner, 1),
+    "clip-bias": (_suite_clip_bias, PROBE_MIN_SAMPLES),
+    "clip-subgauss": (_suite_clip_subgauss, PROBE_MIN_SAMPLES),
+    "batch-bound": (_suite_batch_bound, 1),
+    "appendix-f-enum": (_suite_appendix_f_enum, 1),
+    "rates": (_suite_rates, 1),
 }
 LEMMA_SUITES = tuple(_LEMMA_SUITE_RUNNERS)
-PROBE_SUITES = ("clip-bias", "clip-subgauss")  # built on clipping_bias_probe
 
 
 def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801, **params) -> LemmaSuiteReport:
-    """Run one statistical verification suite and report margins.
+    """Run one verification suite and report margins.
 
     Suites: 'mgf-bounded', 'mgf-inner' (bounded-noise MGF bounds),
     'clip-bias', 'clip-subgauss' (clipped-oracle bias bound and
-    concentration), 'batch-bound' (hard subsample-noise bound).
-    Precondition violations raise rather than count as statistical failures.
+    concentration), 'batch-bound' (hard subsample-noise bound),
+    'appendix-f-enum' (exact stuck-at-x_1 law, parameter t_max) and 'rates'
+    (closed-form rate functions vs numerical conjugates); the last two draw
+    no samples.  Precondition violations raise rather than count as
+    statistical failures.
     """
     if suite not in _LEMMA_SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {LEMMA_SUITES}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    return _LEMMA_SUITE_RUNNERS[suite](n_samples, seed, **params)
+    return _LEMMA_SUITE_RUNNERS[suite][0](n_samples, seed, **params)
+
+
+def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tuple[str, dict]]:
+    """(suite, verify_lemma_suite keyword arguments) for each suite of a
+    ``verify`` request, in run order; no suites, or only 'all', means all.
+
+    The whole request is checked before any suite runs: an unknown suite,
+    --samples below a requested suite's floor (1, or PROBE_MIN_SAMPLES for
+    the probe suites) and, with appendix-f-enum, --enum-t-max outside
+    [1, ENUM_T_MAX] raise ValueError.
+    """
+    names = list(LEMMA_SUITES) if list(suites) in ([], ["all"]) else list(suites)
+    for suite in names:
+        if suite not in _LEMMA_SUITE_RUNNERS:
+            raise ValueError(f"unknown suite {suite!r}; expected {LEMMA_SUITES} or 'all'")
+        floor = _LEMMA_SUITE_RUNNERS[suite][1]
+        if samples < floor:
+            raise ValueError(f"--samples must be at least {floor} for {suite}, got {samples}")
+    if "appendix-f-enum" in names and not 1 <= enum_t_max <= ENUM_T_MAX:
+        raise ValueError(f"--enum-t-max must lie in [1, {ENUM_T_MAX}], got {enum_t_max}")
+    plan = []
+    for suite in names:
+        params = {"n_samples": samples, "seed": seed}
+        if suite == "appendix-f-enum":
+            params["t_max"] = enum_t_max
+        plan.append((suite, params))
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -467,44 +540,37 @@ def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801,
 # ---------------------------------------------------------------------------
 
 
+ENUM_T_MAX = 24  # largest horizon appendix_f_enumeration accepts
+
+
 def appendix_f_enumeration(t_max: int, x1_norm: float = 0.6, G: float = 1.0) -> dict:
     """Exact probability that every iterate equals the initialization.
 
     Walks the exactly solvable instance (quadratic-inside-a-ball cost with
     gradient bound G, initialization of norm x1_norm in (0, G], noise +/- x1,
-    step size 1/(2 sqrt(t+1))) as a dynamic program over reachable states on
-    the initialization's axis, merging states and counting equally likely
-    sign paths.  Returns {t: P(x_t = ... = x_1)} as exact dyadic Fractions
-    for t = 1..t_max; the closed form is 2^(1-t).
+    step size 1/(2 sqrt(t+1))) as a dynamic program over the states on the
+    initialization's axis that have not moved yet, counting equally likely
+    sign paths.  A path that has moved never counts again, so it is dropped.
+    Returns {t: P(x_t = ... = x_1)} as exact dyadic Fractions for
+    t = 1..t_max; the closed form is 2^(1-t).
     """
-    if not (isinstance(t_max, (int, np.integer)) and 1 <= t_max <= 24):
-        raise ValueError("t_max must be an integer in [1, 24]")
+    if not (isinstance(t_max, (int, np.integer)) and 1 <= t_max <= ENUM_T_MAX):
+        raise ValueError(f"t_max must be an integer in [1, {ENUM_T_MAX}]")
     if not 0.0 < x1_norm <= G:
         raise ValueError("x1_norm must lie in (0, G]")
     ratio = G / x1_norm  # ball radius in units of ||x_1||
 
-    # state: coordinate c along x_1 (iterate = c * x_1), flag = "all iterates
-    # so far equal x_1"; every sign path has equal probability
+    # state: coordinate c along x_1 (iterate = c * x_1) of the paths whose
+    # iterates all equal x_1 so far, and how many sign paths reach it
     cs = np.array([1.0])
-    flags = np.array([1.0])
     counts = np.array([1], dtype=np.int64)
     result = {1: Fraction(1, 1)}
 
     for t in range(1, int(t_max)):
         alpha = 0.5 / math.sqrt(t + 1.0)
         grad = np.where(np.abs(cs) <= ratio, cs, ratio * np.sign(cs))
-        child_plus = cs - alpha * (grad + 1.0)
-        child_minus = cs - alpha * (grad - 1.0)
-        new_cs = np.concatenate([child_plus, child_minus])
-        new_flags = np.concatenate([flags * (child_plus == cs), flags * (child_minus == cs)])
-        new_counts = np.concatenate([counts, counts])
-
-        keys = new_cs + 1j * new_flags
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        merged = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(merged, inverse, new_counts)
-        cs, flags, counts = uniq.real, uniq.imag, merged
-
-        stayed = int(counts[flags == 1.0].sum())
-        result[t + 1] = Fraction(stayed, 2**t)
+        children = np.concatenate([cs - alpha * (grad + 1.0), cs - alpha * (grad - 1.0)])
+        stayed = children == np.concatenate([cs, cs])
+        cs, counts = children[stayed], np.concatenate([counts, counts])[stayed]
+        result[t + 1] = Fraction(int(counts.sum()), 2**t)
     return result

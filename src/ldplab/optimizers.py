@@ -133,14 +133,6 @@ def clip_bias_onset(clip: ClipSpec, grad_bound_G: float) -> float:
     return (2.0 * grad_bound_G / c) ** ((6.0 * clip.p - 4.0) / (2.0 - clip.p))
 
 
-def clip_vector(g, gamma: float) -> np.ndarray:
-    """min(1, gamma/||g||) g; ties at ||g|| = gamma are left unclipped."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    g = np.asarray(g, dtype=np.float64)
-    return clip_rows(g[None, :], gamma)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Full specification of one optimizer run.
@@ -332,13 +324,8 @@ def simulate_runs(
             alpha = step_size(config.step_schedule, t)
             g = config.oracle.gradients(x, randomness[:, t - 1])
             if clipped_method:
-                gamma = clip_threshold(config.clip_schedule, t)
-                g_norms = np.sqrt(np.sum(g * g, axis=1))
-                over = g_norms > gamma
+                g, over = clip_rows(g, clip_threshold(config.clip_schedule, t))
                 clip_events += over & ~diverged
-                scale = np.ones(B)
-                scale[over] = gamma / g_norms[over]
-                g = g * scale[:, None]
             x_new = x - alpha * g
             x = np.where(diverged[:, None], x, x_new)
 
@@ -352,7 +339,7 @@ def simulate_runs(
         clip_events=clip_events,
         hit=hit,
         final_min=fmin,
-        final_avg=favg if T >= 1 else np.full(B, np.nan),
+        final_avg=favg,
         grad_norm_sq=gns_full if record_full else None,
         running_min=fmin_full if record_full else None,
         running_avg=favg_full if record_full else None,

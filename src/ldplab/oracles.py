@@ -380,13 +380,14 @@ class BatchSubsampleOracle(OracleSpec):
         return (2.0, self.noise_bound() ** 2)
 
 
-def clip_rows(g: np.ndarray, gamma: float) -> np.ndarray:
-    """Row-wise norm clipping: min(1, gamma/||g||) g."""
+def clip_rows(g: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise norm clipping min(1, gamma/||g||) g, and the mask of the rows
+    it scaled (||g|| > gamma; ties at ||g|| = gamma are left unclipped)."""
     norms = np.sqrt(np.sum(g * g, axis=-1))
     scale = np.ones_like(norms)
     over = norms > gamma
     scale[over] = gamma / norms[over]
-    return g * scale[..., None]
+    return g * scale[..., None], over
 
 
 _SCALE_MULTIPLIERS = (0.1, 0.5, 1.0, 4.0 / 3.0, 2.0, 5.0)
@@ -493,7 +494,7 @@ def clipping_bias_probe(
     clipped = np.empty((num_samples, dim))
     for lo in range(0, num_samples, _PROBE_CHUNK):
         hi = min(lo + _PROBE_CHUNK, num_samples)
-        clipped[lo:hi] = clip_rows(oracle.query_block(x, rng, hi - lo), gamma)
+        clipped[lo:hi] = clip_rows(oracle.query_block(x, rng, hi - lo), gamma)[0]
 
     mean_clipped = clipped.mean(axis=0)
     bias_vec = mean_clipped - grad

@@ -35,36 +35,12 @@ def _scalar_out(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _nt_sqrt(t):
-    return _scalar_out(np.sqrt(_as_t(t)))
+def _nt_power_over_logpow(power: float, log_pow: float) -> Callable:
+    """n_t = t^power / log(t)^log_pow, the form of every decay sequence here."""
 
-
-def _nt_t_over_log(t):
-    t = _as_t(t)
-    return _scalar_out(t / np.log(t))
-
-
-def _nt_t_over_log2(t):
-    t = _as_t(t)
-    return _scalar_out(t / np.log(t) ** 2)
-
-
-def _nt_linear(t):
-    return _scalar_out(_as_t(t))
-
-
-def _nt_power_over_log(beta: float) -> Callable:
     def nt(t):
         t = _as_t(t)
-        return _scalar_out(t**beta / np.log(t))
-
-    return nt
-
-
-def _nt_power_over_logpow(beta_half: float, log_pow: float) -> Callable:
-    def nt(t):
-        t = _as_t(t)
-        return _scalar_out(t**beta_half / np.log(t) ** log_pow)
+        return _scalar_out(t**power / np.log(t) ** log_pow)
 
     return nt
 
@@ -94,25 +70,28 @@ class RateSpec:
     params: dict = field(default_factory=dict)
 
 
-_FAMILY_KINDS = ("sqrt-t", "t-over-log", "power-over-log", "t-over-log2", "linear-t")
+# family -> (power, log power) of n_t; power-over-log's power is beta_exponent(p)
+_FAMILY_POWERS = {
+    "sqrt-t": (0.5, 0.0),
+    "t-over-log": (1.0, 1.0),
+    "power-over-log": (None, 1.0),
+    "t-over-log2": (1.0, 2.0),
+    "linear-t": (1.0, 0.0),
+}
 
 
 def decay_family(kind: str, p: float | None = None) -> RateSpec:
     """Bare decay-rate family by name; 'power-over-log' needs the moment p."""
-    if kind == "sqrt-t":
-        return RateSpec(kind, _nt_sqrt, None)
-    if kind == "t-over-log":
-        return RateSpec(kind, _nt_t_over_log, None)
-    if kind == "t-over-log2":
-        return RateSpec(kind, _nt_t_over_log2, None)
-    if kind == "linear-t":
-        return RateSpec(kind, _nt_linear, None)
-    if kind == "power-over-log":
+    if kind not in _FAMILY_POWERS:
+        raise ValueError(f"unknown decay family {kind!r}; expected one of {tuple(_FAMILY_POWERS)}")
+    power, log_pow = _FAMILY_POWERS[kind]
+    params = {}
+    if power is None:
         if p is None:
             raise ValueError("power-over-log family requires the moment order p")
-        beta = beta_exponent(p)
-        return RateSpec(kind, _nt_power_over_log(beta), None, params={"p": p, "beta": beta})
-    raise ValueError(f"unknown decay family {kind!r}; expected one of {_FAMILY_KINDS}")
+        power = beta_exponent(p)
+        params = {"p": p, "beta": power}
+    return RateSpec(kind, _nt_power_over_logpow(power, log_pow), None, params=params)
 
 
 def rate_sgd(M: float, G: float) -> RateSpec:
@@ -122,7 +101,7 @@ def rate_sgd(M: float, G: float) -> RateSpec:
         raise ValueError("M and G must be positive")
     return RateSpec(
         name="sgd",
-        decay_rate_nt=_nt_t_over_log,
+        decay_rate_nt=_nt_power_over_logpow(1.0, 1.0),
         rate_function_I=_quadratic_rate(24.0 * M**2 * G**2),
         params={"M": M, "G": G},
     )
@@ -139,10 +118,10 @@ def rate_csgd(G: float, p: float) -> RateSpec:
     if not 1.0 < p <= 2.0:
         raise ValueError("p must lie in (1, 2]")
     if p == 2.0:
-        nt = _nt_t_over_log2
+        nt = _nt_power_over_logpow(1.0, 2.0)
         denom = 384.0 * G**4
     else:
-        nt = _nt_power_over_log(beta_exponent(p))
+        nt = _nt_power_over_logpow(beta_exponent(p), 1.0)
         denom = 768.0 * G**4
     return RateSpec(
         name="csgd",
@@ -164,10 +143,10 @@ def rate_csgd_generalC(G: float, C: float, p: float) -> RateSpec:
     if not 1.0 < p <= 2.0:
         raise ValueError("p must lie in (1, 2]")
     if p == 2.0:
-        nt = _nt_t_over_log2
+        nt = _nt_power_over_logpow(1.0, 2.0)
         denom = 96.0 * C**2 * G**2
     else:
-        nt = _nt_power_over_log(beta_exponent(p))
+        nt = _nt_power_over_logpow(beta_exponent(p), 1.0)
         denom = 192.0 * C**2 * G**2
     return RateSpec(
         name="csgd-generalC",
@@ -314,7 +293,7 @@ def sota_curves(kind: str, **params) -> SotaCurve:
 
     if kind == "liu-sgd":
         (B,) = need("B")
-        return SotaCurve(kind, _nt_sqrt, lambda eps: -eps / (12.0 * B**2), {"B": B})
+        return SotaCurve(kind, _nt_power_over_logpow(0.5, 0.0), lambda eps: -eps / (12.0 * B**2), {"B": B})
     if kind == "nguyen-csgd":
         sigma, delta, L, p = need("sigma", "delta", "L", "p")
         if not 1.0 < p <= 2.0:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -164,9 +165,14 @@ def test_verify_failure_exit_code(monkeypatch):
         ["verify", "clip-bias", "--samples", "1000"],
         ["rates", "--epsilon", "0.1", "--p", "3"],
         ["rates", "--epsilon", "0.1", "--M", "1", "--t-grid", "abc"],
+        ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "0:10"],
+        ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "1:2"],
+        ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "10:5"],
+        ["compare-sota", "--epsilon", "1", "--B", "1", "--t-grid", "0:10"],
     ],
     ids=["tail-t-grid-below-1", "fit-unknown-family", "verify-too-few-samples",
-         "rates-p-out-of-range", "rates-bad-t-grid"],
+         "rates-p-out-of-range", "rates-bad-t-grid", "rates-t-grid-from-0",
+         "rates-t-grid-no-t-from-3", "rates-t-grid-reversed", "sota-t-grid-from-0"],
 )
 def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, capsys):
     config_path, doc = tiny_config
@@ -198,6 +204,27 @@ def test_verify_bad_samples_rejected_before_any_suite(argv, tmp_path, capsys):
     assert "==" not in captured.out  # no suite header
     assert captured.err.startswith("error: --samples") and captured.err.count("\n") == 1
     assert not vdir.exists()
+
+
+@pytest.mark.parametrize("t_max", ["30", "0"])
+def test_verify_bad_enum_t_max_rejected_before_any_suite(t_max, tmp_path, capsys):
+    vdir = tmp_path / "verify"
+    argv = ["mgf-bounded", "appendix-f-enum", "--samples", "10", "--enum-t-max", t_max]
+    assert main(["verify", *argv, "--out", str(vdir)]) == 2
+    captured = capsys.readouterr()
+    assert "==" not in captured.out  # no suite header
+    assert captured.err.startswith("error: --enum-t-max") and captured.err.count("\n") == 1
+    assert not vdir.exists()
+
+
+def test_verify_help_names_the_registry_suites(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "500")  # one help line: argparse wraps at hyphens
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    listed = re.search(r"one or more of (.*); or 'all'", capsys.readouterr().out)
+    assert listed is not None
+    assert tuple(listed.group(1).split(", ")) == ldplab.montecarlo.LEMMA_SUITES
 
 
 def test_rates_and_sota_csv(tmp_path):

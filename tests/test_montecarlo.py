@@ -270,6 +270,11 @@ class TestEnumeration:
         probs = appendix_f_enumeration(10, x1_norm=1.0, G=1.0)  # boundary ||x1|| = G
         assert probs[10] == Fraction(1, 512)
 
+    def test_largest_horizon_matches_closed_form(self):
+        probs = appendix_f_enumeration(montecarlo.ENUM_T_MAX)
+        assert list(probs) == list(range(1, 25))
+        assert all(prob == Fraction(1, 2 ** (t - 1)) for t, prob in probs.items())
+
     def test_t_max_validation(self):
         with pytest.raises(ValueError):
             appendix_f_enumeration(25)
@@ -297,6 +302,42 @@ class TestVerifySuites:
         assert report.passed
         for c in report.checks:
             assert "0 violations" in c.label
+
+    def test_enum_and_rates_suites(self):
+        enum = verify_lemma_suite("appendix-f-enum", t_max=6)
+        assert [c.label for c in enum.checks] == [f"t={t}" for t in range(1, 7)]
+        assert all(c.passed and c.empirical == c.bound == 2.0 ** (1 - t) and c.se == 0.0
+                   for t, c in enumerate(enum.checks, start=1))
+        rates = verify_lemma_suite("rates")
+        assert len(rates.checks) == 6 and rates.passed
+        assert all(c.bound == 1e-3 and c.se == 0.0 for c in rates.checks)
+
+    def test_request_covers_every_suite_in_registry_order(self):
+        plan = montecarlo.verify_request([], 10**5, 3, 7)
+        assert [suite for suite, _ in plan] == list(montecarlo.LEMMA_SUITES)
+        assert montecarlo.verify_request(["all"], 10**5, 3, 7) == plan
+        params = dict(plan)
+        assert params["rates"] == {"n_samples": 10**5, "seed": 3}
+        assert params["appendix-f-enum"] == {"n_samples": 10**5, "seed": 3, "t_max": 7}
+
+    @pytest.mark.parametrize(
+        "suites, samples, t_max, message",
+        [
+            (["mgf-bounded", "bogus"], 10, 20, "unknown suite 'bogus'"),
+            (["all", "rates"], 10, 20, "unknown suite 'all'"),
+            (["rates"], 0, 20, "--samples must be at least 1 for rates"),
+            (["batch-bound", "clip-subgauss"], 99999, 20, "at least 100000 for clip-subgauss"),
+            (["appendix-f-enum"], 10, 25, "--enum-t-max"),
+            (["appendix-f-enum"], 10, 0, "--enum-t-max"),
+        ],
+        ids=["unknown", "all-with-others", "zero-samples", "probe-floor", "t-max-25", "t-max-0"],
+    )
+    def test_request_rejected_whole(self, suites, samples, t_max, message):
+        with pytest.raises(ValueError, match=message):
+            montecarlo.verify_request(suites, samples, 1, t_max)
+
+    def test_enum_t_max_ignored_without_enum_suite(self):
+        assert montecarlo.verify_request(["rates"], 1, 1, 99) == [("rates", {"n_samples": 1, "seed": 1})]
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_nonpositive_samples_rejected(self, n_samples):

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from ldplab import optimizers
 from ldplab.config import PRESET_NAMES, parse_config, preset_config
 from ldplab.costs import huber_cost, pseudo_huber_cost
-from ldplab.oracles import AdditiveOracle, SphereNoise, TwoPointNoise
+from ldplab.oracles import AdditiveOracle, SphereNoise, TwoPointNoise, clip_rows
 from ldplab.optimizers import (
     ClipSpec,
     RunConfig,
     ScheduleSpec,
     clip_bias_onset,
     clip_threshold,
-    clip_vector,
     run_trajectory,
     simulate_runs,
     step_size,
@@ -101,18 +100,34 @@ class TestClipThreshold:
         assert clip_bias_onset(eq5, 1.0) == pytest.approx(1.0)
 
 
+def _clip_one(g, gamma):
+    """clip_rows on one vector: (clipped vector, whether it was scaled)."""
+    out, over = clip_rows(np.asarray(g, dtype=np.float64)[None, :], gamma)
+    return out[0], bool(over[0])
+
+
 class TestClipVector:
+    """Norm clipping of single vectors, through the clip_rows the recursion uses."""
+
     def test_below_threshold_unchanged(self):
-        np.testing.assert_array_equal(clip_vector([3.0, 4.0], 10.0), [3.0, 4.0])
+        out, over = _clip_one([3.0, 4.0], 10.0)
+        np.testing.assert_array_equal(out, [3.0, 4.0])
+        assert not over
 
     def test_boundary_unchanged(self):
-        np.testing.assert_array_equal(clip_vector([3.0, 4.0], 5.0), [3.0, 4.0])
+        out, over = _clip_one([3.0, 4.0], 5.0)
+        np.testing.assert_array_equal(out, [3.0, 4.0])
+        assert not over  # a tie at ||g|| = gamma is not a clip event
 
     def test_scaled_above(self):
-        np.testing.assert_allclose(clip_vector([3.0, 4.0], 1.0), [0.6, 0.8])
+        out, over = _clip_one([3.0, 4.0], 1.0)
+        np.testing.assert_allclose(out, [0.6, 0.8])
+        assert over
 
     def test_zero_vector(self):
-        np.testing.assert_array_equal(clip_vector([0.0, 0.0], 1.0), [0.0, 0.0])
+        out, over = _clip_one([0.0, 0.0], 1.0)
+        np.testing.assert_array_equal(out, [0.0, 0.0])
+        assert not over
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
@@ -121,7 +136,7 @@ class TestClipVector:
     @settings(max_examples=200, deadline=None)
     def test_norm_capped_direction_preserved(self, coords, gamma):
         g = np.asarray(coords)
-        out = clip_vector(g, gamma)
+        out, _ = _clip_one(g, gamma)
         assert np.linalg.norm(out) <= max(gamma, np.linalg.norm(g)) * (1 + 1e-12)
         assert np.linalg.norm(out) <= gamma * (1 + 1e-12) or np.array_equal(out, g)
         # direction preserved: out is a non-negative multiple of g

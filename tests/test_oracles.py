@@ -260,7 +260,7 @@ class TestMgfGridMoments:
         rng = run_generator(7, n)
         dirs = rng.standard_normal((8, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        clipped = clip_rows(noise.sample_block(rng, n), 2.0)
+        clipped, _ = clip_rows(noise.sample_block(rng, n), 2.0)
         proj = (clipped - clipped.mean(axis=0)) @ dirs.T
         scales = np.asarray(_SCALE_MULTIPLIERS) / (2.0 * 2.0)
         mean, std = _mgf_grid_moments(proj, scales)
@@ -289,7 +289,8 @@ class TestMgfGridMoments:
 
 def test_clip_rows_scales_rows_above_threshold():
     g = np.array([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]])
-    out = clip_rows(g, 1.0)
+    out, over = clip_rows(g, 1.0)
     np.testing.assert_allclose(out[0], [0.6, 0.8])
     np.testing.assert_array_equal(out[1], g[1])
     np.testing.assert_array_equal(out[2], [0.0, 0.0])
+    np.testing.assert_array_equal(over, [True, False, False])
