@@ -10,7 +10,6 @@ bounds, and the exactly solvable lower-bound instance at desk scale.
 from .config import TOOL_VERSION as __version__
 from .costs import (
     CostSpec,
-    batch_loss_cost,
     finite_difference_gradient,
     huber_cost,
     pseudo_huber_cost,
@@ -18,7 +17,6 @@ from .costs import (
 )
 from .montecarlo import (
     DecayFit,
-    EnsembleResult,
     InsufficientDataError,
     TailEstimate,
     appendix_f_enumeration,

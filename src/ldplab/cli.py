@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import warnings
@@ -36,12 +35,13 @@ from .montecarlo import (
     LEMMA_SUITES,
     InsufficientDataError,
     TailEstimate,
+    epsilon_index,
     fit_decay,
     run_ensemble,
+    tail_from_counts,
     tail_from_hitting_times,
     verify_lemma_suite,
     verify_request,
-    wilson_interval,
 )
 from .optimizers import RunConfig
 from .svgplot import line_chart
@@ -143,11 +143,17 @@ def _resolve_out(flag_value: str | None, config_dir: str) -> str:
 
 
 def _parse_t_grid(spec: str, expand_range) -> np.ndarray:
-    """A --t-grid value: 'lo:hi' through expand_range(lo, hi), or a comma list."""
+    """A --t-grid value: 'lo:hi' through expand_range(lo, hi), or a comma list;
+    every step is at least 1."""
     try:
         if ":" not in spec:
-            return np.asarray(sorted({int(tok) for tok in spec.split(",")}), dtype=np.int64)
+            grid = np.asarray(sorted({int(tok) for tok in spec.split(",")}), dtype=np.int64)
+            if grid[0] < 1:
+                raise ConfigError(f"--t-grid: {spec!r} has a step below 1")
+            return grid
         lo, hi = (int(tok) for tok in spec.split(":", 1))
+    except ConfigError:
+        raise
     except ValueError as e:
         raise ConfigError(f"--t-grid: cannot parse {spec!r}: {e}") from e
     if not 1 <= lo <= hi:
@@ -196,8 +202,7 @@ def _cmd_simulate(args) -> int:
             return EXIT_IO
     os.makedirs(outdir, exist_ok=True)
 
-    result = run_ensemble(exp.run_config, exp.n_runs, workers=args.workers)
-    arrays = result.arrays
+    arrays = run_ensemble(exp.run_config, exp.n_runs, workers=args.workers)
     T = exp.run_config.horizon_T
     eps_grid = exp.run_config.epsilon_grid
     certified = exp.run_config.certified_constants()
@@ -214,7 +219,7 @@ def _cmd_simulate(args) -> int:
         "certified": {k: float(v) for k, v in certified.items()},
         "n_runs": exp.n_runs,
         "horizon_T": T,
-        "diverged_runs": result.diverged_count,
+        "diverged_runs": arrays.diverged_count,
     }
     # both files go to temp names first and replace the old ones summary
     # first, manifest last; a summary whose digest is not the manifest's is
@@ -239,7 +244,7 @@ def _cmd_simulate(args) -> int:
                 os.remove(tmp)
     print(
         f"simulated {exp.n_runs} runs (T={T}, digest={exp.digest}, "
-        f"diverged={result.diverged_count}) -> {outdir}"
+        f"diverged={arrays.diverged_count}) -> {outdir}"
     )
     return EXIT_OK
 
@@ -283,17 +288,9 @@ def _load_results(results_dir: str):
 
 
 def _hit_column(header: list, body: np.ndarray, epsilon: float, horizon: int) -> np.ndarray:
-    eps_cols = {}
-    for j, name in enumerate(header):
-        if name.startswith(_HIT_PREFIX):
-            eps_cols[float(name[len(_HIT_PREFIX):])] = j
-    matches = [e for e in eps_cols if math.isclose(e, epsilon, rel_tol=1e-12)]
-    if not matches:
-        raise ConfigError(
-            f"epsilon={epsilon!r} was not recorded; available: {sorted(eps_cols)}"
-        )
-    j = eps_cols[matches[0]]
-    hit = body[:, j].copy()
+    columns = [j for j, name in enumerate(header) if name.startswith(_HIT_PREFIX)]
+    recorded = [float(header[j][len(_HIT_PREFIX):]) for j in columns]
+    hit = body[:, columns[epsilon_index(recorded, epsilon)]].copy()
     hit[hit < 0] = horizon + 1
     return hit
 
@@ -326,7 +323,7 @@ def _write_tail(path: str, meta: dict, header: list, body: np.ndarray, epsilon: 
     """Estimate one epsilon's tail from a results directory and write it as a tail CSV."""
     T = int(meta["horizon_T"])
     hit = _hit_column(header, body, epsilon, T)
-    tail = tail_from_hitting_times(hit, T, epsilon, t_grid, int(meta.get("diverged_runs", 0)))
+    tail = tail_from_hitting_times(hit, T, epsilon, t_grid)
     _write_csv(
         path,
         _provenance_comment(meta["config_digest"], meta.get("certified", {})),
@@ -412,22 +409,12 @@ def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
             raise ConfigError(f"{path}: missing column {needed!r}")
     if body.shape[0] == 0:
         raise ConfigError(f"{path}: no tail rows")
-    t = body[:, cols["t"]].astype(np.int64)
-    exceed = body[:, cols["exceed"]].astype(np.int64)
-    n = int(body[0, cols["N"]])
-    epsilon = float(body[0, cols["epsilon"]])
     # rebuild the estimate from counts so intervals are always consistent
-    p_hat = exceed / n
-    lo, hi = wilson_interval(exceed, n)
-    return comment.get("digest", "unknown"), TailEstimate(
-        n_runs=n,
-        epsilon=epsilon,
-        t_grid=t,
-        exceed_count=exceed,
-        p_hat=p_hat,
-        ci_low=lo,
-        ci_high=hi,
-        diverged_count=0,
+    return comment.get("digest", "unknown"), tail_from_counts(
+        body[:, cols["t"]].astype(np.int64),
+        body[:, cols["exceed"]].astype(np.int64),
+        int(body[0, cols["N"]]),
+        float(body[0, cols["epsilon"]]),
     )
 
 
@@ -494,17 +481,17 @@ def _cmd_verify(args) -> int:
 
 
 def _log_t_grid(lo: int, hi: int) -> np.ndarray:
-    """61 log-spaced integer steps from lo to hi, deduplicated, keeping t >= 3."""
-    grid = np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi), 61)).astype(np.int64))
-    grid = grid[grid >= 3]
-    if grid.size == 0:
-        raise ConfigError(f"--t-grid: {lo}:{hi} has no step t >= 3")
-    return grid
+    """61 log-spaced integer steps from lo to hi, deduplicated."""
+    return np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi), 61)).astype(np.int64))
 
 
 def _write_curves(args, source: str, curves) -> None:
-    """One (t, n_t, family, slope) row per curve and grid point; curves are (spec, slope) pairs."""
+    """One (t, n_t, family, slope) row per curve and grid step t >= 3, where the
+    decay sequences are meant; curves are (spec, slope) pairs."""
     t_grid = _parse_t_grid(args.t_grid, _log_t_grid) if args.t_grid else _log_t_grid(10, 10**6)
+    t_grid = t_grid[t_grid >= 3]
+    if t_grid.size == 0:
+        raise ConfigError(f"--t-grid: {args.t_grid} has no step t >= 3")
     rows = []
     for spec, slope in curves:
         label = spec.name + "".join(f" {k}={v:g}" for k, v in sorted(spec.params.items()))

@@ -45,6 +45,13 @@ def _require_keys(block: dict, path: str, required: tuple, optional: tuple = ())
         raise ConfigError(f"{path}: missing required keys {missing}")
 
 
+def _reject_unused(block: dict, path: str, used: set, kind) -> None:
+    """Keys of a kind-tagged block that the kind does not read are errors."""
+    unused = set(block) - {"kind"} - used
+    if unused:
+        raise ConfigError(f"{path}: keys {sorted(unused)} do not apply to kind {kind!r}")
+
+
 def _number(block: dict, path: str, key: str):
     v = block[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -124,11 +131,17 @@ def _build_oracle(block: dict, cost: CostSpec) -> OracleSpec:
     raise ConfigError(f"oracle.mode: unknown mode {mode!r}")
 
 
+_STEP_KEY = {"sgd-sqrt": "a", "csgd-power": "p", "constant": "c"}  # the one parameter each kind reads
+
+
 def _build_step(block: dict) -> ScheduleSpec:
     _require_keys(block, "method.step", ("kind",), ("a", "p", "c"))
+    kind = block["kind"]
+    if isinstance(kind, str) and kind in _STEP_KEY:
+        _reject_unused(block, "method.step", {_STEP_KEY[kind]}, kind)
     try:
         return ScheduleSpec(
-            kind=block["kind"],
+            kind=kind,
             a=float(_number(block, "method.step", "a")) if "a" in block else None,
             p=float(_number(block, "method.step", "p")) if "p" in block else None,
             c=float(_number(block, "method.step", "c")) if "c" in block else None,
@@ -137,17 +150,18 @@ def _build_step(block: dict) -> ScheduleSpec:
         raise ConfigError(f"method.step: {e}") from e
 
 
+_CLIP_KEY = {"paper-eq5": "G", "general-C": "C", "constant": "threshold"}  # each kind's coefficient
+
+
 def _build_clip(block: dict) -> ClipSpec:
     _require_keys(block, "method.clip", ("kind",), ("p", "G", "C", "threshold"))
-    kind = block.get("kind")
-    coeff_key = {"paper-eq5": "G", "general-C": "C", "constant": "threshold"}.get(kind)
+    kind = block["kind"]
+    coeff_key = _CLIP_KEY.get(kind) if isinstance(kind, str) else None
     if coeff_key is None:
         raise ConfigError(f"method.clip.kind: unknown kind {kind!r}")
     if coeff_key not in block:
         raise ConfigError(f"method.clip: kind {kind!r} requires key {coeff_key!r}")
-    extra = {"G", "C", "threshold"} & set(block) - {coeff_key}
-    if extra:
-        raise ConfigError(f"method.clip: keys {sorted(extra)} do not apply to kind {kind!r}")
+    _reject_unused(block, "method.clip", {coeff_key} if kind == "constant" else {coeff_key, "p"}, kind)
     try:
         return ClipSpec(
             kind=kind,
@@ -194,6 +208,8 @@ def _build_analysis(ana: dict) -> tuple:
         candidates = tuple(decay_family(name, p=candidate_p) for name in names)
     except ValueError as e:
         raise ConfigError(f"analysis.candidates: {e}") from e
+    if candidate_p is not None and "power-over-log" not in names:
+        raise ConfigError("analysis.candidate_p: applies only when analysis.candidates lists 'power-over-log'")
     entries = ana.get("sota", [])
     if not isinstance(entries, list):
         raise ConfigError("analysis.sota: expected a list of curve specs")

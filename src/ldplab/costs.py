@@ -249,22 +249,6 @@ def pseudo_huber_cost(scale: float, dim: int) -> PseudoHuberCost:
     return PseudoHuberCost(scale=float(scale), dim=int(dim))
 
 
-def batch_loss_cost(dataset, loss_kind: str = "lipschitz-logistic") -> LogisticBatchCost:
-    """Finite-sum cost from (features, label) records.
-
-    Only globally Lipschitz losses are admitted; currently that means the
-    logistic loss with labels in {-1, +1}.
-    """
-    if loss_kind != "lipschitz-logistic":
-        raise ValueError(f"unsupported loss_kind: {loss_kind!r}")
-    records = list(dataset)
-    if not records:
-        raise ValueError("dataset must be non-empty")
-    features = np.asarray([np.asarray(phi, dtype=np.float64) for phi, _ in records])
-    labels = np.asarray([float(y) for _, y in records])
-    return LogisticBatchCost(features=features, labels=labels)
-
-
 def synthetic_logistic_cost(m: int, dim: int, seed: int) -> LogisticBatchCost:
     """Deterministic synthetic classification dataset for batch-oracle runs.
 

@@ -30,7 +30,7 @@ from .oracles import (
     _mgf_grid_moments,
     _unit_rows,
 )
-from .optimizers import EnsembleArrays, RunConfig, TrajectoryRecord, simulate_runs
+from .optimizers import EnsembleArrays, RunConfig, simulate_runs
 from .rng import run_generator
 from .theory import (
     lower_bound_exact_prob,
@@ -45,29 +45,6 @@ ENSEMBLE_CHUNK = 1 << 14  # fixed: chunk layout must not depend on worker count
 
 class InsufficientDataError(ValueError):
     """Too few estimable tail points to fit a decay rate."""
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleResult:
-    """Summaries (and optionally full records) of N independent runs."""
-
-    config: RunConfig
-    arrays: EnsembleArrays
-    record_full: bool
-
-    @property
-    def n_runs(self) -> int:
-        return self.arrays.n_runs
-
-    @property
-    def diverged_count(self) -> int:
-        return int(self.arrays.diverged.sum())
-
-    def record(self, i: int) -> TrajectoryRecord:
-        """TrajectoryRecord for the i-th run (full mode only)."""
-        if not self.record_full:
-            raise ValueError("ensemble was run in lean mode; re-run with record_full=True")
-        return self.arrays.record(i)
 
 
 def _concat_arrays(parts: list[EnsembleArrays]) -> EnsembleArrays:
@@ -100,8 +77,8 @@ def run_ensemble(
     workers: int = 1,
     record_full: bool = False,
     check_invariants: bool = False,
-) -> EnsembleResult:
-    """N independent runs with indices 0..N-1.
+) -> EnsembleArrays:
+    """N independent runs with indices 0..N-1, as one set of ensemble arrays.
 
     Streams are derived from (config.seed, run_index) only, and chunking is
     fixed, so the result is bit-identical for every ``workers`` setting.  At
@@ -120,7 +97,7 @@ def run_ensemble(
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             parts = list(pool.map(_chunk_job, jobs))
-    return EnsembleResult(config=config, arrays=_concat_arrays(parts), record_full=record_full)
+    return _concat_arrays(parts)
 
 
 def wilson_interval(count, n: int, confidence: float = 0.95):
@@ -154,7 +131,6 @@ class TailEstimate:
     p_hat: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    diverged_count: int
 
     def __post_init__(self):
         # exceedance events are nested in t, so the estimates must be monotone
@@ -164,12 +140,33 @@ class TailEstimate:
             raise ValueError("confidence intervals must contain p_hat")
 
 
+def tail_from_counts(
+    t_grid,
+    exceed_count,
+    n_runs: int,
+    epsilon: float,
+    confidence: float = 0.95,
+) -> TailEstimate:
+    """Tail estimate from the number of runs, out of n_runs, with F_t > epsilon
+    at each t; the only place p_hat and its Wilson interval are computed."""
+    exceed = np.asarray(exceed_count, dtype=np.int64)
+    lo, hi = wilson_interval(exceed, n_runs, confidence)
+    return TailEstimate(
+        n_runs=int(n_runs),
+        epsilon=float(epsilon),
+        t_grid=np.asarray(t_grid, dtype=np.int64),
+        exceed_count=exceed,
+        p_hat=exceed / n_runs,
+        ci_low=lo,
+        ci_high=hi,
+    )
+
+
 def tail_from_hitting_times(
     hit: np.ndarray,
     horizon_T: int,
     epsilon: float,
     t_grid,
-    diverged_count: int,
     confidence: float = 0.95,
 ) -> TailEstimate:
     """Tail estimate from one epsilon's hitting-time column.
@@ -184,43 +181,30 @@ def tail_from_hitting_times(
         raise ValueError(f"t_grid must lie within [1, {horizon_T}]")
     hit = np.asarray(hit)
     n = hit.size
-    order = np.sort(hit)
     # number of runs with hit > t == n - (#hit <= t)
-    exceed = n - np.searchsorted(order, t_grid, side="right")
-    p_hat = exceed / n
-    lo, hi = wilson_interval(exceed, n, confidence)
-    return TailEstimate(
-        n_runs=int(n),
-        epsilon=float(epsilon),
-        t_grid=t_grid,
-        exceed_count=exceed.astype(np.int64),
-        p_hat=p_hat,
-        ci_low=lo,
-        ci_high=hi,
-        diverged_count=int(diverged_count),
+    exceed = n - np.searchsorted(np.sort(hit), t_grid, side="right")
+    return tail_from_counts(t_grid, exceed, n, epsilon, confidence)
+
+
+def epsilon_index(recorded, epsilon: float) -> int:
+    """Position of epsilon among the recorded thresholds, equal to a relative
+    1e-12; ValueError when hitting times were not recorded for it."""
+    for j, e in enumerate(recorded):
+        if math.isclose(e, epsilon, rel_tol=1e-12):
+            return j
+    raise ValueError(
+        f"epsilon={epsilon!r} is not in the epsilon_grid {[float(e) for e in recorded]}; "
+        "hitting times were not recorded for it"
     )
 
 
-def estimate_tail(result: EnsembleResult, epsilon: float, t_grid=None) -> TailEstimate:
+def estimate_tail(arrays: EnsembleArrays, epsilon: float, t_grid=None) -> TailEstimate:
     """P(F_t > epsilon) with Wilson 95% intervals, for one recorded epsilon."""
-    eps_grid = result.config.epsilon_grid
-    matches = np.flatnonzero(np.isclose(eps_grid, epsilon, rtol=1e-12, atol=0.0))
-    if matches.size == 0:
-        raise ValueError(
-            f"epsilon={epsilon!r} is not in the config's epsilon_grid; "
-            "hitting times were not recorded for it"
-        )
-    j = int(matches[0])
-    T = result.config.horizon_T
+    j = epsilon_index(arrays.epsilon_grid, epsilon)
+    T = arrays.horizon_T
     if t_grid is None:
         t_grid = np.arange(1, T + 1)
-    return tail_from_hitting_times(
-        result.arrays.hit[:, j],
-        T,
-        float(eps_grid[j]),
-        t_grid,
-        result.diverged_count,
-    )
+    return tail_from_hitting_times(arrays.hit[:, j], T, float(arrays.epsilon_grid[j]), t_grid)
 
 
 @dataclass(frozen=True)
@@ -540,7 +524,7 @@ def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tup
 # ---------------------------------------------------------------------------
 
 
-ENUM_T_MAX = 24  # largest horizon appendix_f_enumeration accepts
+ENUM_T_MAX = 1075  # largest t at which the closed form 2^(1-t) is exact in float64
 
 
 def appendix_f_enumeration(t_max: int, x1_norm: float = 0.6, G: float = 1.0) -> dict:

@@ -236,8 +236,14 @@ class EnsembleArrays:
     def n_runs(self) -> int:
         return self.run_indices.size
 
+    @property
+    def diverged_count(self) -> int:
+        return int(self.diverged.sum())
+
     def record(self, i: int) -> TrajectoryRecord:
         """Row i as a TrajectoryRecord; needs the full-mode arrays."""
+        if self.grad_norm_sq is None:
+            raise ValueError("lean ensemble arrays hold no per-step records; re-run with record_full=True")
         T = self.horizon_T
         hitting = {}
         for j, e in enumerate(self.epsilon_grid):

@@ -107,6 +107,18 @@ def rate_sgd(M: float, G: float) -> RateSpec:
     )
 
 
+def _clipped_rate(name: str, p: float, denominator: float, params: dict) -> RateSpec:
+    """A clipped-SGD tail law: n_t = t^beta_p/log t for p in (1,2), t/log^2 t
+    at p = 2, and I(x) = x^2/denominator."""
+    if not 1.0 < p <= 2.0:
+        raise ValueError("p must lie in (1, 2]")
+    if p == 2.0:
+        nt = _nt_power_over_logpow(1.0, 2.0)
+    else:
+        nt = _nt_power_over_logpow(beta_exponent(p), 1.0)
+    return RateSpec(name=name, decay_rate_nt=nt, rate_function_I=_quadratic_rate(denominator), params=params)
+
+
 def rate_csgd(G: float, p: float) -> RateSpec:
     """Clipped-SGD tail law with the 2G-coefficient threshold schedule.
 
@@ -115,20 +127,8 @@ def rate_csgd(G: float, p: float) -> RateSpec:
     """
     if not G > 0:
         raise ValueError("G must be positive")
-    if not 1.0 < p <= 2.0:
-        raise ValueError("p must lie in (1, 2]")
-    if p == 2.0:
-        nt = _nt_power_over_logpow(1.0, 2.0)
-        denom = 384.0 * G**4
-    else:
-        nt = _nt_power_over_logpow(beta_exponent(p), 1.0)
-        denom = 768.0 * G**4
-    return RateSpec(
-        name="csgd",
-        decay_rate_nt=nt,
-        rate_function_I=_quadratic_rate(denom),
-        params={"G": G, "p": p},
-    )
+    denom = 384.0 * G**4 if p == 2.0 else 768.0 * G**4
+    return _clipped_rate("csgd", p, denom, {"G": G, "p": p})
 
 
 def rate_csgd_generalC(G: float, C: float, p: float) -> RateSpec:
@@ -140,20 +140,8 @@ def rate_csgd_generalC(G: float, C: float, p: float) -> RateSpec:
     """
     if not (G > 0 and C > 0):
         raise ValueError("G and C must be positive")
-    if not 1.0 < p <= 2.0:
-        raise ValueError("p must lie in (1, 2]")
-    if p == 2.0:
-        nt = _nt_power_over_logpow(1.0, 2.0)
-        denom = 96.0 * C**2 * G**2
-    else:
-        nt = _nt_power_over_logpow(beta_exponent(p), 1.0)
-        denom = 192.0 * C**2 * G**2
-    return RateSpec(
-        name="csgd-generalC",
-        decay_rate_nt=nt,
-        rate_function_I=_quadratic_rate(denom),
-        params={"G": G, "C": C, "p": p},
-    )
+    denom = 96.0 * C**2 * G**2 if p == 2.0 else 192.0 * C**2 * G**2
+    return _clipped_rate("csgd-generalC", p, denom, {"G": G, "C": C, "p": p})
 
 
 def _half_quadratic_phi(coefficient: float) -> Callable:
@@ -277,7 +265,8 @@ class SotaCurve:
 
 
 def sota_curves(kind: str, **params) -> SotaCurve:
-    """Published long-run tail baselines for overlay plots.
+    """Published long-run tail baselines for overlay plots; each kind takes
+    exactly the parameters listed.
 
     'liu-sgd'      (B):                n_t = sqrt(t),        slope -eps/(12 B^2)
     'nguyen-csgd'  (sigma, delta, L, p): n_t = t^(beta_p/2)/log^(2p/(3p-2)) t,
@@ -289,6 +278,9 @@ def sota_curves(kind: str, **params) -> SotaCurve:
         missing = [n for n in names if n not in params]
         if missing:
             raise ValueError(f"sota curve {kind!r} requires parameters {missing}")
+        unused = sorted(set(params) - set(names))
+        if unused:
+            raise ValueError(f"sota curve {kind!r} does not take parameters {unused}")
         return [float(params[n]) for n in names]
 
     if kind == "liu-sgd":

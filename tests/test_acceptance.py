@@ -238,8 +238,7 @@ def test_criterion_9_metric_invariants():
     checked = 0
     for name, n in plans:
         exp = parse_config(preset_config(name))
-        res = run_ensemble(exp.run_config, n, record_full=True, check_invariants=True)
-        arrays = res.arrays
+        arrays = run_ensemble(exp.run_config, n, record_full=True, check_invariants=True)
         ok_rows = ~arrays.diverged
         assert np.all(np.diff(arrays.running_min[ok_rows], axis=1) <= 0)
         tol = 1e-9 * np.maximum(1.0, np.abs(arrays.running_avg[ok_rows]))
@@ -272,7 +271,6 @@ def test_criterion_10_decay_fit_self_consistency():
             p_hat=p,
             ci_low=np.maximum(p - 1e-9, 0.0),
             ci_high=np.minimum(p + 1e-9, 1.0),
-            diverged_count=0,
         )
         fits = fit_decay(tail, families)
         own = next(f for f in fits if f.candidate == gen.name)

@@ -11,7 +11,8 @@ import pytest
 import ldplab
 from ldplab import cli
 from ldplab.cli import main
-from ldplab.config import preset_config
+from ldplab.config import parse_config, preset_config
+from ldplab.montecarlo import estimate_tail, run_ensemble
 
 
 @pytest.fixture
@@ -169,10 +170,15 @@ def test_verify_failure_exit_code(monkeypatch):
         ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "1:2"],
         ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "10:5"],
         ["compare-sota", "--epsilon", "1", "--B", "1", "--t-grid", "0:10"],
+        ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "1,2"],
+        ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "0,10"],
+        ["compare-sota", "--epsilon", "1", "--B", "1", "--t-grid", "2"],
     ],
     ids=["tail-t-grid-below-1", "fit-unknown-family", "verify-too-few-samples",
          "rates-p-out-of-range", "rates-bad-t-grid", "rates-t-grid-from-0",
-         "rates-t-grid-no-t-from-3", "rates-t-grid-reversed", "sota-t-grid-from-0"],
+         "rates-t-grid-no-t-from-3", "rates-t-grid-reversed", "sota-t-grid-from-0",
+         "rates-t-grid-list-no-t-from-3", "rates-t-grid-list-from-0",
+         "sota-t-grid-list-no-t-from-3"],
 )
 def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, capsys):
     config_path, doc = tiny_config
@@ -206,7 +212,7 @@ def test_verify_bad_samples_rejected_before_any_suite(argv, tmp_path, capsys):
     assert not vdir.exists()
 
 
-@pytest.mark.parametrize("t_max", ["30", "0"])
+@pytest.mark.parametrize("t_max", ["1076", "0"])
 def test_verify_bad_enum_t_max_rejected_before_any_suite(t_max, tmp_path, capsys):
     vdir = tmp_path / "verify"
     argv = ["mgf-bounded", "appendix-f-enum", "--samples", "10", "--enum-t-max", t_max]
@@ -240,6 +246,44 @@ def test_rates_and_sota_csv(tmp_path):
                  "--delta", "1", "--L", "1", "--C", "1", "--p", "1.5", "--out", sota_csv]) == 0
     lines = [l for l in open(sota_csv) if not l.startswith("#")]
     assert lines[0].strip() == "t,n_t,family,slope"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rates", "--M", "1"], ["compare-sota", "--B", "1"]],
+    ids=["rates", "compare-sota"],
+)
+def test_curve_t_grid_forms_share_the_t_from_3_rule(argv, tmp_path):
+    # a comma list and a range keep the same steps: only t >= 3
+    rows = {}
+    for spec in ("2,10", "2:10"):
+        out = str(tmp_path / f"{spec.replace(':', '-')}.csv")
+        assert main([*argv, "--epsilon", "1", "--t-grid", spec, "--out", out]) == 0
+        rows[spec] = list(csv.reader(l for l in open(out) if not l.startswith("#")))[1:]
+    assert [r[0] for r in rows["2,10"]] == ["10"]
+    assert all(int(r[0]) >= 3 for r in rows["2:10"]) and rows["2:10"][-1] == rows["2,10"][-1]
+
+
+def test_cli_tail_equals_library_estimate(tiny_config):
+    # simulate -> tail through the CLI, and run_ensemble -> estimate_tail in
+    # the library, give bitwise the same tail, also when read back for a fit
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    assert main(["tail", out, "--epsilon", "0.18", "--t-grid", "2:9", "--no-svg"]) == 0
+    exp = parse_config(doc)
+    lib = estimate_tail(run_ensemble(exp.run_config, exp.n_runs), 0.18, np.arange(2, 10))
+    tail_csv = os.path.join(out, "tail.csv")
+    _, read_back = cli._tail_from_csv(tail_csv)
+    _, header, body = cli._read_csv(tail_csv, dtype=np.float64)
+    written = dict(zip(header, body.T))
+    assert (read_back.n_runs, read_back.epsilon) == (lib.n_runs, lib.epsilon)
+    for name, column in [("t_grid", "t"), ("exceed_count", "exceed"), ("p_hat", "p_hat"),
+                         ("ci_low", "ci_low"), ("ci_high", "ci_high")]:
+        want = getattr(lib, name)
+        got = getattr(read_back, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert written[column].tobytes() == want.astype(np.float64).tobytes(), column
 
 
 def test_single_run_yields_one_row(tmp_path):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ldplab.cli import main
 from ldplab.config import (
     ConfigError,
     config_digest,
@@ -115,6 +116,41 @@ class TestValidation:
         assert "--p" not in str(info.value)
         base_doc["analysis"]["candidate_p"] = 1.5
         assert [c.name for c in parse_config(base_doc).candidates] == ["power-over-log"]
+
+
+    @pytest.mark.parametrize(
+        "preset, edit, message",
+        [
+            ("appendix-f", lambda d: d["method"]["step"].update(p=1.7, c=9.0),
+             r"^method\.step: keys \['c', 'p'\] do not apply to kind 'sgd-sqrt'"),
+            ("csgd-pareto", lambda d: d["method"]["step"].update(a=0.5),
+             r"^method\.step: keys \['a'\] do not apply to kind 'csgd-power'"),
+            ("appendix-f", lambda d: d["method"]["step"].update(kind="constant", c=0.1),
+             r"^method\.step: keys \['a'\] do not apply to kind 'constant'"),
+            ("appendix-f", lambda d: d["method"]["clip"].update(p=1.5),
+             r"^method\.clip: keys \['p'\] do not apply to kind 'constant'"),
+            ("appendix-f", lambda d: d["analysis"].update(candidate_p=1.5),
+             r"^analysis\.candidate_p: applies only when .*'power-over-log'"),
+            ("appendix-f", lambda d: d["analysis"]["sota"][0].update(sigma=1.0),
+             r"^analysis\.sota\[0\]: .*does not take parameters \['sigma'\]"),
+            ("csgd-pareto", lambda d: d["analysis"]["sota"][0].update(B=0.5),
+             r"^analysis\.sota\[0\]: .*does not take parameters \['B'\]"),
+            ("appendix-f", lambda d: d["method"]["clip"].update(kind=["constant"]),
+             r"^method\.clip\.kind: unknown kind \['constant'\]"),
+        ],
+        ids=["sgd-sqrt-step-p-c", "csgd-power-step-a", "constant-step-a", "constant-clip-p",
+             "candidate-p-without-power-over-log", "liu-sgd-sigma", "nguyen-csgd-B",
+             "clip-kind-not-a-string"],
+    )
+    def test_key_the_kind_does_not_read_rejected(self, preset, edit, message, tmp_path):
+        doc = preset_config(preset)
+        edit(doc)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestDigest:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldplab.costs import (
-    batch_loss_cost,
+    LogisticBatchCost,
     finite_difference_gradient,
     huber_cost,
     pseudo_huber_cost,
@@ -84,14 +84,16 @@ class TestPseudoHuber:
 
 class TestBatchLogistic:
     def test_single_sample_full_equals_per_sample(self):
-        cost = batch_loss_cost([(np.array([1.0, -2.0]), 1.0)])
+        cost = LogisticBatchCost(features=np.array([[1.0, -2.0]]), labels=np.array([1.0]))
         x = np.array([0.3, 0.1])
         np.testing.assert_allclose(cost.gradient(x), cost.per_sample_gradients(x)[0])
 
     def test_full_gradient_is_mean_of_per_sample(self):
         rng = np.random.default_rng(3)
         records = [(rng.standard_normal(3), 1.0 if rng.random() < 0.5 else -1.0) for _ in range(4)]
-        cost = batch_loss_cost(records)
+        cost = LogisticBatchCost(
+            features=np.array([phi for phi, _ in records]), labels=np.array([y for _, y in records])
+        )
         x = rng.standard_normal(3)
         np.testing.assert_allclose(
             cost.gradient(x), cost.per_sample_gradients(x).mean(axis=0), rtol=1e-12
@@ -106,12 +108,8 @@ class TestBatchLogistic:
             assert np.all(norms <= cost.per_sample_grad_bound + 1e-12)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            batch_loss_cost([])
-
-    def test_unknown_loss_rejected(self):
-        with pytest.raises(ValueError):
-            batch_loss_cost([(np.ones(2), 1.0)], loss_kind="hinge")
+        with pytest.raises(ValueError, match="non-empty"):
+            LogisticBatchCost(features=np.empty((0, 2)), labels=np.empty(0))
 
 
 @pytest.mark.parametrize("cost", all_costs(), ids=lambda c: c.name)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -16,14 +17,16 @@ from ldplab.montecarlo import (
     InsufficientDataError,
     TailEstimate,
     appendix_f_enumeration,
+    epsilon_index,
     estimate_tail,
     fit_decay,
     run_ensemble,
+    tail_from_counts,
     tail_from_hitting_times,
     verify_lemma_suite,
     wilson_interval,
 )
-from ldplab.optimizers import RunConfig, ScheduleSpec, run_trajectory
+from ldplab.optimizers import RunConfig, ScheduleSpec, run_trajectory, simulate_runs
 from ldplab.oracles import AdditiveOracle, ClippingBiasProbe, SphereNoise, TwoPointNoise
 from ldplab.theory import decay_family, lower_bound_exact_prob
 
@@ -68,26 +71,38 @@ class TestEnsemble:
         config = solvable_instance(T=10)
         res = run_ensemble(config, 1, record_full=True)
         rec = run_trajectory(config, 0)
-        np.testing.assert_array_equal(res.arrays.grad_norm_sq[0], rec.grad_norm_sq)
+        np.testing.assert_array_equal(res.grad_norm_sq[0], rec.grad_norm_sq)
         assert res.record(0).hitting_time == rec.hitting_time
 
     def test_worker_invariance(self):
         config = solvable_instance(T=8)
         a = run_ensemble(config, 1500, workers=1)
         b = run_ensemble(config, 1500, workers=4)
-        np.testing.assert_array_equal(a.arrays.hit, b.arrays.hit)
-        np.testing.assert_array_equal(a.arrays.final_min, b.arrays.final_min)
+        np.testing.assert_array_equal(a.hit, b.hit)
+        np.testing.assert_array_equal(a.final_min, b.final_min)
 
     def test_same_seed_same_summaries(self):
         config = solvable_instance(T=8)
         a = run_ensemble(config, 512)
         b = run_ensemble(config, 512)
-        np.testing.assert_array_equal(a.arrays.hit, b.arrays.hit)
+        np.testing.assert_array_equal(a.hit, b.hit)
 
     def test_lean_record_access_rejected(self):
         res = run_ensemble(solvable_instance(T=4), 4)
         with pytest.raises(ValueError):
             res.record(0)
+
+    def test_lean_simulate_runs_record_rejected(self):
+        # the same arrays type with the same check, whichever call built it
+        arrays = simulate_runs(solvable_instance(T=4), range(4))
+        with pytest.raises(ValueError, match="record_full=True"):
+            arrays.record(0)
+
+    def test_diverged_count_counts_flagged_runs(self):
+        res = run_ensemble(solvable_instance(T=4), 8)
+        assert res.diverged_count == int(res.diverged.sum()) == 0
+        flagged = dataclasses.replace(res, diverged=np.arange(8) % 3 == 0)
+        assert flagged.diverged_count == 3
 
     def test_worker_count_bounded_by_chunks_and_cpus(self, monkeypatch):
         # a stub pool records max_workers and runs the chunks inline, so no
@@ -113,7 +128,7 @@ class TestEnsemble:
         n = montecarlo.ENSEMBLE_CHUNK + 1  # two chunks
         res = run_ensemble(config, n, workers=10**4)
         assert started == [2]
-        np.testing.assert_array_equal(res.arrays.hit, run_ensemble(config, n).arrays.hit)
+        np.testing.assert_array_equal(res.hit, run_ensemble(config, n).hit)
 
 
 def test_tail_invariant_survives_python_O():
@@ -124,8 +139,7 @@ def test_tail_invariant_survives_python_O():
         "p = np.array([0.1, 0.2])\n"
         "try:\n"
         "    TailEstimate(n_runs=10, epsilon=0.1, t_grid=np.array([1, 2]),\n"
-        "                 exceed_count=np.array([1, 2]), p_hat=p, ci_low=p, ci_high=p,\n"
-        "                 diverged_count=0)\n"
+        "                 exceed_count=np.array([1, 2]), p_hat=p, ci_low=p, ci_high=p)\n"
         "except ValueError as e:\n"
         "    print('rejected:', e)\n"
     )
@@ -170,6 +184,24 @@ class TestEstimateTail:
         with pytest.raises(ValueError, match="epsilon_grid"):
             estimate_tail(res, 0.123)
 
+    def test_epsilon_matched_to_relative_1e_12(self):
+        grid = np.array([0.09, 0.18])
+        assert epsilon_index(grid, 0.18 * (1.0 + 5e-13)) == 1
+        assert epsilon_index([float(e) for e in grid], 0.09) == 0
+        with pytest.raises(ValueError, match=r"epsilon_grid \[0\.09, 0\.18\]"):
+            epsilon_index(grid, 0.18 * (1.0 + 1e-11))
+
+    def test_hitting_times_and_counts_give_the_same_estimate(self):
+        hit = np.array([1, 3, 3, 5, 9, 9])  # 9 = never within T = 8
+        t_grid = np.arange(1, 9)
+        from_hits = tail_from_hitting_times(hit, 8, 0.1, t_grid)
+        exceed = np.array([int(np.sum(hit > t)) for t in t_grid])
+        from_counts = tail_from_counts(t_grid, exceed, hit.size, 0.1)
+        for name in ("t_grid", "exceed_count", "p_hat", "ci_low", "ci_high"):
+            a, b = getattr(from_hits, name), getattr(from_counts, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(from_counts.exceed_count, [5, 5, 3, 3, 2, 2, 2, 2])
+
     def test_monotone_and_ci(self):
         res = run_ensemble(solvable_instance(T=12), 2048)
         tail = estimate_tail(res, 0.18)
@@ -203,7 +235,6 @@ def synthetic_tail(nt_fn, c, t_grid, n_runs=10**9):
         p_hat=p,
         ci_low=lo,
         ci_high=hi,
-        diverged_count=0,
     )
 
 
@@ -235,7 +266,6 @@ class TestFitDecay:
             p_hat=p,
             ci_low=p - 1e-3,
             ci_high=p + 1e-3,
-            diverged_count=0,
         )
         for f in fit_decay(tail, [decay_family("sqrt-t"), decay_family("linear-t")]):
             assert abs(f.slope_hat) <= 1e-12
@@ -272,12 +302,15 @@ class TestEnumeration:
 
     def test_largest_horizon_matches_closed_form(self):
         probs = appendix_f_enumeration(montecarlo.ENUM_T_MAX)
-        assert list(probs) == list(range(1, 25))
+        assert list(probs) == list(range(1, montecarlo.ENUM_T_MAX + 1))
         assert all(prob == Fraction(1, 2 ** (t - 1)) for t, prob in probs.items())
+        # the largest t whose closed form float64 still holds exactly
+        assert Fraction(lower_bound_exact_prob(montecarlo.ENUM_T_MAX)) == probs[montecarlo.ENUM_T_MAX]
+        assert lower_bound_exact_prob(montecarlo.ENUM_T_MAX + 1) == 0.0
 
     def test_t_max_validation(self):
         with pytest.raises(ValueError):
-            appendix_f_enumeration(25)
+            appendix_f_enumeration(montecarlo.ENUM_T_MAX + 1)
         with pytest.raises(ValueError):
             appendix_f_enumeration(0)
         with pytest.raises(ValueError):
@@ -327,10 +360,10 @@ class TestVerifySuites:
             (["all", "rates"], 10, 20, "unknown suite 'all'"),
             (["rates"], 0, 20, "--samples must be at least 1 for rates"),
             (["batch-bound", "clip-subgauss"], 99999, 20, "at least 100000 for clip-subgauss"),
-            (["appendix-f-enum"], 10, 25, "--enum-t-max"),
+            (["appendix-f-enum"], 10, 1076, "--enum-t-max"),
             (["appendix-f-enum"], 10, 0, "--enum-t-max"),
         ],
-        ids=["unknown", "all-with-others", "zero-samples", "probe-floor", "t-max-25", "t-max-0"],
+        ids=["unknown", "all-with-others", "zero-samples", "probe-floor", "t-max-1076", "t-max-0"],
     )
     def test_request_rejected_whole(self, suites, samples, t_max, message):
         with pytest.raises(ValueError, match=message):
