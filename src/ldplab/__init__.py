@@ -41,6 +41,7 @@ from .oracles import (
 )
 from .optimizers import (
     ClipSpec,
+    EnsembleArrays,
     RunConfig,
     ScheduleSpec,
     TrajectoryRecord,

@@ -35,16 +35,15 @@ from .montecarlo import (
     LEMMA_SUITES,
     InsufficientDataError,
     TailEstimate,
-    epsilon_index,
+    estimate_tail,
     fit_decay,
     run_ensemble,
     tail_from_counts,
-    tail_from_hitting_times,
     verify_lemma_suite,
     verify_request,
 )
-from .optimizers import RunConfig
-from .svgplot import line_chart
+from .optimizers import EnsembleArrays, RunConfig, _assert_invariants
+from .svgplot import PALETTE, line_chart
 from .theory import (
     RateSpec,
     decay_family,
@@ -169,7 +168,9 @@ def _read_manifest(meta_path: str) -> dict:
         raise OSError(f"{meta_path}: corrupt run manifest: {e}") from e
 
 
-_HIT_PREFIX = "hit_"
+def _summary_header(epsilon_grid) -> list:
+    """The header of trajsummary.csv: the one simulate writes and a read expects."""
+    return ["run_index", "diverged", "clip_events"] + [f"hit_{float(e)!r}" for e in epsilon_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +201,11 @@ def _cmd_simulate(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_IO
-    os.makedirs(outdir, exist_ok=True)
 
     arrays = run_ensemble(exp.run_config, exp.n_runs, workers=args.workers)
+    os.makedirs(outdir, exist_ok=True)
     T = exp.run_config.horizon_T
-    eps_grid = exp.run_config.epsilon_grid
     certified = exp.run_config.certified_constants()
-
-    header = ["run_index", "diverged", "clip_events"] + [
-        f"{_HIT_PREFIX}{repr(float(e))}" for e in eps_grid
-    ]
     hit_out = np.where(arrays.hit <= T, arrays.hit, -1)  # -1 encodes "never within T"
     meta = {
         "tool": TOOL_NAME,
@@ -230,7 +226,7 @@ def _cmd_simulate(args) -> int:
         _write_csv(
             tmp_summary,
             _provenance_comment(exp.digest, certified),
-            header,
+            _summary_header(exp.run_config.epsilon_grid),
             columns=[arrays.run_indices, arrays.diverged, arrays.clip_events, *hit_out.T],
         )
         with open(tmp_meta, "w", encoding="utf-8", newline="") as fh:
@@ -254,12 +250,13 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_results(results_dir: str):
-    """(manifest, re-parsed Experiment, trajsummary header, body) of a results directory.
+def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
+    """(manifest, re-parsed Experiment, ensemble arrays) of a results directory.
 
     A summary that does not parse as integers, whose rows are not the
-    header's width, whose row count is not the manifest's n_runs, or whose
-    digest is not the manifest's is corrupt: an OSError.
+    header's width, whose header is not the config's, whose row count is not
+    the manifest's n_runs, whose digest is not the manifest's or whose
+    hitting times break the ensemble invariants is corrupt: an OSError.
     """
     meta_path = os.path.join(results_dir, "meta.json")
     meta = _read_manifest(meta_path)
@@ -269,30 +266,29 @@ def _load_results(results_dir: str):
     # analysis never uses the output block (nor does the digest), so an
     # output key this version no longer accepts must not block it
     exp = parse_config({k: v for k, v in config.items() if k != "output"})
+    rc = exp.run_config
     summary_path = os.path.join(results_dir, "trajsummary.csv")
     try:
         comment, header, body = _read_csv(summary_path)
+        if header != _summary_header(rc.epsilon_grid):
+            raise ValueError(f"header {header} is not {_summary_header(rc.epsilon_grid)}")
+        if body.shape[0] != meta.get("n_runs"):
+            raise ValueError(f"{body.shape[0]} rows, the manifest records {meta.get('n_runs')} runs")
+        if comment.get("digest") != meta.get("config_digest"):
+            raise ValueError(f"digest {comment.get('digest')} is not the manifest's {meta.get('config_digest')}")
+        T = rc.horizon_T
+        arrays = EnsembleArrays(
+            run_indices=body[:, 0],
+            epsilon_grid=rc.epsilon_grid,
+            horizon_T=T,
+            diverged=body[:, 1].astype(bool),
+            clip_events=body[:, 2],
+            hit=np.where(body[:, 3:] == -1, T + 1, body[:, 3:]).astype(np.int32),
+        )
+        _assert_invariants(arrays)
     except ValueError as e:
         raise OSError(f"{summary_path}: corrupt trajsummary: {e}") from e
-    if body.shape[0] != meta.get("n_runs"):
-        raise OSError(
-            f"{summary_path}: corrupt trajsummary: {body.shape[0]} rows, "
-            f"the manifest records {meta.get('n_runs')} runs"
-        )
-    if comment.get("digest") != meta.get("config_digest"):
-        raise OSError(
-            f"{summary_path}: corrupt trajsummary: digest {comment.get('digest')} is not "
-            f"the manifest's {meta.get('config_digest')}"
-        )
-    return meta, exp, header, body
-
-
-def _hit_column(header: list, body: np.ndarray, epsilon: float, horizon: int) -> np.ndarray:
-    columns = [j for j, name in enumerate(header) if name.startswith(_HIT_PREFIX)]
-    recorded = [float(header[j][len(_HIT_PREFIX):]) for j in columns]
-    hit = body[:, columns[epsilon_index(recorded, epsilon)]].copy()
-    hit[hit < 0] = horizon + 1
-    return hit
+    return meta, exp, arrays
 
 
 def _theory_rate_for(rc: RunConfig) -> RateSpec | None:
@@ -319,11 +315,9 @@ def _anchored_curve(nt_fn, slope: float, t_grid: np.ndarray, p_anchor: float, t_
     return ts, p_anchor * np.exp(slope * (nt - nt0))
 
 
-def _write_tail(path: str, meta: dict, header: list, body: np.ndarray, epsilon: float, t_grid) -> TailEstimate:
-    """Estimate one epsilon's tail from a results directory and write it as a tail CSV."""
-    T = int(meta["horizon_T"])
-    hit = _hit_column(header, body, epsilon, T)
-    tail = tail_from_hitting_times(hit, T, epsilon, t_grid)
+def _write_tail(path: str, meta: dict, arrays: EnsembleArrays, epsilon: float, t_grid) -> TailEstimate:
+    """Estimate one epsilon's tail from a results directory's arrays and write it as a tail CSV."""
+    tail = estimate_tail(arrays, epsilon, t_grid)
     _write_csv(
         path,
         _provenance_comment(meta["config_digest"], meta.get("certified", {})),
@@ -339,14 +333,14 @@ def _write_tail(path: str, meta: dict, header: list, body: np.ndarray, epsilon: 
 
 
 def _cmd_tail(args) -> int:
-    meta, exp, header, body = _load_results(args.results_dir)
+    meta, exp, arrays = _load_results(args.results_dir)
     digest = meta["config_digest"]
     if args.t_grid is None:
         t_grid = exp.t_grid
     else:
         t_grid = _parse_t_grid(args.t_grid, lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64))
     out_csv = os.path.join(args.results_dir, "tail.csv")
-    tail = _write_tail(out_csv, meta, header, body, args.epsilon, t_grid)
+    tail = _write_tail(out_csv, meta, arrays, args.epsilon, t_grid)
     print(f"wrote {out_csv}")
 
     if not args.no_svg:
@@ -355,7 +349,7 @@ def _cmd_tail(args) -> int:
                 "x": tail.t_grid,
                 "y": tail.p_hat,
                 "label": f"empirical, eps={args.epsilon:g}",
-                "color": "#1f77b4",
+                "color": PALETTE[0],
             }
         ]
         positive = (tail.p_hat > 0) & (tail.t_grid >= 3)
@@ -377,7 +371,7 @@ def _cmd_tail(args) -> int:
                     ts, ys = anchored
                     series.append(
                         {"x": ts, "y": ys, "label": label, "dash": "5,4",
-                         "color": ["#d62728", "#2ca02c", "#9467bd", "#ff7f0e"][k % 4]}
+                         "color": PALETTE[1 + k % 4]}
                     )
         svg = line_chart(
             series,
@@ -485,18 +479,22 @@ def _log_t_grid(lo: int, hi: int) -> np.ndarray:
     return np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi), 61)).astype(np.int64))
 
 
-def _write_curves(args, source: str, curves) -> None:
+def _write_curves(args, source: str, curves, slope) -> None:
     """One (t, n_t, family, slope) row per curve and grid step t >= 3, where the
-    decay sequences are meant; curves are (spec, slope) pairs."""
+    decay sequences are meant; slope(curve, epsilon) is a curve's slope at
+    --epsilon, which must be positive."""
+    if not args.epsilon > 0:
+        raise ConfigError(f"--epsilon must be positive, got {args.epsilon}")
     t_grid = _parse_t_grid(args.t_grid, _log_t_grid) if args.t_grid else _log_t_grid(10, 10**6)
     t_grid = t_grid[t_grid >= 3]
     if t_grid.size == 0:
         raise ConfigError(f"--t-grid: {args.t_grid} has no step t >= 3")
     rows = []
-    for spec, slope in curves:
+    for spec in curves:
         label = spec.name + "".join(f" {k}={v:g}" for k, v in sorted(spec.params.items()))
+        spec_slope = slope(spec, args.epsilon)
         for t in t_grid:
-            rows.append([int(t), float(spec.decay_rate_nt(float(t))), label, slope])
+            rows.append([int(t), float(spec.decay_rate_nt(float(t))), label, spec_slope])
     _write_csv(args.out, _provenance_comment(source, {}), ["t", "n_t", "family", "slope"], rows)
 
 
@@ -510,7 +508,7 @@ def _cmd_rates(args) -> int:
             rates.append(rate_csgd_generalC(args.G, args.C, args.p))
     if not rates:
         raise ConfigError("rates: provide --M (bounded-noise law) and/or --p (clipped law)")
-    _write_curves(args, "rates", [(r, -float(r.rate_function_I(args.epsilon))) for r in rates])
+    _write_curves(args, "rates", rates, lambda r, eps: -float(r.rate_function_I(eps)))
     print(f"wrote {args.out} ({len(rates)} families, epsilon={args.epsilon:g})")
     return EXIT_OK
 
@@ -529,7 +527,7 @@ def _cmd_compare_sota(args) -> int:
         curves.append(sota_curves("armacki-nsgd", C=args.C, L=args.L))
     if not curves:
         raise ConfigError("compare-sota: provide --B, --sigma/--delta/--L/--p, and/or --C/--L")
-    _write_curves(args, "compare-sota", [(c, float(c.asymptotic_slope(args.epsilon))) for c in curves])
+    _write_curves(args, "compare-sota", curves, lambda c, eps: float(c.asymptotic_slope(eps)))
     print(f"wrote {args.out} ({len(curves)} curves, epsilon={args.epsilon:g})")
     return EXIT_OK
 
@@ -540,7 +538,7 @@ def _cmd_compare_sota(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    meta, exp, header, body = _load_results(args.results_dir)
+    meta, exp, arrays = _load_results(args.results_dir)
     lines = [
         f"{TOOL_NAME} {TOOL_VERSION} report",
         f"results: {os.path.abspath(args.results_dir)}",
@@ -550,7 +548,7 @@ def _cmd_report(args) -> int:
     ]
     for j, eps in enumerate(exp.run_config.epsilon_grid.tolist()):
         path = os.path.join(args.results_dir, f"tail_eps{j}.csv")
-        tail = _write_tail(path, meta, header, body, eps, exp.t_grid)
+        tail = _write_tail(path, meta, arrays, eps, exp.t_grid)
         lines.append(f"epsilon = {eps:g}:")
         shown = list(zip(tail.t_grid, tail.p_hat))[:12]
         lines.extend(f"  t={int(t):>5d}  p_hat={p:.6g}" for t, p in shown)

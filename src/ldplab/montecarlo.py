@@ -47,37 +47,12 @@ class InsufficientDataError(ValueError):
     """Too few estimable tail points to fit a decay rate."""
 
 
-def _concat_arrays(parts: list[EnsembleArrays]) -> EnsembleArrays:
-    first = parts[0]
-    cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
-    full = first.grad_norm_sq is not None
-    return EnsembleArrays(
-        run_indices=cat("run_indices"),
-        epsilon_grid=first.epsilon_grid,
-        horizon_T=first.horizon_T,
-        diverged=cat("diverged"),
-        clip_events=cat("clip_events"),
-        hit=cat("hit"),
-        final_min=cat("final_min"),
-        final_avg=cat("final_avg"),
-        grad_norm_sq=cat("grad_norm_sq") if full else None,
-        running_min=cat("running_min") if full else None,
-        running_avg=cat("running_avg") if full else None,
-    )
-
-
 def _chunk_job(args):
-    config, lo, hi, record_full, check = args
-    return simulate_runs(config, np.arange(lo, hi), record_full=record_full, check_invariants=check)
+    config, lo, hi, record_full = args
+    return simulate_runs(config, np.arange(lo, hi), record_full=record_full)
 
 
-def run_ensemble(
-    config: RunConfig,
-    N: int,
-    workers: int = 1,
-    record_full: bool = False,
-    check_invariants: bool = False,
-) -> EnsembleArrays:
+def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> EnsembleArrays:
     """N independent runs with indices 0..N-1, as one set of ensemble arrays.
 
     Streams are derived from (config.seed, run_index) only, and chunking is
@@ -86,18 +61,17 @@ def run_ensemble(
     """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValueError("N must be a positive integer")
-    jobs = [
-        (config, lo, min(lo + ENSEMBLE_CHUNK, N), record_full, check_invariants)
-        for lo in range(0, N, ENSEMBLE_CHUNK)
-    ]
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    jobs = [(config, lo, min(lo + ENSEMBLE_CHUNK, N), record_full) for lo in range(0, N, ENSEMBLE_CHUNK)]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers == 1:
         parts = [_chunk_job(j) for j in jobs]
     else:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             parts = list(pool.map(_chunk_job, jobs))
-    return _concat_arrays(parts)
+    return EnsembleArrays.concatenate(parts)
 
 
 def wilson_interval(count, n: int, confidence: float = 0.95):

@@ -12,6 +12,7 @@ batching, ordering, and worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -216,21 +217,40 @@ class TrajectoryRecord:
     diverged: bool
 
 
+def _running_min(grad_norm_sq: np.ndarray) -> np.ndarray:
+    return np.minimum.accumulate(grad_norm_sq, axis=-1)
+
+
+def _running_avg(grad_norm_sq: np.ndarray) -> np.ndarray:
+    # a sequential sum, divided by t: the same bits as a running sum per step
+    return np.cumsum(grad_norm_sq, axis=-1) / np.arange(1, grad_norm_sq.shape[-1] + 1)
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleArrays:
-    """Vectorized per-run summaries; full-mode arrays are optional."""
+    """Per-run summaries, the record ``trajsummary.csv`` holds, plus every
+    step's ||grad f(x_t)||^2 in full mode."""
 
-    run_indices: np.ndarray
+    run_indices: np.ndarray  # (B,) int64
     epsilon_grid: np.ndarray
     horizon_T: int
     diverged: np.ndarray  # (B,) bool
     clip_events: np.ndarray  # (B,) int64
     hit: np.ndarray  # (B, n_eps) int32; horizon_T + 1 means "never within T"
-    final_min: np.ndarray  # (B,)
-    final_avg: np.ndarray  # (B,)
     grad_norm_sq: np.ndarray | None = None  # (B, T) in full mode
-    running_min: np.ndarray | None = None
-    running_avg: np.ndarray | None = None
+
+    # the fields with one row per run; the first four are trajsummary.csv's columns
+    PER_RUN = ("run_indices", "diverged", "clip_events", "hit", "grad_norm_sq")
+
+    @classmethod
+    def concatenate(cls, parts) -> EnsembleArrays:
+        """The runs of parts of one ensemble, in order."""
+        rows = {
+            name: np.concatenate([getattr(p, name) for p in parts])
+            for name in cls.PER_RUN
+            if getattr(parts[0], name) is not None
+        }
+        return dataclasses.replace(parts[0], **rows)
 
     @property
     def n_runs(self) -> int:
@@ -240,10 +260,24 @@ class EnsembleArrays:
     def diverged_count(self) -> int:
         return int(self.diverged.sum())
 
-    def record(self, i: int) -> TrajectoryRecord:
-        """Row i as a TrajectoryRecord; needs the full-mode arrays."""
+    def _full(self) -> np.ndarray:
         if self.grad_norm_sq is None:
             raise ValueError("lean ensemble arrays hold no per-step records; re-run with record_full=True")
+        return self.grad_norm_sq
+
+    @property
+    def running_min(self) -> np.ndarray:
+        """(B, T) prefix minimum of grad_norm_sq, F_t of each run; full mode only."""
+        return _running_min(self._full())
+
+    @property
+    def running_avg(self) -> np.ndarray:
+        """(B, T) prefix mean of grad_norm_sq; full mode only."""
+        return _running_avg(self._full())
+
+    def record(self, i: int) -> TrajectoryRecord:
+        """Row i as a TrajectoryRecord; needs the full-mode arrays."""
+        gns = self._full()[i]
         T = self.horizon_T
         hitting = {}
         for j, e in enumerate(self.epsilon_grid):
@@ -251,28 +285,24 @@ class EnsembleArrays:
             hitting[float(e)] = float(t) if t <= T else math.inf
         return TrajectoryRecord(
             run_index=int(self.run_indices[i]),
-            grad_norm_sq=self.grad_norm_sq[i],
-            running_min=self.running_min[i],
-            running_avg=self.running_avg[i],
+            grad_norm_sq=gns,
+            running_min=_running_min(gns),
+            running_avg=_running_avg(gns),
             clip_event_count=int(self.clip_events[i]),
             hitting_time=hitting,
             diverged=bool(self.diverged[i]),
         )
 
 
-def simulate_runs(
-    config: RunConfig,
-    run_indices,
-    record_full: bool = False,
-    check_invariants: bool = False,
-) -> EnsembleArrays:
+def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> EnsembleArrays:
     """Execute the given run indices, vectorized over runs.
 
     Each run's oracle randomness is pre-drawn from its private stream (the
     randomness is state-independent), a slab of runs at a time, after which
     the recursion is deterministic.  Diverged runs (an iterate exceeding
     DIVERGENCE_LIMIT in norm, or going non-finite) are frozen, flagged, and
-    reported as never hitting any threshold.
+    reported as never hitting any threshold.  The result's invariants are
+    checked before it is returned.
     """
     idx = np.asarray(run_indices, dtype=np.int64)
     B = idx.size
@@ -284,10 +314,11 @@ def simulate_runs(
 
     n_steps = T - 1
     randomness = None
-    if n_steps > 0 and B > 0:
+    if n_steps > 0:
         pool = StreamPool(config.seed)
         slab = max(1, _SLAB_RAW_BYTES // (8 * n_steps * sum(config.oracle.raw_widths())))
-        for lo in range(0, B, slab):
+        # one slab at least: with no runs, an empty block still sets the shape
+        for lo in range(0, max(B, 1), slab):
             block = config.oracle.randomness_block(pool, idx[lo : lo + slab], n_steps)
             if randomness is None:
                 randomness = np.empty((B,) + block.shape[1:], dtype=block.dtype)
@@ -297,12 +328,7 @@ def simulate_runs(
     diverged = np.zeros(B, dtype=bool)
     clip_events = np.zeros(B, dtype=np.int64)
     hit = np.full((B, n_eps), T + 1, dtype=np.int32)
-    fmin = np.full(B, np.inf)
-    fsum = np.zeros(B)
-    if record_full:
-        gns_full = np.empty((B, T))
-        fmin_full = np.empty((B, T))
-        favg_full = np.empty((B, T))
+    gns_full = np.empty((B, T)) if record_full else None
 
     for t in range(1, T + 1):
         norms_sq = np.sum(x * x, axis=1)
@@ -315,14 +341,8 @@ def simulate_runs(
         grad = config.cost.gradient(x)
         gns = np.sum(grad * grad, axis=1)
         gns[diverged] = np.inf
-
-        fmin = np.minimum(fmin, gns)
-        fsum += gns
-        favg = fsum / t
         if record_full:
             gns_full[:, t - 1] = gns
-            fmin_full[:, t - 1] = fmin
-            favg_full[:, t - 1] = favg
         newly_hit = (hit == T + 1) & (gns[:, None] <= eps[None, :])
         hit[newly_hit] = t
 
@@ -344,46 +364,36 @@ def simulate_runs(
         diverged=diverged,
         clip_events=clip_events,
         hit=hit,
-        final_min=fmin,
-        final_avg=favg,
-        grad_norm_sq=gns_full if record_full else None,
-        running_min=fmin_full if record_full else None,
-        running_avg=favg_full if record_full else None,
+        grad_norm_sq=gns_full,
     )
-    if check_invariants:
-        _assert_invariants(out)
+    _assert_invariants(out)
     return out
 
 
 def _assert_invariants(arrays: EnsembleArrays) -> None:
-    """Hard checks, kept under python -O: prefix-min monotone, min <= avg,
-    hit <=> exceedance.  Raises ValueError on the first violation."""
+    """Hard checks, kept under python -O: every hitting time lies in
+    [1, horizon_T + 1], is no later for a larger epsilon and is horizon_T + 1
+    for a diverged run; in full mode the running minimum exceeds epsilon
+    exactly before the hitting time.  Raises ValueError on the first violation."""
 
     def require(ok, message):
         if not ok:
             raise ValueError(f"ensemble invariant violated: {message}")
 
-    ok = ~arrays.diverged
-    if arrays.running_min is not None:
+    T = arrays.horizon_T
+    hit = arrays.hit
+    require(np.all((hit >= 1) & (hit <= T + 1)), "hitting time outside [1, horizon_T + 1]")
+    require(np.all(np.diff(hit, axis=1) <= 0), "a larger epsilon was hit later")
+    require(np.all(hit[arrays.diverged] == T + 1), "a diverged run hit a threshold")
+    if arrays.grad_norm_sq is not None:
+        ok = ~arrays.diverged
         rmin = arrays.running_min[ok]
-        ravg = arrays.running_avg[ok]
-        if rmin.size:
-            require(np.all(np.diff(rmin, axis=1) <= 0), "running minimum increased")
-            tol = 1e-9 * np.maximum(1.0, np.abs(ravg))
-            require(np.all(ravg >= rmin - tol), "running average dipped below running minimum")
-            T = arrays.horizon_T
-            t_axis = np.arange(1, T + 1)
-            for j, e in enumerate(arrays.epsilon_grid):
-                exceeded = rmin > e  # (n_ok, T)
-                ht = arrays.hit[ok, j][:, None]  # (n_ok, 1)
-                require(
-                    np.array_equal(ht > t_axis[None, :], exceeded),
-                    "hitting time and exceedance disagree",
-                )
-    require(
-        np.all(arrays.hit >= 1) and np.all(arrays.hit <= arrays.horizon_T + 1),
-        "hitting time outside [1, horizon_T + 1]",
-    )
+        t_axis = np.arange(1, T + 1)
+        for j, e in enumerate(arrays.epsilon_grid):
+            require(
+                np.array_equal(hit[ok, j][:, None] > t_axis[None, :], rmin > e),
+                "hitting time and exceedance disagree",
+            )
 
 
 def run_trajectory(config: RunConfig, run_index: int) -> TrajectoryRecord:

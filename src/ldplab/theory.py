@@ -266,7 +266,7 @@ class SotaCurve:
 
 def sota_curves(kind: str, **params) -> SotaCurve:
     """Published long-run tail baselines for overlay plots; each kind takes
-    exactly the parameters listed.
+    exactly the parameters listed, all positive.
 
     'liu-sgd'      (B):                n_t = sqrt(t),        slope -eps/(12 B^2)
     'nguyen-csgd'  (sigma, delta, L, p): n_t = t^(beta_p/2)/log^(2p/(3p-2)) t,
@@ -281,7 +281,11 @@ def sota_curves(kind: str, **params) -> SotaCurve:
         unused = sorted(set(params) - set(names))
         if unused:
             raise ValueError(f"sota curve {kind!r} does not take parameters {unused}")
-        return [float(params[n]) for n in names]
+        values = [float(params[n]) for n in names]
+        nonpositive = [n for n, v in zip(names, values) if n != "p" and not v > 0]
+        if nonpositive:
+            raise ValueError(f"sota curve {kind!r} requires positive parameters {nonpositive}")
+        return values
 
     if kind == "liu-sgd":
         (B,) = need("B")

@@ -173,12 +173,22 @@ def test_verify_failure_exit_code(monkeypatch):
         ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "1,2"],
         ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "0,10"],
         ["compare-sota", "--epsilon", "1", "--B", "1", "--t-grid", "2"],
+        ["compare-sota", "--epsilon", "1", "--B", "0"],
+        ["compare-sota", "--epsilon", "1", "--C", "0", "--L", "1"],
+        ["compare-sota", "--epsilon", "1", "--C", "1", "--L", "-1"],
+        ["compare-sota", "--epsilon", "1", "--sigma", "1", "--delta", "0", "--L", "1", "--p", "1.5"],
+        ["rates", "--epsilon", "-1", "--M", "1"],
+        ["rates", "--epsilon", "0", "--p", "1.5"],
+        ["compare-sota", "--epsilon", "-0.1", "--C", "1", "--L", "1"],
+        ["compare-sota", "--epsilon", "nan", "--B", "1"],
     ],
     ids=["tail-t-grid-below-1", "fit-unknown-family", "verify-too-few-samples",
          "rates-p-out-of-range", "rates-bad-t-grid", "rates-t-grid-from-0",
          "rates-t-grid-no-t-from-3", "rates-t-grid-reversed", "sota-t-grid-from-0",
          "rates-t-grid-list-no-t-from-3", "rates-t-grid-list-from-0",
-         "sota-t-grid-list-no-t-from-3"],
+         "sota-t-grid-list-no-t-from-3", "sota-B-zero", "sota-C-zero", "sota-L-negative",
+         "sota-delta-zero", "rates-epsilon-negative", "rates-epsilon-zero",
+         "sota-epsilon-negative", "sota-epsilon-nan"],
 )
 def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, capsys):
     config_path, doc = tiny_config
@@ -191,6 +201,23 @@ def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, c
     assert main([a.format(R=out) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--epsilon" in argv and not float(argv[argv.index("--epsilon") + 1]) > 0:
+        assert err.startswith("error: --epsilon must be positive")
+    assert not os.path.exists("rates.csv") and not os.path.exists("sota.csv")
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_workers_below_one_exit_code(workers, tiny_config, monkeypatch, capsys):
+    # rejected before any chunk runs, so no worker process is started
+    def no_work(*args, **kwargs):
+        raise AssertionError("no chunk may run and no process may start")
+
+    monkeypatch.setattr(ldplab.montecarlo, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(ldplab.montecarlo, "_chunk_job", no_work)
+    config_path, doc = tiny_config
+    assert main(["simulate", "--config", config_path, "--workers", workers]) == 2
+    assert capsys.readouterr().err == f"error: workers must be a positive integer, got {workers}\n"
+    assert not os.path.exists(doc["output"]["directory"])
 
 
 @pytest.mark.parametrize(
@@ -286,6 +313,33 @@ def test_cli_tail_equals_library_estimate(tiny_config):
         assert written[column].tobytes() == want.astype(np.float64).tobytes(), column
 
 
+def test_load_results_returns_the_simulated_arrays(tiny_config):
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    meta, exp, arrays = cli._load_results(out)
+    want = run_ensemble(exp.run_config, exp.n_runs)
+    assert meta["n_runs"] == arrays.n_runs == want.n_runs == 2048
+    assert arrays.horizon_T == want.horizon_T == 10
+    assert arrays.epsilon_grid.tobytes() == want.epsilon_grid.tobytes()
+    assert np.any(want.hit == 11) and np.any(want.hit <= 10)  # both codes are exercised
+    for name in ldplab.EnsembleArrays.PER_RUN:
+        got, expected = getattr(arrays, name), getattr(want, name)
+        if expected is None:
+            assert got is None, name
+        else:
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+
+
+def test_tail_epsilon_near_a_recorded_one_writes_the_recorded_value(tiny_config):
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    assert main(["tail", out, "--epsilon", "0.18000000000000002", "--no-svg"]) == 0
+    rows = list(csv.reader(l for l in open(os.path.join(out, "tail.csv")) if not l.startswith("#")))
+    assert {r[rows[0].index("epsilon")] for r in rows[1:]} == {"0.18"}
+
+
 def test_single_run_yields_one_row(tmp_path):
     doc = preset_config("appendix-f")
     doc["ensemble"]["n_runs"] = 1
@@ -323,8 +377,14 @@ def _summary_lines(out):
         lambda lines: lines[:10] + [lines[10].rsplit(",", 1)[0] + "\n"] + lines[11:],
         lambda lines: lines[: len(lines) // 2],
         lambda lines: lines[:10] + [lines[10].replace(",", ",x", 1)] + lines[11:],
+        lambda lines: [lines[0], lines[1].replace("hit_0.18", "hit_0.5")] + lines[2:],
+        lambda lines: [lines[0], lines[1].replace("hit_0.09,hit_0.18", "hit_0.18,hit_0.09")] + lines[2:],
+        lambda lines: [lines[0], lines[1].replace("hit_0.18", "hit_0.18000000000000002")] + lines[2:],
+        lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",12,12\n"] + lines[11:],
+        lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",2,3\n"] + lines[11:],
     ],
-    ids=["truncated-row", "cut-off-file", "non-integer-cell"],
+    ids=["truncated-row", "cut-off-file", "non-integer-cell", "hit-header-not-the-grid",
+         "hit-headers-swapped", "hit-header-near-the-grid", "hit-after-horizon", "larger-epsilon-hit-later"],
 )
 def test_corrupt_trajsummary_is_io_error(corrupt, tiny_config, capsys):
     config_path, doc = tiny_config

@@ -137,10 +137,19 @@ class TestValidation:
              r"^analysis\.sota\[0\]: .*does not take parameters \['B'\]"),
             ("appendix-f", lambda d: d["method"]["clip"].update(kind=["constant"]),
              r"^method\.clip\.kind: unknown kind \['constant'\]"),
+            ("appendix-f", lambda d: d["analysis"]["sota"][0].update(B=0),
+             r"^analysis\.sota\[0\]: .*requires positive parameters \['B'\]"),
+            ("csgd-pareto", lambda d: d["analysis"]["sota"][0].update(sigma=-1.0, L=0.0),
+             r"^analysis\.sota\[0\]: .*requires positive parameters \['sigma', 'L'\]"),
+            ("csgd-pareto", lambda d: d["analysis"]["sota"][0].update(delta=0.0),
+             r"^analysis\.sota\[0\]: .*requires positive parameters \['delta'\]"),
+            ("appendix-f", lambda d: d["analysis"]["sota"].append({"kind": "armacki-nsgd", "C": 0, "L": 1}),
+             r"^analysis\.sota\[1\]: .*requires positive parameters \['C'\]"),
         ],
         ids=["sgd-sqrt-step-p-c", "csgd-power-step-a", "constant-step-a", "constant-clip-p",
              "candidate-p-without-power-over-log", "liu-sgd-sigma", "nguyen-csgd-B",
-             "clip-kind-not-a-string"],
+             "clip-kind-not-a-string", "liu-sgd-B-zero", "nguyen-csgd-sigma-L-nonpositive",
+             "nguyen-csgd-delta-zero", "armacki-nsgd-C-zero"],
     )
     def test_key_the_kind_does_not_read_rejected(self, preset, edit, message, tmp_path):
         doc = preset_config(preset)

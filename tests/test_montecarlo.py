@@ -26,7 +26,7 @@ from ldplab.montecarlo import (
     verify_lemma_suite,
     wilson_interval,
 )
-from ldplab.optimizers import RunConfig, ScheduleSpec, run_trajectory, simulate_runs
+from ldplab.optimizers import EnsembleArrays, RunConfig, ScheduleSpec, run_trajectory, simulate_runs
 from ldplab.oracles import AdditiveOracle, ClippingBiasProbe, SphereNoise, TwoPointNoise
 from ldplab.theory import decay_family, lower_bound_exact_prob
 
@@ -75,11 +75,38 @@ class TestEnsemble:
         assert res.record(0).hitting_time == rec.hitting_time
 
     def test_worker_invariance(self):
+        # two chunks, so workers=4 really runs them in two worker processes
         config = solvable_instance(T=8)
-        a = run_ensemble(config, 1500, workers=1)
-        b = run_ensemble(config, 1500, workers=4)
-        np.testing.assert_array_equal(a.hit, b.hit)
-        np.testing.assert_array_equal(a.final_min, b.final_min)
+        n = montecarlo.ENSEMBLE_CHUNK + 1500
+        a = run_ensemble(config, n, workers=1, record_full=True)
+        b = run_ensemble(config, n, workers=4, record_full=True)
+        for name in EnsembleArrays.PER_RUN:
+            got, want = getattr(b, name), getattr(a, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_concatenate_joins_every_per_run_field(self):
+        config = solvable_instance(T=8)
+        for record_full in (False, True):
+            whole = simulate_runs(config, range(100), record_full=record_full)
+            parts = [simulate_runs(config, range(lo, lo + 25), record_full=record_full) for lo in range(0, 100, 25)]
+            joined = EnsembleArrays.concatenate(parts)
+            assert (joined.horizon_T, joined.epsilon_grid.tolist()) == (8, config.epsilon_grid.tolist())
+            for name in EnsembleArrays.PER_RUN:
+                got, want = getattr(joined, name), getattr(whole, name)
+                if want is None:
+                    assert got is None and not record_full
+                else:
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5])
+    def test_workers_below_one_rejected_before_any_work(self, workers, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("no chunk may run and no process may start")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(montecarlo, "_chunk_job", no_work)
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            run_ensemble(solvable_instance(T=4), 2 * montecarlo.ENSEMBLE_CHUNK, workers=workers)
 
     def test_same_seed_same_summaries(self):
         config = solvable_instance(T=8)

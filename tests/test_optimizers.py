@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -237,8 +238,8 @@ class TestTrajectories:
     def test_no_clip_equivalence_and_boundedness(self):
         vanilla = solvable_instance(T=40)
         clipped = solvable_instance(method="clipped", clip=ClipSpec(kind="constant", G_or_C=2.0), T=40)
-        a = simulate_runs(vanilla, range(3000), record_full=True, check_invariants=True)
-        b = simulate_runs(clipped, range(3000), record_full=True, check_invariants=True)
+        a = simulate_runs(vanilla, range(3000), record_full=True)
+        b = simulate_runs(clipped, range(3000), record_full=True)
         np.testing.assert_array_equal(a.grad_norm_sq, b.grad_norm_sq)
         assert np.all(b.clip_events == 0)
         # ||x_t|| <= G throughout (grad = x inside the ball, so gns = ||x||^2)
@@ -246,7 +247,7 @@ class TestTrajectories:
 
     def test_running_stats_and_hitting_consistency(self):
         config = solvable_instance(T=24)
-        arrays = simulate_runs(config, range(500), record_full=True, check_invariants=True)
+        arrays = simulate_runs(config, range(500), record_full=True)
         assert np.all(np.diff(arrays.running_min, axis=1) <= 0)
         assert np.all(arrays.running_avg >= arrays.running_min - 1e-12)
 
@@ -271,9 +272,44 @@ class TestTrajectories:
         config = solvable_instance(T=12)
         lean = simulate_runs(config, range(200), record_full=False)
         full = simulate_runs(config, range(200), record_full=True)
-        np.testing.assert_array_equal(lean.hit, full.hit)
-        np.testing.assert_array_equal(lean.clip_events, full.clip_events)
-        np.testing.assert_array_equal(lean.final_min, full.running_min[:, -1])
+        for name in ("run_indices", "diverged", "clip_events", "hit"):
+            got, want = getattr(lean, name), getattr(full, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert lean.grad_norm_sq is None and full.grad_norm_sq.shape == (200, 12)
+        # the hitting times are the exceedance times of the full record's F_t
+        for j, e in enumerate(config.epsilon_grid):
+            np.testing.assert_array_equal(lean.hit[:, j] - 1, np.sum(full.running_min > e, axis=1))
+
+    @pytest.mark.parametrize("record_full", [False, True], ids=["lean", "full"])
+    def test_no_runs_give_empty_arrays(self, record_full):
+        for name in PRESET_NAMES:
+            config = parse_config(preset_config(name)).run_config
+            arrays = simulate_runs(config, [], record_full=record_full)
+            assert arrays.n_runs == 0 and arrays.diverged_count == 0
+            assert arrays.hit.shape == (0, config.epsilon_grid.size)
+            if record_full:
+                assert arrays.grad_norm_sq.shape == (0, config.horizon_T)
+                assert arrays.running_min.shape == arrays.running_avg.shape == (0, config.horizon_T)
+
+    def test_invariant_violations_rejected(self):
+        arrays = simulate_runs(solvable_instance(T=12), range(64), record_full=True)
+        assert np.any(arrays.hit <= 12)
+        late = arrays.hit.copy()
+        late[late <= 12] += 1
+        broken = [
+            dataclasses.replace(arrays, hit=np.zeros_like(arrays.hit)),
+            dataclasses.replace(arrays, hit=np.full_like(arrays.hit, 14)),
+            dataclasses.replace(arrays, diverged=arrays.hit[:, 0] <= 12),
+            dataclasses.replace(arrays, hit=late),
+        ]
+        messages = ["outside", "outside", "diverged run hit", "exceedance disagree"]
+        for bad, message in zip(broken, messages):
+            with pytest.raises(ValueError, match=message):
+                optimizers._assert_invariants(bad)
+        two = simulate_runs(solvable_instance(T=12, n_eps=(0.1, 0.2)), range(64))
+        later = np.tile(np.array([[2, 3]], dtype=np.int32), (64, 1))
+        with pytest.raises(ValueError, match="larger epsilon was hit later"):
+            optimizers._assert_invariants(dataclasses.replace(two, hit=later))
 
 
 def _batch_subsample_config():
@@ -292,7 +328,7 @@ _INVARIANCE_CONFIGS = [
 ]
 
 
-_SUMMARIES = ("run_indices", "diverged", "clip_events", "hit", "final_min", "final_avg")
+_SUMMARIES = ("run_indices", "diverged", "clip_events", "hit", "grad_norm_sq")
 
 
 def _summaries(*parts):
@@ -304,12 +340,59 @@ def test_results_independent_of_chunks_and_slabs(make_config, monkeypatch):
     # streams are keyed per run, so neither the runs per call nor the runs
     # per drawing slab may change a single bit
     config = make_config()
-    whole = _summaries(simulate_runs(config, np.arange(3000)))
-    pieces = _summaries(*(simulate_runs(config, np.arange(lo, min(lo + 777, 3000))) for lo in range(0, 3000, 777)))
+    # full mode: every step of every run, not only the per-run summaries
+    whole = _summaries(simulate_runs(config, np.arange(3000), record_full=True))
+    pieces = _summaries(
+        *(simulate_runs(config, np.arange(lo, min(lo + 777, 3000)), record_full=True) for lo in range(0, 3000, 777))
+    )
     # slabs of 97 runs, the last one short
     per_run = 8 * (config.horizon_T - 1) * sum(config.oracle.raw_widths())
     monkeypatch.setattr(optimizers, "_SLAB_RAW_BYTES", 97 * per_run)
-    slabs = _summaries(simulate_runs(config, np.arange(3000)))
+    slabs = _summaries(simulate_runs(config, np.arange(3000), record_full=True))
     for name in _SUMMARIES:
         np.testing.assert_array_equal(whole[name], pieces[name], err_msg=name)
         np.testing.assert_array_equal(whole[name], slabs[name], err_msg=name)
+
+
+def _diverging_config():
+    cost = pseudo_huber_cost(1.0, 2)
+    return RunConfig(
+        method="vanilla",
+        cost=cost,
+        oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.5, dim=2)),
+        init_x1=np.array([1.0, 1.0]),
+        horizon_T=5,
+        step_schedule=ScheduleSpec(kind="constant", c=1e12),
+        clip_schedule=None,
+        seed=0,
+        epsilon_grid=np.array([0.5]),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [c for _, c in _INVARIANCE_CONFIGS] + [_diverging_config],
+    ids=[n for n, _ in _INVARIANCE_CONFIGS] + ["diverged"],
+)
+def test_derived_running_stats_equal_per_step_loop(make_config):
+    # running_min and running_avg are derived from grad_norm_sq; they must be
+    # bitwise what a running minimum and running sum updated per step give
+    config = make_config()
+    arrays = simulate_runs(config, np.arange(300), record_full=True)
+    gns = arrays.grad_norm_sq
+    fmin = np.full(arrays.n_runs, np.inf)
+    fsum = np.zeros(arrays.n_runs)
+    want_min, want_avg = np.empty_like(gns), np.empty_like(gns)
+    for t in range(1, config.horizon_T + 1):
+        fmin = np.minimum(fmin, gns[:, t - 1])
+        fsum += gns[:, t - 1]
+        want_min[:, t - 1] = fmin
+        want_avg[:, t - 1] = fsum / t
+    assert arrays.running_min.tobytes() == want_min.tobytes()
+    assert arrays.running_avg.tobytes() == want_avg.tobytes()
+    for i in (0, arrays.n_runs - 1):
+        rec = arrays.record(i)
+        assert rec.running_min.tobytes() == want_min[i].tobytes()
+        assert rec.running_avg.tobytes() == want_avg[i].tobytes()
+    if make_config is _diverging_config:
+        assert arrays.diverged.all() and np.isinf(want_avg[:, -1]).all()
