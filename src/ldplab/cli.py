@@ -255,8 +255,10 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
 
     A summary that does not parse as integers, whose rows are not the
     header's width, whose header is not the config's, whose row count is not
-    the manifest's n_runs, whose digest is not the manifest's or whose
-    hitting times break the ensemble invariants is corrupt: an OSError.
+    the manifest's n_runs, whose digest is not the manifest's, with a
+    diverged cell other than 0 or 1, a hitting time other than -1 outside
+    [1, horizon_T], or hitting times that break the ensemble invariants is
+    corrupt: an OSError.
     """
     meta_path = os.path.join(results_dir, "meta.json")
     meta = _read_manifest(meta_path)
@@ -277,13 +279,18 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
         if comment.get("digest") != meta.get("config_digest"):
             raise ValueError(f"digest {comment.get('digest')} is not the manifest's {meta.get('config_digest')}")
         T = rc.horizon_T
+        if not np.all((body[:, 1] == 0) | (body[:, 1] == 1)):
+            raise ValueError("a diverged cell is neither 0 nor 1")
+        raw_hit = body[:, 3:]
+        if not np.all((raw_hit == -1) | ((raw_hit >= 1) & (raw_hit <= T))):
+            raise ValueError(f"a hitting time is neither in [1, {T}] nor -1")
         arrays = EnsembleArrays(
             run_indices=body[:, 0],
             epsilon_grid=rc.epsilon_grid,
             horizon_T=T,
             diverged=body[:, 1].astype(bool),
             clip_events=body[:, 2],
-            hit=np.where(body[:, 3:] == -1, T + 1, body[:, 3:]).astype(np.int32),
+            hit=np.where(raw_hit == -1, T + 1, raw_hit).astype(np.int32),
         )
         _assert_invariants(arrays)
     except ValueError as e:

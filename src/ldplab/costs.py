@@ -7,6 +7,9 @@ form rather than estimated.
 
 ``value`` and ``gradient`` accept a single point of shape ``(dim,)`` or a
 batch of shape ``(n, dim)`` and vectorize over the leading axis.
+``gradient(x, axis=0)`` takes a batch held dimension-major, one point per
+column of a ``(dim, n)`` array, and returns the gradients in that layout with
+the same bits as the row layout.
 """
 
 from __future__ import annotations
@@ -18,15 +21,40 @@ import numpy as np
 from .rng import run_generator
 
 
-def _as_points(x, dim: int) -> np.ndarray:
+# numpy adds a contiguous run of fewer terms than this in order, longer runs pairwise
+_SEQUENTIAL_SUM_TERMS = 8
+
+
+def _as_points(x, dim: int, axis: int = -1) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != dim:
-        raise ValueError(f"point has dimension {x.shape[-1]}, cost expects {dim}")
+    if x.shape[axis] != dim:
+        raise ValueError(f"point has dimension {x.shape[axis]}, cost expects {dim}")
     return x
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(x * x, axis=-1))
+def sq_norms(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Squared Euclidean norms of points held as rows (axis=-1, shape (n, dim))
+    or as columns (axis=0, shape (dim, n)).
+
+    Both layouts give the bits of ``np.sum(x * x, axis=-1)`` over rows.  numpy
+    adds a contiguous row of fewer than ``_SEQUENTIAL_SUM_TERMS`` terms in
+    order, so columns are added one coordinate at a time; longer rows are
+    summed pairwise, so for those the columns are transposed to rows.
+    """
+    if axis == -1 or x.ndim == 1:
+        return np.sum(x * x, axis=-1)
+    if axis != 0:
+        raise ValueError(f"coordinate axis must be -1 or 0, got {axis}")
+    if x.shape[0] >= _SEQUENTIAL_SUM_TERMS:
+        return np.sum(np.ascontiguousarray((x * x).T), axis=-1)
+    out = x[0] * x[0]
+    for row in x[1:]:
+        out += row * row
+    return out
+
+
+def _norms(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    return np.sqrt(sq_norms(x, axis))
 
 
 class CostSpec:
@@ -53,7 +81,9 @@ class CostSpec:
     def value(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def gradient(self, x) -> np.ndarray:
+    def gradient(self, x, axis: int = -1) -> np.ndarray:
+        """Gradient at points whose coordinates lie along ``axis``: -1 for
+        (dim,) or (n, dim), 0 for columns of a (dim, n) array."""
         raise NotImplementedError
 
 
@@ -95,10 +125,10 @@ class HuberCost(CostSpec):
         r = _norms(x)
         return np.where(r <= g, 0.5 * r * r, g * r - 0.5 * g * g)
 
-    def gradient(self, x):
-        x = _as_points(x, self.dim)
+    def gradient(self, x, axis=-1):
+        x = _as_points(x, self.dim, axis)
         g = self.threshold_G
-        r = _norms(x)[..., None]
+        r = np.expand_dims(_norms(x, axis), axis)
         # avoid 0/0 at the origin; the inner branch is selected there anyway
         safe_r = np.where(r > 0, r, 1.0)
         return np.where(r <= g, x, g * x / safe_r)
@@ -141,8 +171,8 @@ class PseudoHuberCost(CostSpec):
         s = self.scale
         return np.sum(s * s * (np.sqrt(1.0 + (x / s) ** 2) - 1.0), axis=-1)
 
-    def gradient(self, x):
-        x = _as_points(x, self.dim)
+    def gradient(self, x, axis=-1):
+        x = _as_points(x, self.dim, axis)
         return x / np.sqrt(1.0 + (x / self.scale) ** 2)
 
 
@@ -203,8 +233,10 @@ class LogisticBatchCost(CostSpec):
         margins = x @ self.features.T * self.labels  # (..., m)
         return np.mean(np.logaddexp(0.0, -margins), axis=-1)
 
-    def gradient(self, x):
-        x = _as_points(x, self.dim)
+    def gradient(self, x, axis=-1):
+        x = _as_points(x, self.dim, axis)
+        if axis == 0 and x.ndim == 2:  # the row layout's products, transposed back
+            return np.ascontiguousarray(self.gradient(np.ascontiguousarray(x.T)).T)
         margins = x @ self.features.T * self.labels
         w = -self.labels * _sigmoid(-margins)  # (..., m)
         return w @ self.features / self.n_samples

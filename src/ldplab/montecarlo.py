@@ -1,8 +1,9 @@
 """Ensemble execution, tail-probability estimation, and verification drivers.
 
-Ensembles are data-parallel over run indices: results are an associative
-reduction of per-chunk summaries, with a fixed chunk size, so any worker
-count produces identical output.  Tail probabilities P(F_t > eps) are read
+Ensembles are data-parallel over run indices: results are the per-chunk
+summaries concatenated in run order, and every run draws from its own
+stream, so the chunk layout, and with it the worker count, never changes a
+bit of the output.  Tail probabilities P(F_t > eps) are read
 off recorded hitting times (F_t > eps iff the threshold was not hit by t)
 with Wilson score intervals.
 """
@@ -40,7 +41,12 @@ from .theory import (
     transform_consistency,
 )
 
-ENSEMBLE_CHUNK = 1 << 14  # fixed: chunk layout must not depend on worker count
+ENSEMBLE_CHUNK = 1 << 14  # most runs per chunk; bounds a chunk's pre-drawn randomness
+# An ensemble of at least this many run-steps (runs x horizon_T, a few tenths
+# of a second of serial work) is split into a chunk per usable worker when it
+# has fewer chunks; a smaller one stays serial, since starting a pool costs
+# tens of milliseconds.
+_SPLIT_MIN_RUN_STEPS = 1 << 20
 
 
 class InsufficientDataError(ValueError):
@@ -55,16 +61,24 @@ def _chunk_job(args):
 def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> EnsembleArrays:
     """N independent runs with indices 0..N-1, as one set of ensemble arrays.
 
-    Streams are derived from (config.seed, run_index) only, and chunking is
-    fixed, so the result is bit-identical for every ``workers`` setting.  At
-    most min(workers, chunks, CPUs) worker processes are started.
+    The runs are cut into chunks of at most ENSEMBLE_CHUNK.  When that gives
+    fewer chunks than min(workers, CPUs) and the ensemble has at least
+    _SPLIT_MIN_RUN_STEPS run-steps, it is cut evenly into one chunk per usable
+    worker instead.  Streams are derived from (config.seed, run_index) only,
+    so the result is bit-identical for every chunk layout and ``workers``
+    setting.  At most min(workers, chunks, CPUs) worker processes are started.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValueError("N must be a positive integer")
     if not (isinstance(workers, (int, np.integer)) and workers >= 1):
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    jobs = [(config, lo, min(lo + ENSEMBLE_CHUNK, N), record_full) for lo in range(0, N, ENSEMBLE_CHUNK)]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    usable = min(workers, os.cpu_count() or 1)
+    bounds = [*range(0, N, ENSEMBLE_CHUNK), N]
+    if len(bounds) - 1 < usable and N * config.horizon_T >= _SPLIT_MIN_RUN_STEPS:
+        n_chunks = min(usable, N)
+        bounds = [N * k // n_chunks for k in range(n_chunks + 1)]
+    jobs = [(config, lo, hi, record_full) for lo, hi in zip(bounds, bounds[1:])]
+    workers = min(usable, len(jobs))
     if workers == 1:
         parts = [_chunk_job(j) for j in jobs]
     else:

@@ -7,7 +7,12 @@ records the true gradient at the visited iterates x_1..x_T (T-1 updates,
 
 ``simulate_runs`` executes any set of run indices vectorized over runs; each
 run consumes its own counter-based stream, so results are independent of
-batching, ordering, and worker count.
+batching, ordering, and worker count.  Inside it the batch is held
+dimension-major: iterates, gradients and a step's noise are (d, B) arrays,
+one run per column, and the pre-drawn randomness is step-major, (T-1, ..., B).
+Every row norm then adds d rows of length B instead of reducing B rows of
+length d, with the same bits (``costs.sq_norms``); the per-run outputs are
+returned one row per run.
 """
 
 from __future__ import annotations
@@ -18,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec
+from .costs import CostSpec, sq_norms
 from .oracles import OracleSpec, clip_rows
 from .rng import StreamPool
 
 DIVERGENCE_LIMIT = 1e9
 
 # Raw variates drawn per slab of runs.  Bounds the slab's raw buffers and the
-# temporaries of its transform; the pre-drawn randomness itself is (runs, T-1, ...).
+# temporaries of its transform; the pre-drawn randomness itself is (T-1, ..., runs).
 _SLAB_RAW_BYTES = 1 << 22
 
 _STEP_KINDS = ("sgd-sqrt", "csgd-power", "constant")
@@ -307,13 +312,12 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
     idx = np.asarray(run_indices, dtype=np.int64)
     B = idx.size
     T = config.horizon_T
-    d = config.cost.dim
     eps = config.epsilon_grid
     n_eps = eps.size
     clipped_method = config.method == "clipped"
 
     n_steps = T - 1
-    randomness = None
+    randomness = None  # step-major, run axis last: (n_steps, ..., B)
     if n_steps > 0:
         pool = StreamPool(config.seed)
         slab = max(1, _SLAB_RAW_BYTES // (8 * n_steps * sum(config.oracle.raw_widths())))
@@ -321,41 +325,44 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
         for lo in range(0, max(B, 1), slab):
             block = config.oracle.randomness_block(pool, idx[lo : lo + slab], n_steps)
             if randomness is None:
-                randomness = np.empty((B,) + block.shape[1:], dtype=block.dtype)
-            randomness[lo : lo + slab] = block
+                randomness = np.empty(block.shape[1:] + (B,), dtype=block.dtype)
+            randomness[..., lo : lo + slab] = np.moveaxis(block, 0, -1)
+    # the schedules' scalar calls, hoisted: the array forms need not round alike
+    alphas = [step_size(config.step_schedule, t) for t in range(1, T)]
+    gammas = [clip_threshold(config.clip_schedule, t) for t in range(1, T)] if clipped_method else None
 
-    x = np.broadcast_to(config.init_x1, (B, d)).copy()
+    x0 = config.init_x1[:, None]
+    x = np.repeat(x0, B, axis=1)  # (d, B)
     diverged = np.zeros(B, dtype=bool)
     clip_events = np.zeros(B, dtype=np.int64)
-    hit = np.full((B, n_eps), T + 1, dtype=np.int32)
-    gns_full = np.empty((B, T)) if record_full else None
+    hit = np.full((n_eps, B), T + 1, dtype=np.int32)
+    gns_steps = np.empty((T, B)) if record_full else None
 
     for t in range(1, T + 1):
-        norms_sq = np.sum(x * x, axis=1)
+        norms_sq = sq_norms(x, axis=0)
         newly_bad = ~np.isfinite(norms_sq) | (norms_sq > DIVERGENCE_LIMIT**2)
         newly_bad &= ~diverged
         if np.any(newly_bad):
             diverged |= newly_bad
-            x[newly_bad] = config.init_x1  # frozen placeholder, excluded below
+            x[:, newly_bad] = x0  # frozen placeholder, excluded below
 
-        grad = config.cost.gradient(x)
-        gns = np.sum(grad * grad, axis=1)
+        grad = config.cost.gradient(x, axis=0)
+        gns = sq_norms(grad, axis=0)
         gns[diverged] = np.inf
         if record_full:
-            gns_full[:, t - 1] = gns
-        newly_hit = (hit == T + 1) & (gns[:, None] <= eps[None, :])
+            gns_steps[t - 1] = gns
+        newly_hit = (hit == T + 1) & (gns <= eps[:, None])
         hit[newly_hit] = t
 
         if t < T:
-            alpha = step_size(config.step_schedule, t)
-            g = config.oracle.gradients(x, randomness[:, t - 1])
+            g = config.oracle.gradients(x, randomness[t - 1], grad)
             if clipped_method:
-                g, over = clip_rows(g, clip_threshold(config.clip_schedule, t))
+                g, over = clip_rows(g, gammas[t - 1], axis=0)
                 clip_events += over & ~diverged
-            x_new = x - alpha * g
-            x = np.where(diverged[:, None], x, x_new)
+            x_new = x - alphas[t - 1] * g
+            x = np.where(diverged, x, x_new)
 
-    hit[diverged] = T + 1  # diverged runs count as exceeding every threshold
+    hit[:, diverged] = T + 1  # diverged runs count as exceeding every threshold
 
     out = EnsembleArrays(
         run_indices=idx,
@@ -363,8 +370,8 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
         horizon_T=T,
         diverged=diverged,
         clip_events=clip_events,
-        hit=hit,
-        grad_norm_sq=gns_full,
+        hit=np.ascontiguousarray(hit.T),
+        grad_norm_sq=None if gns_steps is None else np.ascontiguousarray(gns_steps.T),
     )
     _assert_invariants(out)
     return out

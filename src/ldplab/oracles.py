@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, LogisticBatchCost
+from .costs import CostSpec, LogisticBatchCost, sq_norms
 from .rng import StreamPool
 
 _PROBE_CHUNK = 1 << 16
@@ -269,16 +269,20 @@ class OracleSpec:
         run_indices = np.asarray(run_indices, dtype=np.int64)
         normals = np.empty((run_indices.size, n_steps, n_normals))
         uniforms = np.empty((run_indices.size, n_steps, n_uniforms))
-        for i, run in enumerate(run_indices.tolist()):
-            rng = pool.reset(run)
+        for i, rng in enumerate(pool.streams(run_indices)):
             if n_normals:  # the order of _raw_draw: normals, then uniforms
                 rng.standard_normal(out=normals[i])
             if n_uniforms:
                 rng.random(out=uniforms[i])
         return self.transform(normals, uniforms)
 
-    def gradients(self, x_batch: np.ndarray, randomness: np.ndarray) -> np.ndarray:
-        """Apply one step of pre-drawn randomness to a batch of points."""
+    def gradients(self, x: np.ndarray, randomness: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """One step's oracle outputs at points held dimension-major, shape (dim, n).
+
+        ``randomness`` is that step's pre-drawn randomness with the run axis
+        last, shape (..., n); ``grad`` is ``cost.gradient(x, axis=0)``, which
+        the caller has already computed.
+        """
         raise NotImplementedError
 
     def query_block(self, x, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -314,8 +318,8 @@ class AdditiveOracle(OracleSpec):
     def transform(self, normals, uniforms):
         return self.noise.transform(normals, uniforms)
 
-    def gradients(self, x_batch, randomness):
-        return self.cost.gradient(x_batch) + randomness
+    def gradients(self, x, randomness, grad):
+        return grad + randomness
 
     def query_block(self, x, rng, n):
         x = np.asarray(x, dtype=np.float64)
@@ -357,8 +361,10 @@ class BatchSubsampleOracle(OracleSpec):
         # first batch_size entries gives a uniform subset
         return np.argsort(uniforms, axis=-1)[..., : self.batch_size]
 
-    def gradients(self, x_batch, randomness):
-        return self.cost.subset_mean_gradients(x_batch, randomness)
+    def gradients(self, x, randomness, grad):
+        # the row layout's products, transposed back
+        rows = self.cost.subset_mean_gradients(np.ascontiguousarray(x.T), np.ascontiguousarray(randomness.T))
+        return np.ascontiguousarray(rows.T)
 
     def query_block(self, x, rng, n):
         x = np.asarray(x, dtype=np.float64)
@@ -380,14 +386,18 @@ class BatchSubsampleOracle(OracleSpec):
         return (2.0, self.noise_bound() ** 2)
 
 
-def clip_rows(g: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def clip_rows(g: np.ndarray, gamma: float, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise norm clipping min(1, gamma/||g||) g, and the mask of the rows
-    it scaled (||g|| > gamma; ties at ||g|| = gamma are left unclipped)."""
-    norms = np.sqrt(np.sum(g * g, axis=-1))
+    it scaled (||g|| > gamma; ties at ||g|| = gamma are left unclipped).
+
+    ``axis=0`` clips the columns of a dimension-major (dim, n) array instead,
+    with the same bits.
+    """
+    norms = np.sqrt(sq_norms(g, axis))
     scale = np.ones_like(norms)
     over = norms > gamma
     scale[over] = gamma / norms[over]
-    return g * scale[..., None], over
+    return g * np.expand_dims(scale, axis), over
 
 
 _SCALE_MULTIPLIERS = (0.1, 0.5, 1.0, 4.0 / 3.0, 2.0, 5.0)

@@ -21,6 +21,19 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _splitmix64_array(x) -> np.ndarray:
+    """``_splitmix64`` of every element at once, as uint64.
+
+    An int64 input is taken mod 2^64 (two's complement), and uint64
+    arithmetic wraps mod 2^64, so each element has the scalar's bits.
+    """
+    x = np.asarray(x).astype(np.uint64)
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
 def stream_key(master_seed: int, run_index: int) -> np.ndarray:
     """128-bit Philox key for one run.
 
@@ -42,7 +55,8 @@ class StreamPool:
 
     Constructing a Philox/Generator pair per run costs ~25 us; resetting the
     state of a shared pair costs ~2 us and yields the exact same draws as
-    ``run_generator``.  Ensemble loops over 2^20 runs use this.
+    ``run_generator``.  Ensemble loops over 2^20 runs use this, through
+    ``streams``.
     """
 
     def __init__(self, master_seed: int):
@@ -61,8 +75,19 @@ class StreamPool:
             "uinteger": 0,
         }
 
-    def reset(self, run_index: int) -> np.random.Generator:
-        """Rewind the shared generator to the start of run_index's stream."""
-        self._key[1] = _splitmix64(int(run_index) & _MASK64)
+    def streams(self, run_indices):
+        """The shared generator at the start of each run's stream in turn.
+
+        Each item is exactly ``run_generator(master_seed, run)``'s start and
+        is valid until the next item is taken.  The runs' key words are
+        computed in one numpy pass; the generator is then reset once per run.
+        """
+        for key_word in _splitmix64_array(run_indices).tolist():
+            yield self.reset(key_word)
+
+    def reset(self, key_word: int) -> np.random.Generator:
+        """Rewind the shared generator to the start of the stream whose run
+        key word is ``key_word`` (``_splitmix64`` of the run index)."""
+        self._key[1] = key_word
         self._bitgen.state = self._state
         return self.generator

@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import ldplab
-from ldplab import cli
+from ldplab import cli, montecarlo
 from ldplab.cli import main
 from ldplab.config import parse_config, preset_config
 from ldplab.montecarlo import estimate_tail, run_ensemble
@@ -52,19 +53,43 @@ def test_simulate_tail_fit_roundtrip(tiny_config, tmp_path):
     assert len(fit_rows) == 3
 
 
-def test_simulate_byte_identical_across_workers(tiny_config, tmp_path):
+def test_simulate_byte_identical_across_workers(tiny_config, tmp_path, monkeypatch):
+    # chunks of 512 runs and 3 CPUs whatever the machine, so --workers 3 forks
+    # three workers for the four chunks; every chunk leaves a mark named after
+    # the process that ran it
     config_path, doc = tiny_config
+    marks = tmp_path / "chunks"
+    marks.mkdir()
+    parent = os.getpid()
+    simulate_runs = montecarlo.simulate_runs
+
+    def marking_simulate_runs(config, run_indices, record_full=False):
+        (marks / f"{os.getpid()}-{run_indices[0]}").touch()
+        # a worker waits until a second worker has taken a chunk, so that the
+        # chunks cannot all go to the first worker that starts
+        deadline = time.monotonic() + 30.0
+        while os.getpid() != parent and len(_chunk_pids(marks)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return simulate_runs(config, run_indices, record_full=record_full)
+
+    monkeypatch.setattr(montecarlo, "ENSEMBLE_CHUNK", 512)
+    monkeypatch.setattr(montecarlo, "simulate_runs", marking_simulate_runs)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
     assert main(["simulate", "--config", config_path, "--out", out1, "--workers", "1"]) == 0
+    assert _chunk_pids(marks) == {str(parent)} and len(os.listdir(marks)) == 4
+    for mark in marks.iterdir():
+        mark.unlink()
     assert main(["simulate", "--config", config_path, "--out", out2, "--workers", "3"]) == 0
-    csv1 = open(os.path.join(out1, "trajsummary.csv"), "rb").read()
-    csv2 = open(os.path.join(out2, "trajsummary.csv"), "rb").read()
-    assert csv1 == csv2
-    assert (
-        open(os.path.join(out1, "meta.json"), "rb").read()
-        == open(os.path.join(out2, "meta.json"), "rb").read()
-    )
+    pids = _chunk_pids(marks)
+    assert len(os.listdir(marks)) == 4 and len(pids) >= 2 and str(parent) not in pids
+    for name in ("trajsummary.csv", "meta.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def _chunk_pids(marks) -> set:
+    return {name.split("-")[0] for name in os.listdir(marks)}
 
 
 def test_simulate_refuses_differing_digest(tiny_config, tmp_path):
@@ -382,9 +407,13 @@ def _summary_lines(out):
         lambda lines: [lines[0], lines[1].replace("hit_0.18", "hit_0.18000000000000002")] + lines[2:],
         lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",12,12\n"] + lines[11:],
         lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",2,3\n"] + lines[11:],
+        # a diverged run never hits, so only the cell itself is wrong
+        lambda lines: lines[:10] + [re.sub(r"^(\d+),\d+,(\d+),.*", r"\1,2,\2,-1,-1", lines[10])] + lines[11:],
+        lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",11,11\n"] + lines[11:],
     ],
     ids=["truncated-row", "cut-off-file", "non-integer-cell", "hit-header-not-the-grid",
-         "hit-headers-swapped", "hit-header-near-the-grid", "hit-after-horizon", "larger-epsilon-hit-later"],
+         "hit-headers-swapped", "hit-header-near-the-grid", "hit-after-horizon", "larger-epsilon-hit-later",
+         "diverged-cell-two", "hit-raw-horizon-plus-one"],
 )
 def test_corrupt_trajsummary_is_io_error(corrupt, tiny_config, capsys):
     config_path, doc = tiny_config

@@ -8,6 +8,7 @@ from ldplab.costs import (
     finite_difference_gradient,
     huber_cost,
     pseudo_huber_cost,
+    sq_norms,
     synthetic_logistic_cost,
 )
 
@@ -146,3 +147,44 @@ def test_dimension_mismatch_rejected():
     cost = huber_cost(1.0, 2)
     with pytest.raises(ValueError):
         cost.value([1.0, 2.0, 3.0])
+
+
+def _spread_rows(n, d, seed):
+    # magnitudes over twelve decades, so that summation orders give different bits
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, (n, d))
+
+
+class TestDimensionMajor:
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_row_sum_of_contiguous_rows_is_sequential(self, d):
+        # sq_norms adds the coordinates of columns in order, which is bit-exact
+        # only because numpy adds each short row of a C-contiguous (n, d) array
+        # in order; a numpy that reorders this reduction must fail here, not
+        # only in the benchmark's byte gate
+        a = _spread_rows(20000, d, 11)
+        forward = a.T[0].copy()
+        for row in a.T[1:]:
+            forward = forward + row
+        backward = a.T[-1].copy()
+        for row in a.T[-2::-1]:
+            backward = backward + row
+        if d > 2:  # two terms add alike in either order
+            assert not np.array_equal(forward, backward)  # the data can tell orders apart
+        assert np.array_equal(np.sum(a, axis=1), forward)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_sq_norms_of_columns_equal_rows(self, d):
+        x = _spread_rows(5000, d, d)
+        rows = np.sum(x * x, axis=-1)
+        assert sq_norms(x).tobytes() == rows.tobytes()
+        assert sq_norms(np.ascontiguousarray(x.T), axis=0).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("cost", all_costs() + [huber_cost(1.0, 9)], ids=lambda c: f"{c.name}-{c.dim}")
+    def test_gradient_of_columns_equals_rows(self, cost):
+        # points inside and outside the Huber ball
+        x = 2.0 * np.random.default_rng(6).standard_normal((3000, cost.dim))
+        rows = cost.gradient(x)
+        cols = cost.gradient(np.ascontiguousarray(x.T), axis=0)
+        assert cols.shape == (cost.dim, 3000)
+        assert cols.T.tobytes() == rows.tobytes()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import ldplab
 from ldplab import montecarlo
+from ldplab.config import parse_config, preset_config
 from ldplab.costs import huber_cost
 from ldplab.montecarlo import (
     InsufficientDataError,
@@ -131,31 +132,60 @@ class TestEnsemble:
         flagged = dataclasses.replace(res, diverged=np.arange(8) % 3 == 0)
         assert flagged.diverged_count == 3
 
-    def test_worker_count_bounded_by_chunks_and_cpus(self, monkeypatch):
-        # a stub pool records max_workers and runs the chunks inline, so no
-        # worker process is ever started here
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers, mp_context):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    def test_worker_count_bounded_by_chunks_and_cpus(self, inline_pool):
         config = solvable_instance(T=2)
         n = montecarlo.ENSEMBLE_CHUNK + 1  # two chunks
         res = run_ensemble(config, n, workers=10**4)
-        assert started == [2]
+        assert inline_pool == [(2, [(0, montecarlo.ENSEMBLE_CHUNK), (montecarlo.ENSEMBLE_CHUNK, n)])]
         np.testing.assert_array_equal(res.hit, run_ensemble(config, n).hit)
+
+    def test_large_single_chunk_ensemble_runs_one_chunk_per_worker(self, inline_pool):
+        T = 1024
+        n = montecarlo._SPLIT_MIN_RUN_STEPS // T  # one chunk with just enough run-steps
+        config = solvable_instance(T=T)
+        split = run_ensemble(config, n, workers=2, record_full=True)
+        assert inline_pool == [(2, [(0, n // 2), (n // 2, n)])]
+        serial = run_ensemble(config, n, workers=1, record_full=True)
+        assert len(inline_pool) == 1
+        for name in EnsembleArrays.PER_RUN:
+            got, want = getattr(split, name), getattr(serial, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_small_ensembles_start_no_pool(self, inline_pool):
+        # verify-all's ensemble, the appendix-f preset at 4096 runs x T = 16,
+        # and one run-step below the split threshold both stay serial
+        run_ensemble(parse_config(preset_config("appendix-f")).run_config, 4096, workers=2)
+        T = 1024
+        run_ensemble(solvable_instance(T=T), montecarlo._SPLIT_MIN_RUN_STEPS // T - 1, workers=2)
+        assert inline_pool == []
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stub pool that records (max_workers, chunk bounds) of every pool
+    started and runs the chunks inline, so no worker process is ever
+    started; the machine reports 8 CPUs."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context):
+            self.chunks = []
+            started.append((max_workers, self.chunks))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            self.chunks.extend((lo, hi) for _, lo, hi, _ in jobs)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    return started
 
 
 def test_tail_invariant_survives_python_O():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ldplab.costs import huber_cost, pseudo_huber_cost
 from ldplab.oracles import AdditiveOracle, SphereNoise, TwoPointNoise, clip_rows
 from ldplab.optimizers import (
     ClipSpec,
+    EnsembleArrays,
     RunConfig,
     ScheduleSpec,
     clip_bias_onset,
@@ -396,3 +398,93 @@ def test_derived_running_stats_equal_per_step_loop(make_config):
         assert rec.running_avg.tobytes() == want_avg[i].tobytes()
     if make_config is _diverging_config:
         assert arrays.diverged.all() and np.isinf(want_avg[:, -1]).all()
+
+
+def _huber_gaussian_d9_config():
+    # nine coordinates: squared norms take numpy's pairwise-sum path; the
+    # start lies outside the Huber ball and the constant threshold binds
+    doc = preset_config("appendix-f")
+    doc["cost"] = {"name": "huber", "threshold_G": 1.0, "dim": 9}
+    doc["oracle"] = {"mode": "additive-noise", "noise": {"kind": "gaussian", "scale": 0.7}}
+    doc["method"] = {
+        "kind": "clipped",
+        "step": {"kind": "sgd-sqrt", "a": 0.5},
+        "clip": {"kind": "constant", "threshold": 1.5},
+    }
+    doc["ensemble"]["init_x1"] = [1.0, -0.8, 0.6, -0.4, 0.2, 0.1, -0.1, 0.3, 0.5]
+    doc["ensemble"]["horizon_T"] = 40
+    doc["ensemble"]["t_grid"] = list(range(1, 40))
+    return parse_config(doc).run_config
+
+
+# The first 16 hex digits of sha256(dtype, shape, bytes) of every PER_RUN
+# field of runs 0..511 in full mode, recorded on numpy 2.4.6 with the
+# row-major recursion (one run per row) that the dimension-major one replaced.  A change of
+# layout, reduction order or schedule evaluation that moves one bit fails here.
+_PINNED_RUN_DIGESTS = {
+    "appendix-f": {
+        "run_indices": "233812e01b7645f8",
+        "diverged": "f3c6635d8c166cdc",
+        "clip_events": "e4249264cfe8930d",
+        "hit": "4c392024c725aad6",
+        "grad_norm_sq": "702c8f354ac57571",
+    },
+    "sgd-bounded": {
+        "run_indices": "233812e01b7645f8",
+        "diverged": "f3c6635d8c166cdc",
+        "clip_events": "e4249264cfe8930d",
+        "hit": "fccfb3f62063879f",
+        "grad_norm_sq": "daea8efc56170996",
+    },
+    "csgd-pareto": {
+        "run_indices": "233812e01b7645f8",
+        "diverged": "f3c6635d8c166cdc",
+        "clip_events": "91dba0c92fd5d3ac",
+        "hit": "c2f1de18a594342b",
+        "grad_norm_sq": "5c288d02da62f892",
+    },
+    "batch-subsample": {
+        "run_indices": "233812e01b7645f8",
+        "diverged": "f3c6635d8c166cdc",
+        "clip_events": "e4249264cfe8930d",
+        "hit": "b9f63153dceea018",
+        "grad_norm_sq": "9225ada965282756",
+    },
+    "diverged": {
+        "run_indices": "233812e01b7645f8",
+        "diverged": "bfeba188e703ab45",
+        "clip_events": "e4249264cfe8930d",
+        "hit": "e314e0745d5e4610",
+        "grad_norm_sq": "18871ece799329ad",
+    },
+    "huber-gaussian-d9": {
+        "run_indices": "233812e01b7645f8",
+        "diverged": "f3c6635d8c166cdc",
+        "clip_events": "c10d37f76d8c7c1a",
+        "hit": "279397925b0ee86e",
+        "grad_norm_sq": "adc3898037775f47",
+    },
+}
+
+_PINNED_CONFIGS = _INVARIANCE_CONFIGS + [
+    ("diverged", _diverging_config),
+    ("huber-gaussian-d9", _huber_gaussian_d9_config),
+]
+
+
+def _digest(a: np.ndarray) -> str:
+    a = np.ascontiguousarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,make_config", _PINNED_CONFIGS, ids=[n for n, _ in _PINNED_CONFIGS])
+def test_per_run_outputs_pinned(name, make_config):
+    config = make_config()
+    full = simulate_runs(config, np.arange(512), record_full=True)
+    assert {f: _digest(getattr(full, f)) for f in EnsembleArrays.PER_RUN} == _PINNED_RUN_DIGESTS[name]
+    lean = simulate_runs(config, np.arange(512))
+    assert lean.grad_norm_sq is None
+    for f in EnsembleArrays.PER_RUN[:-1]:
+        assert _digest(getattr(lean, f)) == _PINNED_RUN_DIGESTS[name][f], f

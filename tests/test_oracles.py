@@ -287,6 +287,17 @@ class TestMgfGridMoments:
         assert np.array_equal(block.sum(axis=0), forward)
 
 
+@pytest.mark.parametrize("d", [2, 4, 9])
+def test_clip_rows_of_columns_equals_rows(d):
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((4000, d)) * 10.0 ** rng.integers(-2, 3, (4000, 1))
+    rows, over_rows = clip_rows(g, 1.5)
+    cols, over_cols = clip_rows(np.ascontiguousarray(g.T), 1.5, axis=0)
+    assert 0 < over_rows.sum() < g.shape[0]
+    assert cols.T.tobytes() == rows.tobytes()
+    np.testing.assert_array_equal(over_cols, over_rows)
+
+
 def test_clip_rows_scales_rows_above_threshold():
     g = np.array([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]])
     out, over = clip_rows(g, 1.0)
