@@ -1,32 +1,33 @@
 #!/usr/bin/env python3
 """Single optimizer trajectories and the statistics each run records.
 
-A run with horizon T visits iterates x_1..x_T (T-1 updates) and records the
-true squared gradient norm at each, its running minimum F_t and running
-average A_t, the clipping events, and the first hitting time of every
-configured threshold.  Identical (config, seed, run_index) triples replay
-bit-identically.
+A run with horizon T visits iterates x_1..x_T (T-1 updates).  Run i is row
+i of a full-mode ensemble, ``simulate_runs(config, [i], record_full=True)``:
+the true squared gradient norm at each iterate, its running minimum F_t and
+running average A_t, the clipping events, and the first hitting time of
+every configured threshold (T+1 if never within T).  Identical
+(config, seed, run_index) triples replay bit-identically.
 """
 
 import numpy as np
 
-from ldplab import run_trajectory
+from ldplab import simulate_runs
 from ldplab.config import parse_config, preset_config
 
 
 def show(config_name, run_index=0, head=10):
-    exp = parse_config(preset_config(config_name))
-    rec = run_trajectory(exp.run_config, run_index)
-    print(f"== {config_name} (run {run_index}, T={exp.run_config.horizon_T})")
+    config = parse_config(preset_config(config_name)).run_config
+    T = config.horizon_T
+    run = simulate_runs(config, [run_index], record_full=True)
+    gns, fmin, favg = run.grad_norm_sq[0], run.running_min[0], run.running_avg[0]
+    print(f"== {config_name} (run {run_index}, T={T})")
     print("   t    ||grad||^2        F_t           A_t")
     for t in range(head):
-        print(
-            f"  {t + 1:2d}  {rec.grad_norm_sq[t]:12.6f}  {rec.running_min[t]:12.6f}  "
-            f"{rec.running_avg[t]:12.6f}"
-        )
-    print(f"  clip events: {rec.clip_event_count}   diverged: {rec.diverged}")
-    for eps, t_hit in sorted(rec.hitting_time.items()):
-        where = f"t = {t_hit:g}" if np.isfinite(t_hit) else "never within T"
+        print(f"  {t + 1:2d}  {gns[t]:12.6f}  {fmin[t]:12.6f}  {favg[t]:12.6f}")
+    print(f"  clip events: {run.clip_events[0]}   diverged: {bool(run.diverged[0])}")
+    for j, eps in enumerate(config.epsilon_grid):
+        t_hit = int(run.hit[0, j])
+        where = f"t = {t_hit}" if t_hit <= T else "never within T"
         print(f"  first t with ||grad||^2 <= {eps:g}: {where}")
     print()
 
@@ -36,12 +37,10 @@ def main():
         show(name)
 
     print("== determinism: replaying a run reproduces it bit for bit")
-    exp = parse_config(preset_config("csgd-pareto"))
-    a = run_trajectory(exp.run_config, 123)
-    b = run_trajectory(exp.run_config, 123)
-    print(f"  identical grad sequences: {np.array_equal(a.grad_norm_sq, b.grad_norm_sq)}")
-    c = run_trajectory(exp.run_config, 124)
-    print(f"  neighbouring run differs: {not np.array_equal(a.grad_norm_sq, c.grad_norm_sq)}")
+    config = parse_config(preset_config("csgd-pareto")).run_config
+    a, b, c = (simulate_runs(config, [i], record_full=True).grad_norm_sq[0] for i in (123, 123, 124))
+    print(f"  identical grad sequences: {np.array_equal(a, b)}")
+    print(f"  neighbouring run differs: {not np.array_equal(a, c)}")
 
 
 if __name__ == "__main__":

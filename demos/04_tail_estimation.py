@@ -63,7 +63,6 @@ def main():
         title=f"P(F_t > {eps:g}) over {N_RUNS} runs",
         xlabel="t",
         ylabel="P(F_t > eps)",
-        logy=True,
     )
     path = os.path.join(OUT_DIR, "tail_demo.svg")
     with open(path, "w", encoding="utf-8") as fh:

@@ -44,10 +44,8 @@ from .optimizers import (
     EnsembleArrays,
     RunConfig,
     ScheduleSpec,
-    TrajectoryRecord,
     clip_bias_onset,
     clip_threshold,
-    run_trajectory,
     simulate_runs,
     step_size,
 )

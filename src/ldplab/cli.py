@@ -13,6 +13,7 @@ same config and seed reproduces files byte for byte at any --workers value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -82,6 +83,21 @@ def _provenance_comment(digest: str, certified: dict) -> str:
     return "# " + " ".join(parts)
 
 
+@contextlib.contextmanager
+def _atomic_write(path: str):
+    """A text file handle on ``path + '.tmp'``; the temp file replaces ``path``
+    when the block succeeds and is removed when it fails, so an interrupted
+    write never leaves a partial ``path``."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 _BLOCK_ROWS = 1 << 16
 
 
@@ -91,8 +107,9 @@ def _write_csv(path: str, comment: str, header: list, rows=(), columns=None) -> 
     The body is either ``rows`` (any cells) or ``columns``, equal-length
     integer or bool arrays; the latter is formatted 2^16 rows at a time with
     one %-format per block and gives the same bytes as the same rows would.
+    The file is replaced atomically.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(path) as fh:
         fh.write(comment + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -217,27 +234,18 @@ def _cmd_simulate(args) -> int:
         "horizon_T": T,
         "diverged_runs": arrays.diverged_count,
     }
-    # both files go to temp names first and replace the old ones summary
-    # first, manifest last; a summary whose digest is not the manifest's is
-    # rejected on load, so an interrupted write never mixes old and new
-    summary_path = os.path.join(outdir, "trajsummary.csv")
-    tmp_summary, tmp_meta = summary_path + ".tmp", meta_path + ".tmp"
-    try:
-        _write_csv(
-            tmp_summary,
-            _provenance_comment(exp.digest, certified),
-            _summary_header(exp.run_config.epsilon_grid),
-            columns=[arrays.run_indices, arrays.diverged, arrays.clip_events, *hit_out.T],
-        )
-        with open(tmp_meta, "w", encoding="utf-8", newline="") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        os.replace(tmp_summary, summary_path)
-        os.replace(tmp_meta, meta_path)
-    finally:
-        for tmp in (tmp_summary, tmp_meta):
-            if os.path.exists(tmp):
-                os.remove(tmp)
+    # each file replaces its old one whole, summary first, manifest last; a
+    # summary whose digest is not the manifest's is rejected on load, so an
+    # interrupted write never mixes old and new
+    _write_csv(
+        os.path.join(outdir, "trajsummary.csv"),
+        _provenance_comment(exp.digest, certified),
+        _summary_header(exp.run_config.epsilon_grid),
+        columns=[arrays.run_indices, arrays.diverged, arrays.clip_events, *hit_out.T],
+    )
+    with _atomic_write(meta_path) as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     print(
         f"simulated {exp.n_runs} runs (T={T}, digest={exp.digest}, "
         f"diverged={arrays.diverged_count}) -> {outdir}"
@@ -386,11 +394,10 @@ def _cmd_tail(args) -> int:
             title=f"tail P(F_t > {args.epsilon:g}), N={tail.n_runs}",
             xlabel="t",
             ylabel="P(F_t > eps)",
-            logy=True,
             comment=f"tool={TOOL_NAME} version={TOOL_VERSION} digest={digest}",
         )
         out_svg = os.path.join(args.results_dir, "tail.svg")
-        with open(out_svg, "w", encoding="utf-8", newline="") as fh:
+        with _atomic_write(out_svg) as fh:
             fh.write(svg)
         print(f"wrote {out_svg}")
     return EXIT_OK
@@ -420,8 +427,10 @@ def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
 
 
 def _cmd_fit(args) -> int:
-    digest, tail = _tail_from_csv(args.tail_csv)
     names = args.candidates.split(",") if args.candidates else ["sqrt-t", "t-over-log", "linear-t"]
+    if args.p is not None and "power-over-log" not in names:
+        raise ConfigError("fit: --p applies only when --candidates lists 'power-over-log'")
+    digest, tail = _tail_from_csv(args.tail_csv)
     fits = fit_decay(tail, [decay_family(name, p=args.p) for name in names])
     out_csv = os.path.join(os.path.dirname(os.path.abspath(args.tail_csv)), "fit.csv")
     _write_csv(
@@ -506,6 +515,8 @@ def _write_curves(args, source: str, curves, slope) -> None:
 
 
 def _cmd_rates(args) -> int:
+    if args.C is not None and args.p is None:
+        raise ConfigError("rates: --C sets the general-C clipped law, which also needs --p")
     rates = []
     if args.M is not None:
         rates.append(rate_sgd(args.M, args.G))
@@ -521,19 +532,24 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_compare_sota(args) -> int:
-    curves = []
+    curves, used = [], set()  # used: the shared flags some curve took
     if args.B is not None:
         curves.append(sota_curves("liu-sgd", B=args.B))
     if args.sigma is not None:
         if args.delta is None or args.L is None or args.p is None:
             raise ConfigError("nguyen-csgd curve requires --sigma --delta --L --p")
         curves.append(sota_curves("nguyen-csgd", sigma=args.sigma, delta=args.delta, L=args.L, p=args.p))
+        used |= {"delta", "L", "p"}
     if args.C is not None:
         if args.L is None:
             raise ConfigError("armacki-nsgd curve requires --C --L")
         curves.append(sota_curves("armacki-nsgd", C=args.C, L=args.L))
+        used.add("L")
     if not curves:
         raise ConfigError("compare-sota: provide --B, --sigma/--delta/--L/--p, and/or --C/--L")
+    unused = [f"--{k}" for k in ("delta", "L", "p") if getattr(args, k) is not None and k not in used]
+    if unused:
+        raise ConfigError(f"compare-sota: {' '.join(unused)} completes no curve")
     _write_curves(args, "compare-sota", curves, lambda c, eps: float(c.asymptotic_slope(eps)))
     print(f"wrote {args.out} ({len(curves)} curves, epsilon={args.epsilon:g})")
     return EXIT_OK
@@ -574,7 +590,7 @@ def _cmd_report(args) -> int:
                     )
         lines.append("")
     report_path = os.path.join(args.results_dir, "report.txt")
-    with open(report_path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(report_path) as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {report_path}")
     return EXIT_OK

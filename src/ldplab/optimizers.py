@@ -186,55 +186,19 @@ class RunConfig:
 
     def certified_constants(self) -> dict:
         """Constants echoed into output headers for provenance."""
-        out = {
+        return {
             "G": self.cost.grad_bound_G,
             "L": self.cost.smoothness_L,
             "f_star": self.cost.lower_bound_fstar,
+            **self.oracle.noise_constants(),
         }
-        tag_payload = getattr(self.oracle, "noise", None)
-        if tag_payload is not None:
-            tag, payload = tag_payload.certificate()
-            if tag == "as-bound":
-                out["M"] = payload
-            else:
-                out["p"], out["sigma_p"] = payload
-        elif hasattr(self.oracle, "noise_bound"):
-            out["M"] = self.oracle.noise_bound()
-            out["G_ell"] = self.oracle.cost.per_sample_grad_bound
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """Recorded statistics of one run.
-
-    grad_norm_sq[t-1] is ||grad f(x_t)||^2; running_min and running_avg are
-    its prefix minimum and prefix mean; hitting_time maps each epsilon to the
-    first t with grad_norm_sq <= epsilon (math.inf if never within T).
-    """
-
-    run_index: int
-    grad_norm_sq: np.ndarray
-    running_min: np.ndarray
-    running_avg: np.ndarray
-    clip_event_count: int
-    hitting_time: dict
-    diverged: bool
-
-
-def _running_min(grad_norm_sq: np.ndarray) -> np.ndarray:
-    return np.minimum.accumulate(grad_norm_sq, axis=-1)
-
-
-def _running_avg(grad_norm_sq: np.ndarray) -> np.ndarray:
-    # a sequential sum, divided by t: the same bits as a running sum per step
-    return np.cumsum(grad_norm_sq, axis=-1) / np.arange(1, grad_norm_sq.shape[-1] + 1)
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleArrays:
     """Per-run summaries, the record ``trajsummary.csv`` holds, plus every
-    step's ||grad f(x_t)||^2 in full mode."""
+    step's ||grad f(x_t)||^2 in full mode.  One run is one row:
+    ``simulate_runs(config, [i], record_full=True)`` is run i's whole record."""
 
     run_indices: np.ndarray  # (B,) int64
     epsilon_grid: np.ndarray
@@ -273,30 +237,14 @@ class EnsembleArrays:
     @property
     def running_min(self) -> np.ndarray:
         """(B, T) prefix minimum of grad_norm_sq, F_t of each run; full mode only."""
-        return _running_min(self._full())
+        return np.minimum.accumulate(self._full(), axis=1)
 
     @property
     def running_avg(self) -> np.ndarray:
         """(B, T) prefix mean of grad_norm_sq; full mode only."""
-        return _running_avg(self._full())
-
-    def record(self, i: int) -> TrajectoryRecord:
-        """Row i as a TrajectoryRecord; needs the full-mode arrays."""
-        gns = self._full()[i]
-        T = self.horizon_T
-        hitting = {}
-        for j, e in enumerate(self.epsilon_grid):
-            t = int(self.hit[i, j])
-            hitting[float(e)] = float(t) if t <= T else math.inf
-        return TrajectoryRecord(
-            run_index=int(self.run_indices[i]),
-            grad_norm_sq=gns,
-            running_min=_running_min(gns),
-            running_avg=_running_avg(gns),
-            clip_event_count=int(self.clip_events[i]),
-            hitting_time=hitting,
-            diverged=bool(self.diverged[i]),
-        )
+        gns = self._full()
+        # a sequential sum, divided by t: the same bits as a running sum per step
+        return np.cumsum(gns, axis=1) / np.arange(1, gns.shape[1] + 1)
 
 
 def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> EnsembleArrays:
@@ -401,8 +349,3 @@ def _assert_invariants(arrays: EnsembleArrays) -> None:
                 np.array_equal(hit[ok, j][:, None] > t_axis[None, :], rmin > e),
                 "hitting time and exceedance disagree",
             )
-
-
-def run_trajectory(config: RunConfig, run_index: int) -> TrajectoryRecord:
-    """One run's full record; identical to the matching ensemble row."""
-    return simulate_runs(config, [run_index], record_full=True).record(0)

@@ -289,12 +289,21 @@ class OracleSpec:
         """n independent oracle outputs at a fixed point; shape (n, dim)."""
         raise NotImplementedError
 
+    def noise_constants(self) -> dict:
+        """The certified noise constants: {'M': a.s. bound on ||g - grad f(x)||}
+        or {'p': moment order, 'sigma_p': moment bound}, plus any constant
+        the bound rests on."""
+        raise NotImplementedError
+
     def moment_certificate(self) -> tuple:
         """(p, sigma_p) usable in the clipped-mean bias bound.
 
         An a.s. bound M certifies the second moment: E||z||^2 <= M^2.
         """
-        raise NotImplementedError
+        c = self.noise_constants()
+        if "M" in c:
+            return (2.0, c["M"] ** 2)
+        return (c["p"], c["sigma_p"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,11 +336,12 @@ class AdditiveOracle(OracleSpec):
             raise ValueError(f"query point must have shape ({self.cost.dim},)")
         return self.cost.gradient(x) + self.noise.sample_block(rng, n)
 
-    def moment_certificate(self):
+    def noise_constants(self):
         tag, payload = self.noise.certificate()
         if tag == "as-bound":
-            return (2.0, payload**2)
-        return payload
+            return {"M": payload}
+        p, sigma_p = payload
+        return {"p": p, "sigma_p": sigma_p}
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,8 +392,8 @@ class BatchSubsampleOracle(OracleSpec):
         """Hard a.s. bound on ||g - grad f(x)||: twice the per-sample bound."""
         return 2.0 * self.cost.per_sample_grad_bound
 
-    def moment_certificate(self):
-        return (2.0, self.noise_bound() ** 2)
+    def noise_constants(self):
+        return {"M": self.noise_bound(), "G_ell": self.cost.per_sample_grad_bound}
 
 
 def clip_rows(g: np.ndarray, gamma: float, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,8 @@
 """Minimal self-contained SVG line charts.
 
 Deliberately dependency-free so that emitted charts are byte-reproducible
-and embed no external assets.  Supports linear/log-10 y axes, polyline
-series, and a shaded confidence band.
+and embed no external assets.  Draws polyline series and a shaded
+confidence band over a linear x axis and a log-10 y axis.
 """
 
 from __future__ import annotations
@@ -53,11 +53,10 @@ def _tick_label(v: float) -> str:
 class _Frame:
     """Coordinate transform from data space to the plot rectangle."""
 
-    def __init__(self, width, height, x_range, y_range, logy):
+    def __init__(self, width, height, x_range, y_range):
         ml, mr, mt, mb = _MARGINS
         self.x0, self.x1 = x_range
-        self.y0, self.y1 = y_range
-        self.logy = logy
+        self.y0, self.y1 = y_range  # log10 of the data range
         self.px0, self.px1 = ml, width - mr
         self.py0, self.py1 = height - mb, mt  # y grows upward
 
@@ -65,8 +64,7 @@ class _Frame:
         return self.px0 + (x - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
 
     def ty(self, y):
-        yv = math.log10(y) if self.logy else y
-        return self.py0 + (yv - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
+        return self.py0 + (math.log10(y) - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
 
 
 def line_chart(
@@ -75,22 +73,20 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    logy: bool = False,
     width: int = 720,
     height: int = 480,
     comment: str = "",
 ) -> str:
     """Render series (dicts with keys x, y, label and optional color/dash)
     and an optional band (dict with keys x, lo, hi and optional color/label)
-    into an SVG string.  ``comment`` is embedded as an XML comment for
+    into an SVG string on a log-10 y axis; points with y <= 0 are dropped
+    and the band's lower edge is floored.  ``comment`` is embedded as an XML comment for
     provenance (digest, version)."""
     clean = []
     for i, s in enumerate(series):
         x = np.asarray(s["x"], dtype=np.float64)
         y = np.asarray(s["y"], dtype=np.float64)
-        keep = np.isfinite(x) & np.isfinite(y)
-        if logy:
-            keep &= y > 0
+        keep = np.isfinite(x) & np.isfinite(y) & (y > 0)
         if keep.sum() == 0:
             continue
         clean.append(
@@ -112,14 +108,11 @@ def line_chart(
         bx = np.asarray(band["x"], dtype=np.float64)
         blo = np.asarray(band["lo"], dtype=np.float64).copy()
         bhi = np.asarray(band["hi"], dtype=np.float64)
-        keep = np.isfinite(bx) & np.isfinite(blo) & np.isfinite(bhi)
-        if logy:
-            keep &= bhi > 0
+        keep = np.isfinite(bx) & np.isfinite(blo) & np.isfinite(bhi) & (bhi > 0)
         if keep.sum() > 0:
             bx, blo, bhi = bx[keep], blo[keep], bhi[keep]
-            if logy:
-                floor = min(float(ys[ys > 0].min() if np.any(ys > 0) else 1.0), float(bhi.min())) / 10.0
-                blo = np.maximum(blo, floor)
+            floor = min(float(ys[ys > 0].min() if np.any(ys > 0) else 1.0), float(bhi.min())) / 10.0
+            blo = np.maximum(blo, floor)
             band_clean = {
                 "x": bx,
                 "lo": blo,
@@ -130,11 +123,8 @@ def line_chart(
             xs = np.concatenate([xs, bx])
             ys = np.concatenate([ys, blo, bhi])
 
-    if logy:
-        ys = ys[ys > 0]
-        ylo, yhi = math.log10(ys.min()), math.log10(ys.max())
-    else:
-        ylo, yhi = float(ys.min()), float(ys.max())
+    ys = ys[ys > 0]
+    ylo, yhi = math.log10(ys.min()), math.log10(ys.max())
     xlo, xhi = float(xs.min()), float(xs.max())
     if xhi <= xlo:
         xlo, xhi = xlo - 0.5, xhi + 0.5
@@ -143,7 +133,7 @@ def line_chart(
     pad = 0.04 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 
-    fr = _Frame(width, height, (xlo, xhi), (ylo, yhi), logy)
+    fr = _Frame(width, height, (xlo, xhi), (ylo, yhi))
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -158,12 +148,9 @@ def line_chart(
         )
 
     # gridlines and ticks
-    if logy:
-        lo_d, hi_d = math.floor(ylo), math.ceil(yhi)
-        step = max(1, int(math.ceil((hi_d - lo_d) / 8.0)))
-        y_ticks = [(10.0**d, f"1e{d:d}") for d in range(lo_d, hi_d + 1, step) if ylo <= d <= yhi]
-    else:
-        y_ticks = [(v, _tick_label(v)) for v in _linear_ticks(ylo, yhi)]
+    lo_d, hi_d = math.floor(ylo), math.ceil(yhi)
+    step = max(1, int(math.ceil((hi_d - lo_d) / 8.0)))
+    y_ticks = [(10.0**d, f"1e{d:d}") for d in range(lo_d, hi_d + 1, step) if ylo <= d <= yhi]
     for v, label in y_ticks:
         py = fr.ty(v)
         out.append(

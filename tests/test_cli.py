@@ -206,6 +206,10 @@ def test_verify_failure_exit_code(monkeypatch):
         ["rates", "--epsilon", "0", "--p", "1.5"],
         ["compare-sota", "--epsilon", "-0.1", "--C", "1", "--L", "1"],
         ["compare-sota", "--epsilon", "nan", "--B", "1"],
+        ["rates", "--epsilon", "1", "--M", "1", "--C", "3"],
+        ["compare-sota", "--epsilon", "1", "--B", "1", "--L", "2", "--delta", "3"],
+        ["compare-sota", "--epsilon", "1", "--B", "1", "--p", "1.5"],
+        ["fit", "{R}/tail.csv", "--p", "1.5"],
     ],
     ids=["tail-t-grid-below-1", "fit-unknown-family", "verify-too-few-samples",
          "rates-p-out-of-range", "rates-bad-t-grid", "rates-t-grid-from-0",
@@ -213,7 +217,8 @@ def test_verify_failure_exit_code(monkeypatch):
          "rates-t-grid-list-no-t-from-3", "rates-t-grid-list-from-0",
          "sota-t-grid-list-no-t-from-3", "sota-B-zero", "sota-C-zero", "sota-L-negative",
          "sota-delta-zero", "rates-epsilon-negative", "rates-epsilon-zero",
-         "sota-epsilon-negative", "sota-epsilon-nan"],
+         "sota-epsilon-negative", "sota-epsilon-nan", "rates-C-without-p",
+         "sota-L-delta-complete-no-curve", "sota-p-completes-no-curve", "fit-p-without-power-over-log"],
 )
 def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, capsys):
     config_path, doc = tiny_config
@@ -461,6 +466,31 @@ def test_interrupted_simulate_never_mixes_results(failing_replace, tiny_config, 
     else:  # a new summary beside the old manifest is refused
         assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 3
         assert "corrupt trajsummary" in capsys.readouterr().err
+
+
+def test_interrupted_report_leaves_no_partial_file(tiny_config, monkeypatch, capsys):
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    real_replace, targets = os.replace, []
+
+    def replace(src, dst):
+        targets.append(os.path.basename(dst))
+        if len(targets) == 2:
+            raise OSError("interrupted")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["report", out]) == 3
+    monkeypatch.undo()
+    assert targets == ["tail_eps0.csv", "tail_eps1.csv"]
+    # the first file is whole, the second and report.txt were never placed
+    assert sorted(os.listdir(out)) == ["meta.json", "tail_eps0.csv", "trajsummary.csv"]
+    with open(os.path.join(out, "tail_eps0.csv"), "rb") as fh:
+        first = fh.read()
+    assert main(["report", out]) == 0
+    with open(os.path.join(out, "tail_eps0.csv"), "rb") as fh:
+        assert fh.read() == first
 
 
 def test_block_writer_matches_row_writer_and_reader(tmp_path):

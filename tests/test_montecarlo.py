@@ -27,7 +27,7 @@ from ldplab.montecarlo import (
     verify_lemma_suite,
     wilson_interval,
 )
-from ldplab.optimizers import EnsembleArrays, RunConfig, ScheduleSpec, run_trajectory, simulate_runs
+from ldplab.optimizers import EnsembleArrays, RunConfig, ScheduleSpec, simulate_runs
 from ldplab.oracles import AdditiveOracle, ClippingBiasProbe, SphereNoise, TwoPointNoise
 from ldplab.theory import decay_family, lower_bound_exact_prob
 
@@ -71,9 +71,10 @@ class TestEnsemble:
     def test_single_run_equals_trajectory(self):
         config = solvable_instance(T=10)
         res = run_ensemble(config, 1, record_full=True)
-        rec = run_trajectory(config, 0)
-        np.testing.assert_array_equal(res.grad_norm_sq[0], rec.grad_norm_sq)
-        assert res.record(0).hitting_time == rec.hitting_time
+        run = simulate_runs(config, [0], record_full=True)
+        for name in EnsembleArrays.PER_RUN:
+            got, want = getattr(res, name), getattr(run, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     def test_worker_invariance(self):
         # two chunks, so workers=4 really runs them in two worker processes
@@ -118,13 +119,13 @@ class TestEnsemble:
     def test_lean_record_access_rejected(self):
         res = run_ensemble(solvable_instance(T=4), 4)
         with pytest.raises(ValueError):
-            res.record(0)
+            res.running_min
 
     def test_lean_simulate_runs_record_rejected(self):
         # the same arrays type with the same check, whichever call built it
         arrays = simulate_runs(solvable_instance(T=4), range(4))
         with pytest.raises(ValueError, match="record_full=True"):
-            arrays.record(0)
+            arrays.running_min
 
     def test_diverged_count_counts_flagged_runs(self):
         res = run_ensemble(solvable_instance(T=4), 8)

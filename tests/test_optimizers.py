@@ -18,7 +18,6 @@ from ldplab.optimizers import (
     ScheduleSpec,
     clip_bias_onset,
     clip_threshold,
-    run_trajectory,
     simulate_runs,
     step_size,
 )
@@ -203,32 +202,32 @@ class TestTrajectories:
             seed=0,
             epsilon_grid=np.array([0.01]),
         )
-        rec = run_trajectory(config, 0)
-        assert np.all(np.diff(rec.grad_norm_sq) < 0)
+        gns = simulate_runs(config, [0], record_full=True).grad_norm_sq[0]
+        assert np.all(np.diff(gns) < 0)
         expected = 0.36
         for t in range(1, 20):
-            assert rec.grad_norm_sq[t - 1] == pytest.approx(expected, rel=1e-12)
+            assert gns[t - 1] == pytest.approx(expected, rel=1e-12)
             expected *= (1.0 - 0.5 / math.sqrt(t + 1.0)) ** 2
 
     def test_determinism_bit_identical(self):
         config = solvable_instance(T=16)
-        a = run_trajectory(config, 5)
-        b = run_trajectory(config, 5)
+        a = simulate_runs(config, [5], record_full=True)
+        b = simulate_runs(config, [5], record_full=True)
         np.testing.assert_array_equal(a.grad_norm_sq, b.grad_norm_sq)
-        assert a.hitting_time == b.hitting_time
-        assert a.clip_event_count == b.clip_event_count
+        np.testing.assert_array_equal(a.hit, b.hit)
+        np.testing.assert_array_equal(a.clip_events, b.clip_events)
 
     def test_distinct_runs_differ(self):
         config = solvable_instance(T=16)
-        a = run_trajectory(config, 0)
-        b = run_trajectory(config, 1)
+        a = simulate_runs(config, [0], record_full=True)
+        b = simulate_runs(config, [1], record_full=True)
         assert not np.array_equal(a.grad_norm_sq, b.grad_norm_sq)
 
     def test_run_matches_ensemble_row(self):
         config = solvable_instance(T=10)
-        arrays = simulate_runs(config, [3], record_full=True)
-        rec = run_trajectory(config, 3)
-        np.testing.assert_array_equal(arrays.grad_norm_sq[0], rec.grad_norm_sq)
+        arrays = simulate_runs(config, range(6), record_full=True)
+        run = simulate_runs(config, [3], record_full=True)
+        np.testing.assert_array_equal(arrays.grad_norm_sq[3], run.grad_norm_sq[0])
 
     def test_stuck_event_probability(self):
         # staying at x1 requires the minus noise atom at every update
@@ -266,9 +265,9 @@ class TestTrajectories:
             seed=0,
             epsilon_grid=np.array([0.5]),
         )
-        rec = run_trajectory(config, 0)
-        assert rec.diverged
-        assert rec.hitting_time[0.5] == math.inf
+        run = simulate_runs(config, [0], record_full=True)
+        assert run.diverged[0]
+        assert run.hit[0, 0] == config.horizon_T + 1
 
     def test_lean_and_full_agree(self):
         config = solvable_instance(T=12)
@@ -392,10 +391,6 @@ def test_derived_running_stats_equal_per_step_loop(make_config):
         want_avg[:, t - 1] = fsum / t
     assert arrays.running_min.tobytes() == want_min.tobytes()
     assert arrays.running_avg.tobytes() == want_avg.tobytes()
-    for i in (0, arrays.n_runs - 1):
-        rec = arrays.record(i)
-        assert rec.running_min.tobytes() == want_min[i].tobytes()
-        assert rec.running_avg.tobytes() == want_avg[i].tobytes()
     if make_config is _diverging_config:
         assert arrays.diverged.all() and np.isinf(want_avg[:, -1]).all()
 
