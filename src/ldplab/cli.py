@@ -46,6 +46,8 @@ from .montecarlo import (
 from .optimizers import EnsembleArrays, RunConfig, _assert_invariants
 from .svgplot import PALETTE, line_chart
 from .theory import (
+    DECAY_FAMILIES,
+    SOTA_KINDS,
     RateSpec,
     decay_family,
     rate_csgd,
@@ -532,22 +534,20 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_compare_sota(args) -> int:
-    curves, used = [], set()  # used: the shared flags some curve took
-    if args.B is not None:
-        curves.append(sota_curves("liu-sgd", B=args.B))
-    if args.sigma is not None:
-        if args.delta is None or args.L is None or args.p is None:
-            raise ConfigError("nguyen-csgd curve requires --sigma --delta --L --p")
-        curves.append(sota_curves("nguyen-csgd", sigma=args.sigma, delta=args.delta, L=args.L, p=args.p))
-        used |= {"delta", "L", "p"}
-    if args.C is not None:
-        if args.L is None:
-            raise ConfigError("armacki-nsgd curve requires --C --L")
-        curves.append(sota_curves("armacki-nsgd", C=args.C, L=args.L))
-        used.add("L")
+    curves, used = [], set()  # used: the flags some curve took
+    for kind, params in SOTA_KINDS.items():
+        if getattr(args, next(iter(params))) is None:  # a kind is drawn when its first flag is given
+            continue
+        if any(getattr(args, k) is None for k in params):
+            raise ConfigError(f"{kind} curve requires " + " ".join(f"--{k}" for k in params))
+        curves.append(sota_curves(kind, **{k: getattr(args, k) for k in params}))
+        used.update(params)
     if not curves:
-        raise ConfigError("compare-sota: provide --B, --sigma/--delta/--L/--p, and/or --C/--L")
-    unused = [f"--{k}" for k in ("delta", "L", "p") if getattr(args, k) is not None and k not in used]
+        flags = ["/".join(f"--{k}" for k in params) for params in SOTA_KINDS.values()]
+        raise ConfigError(f"compare-sota: provide {', '.join(flags[:-1])}, and/or {flags[-1]}")
+    unused = dict.fromkeys(
+        f"--{k}" for params in SOTA_KINDS.values() for k in params if getattr(args, k) is not None and k not in used
+    )
     if unused:
         raise ConfigError(f"compare-sota: {' '.join(unused)} completes no curve")
     _write_curves(args, "compare-sota", curves, lambda c, eps: float(c.asymptotic_slope(eps)))
@@ -627,7 +627,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit candidate decay rates to a tail CSV")
     p_fit.add_argument("tail_csv")
-    p_fit.add_argument("--candidates", help="comma list: sqrt-t,t-over-log,power-over-log,t-over-log2,linear-t")
+    p_fit.add_argument("--candidates", help=f"comma list of {', '.join(DECAY_FAMILIES)}")
     p_fit.add_argument("--p", type=float, help="moment order for the power-over-log family")
     p_fit.set_defaults(func=_cmd_fit)
 

@@ -13,21 +13,20 @@ which only says where results go.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, huber_cost, pseudo_huber_cost, synthetic_logistic_cost
-from .oracles import AdditiveOracle, BatchSubsampleOracle, OracleSpec, make_noise
-from .optimizers import ClipSpec, RunConfig, ScheduleSpec
-from .theory import decay_family, sota_curves
+from .costs import COSTS, CostSpec
+from .oracles import _NOISE_KINDS, ORACLE_MODES, OracleSpec, make_noise
+from .optimizers import CLIP_KINDS, METHODS, STEP_KINDS, ClipSpec, RunConfig, ScheduleSpec
+from .theory import SOTA_KINDS, decay_family, sota_curves
 
 TOOL_NAME = "ldplab"
 TOOL_VERSION = "0.1.0"
-
-PRESET_NAMES = ("appendix-f", "sgd-bounded", "csgd-pareto")
 
 
 class ConfigError(ValueError):
@@ -43,13 +42,6 @@ def _require_keys(block: dict, path: str, required: tuple, optional: tuple = ())
     missing = [k for k in required if k not in block]
     if missing:
         raise ConfigError(f"{path}: missing required keys {missing}")
-
-
-def _reject_unused(block: dict, path: str, used: set, kind) -> None:
-    """Keys of a kind-tagged block that the kind does not read are errors."""
-    unused = set(block) - {"kind"} - used
-    if unused:
-        raise ConfigError(f"{path}: keys {sorted(unused)} do not apply to kind {kind!r}")
 
 
 def _number(block: dict, path: str, key: str):
@@ -75,104 +67,81 @@ def _vector(block: dict, path: str, key: str) -> list:
     return [float(c) for c in v]
 
 
-def _build_cost(block: dict) -> CostSpec:
-    _require_keys(block, "cost", ("name",), ("threshold_G", "scale", "dim", "m", "dataset_seed"))
-    name = block["name"]
+# the check of each parameter type the kind tables name; a noise model is a
+# block of its own, checked when it is built
+_TYPE_CHECKS = {"float": _number, "int": _integer, "np.ndarray": _vector, "NoiseModel": lambda b, path, key: b[key]}
+
+
+def _fields(classes: dict, supplied: str) -> dict:
+    """kind -> {field: type} of dataclasses by kind, less the field the config supplies."""
+    return {
+        kind: {f.name: f.type for f in dataclasses.fields(cls) if f.name != supplied}
+        for kind, cls in classes.items()
+    }
+
+
+# JSON path of each kind-tagged block -> (its tag, kind -> {key: type}), read
+# from the modules that own the kinds
+KIND_BLOCKS = {
+    "cost": ("name", {name: params for name, (_, params) in COSTS.items()}),
+    "oracle": ("mode", _fields(ORACLE_MODES, "cost")),
+    "oracle.noise": ("kind", _fields(_NOISE_KINDS, "dim")),
+    "method.step": ("kind", STEP_KINDS),
+    "method.clip": ("kind", CLIP_KINDS),
+    "analysis.sota[]": ("kind", SOTA_KINDS),
+}
+
+
+def _kind_of(block: dict, path: str, tag: str, table: dict) -> str:
+    """The kind a block's ``tag`` names, one of ``table``'s."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if tag not in block:
+        raise ConfigError(f"{path}: missing required keys [{tag!r}]")
+    kind = block[tag]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{path}.{tag}: unknown {tag} {kind!r}; expected one of {tuple(table)}")
+    return kind
+
+
+def _kind_block(block: dict, path: str, build):
+    """build(kind, {key: value}) of the block at ``path``, whose tag names a
+    kind of its KIND_BLOCKS table: the block holds exactly that kind's keys
+    besides the tag, and each value has its type.  A ValueError of build is a
+    ConfigError at ``path``."""
+    tag, table = KIND_BLOCKS[path]
+    kind = _kind_of(block, path, tag, table)
+    params = table[kind]
+    missing = [k for k in params if k not in block]
+    if missing:
+        raise ConfigError(f"{path}: kind {kind!r} requires keys {missing}")
+    unused = sorted(set(block) - {tag} - set(params))
+    if unused:
+        raise ConfigError(f"{path}: keys {unused} do not apply to kind {kind!r}")
+    values = {k: _TYPE_CHECKS[t](block, path, k) for k, t in params.items()}
     try:
-        if name == "huber":
-            _require_keys(block, "cost", ("name", "threshold_G", "dim"))
-            return huber_cost(_number(block, "cost", "threshold_G"), _integer(block, "cost", "dim"))
-        if name == "pseudo-huber":
-            _require_keys(block, "cost", ("name", "scale", "dim"))
-            return pseudo_huber_cost(_number(block, "cost", "scale"), _integer(block, "cost", "dim"))
-        if name == "batch-logistic":
-            _require_keys(block, "cost", ("name", "m", "dim", "dataset_seed"))
-            return synthetic_logistic_cost(
-                _integer(block, "cost", "m"),
-                _integer(block, "cost", "dim"),
-                _integer(block, "cost", "dataset_seed"),
-            )
+        return build(kind, values)
     except ConfigError:
         raise
     except ValueError as e:
-        raise ConfigError(f"cost: {e}") from e
-    raise ConfigError(f"cost.name: unknown cost {name!r}")
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _build_oracle(block: dict, cost: CostSpec) -> OracleSpec:
-    _require_keys(block, "oracle", ("mode",), ("noise", "batch_size"))
-    mode = block["mode"]
-    if mode == "additive-noise":
-        _require_keys(block, "oracle", ("mode", "noise"))
-        noise_block = block["noise"]
-        _require_keys(
-            noise_block,
-            "oracle.noise",
-            ("kind",),
-            ("radius", "v", "x_m", "tail_index", "moment_order", "scale"),
-        )
-        kind = noise_block["kind"]
-        params = {k: v for k, v in noise_block.items() if k != "kind"}
-        if "v" in params:
-            params["v"] = np.asarray(_vector(noise_block, "oracle.noise", "v"))
-        else:
+    def noise(kind, params):
+        if "dim" in _NOISE_KINDS[kind].__dataclass_fields__:
             params["dim"] = cost.dim
-        try:
-            noise = make_noise(kind, **params)
-            return AdditiveOracle(cost=cost, noise=noise)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"oracle.noise: {e}") from e
-    if mode == "batch-subsample":
-        _require_keys(block, "oracle", ("mode", "batch_size"))
-        try:
-            return BatchSubsampleOracle(cost=cost, batch_size=_integer(block, "oracle", "batch_size"))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"oracle: {e}") from e
-    raise ConfigError(f"oracle.mode: unknown mode {mode!r}")
+        return make_noise(kind, **params)
+
+    def oracle(mode, params):
+        if "noise" in params:
+            params["noise"] = _kind_block(params["noise"], "oracle.noise", noise)
+        return ORACLE_MODES[mode](cost=cost, **params)
+
+    return _kind_block(block, "oracle", oracle)
 
 
-_STEP_KEY = {"sgd-sqrt": "a", "csgd-power": "p", "constant": "c"}  # the one parameter each kind reads
-
-
-def _build_step(block: dict) -> ScheduleSpec:
-    _require_keys(block, "method.step", ("kind",), ("a", "p", "c"))
-    kind = block["kind"]
-    if isinstance(kind, str) and kind in _STEP_KEY:
-        _reject_unused(block, "method.step", {_STEP_KEY[kind]}, kind)
-    try:
-        return ScheduleSpec(
-            kind=kind,
-            a=float(_number(block, "method.step", "a")) if "a" in block else None,
-            p=float(_number(block, "method.step", "p")) if "p" in block else None,
-            c=float(_number(block, "method.step", "c")) if "c" in block else None,
-        )
-    except ValueError as e:
-        raise ConfigError(f"method.step: {e}") from e
-
-
-_CLIP_KEY = {"paper-eq5": "G", "general-C": "C", "constant": "threshold"}  # each kind's coefficient
-
-
-def _build_clip(block: dict) -> ClipSpec:
-    _require_keys(block, "method.clip", ("kind",), ("p", "G", "C", "threshold"))
-    kind = block["kind"]
-    coeff_key = _CLIP_KEY.get(kind) if isinstance(kind, str) else None
-    if coeff_key is None:
-        raise ConfigError(f"method.clip.kind: unknown kind {kind!r}")
-    if coeff_key not in block:
-        raise ConfigError(f"method.clip: kind {kind!r} requires key {coeff_key!r}")
-    _reject_unused(block, "method.clip", {coeff_key} if kind == "constant" else {coeff_key, "p"}, kind)
-    try:
-        return ClipSpec(
-            kind=kind,
-            G_or_C=float(_number(block, "method.clip", coeff_key)),
-            p=float(_number(block, "method.clip", "p")) if "p" in block else None,
-        )
-    except ValueError as e:
-        raise ConfigError(f"method.clip: {e}") from e
-
-
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Experiment:
     """A validated experiment: run configuration plus analysis/output plan."""
 
@@ -216,10 +185,13 @@ def _build_analysis(ana: dict) -> tuple:
     sota = []
     for i, entry in enumerate(entries):
         path = f"analysis.sota[{i}]"
-        _require_keys(entry, path, ("kind",), ("B", "sigma", "delta", "L", "C", "p"))
-        try:
+        kind = _kind_of(entry, path, "kind", SOTA_KINDS)
+        for key, type_name in SOTA_KINDS[kind].items():
+            if key in entry:
+                _TYPE_CHECKS[type_name](entry, path, key)
+        try:  # the keys a curve kind takes are theory's to check, with its messages
             sota.append(sota_curves(**entry))
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(f"{path}: {e}") from e
     return candidates, tuple(sota)
 
@@ -228,20 +200,23 @@ def parse_config(doc: dict) -> Experiment:
     """Validate a config document and build the experiment objects."""
     _require_keys(doc, "$", ("cost", "oracle", "method", "ensemble"), ("analysis", "output"))
 
-    cost = _build_cost(doc["cost"])
+    cost = _kind_block(doc["cost"], "cost", lambda name, params: COSTS[name][0](*params.values()))
     oracle = _build_oracle(doc["oracle"], cost)
 
     method = doc["method"]
     _require_keys(method, "method", ("kind", "step"), ("clip",))
     kind = method["kind"]
-    if kind not in ("vanilla", "clipped"):
-        raise ConfigError(f"method.kind: unknown method {kind!r}")
-    step = _build_step(method["step"])
+    if kind not in METHODS:
+        raise ConfigError(f"method.kind: unknown method {kind!r}; expected one of {METHODS}")
+    step = _kind_block(
+        method["step"], "method.step", lambda k, params: ScheduleSpec(k, **{n: float(v) for n, v in params.items()})
+    )
     clip = None
     if kind == "clipped":
         if "clip" not in method:
             raise ConfigError("method: clipped method requires a clip block")
-        clip = _build_clip(method["clip"])
+        # a clip kind lists its coefficient, then p: ClipSpec's field order
+        clip = _kind_block(method["clip"], "method.clip", lambda k, params: ClipSpec(k, *map(float, params.values())))
     elif "clip" in method:
         raise ConfigError("method: vanilla method must not carry a clip block")
 
@@ -318,82 +293,87 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: cannot read config: {e}") from e
 
 
+# built-in, fully populated experiment configurations
+_PRESETS = {
+    # exactly solvable instance: quadratic-in-a-ball cost, +/- x1 noise,
+    # alpha_t = 1/(2 sqrt(t+1)), constant threshold 2G (never binds)
+    "appendix-f": {
+        "cost": {"name": "huber", "threshold_G": 1.0, "dim": 2},
+        "oracle": {"mode": "additive-noise", "noise": {"kind": "two-point", "v": [0.6, 0.0]}},
+        "method": {
+            "kind": "clipped",
+            "step": {"kind": "sgd-sqrt", "a": 0.5},
+            "clip": {"kind": "constant", "threshold": 2.0},
+        },
+        "ensemble": {
+            "n_runs": 4096,
+            "horizon_T": 16,
+            "seed": 20260801,
+            "init_x1": [0.6, 0.0],
+            "epsilon_grid": [0.09, 0.18],
+            "t_grid": list(range(1, 16)),
+        },
+        "analysis": {
+            "candidates": ["sqrt-t", "t-over-log", "linear-t"],
+            "sota": [{"kind": "liu-sgd", "B": 0.6}],
+        },
+        "output": {"directory": "results/appendix-f"},
+    },
+    "sgd-bounded": {
+        "cost": {"name": "pseudo-huber", "scale": 1.0, "dim": 4},
+        "oracle": {"mode": "additive-noise", "noise": {"kind": "sphere-bounded", "radius": 0.5}},
+        "method": {"kind": "vanilla", "step": {"kind": "sgd-sqrt", "a": 1.0}},
+        "ensemble": {
+            "n_runs": 4096,
+            "horizon_T": 400,
+            "seed": 20260802,
+            "init_x1": [1.5, -1.0, 0.8, -0.3],
+            "epsilon_grid": [0.02, 0.05, 0.1],
+        },
+        "analysis": {
+            "candidates": ["sqrt-t", "t-over-log", "linear-t"],
+            "sota": [{"kind": "liu-sgd", "B": 0.5}],
+        },
+        "output": {"directory": "results/sgd-bounded"},
+    },
+    "csgd-pareto": {
+        "cost": {"name": "pseudo-huber", "scale": 1.0, "dim": 4},
+        "oracle": {
+            "mode": "additive-noise",
+            "noise": {
+                "kind": "symmetrized-pareto",
+                "x_m": 0.5,
+                "tail_index": 2.0,
+                "moment_order": 1.5,
+            },
+        },
+        "method": {
+            "kind": "clipped",
+            "step": {"kind": "csgd-power", "p": 1.5},
+            "clip": {"kind": "paper-eq5", "p": 1.5, "G": 2.0},
+        },
+        "ensemble": {
+            "n_runs": 4096,
+            "horizon_T": 400,
+            "seed": 20260803,
+            "init_x1": [1.5, -1.0, 0.8, -0.3],
+            "epsilon_grid": [0.02, 0.05, 0.1],
+        },
+        "analysis": {
+            "candidates": ["sqrt-t", "power-over-log", "t-over-log2"],
+            "candidate_p": 1.5,
+            "sota": [
+                {"kind": "nguyen-csgd", "sigma": 1.26, "delta": 1.55, "L": 1.0, "p": 1.5}
+            ],
+        },
+        "output": {"directory": "results/csgd-pareto"},
+    },
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset_config(name: str) -> dict:
-    """Built-in, fully populated experiment configurations."""
-    if name == "appendix-f":
-        # exactly solvable instance: quadratic-in-a-ball cost, +/- x1 noise,
-        # alpha_t = 1/(2 sqrt(t+1)), constant threshold 2G (never binds)
-        return {
-            "cost": {"name": "huber", "threshold_G": 1.0, "dim": 2},
-            "oracle": {"mode": "additive-noise", "noise": {"kind": "two-point", "v": [0.6, 0.0]}},
-            "method": {
-                "kind": "clipped",
-                "step": {"kind": "sgd-sqrt", "a": 0.5},
-                "clip": {"kind": "constant", "threshold": 2.0},
-            },
-            "ensemble": {
-                "n_runs": 4096,
-                "horizon_T": 16,
-                "seed": 20260801,
-                "init_x1": [0.6, 0.0],
-                "epsilon_grid": [0.09, 0.18],
-                "t_grid": list(range(1, 16)),
-            },
-            "analysis": {
-                "candidates": ["sqrt-t", "t-over-log", "linear-t"],
-                "sota": [{"kind": "liu-sgd", "B": 0.6}],
-            },
-            "output": {"directory": "results/appendix-f"},
-        }
-    if name == "sgd-bounded":
-        return {
-            "cost": {"name": "pseudo-huber", "scale": 1.0, "dim": 4},
-            "oracle": {"mode": "additive-noise", "noise": {"kind": "sphere-bounded", "radius": 0.5}},
-            "method": {"kind": "vanilla", "step": {"kind": "sgd-sqrt", "a": 1.0}},
-            "ensemble": {
-                "n_runs": 4096,
-                "horizon_T": 400,
-                "seed": 20260802,
-                "init_x1": [1.5, -1.0, 0.8, -0.3],
-                "epsilon_grid": [0.02, 0.05, 0.1],
-            },
-            "analysis": {
-                "candidates": ["sqrt-t", "t-over-log", "linear-t"],
-                "sota": [{"kind": "liu-sgd", "B": 0.5}],
-            },
-            "output": {"directory": "results/sgd-bounded"},
-        }
-    if name == "csgd-pareto":
-        return {
-            "cost": {"name": "pseudo-huber", "scale": 1.0, "dim": 4},
-            "oracle": {
-                "mode": "additive-noise",
-                "noise": {
-                    "kind": "symmetrized-pareto",
-                    "x_m": 0.5,
-                    "tail_index": 2.0,
-                    "moment_order": 1.5,
-                },
-            },
-            "method": {
-                "kind": "clipped",
-                "step": {"kind": "csgd-power", "p": 1.5},
-                "clip": {"kind": "paper-eq5", "p": 1.5, "G": 2.0},
-            },
-            "ensemble": {
-                "n_runs": 4096,
-                "horizon_T": 400,
-                "seed": 20260803,
-                "init_x1": [1.5, -1.0, 0.8, -0.3],
-                "epsilon_grid": [0.02, 0.05, 0.1],
-            },
-            "analysis": {
-                "candidates": ["sqrt-t", "power-over-log", "t-over-log2"],
-                "candidate_p": 1.5,
-                "sota": [
-                    {"kind": "nguyen-csgd", "sigma": 1.26, "delta": 1.55, "L": 1.0, "p": 1.5}
-                ],
-            },
-            "output": {"directory": "results/csgd-pareto"},
-        }
-    raise ConfigError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    """A fresh copy of a built-in experiment configuration."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    return copy.deepcopy(_PRESETS[name])

@@ -297,6 +297,14 @@ def synthetic_logistic_cost(m: int, dim: int, seed: int) -> LogisticBatchCost:
     return LogisticBatchCost(features=features, labels=labels)
 
 
+# cost name -> (factory, {parameter: type} in the factory's argument order)
+COSTS = {
+    HuberCost.name: (huber_cost, {"threshold_G": "float", "dim": "int"}),
+    PseudoHuberCost.name: (pseudo_huber_cost, {"scale": "float", "dim": "int"}),
+    LogisticBatchCost.name: (synthetic_logistic_cost, {"m": "int", "dim": "int", "dataset_seed": "int"}),
+}
+
+
 def finite_difference_gradient(cost: CostSpec, x, rel_step: float = 1e-5) -> np.ndarray:
     """Central finite differences of cost.value at a single point.
 

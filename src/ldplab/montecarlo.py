@@ -282,17 +282,23 @@ def _check(label: str, empirical: float, bound: float, se: float) -> LemmaCheck:
     return LemmaCheck(label, float(empirical), float(bound), float(se), bool(ok))
 
 
-def _default_bounded_noises(M: float = 1.0, dim: int = 2):
-    v = np.zeros(dim)
-    v[0] = M
-    return [TwoPointNoise(v=v), SphereNoise(radius=M, dim=dim)]
+# the a.s. M-bounded noises of the MGF suites (M = 1, dimension 2) and the
+# number of directions x in mgf-inner's grid
+_MGF_NOISES = (TwoPointNoise(v=np.array([1.0, 0.0])), SphereNoise(radius=1.0, dim=2))
+_MGF_DIRECTIONS = 8
+# the clip suites' grid in dimension _CLIP_DIM: moment orders p (Pareto tail
+# index p + 0.5), thresholds gamma, and each suite's ||grad f(x)||/gamma
+_CLIP_P, _CLIP_GAMMAS, _CLIP_DIM = (1.2, 1.5, 2.0), (2.0, 4.0, 8.0), 2
+_CLIP_BIAS_FRACS, _CLIP_SUBGAUSS_FRACS = (0.0, 0.25, 0.5), (0.0, 0.5)
+# batch-bound: a synthetic logistic cost of _BATCH_M samples in dimension _BATCH_DIM
+_BATCH_M, _BATCH_DIM, _BATCH_SIZES = 64, 4, (1, 8, 32)
 
 
-def _suite_mgf_bounded(n_samples, seed, noises=None) -> LemmaSuiteReport:
+def _suite_mgf_bounded(n_samples, seed) -> LemmaSuiteReport:
     """E[exp(||z||^2 / M^2)] <= e for a.s. M-bounded noise."""
     checks = []
-    for k, noise in enumerate(noises or _default_bounded_noises()):
-        M = noise.certificate()[1]
+    for k, noise in enumerate(_MGF_NOISES):
+        M = noise.noise_constants()["M"]
         z = noise.sample_block(run_generator(seed, k), n_samples)
         vals = np.exp(np.sum(z * z, axis=1) / M**2)
         est = float(vals.mean())
@@ -301,16 +307,16 @@ def _suite_mgf_bounded(n_samples, seed, noises=None) -> LemmaSuiteReport:
     return LemmaSuiteReport("mgf-bounded", checks)
 
 
-def _suite_mgf_inner(n_samples, seed, noises=None, n_directions=8) -> LemmaSuiteReport:
+def _suite_mgf_inner(n_samples, seed) -> LemmaSuiteReport:
     """E[exp(<x, z>)] <= exp(3 M^2 ||x||^2 / 4) on a grid spanning both
     concentration regimes (||x|| below and above 4/(3M))."""
     checks = []
-    for k, noise in enumerate(noises or _default_bounded_noises()):
-        M = noise.certificate()[1]
+    for k, noise in enumerate(_MGF_NOISES):
+        M = noise.noise_constants()["M"]
         rng = run_generator(seed, 1000 + k)
-        dirs = _unit_rows(rng.standard_normal((n_directions, noise.dim)))
+        dirs = _unit_rows(rng.standard_normal((_MGF_DIRECTIONS, noise.dim)))
         z = noise.sample_block(rng, n_samples)
-        proj = z @ dirs.T  # (n, n_directions)
+        proj = z @ dirs.T  # (n, _MGF_DIRECTIONS)
         radii = [mult / M for mult in _MGF_NORM_MULTIPLIERS]
         means, stds = _mgf_grid_moments(proj, radii)
         for mult, r, est, std in zip(_MGF_NORM_MULTIPLIERS, radii, means, stds):
@@ -319,7 +325,7 @@ def _suite_mgf_inner(n_samples, seed, noises=None, n_directions=8) -> LemmaSuite
             bound = math.exp(3.0 * M**2 * r**2 / 4.0)
             checks.append(
                 _check(
-                    f"{noise.kind} ||x||={mult:g}/M (worst of {n_directions} dirs)",
+                    f"{noise.kind} ||x||={mult:g}/M (worst of {_MGF_DIRECTIONS} dirs)",
                     float(est[worst]),
                     bound,
                     float(se[worst]),
@@ -328,7 +334,7 @@ def _suite_mgf_inner(n_samples, seed, noises=None, n_directions=8) -> LemmaSuite
     return LemmaSuiteReport("mgf-inner", checks)
 
 
-def _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed, dim=2, **probe_options):
+def _clip_probe_grid(grad_fracs, n_samples, seed, **probe_options):
     """Clipped-oracle probes over (p, gamma, ||grad||/gamma) combinations.
 
     ``probe_options`` go to every probe; ``scale_multipliers=()`` skips its
@@ -336,12 +342,12 @@ def _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed, dim=2, **probe
     """
     probes = []
     k = 0
-    for p in p_list:
-        noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=p + 0.5, moment_order=p, dim=dim)
-        for gamma in gammas:
+    for p in _CLIP_P:
+        noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=p + 0.5, moment_order=p, dim=_CLIP_DIM)
+        for gamma in _CLIP_GAMMAS:
             for frac in grad_fracs:
-                cost = huber_cost(threshold_G=max(50.0, gamma), dim=dim)
-                x = np.zeros(dim)
+                cost = huber_cost(threshold_G=max(50.0, gamma), dim=_CLIP_DIM)
+                x = np.zeros(_CLIP_DIM)
                 x[0] = frac * gamma  # inside the ball, so grad f(x) = x exactly
                 oracle = AdditiveOracle(cost=cost, noise=noise)
                 probe = clipping_bias_probe(
@@ -352,11 +358,10 @@ def _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed, dim=2, **probe
     return probes
 
 
-def _suite_clip_bias(n_samples, seed, p_list=(1.2, 1.5, 2.0), gammas=(2.0, 4.0, 8.0),
-                     grad_fracs=(0.0, 0.25, 0.5)) -> LemmaSuiteReport:
+def _suite_clip_bias(n_samples, seed) -> LemmaSuiteReport:
     """||E[clipped] - grad f(x)|| <= 4 sigma^p gamma^(1-p) when ||grad|| <= gamma/2."""
     checks = []
-    probes = _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed, scale_multipliers=())
+    probes = _clip_probe_grid(_CLIP_BIAS_FRACS, n_samples, seed, scale_multipliers=())
     for p, gamma, frac, probe in probes:
         checks.append(
             _check(
@@ -369,11 +374,10 @@ def _suite_clip_bias(n_samples, seed, p_list=(1.2, 1.5, 2.0), gammas=(2.0, 4.0, 
     return LemmaSuiteReport("clip-bias", checks)
 
 
-def _suite_clip_subgauss(n_samples, seed, p_list=(1.2, 1.5, 2.0), gammas=(2.0, 4.0, 8.0),
-                         grad_fracs=(0.0, 0.5)) -> LemmaSuiteReport:
+def _suite_clip_subgauss(n_samples, seed) -> LemmaSuiteReport:
     """log E[exp(s <u, theta>)] <= 3 gamma^2 s^2 for the centred clipped output."""
     checks = []
-    for p, gamma, frac, probe in _clip_probe_grid(p_list, gammas, grad_fracs, n_samples, seed):
+    for p, gamma, frac, probe in _clip_probe_grid(_CLIP_SUBGAUSS_FRACS, n_samples, seed):
         slack = probe.margins - 5.0 * probe.margin_ses
         worst = np.unravel_index(int(np.argmax(slack)), probe.margins.shape)
         checks.append(
@@ -388,15 +392,15 @@ def _suite_clip_subgauss(n_samples, seed, p_list=(1.2, 1.5, 2.0), gammas=(2.0, 4
     return LemmaSuiteReport("clip-subgauss", checks)
 
 
-def _suite_batch_bound(n_queries, seed, m=64, dim=4, batch_sizes=(1, 8, 32)) -> LemmaSuiteReport:
+def _suite_batch_bound(n_queries, seed) -> LemmaSuiteReport:
     """Hard bound ||g - grad f(x)|| <= 2 G_ell for the subsample oracle."""
-    cost = synthetic_logistic_cost(m=m, dim=dim, seed=seed)
+    cost = synthetic_logistic_cost(m=_BATCH_M, dim=_BATCH_DIM, seed=seed)
     bound = 2.0 * cost.per_sample_grad_bound
     rng = run_generator(seed, 4000)
-    x_points = 2.0 * rng.standard_normal((8, dim))
-    per_combo = max(1, int(math.ceil(n_queries / (len(batch_sizes) * len(x_points)))))
+    x_points = 2.0 * rng.standard_normal((8, _BATCH_DIM))
+    per_combo = max(1, int(math.ceil(n_queries / (len(_BATCH_SIZES) * len(x_points)))))
     checks = []
-    for b in batch_sizes:
+    for b in _BATCH_SIZES:
         oracle = BatchSubsampleOracle(cost=cost, batch_size=b)
         worst = 0.0
         violations = 0

@@ -33,8 +33,16 @@ DIVERGENCE_LIMIT = 1e9
 # temporaries of its transform; the pre-drawn randomness itself is (T-1, ..., runs).
 _SLAB_RAW_BYTES = 1 << 22
 
-_STEP_KINDS = ("sgd-sqrt", "csgd-power", "constant")
-_CLIP_KINDS = ("paper-eq5", "general-C", "constant")
+METHODS = ("vanilla", "clipped")
+
+# step kind -> {parameter: type}: the one parameter each schedule reads
+STEP_KINDS = {"sgd-sqrt": {"a": "float"}, "csgd-power": {"p": "float"}, "constant": {"c": "float"}}
+# clip kind -> {parameter: type}, the threshold's coefficient first
+CLIP_KINDS = {
+    "paper-eq5": {"G": "float", "p": "float"},
+    "general-C": {"C": "float", "p": "float"},
+    "constant": {"threshold": "float"},
+}
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ class ScheduleSpec:
     c: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _STEP_KINDS:
+        if self.kind not in STEP_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "sgd-sqrt" and not (self.a is not None and self.a > 0):
             raise ValueError("sgd-sqrt schedule requires a > 0")
@@ -77,13 +85,11 @@ class ClipSpec:
     p: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _CLIP_KINDS:
+        if self.kind not in CLIP_KINDS:
             raise ValueError(f"unknown clip kind {self.kind!r}")
         if not self.G_or_C > 0:
             raise ValueError("clip coefficient must be positive")
-        if self.kind in ("paper-eq5", "general-C") and not (
-            self.p is not None and 1.0 < self.p <= 2.0
-        ):
+        if "p" in CLIP_KINDS[self.kind] and not (self.p is not None and 1.0 < self.p <= 2.0):
             raise ValueError(f"{self.kind} clip schedule requires p in (1, 2]")
 
     @property
@@ -94,33 +100,28 @@ class ClipSpec:
         return self.G_or_C
 
 
-def step_size(schedule: ScheduleSpec, t):
-    """alpha_t for iteration t >= 1 (scalar or array)."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 1):
+def step_size(schedule: ScheduleSpec, t) -> float:
+    """alpha_t for iteration t >= 1."""
+    if not t >= 1:
         raise ValueError("step index t must be >= 1")
+    t = np.float64(t)
     if schedule.kind == "sgd-sqrt":
-        out = schedule.a / np.sqrt(t + 1.0)
-    elif schedule.kind == "csgd-power":
-        out = (t + 1.0) ** (-schedule.p / (3.0 * schedule.p - 2.0))
-    else:
-        out = np.full_like(t, schedule.c)
-    return float(out) if out.ndim == 0 else out
+        return float(schedule.a / np.sqrt(t + 1.0))
+    if schedule.kind == "csgd-power":
+        return float((t + 1.0) ** (-schedule.p / (3.0 * schedule.p - 2.0)))
+    return float(schedule.c)
 
 
-def clip_threshold(clip: ClipSpec, t):
-    """gamma_t for iteration t >= 1 (scalar or array); natural logarithm."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 1):
+def clip_threshold(clip: ClipSpec, t) -> float:
+    """gamma_t for iteration t >= 1; natural logarithm."""
+    if not t >= 1:
         raise ValueError("step index t must be >= 1")
+    t = np.float64(t)
     if clip.kind == "constant":
-        out = np.full_like(t, clip.G_or_C)
-    elif clip.p == 2.0:
-        out = clip.coefficient * np.sqrt(np.log(t + 1.0))
-    else:
-        exponent = (2.0 - clip.p) / (6.0 * clip.p - 4.0)
-        out = clip.coefficient * (t + 1.0) ** exponent
-    return float(out) if out.ndim == 0 else out
+        return float(clip.G_or_C)
+    if clip.p == 2.0:
+        return float(clip.coefficient * np.sqrt(np.log(t + 1.0)))
+    return float(clip.coefficient * (t + 1.0) ** ((2.0 - clip.p) / (6.0 * clip.p - 4.0)))
 
 
 def clip_bias_onset(clip: ClipSpec, grad_bound_G: float) -> float:
@@ -158,7 +159,7 @@ class RunConfig:
     epsilon_grid: np.ndarray
 
     def __post_init__(self):
-        if self.method not in ("vanilla", "clipped"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "vanilla" and self.clip_schedule is not None:
             raise ValueError("vanilla method must not carry a clip schedule")
@@ -275,7 +276,7 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
             if randomness is None:
                 randomness = np.empty(block.shape[1:] + (B,), dtype=block.dtype)
             randomness[..., lo : lo + slab] = np.moveaxis(block, 0, -1)
-    # the schedules' scalar calls, hoisted: the array forms need not round alike
+    # the schedules, hoisted out of the step loop
     alphas = [step_size(config.step_schedule, t) for t in range(1, T)]
     gammas = [clip_threshold(config.clip_schedule, t) for t in range(1, T)] if clipped_method else None
 

@@ -43,7 +43,7 @@ class PreconditionViolation(ValueError):
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
     """Normalize rows to unit norm; an (unreachable) zero row maps to e_1."""
-    norms = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
+    norms = np.sqrt(sq_norms(z))[..., None]
     out = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0)
     zero = norms[..., 0] == 0
     if np.any(zero):
@@ -84,8 +84,9 @@ class NoiseModel:
         """
         return self.transform(*_raw_draw(rng, self.raw_widths(), n))
 
-    def certificate(self) -> tuple:
-        """('as-bound', M) or ('moment', (p, sigma_p))."""
+    def noise_constants(self) -> dict:
+        """The certified constants: {'M': a.s. bound on ||z||} or
+        {'p': moment order, 'sigma_p': bound on E||z||^p}."""
         raise NotImplementedError
 
     def moment_bound(self, p: float) -> float:
@@ -114,8 +115,8 @@ class SphereNoise(NoiseModel):
     def transform(self, normals, uniforms):
         return self.radius * _unit_rows(normals)
 
-    def certificate(self):
-        return ("as-bound", self.radius)
+    def noise_constants(self):
+        return {"M": self.radius}
 
     def moment_bound(self, p):
         return self.radius**p
@@ -146,8 +147,8 @@ class TwoPointNoise(NoiseModel):
         signs = np.where(uniforms[..., 0] < 0.5, 1.0, -1.0)
         return signs[..., None] * self.v
 
-    def certificate(self):
-        return ("as-bound", float(np.linalg.norm(self.v)))
+    def noise_constants(self):
+        return {"M": float(np.linalg.norm(self.v))}
 
     def moment_bound(self, p):
         return float(np.linalg.norm(self.v)) ** p
@@ -189,8 +190,8 @@ class SymmetrizedParetoNoise(NoiseModel):
         radii = self.x_m * (1.0 - uniforms[..., 0]) ** (-1.0 / self.tail_index)
         return radii[..., None] * _unit_rows(normals)
 
-    def certificate(self):
-        return ("moment", (self.moment_order, self.moment_bound(self.moment_order)))
+    def noise_constants(self):
+        return {"p": self.moment_order, "sigma_p": self.moment_bound(self.moment_order)}
 
     def moment_bound(self, p):
         if not self.tail_index > p:
@@ -219,8 +220,8 @@ class GaussianNoise(NoiseModel):
     def transform(self, normals, uniforms):
         return self.scale * normals
 
-    def certificate(self):
-        return ("moment", (2.0, self.moment_bound(2.0)))
+    def noise_constants(self):
+        return {"p": 2.0, "sigma_p": self.moment_bound(2.0)}
 
     def moment_bound(self, p):
         # chi-distribution moment: E||z||^p = scale^p 2^{p/2} Gamma((d+p)/2)/Gamma(d/2)
@@ -228,12 +229,8 @@ class GaussianNoise(NoiseModel):
         return self.scale**p * math.exp(log_m)
 
 
-_NOISE_KINDS = {
-    "sphere-bounded": SphereNoise,
-    "two-point": TwoPointNoise,
-    "symmetrized-pareto": SymmetrizedParetoNoise,
-    "gaussian": GaussianNoise,
-}
+# noise kind -> model; a kind's parameters are its dataclass fields
+_NOISE_KINDS = {cls.kind: cls for cls in (SphereNoise, TwoPointNoise, SymmetrizedParetoNoise, GaussianNoise)}
 
 
 def make_noise(kind: str, **params) -> NoiseModel:
@@ -337,11 +334,7 @@ class AdditiveOracle(OracleSpec):
         return self.cost.gradient(x) + self.noise.sample_block(rng, n)
 
     def noise_constants(self):
-        tag, payload = self.noise.certificate()
-        if tag == "as-bound":
-            return {"M": payload}
-        p, sigma_p = payload
-        return {"p": p, "sigma_p": sigma_p}
+        return self.noise.noise_constants()
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,6 +351,8 @@ class BatchSubsampleOracle(OracleSpec):
     mode = "batch-subsample"
 
     def __post_init__(self):
+        if not isinstance(self.cost, LogisticBatchCost):
+            raise ValueError(f"batch subsampling needs a finite-sum cost, not {self.cost.name!r}")
         m = self.cost.n_samples
         if not (isinstance(self.batch_size, int) and 1 <= self.batch_size < m):
             raise ValueError(f"batch_size must satisfy 1 <= batch_size < {m}")
@@ -394,6 +389,10 @@ class BatchSubsampleOracle(OracleSpec):
 
     def noise_constants(self):
         return {"M": self.noise_bound(), "G_ell": self.cost.per_sample_grad_bound}
+
+
+# oracle mode -> class; a mode's parameters are its dataclass fields besides the cost
+ORACLE_MODES = {cls.mode: cls for cls in (AdditiveOracle, BatchSubsampleOracle)}
 
 
 def clip_rows(g: np.ndarray, gamma: float, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:

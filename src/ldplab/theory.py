@@ -78,12 +78,13 @@ _FAMILY_POWERS = {
     "t-over-log2": (1.0, 2.0),
     "linear-t": (1.0, 0.0),
 }
+DECAY_FAMILIES = tuple(_FAMILY_POWERS)
 
 
 def decay_family(kind: str, p: float | None = None) -> RateSpec:
     """Bare decay-rate family by name; 'power-over-log' needs the moment p."""
     if kind not in _FAMILY_POWERS:
-        raise ValueError(f"unknown decay family {kind!r}; expected one of {tuple(_FAMILY_POWERS)}")
+        raise ValueError(f"unknown decay family {kind!r}; expected one of {DECAY_FAMILIES}")
     power, log_pow = _FAMILY_POWERS[kind]
     params = {}
     if power is None:
@@ -264,34 +265,42 @@ class SotaCurve:
     params: dict
 
 
+# sota kind -> {parameter: type}; the first parameter is the one only that kind takes
+SOTA_KINDS = {
+    "liu-sgd": {"B": "float"},
+    "nguyen-csgd": {"sigma": "float", "delta": "float", "L": "float", "p": "float"},
+    "armacki-nsgd": {"C": "float", "L": "float"},
+}
+
+
 def sota_curves(kind: str, **params) -> SotaCurve:
     """Published long-run tail baselines for overlay plots; each kind takes
-    exactly the parameters listed, all positive.
+    exactly its SOTA_KINDS parameters, all positive but p.
 
     'liu-sgd'      (B):                n_t = sqrt(t),        slope -eps/(12 B^2)
     'nguyen-csgd'  (sigma, delta, L, p): n_t = t^(beta_p/2)/log^(2p/(3p-2)) t,
                                          slope -eps/(720 sigma sqrt(delta L))
     'armacki-nsgd' (C, L):             n_t = sqrt(t)/log t,  slope -min(eps, sqrt(eps))/(16 C^4 L^2)
     """
-
-    def need(*names):
-        missing = [n for n in names if n not in params]
-        if missing:
-            raise ValueError(f"sota curve {kind!r} requires parameters {missing}")
-        unused = sorted(set(params) - set(names))
-        if unused:
-            raise ValueError(f"sota curve {kind!r} does not take parameters {unused}")
-        values = [float(params[n]) for n in names]
-        nonpositive = [n for n, v in zip(names, values) if n != "p" and not v > 0]
-        if nonpositive:
-            raise ValueError(f"sota curve {kind!r} requires positive parameters {nonpositive}")
-        return values
+    if not isinstance(kind, str) or kind not in SOTA_KINDS:
+        raise ValueError(f"unknown sota curve kind {kind!r}; expected one of {tuple(SOTA_KINDS)}")
+    names = SOTA_KINDS[kind]
+    missing = [n for n in names if n not in params]
+    if missing:
+        raise ValueError(f"sota curve {kind!r} requires parameters {missing}")
+    unused = sorted(set(params) - set(names))
+    if unused:
+        raise ValueError(f"sota curve {kind!r} does not take parameters {unused}")
+    values = [float(params[n]) for n in names]
+    nonpositive = [n for n, v in zip(names, values) if n != "p" and not v > 0]
+    if nonpositive:
+        raise ValueError(f"sota curve {kind!r} requires positive parameters {nonpositive}")
 
     if kind == "liu-sgd":
-        (B,) = need("B")
+        (B,) = values
         return SotaCurve(kind, _nt_power_over_logpow(0.5, 0.0), lambda eps: -eps / (12.0 * B**2), {"B": B})
     if kind == "nguyen-csgd":
-        sigma, delta, L, p = need("sigma", "delta", "L", "p")
+        sigma, delta, L, p = values
         if not 1.0 < p <= 2.0:
             raise ValueError("p must lie in (1, 2]")
         beta_half = beta_exponent(p) / 2.0
@@ -303,12 +312,10 @@ def sota_curves(kind: str, **params) -> SotaCurve:
             lambda eps: -eps / coeff,
             {"sigma": sigma, "delta": delta, "L": L, "p": p},
         )
-    if kind == "armacki-nsgd":
-        C, L = need("C", "L")
-        return SotaCurve(
-            kind,
-            _nt_power_over_logpow(0.5, 1.0),
-            lambda eps: -min(eps, math.sqrt(eps)) / (16.0 * C**4 * L**2),
-            {"C": C, "L": L},
-        )
-    raise ValueError(f"unknown sota curve kind {kind!r}")
+    C, L = values  # armacki-nsgd
+    return SotaCurve(
+        kind,
+        _nt_power_over_logpow(0.5, 1.0),
+        lambda eps: -min(eps, math.sqrt(eps)) / (16.0 * C**4 * L**2),
+        {"C": C, "L": L},
+    )

@@ -290,6 +290,16 @@ def test_verify_help_names_the_registry_suites(monkeypatch, capsys):
     assert tuple(listed.group(1).split(", ")) == ldplab.montecarlo.LEMMA_SUITES
 
 
+def test_fit_help_names_every_decay_family(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "500")  # one help line: argparse wraps at hyphens
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", "--help"])
+    assert exit_info.value.code == 0
+    listed = re.search(r"comma list of (.*)$", capsys.readouterr().out, re.MULTILINE)
+    assert listed is not None
+    assert tuple(listed.group(1).strip().split(", ")) == ldplab.theory.DECAY_FAMILIES
+
+
 def test_rates_and_sota_csv(tmp_path):
     rates_csv = str(tmp_path / "rates.csv")
     assert main(["rates", "--epsilon", "1.0", "--M", "1", "--G", "1", "--p", "1.5",

@@ -1,17 +1,22 @@
 import copy
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ldplab.cli import main
 from ldplab.config import (
+    KIND_BLOCKS,
     ConfigError,
     config_digest,
     load_config,
     parse_config,
     preset_config,
 )
+from ldplab.optimizers import METHODS
+from ldplab.theory import DECAY_FAMILIES
 
 
 @pytest.fixture
@@ -29,6 +34,14 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("appendix-z")
+
+    def test_mutated_preset_leaves_the_next_call_unchanged(self):
+        doc = preset_config("appendix-f")
+        fresh = copy.deepcopy(doc)
+        doc["ensemble"]["seed"] += 1
+        doc["ensemble"]["t_grid"].append(99)
+        doc["analysis"]["sota"][0]["B"] = 9.0
+        assert preset_config("appendix-f") == fresh
 
     def test_appendix_f_matches_construction(self):
         exp = parse_config(preset_config("appendix-f"))
@@ -160,6 +173,100 @@ class TestValidation:
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+
+# a valid value for each parameter the kind tables name
+_SAMPLE_VALUES = {
+    "threshold_G": 1.0, "scale": 1.0, "dim": 2, "m": 8, "dataset_seed": 1, "batch_size": 2,
+    "radius": 0.5, "v": [0.6, 0.0], "x_m": 0.5, "tail_index": 2.0, "moment_order": 1.5,
+    "a": 0.01, "p": 1.5, "c": 0.1, "G": 1.0, "C": 2.0, "threshold": 2.0,
+    "B": 0.5, "sigma": 1.0, "delta": 1.0, "L": 1.0,
+}
+_NUMERIC_TYPES = ("float", "int", "np.ndarray")
+
+
+def _doc_with_kind(path: str, kind: str) -> tuple[dict, dict]:
+    """(a small valid document, its block at ``path``), the block being ``kind``
+    with a sample value for each of its parameters."""
+    doc = {
+        "cost": {"name": "batch-logistic", "m": 8, "dim": 2, "dataset_seed": 1},
+        "oracle": {"mode": "additive-noise", "noise": {"kind": "two-point", "v": [0.6, 0.0]}},
+        "method": {
+            "kind": "clipped",
+            "step": {"kind": "constant", "c": 0.1},
+            "clip": {"kind": "constant", "threshold": 2.0},
+        },
+        "ensemble": {"n_runs": 2, "horizon_T": 3, "seed": 1, "init_x1": [0.6, 0.0], "epsilon_grid": [0.1]},
+        "analysis": {"sota": [{"kind": "liu-sgd", "B": 0.5}]},
+    }
+    tag, table = KIND_BLOCKS[path]
+    block = {tag: kind}
+    for key, type_name in table[kind].items():
+        block[key] = _SAMPLE_VALUES[key] if type_name in _NUMERIC_TYPES else doc["oracle"][key]
+    *parents, last = path.removesuffix("[]").split(".")
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    if path.endswith("[]"):
+        parent[last][0] = block
+    else:
+        parent[last] = block
+    return doc, block
+
+
+# every (block path, kind) with a numeric parameter
+_NUMERIC_KINDS = [
+    (path, kind)
+    for path, (_, table) in KIND_BLOCKS.items()
+    for kind, params in table.items()
+    if any(t in _NUMERIC_TYPES for t in params.values())
+]
+
+
+@pytest.mark.parametrize("path, kind", _NUMERIC_KINDS, ids=[f"{path}-{kind}" for path, kind in _NUMERIC_KINDS])
+def test_non_numeric_parameter_exits_2_and_writes_nothing(path, kind, tmp_path, capsys):
+    doc, block = _doc_with_kind(path, kind)
+    parse_config(doc)  # the sample document is valid
+    for key in [k for k, t in KIND_BLOCKS[path][1][kind].items() if t in _NUMERIC_TYPES]:
+        good = block[key]
+        for bad in (True, "1"):
+            block[key] = bad
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2, (key, bad)
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and key in err
+        block[key] = good
+
+
+def test_noise_key_of_another_kind_rejected():
+    doc = preset_config("sgd-bounded")
+    doc["oracle"]["noise"]["scale"] = 1.0  # a gaussian parameter
+    with pytest.raises(ConfigError, match=r"^oracle\.noise: keys \['scale'\] do not apply to kind 'sphere-bounded'"):
+        parse_config(doc)
+
+
+def test_batch_subsample_needs_a_finite_sum_cost(tmp_path, capsys):
+    doc = preset_config("appendix-f")
+    doc["oracle"] = {"mode": "batch-subsample", "batch_size": 2}
+    with pytest.raises(ConfigError, match=r"^oracle: batch subsampling needs a finite-sum cost, not 'huber'"):
+        parse_config(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: oracle: batch subsampling")
+
+
+def test_readme_config_format_names_every_kind_and_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+    names = set(METHODS) | set(DECAY_FAMILIES)
+    for tag, table in KIND_BLOCKS.values():
+        names |= {tag, *table, *(key for params in table.values() for key in params)}
+    missing = [n for n in sorted(names) if not re.search(rf"(?<![\w-]){re.escape(n)}(?![\w-])", section)]
+    assert missing == []
 
 
 class TestDigest:
