@@ -52,7 +52,7 @@ def main():
     print("== costs with certified constants")
     audit_cost(huber_cost(threshold_G=1.0, dim=2))
     audit_cost(pseudo_huber_cost(scale=1.0, dim=4))
-    audit_cost(synthetic_logistic_cost(m=32, dim=3, seed=7))
+    audit_cost(synthetic_logistic_cost(m=32, dim=3, dataset_seed=7))
 
     print()
     print("== the piecewise cost is smooth across its ball boundary")

@@ -32,6 +32,7 @@ from .config import (
     parse_config,
     preset_config,
 )
+from .costs import real_param
 from .montecarlo import (
     LEMMA_SUITES,
     InsufficientDataError,
@@ -182,9 +183,12 @@ def _parse_t_grid(spec: str, expand_range) -> np.ndarray:
 def _read_manifest(meta_path: str) -> dict:
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            meta = json.load(fh)
     except json.JSONDecodeError as e:
         raise OSError(f"{meta_path}: corrupt run manifest: {e}") from e
+    if not isinstance(meta, dict):
+        raise OSError(f"{meta_path}: corrupt run manifest: not an object")
+    return meta
 
 
 def _summary_header(epsilon_grid) -> list:
@@ -265,14 +269,16 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
 
     A summary that does not parse as integers, whose rows are not the
     header's width, whose header is not the config's, whose row count is not
-    the manifest's n_runs, whose digest is not the manifest's, with a
+    the config's n_runs, whose digest is not the manifest's, with a
     diverged cell other than 0 or 1, a hitting time other than -1 outside
     [1, horizon_T], or hitting times that break the ensemble invariants is
-    corrupt: an OSError.
+    corrupt, and so is a manifest whose certified constants are not finite
+    numbers, or whose digest, n_runs, horizon_T or diverged_runs is not the
+    one of its config and summary: an OSError.
     """
     meta_path = os.path.join(results_dir, "meta.json")
     meta = _read_manifest(meta_path)
-    config = meta.get("config") if isinstance(meta, dict) else None
+    config = meta.get("config")
     if not isinstance(config, dict):
         raise OSError(f"{meta_path}: corrupt run manifest: no config object")
     # analysis never uses the output block (nor does the digest), so an
@@ -284,8 +290,8 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
         comment, header, body = _read_csv(summary_path)
         if header != _summary_header(rc.epsilon_grid):
             raise ValueError(f"header {header} is not {_summary_header(rc.epsilon_grid)}")
-        if body.shape[0] != meta.get("n_runs"):
-            raise ValueError(f"{body.shape[0]} rows, the manifest records {meta.get('n_runs')} runs")
+        if body.shape[0] != exp.n_runs:
+            raise ValueError(f"{body.shape[0]} rows, the config has {exp.n_runs} runs")
         if comment.get("digest") != meta.get("config_digest"):
             raise ValueError(f"digest {comment.get('digest')} is not the manifest's {meta.get('config_digest')}")
         T = rc.horizon_T
@@ -305,6 +311,18 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
         _assert_invariants(arrays)
     except ValueError as e:
         raise OSError(f"{summary_path}: corrupt trajsummary: {e}") from e
+    recorded = {"config_digest": exp.digest, "n_runs": exp.n_runs, "horizon_T": T}
+    recorded["diverged_runs"] = arrays.diverged_count
+    try:
+        if not isinstance(meta.get("certified"), dict):
+            raise ValueError("certified is not an object")
+        for name, value in meta["certified"].items():
+            real_param(f"certified {name}", value)
+        for key, value in recorded.items():
+            if isinstance(meta.get(key), bool) or meta.get(key) != value:
+                raise ValueError(f"{key} {meta.get(key)!r} is not the results' {value!r}")
+    except ValueError as e:
+        raise OSError(f"{meta_path}: corrupt run manifest: {e}") from e
     return meta, exp, arrays
 
 
@@ -337,7 +355,7 @@ def _write_tail(path: str, meta: dict, arrays: EnsembleArrays, epsilon: float, t
     tail = estimate_tail(arrays, epsilon, t_grid)
     _write_csv(
         path,
-        _provenance_comment(meta["config_digest"], meta.get("certified", {})),
+        _provenance_comment(meta["config_digest"], meta["certified"]),
         ["t", "epsilon", "N", "exceed", "p_hat", "ci_low", "ci_high"],
         (
             [int(t), tail.epsilon, tail.n_runs, int(c), p, lo, hi]
@@ -566,7 +584,7 @@ def _cmd_report(args) -> int:
         f"{TOOL_NAME} {TOOL_VERSION} report",
         f"results: {os.path.abspath(args.results_dir)}",
         f"config digest: {meta['config_digest']}",
-        f"runs: {meta['n_runs']}  horizon T: {meta['horizon_T']}  diverged: {meta.get('diverged_runs', 0)}",
+        f"runs: {arrays.n_runs}  horizon T: {exp.run_config.horizon_T}  diverged: {arrays.diverged_count}",
         "",
     ]
     for j, eps in enumerate(exp.run_config.epsilon_grid.tolist()):

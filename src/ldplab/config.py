@@ -4,8 +4,11 @@ Configs are JSON documents with blocks ``cost``, ``oracle``, ``method``,
 ``ensemble`` and optional ``analysis`` / ``output``.  ``parse_config`` is the
 only path from a document to the objects the lab uses.  Validation is strict:
 unknown keys are errors, not warnings, because a silently ignored typo in an
-epsilon or a moment order invalidates an experiment.  Every error message is
-anchored to the JSON path of the offending entry.
+epsilon or a moment order invalidates an experiment.  This module checks the
+document's shape: objects, kind tags and keys.  The values are checked by the
+constructors that own them, whose ValueErrors become ConfigErrors here, so a
+library caller gets the same errors.  Every error message is anchored to the
+JSON path of the offending entry.
 
 The config digest covers the whole document except its ``output`` block,
 which only says where results go.
@@ -20,7 +23,7 @@ import json
 
 import numpy as np
 
-from .costs import COSTS, CostSpec
+from .costs import COSTS, CostSpec, int_param
 from .oracles import _NOISE_KINDS, ORACLE_MODES, OracleSpec, make_noise
 from .optimizers import CLIP_KINDS, METHODS, STEP_KINDS, ClipSpec, RunConfig, ScheduleSpec
 from .theory import SOTA_KINDS, decay_family, sota_curves
@@ -44,43 +47,12 @@ def _require_keys(block: dict, path: str, required: tuple, optional: tuple = ())
         raise ConfigError(f"{path}: missing required keys {missing}")
 
 
-def _number(block: dict, path: str, key: str):
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return v
-
-
-def _integer(block: dict, path: str, key: str) -> int:
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    return v
-
-
-def _vector(block: dict, path: str, key: str) -> list:
-    v = block[key]
-    if not isinstance(v, list) or not v or not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in v
-    ):
-        raise ConfigError(f"{path}.{key}: expected a non-empty list of numbers")
-    return [float(c) for c in v]
-
-
-# the check of each parameter type the kind tables name; a noise model is a
-# block of its own, checked when it is built
-_TYPE_CHECKS = {"float": _number, "int": _integer, "np.ndarray": _vector, "NoiseModel": lambda b, path, key: b[key]}
-
-
 def _fields(classes: dict, supplied: str) -> dict:
-    """kind -> {field: type} of dataclasses by kind, less the field the config supplies."""
-    return {
-        kind: {f.name: f.type for f in dataclasses.fields(cls) if f.name != supplied}
-        for kind, cls in classes.items()
-    }
+    """kind -> field names of dataclasses by kind, less the field the config supplies."""
+    return {kind: tuple(f.name for f in dataclasses.fields(c) if f.name != supplied) for kind, c in classes.items()}
 
 
-# JSON path of each kind-tagged block -> (its tag, kind -> {key: type}), read
+# JSON path of each kind-tagged block -> (its tag, kind -> its keys), read
 # from the modules that own the kinds
 KIND_BLOCKS = {
     "cost": ("name", {name: params for name, (_, params) in COSTS.items()}),
@@ -106,8 +78,8 @@ def _kind_of(block: dict, path: str, tag: str, table: dict) -> str:
 
 def _kind_block(block: dict, path: str, build):
     """build(kind, {key: value}) of the block at ``path``, whose tag names a
-    kind of its KIND_BLOCKS table: the block holds exactly that kind's keys
-    besides the tag, and each value has its type.  A ValueError of build is a
+    kind of its KIND_BLOCKS table and which holds exactly that kind's keys
+    besides the tag.  build checks the values: its ValueError is a
     ConfigError at ``path``."""
     tag, table = KIND_BLOCKS[path]
     kind = _kind_of(block, path, tag, table)
@@ -118,9 +90,8 @@ def _kind_block(block: dict, path: str, build):
     unused = sorted(set(block) - {tag} - set(params))
     if unused:
         raise ConfigError(f"{path}: keys {unused} do not apply to kind {kind!r}")
-    values = {k: _TYPE_CHECKS[t](block, path, k) for k, t in params.items()}
     try:
-        return build(kind, values)
+        return build(kind, {k: block[k] for k in params})
     except ConfigError:
         raise
     except ValueError as e:
@@ -165,31 +136,23 @@ def config_digest(doc: dict) -> str:
 def _build_analysis(ana: dict) -> tuple:
     """(candidate RateSpecs, SotaCurves) of an analysis block."""
     _require_keys(ana, "analysis", (), ("candidates", "candidate_p", "sota"))
-    candidate_p = None
-    if "candidate_p" in ana:
-        candidate_p = float(_number(ana, "analysis", "candidate_p"))
-        if not 1.0 < candidate_p <= 2.0:
-            raise ConfigError("analysis.candidate_p: must lie in (1, 2]")
     names = ana.get("candidates", [])
     if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
         raise ConfigError("analysis.candidates: expected a list of family names")
+    if "candidate_p" in ana and "power-over-log" not in names:
+        raise ConfigError("analysis.candidate_p: applies only when analysis.candidates lists 'power-over-log'")
     try:
-        candidates = tuple(decay_family(name, p=candidate_p) for name in names)
+        candidates = tuple(decay_family(name, p=ana.get("candidate_p")) for name in names)
     except ValueError as e:
         raise ConfigError(f"analysis.candidates: {e}") from e
-    if candidate_p is not None and "power-over-log" not in names:
-        raise ConfigError("analysis.candidate_p: applies only when analysis.candidates lists 'power-over-log'")
     entries = ana.get("sota", [])
     if not isinstance(entries, list):
         raise ConfigError("analysis.sota: expected a list of curve specs")
     sota = []
     for i, entry in enumerate(entries):
         path = f"analysis.sota[{i}]"
-        kind = _kind_of(entry, path, "kind", SOTA_KINDS)
-        for key, type_name in SOTA_KINDS[kind].items():
-            if key in entry:
-                _TYPE_CHECKS[type_name](entry, path, key)
-        try:  # the keys a curve kind takes are theory's to check, with its messages
+        _kind_of(entry, path, "kind", SOTA_KINDS)
+        try:  # the keys and values a curve kind takes are theory's to check
             sota.append(sota_curves(**entry))
         except ValueError as e:
             raise ConfigError(f"{path}: {e}") from e
@@ -200,7 +163,7 @@ def parse_config(doc: dict) -> Experiment:
     """Validate a config document and build the experiment objects."""
     _require_keys(doc, "$", ("cost", "oracle", "method", "ensemble"), ("analysis", "output"))
 
-    cost = _kind_block(doc["cost"], "cost", lambda name, params: COSTS[name][0](*params.values()))
+    cost = _kind_block(doc["cost"], "cost", lambda name, params: COSTS[name][0](**params))
     oracle = _build_oracle(doc["oracle"], cost)
 
     method = doc["method"]
@@ -208,15 +171,13 @@ def parse_config(doc: dict) -> Experiment:
     kind = method["kind"]
     if kind not in METHODS:
         raise ConfigError(f"method.kind: unknown method {kind!r}; expected one of {METHODS}")
-    step = _kind_block(
-        method["step"], "method.step", lambda k, params: ScheduleSpec(k, **{n: float(v) for n, v in params.items()})
-    )
+    step = _kind_block(method["step"], "method.step", lambda k, params: ScheduleSpec(k, **params))
     clip = None
     if kind == "clipped":
         if "clip" not in method:
             raise ConfigError("method: clipped method requires a clip block")
         # a clip kind lists its coefficient, then p: ClipSpec's field order
-        clip = _kind_block(method["clip"], "method.clip", lambda k, params: ClipSpec(k, *map(float, params.values())))
+        clip = _kind_block(method["clip"], "method.clip", lambda k, params: ClipSpec(k, *params.values()))
     elif "clip" in method:
         raise ConfigError("method: vanilla method must not carry a clip block")
 
@@ -227,36 +188,30 @@ def parse_config(doc: dict) -> Experiment:
         ("n_runs", "horizon_T", "seed", "init_x1", "epsilon_grid"),
         ("t_grid",),
     )
-    n_runs = _integer(ens, "ensemble", "n_runs")
-    if n_runs < 1:
-        raise ConfigError("ensemble.n_runs: must be >= 1")
-    horizon = _integer(ens, "ensemble", "horizon_T")
-    seed = _integer(ens, "ensemble", "seed")
-    init_x1 = _vector(ens, "ensemble", "init_x1")
-    epsilon_grid = _vector(ens, "ensemble", "epsilon_grid")
+    try:
+        n_runs = int_param("n_runs", ens["n_runs"])
+        run_config = RunConfig(
+            method=kind,
+            cost=cost,
+            oracle=oracle,
+            init_x1=ens["init_x1"],
+            horizon_T=ens["horizon_T"],
+            step_schedule=step,
+            clip_schedule=clip,
+            seed=ens["seed"],
+            epsilon_grid=ens["epsilon_grid"],
+        )
+    except ValueError as e:
+        raise ConfigError(f"ensemble/method: {e}") from e
+    horizon = run_config.horizon_T
     t_grid = np.arange(1, horizon + 1, dtype=np.int64)
     if "t_grid" in ens:
         tg = ens["t_grid"]
         if not isinstance(tg, list) or not all(isinstance(t, int) and not isinstance(t, bool) for t in tg):
             raise ConfigError("ensemble.t_grid: expected a list of integers")
-        t_grid = np.asarray(tg, dtype=np.int64)
-        if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 1 or t_grid[-1] > horizon:
+        if not tg or tg[0] < 1 or tg[-1] > horizon or any(a >= b for a, b in zip(tg, tg[1:])):
             raise ConfigError(f"ensemble.t_grid: must be strictly increasing within [1, {horizon}]")
-
-    try:
-        run_config = RunConfig(
-            method=kind,
-            cost=cost,
-            oracle=oracle,
-            init_x1=np.asarray(init_x1),
-            horizon_T=horizon,
-            step_schedule=step,
-            clip_schedule=clip,
-            seed=seed,
-            epsilon_grid=np.asarray(epsilon_grid),
-        )
-    except ValueError as e:
-        raise ConfigError(f"ensemble/method: {e}") from e
+        t_grid = np.asarray(tg, dtype=np.int64)
 
     candidates, sota = _build_analysis(doc.get("analysis", {}))
 
@@ -282,13 +237,20 @@ def parse_config(doc: dict) -> Experiment:
     )
 
 
+def _non_finite(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def load_config(path: str) -> dict:
-    """Parse a JSON config file; syntax errors carry line/column anchors."""
+    """Parse a JSON config file; syntax errors carry line/column anchors, and
+    NaN, Infinity and -Infinity are errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_non_finite)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
     except OSError as e:
         raise ConfigError(f"{path}: cannot read config: {e}") from e
 

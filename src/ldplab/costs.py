@@ -14,6 +14,8 @@ the same bits as the row layout.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,33 @@ from .rng import run_generator
 
 # numpy adds a contiguous run of fewer terms than this in order, longer runs pairwise
 _SEQUENTIAL_SUM_TERMS = 8
+
+
+def real_param(name: str, value) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless it is a
+    finite real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def int_param(name: str, value, minimum: int | None = 1) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` unless it is an
+    integer other than a bool, at least ``minimum`` unless that is None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+    return int(value)
+
+
+def real_vector(name: str, value) -> np.ndarray:
+    """``value`` as a float64 vector, or a ValueError naming ``name`` unless it
+    is a non-empty list, tuple or 1-D array of real_param numbers."""
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        value = list(value)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{name} must be a non-empty vector of finite numbers, got {value!r}")
+    return np.array([real_param(name, v) for v in value])
 
 
 def _as_points(x, dim: int, axis: int = -1) -> np.ndarray:
@@ -102,10 +131,10 @@ class HuberCost(CostSpec):
     name = "huber"
 
     def __post_init__(self):
+        object.__setattr__(self, "threshold_G", real_param("threshold_G", self.threshold_G))
         if not self.threshold_G > 0:
             raise ValueError("huber threshold must be positive")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValueError("dim must be a positive integer")
+        int_param("dim", self.dim)
 
     @property
     def smoothness_L(self) -> float:
@@ -149,10 +178,10 @@ class PseudoHuberCost(CostSpec):
     name = "pseudo-huber"
 
     def __post_init__(self):
+        object.__setattr__(self, "scale", real_param("scale", self.scale))
         if not self.scale > 0:
             raise ValueError("pseudo-huber scale must be positive")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValueError("dim must be a positive integer")
+        int_param("dim", self.dim)
 
     @property
     def smoothness_L(self) -> float:
@@ -273,23 +302,23 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 def huber_cost(threshold_G: float, dim: int) -> HuberCost:
     """Huber cost with ball radius (= gradient bound) threshold_G."""
-    return HuberCost(threshold_G=float(threshold_G), dim=int(dim))
+    return HuberCost(threshold_G=threshold_G, dim=dim)
 
 
 def pseudo_huber_cost(scale: float, dim: int) -> PseudoHuberCost:
     """Pseudo-Huber cost with per-coordinate scale."""
-    return PseudoHuberCost(scale=float(scale), dim=int(dim))
+    return PseudoHuberCost(scale=scale, dim=dim)
 
 
-def synthetic_logistic_cost(m: int, dim: int, seed: int) -> LogisticBatchCost:
+def synthetic_logistic_cost(m: int, dim: int, dataset_seed: int) -> LogisticBatchCost:
     """Deterministic synthetic classification dataset for batch-oracle runs.
 
     Features are standard normal, labels are the sign of a noisy linear
     score, so the problem is neither separable nor degenerate.
     """
-    if not (m >= 1 and dim >= 1):
-        raise ValueError("m and dim must be positive")
-    rng = run_generator(seed, 0)
+    int_param("m", m)
+    int_param("dim", dim)
+    rng = run_generator(int_param("dataset_seed", dataset_seed, minimum=None), 0)
     features = rng.standard_normal((m, dim))
     direction = rng.standard_normal(dim)
     score = features @ direction + 0.5 * rng.standard_normal(m)
@@ -297,11 +326,11 @@ def synthetic_logistic_cost(m: int, dim: int, seed: int) -> LogisticBatchCost:
     return LogisticBatchCost(features=features, labels=labels)
 
 
-# cost name -> (factory, {parameter: type} in the factory's argument order)
+# cost name -> (factory, the names of its parameters)
 COSTS = {
-    HuberCost.name: (huber_cost, {"threshold_G": "float", "dim": "int"}),
-    PseudoHuberCost.name: (pseudo_huber_cost, {"scale": "float", "dim": "int"}),
-    LogisticBatchCost.name: (synthetic_logistic_cost, {"m": "int", "dim": "int", "dataset_seed": "int"}),
+    HuberCost.name: (huber_cost, ("threshold_G", "dim")),
+    PseudoHuberCost.name: (pseudo_huber_cost, ("scale", "dim")),
+    LogisticBatchCost.name: (synthetic_logistic_cost, ("m", "dim", "dataset_seed")),
 }
 
 

@@ -394,7 +394,7 @@ def _suite_clip_subgauss(n_samples, seed) -> LemmaSuiteReport:
 
 def _suite_batch_bound(n_queries, seed) -> LemmaSuiteReport:
     """Hard bound ||g - grad f(x)|| <= 2 G_ell for the subsample oracle."""
-    cost = synthetic_logistic_cost(m=_BATCH_M, dim=_BATCH_DIM, seed=seed)
+    cost = synthetic_logistic_cost(m=_BATCH_M, dim=_BATCH_DIM, dataset_seed=seed)
     bound = 2.0 * cost.per_sample_grad_bound
     rng = run_generator(seed, 4000)
     x_points = 2.0 * rng.standard_normal((8, _BATCH_DIM))

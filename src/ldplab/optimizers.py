@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, sq_norms
+from .costs import CostSpec, int_param, real_param, real_vector, sq_norms
 from .oracles import OracleSpec, clip_rows
 from .rng import StreamPool
 
@@ -35,14 +35,10 @@ _SLAB_RAW_BYTES = 1 << 22
 
 METHODS = ("vanilla", "clipped")
 
-# step kind -> {parameter: type}: the one parameter each schedule reads
-STEP_KINDS = {"sgd-sqrt": {"a": "float"}, "csgd-power": {"p": "float"}, "constant": {"c": "float"}}
-# clip kind -> {parameter: type}, the threshold's coefficient first
-CLIP_KINDS = {
-    "paper-eq5": {"G": "float", "p": "float"},
-    "general-C": {"C": "float", "p": "float"},
-    "constant": {"threshold": "float"},
-}
+# step kind -> the one parameter each schedule reads
+STEP_KINDS = {"sgd-sqrt": ("a",), "csgd-power": ("p",), "constant": ("c",)}
+# clip kind -> its parameters, the threshold's coefficient first
+CLIP_KINDS = {"paper-eq5": ("G", "p"), "general-C": ("C", "p"), "constant": ("threshold",)}
 
 
 @dataclass(frozen=True)
@@ -62,11 +58,16 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in STEP_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "sgd-sqrt" and not (self.a is not None and self.a > 0):
+        (name,) = STEP_KINDS[self.kind]
+        unused = [n for (n,) in STEP_KINDS.values() if n != name and getattr(self, n) is not None]
+        if unused:
+            raise ValueError(f"{self.kind} schedule does not read {unused}")
+        object.__setattr__(self, name, real_param(name, getattr(self, name)))
+        if self.kind == "sgd-sqrt" and not self.a > 0:
             raise ValueError("sgd-sqrt schedule requires a > 0")
-        if self.kind == "csgd-power" and not (self.p is not None and 1.0 < self.p <= 2.0):
+        if self.kind == "csgd-power" and not 1.0 < self.p <= 2.0:
             raise ValueError("csgd-power schedule requires p in (1, 2]")
-        if self.kind == "constant" and not (self.c is not None and self.c > 0):
+        if self.kind == "constant" and not self.c > 0:
             raise ValueError("constant schedule requires c > 0")
 
 
@@ -87,10 +88,16 @@ class ClipSpec:
     def __post_init__(self):
         if self.kind not in CLIP_KINDS:
             raise ValueError(f"unknown clip kind {self.kind!r}")
+        coefficient, *reads_p = CLIP_KINDS[self.kind]
+        object.__setattr__(self, "G_or_C", real_param(coefficient, self.G_or_C))
         if not self.G_or_C > 0:
-            raise ValueError("clip coefficient must be positive")
-        if "p" in CLIP_KINDS[self.kind] and not (self.p is not None and 1.0 < self.p <= 2.0):
-            raise ValueError(f"{self.kind} clip schedule requires p in (1, 2]")
+            raise ValueError(f"clip coefficient {coefficient} must be positive")
+        if reads_p:
+            object.__setattr__(self, "p", real_param("p", self.p))
+            if not 1.0 < self.p <= 2.0:
+                raise ValueError(f"{self.kind} clip schedule requires p in (1, 2]")
+        elif self.p is not None:
+            raise ValueError(f"{self.kind} clip schedule does not read p")
 
     @property
     def coefficient(self) -> float:
@@ -167,14 +174,14 @@ class RunConfig:
             raise ValueError("clipped method requires a clip schedule")
         if self.oracle.cost is not self.cost:
             raise ValueError("oracle must be built on the config's cost")
-        x1 = np.asarray(self.init_x1, dtype=np.float64)
-        if x1.shape != (self.cost.dim,) or not np.all(np.isfinite(x1)):
+        x1 = real_vector("init_x1", self.init_x1)
+        if x1.shape != (self.cost.dim,):
             raise ValueError(f"init_x1 must be a finite vector of length {self.cost.dim}")
         object.__setattr__(self, "init_x1", x1)
-        if not (isinstance(self.horizon_T, int) and self.horizon_T >= 1):
-            raise ValueError("horizon_T must be a positive integer")
-        eps = np.asarray(self.epsilon_grid, dtype=np.float64)
-        if eps.ndim != 1 or eps.size == 0 or np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
+        int_param("horizon_T", self.horizon_T)
+        int_param("seed", self.seed, minimum=None)
+        eps = real_vector("epsilon_grid", self.epsilon_grid)
+        if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
             raise ValueError("epsilon_grid must be sorted, strictly increasing and positive")
         object.__setattr__(self, "epsilon_grid", eps)
         if self.step_schedule.kind == "sgd-sqrt":

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, LogisticBatchCost, sq_norms
+from .costs import CostSpec, LogisticBatchCost, int_param, real_param, real_vector, sq_norms
 from .rng import StreamPool
 
 _PROBE_CHUNK = 1 << 16
@@ -93,6 +93,16 @@ class NoiseModel:
         """Exact closed-form p-th moment E||z||^p."""
         raise NotImplementedError
 
+    def _check_certificate(self) -> None:
+        """A ValueError unless every certified constant is a finite number: a
+        bound that overflows certifies nothing."""
+        try:
+            constants = self.noise_constants()
+        except OverflowError as e:
+            raise ValueError(f"the certified constants of {self.kind} noise overflow") from e
+        for name, value in constants.items():
+            real_param(name, value)
+
 
 @dataclass(frozen=True)
 class SphereNoise(NoiseModel):
@@ -104,10 +114,10 @@ class SphereNoise(NoiseModel):
     kind = "sphere-bounded"
 
     def __post_init__(self):
+        object.__setattr__(self, "radius", real_param("radius", self.radius))
         if self.radius < 0:
             raise ValueError("sphere radius must be non-negative")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValueError("dim must be a positive integer")
+        int_param("dim", self.dim)
 
     def raw_widths(self):
         return (self.dim, 0)
@@ -131,10 +141,8 @@ class TwoPointNoise(NoiseModel):
     kind = "two-point"
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
-            raise ValueError("two-point atom must be a finite vector")
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", real_vector("v", self.v))
+        self._check_certificate()
 
     @property
     def dim(self) -> int:
@@ -171,6 +179,8 @@ class SymmetrizedParetoNoise(NoiseModel):
     kind = "symmetrized-pareto"
 
     def __post_init__(self):
+        for name in ("x_m", "tail_index", "moment_order"):
+            object.__setattr__(self, name, real_param(name, getattr(self, name)))
         if not self.x_m > 0:
             raise ValueError("pareto scale x_m must be positive")
         if not 1.0 < self.moment_order <= 2.0:
@@ -180,8 +190,8 @@ class SymmetrizedParetoNoise(NoiseModel):
                 f"pareto tail index {self.tail_index} <= moment order "
                 f"{self.moment_order}: the certified moment would be infinite"
             )
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValueError("dim must be a positive integer")
+        int_param("dim", self.dim)
+        self._check_certificate()
 
     def raw_widths(self):
         return (self.dim, 1)
@@ -209,10 +219,11 @@ class GaussianNoise(NoiseModel):
     kind = "gaussian"
 
     def __post_init__(self):
+        object.__setattr__(self, "scale", real_param("scale", self.scale))
         if self.scale < 0:
             raise ValueError("gaussian scale must be non-negative")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValueError("dim must be a positive integer")
+        int_param("dim", self.dim)
+        self._check_certificate()
 
     def raw_widths(self):
         return (self.dim, 0)
@@ -354,7 +365,7 @@ class BatchSubsampleOracle(OracleSpec):
         if not isinstance(self.cost, LogisticBatchCost):
             raise ValueError(f"batch subsampling needs a finite-sum cost, not {self.cost.name!r}")
         m = self.cost.n_samples
-        if not (isinstance(self.batch_size, int) and 1 <= self.batch_size < m):
+        if not int_param("batch_size", self.batch_size) < m:
             raise ValueError(f"batch_size must satisfy 1 <= batch_size < {m}")
 
     def raw_widths(self):

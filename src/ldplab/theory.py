@@ -16,9 +16,12 @@ from typing import Callable
 
 import numpy as np
 
+from .costs import real_param
+
 
 def beta_exponent(p: float) -> float:
     """Power-law exponent 4(p-1)/(3p-2) of the heavy-tail decay rate."""
+    p = real_param("p", p)
     if not 1.0 < p <= 2.0:
         raise ValueError("p must lie in (1, 2]")
     return 4.0 * (p - 1.0) / (3.0 * p - 2.0)
@@ -265,12 +268,8 @@ class SotaCurve:
     params: dict
 
 
-# sota kind -> {parameter: type}; the first parameter is the one only that kind takes
-SOTA_KINDS = {
-    "liu-sgd": {"B": "float"},
-    "nguyen-csgd": {"sigma": "float", "delta": "float", "L": "float", "p": "float"},
-    "armacki-nsgd": {"C": "float", "L": "float"},
-}
+# sota kind -> its parameters; the first is the one only that kind takes
+SOTA_KINDS = {"liu-sgd": ("B",), "nguyen-csgd": ("sigma", "delta", "L", "p"), "armacki-nsgd": ("C", "L")}
 
 
 def sota_curves(kind: str, **params) -> SotaCurve:
@@ -291,7 +290,7 @@ def sota_curves(kind: str, **params) -> SotaCurve:
     unused = sorted(set(params) - set(names))
     if unused:
         raise ValueError(f"sota curve {kind!r} does not take parameters {unused}")
-    values = [float(params[n]) for n in names]
+    values = [real_param(n, params[n]) for n in names]
     nonpositive = [n for n, v in zip(names, values) if n != "p" and not v > 0]
     if nonpositive:
         raise ValueError(f"sota curve {kind!r} requires positive parameters {nonpositive}")

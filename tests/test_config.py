@@ -1,6 +1,9 @@
 import copy
 import json
+import math
+import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from ldplab.cli import main
 from ldplab.config import (
     KIND_BLOCKS,
+    PRESET_NAMES,
     ConfigError,
     config_digest,
     load_config,
@@ -108,9 +112,10 @@ class TestValidation:
             parse_config(base_doc)
 
     def test_bad_t_grid(self, base_doc):
-        base_doc["ensemble"]["t_grid"] = [1, 1, 2]
-        with pytest.raises(ConfigError, match="t_grid"):
-            parse_config(base_doc)
+        for t_grid in ([1, 1, 2], [1, 10**20]):  # the second does not fit an int64
+            base_doc["ensemble"]["t_grid"] = t_grid
+            with pytest.raises(ConfigError, match="t_grid"):
+                parse_config(base_doc)
 
     def test_unknown_candidate_family(self, base_doc):
         base_doc["analysis"]["candidates"] = ["cubed-t"]
@@ -175,15 +180,13 @@ class TestValidation:
         assert not (tmp_path / "out").exists()
 
 
-# a valid value for each parameter the kind tables name
+# a valid value for each numeric parameter the kind tables name
 _SAMPLE_VALUES = {
     "threshold_G": 1.0, "scale": 1.0, "dim": 2, "m": 8, "dataset_seed": 1, "batch_size": 2,
     "radius": 0.5, "v": [0.6, 0.0], "x_m": 0.5, "tail_index": 2.0, "moment_order": 1.5,
     "a": 0.01, "p": 1.5, "c": 0.1, "G": 1.0, "C": 2.0, "threshold": 2.0,
     "B": 0.5, "sigma": 1.0, "delta": 1.0, "L": 1.0,
 }
-_NUMERIC_TYPES = ("float", "int", "np.ndarray")
-
 
 def _doc_with_kind(path: str, kind: str) -> tuple[dict, dict]:
     """(a small valid document, its block at ``path``), the block being ``kind``
@@ -201,8 +204,8 @@ def _doc_with_kind(path: str, kind: str) -> tuple[dict, dict]:
     }
     tag, table = KIND_BLOCKS[path]
     block = {tag: kind}
-    for key, type_name in table[kind].items():
-        block[key] = _SAMPLE_VALUES[key] if type_name in _NUMERIC_TYPES else doc["oracle"][key]
+    for key in table[kind]:
+        block[key] = _SAMPLE_VALUES[key] if key in _SAMPLE_VALUES else doc["oracle"][key]
     *parents, last = path.removesuffix("[]").split(".")
     parent = doc
     for key in parents:
@@ -219,7 +222,7 @@ _NUMERIC_KINDS = [
     (path, kind)
     for path, (_, table) in KIND_BLOCKS.items()
     for kind, params in table.items()
-    if any(t in _NUMERIC_TYPES for t in params.values())
+    if any(key in _SAMPLE_VALUES for key in params)
 ]
 
 
@@ -227,7 +230,7 @@ _NUMERIC_KINDS = [
 def test_non_numeric_parameter_exits_2_and_writes_nothing(path, kind, tmp_path, capsys):
     doc, block = _doc_with_kind(path, kind)
     parse_config(doc)  # the sample document is valid
-    for key in [k for k, t in KIND_BLOCKS[path][1][kind].items() if t in _NUMERIC_TYPES]:
+    for key in [k for k in KIND_BLOCKS[path][1][kind] if k in _SAMPLE_VALUES]:
         good = block[key]
         for bad in (True, "1"):
             block[key] = bad
@@ -239,6 +242,107 @@ def test_non_numeric_parameter_exits_2_and_writes_nothing(path, kind, tmp_path, 
             err = capsys.readouterr().err
             assert err.startswith("error: ") and key in err
         block[key] = good
+
+
+# the values the fuzz tests set each leaf of a document to, in turn
+FUZZ_VALUES = [None, True, "1", [], {}, -1, 0, 0.5, 1e300, -1e300, math.nan, math.inf]
+
+
+def _tiny_preset(name: str) -> dict:
+    doc = preset_config(name)
+    doc["ensemble"].update(n_runs=4, horizon_T=16)
+    return doc
+
+
+def _leaves(node, path=()):
+    """The path of every leaf of a JSON document: a scalar, or an empty list or object."""
+    items = list(node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ())
+    if not items:
+        yield path
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+def _fuzz_documents():
+    """(name, document, the leaves to fuzz): every leaf of each preset at a
+    tiny size, and the leaves of each kind-tagged block of KIND_BLOCKS in a
+    small document with that kind."""
+    for name in PRESET_NAMES:
+        doc = _tiny_preset(name)
+        yield name, doc, list(_leaves(doc))
+    for path, (_, table) in KIND_BLOCKS.items():
+        block = tuple(path.removesuffix("[]").split(".")) + ((0,) if path.endswith("[]") else ())
+        for kind in table:
+            doc = _doc_with_kind(path, kind)[0]
+            yield f"{path}-{kind}", doc, [leaf for leaf in _leaves(doc) if leaf[: len(block)] == block]
+
+
+_FUZZ_DOCS = {name: (doc, leaves) for name, doc, leaves in _fuzz_documents()}
+_FUZZ_CASES = [(name, leaf) for name, (_, leaves) in _FUZZ_DOCS.items() for leaf in leaves]
+
+
+@pytest.mark.parametrize(
+    "name, leaf", _FUZZ_CASES, ids=[f"{name}:{'.'.join(map(str, leaf))}" for name, leaf in _FUZZ_CASES]
+)
+def test_fuzzed_config_parses_or_exits_2(name, leaf, tmp_path, capsys):
+    """A config with one leaf set to a fuzz value either parses, simulates and
+    reports with exit 0, or is rejected with exit 2 and writes nothing; a
+    non-finite number never parses, and no exception escapes ``main``."""
+    for value in FUZZ_VALUES:
+        doc = copy.deepcopy(_FUZZ_DOCS[name][0])
+        *parents, last = leaf
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        try:
+            parse_config(copy.deepcopy(doc))
+            parses = True
+        except ConfigError:
+            parses = False
+        finite = not (isinstance(value, float) and not math.isfinite(value))
+        assert parses <= finite, value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == (0 if parses else 2), value
+        if parses:
+            assert main(["report", str(out)]) == 0, value
+            shutil.rmtree(out)
+        assert not out.exists()
+        capsys.readouterr()
+
+
+# the top-level fields of a manifest besides its config, and those of them
+# the results are checked against
+_MANIFEST_FIELDS = ("certified", "config_digest", "diverged_runs", "horizon_T", "n_runs", "tool", "version")
+_CHECKED_FIELDS = ("certified", "config_digest", "diverged_runs", "horizon_T", "n_runs")
+
+
+@pytest.mark.parametrize("field", _MANIFEST_FIELDS)
+def test_fuzzed_manifest_field_exits_0_or_3(field, tmp_path, capsys):
+    """tail and report on results whose manifest has one top-level field set
+    to a fuzz value, or deleted, exit 3 when the field is checked and the
+    value is not the results' own, else 0; no exception escapes ``main``."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_tiny_preset("appendix-f")))
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", str(config_path), "--out", out]) == 0
+    meta_path = os.path.join(out, "meta.json")
+    meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+    assert sorted(set(meta) - {"config"}) == list(_MANIFEST_FIELDS)
+    deleted = object()
+    for value in [*FUZZ_VALUES, deleted]:
+        mutated = {k: v for k, v in meta.items() if k != field}
+        if value is not deleted:
+            mutated[field] = value
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(mutated, fh)
+        kept = value is not deleted and not isinstance(value, bool) and value == meta[field]
+        want = 3 if field in _CHECKED_FIELDS and not (kept or (field == "certified" and value == {})) else 0
+        assert main(["tail", out, "--epsilon", "0.18"]) == want, value
+        assert main(["report", out]) == want, value
+        capsys.readouterr()
 
 
 def test_noise_key_of_another_kind_rejected():
@@ -291,6 +395,14 @@ def test_load_config_anchors_syntax_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "cost": {,}\n}\n')
     with pytest.raises(ConfigError, match=r"bad\.json:2:"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_load_config_rejects_non_finite_numbers(constant, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(preset_config("appendix-f")).replace("0.18", constant))
+    with pytest.raises(ConfigError, match=rf"bad\.json: {constant} is not a finite number"):
         load_config(str(path))
 
 

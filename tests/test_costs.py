@@ -11,6 +11,9 @@ from ldplab.costs import (
     sq_norms,
     synthetic_logistic_cost,
 )
+from ldplab.optimizers import ClipSpec, ScheduleSpec
+from ldplab.oracles import BatchSubsampleOracle, GaussianNoise, SphereNoise, SymmetrizedParetoNoise, TwoPointNoise
+from ldplab.theory import beta_exponent, sota_curves
 
 
 def all_costs():
@@ -19,7 +22,7 @@ def all_costs():
         huber_cost(2.5, 3),
         pseudo_huber_cost(1.0, 2),
         pseudo_huber_cost(0.7, 4),
-        synthetic_logistic_cost(m=16, dim=3, seed=11),
+        synthetic_logistic_cost(m=16, dim=3, dataset_seed=11),
     ]
 
 
@@ -101,7 +104,7 @@ class TestBatchLogistic:
         )
 
     def test_per_sample_bound_on_grid(self):
-        cost = synthetic_logistic_cost(m=8, dim=2, seed=5)
+        cost = synthetic_logistic_cost(m=8, dim=2, dataset_seed=5)
         rng = np.random.default_rng(7)
         for _ in range(50):
             x = 4.0 * rng.standard_normal(2)
@@ -188,3 +191,30 @@ class TestDimensionMajor:
         cols = cost.gradient(np.ascontiguousarray(x.T), axis=0)
         assert cols.shape == (cost.dim, 3000)
         assert cols.T.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: huber_cost(1.0, True), "dim must be an integer"),
+        (lambda: huber_cost("3", 2), "threshold_G must be a finite number, got '3'"),
+        (lambda: pseudo_huber_cost(float("inf"), 2), "scale must be a finite number"),
+        (lambda: synthetic_logistic_cost(m=8, dim=2, dataset_seed=True), "dataset_seed must be an integer"),
+        (lambda: SphereNoise(float("nan"), 2), "radius must be a finite number, got nan"),
+        (lambda: TwoPointNoise([True, 0.0]), "v must be a finite number, got True"),
+        (lambda: SymmetrizedParetoNoise(x_m=1e300, tail_index=2.0, moment_order=1.5, dim=2), "overflow"),
+        (lambda: GaussianNoise(scale=1e300, dim=2), "overflow"),
+        (lambda: BatchSubsampleOracle(synthetic_logistic_cost(8, 2, 1), batch_size=True), "batch_size must be"),
+        (lambda: ScheduleSpec("sgd-sqrt", a=0.5, p=1.7, c=9.0), r"does not read \['p', 'c'\]"),
+        (lambda: ClipSpec("constant", 2.0, p=1.5), "does not read p"),
+        (lambda: ClipSpec("general-C", float("nan"), p=1.5), "C must be a finite number"),
+        (lambda: sota_curves("liu-sgd", B="0.6"), "B must be a finite number, got '0.6'"),
+        (lambda: beta_exponent(True), "p must be a finite number"),
+    ],
+    ids=["huber-dim-bool", "huber-threshold-string", "pseudo-huber-scale-inf", "logistic-seed-bool",
+         "sphere-radius-nan", "two-point-bool", "pareto-overflow", "gaussian-overflow", "batch-size-bool",
+         "schedule-foreign-keys", "constant-clip-p", "general-C-nan", "sota-string", "beta-bool"],
+)
+def test_constructor_rejects_a_value_naming_its_parameter(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

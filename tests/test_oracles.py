@@ -90,7 +90,7 @@ class TestRawDrawAndTransform:
             np.testing.assert_array_equal(slab[i], model.sample_block(run_generator(11, int(run)), 9))
 
     def test_batch_slab_rows_equal_single_run_draws(self):
-        cost = synthetic_logistic_cost(m=12, dim=3, seed=8)
+        cost = synthetic_logistic_cost(m=12, dim=3, dataset_seed=8)
         oracle = BatchSubsampleOracle(cost=cost, batch_size=4)
         runs = np.arange(6)
         slab = oracle.randomness_block(StreamPool(3), runs, 7)
@@ -156,7 +156,7 @@ class TestQuery:
             AdditiveOracle(cost=huber_cost(1.0, 2), noise=SphereNoise(radius=0.1, dim=3))
 
     def test_batch_m2_uniform_over_singletons(self):
-        cost = synthetic_logistic_cost(m=2, dim=2, seed=3)
+        cost = synthetic_logistic_cost(m=2, dim=2, dataset_seed=3)
         oracle = BatchSubsampleOracle(cost=cost, batch_size=1)
         x = np.array([0.4, -0.1])
         per_sample = cost.per_sample_gradients(x)
@@ -167,14 +167,14 @@ class TestQuery:
         assert abs(freq0 - 0.5) <= 0.01
 
     def test_batch_size_must_be_proper_subset(self):
-        cost = synthetic_logistic_cost(m=4, dim=2, seed=3)
+        cost = synthetic_logistic_cost(m=4, dim=2, dataset_seed=3)
         with pytest.raises(ValueError):
             BatchSubsampleOracle(cost=cost, batch_size=4)
         with pytest.raises(ValueError):
             BatchSubsampleOracle(cost=cost, batch_size=0)
 
     def test_batch_oracle_unbiased(self):
-        cost = synthetic_logistic_cost(m=16, dim=3, seed=8)
+        cost = synthetic_logistic_cost(m=16, dim=3, dataset_seed=8)
         oracle = BatchSubsampleOracle(cost=cost, batch_size=4)
         x = np.array([0.5, -0.7, 0.2])
         n = 10**6
@@ -183,7 +183,7 @@ class TestQuery:
         assert np.all(np.abs(outs.mean(axis=0) - cost.gradient(x)) <= 5.0 * np.maximum(se, 1e-15))
 
     def test_batch_hard_noise_bound(self):
-        cost = synthetic_logistic_cost(m=12, dim=3, seed=8)
+        cost = synthetic_logistic_cost(m=12, dim=3, dataset_seed=8)
         oracle = BatchSubsampleOracle(cost=cost, batch_size=3)
         rng = run_generator(4, 0)
         for x in 3.0 * np.random.default_rng(5).standard_normal((5, 3)):
