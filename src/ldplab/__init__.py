@@ -52,7 +52,6 @@ from .optimizers import (
 from .rng import run_generator
 from .theory import (
     RateSpec,
-    SotaCurve,
     beta_exponent,
     decay_family,
     fenchel_legendre,

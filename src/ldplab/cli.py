@@ -44,7 +44,7 @@ from .montecarlo import (
     verify_lemma_suite,
     verify_request,
 )
-from .optimizers import EnsembleArrays, RunConfig, _assert_invariants
+from .optimizers import EnsembleArrays, _assert_invariants
 from .svgplot import PALETTE, line_chart
 from .theory import (
     DECAY_FAMILIES,
@@ -326,27 +326,15 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
     return meta, exp, arrays
 
 
-def _theory_rate_for(rc: RunConfig) -> RateSpec | None:
-    """The closed-form tail law that applies to a run configuration, if any."""
-    cert = rc.certified_constants()
-    G = cert["G"]
-    if rc.method == "vanilla":
-        return rate_sgd(M=cert["M"], G=G) if "M" in cert else None
-    clip = rc.clip_schedule
-    if clip.kind == "paper-eq5":
-        return rate_csgd(G=G, p=clip.p)
-    if clip.kind == "general-C":
-        return rate_csgd_generalC(G=G, C=clip.G_or_C, p=clip.p)
-    return None
-
-
-def _anchored_curve(nt_fn, slope: float, t_grid: np.ndarray, p_anchor: float, t_anchor: int):
-    """exp(slope * n_t), scaled to pass through the anchor point."""
+def _anchored_curve(law: RateSpec, epsilon: float, t_grid: np.ndarray, p_anchor: float, t_anchor: int):
+    """exp(-I(epsilon) n_t) of a law, scaled to pass through the anchor point;
+    None when no step t >= 3 is drawn or I(epsilon) is infinite."""
     ts = t_grid[t_grid >= 3].astype(np.float64)
-    if ts.size == 0 or t_anchor < 3:
+    slope = -law.rate_function_I(epsilon)
+    if ts.size == 0 or t_anchor < 3 or not np.isfinite(slope):
         return None
-    nt = np.asarray(nt_fn(ts), dtype=np.float64)
-    nt0 = float(nt_fn(float(t_anchor)))
+    nt = np.asarray(law.decay_rate_nt(ts), dtype=np.float64)
+    nt0 = float(law.decay_rate_nt(float(t_anchor)))
     return ts, p_anchor * np.exp(slope * (nt - nt0))
 
 
@@ -392,16 +380,11 @@ def _cmd_tail(args) -> int:
             anchor_idx = int(np.flatnonzero(positive)[0])
             t_anchor = int(tail.t_grid[anchor_idx])
             p_anchor = float(tail.p_hat[anchor_idx])
-            overlays = []
-            rate = _theory_rate_for(exp.run_config)
-            if rate is not None:
-                overlays.append(
-                    (f"{rate.name} bound shape", rate.decay_rate_nt, -rate.rate_function_I(args.epsilon))
-                )
-            for curve in exp.sota:
-                overlays.append((f"{curve.name} shape", curve.decay_rate_nt, curve.asymptotic_slope(args.epsilon)))
-            for k, (label, nt_fn, slope) in enumerate(overlays):
-                anchored = _anchored_curve(nt_fn, slope, tail.t_grid, p_anchor, t_anchor)
+            overlays = [(f"{law.name} shape", law) for law in exp.sota]
+            if exp.law is not None:
+                overlays.insert(0, (f"{exp.law.name} bound shape", exp.law))
+            for k, (label, law) in enumerate(overlays):
+                anchored = _anchored_curve(law, args.epsilon, tail.t_grid, p_anchor, t_anchor)
                 if anchored is not None:
                     ts, ys = anchored
                     series.append(
@@ -515,12 +498,13 @@ def _log_t_grid(lo: int, hi: int) -> np.ndarray:
     return np.unique(np.round(np.logspace(np.log10(lo), np.log10(hi), 61)).astype(np.int64))
 
 
-def _write_curves(args, source: str, curves, slope) -> None:
+def _write_curves(args, source: str, curves) -> None:
     """One (t, n_t, family, slope) row per curve and grid step t >= 3, where the
-    decay sequences are meant; slope(curve, epsilon) is a curve's slope at
-    --epsilon, which must be positive."""
+    decay sequences are meant; a curve's slope is -I(epsilon) at --epsilon,
+    which must be a finite positive number."""
     if not args.epsilon > 0:
         raise ConfigError(f"--epsilon must be positive, got {args.epsilon}")
+    real_param("--epsilon", args.epsilon)
     t_grid = _parse_t_grid(args.t_grid, _log_t_grid) if args.t_grid else _log_t_grid(10, 10**6)
     t_grid = t_grid[t_grid >= 3]
     if t_grid.size == 0:
@@ -528,9 +512,11 @@ def _write_curves(args, source: str, curves, slope) -> None:
     rows = []
     for spec in curves:
         label = spec.name + "".join(f" {k}={v:g}" for k, v in sorted(spec.params.items()))
-        spec_slope = slope(spec, args.epsilon)
+        slope = -spec.rate_function_I(args.epsilon)
+        if not np.isfinite(slope):
+            raise ConfigError(f"--epsilon {args.epsilon!r}: I(epsilon) of the {spec.name} law overflows")
         for t in t_grid:
-            rows.append([int(t), float(spec.decay_rate_nt(float(t))), label, spec_slope])
+            rows.append([int(t), float(spec.decay_rate_nt(float(t))), label, slope])
     _write_csv(args.out, _provenance_comment(source, {}), ["t", "n_t", "family", "slope"], rows)
 
 
@@ -546,7 +532,7 @@ def _cmd_rates(args) -> int:
             rates.append(rate_csgd_generalC(args.G, args.C, args.p))
     if not rates:
         raise ConfigError("rates: provide --M (bounded-noise law) and/or --p (clipped law)")
-    _write_curves(args, "rates", rates, lambda r, eps: -float(r.rate_function_I(eps)))
+    _write_curves(args, "rates", rates)
     print(f"wrote {args.out} ({len(rates)} families, epsilon={args.epsilon:g})")
     return EXIT_OK
 
@@ -568,7 +554,7 @@ def _cmd_compare_sota(args) -> int:
     )
     if unused:
         raise ConfigError(f"compare-sota: {' '.join(unused)} completes no curve")
-    _write_curves(args, "compare-sota", curves, lambda c, eps: float(c.asymptotic_slope(eps)))
+    _write_curves(args, "compare-sota", curves)
     print(f"wrote {args.out} ({len(curves)} curves, epsilon={args.epsilon:g})")
     return EXIT_OK
 

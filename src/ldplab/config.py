@@ -26,7 +26,7 @@ import numpy as np
 from .costs import COSTS, CostSpec, int_param
 from .oracles import _NOISE_KINDS, ORACLE_MODES, OracleSpec, make_noise
 from .optimizers import CLIP_KINDS, METHODS, STEP_KINDS, ClipSpec, RunConfig, ScheduleSpec
-from .theory import SOTA_KINDS, decay_family, sota_curves
+from .theory import SOTA_KINDS, RateSpec, decay_family, rate_csgd, rate_csgd_generalC, rate_sgd, sota_curves
 
 TOOL_NAME = "ldplab"
 TOOL_VERSION = "0.1.0"
@@ -120,9 +120,10 @@ class Experiment:
     digest: str
     run_config: RunConfig
     n_runs: int
-    t_grid: np.ndarray  # default tail grid: ensemble.t_grid, else 1..horizon_T
+    t_grid: np.ndarray | None  # ensemble.t_grid, the default tail grid; None means 1..horizon_T
     candidates: tuple  # RateSpecs fitted by `report`
-    sota: tuple  # SotaCurves overlaid by `tail`
+    law: RateSpec | None  # the paper's tail law of the method, overlaid by `tail`
+    sota: tuple  # baseline RateSpecs overlaid by `tail`
     output_dir: str
 
 
@@ -134,7 +135,7 @@ def config_digest(doc: dict) -> str:
 
 
 def _build_analysis(ana: dict) -> tuple:
-    """(candidate RateSpecs, SotaCurves) of an analysis block."""
+    """(candidate RateSpecs, baseline RateSpecs) of an analysis block."""
     _require_keys(ana, "analysis", (), ("candidates", "candidate_p", "sota"))
     names = ana.get("candidates", [])
     if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
@@ -157,6 +158,20 @@ def _build_analysis(ana: dict) -> tuple:
         except ValueError as e:
             raise ConfigError(f"{path}: {e}") from e
     return candidates, tuple(sota)
+
+
+def _paper_law(rc: RunConfig) -> RateSpec | None:
+    """The paper's closed-form tail law that applies to a run configuration, if any."""
+    cert = rc.certified_constants()
+    G = cert["G"]
+    if rc.method == "vanilla":
+        return rate_sgd(M=cert["M"], G=G) if "M" in cert else None
+    clip = rc.clip_schedule
+    if clip.kind == "paper-eq5":
+        return rate_csgd(G=G, p=clip.p)
+    if clip.kind == "general-C":
+        return rate_csgd_generalC(G=G, C=clip.G_or_C, p=clip.p)
+    return None
 
 
 def parse_config(doc: dict) -> Experiment:
@@ -201,10 +216,11 @@ def parse_config(doc: dict) -> Experiment:
             seed=ens["seed"],
             epsilon_grid=ens["epsilon_grid"],
         )
+        law = _paper_law(run_config)
     except ValueError as e:
         raise ConfigError(f"ensemble/method: {e}") from e
     horizon = run_config.horizon_T
-    t_grid = np.arange(1, horizon + 1, dtype=np.int64)
+    t_grid = None
     if "t_grid" in ens:
         tg = ens["t_grid"]
         if not isinstance(tg, list) or not all(isinstance(t, int) and not isinstance(t, bool) for t in tg):
@@ -232,6 +248,7 @@ def parse_config(doc: dict) -> Experiment:
         n_runs=n_runs,
         t_grid=t_grid,
         candidates=candidates,
+        law=law,
         sota=sota,
         output_dir=output_dir,
     )

@@ -29,6 +29,9 @@ from .rng import StreamPool
 
 DIVERGENCE_LIMIT = 1e9
 
+# the longest horizon EnsembleArrays.hit, int32, can record: it stores T + 1
+MAX_HORIZON = 2**31 - 2
+
 # Raw variates drawn per slab of runs.  Bounds the slab's raw buffers and the
 # temporaries of its transform; the pre-drawn randomness itself is (T-1, ..., runs).
 _SLAB_RAW_BYTES = 1 << 22
@@ -178,7 +181,8 @@ class RunConfig:
         if x1.shape != (self.cost.dim,):
             raise ValueError(f"init_x1 must be a finite vector of length {self.cost.dim}")
         object.__setattr__(self, "init_x1", x1)
-        int_param("horizon_T", self.horizon_T)
+        if int_param("horizon_T", self.horizon_T) > MAX_HORIZON:
+            raise ValueError(f"horizon_T must be at most {MAX_HORIZON}, got {self.horizon_T}")
         int_param("seed", self.seed, minimum=None)
         eps = real_vector("epsilon_grid", self.epsilon_grid)
         if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):

@@ -35,6 +35,7 @@ from .rng import StreamPool
 _PROBE_CHUNK = 1 << 16
 _MGF_BLOCK_ROWS = 2048  # rows of the MGF grid per block: (2048, 6, 8) float64 is 768 KiB
 PROBE_MIN_SAMPLES = 10**5  # fewest samples clipping_bias_probe accepts
+_PROBE_DIRECTIONS = 8  # directions of clipping_bias_probe's MGF grid
 
 
 class PreconditionViolation(ValueError):
@@ -394,12 +395,9 @@ class BatchSubsampleOracle(OracleSpec):
             out[lo:hi] = grads[idx].mean(axis=1)
         return out
 
-    def noise_bound(self) -> float:
-        """Hard a.s. bound on ||g - grad f(x)||: twice the per-sample bound."""
-        return 2.0 * self.cost.per_sample_grad_bound
-
     def noise_constants(self):
-        return {"M": self.noise_bound(), "G_ell": self.cost.per_sample_grad_bound}
+        # M: the hard a.s. bound on ||g - grad f(x)||, twice the per-sample bound
+        return {"M": 2.0 * self.cost.per_sample_grad_bound, "G_ell": self.cost.per_sample_grad_bound}
 
 
 # oracle mode -> class; a mode's parameters are its dataclass fields besides the cost
@@ -485,7 +483,6 @@ def clipping_bias_probe(
     gamma: float,
     num_samples: int,
     rng: np.random.Generator,
-    n_directions: int = 8,
     scale_multipliers=_SCALE_MULTIPLIERS,
 ) -> ClippingBiasProbe:
     """Estimate the bias and sub-Gaussian margin of the gamma-clipped oracle.
@@ -497,7 +494,7 @@ def clipping_bias_probe(
     of the clipped deviation theta (which satisfies ||theta|| <= 2 gamma a.s.).
     An empty ``scale_multipliers`` skips the grid but still draws the
     directions, so the bias fields equal the full probe's on the same stream;
-    ``margins`` then has shape (n_directions, 0) and ``subgaussian_margin``
+    ``margins`` then has shape (_PROBE_DIRECTIONS, 0) and ``subgaussian_margin``
     is -inf.
     """
     if not gamma > 0:
@@ -518,7 +515,7 @@ def clipping_bias_probe(
     bias_bound = 4.0 * sigma_p * gamma ** (1.0 - p)
 
     dim = oracle.cost.dim
-    dirs = _unit_rows(rng.standard_normal((n_directions, dim)))
+    dirs = _unit_rows(rng.standard_normal((_PROBE_DIRECTIONS, dim)))
     scales = np.asarray(scale_multipliers, dtype=np.float64) / (2.0 * gamma)
 
     clipped = np.empty((num_samples, dim))
@@ -531,11 +528,11 @@ def clipping_bias_probe(
     bias_norm = float(np.linalg.norm(bias_vec))
     bias_se = float(np.sqrt(np.sum(clipped.var(axis=0)) / num_samples))
 
-    margins = np.empty((n_directions, scales.size))
+    margins = np.empty((_PROBE_DIRECTIONS, scales.size))
     margin_ses = np.empty_like(margins)
     if scales.size:
         theta = clipped - mean_clipped
-        proj = theta @ dirs.T  # (n, n_directions)
+        proj = theta @ dirs.T  # (n, _PROBE_DIRECTIONS)
         est, std = _mgf_grid_moments(proj, scales)
         for j, s in enumerate(scales):
             margins[:, j] = np.log(est[j]) - 3.0 * gamma**2 * s**2

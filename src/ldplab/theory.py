@@ -1,9 +1,12 @@
-"""Closed-form tail decay rates, rate functions, and comparison curves.
+"""Closed-form tail laws, rate functions, and the numerical conjugate.
 
-A RateSpec pairs a decay-rate sequence n_t with a rate function I so that
-tails are summarized as P(F_t > eps) ~ exp(-n_t I(eps)) for large t.  The
-numerical convex conjugate (Fenchel-Legendre transform) cross-checks each
-closed-form rate function against the quadratic that generates it.
+Every curve the lab fits or draws is one RateSpec: a tail law
+P(F_t > eps) ~ exp(-n_t I(eps)) with n_t = t^a / log(t)^b.  The paper's laws
+(sgd, csgd, csgd-generalC), the published baselines they are compared with
+(sota_curves) and the bare fit families (decay_family) differ only in a, b
+and, where there is a rate function, I.  The numerical convex conjugate
+(Fenchel-Legendre transform) cross-checks each quadratic rate function
+against the limiting log-MGF that generates it.
 
 Decay sequences involve log(t) and are meant for t >= 3, where log(t) > 1.
 """
@@ -38,39 +41,70 @@ def _scalar_out(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _nt_power_over_logpow(power: float, log_pow: float) -> Callable:
-    """n_t = t^power / log(t)^log_pow, the form of every decay sequence here."""
-
-    def nt(t):
-        t = _as_t(t)
-        return _scalar_out(t**power / np.log(t) ** log_pow)
-
-    return nt
+def _pow(x: float, n: int) -> float:
+    """x**n as Python computes it, or +inf where that overflows."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
 
 
-def _quadratic_rate(denominator: float) -> Callable:
-    """x^2/denominator on x >= 0, +infinity on x < 0."""
-
-    def rate(x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.where(x < 0, np.inf, x * x / denominator)
-        return _scalar_out(out)
-
-    return rate
+# shapes of I(x) = shape(x)/denominator: the paper's laws are quadratic, the
+# baselines linear or min(x, sqrt x)
+_SHAPES = ("x^2", "x", "min(x,sqrt x)")
 
 
 @dataclass(frozen=True, eq=False)
 class RateSpec:
-    """Decay-rate sequence plus closed-form rate function.
+    """A tail law P(F_t > eps) ~ exp(-n_t I(eps)).
 
-    rate_function_I is None for bare decay families used only as fit
-    candidates.
+    n_t = t^power / log(t)^log_power, and I(x) = shape(x)/denominator on
+    x >= 0, +infinity on x < 0.  Bare decay families, fit candidates only,
+    have no denominator and no rate function; any other denominator must be
+    a finite positive number.
     """
 
     name: str
-    decay_rate_nt: Callable
-    rate_function_I: Callable | None
+    power: float
+    log_power: float
+    denominator: float | None = None
+    shape: str = "x^2"
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.shape not in _SHAPES:
+            raise ValueError(f"unknown rate shape {self.shape!r}; expected one of {_SHAPES}")
+        if self.denominator is not None and not 0.0 < self.denominator < math.inf:
+            values = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
+            raise ValueError(
+                f"{self.name} law: rate denominator {self.denominator!r} is not a finite positive number ({values})"
+            )
+
+    def decay_rate_nt(self, t):
+        t = _as_t(t)
+        return _scalar_out(t**self.power / np.log(t) ** self.log_power)
+
+    def rate_function_I(self, x):
+        if self.denominator is None:
+            raise ValueError(f"decay family {self.name!r} has no rate function")
+        x = np.asarray(x, dtype=np.float64)
+        with np.errstate(over="ignore"):  # an I(x) beyond the float range is +inf
+            if self.shape == "x^2":
+                shape = x * x
+            elif self.shape == "x":
+                shape = x
+            else:
+                shape = np.minimum(x, np.sqrt(np.maximum(x, 0.0)))
+            return _scalar_out(np.where(x < 0, np.inf, shape / self.denominator))
+
+
+def _checked(law: str, **values) -> dict:
+    """values as floats through real_param; every one but p must be positive."""
+    values = {k: real_param(k, v) for k, v in values.items()}
+    nonpositive = [k for k, v in values.items() if k != "p" and not v > 0]
+    if nonpositive:
+        raise ValueError(f"{law} requires positive parameters {nonpositive}")
+    return values
 
 
 # family -> (power, log power) of n_t; power-over-log's power is beta_exponent(p)
@@ -95,32 +129,23 @@ def decay_family(kind: str, p: float | None = None) -> RateSpec:
             raise ValueError("power-over-log family requires the moment order p")
         power = beta_exponent(p)
         params = {"p": p, "beta": power}
-    return RateSpec(kind, _nt_power_over_logpow(power, log_pow), None, params=params)
+    return RateSpec(kind, power, log_pow, params=params)
 
 
 def rate_sgd(M: float, G: float) -> RateSpec:
     """Vanilla-SGD tail law under an a.s. noise bound M: n_t = t/log t,
     I(x) = x^2 / (24 M^2 G^2)."""
-    if not (M > 0 and G > 0):
-        raise ValueError("M and G must be positive")
-    return RateSpec(
-        name="sgd",
-        decay_rate_nt=_nt_power_over_logpow(1.0, 1.0),
-        rate_function_I=_quadratic_rate(24.0 * M**2 * G**2),
-        params={"M": M, "G": G},
-    )
+    params = _checked("sgd law", M=M, G=G)
+    M, G = params.values()
+    return RateSpec("sgd", 1.0, 1.0, 24.0 * _pow(M, 2) * _pow(G, 2), params=params)
 
 
-def _clipped_rate(name: str, p: float, denominator: float, params: dict) -> RateSpec:
+def _clipped_rate(name: str, denominator: float, params: dict) -> RateSpec:
     """A clipped-SGD tail law: n_t = t^beta_p/log t for p in (1,2), t/log^2 t
     at p = 2, and I(x) = x^2/denominator."""
-    if not 1.0 < p <= 2.0:
-        raise ValueError("p must lie in (1, 2]")
-    if p == 2.0:
-        nt = _nt_power_over_logpow(1.0, 2.0)
-    else:
-        nt = _nt_power_over_logpow(beta_exponent(p), 1.0)
-    return RateSpec(name=name, decay_rate_nt=nt, rate_function_I=_quadratic_rate(denominator), params=params)
+    p = params["p"]
+    power, log_power = (1.0, 2.0) if p == 2.0 else (beta_exponent(p), 1.0)
+    return RateSpec(name, power, log_power, denominator, params=params)
 
 
 def rate_csgd(G: float, p: float) -> RateSpec:
@@ -129,10 +154,9 @@ def rate_csgd(G: float, p: float) -> RateSpec:
     p in (1,2): n_t = t^beta_p/log t with I(x) = x^2/(768 G^4);
     p = 2:      n_t = t/log^2 t  with I(x) = x^2/(384 G^4).
     """
-    if not G > 0:
-        raise ValueError("G must be positive")
-    denom = 384.0 * G**4 if p == 2.0 else 768.0 * G**4
-    return _clipped_rate("csgd", p, denom, {"G": G, "p": p})
+    params = _checked("csgd law", G=G, p=p)
+    G, p = params.values()
+    return _clipped_rate("csgd", 384.0 * _pow(G, 4) if p == 2.0 else 768.0 * _pow(G, 4), params)
 
 
 def rate_csgd_generalC(G: float, C: float, p: float) -> RateSpec:
@@ -142,33 +166,27 @@ def rate_csgd_generalC(G: float, C: float, p: float) -> RateSpec:
     and x^2/(96 C^2 G^2) for p = 2.  With C = 2G these coincide with
     rate_csgd exactly.
     """
-    if not (G > 0 and C > 0):
-        raise ValueError("G and C must be positive")
-    denom = 96.0 * C**2 * G**2 if p == 2.0 else 192.0 * C**2 * G**2
-    return _clipped_rate("csgd-generalC", p, denom, {"G": G, "C": C, "p": p})
-
-
-def _half_quadratic_phi(coefficient: float) -> Callable:
-    """phi(lam) = coefficient * lam^2 on lam >= 0, zero on lam < 0."""
-
-    def phi(lam):
-        lam = np.asarray(lam, dtype=np.float64)
-        out = np.where(lam < 0, 0.0, coefficient * lam * lam)
-        return _scalar_out(out)
-
-    return phi
+    params = _checked("csgd-generalC law", G=G, C=C, p=p)
+    G, C, p = params.values()
+    denominator = 96.0 * _pow(C, 2) * _pow(G, 2) if p == 2.0 else 192.0 * _pow(C, 2) * _pow(G, 2)
+    return _clipped_rate("csgd-generalC", denominator, params)
 
 
 def generating_phi(rate: RateSpec) -> Callable:
     """The limiting scaled log-MGF whose convex conjugate is rate.rate_function_I.
 
-    Every closed-form rate function here is x^2/denom with denom = 4c, where
-    phi(lam) = c lam^2 on lam >= 0.
+    Every quadratic rate function here is x^2/denominator with
+    denominator = 4c, where phi(lam) = c lam^2 on lam >= 0 and zero below.
     """
-    if rate.rate_function_I is None:
-        raise ValueError("bare decay families have no generating function")
-    denom = 1.0 / rate.rate_function_I(1.0)
-    return _half_quadratic_phi(denom / 4.0)
+    if rate.denominator is None or rate.shape != "x^2":
+        raise ValueError(f"{rate.name!r} has no quadratic rate function, so no generating function")
+    coefficient = rate.denominator / 4.0
+
+    def phi(lam):
+        lam = np.asarray(lam, dtype=np.float64)
+        return _scalar_out(np.where(lam < 0, 0.0, coefficient * lam * lam))
+
+    return phi
 
 
 def _golden_max(f: Callable, lo: float, hi: float, iters: int = 90) -> float:
@@ -230,8 +248,7 @@ def conjugate_lambda_grid(rate: RateSpec, x_max: float, resolution: float = 1e-4
     For phi = c lam^2 the maximizer at x is x/(2c); the grid extends 50%
     beyond it at the requested resolution.
     """
-    denom = 1.0 / rate.rate_function_I(1.0)
-    lam_star = x_max / (denom / 2.0)
+    lam_star = x_max / (rate.denominator / 2.0)
     hi = 1.5 * lam_star
     n = max(int(math.ceil(hi / resolution)), 64)
     return np.linspace(0.0, hi, n + 1)
@@ -243,8 +260,9 @@ def transform_consistency(rate: RateSpec, x_grid=None, resolution: float = 1e-4)
     if x_grid is None:
         x_grid = np.linspace(0.0, 10.0, 201)
     x_grid = np.asarray(x_grid, dtype=np.float64)
+    phi = generating_phi(rate)
     lam = conjugate_lambda_grid(rate, float(x_grid.max()), resolution)
-    numeric = fenchel_legendre(generating_phi(rate), x_grid, lam)
+    numeric = fenchel_legendre(phi, x_grid, lam)
     closed = np.asarray(rate.rate_function_I(x_grid))
     denom = np.maximum(np.abs(closed), 1e-12)
     return float(np.max(np.abs(numeric - closed) / denom))
@@ -258,28 +276,18 @@ def lower_bound_exact_prob(t: int) -> float:
     return 2.0 ** (1 - int(t))
 
 
-@dataclass(frozen=True, eq=False)
-class SotaCurve:
-    """Comparison curve: decay-rate sequence and asymptotic log-tail slope."""
-
-    name: str
-    decay_rate_nt: Callable
-    asymptotic_slope: Callable  # eps -> limsup n_t^-1 log P(F_t > eps) bound
-    params: dict
-
-
 # sota kind -> its parameters; the first is the one only that kind takes
 SOTA_KINDS = {"liu-sgd": ("B",), "nguyen-csgd": ("sigma", "delta", "L", "p"), "armacki-nsgd": ("C", "L")}
 
 
-def sota_curves(kind: str, **params) -> SotaCurve:
+def sota_curves(kind: str, **params) -> RateSpec:
     """Published long-run tail baselines for overlay plots; each kind takes
     exactly its SOTA_KINDS parameters, all positive but p.
 
-    'liu-sgd'      (B):                n_t = sqrt(t),        slope -eps/(12 B^2)
+    'liu-sgd'      (B):                n_t = sqrt(t),        I(x) = x/(12 B^2)
     'nguyen-csgd'  (sigma, delta, L, p): n_t = t^(beta_p/2)/log^(2p/(3p-2)) t,
-                                         slope -eps/(720 sigma sqrt(delta L))
-    'armacki-nsgd' (C, L):             n_t = sqrt(t)/log t,  slope -min(eps, sqrt(eps))/(16 C^4 L^2)
+                                         I(x) = x/(720 sigma sqrt(delta L))
+    'armacki-nsgd' (C, L):             n_t = sqrt(t)/log t,  I(x) = min(x, sqrt x)/(16 C^4 L^2)
     """
     if not isinstance(kind, str) or kind not in SOTA_KINDS:
         raise ValueError(f"unknown sota curve kind {kind!r}; expected one of {tuple(SOTA_KINDS)}")
@@ -290,31 +298,12 @@ def sota_curves(kind: str, **params) -> SotaCurve:
     unused = sorted(set(params) - set(names))
     if unused:
         raise ValueError(f"sota curve {kind!r} does not take parameters {unused}")
-    values = [real_param(n, params[n]) for n in names]
-    nonpositive = [n for n, v in zip(names, values) if n != "p" and not v > 0]
-    if nonpositive:
-        raise ValueError(f"sota curve {kind!r} requires positive parameters {nonpositive}")
+    v = _checked(f"sota curve {kind!r}", **{n: params[n] for n in names})
 
     if kind == "liu-sgd":
-        (B,) = values
-        return SotaCurve(kind, _nt_power_over_logpow(0.5, 0.0), lambda eps: -eps / (12.0 * B**2), {"B": B})
+        return RateSpec(kind, 0.5, 0.0, 12.0 * _pow(v["B"], 2), "x", v)
     if kind == "nguyen-csgd":
-        sigma, delta, L, p = values
-        if not 1.0 < p <= 2.0:
-            raise ValueError("p must lie in (1, 2]")
-        beta_half = beta_exponent(p) / 2.0
-        log_pow = 2.0 * p / (3.0 * p - 2.0)
-        coeff = 720.0 * sigma * math.sqrt(delta * L)
-        return SotaCurve(
-            kind,
-            _nt_power_over_logpow(beta_half, log_pow),
-            lambda eps: -eps / coeff,
-            {"sigma": sigma, "delta": delta, "L": L, "p": p},
-        )
-    C, L = values  # armacki-nsgd
-    return SotaCurve(
-        kind,
-        _nt_power_over_logpow(0.5, 1.0),
-        lambda eps: -min(eps, math.sqrt(eps)) / (16.0 * C**4 * L**2),
-        {"C": C, "L": L},
-    )
+        p = v["p"]
+        denominator = 720.0 * v["sigma"] * math.sqrt(v["delta"] * v["L"])
+        return RateSpec(kind, beta_exponent(p) / 2.0, 2.0 * p / (3.0 * p - 2.0), denominator, "x", v)
+    return RateSpec(kind, 0.5, 1.0, 16.0 * _pow(v["C"], 4) * _pow(v["L"], 2), "min(x,sqrt x)", v)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,16 @@ def test_verify_failure_exit_code(monkeypatch):
         ["compare-sota", "--epsilon", "1", "--B", "1", "--L", "2", "--delta", "3"],
         ["compare-sota", "--epsilon", "1", "--B", "1", "--p", "1.5"],
         ["fit", "{R}/tail.csv", "--p", "1.5"],
+        ["rates", "--epsilon", "1", "--M", "1e300"],
+        ["rates", "--epsilon", "1", "--p", "1.5", "--G", "1e300"],
+        ["compare-sota", "--epsilon", "1", "--B", "1e300"],
+        ["compare-sota", "--epsilon", "1", "--B", "1e-300"],
+        ["compare-sota", "--epsilon", "1", "--sigma", "1", "--delta", "1e-300", "--L", "1e-300", "--p", "1.5"],
+        ["rates", "--epsilon", "1", "--M", "inf"],
+        ["rates", "--epsilon", "1", "--M", "1e-300"],
+        ["compare-sota", "--epsilon", "inf", "--B", "1"],
+        ["rates", "--epsilon", "1e200", "--M", "1"],
+        ["compare-sota", "--epsilon", "1", "--C", "1e-80", "--L", "1"],
     ],
     ids=["tail-t-grid-below-1", "fit-unknown-family", "verify-too-few-samples",
          "rates-p-out-of-range", "rates-bad-t-grid", "rates-t-grid-from-0",
@@ -218,7 +229,10 @@ def test_verify_failure_exit_code(monkeypatch):
          "sota-t-grid-list-no-t-from-3", "sota-B-zero", "sota-C-zero", "sota-L-negative",
          "sota-delta-zero", "rates-epsilon-negative", "rates-epsilon-zero",
          "sota-epsilon-negative", "sota-epsilon-nan", "rates-C-without-p",
-         "sota-L-delta-complete-no-curve", "sota-p-completes-no-curve", "fit-p-without-power-over-log"],
+         "sota-L-delta-complete-no-curve", "sota-p-completes-no-curve", "fit-p-without-power-over-log",
+         "rates-M-overflows", "rates-G-overflows", "sota-B-overflows", "sota-B-underflows",
+         "sota-delta-L-underflow", "rates-M-inf", "rates-M-underflows", "sota-epsilon-inf",
+         "rates-slope-overflows", "sota-slope-overflows"],
 )
 def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, capsys):
     config_path, doc = tiny_config
@@ -378,6 +392,22 @@ def test_tail_epsilon_near_a_recorded_one_writes_the_recorded_value(tiny_config)
     assert main(["tail", out, "--epsilon", "0.18000000000000002", "--no-svg"]) == 0
     rows = list(csv.reader(l for l in open(os.path.join(out, "tail.csv")) if not l.startswith("#")))
     assert {r[rows[0].index("epsilon")] for r in rows[1:]} == {"0.18"}
+
+
+def test_tail_draws_no_overlay_for_an_infinite_rate(tmp_path):
+    # M = 1e-160 gives a positive subnormal 24 M^2 G^2, so I(0.02) is +inf
+    doc = preset_config("sgd-bounded")
+    doc["ensemble"].update(n_runs=64, horizon_T=40)
+    doc["oracle"]["noise"]["radius"] = 1e-160
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", str(config_path), "--out", out]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning either
+        assert main(["tail", out, "--epsilon", "0.02"]) == 0
+    svg = open(os.path.join(out, "tail.svg")).read()
+    assert "sgd bound shape" not in svg and "liu-sgd shape" in svg
 
 
 def test_single_run_yields_one_row(tmp_path):

@@ -117,6 +117,49 @@ class TestValidation:
             with pytest.raises(ConfigError, match="t_grid"):
                 parse_config(base_doc)
 
+    def test_horizon_bound_and_no_default_grid(self, base_doc, tmp_path, capsys):
+        # hit is int32 and stores T + 1; a missing t_grid is left to estimate_tail's 1..T
+        del base_doc["ensemble"]["t_grid"]
+        base_doc["ensemble"]["horizon_T"] = 2**31 - 2
+        assert parse_config(base_doc).t_grid is None
+        config_path = tmp_path / "config.json"
+        for horizon in (2**31 - 1, 10**20):
+            base_doc["ensemble"]["horizon_T"] = horizon
+            with pytest.raises(ConfigError, match=r"^ensemble/method: horizon_T must be at most 2147483646"):
+                parse_config(base_doc)
+            config_path.write_text(json.dumps(base_doc))
+            assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.startswith("error: ensemble/method: horizon_T must be at most")
+        assert not (tmp_path / "out").exists()
+
+    def test_paper_law_is_built_at_parse(self):
+        exps = {name: parse_config(preset_config(name)) for name in PRESET_NAMES}
+        assert exps["appendix-f"].law is None  # a constant threshold has no closed-form law
+        cert = exps["sgd-bounded"].run_config.certified_constants()
+        assert (exps["sgd-bounded"].law.name, exps["sgd-bounded"].law.params) == ("sgd", {"M": 0.5, "G": cert["G"]})
+        assert (exps["csgd-pareto"].law.name, exps["csgd-pareto"].law.params["p"]) == ("csgd", 1.5)
+
+    @pytest.mark.parametrize(
+        "preset, edit, law",
+        [
+            ("sgd-bounded", lambda d: d["oracle"]["noise"].update(radius=1e300), "sgd"),
+            ("sgd-bounded", lambda d: d["oracle"]["noise"].update(radius=1e-300), "sgd"),
+            ("csgd-pareto", lambda d: d["method"].update(clip={"kind": "general-C", "p": 1.5, "C": 1e300}),
+             "csgd-generalC"),
+        ],
+        ids=["sgd-M-overflows", "sgd-M-underflows", "general-C-overflows"],
+    )
+    def test_paper_law_that_cannot_be_formed_exits_2_before_any_run(self, preset, edit, law, tmp_path, capsys):
+        doc = preset_config(preset)
+        edit(doc)
+        with pytest.raises(ConfigError, match=rf"^ensemble/method: {law} law: rate denominator"):
+            parse_config(doc)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ensemble/method: {law} law:")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_candidate_family(self, base_doc):
         base_doc["analysis"]["candidates"] = ["cubed-t"]
         with pytest.raises(ConfigError, match="cubed-t"):
@@ -285,9 +328,10 @@ _FUZZ_CASES = [(name, leaf) for name, (_, leaves) in _FUZZ_DOCS.items() for leaf
     "name, leaf", _FUZZ_CASES, ids=[f"{name}:{'.'.join(map(str, leaf))}" for name, leaf in _FUZZ_CASES]
 )
 def test_fuzzed_config_parses_or_exits_2(name, leaf, tmp_path, capsys):
-    """A config with one leaf set to a fuzz value either parses, simulates and
-    reports with exit 0, or is rejected with exit 2 and writes nothing; a
-    non-finite number never parses, and no exception escapes ``main``."""
+    """A config with one leaf set to a fuzz value either parses, simulates,
+    draws the tail at its first epsilon and reports with exit 0, or is
+    rejected with exit 2 and writes nothing; a non-finite number never
+    parses, and no exception escapes ``main``."""
     for value in FUZZ_VALUES:
         doc = copy.deepcopy(_FUZZ_DOCS[name][0])
         *parents, last = leaf
@@ -296,7 +340,7 @@ def test_fuzzed_config_parses_or_exits_2(name, leaf, tmp_path, capsys):
             node = node[key]
         node[last] = value
         try:
-            parse_config(copy.deepcopy(doc))
+            first_epsilon = parse_config(copy.deepcopy(doc)).run_config.epsilon_grid[0]
             parses = True
         except ConfigError:
             parses = False
@@ -307,6 +351,7 @@ def test_fuzzed_config_parses_or_exits_2(name, leaf, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == (0 if parses else 2), value
         if parses:
+            assert main(["tail", str(out), "--epsilon", repr(float(first_epsilon))]) == 0, value
             assert main(["report", str(out)]) == 0, value
             shutil.rmtree(out)
         assert not out.exists()

@@ -189,7 +189,7 @@ class TestQuery:
         for x in 3.0 * np.random.default_rng(5).standard_normal((5, 3)):
             outs = oracle.query_block(x, rng, 2000)
             dev = np.linalg.norm(outs - cost.gradient(x), axis=1)
-            assert np.all(dev <= oracle.noise_bound())
+            assert np.all(dev <= oracle.noise_constants()["M"])
 
 
 class TestClippingBiasProbe:

@@ -156,21 +156,95 @@ class TestLowerBoundProb:
 
 class TestSotaCurves:
     def test_liu_slope(self):
-        assert sota_curves("liu-sgd", B=1.0).asymptotic_slope(1.0) == pytest.approx(-1.0 / 12.0)
+        assert -sota_curves("liu-sgd", B=1.0).rate_function_I(1.0) == pytest.approx(-1.0 / 12.0)
 
     def test_armacki_min_structure(self):
         curve = sota_curves("armacki-nsgd", C=1.0, L=1.0)
-        assert curve.asymptotic_slope(1.0) == pytest.approx(-1.0 / 16.0)
+        assert -curve.rate_function_I(1.0) == pytest.approx(-1.0 / 16.0)
         # below 1 the sqrt branch is active
-        assert curve.asymptotic_slope(0.25) == pytest.approx(-0.25 / 16.0)
-        assert curve.asymptotic_slope(4.0) == pytest.approx(-2.0 / 16.0)
+        assert -curve.rate_function_I(0.25) == pytest.approx(-0.25 / 16.0)
+        assert -curve.rate_function_I(4.0) == pytest.approx(-2.0 / 16.0)
 
     def test_nguyen_slope(self):
         curve = sota_curves("nguyen-csgd", sigma=1.0, delta=1.0, L=1.0, p=1.5)
-        assert curve.asymptotic_slope(2.0) == pytest.approx(-1.0 / 360.0)
+        assert -curve.rate_function_I(2.0) == pytest.approx(-1.0 / 360.0)
 
     def test_missing_params(self):
         with pytest.raises(ValueError):
             sota_curves("liu-sgd")
         with pytest.raises(ValueError):
             sota_curves("unknown-method", B=1.0)
+    def test_generating_phi_needs_a_quadratic_law(self):
+        for law in (sota_curves("liu-sgd", B=1.0), decay_family("sqrt-t")):
+            with pytest.raises(ValueError, match="no quadratic rate function"):
+                generating_phi(law)
+
+
+# (law, decay sequence, slope at eps) of every law kind: the sequence and the
+# slope -I(eps) written out as the expressions the CSV and SVG outputs were
+# first produced with, in the same operation order
+_T = np.unique(np.round(np.logspace(np.log10(3), 6, 61)))
+_M, _G, _C, _B, _SIGMA, _DELTA, _L = 1.3, 0.9, 3.0, 0.6, 1.26, 1.55, 0.7
+_REFERENCE_LAWS = {
+    "sgd": (rate_sgd(_M, _G), lambda t: t**1.0 / np.log(t) ** 1.0,
+            lambda e: -(e * e / (24.0 * _M**2 * _G**2))),
+    "csgd-p1.5": (rate_csgd(_G, 1.5), lambda t: t**0.8 / np.log(t) ** 1.0,
+                  lambda e: -(e * e / (768.0 * _G**4))),
+    "csgd-p2": (rate_csgd(_G, 2.0), lambda t: t**1.0 / np.log(t) ** 2.0,
+                lambda e: -(e * e / (384.0 * _G**4))),
+    "general-C-p1.5": (rate_csgd_generalC(_G, _C, 1.5), lambda t: t**0.8 / np.log(t) ** 1.0,
+                       lambda e: -(e * e / (192.0 * _C**2 * _G**2))),
+    "general-C-p2": (rate_csgd_generalC(_G, _C, 2.0), lambda t: t**1.0 / np.log(t) ** 2.0,
+                     lambda e: -(e * e / (96.0 * _C**2 * _G**2))),
+    "liu-sgd": (sota_curves("liu-sgd", B=_B), lambda t: t**0.5 / np.log(t) ** 0.0,
+                lambda e: -e / (12.0 * _B**2)),
+    "nguyen-csgd": (sota_curves("nguyen-csgd", sigma=_SIGMA, delta=_DELTA, L=_L, p=1.5),
+                    lambda t: t ** (0.8 / 2.0) / np.log(t) ** (2.0 * 1.5 / (3.0 * 1.5 - 2.0)),
+                    lambda e: -e / (720.0 * _SIGMA * math.sqrt(_DELTA * _L))),
+    "armacki-nsgd": (sota_curves("armacki-nsgd", C=_C, L=_L), lambda t: t**0.5 / np.log(t) ** 1.0,
+                     lambda e: -min(e, math.sqrt(e)) / (16.0 * _C**4 * _L**2)),
+    **{name: (decay_family(name, p=1.5 if name == "power-over-log" else None),
+              lambda t, a=a, b=b: t**a / np.log(t) ** b, None)
+       for name, (a, b) in {"sqrt-t": (0.5, 0.0), "t-over-log": (1.0, 1.0), "power-over-log": (0.8, 1.0),
+                            "t-over-log2": (1.0, 2.0), "linear-t": (1.0, 0.0)}.items()},
+}
+
+
+@pytest.mark.parametrize("kind", list(_REFERENCE_LAWS))
+def test_laws_reproduce_the_reference_expressions_bit_for_bit(kind):
+    law, nt, slope = _REFERENCE_LAWS[kind]
+    assert 4.0 * (1.5 - 1.0) / (3.0 * 1.5 - 2.0) == 0.8  # beta_exponent(1.5), as written above
+    # the array path (tail.svg overlays) and the scalar path (rates.csv, sota.csv)
+    assert np.array_equal(law.decay_rate_nt(_T), nt(_T))
+    assert [law.decay_rate_nt(float(t)) for t in _T] == [float(nt(np.asarray(t))) for t in _T]
+    if slope is None:
+        with pytest.raises(ValueError, match="no rate function"):
+            law.rate_function_I(1.0)
+        return
+    for eps in (0.02, 0.09, 0.3, 0.7, 1.0, 4.0):
+        assert -law.rate_function_I(eps) == slope(eps), eps
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: rate_sgd(1e300, 1.0), "sgd law: rate denominator inf"),
+        (lambda: rate_sgd(1e-300, 1.0), "sgd law: rate denominator 0.0"),
+        (lambda: rate_sgd(math.inf, 1.0), "M must be a finite number"),
+        (lambda: rate_csgd(1e300, 1.5), "csgd law: rate denominator inf"),
+        (lambda: rate_csgd_generalC(1.0, 1e200, 2.0), "csgd-generalC law: rate denominator inf"),
+        (lambda: sota_curves("liu-sgd", B=1e300), "liu-sgd law: rate denominator inf"),
+        (lambda: sota_curves("liu-sgd", B=1e-300), "liu-sgd law: rate denominator 0.0"),
+        (lambda: sota_curves("nguyen-csgd", sigma=1.0, delta=1e-300, L=1e-300, p=1.5),
+         "nguyen-csgd law: rate denominator 0.0"),
+        (lambda: sota_curves("armacki-nsgd", C=1e100, L=1.0), "armacki-nsgd law: rate denominator inf"),
+        (lambda: rate_csgd(0.0, 1.5), r"csgd law requires positive parameters \['G'\]"),
+        (lambda: rate_csgd(1.0, "1.5"), "p must be a finite number"),
+    ],
+    ids=["sgd-M-overflows", "sgd-M-underflows", "sgd-M-inf", "csgd-G-overflows", "general-C-C-overflows",
+         "liu-B-overflows", "liu-B-underflows", "nguyen-delta-L-underflow", "armacki-C-overflows",
+         "csgd-G-zero", "csgd-p-string"],
+)
+def test_law_that_cannot_be_formed_is_a_value_error_naming_it(build, named):
+    with pytest.raises(ValueError, match=named):
+        build()
