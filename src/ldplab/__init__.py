@@ -37,7 +37,6 @@ from .oracles import (
     SymmetrizedParetoNoise,
     TwoPointNoise,
     clipping_bias_probe,
-    make_noise,
 )
 from .optimizers import (
     ClipSpec,

@@ -37,6 +37,7 @@ from .montecarlo import (
     LEMMA_SUITES,
     InsufficientDataError,
     TailEstimate,
+    check_t_grid,
     estimate_tail,
     fit_decay,
     run_ensemble,
@@ -44,10 +45,11 @@ from .montecarlo import (
     verify_lemma_suite,
     verify_request,
 )
-from .optimizers import EnsembleArrays, _assert_invariants
+from .optimizers import MAX_HORIZON, EnsembleArrays, _assert_invariants
 from .svgplot import PALETTE, line_chart
 from .theory import (
     DECAY_FAMILIES,
+    DECAY_T_MIN,
     SOTA_KINDS,
     RateSpec,
     decay_family,
@@ -161,22 +163,16 @@ def _resolve_out(flag_value: str | None, config_dir: str) -> str:
     return config_dir
 
 
-def _parse_t_grid(spec: str, expand_range) -> np.ndarray:
+def _parse_t_grid(spec: str, horizon: int, expand_range) -> np.ndarray:
     """A --t-grid value: 'lo:hi' through expand_range(lo, hi), or a comma list;
-    every step is at least 1."""
+    the list, or lo and hi, must be steps in [1, horizon], checked first."""
     try:
         if ":" not in spec:
-            grid = np.asarray(sorted({int(tok) for tok in spec.split(",")}), dtype=np.int64)
-            if grid[0] < 1:
-                raise ConfigError(f"--t-grid: {spec!r} has a step below 1")
-            return grid
+            return check_t_grid(sorted({int(tok) for tok in spec.split(",")}), horizon)
         lo, hi = (int(tok) for tok in spec.split(":", 1))
-    except ConfigError:
-        raise
+        check_t_grid([lo] if lo == hi else [lo, hi], horizon)
     except ValueError as e:
-        raise ConfigError(f"--t-grid: cannot parse {spec!r}: {e}") from e
-    if not 1 <= lo <= hi:
-        raise ConfigError(f"--t-grid: {spec!r} is not a range lo:hi with 1 <= lo <= hi")
+        raise ConfigError(f"--t-grid {spec!r}: {e}") from e
     return expand_range(lo, hi)
 
 
@@ -199,6 +195,20 @@ def _summary_header(epsilon_grid) -> list:
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+
+def _manifest(exp: Experiment, arrays: EnsembleArrays) -> dict:
+    """The meta.json that simulate writes for an experiment and its ensemble."""
+    return {
+        "tool": TOOL_NAME,
+        "version": TOOL_VERSION,
+        "config_digest": exp.digest,
+        "config": exp.raw,
+        "certified": {k: float(v) for k, v in exp.run_config.certified_constants().items()},
+        "n_runs": exp.n_runs,
+        "horizon_T": exp.run_config.horizon_T,
+        "diverged_runs": arrays.diverged_count,
+    }
 
 
 def _load_experiment(args) -> Experiment:
@@ -228,29 +238,18 @@ def _cmd_simulate(args) -> int:
     arrays = run_ensemble(exp.run_config, exp.n_runs, workers=args.workers)
     os.makedirs(outdir, exist_ok=True)
     T = exp.run_config.horizon_T
-    certified = exp.run_config.certified_constants()
     hit_out = np.where(arrays.hit <= T, arrays.hit, -1)  # -1 encodes "never within T"
-    meta = {
-        "tool": TOOL_NAME,
-        "version": TOOL_VERSION,
-        "config_digest": exp.digest,
-        "config": exp.raw,
-        "certified": {k: float(v) for k, v in certified.items()},
-        "n_runs": exp.n_runs,
-        "horizon_T": T,
-        "diverged_runs": arrays.diverged_count,
-    }
     # each file replaces its old one whole, summary first, manifest last; a
     # summary whose digest is not the manifest's is rejected on load, so an
     # interrupted write never mixes old and new
     _write_csv(
         os.path.join(outdir, "trajsummary.csv"),
-        _provenance_comment(exp.digest, certified),
+        _provenance_comment(exp.digest, exp.run_config.certified_constants()),
         _summary_header(exp.run_config.epsilon_grid),
         columns=[arrays.run_indices, arrays.diverged, arrays.clip_events, *hit_out.T],
     )
     with _atomic_write(meta_path) as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
+        json.dump(_manifest(exp, arrays), fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(
         f"simulated {exp.n_runs} runs (T={T}, digest={exp.digest}, "
@@ -272,9 +271,9 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
     the config's n_runs, whose digest is not the manifest's, with a
     diverged cell other than 0 or 1, a hitting time other than -1 outside
     [1, horizon_T], or hitting times that break the ensemble invariants is
-    corrupt, and so is a manifest whose certified constants are not finite
-    numbers, or whose digest, n_runs, horizon_T or diverged_runs is not the
-    one of its config and summary: an OSError.
+    corrupt, and so is a manifest with any field besides its config that is
+    not, in canonical JSON, the one simulate writes for that config and
+    summary: an OSError.
     """
     meta_path = os.path.join(results_dir, "meta.json")
     meta = _read_manifest(meta_path)
@@ -311,27 +310,20 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
         _assert_invariants(arrays)
     except ValueError as e:
         raise OSError(f"{summary_path}: corrupt trajsummary: {e}") from e
-    recorded = {"config_digest": exp.digest, "n_runs": exp.n_runs, "horizon_T": T}
-    recorded["diverged_runs"] = arrays.diverged_count
-    try:
-        if not isinstance(meta.get("certified"), dict):
-            raise ValueError("certified is not an object")
-        for name, value in meta["certified"].items():
-            real_param(f"certified {name}", value)
-        for key, value in recorded.items():
-            if isinstance(meta.get(key), bool) or meta.get(key) != value:
-                raise ValueError(f"{key} {meta.get(key)!r} is not the results' {value!r}")
-    except ValueError as e:
-        raise OSError(f"{meta_path}: corrupt run manifest: {e}") from e
+    expected = _manifest(exp, arrays)
+    for key in sorted((meta.keys() | expected.keys()) - {"config"}):
+        found, want = (json.dumps(d[key], sort_keys=True) if key in d else "absent" for d in (meta, expected))
+        if found != want:
+            raise OSError(f"{meta_path}: corrupt run manifest: {key} is {found}, not {want}")
     return meta, exp, arrays
 
 
 def _anchored_curve(law: RateSpec, epsilon: float, t_grid: np.ndarray, p_anchor: float, t_anchor: int):
     """exp(-I(epsilon) n_t) of a law, scaled to pass through the anchor point;
     None when no step t >= 3 is drawn or I(epsilon) is infinite."""
-    ts = t_grid[t_grid >= 3].astype(np.float64)
+    ts = t_grid[t_grid >= DECAY_T_MIN].astype(np.float64)
     slope = -law.rate_function_I(epsilon)
-    if ts.size == 0 or t_anchor < 3 or not np.isfinite(slope):
+    if ts.size == 0 or t_anchor < DECAY_T_MIN or not np.isfinite(slope):
         return None
     nt = np.asarray(law.decay_rate_nt(ts), dtype=np.float64)
     nt0 = float(law.decay_rate_nt(float(t_anchor)))
@@ -361,7 +353,9 @@ def _cmd_tail(args) -> int:
     if args.t_grid is None:
         t_grid = exp.t_grid
     else:
-        t_grid = _parse_t_grid(args.t_grid, lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64))
+        t_grid = _parse_t_grid(
+            args.t_grid, exp.run_config.horizon_T, lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64)
+        )
     out_csv = os.path.join(args.results_dir, "tail.csv")
     tail = _write_tail(out_csv, meta, arrays, args.epsilon, t_grid)
     print(f"wrote {out_csv}")
@@ -375,7 +369,7 @@ def _cmd_tail(args) -> int:
                 "color": PALETTE[0],
             }
         ]
-        positive = (tail.p_hat > 0) & (tail.t_grid >= 3)
+        positive = (tail.p_hat > 0) & (tail.t_grid >= DECAY_T_MIN)
         if np.any(positive):
             anchor_idx = int(np.flatnonzero(positive)[0])
             t_anchor = int(tail.t_grid[anchor_idx])
@@ -505,10 +499,10 @@ def _write_curves(args, source: str, curves) -> None:
     if not args.epsilon > 0:
         raise ConfigError(f"--epsilon must be positive, got {args.epsilon}")
     real_param("--epsilon", args.epsilon)
-    t_grid = _parse_t_grid(args.t_grid, _log_t_grid) if args.t_grid else _log_t_grid(10, 10**6)
-    t_grid = t_grid[t_grid >= 3]
+    t_grid = _parse_t_grid(args.t_grid, MAX_HORIZON, _log_t_grid) if args.t_grid else _log_t_grid(10, 10**6)
+    t_grid = t_grid[t_grid >= DECAY_T_MIN]
     if t_grid.size == 0:
-        raise ConfigError(f"--t-grid: {args.t_grid} has no step t >= 3")
+        raise ConfigError(f"--t-grid: {args.t_grid} has no step t >= {DECAY_T_MIN}")
     rows = []
     for spec in curves:
         label = spec.name + "".join(f" {k}={v:g}" for k, v in sorted(spec.params.items()))

@@ -24,7 +24,8 @@ import json
 import numpy as np
 
 from .costs import COSTS, CostSpec, int_param
-from .oracles import _NOISE_KINDS, ORACLE_MODES, OracleSpec, make_noise
+from .montecarlo import check_t_grid
+from .oracles import _NOISE_KINDS, ORACLE_MODES, OracleSpec
 from .optimizers import CLIP_KINDS, METHODS, STEP_KINDS, ClipSpec, RunConfig, ScheduleSpec
 from .theory import SOTA_KINDS, RateSpec, decay_family, rate_csgd, rate_csgd_generalC, rate_sgd, sota_curves
 
@@ -58,6 +59,7 @@ KIND_BLOCKS = {
     "cost": ("name", {name: params for name, (_, params) in COSTS.items()}),
     "oracle": ("mode", _fields(ORACLE_MODES, "cost")),
     "oracle.noise": ("kind", _fields(_NOISE_KINDS, "dim")),
+    "method": ("kind", METHODS),
     "method.step": ("kind", STEP_KINDS),
     "method.clip": ("kind", CLIP_KINDS),
     "analysis.sota[]": ("kind", SOTA_KINDS),
@@ -102,7 +104,7 @@ def _build_oracle(block: dict, cost: CostSpec) -> OracleSpec:
     def noise(kind, params):
         if "dim" in _NOISE_KINDS[kind].__dataclass_fields__:
             params["dim"] = cost.dim
-        return make_noise(kind, **params)
+        return _NOISE_KINDS[kind](**params)
 
     def oracle(mode, params):
         if "noise" in params:
@@ -110,6 +112,15 @@ def _build_oracle(block: dict, cost: CostSpec) -> OracleSpec:
         return ORACLE_MODES[mode](cost=cost, **params)
 
     return _kind_block(block, "oracle", oracle)
+
+
+def _build_method(kind: str, params: dict) -> tuple:
+    """(kind, ScheduleSpec, ClipSpec or None) of a method block's kind and its step and clip blocks."""
+    step = _kind_block(params["step"], "method.step", lambda k, p: ScheduleSpec(k, **p))
+    clip = None
+    if "clip" in params:  # a clip kind lists its coefficient, then p: ClipSpec's field order
+        clip = _kind_block(params["clip"], "method.clip", lambda k, p: ClipSpec(k, *p.values()))
+    return kind, step, clip
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -181,20 +192,7 @@ def parse_config(doc: dict) -> Experiment:
     cost = _kind_block(doc["cost"], "cost", lambda name, params: COSTS[name][0](**params))
     oracle = _build_oracle(doc["oracle"], cost)
 
-    method = doc["method"]
-    _require_keys(method, "method", ("kind", "step"), ("clip",))
-    kind = method["kind"]
-    if kind not in METHODS:
-        raise ConfigError(f"method.kind: unknown method {kind!r}; expected one of {METHODS}")
-    step = _kind_block(method["step"], "method.step", lambda k, params: ScheduleSpec(k, **params))
-    clip = None
-    if kind == "clipped":
-        if "clip" not in method:
-            raise ConfigError("method: clipped method requires a clip block")
-        # a clip kind lists its coefficient, then p: ClipSpec's field order
-        clip = _kind_block(method["clip"], "method.clip", lambda k, params: ClipSpec(k, *params.values()))
-    elif "clip" in method:
-        raise ConfigError("method: vanilla method must not carry a clip block")
+    kind, step, clip = _kind_block(doc["method"], "method", _build_method)
 
     ens = doc["ensemble"]
     _require_keys(
@@ -219,15 +217,15 @@ def parse_config(doc: dict) -> Experiment:
         law = _paper_law(run_config)
     except ValueError as e:
         raise ConfigError(f"ensemble/method: {e}") from e
-    horizon = run_config.horizon_T
     t_grid = None
     if "t_grid" in ens:
         tg = ens["t_grid"]
         if not isinstance(tg, list) or not all(isinstance(t, int) and not isinstance(t, bool) for t in tg):
             raise ConfigError("ensemble.t_grid: expected a list of integers")
-        if not tg or tg[0] < 1 or tg[-1] > horizon or any(a >= b for a, b in zip(tg, tg[1:])):
-            raise ConfigError(f"ensemble.t_grid: must be strictly increasing within [1, {horizon}]")
-        t_grid = np.asarray(tg, dtype=np.int64)
+        try:
+            t_grid = check_t_grid(tg, run_config.horizon_T)
+        except ValueError as e:
+            raise ConfigError(f"ensemble.t_grid: {e}") from e
 
     candidates, sota = _build_analysis(doc.get("analysis", {}))
 

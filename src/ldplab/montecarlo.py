@@ -34,6 +34,7 @@ from .oracles import (
 from .optimizers import EnsembleArrays, RunConfig, simulate_runs
 from .rng import run_generator
 from .theory import (
+    DECAY_T_MIN,
     lower_bound_exact_prob,
     rate_csgd,
     rate_csgd_generalC,
@@ -150,6 +151,16 @@ def tail_from_counts(
     )
 
 
+def check_t_grid(t_grid, horizon_T: int) -> np.ndarray:
+    """The steps of a tail grid as int64; ValueError unless they are non-empty,
+    strictly increasing and in [1, horizon_T], compared before the conversion."""
+    steps = np.asarray(t_grid)
+    increasing = steps.ndim == 1 and steps.size > 0 and not np.any(steps[1:] <= steps[:-1])
+    if not (increasing and 1 <= steps[0] and steps[-1] <= horizon_T):
+        raise ValueError(f"t_grid must be non-empty, strictly increasing and within [1, {horizon_T}]")
+    return steps.astype(np.int64)
+
+
 def tail_from_hitting_times(
     hit: np.ndarray,
     horizon_T: int,
@@ -162,11 +173,7 @@ def tail_from_hitting_times(
     ``hit`` holds first hitting times with horizon_T + 1 (or any value > T)
     meaning "never within T"; F_t > eps iff hit > t.
     """
-    t_grid = np.asarray(t_grid, dtype=np.int64)
-    if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be non-empty and strictly increasing")
-    if t_grid[0] < 1 or t_grid[-1] > horizon_T:
-        raise ValueError(f"t_grid must lie within [1, {horizon_T}]")
+    t_grid = check_t_grid(t_grid, horizon_T)
     hit = np.asarray(hit)
     n = hit.size
     # number of runs with hit > t == n - (#hit <= t)
@@ -213,7 +220,7 @@ def fit_decay(tail: TailEstimate, candidates) -> list[DecayFit]:
     sequences are meaningful) enter the regression.  slope_hat estimates the
     constant c in p(t) ~ exp(-c n_t).
     """
-    usable = (tail.exceed_count >= 30) & (tail.t_grid >= 3)
+    usable = (tail.exceed_count >= 30) & (tail.t_grid >= DECAY_T_MIN)
     if int(usable.sum()) < 3:
         raise InsufficientDataError(
             f"only {int(usable.sum())} estimable tail points (need >= 3)"

@@ -36,7 +36,8 @@ MAX_HORIZON = 2**31 - 2
 # temporaries of its transform; the pre-drawn randomness itself is (T-1, ..., runs).
 _SLAB_RAW_BYTES = 1 << 22
 
-METHODS = ("vanilla", "clipped")
+# method kind -> the schedule blocks it reads
+METHODS = {"vanilla": ("step",), "clipped": ("step", "clip")}
 
 # step kind -> the one parameter each schedule reads
 STEP_KINDS = {"sgd-sqrt": ("a",), "csgd-power": ("p",), "constant": ("c",)}
@@ -298,29 +299,31 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
     hit = np.full((n_eps, B), T + 1, dtype=np.int32)
     gns_steps = np.empty((T, B)) if record_full else None
 
-    for t in range(1, T + 1):
-        norms_sq = sq_norms(x, axis=0)
-        newly_bad = ~np.isfinite(norms_sq) | (norms_sq > DIVERGENCE_LIMIT**2)
-        newly_bad &= ~diverged
-        if np.any(newly_bad):
-            diverged |= newly_bad
-            x[:, newly_bad] = x0  # frozen placeholder, excluded below
+    # a norm that overflows to inf is handled (divergence check, clipping), not warned of
+    with np.errstate(over="ignore"):
+        for t in range(1, T + 1):
+            norms_sq = sq_norms(x, axis=0)
+            newly_bad = ~np.isfinite(norms_sq) | (norms_sq > DIVERGENCE_LIMIT**2)
+            newly_bad &= ~diverged
+            if np.any(newly_bad):
+                diverged |= newly_bad
+                x[:, newly_bad] = x0  # frozen placeholder, excluded below
 
-        grad = config.cost.gradient(x, axis=0)
-        gns = sq_norms(grad, axis=0)
-        gns[diverged] = np.inf
-        if record_full:
-            gns_steps[t - 1] = gns
-        newly_hit = (hit == T + 1) & (gns <= eps[:, None])
-        hit[newly_hit] = t
+            grad = config.cost.gradient(x, axis=0)
+            gns = sq_norms(grad, axis=0)
+            gns[diverged] = np.inf
+            if record_full:
+                gns_steps[t - 1] = gns
+            newly_hit = (hit == T + 1) & (gns <= eps[:, None])
+            hit[newly_hit] = t
 
-        if t < T:
-            g = config.oracle.gradients(x, randomness[t - 1], grad)
-            if clipped_method:
-                g, over = clip_rows(g, gammas[t - 1], axis=0)
-                clip_events += over & ~diverged
-            x_new = x - alphas[t - 1] * g
-            x = np.where(diverged, x, x_new)
+            if t < T:
+                g = config.oracle.gradients(x, randomness[t - 1], grad)
+                if clipped_method:
+                    g, over = clip_rows(g, gammas[t - 1], axis=0)
+                    clip_events += over & ~diverged
+                x_new = x - alphas[t - 1] * g
+                x = np.where(diverged, x, x_new)
 
     hit[:, diverged] = T + 1  # diverged runs count as exceeding every threshold
 

@@ -98,7 +98,8 @@ class NoiseModel:
         """A ValueError unless every certified constant is a finite number: a
         bound that overflows certifies nothing."""
         try:
-            constants = self.noise_constants()
+            with np.errstate(over="ignore"):  # a numpy constant that overflows is inf, rejected below
+                constants = self.noise_constants()
         except OverflowError as e:
             raise ValueError(f"the certified constants of {self.kind} noise overflow") from e
         for name, value in constants.items():
@@ -243,13 +244,6 @@ class GaussianNoise(NoiseModel):
 
 # noise kind -> model; a kind's parameters are its dataclass fields
 _NOISE_KINDS = {cls.kind: cls for cls in (SphereNoise, TwoPointNoise, SymmetrizedParetoNoise, GaussianNoise)}
-
-
-def make_noise(kind: str, **params) -> NoiseModel:
-    """Construct a noise model by kind name (config-file entry point)."""
-    if kind not in _NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {kind!r}; expected one of {sorted(_NOISE_KINDS)}")
-    return _NOISE_KINDS[kind](**params)
 
 
 class OracleSpec:

@@ -21,6 +21,8 @@ import numpy as np
 
 from .costs import real_param
 
+DECAY_T_MIN = 3  # the first step t the decay sequences are meant for
+
 
 def beta_exponent(p: float) -> float:
     """Power-law exponent 4(p-1)/(3p-2) of the heavy-tail decay rate."""

@@ -148,6 +148,31 @@ def test_analysis_ignores_manifest_output_block(tiny_config):
     assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 0
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: meta["certified"].update(M=99),
+        lambda meta: meta.update(certified={}),
+        lambda meta: meta.update(tool="other-tool"),
+    ],
+    ids=["certified-M-changed", "certified-empty", "tool-changed"],
+)
+def test_manifest_field_not_the_simulated_one_is_io_error(edit, tiny_config, capsys):
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    meta_path = os.path.join(out, "meta.json")
+    meta = json.loads(open(meta_path).read())
+    edit(meta)
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 3
+    assert main(["report", out]) == 3
+    assert capsys.readouterr().err.count("corrupt run manifest") == 2
+    assert not [name for name in os.listdir(out) if name.startswith("tail")]
+
+
 def test_fit_insufficient_data_exit_code(tiny_config, tmp_path):
     config_path, doc = tiny_config
     out = doc["output"]["directory"]
@@ -221,6 +246,11 @@ def test_verify_failure_exit_code(monkeypatch):
         ["compare-sota", "--epsilon", "inf", "--B", "1"],
         ["rates", "--epsilon", "1e200", "--M", "1"],
         ["compare-sota", "--epsilon", "1", "--C", "1e-80", "--L", "1"],
+        ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "3,99999999999999999999999"],
+        ["tail", "{R}", "--epsilon", "0.09", "--t-grid", "3,100000000000000000000"],
+        ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "3:1000000000000000000000000000000"],
+        ["compare-sota", "--epsilon", "1", "--B", "1", "--t-grid", "3:1000000000000000000000000000000"],
+        ["tail", "{R}", "--epsilon", "0.18", "--t-grid", "1:100000000000000000000"],
     ],
     ids=["tail-t-grid-below-1", "fit-unknown-family", "verify-too-few-samples",
          "rates-p-out-of-range", "rates-bad-t-grid", "rates-t-grid-from-0",
@@ -232,7 +262,9 @@ def test_verify_failure_exit_code(monkeypatch):
          "sota-L-delta-complete-no-curve", "sota-p-completes-no-curve", "fit-p-without-power-over-log",
          "rates-M-overflows", "rates-G-overflows", "sota-B-overflows", "sota-B-underflows",
          "sota-delta-L-underflow", "rates-M-inf", "rates-M-underflows", "sota-epsilon-inf",
-         "rates-slope-overflows", "sota-slope-overflows"],
+         "rates-slope-overflows", "sota-slope-overflows", "rates-t-grid-list-beyond-int64",
+         "tail-t-grid-list-beyond-int64", "rates-t-grid-range-beyond-int64",
+         "sota-t-grid-range-beyond-int64", "tail-t-grid-range-beyond-horizon"],
 )
 def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, capsys):
     config_path, doc = tiny_config
@@ -247,6 +279,8 @@ def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, c
     assert err.startswith("error: ") and err.count("\n") == 1
     if "--epsilon" in argv and not float(argv[argv.index("--epsilon") + 1]) > 0:
         assert err.startswith("error: --epsilon must be positive")
+    if "--t-grid" in argv:
+        assert err.startswith("error: --t-grid")
     assert not os.path.exists("rates.csv") and not os.path.exists("sota.csv")
 
 

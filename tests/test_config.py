@@ -19,7 +19,6 @@ from ldplab.config import (
     parse_config,
     preset_config,
 )
-from ldplab.optimizers import METHODS
 from ldplab.theory import DECAY_FAMILIES
 
 
@@ -190,6 +189,8 @@ class TestValidation:
              r"^method\.step: keys \['a'\] do not apply to kind 'constant'"),
             ("appendix-f", lambda d: d["method"]["clip"].update(p=1.5),
              r"^method\.clip: keys \['p'\] do not apply to kind 'constant'"),
+            ("appendix-f", lambda d: d["method"].update(kind="vanilla"),
+             r"^method: keys \['clip'\] do not apply to kind 'vanilla'"),
             ("appendix-f", lambda d: d["analysis"].update(candidate_p=1.5),
              r"^analysis\.candidate_p: applies only when .*'power-over-log'"),
             ("appendix-f", lambda d: d["analysis"]["sota"][0].update(sigma=1.0),
@@ -207,7 +208,7 @@ class TestValidation:
             ("appendix-f", lambda d: d["analysis"]["sota"].append({"kind": "armacki-nsgd", "C": 0, "L": 1}),
              r"^analysis\.sota\[1\]: .*requires positive parameters \['C'\]"),
         ],
-        ids=["sgd-sqrt-step-p-c", "csgd-power-step-a", "constant-step-a", "constant-clip-p",
+        ids=["sgd-sqrt-step-p-c", "csgd-power-step-a", "constant-step-a", "constant-clip-p", "vanilla-clip",
              "candidate-p-without-power-over-log", "liu-sgd-sigma", "nguyen-csgd-B",
              "clip-kind-not-a-string", "liu-sgd-B-zero", "nguyen-csgd-sigma-L-nonpositive",
              "nguyen-csgd-delta-zero", "armacki-nsgd-C-zero"],
@@ -233,7 +234,8 @@ _SAMPLE_VALUES = {
 
 def _doc_with_kind(path: str, kind: str) -> tuple[dict, dict]:
     """(a small valid document, its block at ``path``), the block being ``kind``
-    with a sample value for each of its parameters."""
+    with a sample value for each of its parameters; a nested block keeps the
+    document's own."""
     doc = {
         "cost": {"name": "batch-logistic", "m": 8, "dim": 2, "dataset_seed": 1},
         "oracle": {"mode": "additive-noise", "noise": {"kind": "two-point", "v": [0.6, 0.0]}},
@@ -245,14 +247,15 @@ def _doc_with_kind(path: str, kind: str) -> tuple[dict, dict]:
         "ensemble": {"n_runs": 2, "horizon_T": 3, "seed": 1, "init_x1": [0.6, 0.0], "epsilon_grid": [0.1]},
         "analysis": {"sota": [{"kind": "liu-sgd", "B": 0.5}]},
     }
-    tag, table = KIND_BLOCKS[path]
-    block = {tag: kind}
-    for key in table[kind]:
-        block[key] = _SAMPLE_VALUES[key] if key in _SAMPLE_VALUES else doc["oracle"][key]
     *parents, last = path.removesuffix("[]").split(".")
     parent = doc
     for key in parents:
         parent = parent[key]
+    own = parent[last][0] if path.endswith("[]") else parent[last]
+    tag, table = KIND_BLOCKS[path]
+    block = {tag: kind}
+    for key in table[kind]:
+        block[key] = _SAMPLE_VALUES[key] if key in _SAMPLE_VALUES else own[key]
     if path.endswith("[]"):
         parent[last][0] = block
     else:
@@ -358,17 +361,15 @@ def test_fuzzed_config_parses_or_exits_2(name, leaf, tmp_path, capsys):
         capsys.readouterr()
 
 
-# the top-level fields of a manifest besides its config, and those of them
-# the results are checked against
+# the top-level fields of a manifest besides its config
 _MANIFEST_FIELDS = ("certified", "config_digest", "diverged_runs", "horizon_T", "n_runs", "tool", "version")
-_CHECKED_FIELDS = ("certified", "config_digest", "diverged_runs", "horizon_T", "n_runs")
 
 
 @pytest.mark.parametrize("field", _MANIFEST_FIELDS)
 def test_fuzzed_manifest_field_exits_0_or_3(field, tmp_path, capsys):
     """tail and report on results whose manifest has one top-level field set
-    to a fuzz value, or deleted, exit 3 when the field is checked and the
-    value is not the results' own, else 0; no exception escapes ``main``."""
+    to a fuzz value, or deleted, exit 3 unless the value is the results' own
+    in canonical JSON, then 0; no exception escapes ``main``."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_tiny_preset("appendix-f")))
     out = str(tmp_path / "out")
@@ -383,8 +384,8 @@ def test_fuzzed_manifest_field_exits_0_or_3(field, tmp_path, capsys):
             mutated[field] = value
         with open(meta_path, "w", encoding="utf-8") as fh:
             json.dump(mutated, fh)
-        kept = value is not deleted and not isinstance(value, bool) and value == meta[field]
-        want = 3 if field in _CHECKED_FIELDS and not (kept or (field == "certified" and value == {})) else 0
+        kept = value is not deleted and json.dumps(value, sort_keys=True) == json.dumps(meta[field], sort_keys=True)
+        want = 0 if kept else 3
         assert main(["tail", out, "--epsilon", "0.18"]) == want, value
         assert main(["report", out]) == want, value
         capsys.readouterr()
@@ -411,7 +412,7 @@ def test_batch_subsample_needs_a_finite_sum_cost(tmp_path, capsys):
 def test_readme_config_format_names_every_kind_and_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
-    names = set(METHODS) | set(DECAY_FAMILIES)
+    names = set(DECAY_FAMILIES)
     for tag, table in KIND_BLOCKS.values():
         names |= {tag, *table, *(key for params in table.values() for key in params)}
     missing = [n for n in sorted(names) if not re.search(rf"(?<![\w-]){re.escape(n)}(?![\w-])", section)]

@@ -17,7 +17,6 @@ from ldplab.oracles import (
     _mgf_grid_moments,
     clip_rows,
     clipping_bias_probe,
-    make_noise,
 )
 from ldplab.rng import StreamPool, run_generator
 
@@ -56,10 +55,6 @@ class TestNoiseModels:
     def test_pareto_requires_finite_moment(self):
         with pytest.raises(ValueError):
             SymmetrizedParetoNoise(x_m=1.0, tail_index=1.4, moment_order=1.5, dim=2)
-
-    def test_make_noise_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_noise("cauchy", dim=2)
 
     @pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.kind)
     def test_unbiasedness(self, model):
