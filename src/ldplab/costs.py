@@ -35,10 +35,15 @@ def real_param(name: str, value) -> float:
     return float(value)
 
 
+def is_int(value, minimum: int | None = 1) -> bool:
+    """Whether ``value`` is an integer other than a bool, at least ``minimum``
+    unless that is None: the rule of every count the library takes."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and (minimum is None or value >= minimum)
+
+
 def int_param(name: str, value, minimum: int | None = 1) -> int:
-    """``value`` as an int, or a ValueError naming ``name`` unless it is an
-    integer other than a bool, at least ``minimum`` unless that is None."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (minimum is not None and value < minimum):
+    """``value`` as an int, or a ValueError naming ``name`` unless ``is_int``."""
+    if not is_int(value, minimum):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
     return int(value)

@@ -19,7 +19,7 @@ import multiprocessing
 
 import numpy as np
 
-from .costs import huber_cost, synthetic_logistic_cost
+from .costs import huber_cost, is_int, synthetic_logistic_cost
 from .oracles import (
     PROBE_MIN_SAMPLES,
     AdditiveOracle,
@@ -69,9 +69,9 @@ def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool 
     so the result is bit-identical for every chunk layout and ``workers``
     setting.  At most min(workers, chunks, CPUs) worker processes are started.
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
+    if not is_int(N):
         raise ValueError("N must be a positive integer")
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+    if not is_int(workers):
         raise ValueError(f"workers must be a positive integer, got {workers}")
     usable = min(workers, os.cpu_count() or 1)
     bounds = [*range(0, N, ENSEMBLE_CHUNK), N]
@@ -134,12 +134,11 @@ def tail_from_counts(
     exceed_count,
     n_runs: int,
     epsilon: float,
-    confidence: float = 0.95,
 ) -> TailEstimate:
     """Tail estimate from the number of runs, out of n_runs, with F_t > epsilon
-    at each t; the only place p_hat and its Wilson interval are computed."""
+    at each t; the only place p_hat and its Wilson 95% interval are computed."""
     exceed = np.asarray(exceed_count, dtype=np.int64)
-    lo, hi = wilson_interval(exceed, n_runs, confidence)
+    lo, hi = wilson_interval(exceed, n_runs)
     return TailEstimate(
         n_runs=int(n_runs),
         epsilon=float(epsilon),
@@ -166,7 +165,6 @@ def tail_from_hitting_times(
     horizon_T: int,
     epsilon: float,
     t_grid,
-    confidence: float = 0.95,
 ) -> TailEstimate:
     """Tail estimate from one epsilon's hitting-time column.
 
@@ -178,7 +176,7 @@ def tail_from_hitting_times(
     n = hit.size
     # number of runs with hit > t == n - (#hit <= t)
     exceed = n - np.searchsorted(np.sort(hit), t_grid, side="right")
-    return tail_from_counts(t_grid, exceed, n, epsilon, confidence)
+    return tail_from_counts(t_grid, exceed, n, epsilon)
 
 
 def epsilon_index(recorded, epsilon: float) -> int:
@@ -486,7 +484,7 @@ def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801,
     """
     if suite not in _LEMMA_SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {LEMMA_SUITES}")
-    if n_samples < 1:
+    if not is_int(n_samples):
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     return _LEMMA_SUITE_RUNNERS[suite][0](n_samples, seed, **params)
 
@@ -505,9 +503,9 @@ def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tup
         if suite not in _LEMMA_SUITE_RUNNERS:
             raise ValueError(f"unknown suite {suite!r}; expected {LEMMA_SUITES} or 'all'")
         floor = _LEMMA_SUITE_RUNNERS[suite][1]
-        if samples < floor:
+        if not is_int(samples, floor):
             raise ValueError(f"--samples must be at least {floor} for {suite}, got {samples}")
-    if "appendix-f-enum" in names and not 1 <= enum_t_max <= ENUM_T_MAX:
+    if "appendix-f-enum" in names and not (is_int(enum_t_max) and enum_t_max <= ENUM_T_MAX):
         raise ValueError(f"--enum-t-max must lie in [1, {ENUM_T_MAX}], got {enum_t_max}")
     plan = []
     for suite in names:
@@ -537,7 +535,7 @@ def appendix_f_enumeration(t_max: int, x1_norm: float = 0.6, G: float = 1.0) -> 
     Returns {t: P(x_t = ... = x_1)} as exact dyadic Fractions for
     t = 1..t_max; the closed form is 2^(1-t).
     """
-    if not (isinstance(t_max, (int, np.integer)) and 1 <= t_max <= ENUM_T_MAX):
+    if not (is_int(t_max) and t_max <= ENUM_T_MAX):
         raise ValueError(f"t_max must be an integer in [1, {ENUM_T_MAX}]")
     if not 0.0 < x1_norm <= G:
         raise ValueError("x1_norm must lie in (0, G]")

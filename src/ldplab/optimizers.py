@@ -5,11 +5,13 @@ The update rule is x_{t+1} = x_t - alpha_t Psi_t(g_t), with Psi the identity
 records the true gradient at the visited iterates x_1..x_T (T-1 updates,
 1-based indexing: the first update uses alpha_1).
 
-``simulate_runs`` executes any set of run indices vectorized over runs; each
-run consumes its own counter-based stream, so results are independent of
-batching, ordering, and worker count.  Inside it the batch is held
-dimension-major: iterates, gradients and a step's noise are (d, B) arrays,
-one run per column, and the pre-drawn randomness is step-major, (T-1, ..., B).
+``simulate_runs`` executes any set of run indices vectorized over runs.  It
+draws nothing itself: ``OracleSpec.randomness_block`` pre-draws every run's
+oracle randomness from the run's own counter-based stream, so results are
+independent of batching, ordering, and worker count.  Inside it the batch is
+held dimension-major: iterates, gradients and a step's noise are (d, B)
+arrays, one run per column, and the pre-drawn randomness is step-major,
+(T-1, ..., B).
 Every row norm then adds d rows of length B instead of reducing B rows of
 length d, with the same bits (``costs.sq_norms``); the per-run outputs are
 returned one row per run.
@@ -25,16 +27,11 @@ import numpy as np
 
 from .costs import CostSpec, int_param, real_param, real_vector, sq_norms
 from .oracles import OracleSpec, clip_rows
-from .rng import StreamPool
 
 DIVERGENCE_LIMIT = 1e9
 
 # the longest horizon EnsembleArrays.hit, int32, can record: it stores T + 1
 MAX_HORIZON = 2**31 - 2
-
-# Raw variates drawn per slab of runs.  Bounds the slab's raw buffers and the
-# temporaries of its transform; the pre-drawn randomness itself is (T-1, ..., runs).
-_SLAB_RAW_BYTES = 1 << 22
 
 # method kind -> the schedule blocks it reads
 METHODS = {"vanilla": ("step",), "clipped": ("step", "clip")}
@@ -263,8 +260,8 @@ class EnsembleArrays:
 def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> EnsembleArrays:
     """Execute the given run indices, vectorized over runs.
 
-    Each run's oracle randomness is pre-drawn from its private stream (the
-    randomness is state-independent), a slab of runs at a time, after which
+    Every run's oracle randomness is pre-drawn by the oracle's
+    ``randomness_block`` (the randomness is state-independent), after which
     the recursion is deterministic.  Diverged runs (an iterate exceeding
     DIVERGENCE_LIMIT in norm, or going non-finite) are frozen, flagged, and
     reported as never hitting any threshold.  The result's invariants are
@@ -277,17 +274,7 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
     n_eps = eps.size
     clipped_method = config.method == "clipped"
 
-    n_steps = T - 1
-    randomness = None  # step-major, run axis last: (n_steps, ..., B)
-    if n_steps > 0:
-        pool = StreamPool(config.seed)
-        slab = max(1, _SLAB_RAW_BYTES // (8 * n_steps * sum(config.oracle.raw_widths())))
-        # one slab at least: with no runs, an empty block still sets the shape
-        for lo in range(0, max(B, 1), slab):
-            block = config.oracle.randomness_block(pool, idx[lo : lo + slab], n_steps)
-            if randomness is None:
-                randomness = np.empty(block.shape[1:] + (B,), dtype=block.dtype)
-            randomness[..., lo : lo + slab] = np.moveaxis(block, 0, -1)
+    randomness = config.oracle.randomness_block(config.seed, idx, T - 1)  # (T-1, ..., B)
     # the schedules, hoisted out of the step loop
     alphas = [step_size(config.step_schedule, t) for t in range(1, T)]
     gammas = [clip_threshold(config.clip_schedule, t) for t in range(1, T)] if clipped_method else None

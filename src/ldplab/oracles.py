@@ -11,15 +11,17 @@ Two oracle modes are provided:
 Every model carries a certified statistical property: an almost-sure norm
 bound M, or a closed-form bound sigma^p on the p-th moment.
 
-Drawing is split in two.  The *raw draw* fills float64 buffers from a
-stream, always in the same order: every standard normal of the block first,
-then every uniform on [0, 1).  ``raw_widths`` says how many of each one
-query consumes.  The *transform* (unit rows, signs, Pareto radii, argsort)
-is a pure function of those buffers and works over any leading shape, so a
-slab of many runs, each filled from its own stream, is transformed in one
-call with the same bytes as transforming each run alone.  ``sample_block``
-(probes) and ``OracleSpec.randomness_block`` (ensembles) are both a
-transform of a raw draw.
+``OracleSpec`` draws every query: ``randomness_block`` an ensemble's, each
+run from its own stream, and ``query_block`` n at one point, for the probes;
+a mode only sizes, transforms and applies them.  A draw is split in two.
+The *raw draw* fills float64 buffers from a stream, always in the same
+order: every standard normal of the block first, then every uniform on
+[0, 1).  ``raw_widths`` says how many of each one query consumes.  The
+*transform* (unit rows, signs, Pareto radii, argsort) is a pure function of
+those buffers and works over any leading shape, so a slab of many runs,
+each filled from its own stream, is transformed in one call with the same
+bytes as transforming each run alone.  ``NoiseModel.sample_block`` is the
+same split, for the suites that audit a noise model alone.
 """
 
 from __future__ import annotations
@@ -30,9 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec, LogisticBatchCost, int_param, real_param, real_vector, sq_norms
-from .rng import StreamPool
+from .rng import StreamPool, _splitmix64_array
 
-_PROBE_CHUNK = 1 << 16
+_PROBE_CHUNK = 1 << 16  # queries per draw of query_block
+# raw variate bytes per slab of runs in randomness_block: bounds the slab's
+# buffers and its transform's temporaries, not the block it returns
+_SLAB_RAW_BYTES = 1 << 22
 _MGF_BLOCK_ROWS = 2048  # rows of the MGF grid per block: (2048, 6, 8) float64 is 768 KiB
 PROBE_MIN_SAMPLES = 10**5  # fewest samples clipping_bias_probe accepts
 _PROBE_DIRECTIONS = 8  # directions of clipping_bias_probe's MGF grid
@@ -76,13 +81,9 @@ class NoiseModel:
         raise NotImplementedError
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n iid noise vectors; shape (n, dim).
-
-        The draw pattern is fixed for each kind, so the same size taken from
-        the same stream position gives the same block.  Blocks of different
-        sizes need not share a prefix: symmetrized-pareto draws all n normals
-        before the n uniforms.
-        """
+        """Draw n iid noise vectors; shape (n, dim).  One ``_raw_draw``: blocks
+        of different sizes need not share a prefix, since symmetrized-pareto
+        draws all n normals before the n uniforms."""
         return self.transform(*_raw_draw(rng, self.raw_widths(), n))
 
     def noise_constants(self) -> dict:
@@ -260,36 +261,61 @@ class OracleSpec:
         """A query's randomness from raw buffers, over any leading shape."""
         raise NotImplementedError
 
-    def randomness_block(self, pool: StreamPool, run_indices, n_steps: int) -> np.ndarray:
-        """Pre-draw n_steps queries for each run of a slab; shape (runs, n_steps, ...).
+    def randomness_block(self, seed: int, run_indices, n_steps: int) -> np.ndarray:
+        """n_steps queries for each run, shape (n_steps, ..., runs): steps
+        first and runs last, as ``gradients`` reads them.
 
-        The randomness is state-independent.  The pool is reset once per run
-        and fills that run's rows of raw buffers shared by the slab; the slab
-        is then transformed in one call.  Row i is therefore exactly what
-        run_indices[i] draws alone, whatever the slab.
+        Column i is what ``run_generator(seed, run_indices[i])`` draws alone:
+        one pool is reset once per run to fill that run's rows of a slab's
+        raw buffers, and each slab is transformed in one call.
         """
+        idx = np.asarray(run_indices, dtype=np.int64)
         n_normals, n_uniforms = self.raw_widths()
-        run_indices = np.asarray(run_indices, dtype=np.int64)
-        normals = np.empty((run_indices.size, n_steps, n_normals))
-        uniforms = np.empty((run_indices.size, n_steps, n_uniforms))
-        for i, rng in enumerate(pool.streams(run_indices)):
-            if n_normals:  # the order of _raw_draw: normals, then uniforms
-                rng.standard_normal(out=normals[i])
-            if n_uniforms:
-                rng.random(out=uniforms[i])
-        return self.transform(normals, uniforms)
+        slab = max(1, _SLAB_RAW_BYTES // (8 * max(1, n_steps * (n_normals + n_uniforms))))
+        pool = StreamPool(seed)
+        # raw buffers reused by every slab: allocating them per slab made the draw ~30% slower
+        normals = np.empty((min(slab, idx.size), n_steps, n_normals))
+        uniforms = np.empty((min(slab, idx.size), n_steps, n_uniforms))
+        out = None
+        # one slab at least: with no runs, an empty slab still sets the shape
+        for lo in range(0, max(idx.size, 1), slab):
+            runs = idx[lo : lo + slab]
+            # with no steps nothing is drawn, so no stream is reset
+            for i, key_word in enumerate(_splitmix64_array(runs).tolist() if n_steps else ()):
+                rng = pool.reset(key_word)
+                if n_normals:  # the order of _raw_draw: normals, then uniforms
+                    rng.standard_normal(out=normals[i])
+                if n_uniforms:
+                    rng.random(out=uniforms[i])
+            block = np.moveaxis(self.transform(normals[: runs.size], uniforms[: runs.size]), 0, -1)
+            if out is None:
+                out = np.empty(block.shape[:-1] + (idx.size,), dtype=block.dtype)
+            out[..., lo : lo + slab] = block
+        return out
 
     def gradients(self, x: np.ndarray, randomness: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """One step's oracle outputs at points held dimension-major, shape (dim, n).
 
-        ``randomness`` is that step's pre-drawn randomness with the run axis
-        last, shape (..., n); ``grad`` is ``cost.gradient(x, axis=0)``, which
-        the caller has already computed.
+        ``randomness`` is that step's slice of ``randomness_block``, shape
+        (..., n); ``grad`` is ``cost.gradient(x, axis=0)``, which the caller
+        has already computed.
         """
         raise NotImplementedError
 
     def query_block(self, x, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent oracle outputs at a fixed point; shape (n, dim)."""
+        """n independent oracle outputs at a fixed point; shape (n, dim).
+        Each chunk of _PROBE_CHUNK queries is one ``_raw_draw`` from ``rng``."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.cost.dim,):
+            raise ValueError(f"query point must have shape ({self.cost.dim},)")
+        out = np.empty((n, self.cost.dim))
+        for lo in range(0, n, _PROBE_CHUNK):
+            hi = min(lo + _PROBE_CHUNK, n)
+            out[lo:hi] = self.outputs_at(x, self.transform(*_raw_draw(rng, self.raw_widths(), hi - lo)))
+        return out
+
+    def outputs_at(self, x: np.ndarray, randomness: np.ndarray) -> np.ndarray:
+        """Oracle outputs at the point x from rows of transformed randomness."""
         raise NotImplementedError
 
     def noise_constants(self) -> dict:
@@ -333,11 +359,8 @@ class AdditiveOracle(OracleSpec):
     def gradients(self, x, randomness, grad):
         return grad + randomness
 
-    def query_block(self, x, rng, n):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.cost.dim,):
-            raise ValueError(f"query point must have shape ({self.cost.dim},)")
-        return self.cost.gradient(x) + self.noise.sample_block(rng, n)
+    def outputs_at(self, x, randomness):
+        return self.cost.gradient(x) + randomness
 
     def noise_constants(self):
         return self.noise.noise_constants()
@@ -377,17 +400,8 @@ class BatchSubsampleOracle(OracleSpec):
         rows = self.cost.subset_mean_gradients(np.ascontiguousarray(x.T), np.ascontiguousarray(randomness.T))
         return np.ascontiguousarray(rows.T)
 
-    def query_block(self, x, rng, n):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.cost.dim,):
-            raise ValueError(f"query point must have shape ({self.cost.dim},)")
-        grads = self.cost.per_sample_gradients(x)  # (m, dim)
-        out = np.empty((n, self.cost.dim))
-        for lo in range(0, n, _PROBE_CHUNK):
-            hi = min(lo + _PROBE_CHUNK, n)
-            idx = self.transform(*_raw_draw(rng, self.raw_widths(), hi - lo))
-            out[lo:hi] = grads[idx].mean(axis=1)
-        return out
+    def outputs_at(self, x, randomness):
+        return self.cost.per_sample_gradients(x)[randomness].mean(axis=1)
 
     def noise_constants(self):
         # M: the hard a.s. bound on ||g - grad f(x)||, twice the per-sample bound
@@ -403,13 +417,22 @@ def clip_rows(g: np.ndarray, gamma: float, axis: int = -1) -> tuple[np.ndarray, 
     it scaled (||g|| > gamma; ties at ||g|| = gamma are left unclipped).
 
     ``axis=0`` clips the columns of a dimension-major (dim, n) array instead,
-    with the same bits.
+    with the same bits.  A finite row whose squared norm overflows is divided
+    by its largest magnitude first, so that it too comes out with norm gamma.
     """
-    norms = np.sqrt(sq_norms(g, axis))
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        norms = np.sqrt(sq_norms(g, axis))
     scale = np.ones_like(norms)
     over = norms > gamma
     scale[over] = gamma / norms[over]
-    return g * np.expand_dims(scale, axis), over
+    out = g * np.expand_dims(scale, axis)
+    huge = np.isinf(norms)
+    if np.any(huge):
+        rows = np.moveaxis(g, axis, -1)  # a view, one row per index of norms
+        huge &= np.isfinite(rows).all(axis=-1)
+        unit = rows[huge] / np.abs(rows[huge]).max(axis=-1, keepdims=True)
+        np.moveaxis(out, axis, -1)[huge] = unit * (gamma / np.sqrt(sq_norms(unit)))[:, None]
+    return out, over
 
 
 _SCALE_MULTIPLIERS = (0.1, 0.5, 1.0, 4.0 / 3.0, 2.0, 5.0)
@@ -508,14 +531,10 @@ def clipping_bias_probe(
     p, sigma_p = oracle.moment_certificate()
     bias_bound = 4.0 * sigma_p * gamma ** (1.0 - p)
 
-    dim = oracle.cost.dim
-    dirs = _unit_rows(rng.standard_normal((_PROBE_DIRECTIONS, dim)))
+    dirs = _unit_rows(rng.standard_normal((_PROBE_DIRECTIONS, oracle.cost.dim)))
     scales = np.asarray(scale_multipliers, dtype=np.float64) / (2.0 * gamma)
 
-    clipped = np.empty((num_samples, dim))
-    for lo in range(0, num_samples, _PROBE_CHUNK):
-        hi = min(lo + _PROBE_CHUNK, num_samples)
-        clipped[lo:hi] = clip_rows(oracle.query_block(x, rng, hi - lo), gamma)[0]
+    clipped = clip_rows(oracle.query_block(x, rng, num_samples), gamma)[0]
 
     mean_clipped = clipped.mean(axis=0)
     bias_vec = mean_clipped - grad

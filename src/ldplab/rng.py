@@ -55,8 +55,8 @@ class StreamPool:
 
     Constructing a Philox/Generator pair per run costs ~25 us; resetting the
     state of a shared pair costs ~2 us and yields the exact same draws as
-    ``run_generator``.  Ensemble loops over 2^20 runs use this, through
-    ``streams``.
+    ``run_generator``.  ``OracleSpec.randomness_block`` resets one pool once
+    per run of an ensemble.
     """
 
     def __init__(self, master_seed: int):
@@ -74,16 +74,6 @@ class StreamPool:
             "has_uint32": 0,
             "uinteger": 0,
         }
-
-    def streams(self, run_indices):
-        """The shared generator at the start of each run's stream in turn.
-
-        Each item is exactly ``run_generator(master_seed, run)``'s start and
-        is valid until the next item is taken.  The runs' key words are
-        computed in one numpy pass; the generator is then reset once per run.
-        """
-        for key_word in _splitmix64_array(run_indices).tolist():
-            yield self.reset(key_word)
 
     def reset(self, key_word: int) -> np.random.Generator:
         """Rewind the shared generator to the start of the stream whose run

@@ -13,6 +13,7 @@ import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
+_WIDTH, _HEIGHT = 720, 480  # the chart's size in pixels
 _MARGINS = (64.0, 16.0, 44.0, 52.0)  # left, right, top, bottom
 
 
@@ -53,12 +54,12 @@ def _tick_label(v: float) -> str:
 class _Frame:
     """Coordinate transform from data space to the plot rectangle."""
 
-    def __init__(self, width, height, x_range, y_range):
+    def __init__(self, x_range, y_range):
         ml, mr, mt, mb = _MARGINS
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range  # log10 of the data range
-        self.px0, self.px1 = ml, width - mr
-        self.py0, self.py1 = height - mb, mt  # y grows upward
+        self.px0, self.px1 = ml, _WIDTH - mr
+        self.py0, self.py1 = _HEIGHT - mb, mt  # y grows upward
 
     def tx(self, x):
         return self.px0 + (x - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
@@ -73,8 +74,6 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
     comment: str = "",
 ) -> str:
     """Render series (dicts with keys x, y, label and optional color/dash)
@@ -133,17 +132,17 @@ def line_chart(
     pad = 0.04 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 
-    fr = _Frame(width, height, (xlo, xhi), (ylo, yhi))
+    fr = _Frame((xlo, xhi), (ylo, yhi))
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
     ]
     if comment:
         out.append(f"<!-- {_escape(comment)} -->")
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     if title:
         out.append(
-            f'<text x="{_fmt(width / 2)}" y="22" text-anchor="middle" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
         )
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import real_param
+from .costs import is_int, real_param
 
 DECAY_T_MIN = 3  # the first step t the decay sequences are meant for
 
@@ -273,7 +273,7 @@ def transform_consistency(rate: RateSpec, x_grid=None, resolution: float = 1e-4)
 def lower_bound_exact_prob(t: int) -> float:
     """Probability 2^(1-t) that the exactly solvable instance has not moved
     from its initialization through time t."""
-    if not (isinstance(t, (int, np.integer)) and t >= 1):
+    if not is_int(t):
         raise ValueError("t must be a positive integer")
     return 2.0 ** (1 - int(t))
 

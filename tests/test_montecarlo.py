@@ -100,7 +100,7 @@ class TestEnsemble:
                 else:
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("workers", [0, -2, 1.5])
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     def test_workers_below_one_rejected_before_any_work(self, workers, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("no chunk may run and no process may start")
@@ -374,6 +374,15 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             appendix_f_enumeration(10, x1_norm=2.0, G=1.0)
 
+    def test_bool_counts_rejected(self):
+        # a bool is not a count: True used to run as 1
+        with pytest.raises(ValueError, match="t_max must be an integer"):
+            appendix_f_enumeration(True)
+        with pytest.raises(ValueError, match="t must be a positive integer"):
+            lower_bound_exact_prob(True)
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            run_ensemble(solvable_instance(T=4), True)
+
 
 class TestVerifySuites:
     def test_unknown_suite(self):
@@ -420,8 +429,10 @@ class TestVerifySuites:
             (["batch-bound", "clip-subgauss"], 99999, 20, "at least 100000 for clip-subgauss"),
             (["appendix-f-enum"], 10, 1076, "--enum-t-max"),
             (["appendix-f-enum"], 10, 0, "--enum-t-max"),
+            (["rates"], True, 20, "--samples must be at least 1 for rates"),
+            (["appendix-f-enum"], 10, True, "--enum-t-max"),
         ],
-        ids=["unknown", "all-with-others", "zero-samples", "probe-floor", "t-max-1076", "t-max-0"],
+        ids=["unknown", "all-with-others", "zero-samples", "probe-floor", "t-max-1076", "t-max-0", "bool-samples", "bool-t-max"],
     )
     def test_request_rejected_whole(self, suites, samples, t_max, message):
         with pytest.raises(ValueError, match=message):
@@ -430,7 +441,7 @@ class TestVerifySuites:
     def test_enum_t_max_ignored_without_enum_suite(self):
         assert montecarlo.verify_request(["rates"], 1, 1, 99) == [("rates", {"n_samples": 1, "seed": 1})]
 
-    @pytest.mark.parametrize("n_samples", [0, -5])
+    @pytest.mark.parametrize("n_samples", [0, -5, True])
     def test_nonpositive_samples_rejected(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
             verify_lemma_suite("mgf-bounded", n_samples=n_samples)

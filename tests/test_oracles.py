@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ldplab import oracles
 from ldplab.costs import huber_cost, synthetic_logistic_cost
 from ldplab.oracles import (
     AdditiveOracle,
@@ -18,7 +19,7 @@ from ldplab.oracles import (
     clip_rows,
     clipping_bias_probe,
 )
-from ldplab.rng import StreamPool, run_generator
+from ldplab.rng import run_generator
 
 
 _NOISE_MODELS = [
@@ -72,27 +73,41 @@ class TestNoiseModels:
         np.testing.assert_array_equal(a, b)
 
 
-class TestRawDrawAndTransform:
-    @pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.kind)
-    def test_slab_rows_equal_single_run_blocks(self, model):
-        # row i of a slab drawn through the shared pool is the block that
-        # run alone draws from a fresh generator of its stream
-        oracle = AdditiveOracle(cost=huber_cost(1.0, model.dim), noise=model)
-        runs = np.array([0, 5, 2, 1 << 40, 17])
-        slab = oracle.randomness_block(StreamPool(11), runs, 9)
-        assert slab.shape == (runs.size, 9, model.dim)
-        for i, run in enumerate(runs):
-            np.testing.assert_array_equal(slab[i], model.sample_block(run_generator(11, int(run)), 9))
+# run sets of randomness_block: a gap, a run past 2^32 and a repeat; a shuffled order
+_RUN_SETS = (np.array([3, 7, 8, 1 << 40, 20, 3]), np.random.default_rng(0).permutation(13))
 
-    def test_batch_slab_rows_equal_single_run_draws(self):
+
+def _block_in_slabs_of_4(oracle, seed, runs, n_steps, monkeypatch):
+    """randomness_block with slabs of 4 runs, so that no run set above is slab-aligned."""
+    monkeypatch.setattr(oracles, "_SLAB_RAW_BYTES", 4 * 8 * n_steps * sum(oracle.raw_widths()))
+    return oracle.randomness_block(seed, runs, n_steps)
+
+
+class TestRawDrawAndTransform:
+    # column i of randomness_block is the block that run_indices[i] draws
+    # alone from a fresh generator of its stream, whatever the slabs and order
+
+    @pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.kind)
+    def test_slab_rows_equal_single_run_blocks(self, model, monkeypatch):
+        oracle = AdditiveOracle(cost=huber_cost(1.0, model.dim), noise=model)
+        for runs in _RUN_SETS:
+            block = _block_in_slabs_of_4(oracle, 11, runs, 9, monkeypatch)
+            assert block.shape == (9, model.dim, runs.size)
+            for i, run in enumerate(runs):
+                np.testing.assert_array_equal(block[..., i], model.sample_block(run_generator(11, int(run)), 9))
+        assert oracle.randomness_block(11, [], 9).shape == (9, model.dim, 0)
+
+    def test_batch_slab_rows_equal_single_run_draws(self, monkeypatch):
         cost = synthetic_logistic_cost(m=12, dim=3, dataset_seed=8)
         oracle = BatchSubsampleOracle(cost=cost, batch_size=4)
-        runs = np.arange(6)
-        slab = oracle.randomness_block(StreamPool(3), runs, 7)
-        assert slab.shape == (6, 7, 4)
-        for i in runs:
-            u = run_generator(3, int(i)).random((7, 12))
-            np.testing.assert_array_equal(slab[i], np.argsort(u, axis=1)[:, :4])
+        for runs in _RUN_SETS:
+            block = _block_in_slabs_of_4(oracle, 3, runs, 7, monkeypatch)
+            assert block.shape == (7, 4, runs.size)
+            for i, run in enumerate(runs):
+                u = run_generator(3, int(run)).random((7, 12))
+                np.testing.assert_array_equal(block[..., i], np.argsort(u, axis=1)[:, :4])
+        empty = oracle.randomness_block(3, [], 7)
+        assert empty.shape == (7, 4, 0) and empty.dtype == np.intp
 
 
 class TestCertifyMoment:
@@ -160,6 +175,31 @@ class TestQuery:
         freq1 = np.mean(np.all(np.isclose(outs, per_sample[1]), axis=1))
         assert freq0 + freq1 == pytest.approx(1.0)
         assert abs(freq0 - 0.5) <= 0.01
+
+    @pytest.mark.parametrize("mode", ["additive-noise", "batch-subsample"])
+    def test_query_block_draws_in_chunks(self, mode, monkeypatch):
+        # n spanning two chunks: each chunk draws its normals, then its uniforms
+        monkeypatch.setattr(oracles, "_PROBE_CHUNK", 100)
+        x = np.array([0.4, -0.1, 0.3])
+        if mode == "additive-noise":
+            noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=3.0, moment_order=1.5, dim=3)
+            oracle = AdditiveOracle(cost=huber_cost(1.0, 3), noise=noise)
+
+            def chunk(rng, k):
+                return oracle.cost.gradient(x) + noise.sample_block(rng, k)
+        else:
+            cost = synthetic_logistic_cost(m=12, dim=3, dataset_seed=8)
+            oracle = BatchSubsampleOracle(cost=cost, batch_size=4)
+
+            def chunk(rng, k):
+                subsets = np.argsort(rng.random((k, 12)), axis=1)[:, :4]
+                return cost.per_sample_gradients(x)[subsets].mean(axis=1)
+
+        got = oracle.query_block(x, run_generator(6, 0), 150)
+        rng = run_generator(6, 0)
+        np.testing.assert_array_equal(got, np.concatenate([chunk(rng, 100), chunk(rng, 50)]))
+        if mode == "additive-noise":  # one draw of 150 takes the uniforms later in the stream
+            assert not np.array_equal(got, chunk(run_generator(6, 0), 150))
 
     def test_batch_size_must_be_proper_subset(self):
         cost = synthetic_logistic_cost(m=4, dim=2, dataset_seed=3)
@@ -300,3 +340,18 @@ def test_clip_rows_scales_rows_above_threshold():
     np.testing.assert_array_equal(out[1], g[1])
     np.testing.assert_array_equal(out[2], [0.0, 0.0])
     np.testing.assert_array_equal(over, [True, False, False])
+
+
+def test_clip_rows_rescales_rows_whose_square_overflows():
+    # ||(1e200, 0)||^2 is inf; such a finite row comes out with norm gamma,
+    # not as zero, and rows with a finite squared norm keep their bits
+    g = np.array([[1e200, 0.0], [3.0, 4.0], [-1e300, 1e300], [0.3, 0.4]])
+    out, over = clip_rows(g, 2.0)
+    np.testing.assert_allclose(out[0], [2.0, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(out[2], [-math.sqrt(2.0), math.sqrt(2.0)], rtol=1e-15)
+    assert out[1].tobytes() == (g[1] * (2.0 / 5.0)).tobytes()
+    assert out[3].tobytes() == g[3].tobytes()
+    np.testing.assert_array_equal(over, [True, True, True, False])
+    cols, over_cols = clip_rows(np.ascontiguousarray(g.T), 2.0, axis=0)
+    assert cols.T.tobytes() == out.tobytes()
+    np.testing.assert_array_equal(over_cols, over)
