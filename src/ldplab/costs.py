@@ -67,28 +67,22 @@ def _as_points(x, dim: int, axis: int = -1) -> np.ndarray:
 
 
 def sq_norms(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Squared Euclidean norms of points held as rows (axis=-1, shape (n, dim))
-    or as columns (axis=0, shape (dim, n)).
+    """Squared Euclidean norms of points held as rows (axis=-1, shape (..., dim))
+    or as columns (axis=0, shape (dim, ...)).
 
     Both layouts give the bits of ``np.sum(x * x, axis=-1)`` over rows.  numpy
-    adds a contiguous row of fewer than ``_SEQUENTIAL_SUM_TERMS`` terms in
-    order, so columns are added one coordinate at a time; longer rows are
-    summed pairwise, so for those the columns are transposed to rows.
+    adds a row of fewer than ``_SEQUENTIAL_SUM_TERMS`` terms in order, at the
+    cost of one inner loop per row, so for such points the squares are added
+    one coordinate at a time over strided views of either layout.  Longer rows
+    are summed pairwise, so for those, columns are transposed to rows.
     """
-    if axis == -1 or x.ndim == 1:
-        return np.sum(x * x, axis=-1)
-    if axis != 0:
+    if axis not in (-1, 0):
         raise ValueError(f"coordinate axis must be -1 or 0, got {axis}")
-    if x.shape[0] >= _SEQUENTIAL_SUM_TERMS:
-        return np.sum(np.ascontiguousarray((x * x).T), axis=-1)
-    out = x[0] * x[0]
-    for row in x[1:]:
-        out += row * row
-    return out
-
-
-def _norms(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.sqrt(sq_norms(x, axis))
+    sq = x * x
+    coords = sq if axis == 0 else np.moveaxis(sq, -1, 0)
+    if not 0 < len(coords) < _SEQUENTIAL_SUM_TERMS:
+        return np.sum(sq if axis == -1 else np.ascontiguousarray(np.moveaxis(sq, 0, -1)), axis=-1)
+    return sum(coords[1:], coords[0])  # in order, from the first coordinate on
 
 
 class CostSpec:
@@ -156,13 +150,13 @@ class HuberCost(CostSpec):
     def value(self, x):
         x = _as_points(x, self.dim)
         g = self.threshold_G
-        r = _norms(x)
+        r = np.sqrt(sq_norms(x))
         return np.where(r <= g, 0.5 * r * r, g * r - 0.5 * g * g)
 
     def gradient(self, x, axis=-1):
         x = _as_points(x, self.dim, axis)
         g = self.threshold_G
-        r = np.expand_dims(_norms(x, axis), axis)
+        r = np.expand_dims(np.sqrt(sq_norms(x, axis)), axis)
         # avoid 0/0 at the origin; the inner branch is selected there anyway
         safe_r = np.where(r > 0, r, 1.0)
         return np.where(r <= g, x, g * x / safe_r)

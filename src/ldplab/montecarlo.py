@@ -19,7 +19,7 @@ import multiprocessing
 
 import numpy as np
 
-from .costs import huber_cost, is_int, synthetic_logistic_cost
+from .costs import huber_cost, is_int, sq_norms, synthetic_logistic_cost
 from .oracles import (
     PROBE_MIN_SAMPLES,
     AdditiveOracle,
@@ -305,7 +305,7 @@ def _suite_mgf_bounded(n_samples, seed) -> LemmaSuiteReport:
     for k, noise in enumerate(_MGF_NOISES):
         M = noise.noise_constants()["M"]
         z = noise.sample_block(run_generator(seed, k), n_samples)
-        vals = np.exp(np.sum(z * z, axis=1) / M**2)
+        vals = np.exp(sq_norms(z) / M**2)
         est = float(vals.mean())
         se = float(vals.std() / math.sqrt(n_samples))
         checks.append(_check(f"{noise.kind} M={M:g}", est, math.e, se))

@@ -38,6 +38,7 @@ _PROBE_CHUNK = 1 << 16  # queries per draw of query_block
 # raw variate bytes per slab of runs in randomness_block: bounds the slab's
 # buffers and its transform's temporaries, not the block it returns
 _SLAB_RAW_BYTES = 1 << 22
+_SUM_BLOCK_ROWS = 1 << 14  # rows per block of _row_sums
 _MGF_BLOCK_ROWS = 2048  # rows of the MGF grid per block: (2048, 6, 8) float64 is 768 KiB
 PROBE_MIN_SAMPLES = 10**5  # fewest samples clipping_bias_probe accepts
 _PROBE_DIRECTIONS = 8  # directions of clipping_bias_probe's MGF grid
@@ -50,10 +51,9 @@ class PreconditionViolation(ValueError):
 def _unit_rows(z: np.ndarray) -> np.ndarray:
     """Normalize rows to unit norm; an (unreachable) zero row maps to e_1."""
     norms = np.sqrt(sq_norms(z))[..., None]
-    out = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0)
-    zero = norms[..., 0] == 0
-    if np.any(zero):
-        out[zero, 0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # a masked np.divide takes twice as long
+        out = z / norms
+    out[norms[..., 0] == 0] = np.eye(z.shape[-1])[0]
     return out
 
 
@@ -417,20 +417,21 @@ def clip_rows(g: np.ndarray, gamma: float, axis: int = -1) -> tuple[np.ndarray, 
     it scaled (||g|| > gamma; ties at ||g|| = gamma are left unclipped).
 
     ``axis=0`` clips the columns of a dimension-major (dim, n) array instead,
-    with the same bits.  A finite row whose squared norm overflows is divided
-    by its largest magnitude first, so that it too comes out with norm gamma.
+    with the same bits.  A row of infinite norm comes out with norm gamma too:
+    a finite one is divided by its largest magnitude first, and one with
+    infinite entries points along their signs.  A row with a NaN is left as is.
     """
-    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+    with np.errstate(over="ignore", invalid="ignore"):  # a row of infinite norm is set below
         norms = np.sqrt(sq_norms(g, axis))
-    scale = np.ones_like(norms)
-    over = norms > gamma
-    scale[over] = gamma / norms[over]
-    out = g * np.expand_dims(scale, axis)
+        scale = np.ones_like(norms)
+        over = norms > gamma
+        scale[over] = gamma / norms[over]
+        out = g * np.expand_dims(scale, axis)
     huge = np.isinf(norms)
     if np.any(huge):
-        rows = np.moveaxis(g, axis, -1)  # a view, one row per index of norms
-        huge &= np.isfinite(rows).all(axis=-1)
-        unit = rows[huge] / np.abs(rows[huge]).max(axis=-1, keepdims=True)
+        rows = np.moveaxis(g, axis, -1)[huge]  # one row per infinite norm
+        rows = np.where(np.isinf(rows).any(axis=-1, keepdims=True), np.sign(rows) * np.isinf(rows), rows)
+        unit = rows / np.abs(rows).max(axis=-1, keepdims=True)
         np.moveaxis(out, axis, -1)[huge] = unit * (gamma / np.sqrt(sq_norms(unit)))[:, None]
     return out, over
 
@@ -438,17 +439,29 @@ def clip_rows(g: np.ndarray, gamma: float, axis: int = -1) -> tuple[np.ndarray, 
 _SCALE_MULTIPLIERS = (0.1, 0.5, 1.0, 4.0 / 3.0, 2.0, 5.0)
 
 
+def _row_sums(rows: np.ndarray, square: bool = False) -> np.ndarray:
+    """``rows.sum(axis=0)`` (``square``: of ``rows * rows``) of an (n, d) array, bit
+    for bit.  numpy adds a C-contiguous array's rows in order, one inner loop per
+    row; here one np.add.accumulate per block adds each column on from column 0."""
+    buf = np.zeros((rows.shape[1], min(len(rows), _SUM_BLOCK_ROWS) + 1))
+    for lo in range(0, len(rows), _SUM_BLOCK_ROWS):
+        block = rows[lo : lo + _SUM_BLOCK_ROWS].T
+        acc = buf[:, : block.shape[1] + 1]
+        np.multiply(block, block if square else 1.0, out=acc[:, 1:])  # x * 1.0 is x, bit for bit
+        np.add.accumulate(acc, axis=1, out=acc)
+        buf[:, 0] = acc[:, -1]
+    return buf[:, 0].copy()
+
+
 def _mgf_grid_moments(proj: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard deviation over the rows of exp(s * proj), per scale s.
 
     ``proj`` has shape (n, d); both results have shape (len(scales), d), and
     row j equals ``np.exp(scales[j] * proj).mean(axis=0)`` and ``.std(axis=0)``
-    bit for bit.  numpy reduces axis 0 of a C-contiguous array by adding its
-    rows in order, so row blocks streamed through one cache-sized buffer,
-    with the running sum carried in the buffer's row 0, add the same numbers
-    in the same order.  The second pass recomputes exp to sum the squared
-    deviations from the mean, as numpy's var does, instead of storing the
-    (n, scales, d) grid.
+    bit for bit: row blocks streamed through one cache-sized buffer, with the
+    running sum carried in its row 0, are added in order, as numpy adds rows.
+    The second pass recomputes exp to sum the squared deviations from the
+    mean, as numpy's var does, instead of storing the (n, scales, d) grid.
     """
     n, d = proj.shape
     scales = np.asarray(scales, dtype=np.float64)
@@ -512,7 +525,8 @@ def clipping_bias_probe(
     An empty ``scale_multipliers`` skips the grid but still draws the
     directions, so the bias fields equal the full probe's on the same stream;
     ``margins`` then has shape (_PROBE_DIRECTIONS, 0) and ``subgaussian_margin``
-    is -inf.
+    is -inf.  The mean and variance of the clipped outputs are those of
+    numpy's ``mean``/``var(axis=0)``, bit for bit, summed by ``_row_sums``.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -536,15 +550,14 @@ def clipping_bias_probe(
 
     clipped = clip_rows(oracle.query_block(x, rng, num_samples), gamma)[0]
 
-    mean_clipped = clipped.mean(axis=0)
-    bias_vec = mean_clipped - grad
-    bias_norm = float(np.linalg.norm(bias_vec))
-    bias_se = float(np.sqrt(np.sum(clipped.var(axis=0)) / num_samples))
+    mean_clipped = _row_sums(clipped) / num_samples
+    theta = clipped - mean_clipped
+    bias_norm = float(np.linalg.norm(mean_clipped - grad))
+    bias_se = float(np.sqrt(np.sum(_row_sums(theta, square=True) / num_samples) / num_samples))
 
     margins = np.empty((_PROBE_DIRECTIONS, scales.size))
     margin_ses = np.empty_like(margins)
     if scales.size:
-        theta = clipped - mean_clipped
         proj = theta @ dirs.T  # (n, _PROBE_DIRECTIONS)
         est, std = _mgf_grid_moments(proj, scales)
         for j, s in enumerate(scales):

@@ -185,6 +185,8 @@ def generating_phi(rate: RateSpec) -> Callable:
     coefficient = rate.denominator / 4.0
 
     def phi(lam):
+        if isinstance(lam, float):  # np.float64 too: the array form's operations, one at a time
+            return 0.0 if lam < 0 else coefficient * lam * lam
         lam = np.asarray(lam, dtype=np.float64)
         return _scalar_out(np.where(lam < 0, 0.0, coefficient * lam * lam))
 
@@ -217,7 +219,8 @@ def fenchel_legendre(phi: Callable, x_grid, lambda_grid) -> np.ndarray:
 
     The supremum is taken over lambda_grid and then refined by a
     golden-section search between the grid neighbours of the argmax; phi is
-    assumed finite on the grid.  Returns one value per x_grid entry.
+    assumed finite on the grid and is only ever called on one float, so a phi
+    of floats alone will do.  Returns one value per x_grid entry.
     """
     x_grid = np.asarray(x_grid, dtype=np.float64)
     lam = np.asarray(lambda_grid, dtype=np.float64)
@@ -225,22 +228,15 @@ def fenchel_legendre(phi: Callable, x_grid, lambda_grid) -> np.ndarray:
         raise ValueError("x_grid and lambda_grid must be non-empty")
     if np.any(np.diff(lam) <= 0):
         raise ValueError("lambda_grid must be strictly increasing")
-    phi_vals = np.asarray(phi(lam), dtype=np.float64)
-    if phi_vals.shape != lam.shape:
-        phi_vals = np.asarray([float(phi(l)) for l in lam])
+    phi_vals = np.array([float(phi(l)) for l in lam.tolist()])
     if not np.all(np.isfinite(phi_vals)):
         raise ValueError("phi must be finite on lambda_grid")
 
     out = np.empty_like(x_grid)
-    for k, x in enumerate(x_grid):
-        vals = x * lam - phi_vals
-        i = int(np.argmax(vals))
-        lo = lam[max(i - 1, 0)]
-        hi = lam[min(i + 1, lam.size - 1)]
-        if hi > lo:
-            out[k] = _golden_max(lambda l: x * l - float(phi(l)), lo, hi)
-        else:
-            out[k] = vals[i]
+    for k, x in enumerate(x_grid.tolist()):  # Python floats: numpy's IEEE operations, without its per-call cost
+        i = int(np.argmax(x * lam - phi_vals))
+        lo, hi = float(lam[max(i - 1, 0)]), float(lam[min(i + 1, lam.size - 1)])
+        out[k] = _golden_max(lambda l: x * l - float(phi(l)), lo, hi)  # a one-point grid gives its one value
     return out
 
 

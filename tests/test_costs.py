@@ -178,10 +178,20 @@ class TestDimensionMajor:
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_sq_norms_of_columns_equal_rows(self, d):
-        x = _spread_rows(5000, d, d)
+        # fewer than 8 coordinates are added one at a time over strided views,
+        # more go through np.sum; either way the bits are numpy's row sums, for
+        # any leading shape and for views that are not contiguous
+        x = _spread_rows(6000, d, d)
         rows = np.sum(x * x, axis=-1)
         assert sq_norms(x).tobytes() == rows.tobytes()
         assert sq_norms(np.ascontiguousarray(x.T), axis=0).tobytes() == rows.tobytes()
+        x3 = x.reshape(20, 300, d)
+        for view in (x3, x[::3], x[:, ::-1], np.asfortranarray(x), x3[:, ::2], x3.transpose(1, 0, 2)):
+            assert sq_norms(view).tobytes() == np.sum(view * view, axis=-1).tobytes()
+        cols = np.ascontiguousarray(np.moveaxis(x3, -1, 0))  # (d, 20, 300)
+        assert sq_norms(cols, axis=0).tobytes() == np.sum(x3 * x3, axis=-1).tobytes()
+        assert sq_norms(x.T[:, ::2], axis=0).tobytes() == rows[::2].tobytes()
+        assert sq_norms(x[0], axis=0) == sq_norms(x[0]) == rows[0]
 
     @pytest.mark.parametrize("cost", all_costs() + [huber_cost(1.0, 9)], ids=lambda c: f"{c.name}-{c.dim}")
     def test_gradient_of_columns_equals_rows(self, cost):

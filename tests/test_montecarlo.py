@@ -31,7 +31,7 @@ from ldplab.optimizers import EnsembleArrays, RunConfig, ScheduleSpec, simulate_
 from ldplab.oracles import AdditiveOracle, ClippingBiasProbe, SphereNoise, TwoPointNoise
 from ldplab.theory import decay_family, lower_bound_exact_prob
 
-from test_optimizers import solvable_instance
+from test_optimizers import _digest, at_baseline_dispatch, solvable_instance
 
 
 class TestWilson:
@@ -382,6 +382,35 @@ class TestEnumeration:
             lower_bound_exact_prob(True)
         with pytest.raises(ValueError, match="N must be a positive integer"):
             run_ensemble(solvable_instance(T=4), True)
+
+
+# digests of the float bits of every check's (empirical, bound, se) in the
+# suites whose values come from float reductions, at 10^5 samples and seed 13
+# and numpy's baseline dispatch level
+_PINNED_VERIFY_DIGESTS = {
+    "mgf-inner": "f4579abf59f78de8",
+    "clip-bias": "244a0072d3757d70",
+    "clip-subgauss": "c47271bf6dc8d8c4",
+    "rates": "cb8dae6e8ac6cca1",
+}
+
+
+def verify_float_digests() -> dict:
+    """Each pinned suite's digest, in this process."""
+    return {
+        suite: _digest(np.array([(c.empirical, c.bound, c.se) for c in verify_lemma_suite(suite, 10**5, 13).checks]))
+        for suite in _PINNED_VERIFY_DIGESTS
+    }
+
+
+@pytest.fixture(scope="module")
+def baseline_verify_digests():
+    return at_baseline_dispatch("test_montecarlo", "verify_float_digests")
+
+
+@pytest.mark.parametrize("suite", list(_PINNED_VERIFY_DIGESTS))
+def test_verify_values_pinned(suite, baseline_verify_digests):
+    assert baseline_verify_digests[suite] == _PINNED_VERIFY_DIGESTS[suite]
 
 
 class TestVerifySuites:

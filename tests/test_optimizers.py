@@ -490,10 +490,10 @@ def pinned_float_digests() -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def baseline_float_digests():
-    """pinned_float_digests() from a process whose numpy has every SIMD
-    dispatch target of its build disabled, so that it runs the baseline level."""
+def at_baseline_dispatch(module: str, function: str):
+    """``module.function()``'s JSON result from a process whose numpy has every
+    SIMD dispatch target of its build disabled, so that it runs the baseline
+    level: the bits of exp, log and pow are then those of any x86-64 CPU."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__
     except ImportError:  # numpy < 2
@@ -506,10 +506,16 @@ def baseline_float_digests():
         NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
         PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
     )
-    code = "import json, test_optimizers; print(json.dumps(test_optimizers.pinned_float_digests()))"
+    code = f"import json, {module}; print(json.dumps({module}.{function}()))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def baseline_float_digests():
+    """pinned_float_digests() at numpy's baseline dispatch level."""
+    return at_baseline_dispatch("test_optimizers", "pinned_float_digests")
 
 
 @pytest.mark.parametrize("name,make_config", _PINNED_CONFIGS, ids=[n for n, _ in _PINNED_CONFIGS])

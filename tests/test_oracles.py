@@ -15,7 +15,9 @@ from ldplab.oracles import (
     TwoPointNoise,
     _MGF_BLOCK_ROWS,
     _SCALE_MULTIPLIERS,
+    _SUM_BLOCK_ROWS,
     _mgf_grid_moments,
+    _row_sums,
     clip_rows,
     clipping_bias_probe,
 )
@@ -322,6 +324,21 @@ class TestMgfGridMoments:
         assert np.array_equal(block.sum(axis=0), forward)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, _SUM_BLOCK_ROWS - 1, _SUM_BLOCK_ROWS, _SUM_BLOCK_ROWS + 1, 10**5 + 3])
+def test_row_sums_equal_numpy_mean_and_var_bitwise(n, d):
+    # the clipped Pareto output the probe reduces, over twelve decades
+    noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=1.7, moment_order=1.2, dim=d)
+    rng = run_generator(5, n)
+    clipped = clip_rows(noise.sample_block(rng, n), 2.0)[0] * 10.0 ** rng.integers(-6, 7, (n, d))
+    mean = _row_sums(clipped) / n
+    assert mean.tobytes() == clipped.mean(axis=0).tobytes()
+    assert (_row_sums(clipped - mean, square=True) / n).tobytes() == clipped.var(axis=0).tobytes()
+    # numpy starts its sum at +0.0, so a column of -0.0 sums to +0.0
+    zeros = np.full((n, d), -0.0)
+    assert _row_sums(zeros).tobytes() == zeros.sum(axis=0).tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 4, 9])
 def test_clip_rows_of_columns_equals_rows(d):
     rng = np.random.default_rng(d)
@@ -340,6 +357,21 @@ def test_clip_rows_scales_rows_above_threshold():
     np.testing.assert_array_equal(out[1], g[1])
     np.testing.assert_array_equal(out[2], [0.0, 0.0])
     np.testing.assert_array_equal(over, [True, False, False])
+
+
+def test_clip_rows_points_infinite_rows_along_their_signs():
+    # a row with infinite entries is clipped to norm gamma along their signs;
+    # a row with a NaN entry is left as it is, and neither warns
+    g = np.array([[np.inf, 0.0], [np.inf, -np.inf], [-np.inf, 5.0], [np.nan, 1.0], [np.nan, np.inf], [3.0, 4.0]])
+    out, over = clip_rows(g, 2.0)
+    r = math.sqrt(2.0)
+    np.testing.assert_allclose(out[:3], [[2.0, 0.0], [r, -r], [-2.0, 0.0]], rtol=1e-15)
+    assert out[3:5].tobytes() == g[3:5].tobytes()
+    assert out[5].tobytes() == (g[5] * (2.0 / 5.0)).tobytes()
+    np.testing.assert_array_equal(over, [True, True, True, False, False, True])
+    cols, over_cols = clip_rows(np.ascontiguousarray(g.T), 2.0, axis=0)
+    assert cols.T.tobytes() == out.tobytes()
+    np.testing.assert_array_equal(over_cols, over)
 
 
 def test_clip_rows_rescales_rows_whose_square_overflows():

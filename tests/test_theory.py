@@ -123,6 +123,31 @@ class TestFenchelLegendre:
         out = fenchel_legendre(phi, np.array([1.0]), lam)
         assert out[0] == pytest.approx(1.0 / 768.0, rel=1e-6)
 
+    def test_generating_phi_scalar_and_array_forms_agree_bitwise(self):
+        phi = generating_phi(rate_csgd(1.0, 1.5))
+        lam = np.linspace(-0.5, 0.5, 1001) * 10.0 ** np.random.default_rng(2).integers(-6, 7, 1001)
+        scalars = [phi(l) for l in lam.tolist()] + [phi(l) for l in lam]  # Python floats, np.float64
+        assert np.array(scalars).tobytes() == np.tile(phi(lam), 2).tobytes()
+        assert phi(np.asarray(-1.0)) == phi(-1.0) == 0.0
+
+    def test_scalar_only_phi_matches_closed_form(self):
+        # fenchel_legendre calls phi on floats only, so a phi that takes no arrays will do
+        seen = []
+
+        def phi(lam):
+            seen.append(type(lam))
+            return 6.0 * lam * lam if lam >= 0 else 0.0  # rate_sgd(1, 1)'s, for floats only
+
+        x = np.linspace(0.0, 2.0, 21)
+        out = fenchel_legendre(phi, x, np.linspace(0.0, 0.5, 2001))
+        np.testing.assert_allclose(out, rate_sgd(1.0, 1.0).rate_function_I(x), rtol=1e-6, atol=1e-15)
+        assert set(seen) == {float}
+
+    def test_one_point_grid_gives_its_value(self):
+        phi = generating_phi(rate_sgd(1.0, 1.0))  # 6 lam^2
+        out = fenchel_legendre(phi, np.array([0.5, 2.0]), np.array([0.25]))
+        assert out.tobytes() == (np.array([0.5, 2.0]) * 0.25 - 6.0 * 0.25 * 0.25).tobytes()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             fenchel_legendre(lambda l: l * l, np.array([]), np.array([0.0, 1.0]))
