@@ -271,9 +271,9 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
     the config's n_runs, whose digest is not the manifest's, with a
     diverged cell other than 0 or 1, a hitting time other than -1 outside
     [1, horizon_T], or hitting times that break the ensemble invariants is
-    corrupt, and so is a manifest with any field besides its config that is
-    not, in canonical JSON, the one simulate writes for that config and
-    summary: an OSError.
+    corrupt, and so is a manifest whose config does not parse or with any
+    field besides its config that is not, in canonical JSON, the one simulate
+    writes for that config and summary: an OSError.
     """
     meta_path = os.path.join(results_dir, "meta.json")
     meta = _read_manifest(meta_path)
@@ -282,7 +282,10 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
         raise OSError(f"{meta_path}: corrupt run manifest: no config object")
     # analysis never uses the output block (nor does the digest), so an
     # output key this version no longer accepts must not block it
-    exp = parse_config({k: v for k, v in config.items() if k != "output"})
+    try:
+        exp = parse_config({k: v for k, v in config.items() if k != "output"})
+    except ConfigError as e:
+        raise OSError(f"{meta_path}: corrupt run manifest: config: {e}") from e
     rc = exp.run_config
     summary_path = os.path.join(results_dir, "trajsummary.csv")
     try:
@@ -406,21 +409,30 @@ def _cmd_tail(args) -> int:
 
 
 def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
-    """(digest from the provenance comment, estimate rebuilt from the counts) of a tail CSV."""
-    comment, header, body = _read_csv(path, dtype=str)
-    cols = {name: i for i, name in enumerate(header)}
-    for needed in ("t", "epsilon", "N", "exceed", "p_hat"):
-        if needed not in cols:
-            raise ConfigError(f"{path}: missing column {needed!r}")
-    if body.shape[0] == 0:
-        raise ConfigError(f"{path}: no tail rows")
-    # rebuild the estimate from counts so intervals are always consistent
-    return comment.get("digest", "unknown"), tail_from_counts(
-        body[:, cols["t"]].astype(np.int64),
-        body[:, cols["exceed"]].astype(np.int64),
-        int(body[0, cols["N"]]),
-        float(body[0, cols["epsilon"]]),
-    )
+    """(digest from the provenance comment, estimate rebuilt from the counts) of
+    a tail CSV.  Its steps must pass check_t_grid, every row must carry the
+    first row's N and epsilon, and tail_from_counts must accept the counts;
+    anything else is a ConfigError naming the file."""
+    try:
+        comment, header, body = _read_csv(path, dtype=str)
+        cols = {name: i for i, name in enumerate(header)}
+        for needed in ("t", "epsilon", "N", "exceed", "p_hat"):
+            if needed not in cols:
+                raise ValueError(f"missing column {needed!r}")
+        if body.shape[0] == 0:
+            raise ValueError("no tail rows")
+        t_grid = check_t_grid(body[:, cols["t"]].astype(np.int64), MAX_HORIZON)
+        one = {}  # the value every row holds
+        for name, dtype in (("N", np.int64), ("epsilon", np.float64)):
+            values = np.unique(body[:, cols[name]].astype(dtype)).tolist()
+            if len(values) > 1:
+                raise ValueError(f"rows differ in {name}: {values[0]!r}, {values[1]!r}")
+            one[name] = values[0]
+        # rebuild the estimate from counts so intervals are always consistent
+        tail = tail_from_counts(t_grid, body[:, cols["exceed"]].astype(np.int64), one["N"], one["epsilon"])
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    return comment.get("digest", "unknown"), tail
 
 
 def _cmd_fit(args) -> int:

@@ -115,12 +115,13 @@ def _build_oracle(block: dict, cost: CostSpec) -> OracleSpec:
 
 
 def _build_method(kind: str, params: dict) -> tuple:
-    """(kind, ScheduleSpec, ClipSpec or None) of a method block's kind and its step and clip blocks."""
-    step = _kind_block(params["step"], "method.step", lambda k, p: ScheduleSpec(k, **p))
+    """(ScheduleSpec, ClipSpec or None) of a method block's step and clip
+    blocks; a clipped kind is the one that lists a clip block."""
+    step = _kind_block(params["step"], "method.step", lambda k, p: ScheduleSpec(k, *p.values()))
     clip = None
     if "clip" in params:  # a clip kind lists its coefficient, then p: ClipSpec's field order
         clip = _kind_block(params["clip"], "method.clip", lambda k, p: ClipSpec(k, *p.values()))
-    return kind, step, clip
+    return step, clip
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -175,7 +176,7 @@ def _paper_law(rc: RunConfig) -> RateSpec | None:
     """The paper's closed-form tail law that applies to a run configuration, if any."""
     cert = rc.certified_constants()
     G = cert["G"]
-    if rc.method == "vanilla":
+    if rc.clip_schedule is None:
         return rate_sgd(M=cert["M"], G=G) if "M" in cert else None
     clip = rc.clip_schedule
     if clip.kind == "paper-eq5":
@@ -192,7 +193,7 @@ def parse_config(doc: dict) -> Experiment:
     cost = _kind_block(doc["cost"], "cost", lambda name, params: COSTS[name][0](**params))
     oracle = _build_oracle(doc["oracle"], cost)
 
-    kind, step, clip = _kind_block(doc["method"], "method", _build_method)
+    step, clip = _kind_block(doc["method"], "method", _build_method)
 
     ens = doc["ensemble"]
     _require_keys(
@@ -204,7 +205,6 @@ def parse_config(doc: dict) -> Experiment:
     try:
         n_runs = int_param("n_runs", ens["n_runs"])
         run_config = RunConfig(
-            method=kind,
             cost=cost,
             oracle=oracle,
             init_x1=ens["init_x1"],

@@ -97,14 +97,14 @@ class CostSpec:
     grad_bound_G : float
         Global bound on the gradient norm.
     lower_bound_fstar : float
-        Certified lower bound on the cost value.
+        Certified lower bound on the cost value: 0 for every cost here.
     """
 
     name: str = "abstract"
     dim: int
     smoothness_L: float
     grad_bound_G: float
-    lower_bound_fstar: float
+    lower_bound_fstar = 0.0
 
     def value(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -142,10 +142,6 @@ class HuberCost(CostSpec):
     @property
     def grad_bound_G(self) -> float:
         return self.threshold_G
-
-    @property
-    def lower_bound_fstar(self) -> float:
-        return 0.0
 
     def value(self, x):
         x = _as_points(x, self.dim)
@@ -189,10 +185,6 @@ class PseudoHuberCost(CostSpec):
     @property
     def grad_bound_G(self) -> float:
         return self.scale * np.sqrt(self.dim)
-
-    @property
-    def lower_bound_fstar(self) -> float:
-        return 0.0
 
     def value(self, x):
         x = _as_points(x, self.dim)
@@ -251,10 +243,6 @@ class LogisticBatchCost(CostSpec):
     def smoothness_L(self) -> float:
         # logistic curvature is at most ||phi||^2 / 4 per sample
         return float(np.max(np.sum(self.features**2, axis=1)) / 4.0)
-
-    @property
-    def lower_bound_fstar(self) -> float:
-        return 0.0
 
     def value(self, x):
         x = _as_points(x, self.dim)
@@ -333,14 +321,14 @@ COSTS = {
 }
 
 
-def finite_difference_gradient(cost: CostSpec, x, rel_step: float = 1e-5) -> np.ndarray:
+def finite_difference_gradient(cost: CostSpec, x) -> np.ndarray:
     """Central finite differences of cost.value at a single point.
 
-    Step h = rel_step * max(1, ||x||), the usual truncation/round-off balance
+    Step h = 1e-5 * max(1, ||x||), the usual truncation/round-off balance
     at double precision.  Used to audit analytic gradients.
     """
     x = np.asarray(x, dtype=np.float64)
-    h = rel_step * max(1.0, float(np.linalg.norm(x)))
+    h = 1e-5 * max(1.0, float(np.linalg.norm(x)))
     grad = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)

@@ -19,7 +19,7 @@ import multiprocessing
 
 import numpy as np
 
-from .costs import huber_cost, is_int, sq_norms, synthetic_logistic_cost
+from .costs import huber_cost, is_int, real_param, sq_norms, synthetic_logistic_cost
 from .oracles import (
     PROBE_MIN_SAMPLES,
     AdditiveOracle,
@@ -89,8 +89,8 @@ def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool 
     return EnsembleArrays.concatenate(parts)
 
 
-def wilson_interval(count, n: int, confidence: float = 0.95):
-    """Wilson score interval for a binomial proportion; vectorized in count."""
+def wilson_interval(count, n: int):
+    """Wilson score 95% interval for a binomial proportion; vectorized in count."""
     count = np.asarray(count, dtype=np.float64)
     if n < 1:
         raise ValueError("n must be positive")
@@ -98,7 +98,7 @@ def wilson_interval(count, n: int, confidence: float = 0.95):
     # importing it here keeps scipy.stats out of every command's start-up
     from scipy.special import ndtri
 
-    z = ndtri(0.5 + confidence / 2.0)
+    z = ndtri(0.5 + 0.95 / 2.0)
     p_hat = count / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom
@@ -136,12 +136,16 @@ def tail_from_counts(
     epsilon: float,
 ) -> TailEstimate:
     """Tail estimate from the number of runs, out of n_runs, with F_t > epsilon
-    at each t; the only place p_hat and its Wilson 95% interval are computed."""
+    at each t; the only place p_hat and its Wilson 95% interval are computed.
+    ValueError unless every count lies in [0, n_runs] and epsilon is finite."""
     exceed = np.asarray(exceed_count, dtype=np.int64)
+    if np.any((exceed < 0) | (exceed > n_runs)):
+        raise ValueError(f"exceedance counts must lie in [0, N = {n_runs}]")
+    epsilon = real_param("epsilon", epsilon)
     lo, hi = wilson_interval(exceed, n_runs)
     return TailEstimate(
         n_runs=int(n_runs),
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         t_grid=np.asarray(t_grid, dtype=np.int64),
         exceed_count=exceed,
         p_hat=exceed / n_runs,
@@ -349,12 +353,12 @@ def _clip_probe_grid(grad_fracs, n_samples, seed, **probe_options):
     k = 0
     for p in _CLIP_P:
         noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=p + 0.5, moment_order=p, dim=_CLIP_DIM)
+        # a ball of radius 50 holds every grid point, so grad f(x) = x exactly
+        oracle = AdditiveOracle(cost=huber_cost(threshold_G=50.0, dim=_CLIP_DIM), noise=noise)
         for gamma in _CLIP_GAMMAS:
             for frac in grad_fracs:
-                cost = huber_cost(threshold_G=max(50.0, gamma), dim=_CLIP_DIM)
                 x = np.zeros(_CLIP_DIM)
-                x[0] = frac * gamma  # inside the ball, so grad f(x) = x exactly
-                oracle = AdditiveOracle(cost=cost, noise=noise)
+                x[0] = frac * gamma
                 probe = clipping_bias_probe(
                     oracle, x, gamma, n_samples, run_generator(seed, 3000 + k), **probe_options
                 )

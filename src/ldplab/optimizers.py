@@ -44,7 +44,8 @@ CLIP_KINDS = {"paper-eq5": ("G", "p"), "general-C": ("C", "p"), "constant": ("th
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """Step-size schedule.
+    """Step-size schedule; ``value`` is the one parameter its kind reads,
+    named in STEP_KINDS.
 
     kind 'sgd-sqrt'   : alpha_t = a / sqrt(t+1)
     kind 'csgd-power' : alpha_t = (t+1)^(-p/(3p-2))
@@ -52,23 +53,18 @@ class ScheduleSpec:
     """
 
     kind: str
-    a: float | None = None
-    p: float | None = None
-    c: float | None = None
+    value: float
 
     def __post_init__(self):
         if self.kind not in STEP_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         (name,) = STEP_KINDS[self.kind]
-        unused = [n for (n,) in STEP_KINDS.values() if n != name and getattr(self, n) is not None]
-        if unused:
-            raise ValueError(f"{self.kind} schedule does not read {unused}")
-        object.__setattr__(self, name, real_param(name, getattr(self, name)))
-        if self.kind == "sgd-sqrt" and not self.a > 0:
+        object.__setattr__(self, "value", real_param(name, self.value))
+        if self.kind == "sgd-sqrt" and not self.value > 0:
             raise ValueError("sgd-sqrt schedule requires a > 0")
-        if self.kind == "csgd-power" and not 1.0 < self.p <= 2.0:
+        if self.kind == "csgd-power" and not 1.0 < self.value <= 2.0:
             raise ValueError("csgd-power schedule requires p in (1, 2]")
-        if self.kind == "constant" and not self.c > 0:
+        if self.kind == "constant" and not self.value > 0:
             raise ValueError("constant schedule requires c > 0")
 
 
@@ -114,10 +110,10 @@ def step_size(schedule: ScheduleSpec, t) -> float:
         raise ValueError("step index t must be >= 1")
     t = np.float64(t)
     if schedule.kind == "sgd-sqrt":
-        return float(schedule.a / np.sqrt(t + 1.0))
+        return float(schedule.value / np.sqrt(t + 1.0))
     if schedule.kind == "csgd-power":
-        return float((t + 1.0) ** (-schedule.p / (3.0 * schedule.p - 2.0)))
-    return float(schedule.c)
+        return float((t + 1.0) ** (-schedule.value / (3.0 * schedule.value - 2.0)))
+    return float(schedule.value)
 
 
 def clip_threshold(clip: ClipSpec, t) -> float:
@@ -154,9 +150,9 @@ class RunConfig:
 
     init_x1 is deterministic per config; epsilon_grid lists the thresholds
     for which first hitting times of ||grad f(x_t)||^2 <= eps are recorded.
+    The run is clipped SGD exactly when clip_schedule is set.
     """
 
-    method: str
     cost: CostSpec
     oracle: OracleSpec
     init_x1: np.ndarray
@@ -167,12 +163,6 @@ class RunConfig:
     epsilon_grid: np.ndarray
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "vanilla" and self.clip_schedule is not None:
-            raise ValueError("vanilla method must not carry a clip schedule")
-        if self.method == "clipped" and self.clip_schedule is None:
-            raise ValueError("clipped method requires a clip schedule")
         if self.oracle.cost is not self.cost:
             raise ValueError("oracle must be built on the config's cost")
         x1 = real_vector("init_x1", self.init_x1)
@@ -188,9 +178,9 @@ class RunConfig:
         object.__setattr__(self, "epsilon_grid", eps)
         if self.step_schedule.kind == "sgd-sqrt":
             limit = 1.0 / self.cost.smoothness_L
-            if self.step_schedule.a > limit * (1.0 + 1e-12):
+            if self.step_schedule.value > limit * (1.0 + 1e-12):
                 raise ValueError(
-                    f"sgd-sqrt coefficient a = {self.step_schedule.a:.6g} exceeds "
+                    f"sgd-sqrt coefficient a = {self.step_schedule.value:.6g} exceeds "
                     f"1/L = {limit:.6g} for this cost"
                 )
 
@@ -272,7 +262,7 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
     T = config.horizon_T
     eps = config.epsilon_grid
     n_eps = eps.size
-    clipped_method = config.method == "clipped"
+    clipped_method = config.clip_schedule is not None
 
     randomness = config.oracle.randomness_block(config.seed, idx, T - 1)  # (T-1, ..., B)
     # the schedules, hoisted out of the step loop

@@ -502,9 +502,6 @@ class ClippingBiasProbe:
     bias_se: float
     margins: np.ndarray
     margin_ses: np.ndarray
-    subgaussian_margin: float
-    n_samples: int
-    gamma: float
 
 
 def clipping_bias_probe(
@@ -524,9 +521,9 @@ def clipping_bias_probe(
     of the clipped deviation theta (which satisfies ||theta|| <= 2 gamma a.s.).
     An empty ``scale_multipliers`` skips the grid but still draws the
     directions, so the bias fields equal the full probe's on the same stream;
-    ``margins`` then has shape (_PROBE_DIRECTIONS, 0) and ``subgaussian_margin``
-    is -inf.  The mean and variance of the clipped outputs are those of
-    numpy's ``mean``/``var(axis=0)``, bit for bit, summed by ``_row_sums``.
+    ``margins`` then has shape (_PROBE_DIRECTIONS, 0).  The mean and variance
+    of the clipped outputs are those of numpy's ``mean``/``var(axis=0)``, bit
+    for bit, summed by ``_row_sums``.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -570,7 +567,4 @@ def clipping_bias_probe(
         bias_se=bias_se,
         margins=margins,
         margin_ses=margin_ses,
-        subgaussian_margin=float(margins.max(initial=-np.inf)),
-        n_samples=num_samples,
-        gamma=float(gamma),
     )

@@ -193,14 +193,14 @@ def generating_phi(rate: RateSpec) -> Callable:
     return phi
 
 
-def _golden_max(f: Callable, lo: float, hi: float, iters: int = 90) -> float:
-    """Golden-section maximum of a unimodal f on [lo, hi]."""
+def _golden_max(f: Callable, lo: float, hi: float) -> float:
+    """Golden-section maximum of a unimodal f on [lo, hi], in at most 90 steps."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(90):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -240,26 +240,17 @@ def fenchel_legendre(phi: Callable, x_grid, lambda_grid) -> np.ndarray:
     return out
 
 
-def conjugate_lambda_grid(rate: RateSpec, x_max: float, resolution: float = 1e-4) -> np.ndarray:
-    """Lambda grid covering the conjugate maximizers for x in [0, x_max].
-
-    For phi = c lam^2 the maximizer at x is x/(2c); the grid extends 50%
-    beyond it at the requested resolution.
-    """
-    lam_star = x_max / (rate.denominator / 2.0)
-    hi = 1.5 * lam_star
-    n = max(int(math.ceil(hi / resolution)), 64)
-    return np.linspace(0.0, hi, n + 1)
-
-
-def transform_consistency(rate: RateSpec, x_grid=None, resolution: float = 1e-4) -> float:
+def transform_consistency(rate: RateSpec) -> float:
     """Max relative error between the numerical conjugate of the generating
-    function and the closed-form rate function on x_grid (default [0, 10])."""
-    if x_grid is None:
-        x_grid = np.linspace(0.0, 10.0, 201)
-    x_grid = np.asarray(x_grid, dtype=np.float64)
+    function and the closed-form rate function on 201 points of [0, 10].
+
+    For phi = c lam^2 the conjugate's maximizer at x is x/(2c); the lambda
+    grid extends 50% beyond the one at x = 10, at a resolution of 1e-4.
+    """
+    x_grid = np.linspace(0.0, 10.0, 201)
     phi = generating_phi(rate)
-    lam = conjugate_lambda_grid(rate, float(x_grid.max()), resolution)
+    hi = 1.5 * (10.0 / (rate.denominator / 2.0))
+    lam = np.linspace(0.0, hi, max(int(math.ceil(hi / 1e-4)), 64) + 1)
     numeric = fenchel_legendre(phi, x_grid, lam)
     closed = np.asarray(rate.rate_function_I(x_grid))
     denom = np.maximum(np.abs(closed), 1e-12)

@@ -53,17 +53,16 @@ def _report(criterion: str, ok: bool, detail: str, elapsed: float):
     assert ok, line
 
 
-def solvable_config(method="clipped", T=16, seed=20260801, n_eps=(0.18,)):
+def solvable_config(clipped=True, T=16, seed=20260801, n_eps=(0.18,)):
     cost = huber_cost(1.0, 2)
     oracle = AdditiveOracle(cost=cost, noise=TwoPointNoise(v=X1))
     return RunConfig(
-        method=method,
         cost=cost,
         oracle=oracle,
         init_x1=X1,
         horizon_T=T,
-        step_schedule=ScheduleSpec(kind="sgd-sqrt", a=0.5),
-        clip_schedule=ClipSpec(kind="constant", G_or_C=2.0) if method == "clipped" else None,
+        step_schedule=ScheduleSpec(kind="sgd-sqrt", value=0.5),
+        clip_schedule=ClipSpec(kind="constant", G_or_C=2.0) if clipped else None,
         seed=seed,
         epsilon_grid=np.array(n_eps),
     )
@@ -84,7 +83,7 @@ def test_criterion_1_exact_enumeration():
 
 def test_criterion_2_monte_carlo_lower_bound():
     t0 = time.perf_counter()
-    config = solvable_config(method="clipped", T=16)
+    config = solvable_config(T=16)
     res = run_ensemble(config, 2**20)
     tail = estimate_tail(res, EPS_HALF, np.arange(2, 16))
     elapsed = time.perf_counter() - t0
@@ -109,8 +108,8 @@ def test_criterion_2_monte_carlo_lower_bound():
 
 def test_criterion_3_no_clip_equivalence():
     t0 = time.perf_counter()
-    vanilla = solvable_config(method="vanilla", T=100)
-    clipped = solvable_config(method="clipped", T=100)
+    vanilla = solvable_config(clipped=False, T=100)
+    clipped = solvable_config(T=100)
     n, chunk = 10**5, 1 << 14
     identical = True
     bounded = True
@@ -198,9 +197,9 @@ def test_criterion_7_batch_hard_bound():
 def test_criterion_8_schedule_spot_checks():
     t0 = time.perf_counter()
     checks = [
-        (step_size(ScheduleSpec(kind="sgd-sqrt", a=1.0), 1), 1.0 / math.sqrt(2.0)),
-        (step_size(ScheduleSpec(kind="csgd-power", p=2.0), 3), 0.5),
-        (step_size(ScheduleSpec(kind="csgd-power", p=1.5), 1), 2.0**-0.6),
+        (step_size(ScheduleSpec(kind="sgd-sqrt", value=1.0), 1), 1.0 / math.sqrt(2.0)),
+        (step_size(ScheduleSpec(kind="csgd-power", value=2.0), 3), 0.5),
+        (step_size(ScheduleSpec(kind="csgd-power", value=1.5), 1), 2.0**-0.6),
         (clip_threshold(ClipSpec(kind="paper-eq5", G_or_C=1.0, p=2.0), 1), 2.0 * math.sqrt(math.log(2.0))),
         (clip_threshold(ClipSpec(kind="paper-eq5", G_or_C=1.0, p=1.5), 1), 2.0 * 2.0**0.1),
         (clip_threshold(ClipSpec(kind="general-C", G_or_C=4.0, p=2.0), math.e**2 - 1.0), 4.0 * math.sqrt(2.0)),
@@ -208,15 +207,14 @@ def test_criterion_8_schedule_spot_checks():
     ok = all(abs(got - want) <= 1e-12 for got, want in checks)
     rejected = False
     try:
-        solvable_config(method="vanilla", T=4)  # valid: a = 1/L
+        solvable_config(clipped=False, T=4)  # valid: a = 1/L
         cost = huber_cost(1.0, 2)
         RunConfig(
-            method="vanilla",
             cost=cost,
             oracle=AdditiveOracle(cost=cost, noise=TwoPointNoise(v=X1)),
             init_x1=X1,
             horizon_T=4,
-            step_schedule=ScheduleSpec(kind="sgd-sqrt", a=1.01 / cost.smoothness_L),
+            step_schedule=ScheduleSpec(kind="sgd-sqrt", value=1.01 / cost.smoothness_L),
             clip_schedule=None,
             seed=0,
             epsilon_grid=np.array([0.1]),

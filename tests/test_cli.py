@@ -182,6 +182,46 @@ def test_fit_insufficient_data_exit_code(tiny_config, tmp_path):
     assert main(["fit", os.path.join(out, "tail.csv"), "--candidates", "linear-t"]) == 4
 
 
+# a tail CSV's rows as (t, epsilon, N, exceed); enough estimable points for a fit
+_TAIL_ROWS = [(t, "0.18", "1000", c) for t, c in zip(range(1, 10), (900, 700, 500, 350, 250, 180, 120, 90, 60))]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rows: rows.insert(4, rows.pop(3)),
+        lambda rows: rows.__setitem__(4, (4, *rows[4][1:])),
+        lambda rows: rows.__setitem__(0, (-1, *rows[0][1:])),
+        lambda rows: rows.__setitem__(2, (3, "0.18", "999", 500)),
+        lambda rows: rows.__setitem__(2, (3, "0.2", "1000", 500)),
+        lambda rows: rows.__setitem__(0, (1, "0.18", "1000", 1001)),
+        lambda rows: rows.__setitem__(8, (9, "0.18", "1000", -1)),
+        lambda rows: rows.__setitem__(slice(None), [(t, "nan", n, c) for t, _, n, c in rows]),
+    ],
+    ids=["t-unsorted", "t-repeated", "t-negative", "N-differs", "epsilon-differs",
+         "count-above-N", "count-negative", "epsilon-nan"],
+)
+def test_fit_rejects_a_malformed_tail_csv(edit, tmp_path, capsys):
+    path = tmp_path / "tail.csv"
+
+    def write(rows):
+        lines = ["# tool=ldplab digest=0", "t,epsilon,N,exceed,p_hat"]
+        lines += [f"{t},{eps},{n},{c},0.5" for t, eps, n, c in rows]
+        path.write_text("\n".join(lines) + "\n")
+
+    write(_TAIL_ROWS)
+    assert main(["fit", str(path)]) == 0
+    os.remove(tmp_path / "fit.csv")
+    rows = list(_TAIL_ROWS)
+    edit(rows)
+    write(rows)
+    capsys.readouterr()
+    assert main(["fit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "fit.csv").exists()
+
+
 def test_verify_fast_suites_and_report(tiny_config, tmp_path):
     config_path, doc = tiny_config
     out = doc["output"]["directory"]

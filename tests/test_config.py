@@ -54,7 +54,7 @@ class TestPresets:
         assert 0.0 < np.linalg.norm(x1) <= rc.cost.grad_bound_G
         np.testing.assert_array_equal(rc.oracle.noise.v, x1)
         # alpha_t = 1/(2 sqrt(t+1)) and gamma_t = 2G
-        assert rc.step_schedule.kind == "sgd-sqrt" and rc.step_schedule.a == 0.5
+        assert rc.step_schedule.kind == "sgd-sqrt" and rc.step_schedule.value == 0.5
         assert rc.clip_schedule.kind == "constant"
         assert rc.clip_schedule.G_or_C == 2.0 * rc.cost.grad_bound_G
 
@@ -363,13 +363,17 @@ def test_fuzzed_config_parses_or_exits_2(name, leaf, tmp_path, capsys):
 
 # the top-level fields of a manifest besides its config
 _MANIFEST_FIELDS = ("certified", "config_digest", "diverged_runs", "horizon_T", "n_runs", "tool", "version")
+# those fields and every leaf of the config that simulate records, as paths into the manifest
+_MANIFEST_LEAVES = [(f,) for f in _MANIFEST_FIELDS] + [("config", *leaf) for leaf in _leaves(_tiny_preset("appendix-f"))]
 
 
-@pytest.mark.parametrize("field", _MANIFEST_FIELDS)
-def test_fuzzed_manifest_field_exits_0_or_3(field, tmp_path, capsys):
-    """tail and report on results whose manifest has one top-level field set
-    to a fuzz value, or deleted, exit 3 unless the value is the results' own
-    in canonical JSON, then 0; no exception escapes ``main``."""
+@pytest.mark.parametrize("leaf", _MANIFEST_LEAVES, ids=[".".join(map(str, leaf)) for leaf in _MANIFEST_LEAVES])
+def test_fuzzed_manifest_field_exits_0_or_3(leaf, tmp_path, capsys):
+    """tail and report on results whose manifest has one top-level field or
+    one config leaf set to a fuzz value, or deleted, exit 3 unless the value
+    is the results' own in canonical JSON or the leaf lies in the config's
+    output block, which analysis ignores, then 0; no exception escapes
+    ``main``."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_tiny_preset("appendix-f")))
     out = str(tmp_path / "out")
@@ -377,17 +381,28 @@ def test_fuzzed_manifest_field_exits_0_or_3(field, tmp_path, capsys):
     meta_path = os.path.join(out, "meta.json")
     meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
     assert sorted(set(meta) - {"config"}) == list(_MANIFEST_FIELDS)
+    *parents, last = leaf
+    original = meta
+    for key in leaf:
+        original = original[key]
     deleted = object()
     for value in [*FUZZ_VALUES, deleted]:
-        mutated = {k: v for k, v in meta.items() if k != field}
-        if value is not deleted:
-            mutated[field] = value
+        mutated = copy.deepcopy(meta)
+        node = mutated
+        for key in parents:
+            node = node[key]
+        if value is deleted:
+            del node[last]
+        else:
+            node[last] = value
         with open(meta_path, "w", encoding="utf-8") as fh:
             json.dump(mutated, fh)
-        kept = value is not deleted and json.dumps(value, sort_keys=True) == json.dumps(meta[field], sort_keys=True)
-        want = 0 if kept else 3
+        kept = value is not deleted and json.dumps(value, sort_keys=True) == json.dumps(original, sort_keys=True)
+        want = 0 if kept or leaf[:2] == ("config", "output") else 3
         assert main(["tail", out, "--epsilon", "0.18"]) == want, value
         assert main(["report", out]) == want, value
+        if want == 3:  # each error names the file it found corrupt
+            assert capsys.readouterr().err.count(f"io error: {out}{os.sep}") == 2, value
         capsys.readouterr()
 
 

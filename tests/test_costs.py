@@ -215,7 +215,7 @@ class TestDimensionMajor:
         (lambda: SymmetrizedParetoNoise(x_m=1e300, tail_index=2.0, moment_order=1.5, dim=2), "overflow"),
         (lambda: GaussianNoise(scale=1e300, dim=2), "overflow"),
         (lambda: BatchSubsampleOracle(synthetic_logistic_cost(8, 2, 1), batch_size=True), "batch_size must be"),
-        (lambda: ScheduleSpec("sgd-sqrt", a=0.5, p=1.7, c=9.0), r"does not read \['p', 'c'\]"),
+        (lambda: ScheduleSpec("csgd-power", "1.5"), "p must be a finite number, got '1.5'"),
         (lambda: ClipSpec("constant", 2.0, p=1.5), "does not read p"),
         (lambda: ClipSpec("general-C", float("nan"), p=1.5), "C must be a finite number"),
         (lambda: sota_curves("liu-sgd", B="0.6"), "B must be a finite number, got '0.6'"),
@@ -223,7 +223,7 @@ class TestDimensionMajor:
     ],
     ids=["huber-dim-bool", "huber-threshold-string", "pseudo-huber-scale-inf", "logistic-seed-bool",
          "sphere-radius-nan", "two-point-bool", "pareto-overflow", "gaussian-overflow", "batch-size-bool",
-         "schedule-foreign-keys", "constant-clip-p", "general-C-nan", "sota-string", "beta-bool"],
+         "schedule-value-named-by-kind", "constant-clip-p", "general-C-nan", "sota-string", "beta-bool"],
 )
 def test_constructor_rejects_a_value_naming_its_parameter(build, message):
     with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 import runpy
 
 import pytest
@@ -25,3 +26,14 @@ def test_demo_imports_resolve(path):
 def test_demo_main_runs(name, capsys):
     runpy.run_path(os.path.join(DEMO_DIR, name), run_name="demo_import")["main"]()
     assert capsys.readouterr().out
+
+
+def test_readme_library_quickstart_runs():
+    # the block is executed as written, so it cannot drift from the library
+    with open(os.path.join(DEMO_DIR, "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    names = {}
+    exec(compile(code, "README.md quickstart", "exec"), names)
+    assert names["tail"].n_runs == 2**16 and len(names["fits"]) == 2

@@ -47,13 +47,12 @@ class TestWilson:
         p = count / n
         assert 0.0 <= lo[0] <= p <= hi[0] <= 1.0
 
-    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
-    def test_z_is_norm_ppf_bitwise(self, confidence):
+    def test_z_is_norm_ppf_bitwise(self):
         # scipy.stats is imported here only: the library must not need it
         from scipy import stats
         from scipy.special import ndtri
 
-        q = 0.5 + confidence / 2.0
+        q = 0.5 + 0.95 / 2.0
         z = stats.norm.ppf(q)
         assert ndtri(q) == z
         # the interval with the reference z, in the formula's own operation order
@@ -62,7 +61,7 @@ class TestWilson:
         denom = 1.0 + z * z / n
         center = (p_hat + z * z / (2.0 * n)) / denom
         half = (z / denom) * np.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
-        lo, hi = wilson_interval(count, n, confidence)
+        lo, hi = wilson_interval(count, n)
         np.testing.assert_array_equal(lo, np.minimum(np.clip(center - half, 0.0, 1.0), p_hat))
         np.testing.assert_array_equal(hi, np.maximum(np.clip(center + half, 0.0, 1.0), p_hat))
 
@@ -215,12 +214,11 @@ class TestEstimateTail:
         cost = huber_cost(1.0, 2)
         eps = 0.05
         config = RunConfig(
-            method="vanilla",
             cost=cost,
             oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.0, dim=2)),
             init_x1=np.array([0.6, 0.0]),
             horizon_T=40,
-            step_schedule=ScheduleSpec(kind="sgd-sqrt", a=0.5),
+            step_schedule=ScheduleSpec(kind="sgd-sqrt", value=0.5),
             clip_schedule=None,
             seed=1,
             epsilon_grid=np.array([eps]),
@@ -386,8 +384,11 @@ class TestEnumeration:
 
 # digests of the float bits of every check's (empirical, bound, se) in the
 # suites whose values come from float reductions, at 10^5 samples and seed 13
-# and numpy's baseline dispatch level
+# and numpy's baseline dispatch level.  batch-bound stays unpinned: its
+# gradients go through OpenBLAS matrix-vector and matrix products, and
+# NPY_DISABLE_CPU_FEATURES does not choose OpenBLAS's kernels.
 _PINNED_VERIFY_DIGESTS = {
+    "mgf-bounded": "c8212ddb617c536a",
     "mgf-inner": "f4579abf59f78de8",
     "clip-bias": "244a0072d3757d70",
     "clip-subgauss": "c47271bf6dc8d8c4",
@@ -488,8 +489,7 @@ class TestVerifySuites:
         def counting_probe(oracle, x, gamma, num_samples, rng, **kwargs):
             seen.append(kwargs)
             shape = (8, len(kwargs.get("scale_multipliers", range(6))))
-            return ClippingBiasProbe(0.0, 1.0, 0.0, np.zeros(shape), np.zeros(shape), 0.0,
-                                     num_samples, gamma)
+            return ClippingBiasProbe(0.0, 1.0, 0.0, np.zeros(shape), np.zeros(shape))
 
         monkeypatch.setattr(montecarlo, "clipping_bias_probe", counting_probe)
         report = verify_lemma_suite(suite, n_samples=10**5, seed=5)

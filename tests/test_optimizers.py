@@ -27,19 +27,18 @@ from ldplab.optimizers import (
 )
 
 
-def solvable_instance(method="vanilla", clip=None, T=12, seed=7, x1=(0.6, 0.0), G=1.0, n_eps=None):
+def solvable_instance(clip=None, T=12, seed=7, x1=(0.6, 0.0), G=1.0, n_eps=None):
     cost = huber_cost(G, 2)
     x1 = np.asarray(x1)
     oracle = AdditiveOracle(cost=cost, noise=TwoPointNoise(v=x1))
     if n_eps is None:
         n_eps = (float(np.dot(x1, x1)) / 2.0,)
     return RunConfig(
-        method=method,
         cost=cost,
         oracle=oracle,
         init_x1=x1,
         horizon_T=T,
-        step_schedule=ScheduleSpec(kind="sgd-sqrt", a=0.5),
+        step_schedule=ScheduleSpec(kind="sgd-sqrt", value=0.5),
         clip_schedule=clip,
         seed=seed,
         epsilon_grid=np.array(n_eps),
@@ -48,34 +47,34 @@ def solvable_instance(method="vanilla", clip=None, T=12, seed=7, x1=(0.6, 0.0), 
 
 class TestStepSize:
     def test_sgd_sqrt(self):
-        assert step_size(ScheduleSpec(kind="sgd-sqrt", a=1.0), 1) == pytest.approx(
+        assert step_size(ScheduleSpec(kind="sgd-sqrt", value=1.0), 1) == pytest.approx(
             1.0 / math.sqrt(2.0), abs=1e-12
         )
 
     def test_csgd_power_p2(self):
         # exponent p/(3p-2) = 1/2 at p = 2
-        assert step_size(ScheduleSpec(kind="csgd-power", p=2.0), 3) == pytest.approx(0.5, abs=1e-12)
+        assert step_size(ScheduleSpec(kind="csgd-power", value=2.0), 3) == pytest.approx(0.5, abs=1e-12)
 
     def test_csgd_power_p15(self):
         # exponent 1.5/2.5 = 0.6
-        assert step_size(ScheduleSpec(kind="csgd-power", p=1.5), 1) == pytest.approx(
+        assert step_size(ScheduleSpec(kind="csgd-power", value=1.5), 1) == pytest.approx(
             2.0**-0.6, abs=1e-12
         )
 
     def test_constant(self):
-        assert step_size(ScheduleSpec(kind="constant", c=0.25), 17) == 0.25
+        assert step_size(ScheduleSpec(kind="constant", value=0.25), 17) == 0.25
 
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError):
-            step_size(ScheduleSpec(kind="constant", c=1.0), 0)
+            step_size(ScheduleSpec(kind="constant", value=1.0), 0)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            ScheduleSpec(kind="csgd-power", p=2.5)
+            ScheduleSpec(kind="csgd-power", value=2.5)
         with pytest.raises(ValueError):
-            ScheduleSpec(kind="sgd-sqrt")
+            ScheduleSpec(kind="sgd-sqrt", value=None)
         with pytest.raises(ValueError):
-            ScheduleSpec(kind="momentum", a=1.0)
+            ScheduleSpec(kind="momentum", value=1.0)
 
 
 class TestClipThreshold:
@@ -156,35 +155,25 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match="exceeds"):
             cost = huber_cost(1.0, 2)
             RunConfig(
-                method="vanilla",
                 cost=cost,
                 oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.1, dim=2)),
                 init_x1=np.zeros(2),
                 horizon_T=4,
-                step_schedule=ScheduleSpec(kind="sgd-sqrt", a=1.01 / cost.smoothness_L),
+                step_schedule=ScheduleSpec(kind="sgd-sqrt", value=1.01 / cost.smoothness_L),
                 clip_schedule=None,
                 seed=0,
                 epsilon_grid=np.array([0.1]),
             )
 
-    def test_vanilla_with_clip_rejected(self):
-        with pytest.raises(ValueError):
-            solvable_instance(method="vanilla", clip=ClipSpec(kind="constant", G_or_C=2.0))
-
-    def test_clipped_without_clip_rejected(self):
-        with pytest.raises(ValueError):
-            solvable_instance(method="clipped", clip=None)
-
     def test_unsorted_epsilon_grid_rejected(self):
         cost = pseudo_huber_cost(1.0, 2)
         with pytest.raises(ValueError):
             RunConfig(
-                method="vanilla",
                 cost=cost,
                 oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.1, dim=2)),
                 init_x1=np.zeros(2),
                 horizon_T=4,
-                step_schedule=ScheduleSpec(kind="sgd-sqrt", a=1.0),
+                step_schedule=ScheduleSpec(kind="sgd-sqrt", value=1.0),
                 clip_schedule=None,
                 seed=0,
                 epsilon_grid=np.array([0.2, 0.1]),
@@ -196,12 +185,11 @@ class TestTrajectories:
         # inside the ball the noiseless recursion is x <- (1 - alpha_t) x
         cost = huber_cost(1.0, 2)
         config = RunConfig(
-            method="vanilla",
             cost=cost,
             oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.0, dim=2)),
             init_x1=np.array([0.6, 0.0]),
             horizon_T=20,
-            step_schedule=ScheduleSpec(kind="sgd-sqrt", a=0.5),
+            step_schedule=ScheduleSpec(kind="sgd-sqrt", value=0.5),
             clip_schedule=None,
             seed=0,
             epsilon_grid=np.array([0.01]),
@@ -242,7 +230,7 @@ class TestTrajectories:
 
     def test_no_clip_equivalence_and_boundedness(self):
         vanilla = solvable_instance(T=40)
-        clipped = solvable_instance(method="clipped", clip=ClipSpec(kind="constant", G_or_C=2.0), T=40)
+        clipped = solvable_instance(clip=ClipSpec(kind="constant", G_or_C=2.0), T=40)
         a = simulate_runs(vanilla, range(3000), record_full=True)
         b = simulate_runs(clipped, range(3000), record_full=True)
         np.testing.assert_array_equal(a.grad_norm_sq, b.grad_norm_sq)
@@ -259,12 +247,11 @@ class TestTrajectories:
     def test_divergence_guard(self):
         cost = pseudo_huber_cost(1.0, 2)
         config = RunConfig(
-            method="vanilla",
             cost=cost,
             oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.5, dim=2)),
             init_x1=np.array([1.0, 1.0]),
             horizon_T=5,
-            step_schedule=ScheduleSpec(kind="constant", c=1e12),
+            step_schedule=ScheduleSpec(kind="constant", value=1e12),
             clip_schedule=None,
             seed=0,
             epsilon_grid=np.array([0.5]),
@@ -362,12 +349,11 @@ def test_results_independent_of_chunks_and_slabs(make_config, monkeypatch):
 def _diverging_config():
     cost = pseudo_huber_cost(1.0, 2)
     return RunConfig(
-        method="vanilla",
         cost=cost,
         oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.5, dim=2)),
         init_x1=np.array([1.0, 1.0]),
         horizon_T=5,
-        step_schedule=ScheduleSpec(kind="constant", c=1e12),
+        step_schedule=ScheduleSpec(kind="constant", value=1e12),
         clip_schedule=None,
         seed=0,
         epsilon_grid=np.array([0.5]),

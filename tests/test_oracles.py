@@ -284,7 +284,6 @@ class TestClippingBiasProbe:
         for name in ("bias_norm_estimate", "bias_se", "bias_bound"):
             assert getattr(bias, name) == getattr(full, name)
         assert bias.margins.shape == bias.margin_ses.shape == (8, 0)
-        assert bias.subgaussian_margin == -math.inf
 
 
 class TestMgfGridMoments:
