@@ -12,12 +12,12 @@ import numpy as np
 
 from ldplab import (
     GaussianNoise,
+    HuberCost,
+    PseudoHuberCost,
     SphereNoise,
     SymmetrizedParetoNoise,
     TwoPointNoise,
     finite_difference_gradient,
-    huber_cost,
-    pseudo_huber_cost,
     run_generator,
     synthetic_logistic_cost,
 )
@@ -50,13 +50,13 @@ def audit_noise(model, p, n=10**6):
 
 def main():
     print("== costs with certified constants")
-    audit_cost(huber_cost(threshold_G=1.0, dim=2))
-    audit_cost(pseudo_huber_cost(scale=1.0, dim=4))
+    audit_cost(HuberCost(threshold_G=1.0, dim=2))
+    audit_cost(PseudoHuberCost(scale=1.0, dim=4))
     audit_cost(synthetic_logistic_cost(m=32, dim=3, dataset_seed=7))
 
     print()
     print("== the piecewise cost is smooth across its ball boundary")
-    cost = huber_cost(1.0, 3)
+    cost = HuberCost(1.0, 3)
     u = np.array([2.0, -1.0, 2.0]) / 3.0
     inner, outer = cost.gradient(u * (1 - 1e-9)), cost.gradient(u * (1 + 1e-9))
     print(f"  gradient jump across ||x|| = G: {np.linalg.norm(inner - outer):.2e}")

@@ -10,9 +10,9 @@ bounds, and the exactly solvable lower-bound instance at desk scale.
 from .config import TOOL_VERSION as __version__
 from .costs import (
     CostSpec,
+    HuberCost,
+    PseudoHuberCost,
     finite_difference_gradient,
-    huber_cost,
-    pseudo_huber_cost,
     synthetic_logistic_cost,
 )
 from .montecarlo import (

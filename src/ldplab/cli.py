@@ -85,7 +85,7 @@ def _provenance_comment(digest: str, certified: dict) -> str:
     parts = [f"tool={TOOL_NAME}", f"version={TOOL_VERSION}", f"digest={digest}"]
     for k in sorted(certified):
         parts.append(f"{k}={_fmt_cell(certified[k])}")
-    return "# " + " ".join(parts)
+    return " ".join(parts)
 
 
 @contextlib.contextmanager
@@ -107,7 +107,7 @@ _BLOCK_ROWS = 1 << 16
 
 
 def _write_csv(path: str, comment: str, header: list, rows=(), columns=None) -> None:
-    """Write a provenance comment, a header and a body.
+    """Write a provenance comment (as a '# ' line), a header and a body.
 
     The body is either ``rows`` (any cells) or ``columns``, equal-length
     integer or bool arrays; the latter is formatted 2^16 rows at a time with
@@ -115,7 +115,7 @@ def _write_csv(path: str, comment: str, header: list, rows=(), columns=None) -> 
     The file is replaced atomically.
     """
     with _atomic_write(path) as fh:
-        fh.write(comment + "\n")
+        fh.write("# " + comment + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -268,12 +268,13 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
 
     A summary that does not parse as integers, whose rows are not the
     header's width, whose header is not the config's, whose row count is not
-    the config's n_runs, whose digest is not the manifest's, with a
-    diverged cell other than 0 or 1, a hitting time other than -1 outside
-    [1, horizon_T], or hitting times that break the ensemble invariants is
-    corrupt, and so is a manifest whose config does not parse or with any
-    field besides its config that is not, in canonical JSON, the one simulate
-    writes for that config and summary: an OSError.
+    the config's n_runs, whose run_index column is not 0..n_runs-1 in order,
+    whose digest is not the manifest's, with a diverged cell other than 0 or
+    1, a hitting time other than -1 outside [1, horizon_T], or hitting times
+    that break the ensemble invariants is corrupt, and so is a manifest whose
+    config does not parse or with any field besides its config that is not,
+    in canonical JSON, the one simulate writes for that config and summary:
+    an OSError.
     """
     meta_path = os.path.join(results_dir, "meta.json")
     meta = _read_manifest(meta_path)
@@ -294,6 +295,8 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
             raise ValueError(f"header {header} is not {_summary_header(rc.epsilon_grid)}")
         if body.shape[0] != exp.n_runs:
             raise ValueError(f"{body.shape[0]} rows, the config has {exp.n_runs} runs")
+        if not np.array_equal(body[:, 0], np.arange(exp.n_runs)):
+            raise ValueError(f"run_index is not 0..{exp.n_runs - 1} in order")
         if comment.get("digest") != meta.get("config_digest"):
             raise ValueError(f"digest {comment.get('digest')} is not the manifest's {meta.get('config_digest')}")
         T = rc.horizon_T
@@ -394,7 +397,7 @@ def _cmd_tail(args) -> int:
             title=f"tail P(F_t > {args.epsilon:g}), N={tail.n_runs}",
             xlabel="t",
             ylabel="P(F_t > eps)",
-            comment=f"tool={TOOL_NAME} version={TOOL_VERSION} digest={digest}",
+            comment=_provenance_comment(digest, {}),
         )
         out_svg = os.path.join(args.results_dir, "tail.svg")
         with _atomic_write(out_svg) as fh:
@@ -410,18 +413,18 @@ def _cmd_tail(args) -> int:
 
 def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
     """(digest from the provenance comment, estimate rebuilt from the counts) of
-    a tail CSV.  Its steps must pass check_t_grid, every row must carry the
-    first row's N and epsilon, and tail_from_counts must accept the counts;
-    anything else is a ConfigError naming the file."""
+    a tail CSV.  Every row must carry the first row's N and epsilon, and
+    tail_from_counts must accept the steps and counts; anything else is a
+    ConfigError naming the file."""
     try:
         comment, header, body = _read_csv(path, dtype=str)
         cols = {name: i for i, name in enumerate(header)}
-        for needed in ("t", "epsilon", "N", "exceed", "p_hat"):
+        for needed in ("t", "epsilon", "N", "exceed"):
             if needed not in cols:
                 raise ValueError(f"missing column {needed!r}")
         if body.shape[0] == 0:
             raise ValueError("no tail rows")
-        t_grid = check_t_grid(body[:, cols["t"]].astype(np.int64), MAX_HORIZON)
+        t_grid = body[:, cols["t"]].astype(np.int64)
         one = {}  # the value every row holds
         for name, dtype in (("N", np.int64), ("epsilon", np.float64)):
             values = np.unique(body[:, cols[name]].astype(dtype)).tolist()

@@ -287,16 +287,6 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def huber_cost(threshold_G: float, dim: int) -> HuberCost:
-    """Huber cost with ball radius (= gradient bound) threshold_G."""
-    return HuberCost(threshold_G=threshold_G, dim=dim)
-
-
-def pseudo_huber_cost(scale: float, dim: int) -> PseudoHuberCost:
-    """Pseudo-Huber cost with per-coordinate scale."""
-    return PseudoHuberCost(scale=scale, dim=dim)
-
-
 def synthetic_logistic_cost(m: int, dim: int, dataset_seed: int) -> LogisticBatchCost:
     """Deterministic synthetic classification dataset for batch-oracle runs.
 
@@ -315,8 +305,8 @@ def synthetic_logistic_cost(m: int, dim: int, dataset_seed: int) -> LogisticBatc
 
 # cost name -> (factory, the names of its parameters)
 COSTS = {
-    HuberCost.name: (huber_cost, ("threshold_G", "dim")),
-    PseudoHuberCost.name: (pseudo_huber_cost, ("scale", "dim")),
+    HuberCost.name: (HuberCost, ("threshold_G", "dim")),
+    PseudoHuberCost.name: (PseudoHuberCost, ("scale", "dim")),
     LogisticBatchCost.name: (synthetic_logistic_cost, ("m", "dim", "dataset_seed")),
 }
 

@@ -19,7 +19,7 @@ import multiprocessing
 
 import numpy as np
 
-from .costs import huber_cost, is_int, real_param, sq_norms, synthetic_logistic_cost
+from .costs import HuberCost, is_int, real_param, sq_norms, synthetic_logistic_cost
 from .oracles import (
     PROBE_MIN_SAMPLES,
     AdditiveOracle,
@@ -31,7 +31,7 @@ from .oracles import (
     _mgf_grid_moments,
     _unit_rows,
 )
-from .optimizers import EnsembleArrays, RunConfig, simulate_runs
+from .optimizers import MAX_HORIZON, EnsembleArrays, RunConfig, simulate_runs
 from .rng import run_generator
 from .theory import (
     DECAY_T_MIN,
@@ -137,8 +137,13 @@ def tail_from_counts(
 ) -> TailEstimate:
     """Tail estimate from the number of runs, out of n_runs, with F_t > epsilon
     at each t; the only place p_hat and its Wilson 95% interval are computed.
-    ValueError unless every count lies in [0, n_runs] and epsilon is finite."""
+    ValueError unless the steps pass ``check_t_grid`` up to MAX_HORIZON, there
+    is one count per step, every count lies in [0, n_runs] and epsilon is
+    finite."""
+    t_grid = check_t_grid(t_grid, MAX_HORIZON)
     exceed = np.asarray(exceed_count, dtype=np.int64)
+    if exceed.shape != t_grid.shape:
+        raise ValueError(f"{t_grid.size} steps need as many exceedance counts, got shape {exceed.shape}")
     if np.any((exceed < 0) | (exceed > n_runs)):
         raise ValueError(f"exceedance counts must lie in [0, N = {n_runs}]")
     epsilon = real_param("epsilon", epsilon)
@@ -146,7 +151,7 @@ def tail_from_counts(
     return TailEstimate(
         n_runs=int(n_runs),
         epsilon=epsilon,
-        t_grid=np.asarray(t_grid, dtype=np.int64),
+        t_grid=t_grid,
         exceed_count=exceed,
         p_hat=exceed / n_runs,
         ci_low=lo,
@@ -354,7 +359,7 @@ def _clip_probe_grid(grad_fracs, n_samples, seed, **probe_options):
     for p in _CLIP_P:
         noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=p + 0.5, moment_order=p, dim=_CLIP_DIM)
         # a ball of radius 50 holds every grid point, so grad f(x) = x exactly
-        oracle = AdditiveOracle(cost=huber_cost(threshold_G=50.0, dim=_CLIP_DIM), noise=noise)
+        oracle = AdditiveOracle(cost=HuberCost(threshold_G=50.0, dim=_CLIP_DIM), noise=noise)
         for gamma in _CLIP_GAMMAS:
             for frac in grad_fracs:
                 x = np.zeros(_CLIP_DIM)

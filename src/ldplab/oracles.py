@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostSpec, LogisticBatchCost, int_param, real_param, real_vector, sq_norms
-from .rng import StreamPool, _splitmix64_array
+from .rng import StreamPool
 
 _PROBE_CHUNK = 1 << 16  # queries per draw of query_block
 # raw variate bytes per slab of runs in randomness_block: bounds the slab's
@@ -281,7 +281,7 @@ class OracleSpec:
         for lo in range(0, max(idx.size, 1), slab):
             runs = idx[lo : lo + slab]
             # with no steps nothing is drawn, so no stream is reset
-            for i, key_word in enumerate(_splitmix64_array(runs).tolist() if n_steps else ()):
+            for i, key_word in enumerate(pool.key_words(runs) if n_steps else ()):
                 rng = pool.reset(key_word)
                 if n_normals:  # the order of _raw_draw: normals, then uniforms
                     rng.standard_normal(out=normals[i])

@@ -1,9 +1,10 @@
 """Deterministic, parallel-safe random streams.
 
-Every Monte Carlo run owns a private counter-based stream keyed by
-(master_seed, run_index).  Streams for distinct runs use distinct Philox
-keys, so any number of runs can be generated concurrently, in any order
-and on any number of workers, with bit-identical results.
+Every Monte Carlo run owns a private counter-based stream: run i of seed s
+draws from Philox key (SplitMix64(s), SplitMix64(i)), both taken mod 2^64.
+Distinct runs use distinct keys, so any number of runs can be generated
+concurrently, in any order and on any number of workers, with bit-identical
+results.  ``StreamPool`` builds every stream; ``run_generator`` is a pool reset.
 """
 
 from __future__ import annotations
@@ -13,50 +14,27 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
-    """One round of SplitMix64; bijective on 64-bit integers."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _splitmix64_array(x) -> np.ndarray:
-    """``_splitmix64`` of every element at once, as uint64.
-
-    An int64 input is taken mod 2^64 (two's complement), and uint64
-    arithmetic wraps mod 2^64, so each element has the scalar's bits.
-    """
-    x = np.asarray(x).astype(np.uint64)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One round of SplitMix64 on each element of a uint64 array, bijective as
+    uint64 arithmetic wraps mod 2^64; not on a 0-d scalar, whose wrap warns."""
     x = x + np.uint64(0x9E3779B97F4A7C15)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
 
 
-def stream_key(master_seed: int, run_index: int) -> np.ndarray:
-    """128-bit Philox key for one run.
-
-    Each 64-bit word is an independent bijection of its input, so the map
-    (master_seed mod 2^64, run_index mod 2^64) -> key is injective.
-    """
-    k0 = _splitmix64(int(master_seed) & _MASK64)
-    k1 = _splitmix64(int(run_index) & _MASK64)
-    return np.array([k0, k1], dtype=np.uint64)
-
-
 def run_generator(master_seed: int, run_index: int) -> np.random.Generator:
-    """Fresh generator for one run's private stream."""
-    return np.random.Generator(np.random.Philox(key=stream_key(master_seed, run_index)))
+    """Fresh generator for one run's private stream: a new pool reset to it."""
+    return StreamPool(master_seed).reset(StreamPool.key_words([int(run_index) & _MASK64])[0])
 
 
 class StreamPool:
     """Reusable generator that can be re-keyed to any run's stream.
 
     Constructing a Philox/Generator pair per run costs ~25 us; resetting the
-    state of a shared pair costs ~2 us and yields the exact same draws as
-    ``run_generator``.  ``OracleSpec.randomness_block`` resets one pool once
-    per run of an ensemble.
+    state of a shared pair costs ~2 us.  ``OracleSpec.randomness_block``
+    resets one pool once per run of an ensemble; ``run_generator`` resets a
+    new pool once.
     """
 
     def __init__(self, master_seed: int):
@@ -65,7 +43,7 @@ class StreamPool:
         # The state of a fresh stream: zero counter, empty buffer.  The setter
         # copies it into the bit generator, so only the run's key word changes
         # between resets; plain ints convert about 2x faster than uint64 arrays.
-        self._key = [_splitmix64(int(master_seed) & _MASK64), 0]
+        self._key = [*self.key_words([int(master_seed) & _MASK64]), 0]
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": self._key},
@@ -75,9 +53,15 @@ class StreamPool:
             "uinteger": 0,
         }
 
+    @staticmethod
+    def key_words(run_indices) -> list[int]:
+        """The key word of each run index, as plain ints: ``_splitmix64`` of
+        the index mod 2^64 (an int64 index is taken in two's complement)."""
+        return _splitmix64(np.asarray(run_indices).astype(np.uint64)).tolist()
+
     def reset(self, key_word: int) -> np.random.Generator:
         """Rewind the shared generator to the start of the stream whose run
-        key word is ``key_word`` (``_splitmix64`` of the run index)."""
+        key word is ``key_word`` (one of ``key_words``)."""
         self._key[1] = key_word
         self._bitgen.state = self._state
         return self.generator

@@ -179,16 +179,14 @@ def generating_phi(rate: RateSpec) -> Callable:
 
     Every quadratic rate function here is x^2/denominator with
     denominator = 4c, where phi(lam) = c lam^2 on lam >= 0 and zero below.
+    phi takes one float, as ``fenchel_legendre`` calls it.
     """
     if rate.denominator is None or rate.shape != "x^2":
         raise ValueError(f"{rate.name!r} has no quadratic rate function, so no generating function")
     coefficient = rate.denominator / 4.0
 
-    def phi(lam):
-        if isinstance(lam, float):  # np.float64 too: the array form's operations, one at a time
-            return 0.0 if lam < 0 else coefficient * lam * lam
-        lam = np.asarray(lam, dtype=np.float64)
-        return _scalar_out(np.where(lam < 0, 0.0, coefficient * lam * lam))
+    def phi(lam: float) -> float:
+        return 0.0 if lam < 0 else coefficient * lam * lam
 
     return phi
 

@@ -15,7 +15,7 @@ import pytest
 
 from ldplab.cli import main
 from ldplab.config import parse_config, preset_config
-from ldplab.costs import huber_cost
+from ldplab.costs import HuberCost
 from ldplab.montecarlo import (
     appendix_f_enumeration,
     estimate_tail,
@@ -54,7 +54,7 @@ def _report(criterion: str, ok: bool, detail: str, elapsed: float):
 
 
 def solvable_config(clipped=True, T=16, seed=20260801, n_eps=(0.18,)):
-    cost = huber_cost(1.0, 2)
+    cost = HuberCost(1.0, 2)
     oracle = AdditiveOracle(cost=cost, noise=TwoPointNoise(v=X1))
     return RunConfig(
         cost=cost,
@@ -208,7 +208,7 @@ def test_criterion_8_schedule_spot_checks():
     rejected = False
     try:
         solvable_config(clipped=False, T=4)  # valid: a = 1/L
-        cost = huber_cost(1.0, 2)
+        cost = HuberCost(1.0, 2)
         RunConfig(
             cost=cost,
             oracle=AdditiveOracle(cost=cost, noise=TwoPointNoise(v=X1)),

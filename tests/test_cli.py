@@ -222,6 +222,17 @@ def test_fit_rejects_a_malformed_tail_csv(edit, tmp_path, capsys):
     assert not (tmp_path / "fit.csv").exists()
 
 
+def test_fit_reads_a_tail_csv_without_p_hat(tmp_path):
+    # fit rebuilds p_hat from exceed and N, so the column may be absent
+    fits = []
+    for header, cell in (("t,epsilon,N,exceed,p_hat", ",0.5"), ("t,epsilon,N,exceed", "")):
+        lines = ["# tool=ldplab digest=0", header] + [f"{t},{eps},{n},{c}{cell}" for t, eps, n, c in _TAIL_ROWS]
+        (tmp_path / "tail.csv").write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(tmp_path / "tail.csv")]) == 0
+        fits.append((tmp_path / "fit.csv").read_bytes())
+    assert fits[0] == fits[1]
+
+
 def test_verify_fast_suites_and_report(tiny_config, tmp_path):
     config_path, doc = tiny_config
     out = doc["output"]["directory"]
@@ -529,10 +540,11 @@ def _summary_lines(out):
         # a diverged run never hits, so only the cell itself is wrong
         lambda lines: lines[:10] + [re.sub(r"^(\d+),\d+,(\d+),.*", r"\1,2,\2,-1,-1", lines[10])] + lines[11:],
         lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",11,11\n"] + lines[11:],
+        lambda lines: lines[:7] + [re.sub(r"^\d+,", "7,", lines[7])] + lines[8:],  # row 5
     ],
     ids=["truncated-row", "cut-off-file", "non-integer-cell", "hit-header-not-the-grid",
          "hit-headers-swapped", "hit-header-near-the-grid", "hit-after-horizon", "larger-epsilon-hit-later",
-         "diverged-cell-two", "hit-raw-horizon-plus-one"],
+         "diverged-cell-two", "hit-raw-horizon-plus-one", "run-index-not-in-order"],
 )
 def test_corrupt_trajsummary_is_io_error(corrupt, tiny_config, capsys):
     config_path, doc = tiny_config
@@ -616,7 +628,7 @@ def test_block_writer_matches_row_writer_and_reader(tmp_path):
     hits = rng.integers(1, 17, (n, 2)).astype(np.int32)
     hits[rng.random((n, 2)) < 0.3] = -1
     hits[diverged] = -1
-    comment = "# tool=ldplab digest=0123456789abcdef M=0.6"
+    comment = "tool=ldplab digest=0123456789abcdef M=0.6"
     header = ["run_index", "diverged", "clip_events", "hit_0.18", "hit_0.5"]
 
     block_path = tmp_path / "block.csv"
@@ -624,7 +636,7 @@ def test_block_writer_matches_row_writer_and_reader(tmp_path):
     # reference: one csv.writer row per run, as the summary was first written
     row_path = tmp_path / "rows.csv"
     with open(row_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(comment + "\n")
+        fh.write("# " + comment + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for i in range(n):

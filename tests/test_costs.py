@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldplab.costs import (
+    HuberCost,
     LogisticBatchCost,
+    PseudoHuberCost,
     finite_difference_gradient,
-    huber_cost,
-    pseudo_huber_cost,
     sq_norms,
     synthetic_logistic_cost,
 )
@@ -18,39 +18,39 @@ from ldplab.theory import beta_exponent, sota_curves
 
 def all_costs():
     return [
-        huber_cost(1.0, 2),
-        huber_cost(2.5, 3),
-        pseudo_huber_cost(1.0, 2),
-        pseudo_huber_cost(0.7, 4),
+        HuberCost(1.0, 2),
+        HuberCost(2.5, 3),
+        PseudoHuberCost(1.0, 2),
+        PseudoHuberCost(0.7, 4),
         synthetic_logistic_cost(m=16, dim=3, dataset_seed=11),
     ]
 
 
 class TestHuber:
     def test_inner_branch(self):
-        c = huber_cost(1.0, 2)
+        c = HuberCost(1.0, 2)
         assert c.value([0.5, 0.0]) == pytest.approx(0.125)
         np.testing.assert_allclose(c.gradient([0.5, 0.0]), [0.5, 0.0])
 
     def test_minimizer(self):
-        c = huber_cost(1.0, 2)
+        c = HuberCost(1.0, 2)
         assert c.value([0.0, 0.0]) == 0.0
         np.testing.assert_array_equal(c.gradient([0.0, 0.0]), [0.0, 0.0])
 
     def test_outer_branch(self):
         # ||x|| = 5 > G = 1: value G||x|| - G^2/2, gradient G x/||x||
-        c = huber_cost(1.0, 2)
+        c = HuberCost(1.0, 2)
         assert c.value([3.0, 4.0]) == pytest.approx(4.5)
         np.testing.assert_allclose(c.gradient([3.0, 4.0]), [0.6, 0.8])
 
     def test_constants(self):
-        c = huber_cost(1.5, 2)
+        c = HuberCost(1.5, 2)
         assert c.smoothness_L == 2.0
         assert c.grad_bound_G == 1.5
         assert c.lower_bound_fstar == 0.0
 
     def test_gradient_continuous_across_boundary(self):
-        c = huber_cost(1.0, 3)
+        c = HuberCost(1.0, 3)
         direction = np.array([2.0, -1.0, 2.0]) / 3.0
         inner = c.gradient(direction * (1.0 - 1e-9))
         outer = c.gradient(direction * (1.0 + 1e-9))
@@ -58,32 +58,32 @@ class TestHuber:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            huber_cost(0.0, 2)
+            HuberCost(0.0, 2)
         with pytest.raises(ValueError):
-            huber_cost(1.0, 0)
+            HuberCost(1.0, 0)
 
 
 class TestPseudoHuber:
     def test_minimizer(self):
-        c = pseudo_huber_cost(1.0, 3)
+        c = PseudoHuberCost(1.0, 3)
         assert c.value([0.0, 0.0, 0.0]) == 0.0
         np.testing.assert_array_equal(c.gradient([0.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
 
     def test_closed_form_1d(self):
-        c = pseudo_huber_cost(1.0, 1)
+        c = PseudoHuberCost(1.0, 1)
         assert c.value([1.0]) == pytest.approx(np.sqrt(2.0) - 1.0)
         assert c.gradient([1.0])[0] == pytest.approx(1.0 / np.sqrt(2.0))
 
     @given(st.lists(st.floats(-50, 50), min_size=4, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_gradient_strictly_inside_bound(self, coords):
-        c = pseudo_huber_cost(1.0, 4)
+        c = PseudoHuberCost(1.0, 4)
         g = c.gradient(np.asarray(coords))
         assert np.linalg.norm(g) < c.grad_bound_G
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            pseudo_huber_cost(-1.0, 2)
+            PseudoHuberCost(-1.0, 2)
 
 
 class TestBatchLogistic:
@@ -137,7 +137,7 @@ def test_certified_bounds_hold_at_random_points(cost):
 
 
 def test_batched_and_single_point_agree():
-    cost = huber_cost(1.0, 2)
+    cost = HuberCost(1.0, 2)
     pts = np.array([[0.1, 0.2], [3.0, 4.0], [0.0, 0.0]])
     batched_v = cost.value(pts)
     batched_g = cost.gradient(pts)
@@ -147,7 +147,7 @@ def test_batched_and_single_point_agree():
 
 
 def test_dimension_mismatch_rejected():
-    cost = huber_cost(1.0, 2)
+    cost = HuberCost(1.0, 2)
     with pytest.raises(ValueError):
         cost.value([1.0, 2.0, 3.0])
 
@@ -193,7 +193,7 @@ class TestDimensionMajor:
         assert sq_norms(x.T[:, ::2], axis=0).tobytes() == rows[::2].tobytes()
         assert sq_norms(x[0], axis=0) == sq_norms(x[0]) == rows[0]
 
-    @pytest.mark.parametrize("cost", all_costs() + [huber_cost(1.0, 9)], ids=lambda c: f"{c.name}-{c.dim}")
+    @pytest.mark.parametrize("cost", all_costs() + [HuberCost(1.0, 9)], ids=lambda c: f"{c.name}-{c.dim}")
     def test_gradient_of_columns_equals_rows(self, cost):
         # points inside and outside the Huber ball
         x = 2.0 * np.random.default_rng(6).standard_normal((3000, cost.dim))
@@ -206,9 +206,9 @@ class TestDimensionMajor:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: huber_cost(1.0, True), "dim must be an integer"),
-        (lambda: huber_cost("3", 2), "threshold_G must be a finite number, got '3'"),
-        (lambda: pseudo_huber_cost(float("inf"), 2), "scale must be a finite number"),
+        (lambda: HuberCost(1.0, True), "dim must be an integer"),
+        (lambda: HuberCost("3", 2), "threshold_G must be a finite number, got '3'"),
+        (lambda: PseudoHuberCost(float("inf"), 2), "scale must be a finite number"),
         (lambda: synthetic_logistic_cost(m=8, dim=2, dataset_seed=True), "dataset_seed must be an integer"),
         (lambda: SphereNoise(float("nan"), 2), "radius must be a finite number, got nan"),
         (lambda: TwoPointNoise([True, 0.0]), "v must be a finite number, got True"),

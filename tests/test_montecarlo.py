@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ldplab
 from ldplab import montecarlo
 from ldplab.config import parse_config, preset_config
-from ldplab.costs import huber_cost
+from ldplab.costs import HuberCost
 from ldplab.montecarlo import (
     InsufficientDataError,
     TailEstimate,
@@ -211,7 +211,7 @@ class TestEstimateTail:
     def test_deterministic_hitting_time_step_tail(self):
         # noiseless contraction from x1: the hitting time t* is deterministic,
         # so p_hat is exactly 1 before t* and 0 from t* on
-        cost = huber_cost(1.0, 2)
+        cost = HuberCost(1.0, 2)
         eps = 0.05
         config = RunConfig(
             cost=cost,
@@ -257,6 +257,20 @@ class TestEstimateTail:
             a, b = getattr(from_hits, name), getattr(from_counts, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         np.testing.assert_array_equal(from_counts.exceed_count, [5, 5, 3, 3, 2, 2, 2, 2])
+
+    @pytest.mark.parametrize(
+        "t_grid, exceed, message",
+        [
+            ([9, 3, 5, 5, -2], [100, 90, 80, 70, 60], "t_grid must be"),
+            ([1, 2**31], [100, 90], "t_grid must be"),
+            ([1, 2, 3], [100, 90], "3 steps need as many"),
+            ([1, 2], [100, 90, 80], "2 steps need as many"),
+        ],
+        ids=["unsorted-repeated-negative", "beyond-max-horizon", "fewer-counts", "more-counts"],
+    )
+    def test_counts_need_a_checked_step_grid(self, t_grid, exceed, message):
+        with pytest.raises(ValueError, match=message):
+            tail_from_counts(t_grid, exceed, 1000, 0.1)
 
     def test_monotone_and_ci(self):
         res = run_ensemble(solvable_instance(T=12), 2048)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ldplab import optimizers, oracles
 from ldplab.config import PRESET_NAMES, parse_config, preset_config
-from ldplab.costs import huber_cost, pseudo_huber_cost
+from ldplab.costs import HuberCost, PseudoHuberCost
 from ldplab.oracles import AdditiveOracle, SphereNoise, TwoPointNoise, clip_rows
 from ldplab.optimizers import (
     ClipSpec,
@@ -28,7 +28,7 @@ from ldplab.optimizers import (
 
 
 def solvable_instance(clip=None, T=12, seed=7, x1=(0.6, 0.0), G=1.0, n_eps=None):
-    cost = huber_cost(G, 2)
+    cost = HuberCost(G, 2)
     x1 = np.asarray(x1)
     oracle = AdditiveOracle(cost=cost, noise=TwoPointNoise(v=x1))
     if n_eps is None:
@@ -153,7 +153,7 @@ class TestClipVector:
 class TestRunConfigValidation:
     def test_step_coefficient_above_inverse_L_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            cost = huber_cost(1.0, 2)
+            cost = HuberCost(1.0, 2)
             RunConfig(
                 cost=cost,
                 oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.1, dim=2)),
@@ -166,7 +166,7 @@ class TestRunConfigValidation:
             )
 
     def test_unsorted_epsilon_grid_rejected(self):
-        cost = pseudo_huber_cost(1.0, 2)
+        cost = PseudoHuberCost(1.0, 2)
         with pytest.raises(ValueError):
             RunConfig(
                 cost=cost,
@@ -183,7 +183,7 @@ class TestRunConfigValidation:
 class TestTrajectories:
     def test_noiseless_contraction_strictly_decreases(self):
         # inside the ball the noiseless recursion is x <- (1 - alpha_t) x
-        cost = huber_cost(1.0, 2)
+        cost = HuberCost(1.0, 2)
         config = RunConfig(
             cost=cost,
             oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.0, dim=2)),
@@ -245,7 +245,7 @@ class TestTrajectories:
         assert np.all(arrays.running_avg >= arrays.running_min - 1e-12)
 
     def test_divergence_guard(self):
-        cost = pseudo_huber_cost(1.0, 2)
+        cost = PseudoHuberCost(1.0, 2)
         config = RunConfig(
             cost=cost,
             oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.5, dim=2)),
@@ -347,7 +347,7 @@ def test_results_independent_of_chunks_and_slabs(make_config, monkeypatch):
 
 
 def _diverging_config():
-    cost = pseudo_huber_cost(1.0, 2)
+    cost = PseudoHuberCost(1.0, 2)
     return RunConfig(
         cost=cost,
         oracle=AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.5, dim=2)),

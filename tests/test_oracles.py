@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ldplab import oracles
-from ldplab.costs import huber_cost, synthetic_logistic_cost
+from ldplab.costs import HuberCost, synthetic_logistic_cost
 from ldplab.oracles import (
     AdditiveOracle,
     BatchSubsampleOracle,
@@ -91,7 +91,7 @@ class TestRawDrawAndTransform:
 
     @pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.kind)
     def test_slab_rows_equal_single_run_blocks(self, model, monkeypatch):
-        oracle = AdditiveOracle(cost=huber_cost(1.0, model.dim), noise=model)
+        oracle = AdditiveOracle(cost=HuberCost(1.0, model.dim), noise=model)
         for runs in _RUN_SETS:
             block = _block_in_slabs_of_4(oracle, 11, runs, 9, monkeypatch)
             assert block.shape == (9, model.dim, runs.size)
@@ -142,14 +142,14 @@ class TestCertifyMoment:
 
 class TestQuery:
     def test_noiseless_oracle_returns_gradient(self):
-        cost = huber_cost(1.0, 2)
+        cost = HuberCost(1.0, 2)
         oracle = AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.0, dim=2))
         x = np.array([0.3, -0.2])
         np.testing.assert_array_equal(oracle.query_block(x, run_generator(0, 0), 1)[0], cost.gradient(x))
 
     def test_solvable_instance_outputs(self):
         # inside the ball: g = x + z with z = +/- x1
-        cost = huber_cost(1.0, 2)
+        cost = HuberCost(1.0, 2)
         x1 = np.array([0.6, 0.0])
         oracle = AdditiveOracle(cost=cost, noise=TwoPointNoise(v=x1))
         x = np.array([0.2, 0.1])
@@ -158,14 +158,14 @@ class TestQuery:
         assert set(map(tuple, outs)) <= expected
 
     def test_dimension_mismatch(self):
-        cost = huber_cost(1.0, 2)
+        cost = HuberCost(1.0, 2)
         oracle = AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.1, dim=2))
         with pytest.raises(ValueError):
             oracle.query_block(np.zeros(3), run_generator(0, 0), 1)
 
     def test_noise_cost_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            AdditiveOracle(cost=huber_cost(1.0, 2), noise=SphereNoise(radius=0.1, dim=3))
+            AdditiveOracle(cost=HuberCost(1.0, 2), noise=SphereNoise(radius=0.1, dim=3))
 
     def test_batch_m2_uniform_over_singletons(self):
         cost = synthetic_logistic_cost(m=2, dim=2, dataset_seed=3)
@@ -185,7 +185,7 @@ class TestQuery:
         x = np.array([0.4, -0.1, 0.3])
         if mode == "additive-noise":
             noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=3.0, moment_order=1.5, dim=3)
-            oracle = AdditiveOracle(cost=huber_cost(1.0, 3), noise=noise)
+            oracle = AdditiveOracle(cost=HuberCost(1.0, 3), noise=noise)
 
             def chunk(rng, k):
                 return oracle.cost.gradient(x) + noise.sample_block(rng, k)
@@ -231,7 +231,7 @@ class TestQuery:
 
 class TestClippingBiasProbe:
     def _oracle(self, noise):
-        return AdditiveOracle(cost=huber_cost(50.0, 2), noise=noise)
+        return AdditiveOracle(cost=HuberCost(50.0, 2), noise=noise)
 
     def test_noiseless_zero_bias(self):
         oracle = self._oracle(SphereNoise(radius=0.0, dim=2))

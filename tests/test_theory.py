@@ -123,13 +123,6 @@ class TestFenchelLegendre:
         out = fenchel_legendre(phi, np.array([1.0]), lam)
         assert out[0] == pytest.approx(1.0 / 768.0, rel=1e-6)
 
-    def test_generating_phi_scalar_and_array_forms_agree_bitwise(self):
-        phi = generating_phi(rate_csgd(1.0, 1.5))
-        lam = np.linspace(-0.5, 0.5, 1001) * 10.0 ** np.random.default_rng(2).integers(-6, 7, 1001)
-        scalars = [phi(l) for l in lam.tolist()] + [phi(l) for l in lam]  # Python floats, np.float64
-        assert np.array(scalars).tobytes() == np.tile(phi(lam), 2).tobytes()
-        assert phi(np.asarray(-1.0)) == phi(-1.0) == 0.0
-
     def test_scalar_only_phi_matches_closed_form(self):
         # fenchel_legendre calls phi on floats only, so a phi that takes no arrays will do
         seen = []
