@@ -32,7 +32,7 @@ from .config import (
     parse_config,
     preset_config,
 )
-from .costs import real_param
+from .costs import positive_param
 from .montecarlo import (
     LEMMA_SUITES,
     InsufficientDataError,
@@ -164,11 +164,12 @@ def _resolve_out(flag_value: str | None, config_dir: str) -> str:
 
 
 def _parse_t_grid(spec: str, horizon: int, expand_range) -> np.ndarray:
-    """A --t-grid value: 'lo:hi' through expand_range(lo, hi), or a comma list;
-    the list, or lo and hi, must be steps in [1, horizon], checked first."""
+    """A --t-grid value: 'lo:hi' through expand_range(lo, hi), or a comma list
+    taken in the order given; the list, or lo and hi, must pass check_t_grid
+    up to horizon, checked first."""
     try:
         if ":" not in spec:
-            return check_t_grid(sorted({int(tok) for tok in spec.split(",")}), horizon)
+            return check_t_grid([int(tok) for tok in spec.split(",")], horizon)
         lo, hi = (int(tok) for tok in spec.split(":", 1))
         check_t_grid([lo] if lo == hi else [lo, hi], horizon)
     except ValueError as e:
@@ -433,7 +434,7 @@ def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
             one[name] = values[0]
         # rebuild the estimate from counts so intervals are always consistent
         tail = tail_from_counts(t_grid, body[:, cols["exceed"]].astype(np.int64), one["N"], one["epsilon"])
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: an integer cell beyond int64
         raise ConfigError(f"{path}: {e}") from e
     return comment.get("digest", "unknown"), tail
 
@@ -511,9 +512,7 @@ def _write_curves(args, source: str, curves) -> None:
     """One (t, n_t, family, slope) row per curve and grid step t >= 3, where the
     decay sequences are meant; a curve's slope is -I(epsilon) at --epsilon,
     which must be a finite positive number."""
-    if not args.epsilon > 0:
-        raise ConfigError(f"--epsilon must be positive, got {args.epsilon}")
-    real_param("--epsilon", args.epsilon)
+    positive_param("--epsilon", args.epsilon)
     t_grid = _parse_t_grid(args.t_grid, MAX_HORIZON, _log_t_grid) if args.t_grid else _log_t_grid(10, 10**6)
     t_grid = t_grid[t_grid >= DECAY_T_MIN]
     if t_grid.size == 0:

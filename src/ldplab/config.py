@@ -219,11 +219,8 @@ def parse_config(doc: dict) -> Experiment:
         raise ConfigError(f"ensemble/method: {e}") from e
     t_grid = None
     if "t_grid" in ens:
-        tg = ens["t_grid"]
-        if not isinstance(tg, list) or not all(isinstance(t, int) and not isinstance(t, bool) for t in tg):
-            raise ConfigError("ensemble.t_grid: expected a list of integers")
         try:
-            t_grid = check_t_grid(tg, run_config.horizon_T)
+            t_grid = check_t_grid(ens["t_grid"], run_config.horizon_T)
         except ValueError as e:
             raise ConfigError(f"ensemble.t_grid: {e}") from e
 

@@ -35,6 +35,25 @@ def real_param(name: str, value) -> float:
     return float(value)
 
 
+def positive_param(name: str, value, strict: bool = True) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless it is a
+    real_param number above 0, or at least 0 when not ``strict``.  The sign is
+    judged first, so a nan is not positive."""
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    if real and not (value > 0 if strict else value >= 0):
+        raise ValueError(f"{name} must be {'positive' if strict else 'non-negative'}, got {value!r}")
+    return real_param(name, value)
+
+
+def moment_order_param(name: str, value) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless it is a
+    real_param number in (1, 2], the moment orders the paper's results hold for."""
+    value = real_param(name, value)
+    if not 1.0 < value <= 2.0:
+        raise ValueError(f"expected {name} in (1, 2], got {value!r}")
+    return value
+
+
 def is_int(value, minimum: int | None = 1) -> bool:
     """Whether ``value`` is an integer other than a bool, at least ``minimum``
     unless that is None: the rule of every count the library takes."""
@@ -131,8 +150,7 @@ class HuberCost(CostSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "threshold_G", real_param("threshold_G", self.threshold_G))
-        if not self.threshold_G > 0:
-            raise ValueError("huber threshold must be positive")
+        positive_param("threshold_G", self.threshold_G)
         int_param("dim", self.dim)
 
     @property
@@ -174,8 +192,7 @@ class PseudoHuberCost(CostSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "scale", real_param("scale", self.scale))
-        if not self.scale > 0:
-            raise ValueError("pseudo-huber scale must be positive")
+        positive_param("scale", self.scale)
         int_param("dim", self.dim)
 
     @property

@@ -19,7 +19,7 @@ import multiprocessing
 
 import numpy as np
 
-from .costs import HuberCost, is_int, real_param, sq_norms, synthetic_logistic_cost
+from .costs import HuberCost, int_param, is_int, real_param, sq_norms, synthetic_logistic_cost
 from .oracles import (
     PROBE_MIN_SAMPLES,
     AdditiveOracle,
@@ -92,8 +92,7 @@ def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool 
 def wilson_interval(count, n: int):
     """Wilson score 95% interval for a binomial proportion; vectorized in count."""
     count = np.asarray(count, dtype=np.float64)
-    if n < 1:
-        raise ValueError("n must be positive")
+    int_param("n", n)
     # ndtri is the standard normal quantile (scipy.stats.norm.ppf calls it);
     # importing it here keeps scipy.stats out of every command's start-up
     from scipy.special import ndtri
@@ -160,8 +159,16 @@ def tail_from_counts(
 
 
 def check_t_grid(t_grid, horizon_T: int) -> np.ndarray:
-    """The steps of a tail grid as int64; ValueError unless they are non-empty,
-    strictly increasing and in [1, horizon_T], compared before the conversion."""
+    """The steps of a tail grid as int64; ValueError unless they are integers
+    (an array by its dtype, a list or tuple by is_int on each step: no bool),
+    non-empty, strictly increasing and in [1, horizon_T], compared before the
+    conversion."""
+    if isinstance(t_grid, np.ndarray):
+        integral = t_grid.dtype.kind in "iu"
+    else:
+        integral = isinstance(t_grid, (list, tuple)) and all(is_int(t, None) for t in t_grid)
+    if not integral:
+        raise ValueError(f"t_grid steps must be integers, got {t_grid!r}")
     steps = np.asarray(t_grid)
     increasing = steps.ndim == 1 and steps.size > 0 and not np.any(steps[1:] <= steps[:-1])
     if not (increasing and 1 <= steps[0] and steps[-1] <= horizon_T):

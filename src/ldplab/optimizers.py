@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, int_param, real_param, real_vector, sq_norms
+from .costs import CostSpec, int_param, moment_order_param, positive_param, real_param, real_vector, sq_norms
 from .oracles import OracleSpec, clip_rows
 
 DIVERGENCE_LIMIT = 1e9
@@ -59,13 +59,8 @@ class ScheduleSpec:
         if self.kind not in STEP_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         (name,) = STEP_KINDS[self.kind]
-        object.__setattr__(self, "value", real_param(name, self.value))
-        if self.kind == "sgd-sqrt" and not self.value > 0:
-            raise ValueError("sgd-sqrt schedule requires a > 0")
-        if self.kind == "csgd-power" and not 1.0 < self.value <= 2.0:
-            raise ValueError("csgd-power schedule requires p in (1, 2]")
-        if self.kind == "constant" and not self.value > 0:
-            raise ValueError("constant schedule requires c > 0")
+        check = moment_order_param if self.kind == "csgd-power" else positive_param
+        object.__setattr__(self, "value", check(name, real_param(name, self.value)))
 
 
 @dataclass(frozen=True)
@@ -87,12 +82,9 @@ class ClipSpec:
             raise ValueError(f"unknown clip kind {self.kind!r}")
         coefficient, *reads_p = CLIP_KINDS[self.kind]
         object.__setattr__(self, "G_or_C", real_param(coefficient, self.G_or_C))
-        if not self.G_or_C > 0:
-            raise ValueError(f"clip coefficient {coefficient} must be positive")
+        positive_param(coefficient, self.G_or_C)
         if reads_p:
-            object.__setattr__(self, "p", real_param("p", self.p))
-            if not 1.0 < self.p <= 2.0:
-                raise ValueError(f"{self.kind} clip schedule requires p in (1, 2]")
+            object.__setattr__(self, "p", moment_order_param("p", self.p))
         elif self.p is not None:
             raise ValueError(f"{self.kind} clip schedule does not read p")
 

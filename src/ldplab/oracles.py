@@ -31,7 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, LogisticBatchCost, int_param, real_param, real_vector, sq_norms
+from .costs import (
+    CostSpec,
+    LogisticBatchCost,
+    int_param,
+    moment_order_param,
+    positive_param,
+    real_param,
+    real_vector,
+    sq_norms,
+)
 from .rng import StreamPool
 
 _PROBE_CHUNK = 1 << 16  # queries per draw of query_block
@@ -118,8 +127,7 @@ class SphereNoise(NoiseModel):
 
     def __post_init__(self):
         object.__setattr__(self, "radius", real_param("radius", self.radius))
-        if self.radius < 0:
-            raise ValueError("sphere radius must be non-negative")
+        positive_param("radius", self.radius, strict=False)
         int_param("dim", self.dim)
 
     def raw_widths(self):
@@ -184,10 +192,8 @@ class SymmetrizedParetoNoise(NoiseModel):
     def __post_init__(self):
         for name in ("x_m", "tail_index", "moment_order"):
             object.__setattr__(self, name, real_param(name, getattr(self, name)))
-        if not self.x_m > 0:
-            raise ValueError("pareto scale x_m must be positive")
-        if not 1.0 < self.moment_order <= 2.0:
-            raise ValueError("moment_order must lie in (1, 2]")
+        positive_param("x_m", self.x_m)
+        moment_order_param("moment_order", self.moment_order)
         if not self.tail_index > self.moment_order:
             raise ValueError(
                 f"pareto tail index {self.tail_index} <= moment order "
@@ -223,8 +229,7 @@ class GaussianNoise(NoiseModel):
 
     def __post_init__(self):
         object.__setattr__(self, "scale", real_param("scale", self.scale))
-        if self.scale < 0:
-            raise ValueError("gaussian scale must be non-negative")
+        positive_param("scale", self.scale, strict=False)
         int_param("dim", self.dim)
         self._check_certificate()
 
@@ -525,8 +530,7 @@ def clipping_bias_probe(
     of the clipped outputs are those of numpy's ``mean``/``var(axis=0)``, bit
     for bit, summed by ``_row_sums``.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    positive_param("gamma", gamma)
     if num_samples < PROBE_MIN_SAMPLES:
         raise ValueError(
             f"num_samples must be at least {PROBE_MIN_SAMPLES} for a meaningful probe"

@@ -68,19 +68,13 @@ class _Frame:
         return self.py0 + (math.log10(y) - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
 
 
-def line_chart(
-    series,
-    band=None,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    comment: str = "",
-) -> str:
+def line_chart(series, band, title: str, xlabel: str, ylabel: str, comment: str = "") -> str:
     """Render series (dicts with keys x, y, label and optional color/dash)
-    and an optional band (dict with keys x, lo, hi and optional color/label)
-    into an SVG string on a log-10 y axis; points with y <= 0 are dropped
-    and the band's lower edge is floored.  ``comment`` is embedded as an XML comment for
-    provenance (digest, version)."""
+    and a band (dict with keys x, lo, hi, label, drawn in PALETTE[0]) into an
+    SVG string on a log-10 y axis; points with y <= 0 are dropped and the
+    band's lower edge is floored.  When no series point is left the axes span
+    the band.  ``comment`` is embedded as an XML comment for provenance
+    (digest, version)."""
     clean = []
     for i, s in enumerate(series):
         x = np.asarray(s["x"], dtype=np.float64)
@@ -92,35 +86,23 @@ def line_chart(
             {
                 "x": x[keep],
                 "y": y[keep],
-                "label": s.get("label", f"series {i}"),
+                "label": s["label"],
                 "color": s.get("color", PALETTE[i % len(PALETTE)]),
                 "dash": s.get("dash"),
             }
         )
-    if not clean and band is None:
-        raise ValueError("nothing to plot")
-
     xs = np.concatenate([s["x"] for s in clean]) if clean else np.asarray(band["x"], float)
     ys = np.concatenate([s["y"] for s in clean]) if clean else np.asarray(band["hi"], float)
-    band_clean = None
-    if band is not None:
-        bx = np.asarray(band["x"], dtype=np.float64)
-        blo = np.asarray(band["lo"], dtype=np.float64).copy()
-        bhi = np.asarray(band["hi"], dtype=np.float64)
-        keep = np.isfinite(bx) & np.isfinite(blo) & np.isfinite(bhi) & (bhi > 0)
-        if keep.sum() > 0:
-            bx, blo, bhi = bx[keep], blo[keep], bhi[keep]
-            floor = min(float(ys[ys > 0].min() if np.any(ys > 0) else 1.0), float(bhi.min())) / 10.0
-            blo = np.maximum(blo, floor)
-            band_clean = {
-                "x": bx,
-                "lo": blo,
-                "hi": bhi,
-                "color": band.get("color", PALETTE[0]),
-                "label": band.get("label"),
-            }
-            xs = np.concatenate([xs, bx])
-            ys = np.concatenate([ys, blo, bhi])
+    bx = np.asarray(band["x"], dtype=np.float64)
+    blo = np.asarray(band["lo"], dtype=np.float64)
+    bhi = np.asarray(band["hi"], dtype=np.float64)
+    keep = np.isfinite(bx) & np.isfinite(blo) & np.isfinite(bhi) & (bhi > 0)
+    bx, blo, bhi = bx[keep], blo[keep], bhi[keep]
+    if bx.size:
+        floor = min(float(ys[ys > 0].min() if np.any(ys > 0) else 1.0), float(bhi.min())) / 10.0
+        blo = np.maximum(blo, floor)
+        xs = np.concatenate([xs, bx])
+        ys = np.concatenate([ys, blo, bhi])
 
     ys = ys[ys > 0]
     ylo, yhi = math.log10(ys.min()), math.log10(ys.max())
@@ -140,11 +122,10 @@ def line_chart(
     if comment:
         out.append(f"<!-- {_escape(comment)} -->")
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
-    if title:
-        out.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
-        )
+    out.append(
+        f'<text x="{_fmt(_WIDTH / 2)}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
+    )
 
     # gridlines and ticks
     lo_d, hi_d = math.floor(ylo), math.ceil(yhi)
@@ -171,11 +152,11 @@ def line_chart(
             f'font-family="sans-serif" font-size="11">{_tick_label(v)}</text>'
         )
 
-    if band_clean is not None:
-        pts_hi = [(fr.tx(x), fr.ty(y)) for x, y in zip(band_clean["x"], band_clean["hi"])]
-        pts_lo = [(fr.tx(x), fr.ty(y)) for x, y in zip(band_clean["x"][::-1], band_clean["lo"][::-1])]
+    if bx.size:
+        pts_hi = [(fr.tx(x), fr.ty(y)) for x, y in zip(bx, bhi)]
+        pts_lo = [(fr.tx(x), fr.ty(y)) for x, y in zip(bx[::-1], blo[::-1])]
         path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts_hi + pts_lo)
-        out.append(f'<polygon points="{path}" fill="{band_clean["color"]}" fill-opacity="0.18"/>')
+        out.append(f'<polygon points="{path}" fill="{PALETTE[0]}" fill-opacity="0.18"/>')
 
     for s in clean:
         pts = " ".join(f"{_fmt(fr.tx(x))},{_fmt(fr.ty(y))}" for x, y in zip(s["x"], s["y"]))
@@ -193,22 +174,20 @@ def line_chart(
         f'<line x1="{_fmt(fr.px0)}" y1="{_fmt(fr.py0)}" x2="{_fmt(fr.px0)}" y2="{_fmt(fr.py1)}" '
         f'stroke="#000000" stroke-width="1"/>'
     )
-    if xlabel:
-        out.append(
-            f'<text x="{_fmt((fr.px0 + fr.px1) / 2)}" y="{_fmt(fr.py0 + 34)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>'
-        )
-    if ylabel:
-        cx, cy = fr.px0 - 44, (fr.py0 + fr.py1) / 2
-        out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{_escape(ylabel)}</text>'
-        )
+    out.append(
+        f'<text x="{_fmt((fr.px0 + fr.px1) / 2)}" y="{_fmt(fr.py0 + 34)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>'
+    )
+    cx, cy = fr.px0 - 44, (fr.py0 + fr.py1) / 2
+    out.append(
+        f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{_escape(ylabel)}</text>'
+    )
 
     # legend
     entries = [(s["label"], s["color"], s["dash"]) for s in clean]
-    if band_clean is not None and band_clean["label"]:
-        entries.append((band_clean["label"], band_clean["color"], None))
+    if bx.size:
+        entries.append((band["label"], PALETTE[0], None))
     ly = fr.py1 + 10
     for label, color, dash in entries:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""

@@ -19,16 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import is_int, real_param
+from .costs import is_int, moment_order_param, real_param
 
 DECAY_T_MIN = 3  # the first step t the decay sequences are meant for
 
 
 def beta_exponent(p: float) -> float:
     """Power-law exponent 4(p-1)/(3p-2) of the heavy-tail decay rate."""
-    p = real_param("p", p)
-    if not 1.0 < p <= 2.0:
-        raise ValueError("p must lie in (1, 2]")
+    p = moment_order_param("p", p)
     return 4.0 * (p - 1.0) / (3.0 * p - 2.0)
 
 

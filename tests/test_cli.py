@@ -197,9 +197,11 @@ _TAIL_ROWS = [(t, "0.18", "1000", c) for t, c in zip(range(1, 10), (900, 700, 50
         lambda rows: rows.__setitem__(0, (1, "0.18", "1000", 1001)),
         lambda rows: rows.__setitem__(8, (9, "0.18", "1000", -1)),
         lambda rows: rows.__setitem__(slice(None), [(t, "nan", n, c) for t, _, n, c in rows]),
+        lambda rows: rows.__setitem__(8, (99999999999999999999, *rows[8][1:])),
+        lambda rows: rows.__setitem__(slice(None), [(t, e, "99999999999999999999", c) for t, e, _, c in rows]),
     ],
     ids=["t-unsorted", "t-repeated", "t-negative", "N-differs", "epsilon-differs",
-         "count-above-N", "count-negative", "epsilon-nan"],
+         "count-above-N", "count-negative", "epsilon-nan", "t-beyond-int64", "N-beyond-int64"],
 )
 def test_fit_rejects_a_malformed_tail_csv(edit, tmp_path, capsys):
     path = tmp_path / "tail.csv"
@@ -302,6 +304,8 @@ def test_verify_failure_exit_code(monkeypatch):
         ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "3:1000000000000000000000000000000"],
         ["compare-sota", "--epsilon", "1", "--B", "1", "--t-grid", "3:1000000000000000000000000000000"],
         ["tail", "{R}", "--epsilon", "0.18", "--t-grid", "1:100000000000000000000"],
+        ["tail", "{R}", "--epsilon", "0.18", "--t-grid", "5,3"],
+        ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "9,3,3"],
     ],
     ids=["tail-t-grid-below-1", "fit-unknown-family", "verify-too-few-samples",
          "rates-p-out-of-range", "rates-bad-t-grid", "rates-t-grid-from-0",
@@ -315,7 +319,8 @@ def test_verify_failure_exit_code(monkeypatch):
          "sota-delta-L-underflow", "rates-M-inf", "rates-M-underflows", "sota-epsilon-inf",
          "rates-slope-overflows", "sota-slope-overflows", "rates-t-grid-list-beyond-int64",
          "tail-t-grid-list-beyond-int64", "rates-t-grid-range-beyond-int64",
-         "sota-t-grid-range-beyond-int64", "tail-t-grid-range-beyond-horizon"],
+         "sota-t-grid-range-beyond-int64", "tail-t-grid-range-beyond-horizon",
+         "tail-t-grid-list-unordered", "rates-t-grid-list-unordered-repeated"],
 )
 def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, capsys):
     config_path, doc = tiny_config

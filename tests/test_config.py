@@ -111,7 +111,8 @@ class TestValidation:
             parse_config(base_doc)
 
     def test_bad_t_grid(self, base_doc):
-        for t_grid in ([1, 1, 2], [1, 10**20]):  # the second does not fit an int64
+        # [1, 10**20] does not fit an int64; steps must be integers, not floats or bools
+        for t_grid in ([1, 1, 2], [1, 10**20], [1, 2.0], [True, 2]):
             base_doc["ensemble"]["t_grid"] = t_grid
             with pytest.raises(ConfigError, match="t_grid"):
                 parse_config(base_doc)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,16 @@ from ldplab.costs import (
     synthetic_logistic_cost,
 )
 from ldplab.optimizers import ClipSpec, ScheduleSpec
-from ldplab.oracles import BatchSubsampleOracle, GaussianNoise, SphereNoise, SymmetrizedParetoNoise, TwoPointNoise
+from ldplab.montecarlo import wilson_interval
+from ldplab.oracles import (
+    AdditiveOracle,
+    BatchSubsampleOracle,
+    GaussianNoise,
+    SphereNoise,
+    SymmetrizedParetoNoise,
+    TwoPointNoise,
+    clipping_bias_probe,
+)
 from ldplab.theory import beta_exponent, sota_curves
 
 
@@ -203,6 +214,18 @@ class TestDimensionMajor:
         assert cols.T.tobytes() == rows.tobytes()
 
 
+_ORACLE = AdditiveOracle(HuberCost(1.0, 2), GaussianNoise(scale=1.0, dim=2))
+
+# (test id, parameter name, a call on one moment order, which must lie in (1, 2])
+_MOMENT_ORDERS = [
+    ("beta", "p", beta_exponent),
+    ("csgd-power", "p", lambda p: ScheduleSpec("csgd-power", p)),
+    ("paper-eq5", "p", lambda p: ClipSpec("paper-eq5", 1.0, p=p)),
+    ("general-C", "p", lambda p: ClipSpec("general-C", 1.0, p=p)),
+    ("pareto", "moment_order", lambda p: SymmetrizedParetoNoise(x_m=1.0, tail_index=3.0, moment_order=p, dim=2)),
+]
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -220,11 +243,36 @@ class TestDimensionMajor:
         (lambda: ClipSpec("general-C", float("nan"), p=1.5), "C must be a finite number"),
         (lambda: sota_curves("liu-sgd", B="0.6"), "B must be a finite number, got '0.6'"),
         (lambda: beta_exponent(True), "p must be a finite number"),
+        # each range rule names the parameter and the rejected value
+        (lambda: HuberCost(0, 2), "threshold_G must be positive, got 0.0"),
+        (lambda: PseudoHuberCost(-1, 2), "scale must be positive, got -1.0"),
+        (lambda: SphereNoise(-1.0, 2), "radius must be non-negative, got -1.0"),
+        (lambda: SymmetrizedParetoNoise(x_m=-1, tail_index=3.0, moment_order=1.5, dim=2),
+         "x_m must be positive, got -1.0"),
+        (lambda: GaussianNoise(scale=-1.0, dim=2), "scale must be non-negative, got -1.0"),
+        (lambda: clipping_bias_probe(_ORACLE, [0.0, 0.0], 0.0, 10**5, None), "gamma must be positive, got 0.0"),
+        (lambda: clipping_bias_probe(_ORACLE, [0.0, 0.0], "2", 10**5, None), "gamma must be a finite number, got '2'"),
+        (lambda: ScheduleSpec("sgd-sqrt", 0), "a must be positive, got 0.0"),
+        (lambda: ScheduleSpec("constant", -1), "c must be positive, got -1.0"),
+        (lambda: ClipSpec("paper-eq5", 0, p=1.5), "G must be positive, got 0.0"),
+        (lambda: ClipSpec("general-C", -1, p=1.5), "C must be positive, got -1.0"),
+        (lambda: ClipSpec("constant", 0), "threshold must be positive, got 0.0"),
+        (lambda: wilson_interval([0], 0), "n must be an integer >= 1, got 0"),
+    ]
+    + [
+        (lambda p=p, build=build: build(p), f"expected {name} in (1, 2], got {p!r}")
+        for _, name, build in _MOMENT_ORDERS
+        for p in (1.0, 2.5)
     ],
     ids=["huber-dim-bool", "huber-threshold-string", "pseudo-huber-scale-inf", "logistic-seed-bool",
          "sphere-radius-nan", "two-point-bool", "pareto-overflow", "gaussian-overflow", "batch-size-bool",
-         "schedule-value-named-by-kind", "constant-clip-p", "general-C-nan", "sota-string", "beta-bool"],
+         "schedule-value-named-by-kind", "constant-clip-p", "general-C-nan", "sota-string", "beta-bool",
+         "huber-threshold-zero", "pseudo-huber-scale-negative", "sphere-radius-negative", "pareto-x_m-negative",
+         "gaussian-scale-negative", "probe-gamma-zero", "probe-gamma-string", "sgd-sqrt-a-zero",
+         "constant-c-negative", "paper-eq5-G-zero", "general-C-C-negative", "constant-threshold-zero",
+         "wilson-n-zero"]
+    + [f"{kind}-{name}-{p}" for kind, name, _ in _MOMENT_ORDERS for p in (1.0, 2.5)],
 )
 def test_constructor_rejects_a_value_naming_its_parameter(build, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         build()

@@ -265,8 +265,12 @@ class TestEstimateTail:
             ([1, 2**31], [100, 90], "t_grid must be"),
             ([1, 2, 3], [100, 90], "3 steps need as many"),
             ([1, 2], [100, 90, 80], "2 steps need as many"),
+            ([1.5, 2.5], [10, 5], "t_grid steps must be integers"),
+            ([True, 2], [10, 5], "t_grid steps must be integers"),
+            (np.array([1.0, 2.0]), [10, 5], "t_grid steps must be integers"),
         ],
-        ids=["unsorted-repeated-negative", "beyond-max-horizon", "fewer-counts", "more-counts"],
+        ids=["unsorted-repeated-negative", "beyond-max-horizon", "fewer-counts", "more-counts",
+             "fractional-steps", "bool-step", "float-array"],
     )
     def test_counts_need_a_checked_step_grid(self, t_grid, exceed, message):
         with pytest.raises(ValueError, match=message):
