@@ -83,8 +83,7 @@ def _fmt_cell(v) -> str:
 
 def _provenance_comment(digest: str, certified: dict) -> str:
     parts = [f"tool={TOOL_NAME}", f"version={TOOL_VERSION}", f"digest={digest}"]
-    for k in sorted(certified):
-        parts.append(f"{k}={_fmt_cell(certified[k])}")
+    parts += [f"{k}={_fmt_cell(certified[k])}" for k in sorted(certified)]
     return " ".join(parts)
 
 
@@ -425,16 +424,23 @@ def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
                 raise ValueError(f"missing column {needed!r}")
         if body.shape[0] == 0:
             raise ValueError("no tail rows")
-        t_grid = body[:, cols["t"]].astype(np.int64)
+
+        def column(name, dtype=np.int64):
+            try:
+                return body[:, cols[name]].astype(dtype)
+            except OverflowError:  # numpy converts each cell with int(); one is beyond int64
+                cell = next(c for c in body[:, cols[name]] if not -(2**63) <= int(c) < 2**63)
+                raise ValueError(f"column {name!r}: {cell} does not fit in int64") from None
+
         one = {}  # the value every row holds
         for name, dtype in (("N", np.int64), ("epsilon", np.float64)):
-            values = np.unique(body[:, cols[name]].astype(dtype)).tolist()
+            values = np.unique(column(name, dtype)).tolist()
             if len(values) > 1:
                 raise ValueError(f"rows differ in {name}: {values[0]!r}, {values[1]!r}")
             one[name] = values[0]
         # rebuild the estimate from counts so intervals are always consistent
-        tail = tail_from_counts(t_grid, body[:, cols["exceed"]].astype(np.int64), one["N"], one["epsilon"])
-    except (ValueError, OverflowError) as e:  # OverflowError: an integer cell beyond int64
+        tail = tail_from_counts(column("t"), column("exceed"), one["N"], one["epsilon"])
+    except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
     return comment.get("digest", "unknown"), tail
 

@@ -48,6 +48,7 @@ ENSEMBLE_CHUNK = 1 << 14  # most runs per chunk; bounds a chunk's pre-drawn rand
 # has fewer chunks; a smaller one stays serial, since starting a pool costs
 # tens of milliseconds.
 _SPLIT_MIN_RUN_STEPS = 1 << 20
+_WILSON_Z = 1.959963984540054  # Wilson 95% z: the float64 normal quantile ndtri(0.5 + 0.95 / 2.0), bit for bit
 
 
 class InsufficientDataError(ValueError):
@@ -93,11 +94,7 @@ def wilson_interval(count, n: int):
     """Wilson score 95% interval for a binomial proportion; vectorized in count."""
     count = np.asarray(count, dtype=np.float64)
     int_param("n", n)
-    # ndtri is the standard normal quantile (scipy.stats.norm.ppf calls it);
-    # importing it here keeps scipy.stats out of every command's start-up
-    from scipy.special import ndtri
-
-    z = ndtri(0.5 + 0.95 / 2.0)
+    z = _WILSON_Z
     p_hat = count / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom
@@ -136,10 +133,11 @@ def tail_from_counts(
 ) -> TailEstimate:
     """Tail estimate from the number of runs, out of n_runs, with F_t > epsilon
     at each t; the only place p_hat and its Wilson 95% interval are computed.
-    ValueError unless the steps pass ``check_t_grid`` up to MAX_HORIZON, there
-    is one count per step, every count lies in [0, n_runs] and epsilon is
-    finite."""
+    ValueError unless the steps pass ``check_t_grid`` up to MAX_HORIZON, n_runs
+    is an integer >= 1, there is one count per step, every count lies in
+    [0, n_runs] and epsilon is finite."""
     t_grid = check_t_grid(t_grid, MAX_HORIZON)
+    n_runs = int_param("n_runs", n_runs)
     exceed = np.asarray(exceed_count, dtype=np.int64)
     if exceed.shape != t_grid.shape:
         raise ValueError(f"{t_grid.size} steps need as many exceedance counts, got shape {exceed.shape}")
@@ -148,7 +146,7 @@ def tail_from_counts(
     epsilon = real_param("epsilon", epsilon)
     lo, hi = wilson_interval(exceed, n_runs)
     return TailEstimate(
-        n_runs=int(n_runs),
+        n_runs=n_runs,
         epsilon=epsilon,
         t_grid=t_grid,
         exceed_count=exceed,

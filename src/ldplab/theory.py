@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import is_int, moment_order_param, real_param
+from .costs import is_int, moment_order_param, positive_param, real_param
 
 DECAY_T_MIN = 3  # the first step t the decay sequences are meant for
 
@@ -98,13 +98,9 @@ class RateSpec:
             return _scalar_out(np.where(x < 0, np.inf, shape / self.denominator))
 
 
-def _checked(law: str, **values) -> dict:
-    """values as floats through real_param; every one but p must be positive."""
-    values = {k: real_param(k, v) for k, v in values.items()}
-    nonpositive = [k for k, v in values.items() if k != "p" and not v > 0]
-    if nonpositive:
-        raise ValueError(f"{law} requires positive parameters {nonpositive}")
-    return values
+def _checked(**values) -> dict:
+    """values as floats, in order: p through moment_order_param, the others through real_param, then positive_param."""
+    return {k: moment_order_param(k, v) if k == "p" else positive_param(k, real_param(k, v)) for k, v in values.items()}
 
 
 # family -> (power, log power) of n_t; power-over-log's power is beta_exponent(p)
@@ -135,7 +131,7 @@ def decay_family(kind: str, p: float | None = None) -> RateSpec:
 def rate_sgd(M: float, G: float) -> RateSpec:
     """Vanilla-SGD tail law under an a.s. noise bound M: n_t = t/log t,
     I(x) = x^2 / (24 M^2 G^2)."""
-    params = _checked("sgd law", M=M, G=G)
+    params = _checked(M=M, G=G)
     M, G = params.values()
     return RateSpec("sgd", 1.0, 1.0, 24.0 * _pow(M, 2) * _pow(G, 2), params=params)
 
@@ -154,7 +150,7 @@ def rate_csgd(G: float, p: float) -> RateSpec:
     p in (1,2): n_t = t^beta_p/log t with I(x) = x^2/(768 G^4);
     p = 2:      n_t = t/log^2 t  with I(x) = x^2/(384 G^4).
     """
-    params = _checked("csgd law", G=G, p=p)
+    params = _checked(G=G, p=p)
     G, p = params.values()
     return _clipped_rate("csgd", 384.0 * _pow(G, 4) if p == 2.0 else 768.0 * _pow(G, 4), params)
 
@@ -166,7 +162,7 @@ def rate_csgd_generalC(G: float, C: float, p: float) -> RateSpec:
     and x^2/(96 C^2 G^2) for p = 2.  With C = 2G these coincide with
     rate_csgd exactly.
     """
-    params = _checked("csgd-generalC law", G=G, C=C, p=p)
+    params = _checked(G=G, C=C, p=p)
     G, C, p = params.values()
     denominator = 96.0 * _pow(C, 2) * _pow(G, 2) if p == 2.0 else 192.0 * _pow(C, 2) * _pow(G, 2)
     return _clipped_rate("csgd-generalC", denominator, params)
@@ -283,7 +279,7 @@ def sota_curves(kind: str, **params) -> RateSpec:
     unused = sorted(set(params) - set(names))
     if unused:
         raise ValueError(f"sota curve {kind!r} does not take parameters {unused}")
-    v = _checked(f"sota curve {kind!r}", **{n: params[n] for n in names})
+    v = _checked(**{n: params[n] for n in names})
 
     if kind == "liu-sgd":
         return RateSpec(kind, 0.5, 0.0, 12.0 * _pow(v["B"], 2), "x", v)

@@ -15,6 +15,7 @@ from ldplab import cli, montecarlo
 from ldplab.cli import main
 from ldplab.config import parse_config, preset_config
 from ldplab.montecarlo import estimate_tail, run_ensemble
+from ldplab.optimizers import MAX_HORIZON
 
 
 @pytest.fixture
@@ -186,24 +187,34 @@ def test_fit_insufficient_data_exit_code(tiny_config, tmp_path):
 _TAIL_ROWS = [(t, "0.18", "1000", c) for t, c in zip(range(1, 10), (900, 700, 500, 350, 250, 180, 120, 90, 60))]
 
 
+_T_GRID_RULE = f"t_grid must be non-empty, strictly increasing and within [1, {MAX_HORIZON}]"
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        lambda rows: rows.insert(4, rows.pop(3)),
-        lambda rows: rows.__setitem__(4, (4, *rows[4][1:])),
-        lambda rows: rows.__setitem__(0, (-1, *rows[0][1:])),
-        lambda rows: rows.__setitem__(2, (3, "0.18", "999", 500)),
-        lambda rows: rows.__setitem__(2, (3, "0.2", "1000", 500)),
-        lambda rows: rows.__setitem__(0, (1, "0.18", "1000", 1001)),
-        lambda rows: rows.__setitem__(8, (9, "0.18", "1000", -1)),
-        lambda rows: rows.__setitem__(slice(None), [(t, "nan", n, c) for t, _, n, c in rows]),
-        lambda rows: rows.__setitem__(8, (99999999999999999999, *rows[8][1:])),
-        lambda rows: rows.__setitem__(slice(None), [(t, e, "99999999999999999999", c) for t, e, _, c in rows]),
+        (lambda rows: rows.insert(4, rows.pop(3)), _T_GRID_RULE),
+        (lambda rows: rows.__setitem__(4, (4, *rows[4][1:])), _T_GRID_RULE),
+        (lambda rows: rows.__setitem__(0, (-1, *rows[0][1:])), _T_GRID_RULE),
+        (lambda rows: rows.__setitem__(2, (3, "0.18", "999", 500)), "rows differ in N: 999, 1000"),
+        (lambda rows: rows.__setitem__(2, (3, "0.2", "1000", 500)), "rows differ in epsilon: 0.18, 0.2"),
+        (lambda rows: rows.__setitem__(0, (1, "0.18", "1000", 1001)), "exceedance counts must lie in [0, N = 1000]"),
+        (lambda rows: rows.__setitem__(8, (9, "0.18", "1000", -1)), "exceedance counts must lie in [0, N = 1000]"),
+        (lambda rows: rows.__setitem__(slice(None), [(t, "nan", n, c) for t, _, n, c in rows]),
+         "epsilon must be a finite number, got nan"),
+        (lambda rows: rows.__setitem__(8, (99999999999999999999, *rows[8][1:])),
+         "column 't': 99999999999999999999 does not fit in int64"),
+        (lambda rows: rows.__setitem__(8, (-99999999999999999999, *rows[8][1:])),
+         "column 't': -99999999999999999999 does not fit in int64"),
+        (lambda rows: rows.__setitem__(slice(None), [(t, e, "99999999999999999999", c) for t, e, _, c in rows]),
+         "column 'N': 99999999999999999999 does not fit in int64"),
+        (lambda rows: rows.__setitem__(8, (9, "0.18", "1000", 99999999999999999999)),
+         "column 'exceed': 99999999999999999999 does not fit in int64"),
     ],
-    ids=["t-unsorted", "t-repeated", "t-negative", "N-differs", "epsilon-differs",
-         "count-above-N", "count-negative", "epsilon-nan", "t-beyond-int64", "N-beyond-int64"],
+    ids=["t-unsorted", "t-repeated", "t-negative", "N-differs", "epsilon-differs", "count-above-N",
+         "count-negative", "epsilon-nan", "t-beyond-int64", "t-below-int64", "N-beyond-int64", "exceed-beyond-int64"],
 )
-def test_fit_rejects_a_malformed_tail_csv(edit, tmp_path, capsys):
+def test_fit_rejects_a_malformed_tail_csv(edit, message, tmp_path, capsys):
     path = tmp_path / "tail.csv"
 
     def write(rows):
@@ -219,8 +230,7 @@ def test_fit_rejects_a_malformed_tail_csv(edit, tmp_path, capsys):
     write(rows)
     capsys.readouterr()
     assert main(["fit", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not (tmp_path / "fit.csv").exists()
 
 
@@ -657,11 +667,26 @@ def test_block_writer_matches_row_writer_and_reader(tmp_path):
     np.testing.assert_array_equal(body, np.column_stack([run_index, diverged, clip_events, hits]))
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_commands_run_without_scipy(tiny_config):
+    # numpy is the one runtime dependency: no command may load scipy
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
     src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
-    code = "import sys, ldplab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    out = subprocess.run(
+    commands = [
+        ["simulate", "--config", config_path],
+        ["tail", out, "--epsilon", "0.18"],
+        ["report", out],
+        ["fit", os.path.join(out, "tail.csv")],
+    ]
+    code = (
+        "import sys\n"
+        "from ldplab.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    run = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"

@@ -201,13 +201,13 @@ class TestValidation:
             ("appendix-f", lambda d: d["method"]["clip"].update(kind=["constant"]),
              r"^method\.clip\.kind: unknown kind \['constant'\]"),
             ("appendix-f", lambda d: d["analysis"]["sota"][0].update(B=0),
-             r"^analysis\.sota\[0\]: .*requires positive parameters \['B'\]"),
+             r"^analysis\.sota\[0\]: B must be positive, got 0\.0$"),
             ("csgd-pareto", lambda d: d["analysis"]["sota"][0].update(sigma=-1.0, L=0.0),
-             r"^analysis\.sota\[0\]: .*requires positive parameters \['sigma', 'L'\]"),
+             r"^analysis\.sota\[0\]: sigma must be positive, got -1\.0$"),
             ("csgd-pareto", lambda d: d["analysis"]["sota"][0].update(delta=0.0),
-             r"^analysis\.sota\[0\]: .*requires positive parameters \['delta'\]"),
+             r"^analysis\.sota\[0\]: delta must be positive, got 0\.0$"),
             ("appendix-f", lambda d: d["analysis"]["sota"].append({"kind": "armacki-nsgd", "C": 0, "L": 1}),
-             r"^analysis\.sota\[1\]: .*requires positive parameters \['C'\]"),
+             r"^analysis\.sota\[1\]: C must be positive, got 0\.0$"),
         ],
         ids=["sgd-sqrt-step-p-c", "csgd-power-step-a", "constant-step-a", "constant-clip-p", "vanilla-clip",
              "candidate-p-without-power-over-log", "liu-sgd-sigma", "nguyen-csgd-B",

@@ -48,13 +48,14 @@ class TestWilson:
         assert 0.0 <= lo[0] <= p <= hi[0] <= 1.0
 
     def test_z_is_norm_ppf_bitwise(self):
-        # scipy.stats is imported here only: the library must not need it
+        # scipy is the reference here only: the library does not import it
         from scipy import stats
         from scipy.special import ndtri
 
         q = 0.5 + 0.95 / 2.0
         z = stats.norm.ppf(q)
         assert ndtri(q) == z
+        assert montecarlo._WILSON_Z == ndtri(q)
         # the interval with the reference z, in the formula's own operation order
         count, n = np.arange(0, 1001, 7, dtype=np.float64), 1000
         p_hat = count / n
@@ -259,22 +260,26 @@ class TestEstimateTail:
         np.testing.assert_array_equal(from_counts.exceed_count, [5, 5, 3, 3, 2, 2, 2, 2])
 
     @pytest.mark.parametrize(
-        "t_grid, exceed, message",
+        "t_grid, exceed, n_runs, message",
         [
-            ([9, 3, 5, 5, -2], [100, 90, 80, 70, 60], "t_grid must be"),
-            ([1, 2**31], [100, 90], "t_grid must be"),
-            ([1, 2, 3], [100, 90], "3 steps need as many"),
-            ([1, 2], [100, 90, 80], "2 steps need as many"),
-            ([1.5, 2.5], [10, 5], "t_grid steps must be integers"),
-            ([True, 2], [10, 5], "t_grid steps must be integers"),
-            (np.array([1.0, 2.0]), [10, 5], "t_grid steps must be integers"),
+            ([9, 3, 5, 5, -2], [100, 90, 80, 70, 60], 1000, "t_grid must be"),
+            ([1, 2**31], [100, 90], 1000, "t_grid must be"),
+            ([1, 2, 3], [100, 90], 1000, "3 steps need as many"),
+            ([1, 2], [100, 90, 80], 1000, "2 steps need as many"),
+            ([1.5, 2.5], [10, 5], 1000, "t_grid steps must be integers"),
+            ([True, 2], [10, 5], 1000, "t_grid steps must be integers"),
+            (np.array([1.0, 2.0]), [10, 5], 1000, "t_grid steps must be integers"),
+            # n_runs is checked before the counts are compared with it
+            ([1, 2], [1, 1], "5", r"^n_runs must be an integer >= 1, got '5'$"),
+            ([1, 2], [1, 1], 5.0, r"^n_runs must be an integer >= 1, got 5\.0$"),
+            ([1, 2], [1, 1], True, r"^n_runs must be an integer >= 1, got True$"),
         ],
         ids=["unsorted-repeated-negative", "beyond-max-horizon", "fewer-counts", "more-counts",
-             "fractional-steps", "bool-step", "float-array"],
+             "fractional-steps", "bool-step", "float-array", "n-runs-string", "n-runs-float", "n-runs-bool"],
     )
-    def test_counts_need_a_checked_step_grid(self, t_grid, exceed, message):
+    def test_counts_need_a_checked_step_grid(self, t_grid, exceed, n_runs, message):
         with pytest.raises(ValueError, match=message):
-            tail_from_counts(t_grid, exceed, 1000, 0.1)
+            tail_from_counts(t_grid, exceed, n_runs, 0.1)
 
     def test_monotone_and_ci(self):
         res = run_ensemble(solvable_instance(T=12), 2048)

@@ -1,7 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ldplab"
 
@@ -28,7 +32,7 @@ def _raise_texts(path):
 def test_range_rules_are_raised_in_costs_only():
     # costs.positive_param and costs.moment_order_param own the positive and
     # (1, 2] rules; a hand-written copy elsewhere would drift from them
-    phrases = ("must be positive", "must be non-negative", "(1, 2]")
+    phrases = ("must be positive", "must be non-negative", "requires positive", "(1, 2]")
     found = [
         f"{path.name}:{line}"
         for path in sorted(SOURCE.glob("*.py"))
@@ -37,3 +41,26 @@ def test_range_rules_are_raised_in_costs_only():
         if any(phrase in text for phrase in phrases)
     ]
     assert found == []
+
+
+def test_package_imports_numpy_and_the_standard_library_only():
+    # numpy is the one runtime dependency; scipy is a reference for the tests only
+    allowed = {"numpy", *sys.stdlib_module_names}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # level > 0: a module of the package
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert found == []
+
+
+def test_numpy_is_the_only_declared_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # the standard library has it from Python 3.11
+    project = tomllib.loads((SOURCE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    # a requirement's name is its leading run of name characters (PEP 508)
+    assert [re.match(r"[A-Za-z0-9._-]+", req).group() for req in project["dependencies"]] == ["numpy"]
