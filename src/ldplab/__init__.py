@@ -20,6 +20,7 @@ from .montecarlo import (
     InsufficientDataError,
     TailEstimate,
     appendix_f_enumeration,
+    ensemble_chunks,
     estimate_tail,
     fit_decay,
     run_ensemble,

@@ -38,9 +38,9 @@ from .montecarlo import (
     InsufficientDataError,
     TailEstimate,
     check_t_grid,
+    ensemble_chunks,
     estimate_tail,
     fit_decay,
-    run_ensemble,
     tail_from_counts,
     verify_lemma_suite,
     verify_request,
@@ -102,35 +102,31 @@ def _atomic_write(path: str):
             os.remove(tmp)
 
 
-_BLOCK_ROWS = 1 << 16
+def _write_head(fh, comment: str, header: list):
+    """Write a provenance comment (as a '# ' line) and a header row; returns
+    the csv.writer that wrote the header."""
+    fh.write("# " + comment + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    return writer
 
 
-def _write_csv(path: str, comment: str, header: list, rows=(), columns=None) -> None:
-    """Write a provenance comment (as a '# ' line), a header and a body.
-
-    The body is either ``rows`` (any cells) or ``columns``, equal-length
-    integer or bool arrays; the latter is formatted 2^16 rows at a time with
-    one %-format per block and gives the same bytes as the same rows would.
-    The file is replaced atomically.
-    """
+def _write_csv(path: str, comment: str, header: list, rows) -> None:
+    """Write a provenance comment, a header and one row per item of ``rows``
+    (any cells); the file is replaced atomically."""
     with _atomic_write(path) as fh:
-        fh.write("# " + comment + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer = _write_head(fh, comment, header)
         for row in rows:
             writer.writerow([_fmt_cell(v) for v in row])
-        if columns is not None:
-            line = ",".join(["%d"] * len(columns)) + "\n"
-            for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-                block = np.column_stack([c[lo : lo + _BLOCK_ROWS] for c in columns]).astype(np.int64)
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _read_csv(path: str, dtype=np.int64):
     """(comment key/value dict, header list, body as a 2-D ``dtype`` array).
 
-    The body is parsed in one pass; a ragged row, a row whose length is not
-    the header's, or a cell that is not a ``dtype`` number raises ValueError.
+    The body is parsed in one pass by np.loadtxt straight into ``dtype``, so
+    an integer body costs its itemsize per cell; a ragged row, a row whose
+    length is not the header's, or a cell that is not a ``dtype`` number
+    (one beyond an integer dtype's range included) raises ValueError.
     """
     meta = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -192,13 +188,25 @@ def _summary_header(epsilon_grid) -> list:
     return ["run_index", "diverged", "clip_events"] + [f"hit_{float(e)!r}" for e in epsilon_grid]
 
 
+def _summary_rows(arrays: EnsembleArrays) -> str:
+    """trajsummary.csv's rows for the runs of ``arrays``, formatted with one
+    %-format over the whole chunk; the same bytes csv.writer gives for the
+    same cells.  A hitting time after horizon_T is written as -1."""
+    T = arrays.horizon_T
+    hit = np.where(arrays.hit <= T, arrays.hit, -1)  # -1 encodes "never within T"
+    cells = np.column_stack([arrays.run_indices, arrays.diverged, arrays.clip_events, hit]).astype(np.int64)
+    line = ",".join(["%d"] * cells.shape[1]) + "\n"
+    return line * len(cells) % tuple(cells.ravel().tolist())
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 
-def _manifest(exp: Experiment, arrays: EnsembleArrays) -> dict:
-    """The meta.json that simulate writes for an experiment and its ensemble."""
+def _manifest(exp: Experiment, diverged_runs: int) -> dict:
+    """The meta.json that simulate writes for an experiment and the number
+    of its runs that diverged."""
     return {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
@@ -207,7 +215,7 @@ def _manifest(exp: Experiment, arrays: EnsembleArrays) -> dict:
         "certified": {k: float(v) for k, v in exp.run_config.certified_constants().items()},
         "n_runs": exp.n_runs,
         "horizon_T": exp.run_config.horizon_T,
-        "diverged_runs": arrays.diverged_count,
+        "diverged_runs": diverged_runs,
     }
 
 
@@ -215,9 +223,9 @@ def _load_experiment(args) -> Experiment:
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
     doc = preset_config(args.preset) if args.preset else load_config(args.config)
-    if args.seed is not None:
-        if "ensemble" in doc and isinstance(doc["ensemble"], dict):
-            doc["ensemble"]["seed"] = args.seed
+    # a document that is not an object is parse_config's error to report
+    if args.seed is not None and isinstance(doc, dict) and isinstance(doc.get("ensemble"), dict):
+        doc["ensemble"]["seed"] = args.seed
     return parse_config(doc)
 
 
@@ -235,25 +243,26 @@ def _cmd_simulate(args) -> int:
             )
             return EXIT_IO
 
-    arrays = run_ensemble(exp.run_config, exp.n_runs, workers=args.workers)
+    rc = exp.run_config
+    chunks = ensemble_chunks(rc, exp.n_runs, workers=args.workers)  # checks --workers before any work
     os.makedirs(outdir, exist_ok=True)
-    T = exp.run_config.horizon_T
-    hit_out = np.where(arrays.hit <= T, arrays.hit, -1)  # -1 encodes "never within T"
+    diverged = 0
     # each file replaces its old one whole, summary first, manifest last; a
     # summary whose digest is not the manifest's is rejected on load, so an
-    # interrupted write never mixes old and new
-    _write_csv(
-        os.path.join(outdir, "trajsummary.csv"),
-        _provenance_comment(exp.digest, exp.run_config.certified_constants()),
-        _summary_header(exp.run_config.epsilon_grid),
-        columns=[arrays.run_indices, arrays.diverged, arrays.clip_events, *hit_out.T],
-    )
+    # interrupted write never mixes old and new.  The summary is written one
+    # chunk at a time as the chunks finish, and a failed write cancels the
+    # chunks not yet started.
+    with contextlib.closing(chunks), _atomic_write(os.path.join(outdir, "trajsummary.csv")) as fh:
+        _write_head(fh, _provenance_comment(exp.digest, rc.certified_constants()), _summary_header(rc.epsilon_grid))
+        for part in chunks:
+            fh.write(_summary_rows(part))
+            diverged += part.diverged_count
     with _atomic_write(meta_path) as fh:
-        json.dump(_manifest(exp, arrays), fh, sort_keys=True, indent=2)
+        json.dump(_manifest(exp, diverged), fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(
-        f"simulated {exp.n_runs} runs (T={T}, digest={exp.digest}, "
-        f"diverged={arrays.diverged_count}) -> {outdir}"
+        f"simulated {exp.n_runs} runs (T={rc.horizon_T}, digest={exp.digest}, "
+        f"diverged={diverged}) -> {outdir}"
     )
     return EXIT_OK
 
@@ -266,15 +275,18 @@ def _cmd_simulate(args) -> int:
 def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
     """(manifest, re-parsed Experiment, ensemble arrays) of a results directory.
 
-    A summary that does not parse as integers, whose rows are not the
+    A summary that does not parse as integers (int32 while n_runs <= 2^31,
+    which holds every valid cell; int64 above), whose rows are not the
     header's width, whose header is not the config's, whose row count is not
     the config's n_runs, whose run_index column is not 0..n_runs-1 in order,
     whose digest is not the manifest's, with a diverged cell other than 0 or
-    1, a hitting time other than -1 outside [1, horizon_T], or hitting times
-    that break the ensemble invariants is corrupt, and so is a manifest whose
-    config does not parse or with any field besides its config that is not,
-    in canonical JSON, the one simulate writes for that config and summary:
-    an OSError.
+    1, a hitting time other than -1 outside [1, horizon_T], a clip count
+    other than 0 for a config without a clip schedule, or clip counts and
+    hitting times that break the ensemble invariants is corrupt, and so is
+    a manifest whose config does not parse or with any field besides its
+    config that is not, in canonical JSON, the one simulate writes for that
+    config and summary: an OSError.  The parsed body is dropped before the
+    run indices are built, so the peak holds one compact copy of the summary.
     """
     meta_path = os.path.join(results_dir, "meta.json")
     meta = _read_manifest(meta_path)
@@ -290,33 +302,38 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
     rc = exp.run_config
     summary_path = os.path.join(results_dir, "trajsummary.csv")
     try:
-        comment, header, body = _read_csv(summary_path)
+        comment, header, body = _read_csv(summary_path, np.int32 if exp.n_runs <= 2**31 else np.int64)
         if header != _summary_header(rc.epsilon_grid):
             raise ValueError(f"header {header} is not {_summary_header(rc.epsilon_grid)}")
         if body.shape[0] != exp.n_runs:
             raise ValueError(f"{body.shape[0]} rows, the config has {exp.n_runs} runs")
-        if not np.array_equal(body[:, 0], np.arange(exp.n_runs)):
+        if not np.array_equal(body[:, 0], np.arange(exp.n_runs, dtype=body.dtype)):
             raise ValueError(f"run_index is not 0..{exp.n_runs - 1} in order")
         if comment.get("digest") != meta.get("config_digest"):
             raise ValueError(f"digest {comment.get('digest')} is not the manifest's {meta.get('config_digest')}")
         T = rc.horizon_T
         if not np.all((body[:, 1] == 0) | (body[:, 1] == 1)):
             raise ValueError("a diverged cell is neither 0 nor 1")
+        if rc.clip_schedule is None and np.any(body[:, 2] != 0):
+            raise ValueError("a clip count is not 0, and the config clips nothing")
         raw_hit = body[:, 3:]
         if not np.all((raw_hit == -1) | ((raw_hit >= 1) & (raw_hit <= T))):
             raise ValueError(f"a hitting time is neither in [1, {T}] nor -1")
+        hit = np.where(raw_hit == -1, T + 1, raw_hit).astype(np.int32, copy=False)
+        diverged, clip_events = body[:, 1].astype(bool), body[:, 2].astype(np.int64)
+        del body, raw_hit
         arrays = EnsembleArrays(
-            run_indices=body[:, 0],
+            run_indices=np.arange(exp.n_runs),
             epsilon_grid=rc.epsilon_grid,
             horizon_T=T,
-            diverged=body[:, 1].astype(bool),
-            clip_events=body[:, 2],
-            hit=np.where(raw_hit == -1, T + 1, raw_hit).astype(np.int32),
+            diverged=diverged,
+            clip_events=clip_events,
+            hit=hit,
         )
         _assert_invariants(arrays)
     except ValueError as e:
         raise OSError(f"{summary_path}: corrupt trajsummary: {e}") from e
-    expected = _manifest(exp, arrays)
+    expected = _manifest(exp, arrays.diverged_count)
     for key in sorted((meta.keys() | expected.keys()) - {"config"}):
         found, want = (json.dumps(d[key], sort_keys=True) if key in d else "absent" for d in (meta, expected))
         if found != want:

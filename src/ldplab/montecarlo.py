@@ -1,15 +1,16 @@
 """Ensemble execution, tail-probability estimation, and verification drivers.
 
-Ensembles are data-parallel over run indices: results are the per-chunk
-summaries concatenated in run order, and every run draws from its own
-stream, so the chunk layout, and with it the worker count, never changes a
-bit of the output.  Tail probabilities P(F_t > eps) are read
+Ensembles are data-parallel over run indices: ``ensemble_chunks`` yields the
+per-chunk summaries in run order as they finish, ``run_ensemble`` is their
+concatenation, and every run draws from its own stream, so the chunk layout,
+and with it the worker count, never changes a bit of the output.  Tail probabilities P(F_t > eps) are read
 off recorded hitting times (F_t > eps iff the threshold was not hit by t)
 with Wilson score intervals.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -60,15 +61,20 @@ def _chunk_job(args):
     return simulate_runs(config, np.arange(lo, hi), record_full=record_full)
 
 
-def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> EnsembleArrays:
-    """N independent runs with indices 0..N-1, as one set of ensemble arrays.
+def ensemble_chunks(config: RunConfig, N: int, workers: int = 1, record_full: bool = False):
+    """The runs 0..N-1 as a generator of ensemble-array chunks in run order,
+    each yielded once it and every earlier chunk have finished.
 
-    The runs are cut into chunks of at most ENSEMBLE_CHUNK.  When that gives
+    N and workers are checked when it is called, before any chunk runs.  The
+    runs are cut into chunks of at most ENSEMBLE_CHUNK.  When that gives
     fewer chunks than min(workers, CPUs) and the ensemble has at least
     _SPLIT_MIN_RUN_STEPS run-steps, it is cut evenly into one chunk per usable
     worker instead.  Streams are derived from (config.seed, run_index) only,
-    so the result is bit-identical for every chunk layout and ``workers``
-    setting.  At most min(workers, chunks, CPUs) worker processes are started.
+    so the runs are bit-identical for every chunk layout and ``workers``
+    setting.  At most min(workers, chunks, CPUs) worker processes are started,
+    and at most two chunks per worker, plus one, are submitted and not yet
+    taken, so the caller holds O(chunk) results at a time whatever N is;
+    closing the generator cancels the chunks that have not started.
     """
     if not is_int(N):
         raise ValueError("N must be a positive integer")
@@ -80,14 +86,35 @@ def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool 
         n_chunks = min(usable, N)
         bounds = [N * k // n_chunks for k in range(n_chunks + 1)]
     jobs = [(config, lo, hi, record_full) for lo, hi in zip(bounds, bounds[1:])]
-    workers = min(usable, len(jobs))
+    return _chunk_results(jobs, min(usable, len(jobs)))
+
+
+def _chunk_results(jobs, workers: int):
     if workers == 1:
-        parts = [_chunk_job(j) for j in jobs]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            parts = list(pool.map(_chunk_job, jobs))
-    return EnsembleArrays.concatenate(parts)
+        for job in jobs:
+            yield _chunk_job(job)
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        pending = collections.deque()
+        try:
+            for job in jobs:
+                pending.append(pool.submit(_chunk_job, job))
+                # two chunks per worker keep every worker busy while the caller takes the oldest
+                if len(pending) > 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> EnsembleArrays:
+    """N independent runs with indices 0..N-1, as one set of ensemble arrays:
+    the concatenation of ``ensemble_chunks(config, N, workers, record_full)``,
+    bit-identical for every ``workers`` setting."""
+    return EnsembleArrays.concatenate(list(ensemble_chunks(config, N, workers, record_full)))
 
 
 def wilson_interval(count, n: int):

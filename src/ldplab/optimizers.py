@@ -310,7 +310,8 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
 
 
 def _assert_invariants(arrays: EnsembleArrays) -> None:
-    """Hard checks, kept under python -O: every hitting time lies in
+    """Hard checks, kept under python -O: every clip count lies in
+    [0, horizon_T - 1], one per update at most; every hitting time lies in
     [1, horizon_T + 1], is no later for a larger epsilon and is horizon_T + 1
     for a diverged run; in full mode the running minimum exceeds epsilon
     exactly before the hitting time.  Raises ValueError on the first violation."""
@@ -320,6 +321,8 @@ def _assert_invariants(arrays: EnsembleArrays) -> None:
             raise ValueError(f"ensemble invariant violated: {message}")
 
     T = arrays.horizon_T
+    clips = arrays.clip_events
+    require(np.all((clips >= 0) & (clips <= T - 1)), "clip count outside [0, horizon_T - 1]")
     hit = arrays.hit
     require(np.all((hit >= 1) & (hit <= T + 1)), "hitting time outside [1, horizon_T + 1]")
     require(np.all(np.diff(hit, axis=1) <= 0), "a larger epsilon was hit later")

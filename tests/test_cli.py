@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -94,6 +95,33 @@ def _chunk_pids(marks) -> set:
     return {name.split("-")[0] for name in os.listdir(marks)}
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_summary_write_cancels_the_chunks_not_started(workers, tiny_config, tmp_path, monkeypatch, capsys):
+    # 16 chunks; the first chunk's write fails, so at most the chunks already
+    # in flight (two per worker plus one) run, not the whole ensemble
+    config_path, doc = tiny_config
+    marks = tmp_path / "chunks"
+    marks.mkdir()
+    simulate_runs = montecarlo.simulate_runs
+
+    def marking_simulate_runs(config, run_indices, record_full=False):
+        (marks / f"{os.getpid()}-{run_indices[0]}").touch()
+        return simulate_runs(config, run_indices, record_full=record_full)
+
+    def failing_rows(arrays):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(montecarlo, "ENSEMBLE_CHUNK", 128)
+    monkeypatch.setattr(montecarlo, "simulate_runs", marking_simulate_runs)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_summary_rows", failing_rows)
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path, "--workers", workers]) == 3
+    assert "no space left on device" in capsys.readouterr().err
+    assert 1 <= len(os.listdir(marks)) <= 2 * int(workers) + 1
+    assert os.listdir(out) == []  # no summary, temporary file or manifest
+
+
 def test_simulate_refuses_differing_digest(tiny_config, tmp_path):
     config_path, doc = tiny_config
     out = doc["output"]["directory"]
@@ -106,10 +134,17 @@ def test_simulate_refuses_differing_digest(tiny_config, tmp_path):
     assert main(["simulate", "--config", str(config2), "--force"]) == 0
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json}")
     assert main(["simulate", "--config", str(bad)]) == 2
+    # a document that is not an object is the same error with or without --seed
+    for document in (5, "ensemble", None):
+        bad.write_text(json.dumps(document))
+        for seed in ([], ["--seed", "3"]):
+            capsys.readouterr()
+            assert main(["simulate", "--config", str(bad), *seed]) == 2
+            assert capsys.readouterr().err == "error: $: expected an object\n"
     doc = preset_config("appendix-f")
     doc["method"]["step"]["a"] = 0.9  # > 1/L = 0.5
     cfg = tmp_path / "cfg.json"
@@ -556,10 +591,16 @@ def _summary_lines(out):
         lambda lines: lines[:10] + [re.sub(r"^(\d+),\d+,(\d+),.*", r"\1,2,\2,-1,-1", lines[10])] + lines[11:],
         lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",11,11\n"] + lines[11:],
         lambda lines: lines[:7] + [re.sub(r"^\d+,", "7,", lines[7])] + lines[8:],  # row 5
+        lambda lines: lines[:10] + [re.sub(r"^(\d+),(\d+),\d+,", r"\1,\2,-5,", lines[10])] + lines[11:],
+        # T = 10 allows at most 9 clipped updates
+        lambda lines: lines[:10] + [re.sub(r"^(\d+),(\d+),\d+,", r"\1,\2,10,", lines[10])] + lines[11:],
+        lambda lines: lines[:10] + [lines[10].rsplit(",", 1)[0] + ",2147483648\n"] + lines[11:],
+        lambda lines: lines[:10] + [lines[10].rsplit(",", 1)[0] + ",99999999999999999999\n"] + lines[11:],
     ],
     ids=["truncated-row", "cut-off-file", "non-integer-cell", "hit-header-not-the-grid",
          "hit-headers-swapped", "hit-header-near-the-grid", "hit-after-horizon", "larger-epsilon-hit-later",
-         "diverged-cell-two", "hit-raw-horizon-plus-one", "run-index-not-in-order"],
+         "diverged-cell-two", "hit-raw-horizon-plus-one", "run-index-not-in-order",
+         "clip-events-negative", "clip-events-beyond-horizon", "cell-beyond-int32", "cell-beyond-int64"],
 )
 def test_corrupt_trajsummary_is_io_error(corrupt, tiny_config, capsys):
     config_path, doc = tiny_config
@@ -572,7 +613,24 @@ def test_corrupt_trajsummary_is_io_error(corrupt, tiny_config, capsys):
     assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 3
     assert main(["report", out]) == 3
     err = capsys.readouterr().err
-    assert err.count("corrupt trajsummary") == 2
+    assert err.count("corrupt trajsummary") == 2 and "Traceback" not in err
+
+
+def test_clip_count_without_a_clip_schedule_is_io_error(tmp_path, capsys):
+    doc = preset_config("sgd-bounded")  # vanilla SGD: every clip count is 0
+    doc["ensemble"].update(n_runs=64, horizon_T=40)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", str(config_path), "--out", out]) == 0
+    assert main(["tail", out, "--epsilon", "0.02", "--no-svg"]) == 0
+    lines = _summary_lines(out)
+    lines[5] = re.sub(r"^(\d+),(\d+),0,", r"\1,\2,1,", lines[5])
+    with open(os.path.join(out, "trajsummary.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["tail", out, "--epsilon", "0.02", "--no-svg"]) == 3
+    assert "corrupt trajsummary: a clip count is not 0, and the config clips nothing" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("failing_replace", [1, 2], ids=["summary-replace-fails", "manifest-replace-fails"])
@@ -634,20 +692,35 @@ def test_interrupted_report_leaves_no_partial_file(tiny_config, monkeypatch, cap
         assert fh.read() == first
 
 
-def test_block_writer_matches_row_writer_and_reader(tmp_path):
+def test_chunk_rows_match_row_writer_and_reader(tmp_path):
+    # simulate writes the summary's head, then each chunk's rows as it arrives
     rng = np.random.default_rng(3)
-    n = (1 << 16) + 5  # a full block of rows and a short one
-    run_index = np.arange(n, dtype=np.int64)
+    n, T = 3000, 16
     diverged = rng.random(n) < 0.1
-    clip_events = rng.integers(0, 50, n)
-    hits = rng.integers(1, 17, (n, 2)).astype(np.int32)
-    hits[rng.random((n, 2)) < 0.3] = -1
-    hits[diverged] = -1
+    hits = rng.integers(1, T + 1, (n, 2)).astype(np.int32)
+    hits[rng.random((n, 2)) < 0.3] = T + 1
+    hits[diverged] = T + 1
+    whole = ldplab.EnsembleArrays(
+        run_indices=np.arange(n),
+        epsilon_grid=np.array([0.18, 0.5]),
+        horizon_T=T,
+        diverged=diverged,
+        clip_events=rng.integers(0, T, n),
+        hit=hits,
+    )
+    rows = ("run_indices", "diverged", "clip_events", "hit")
+    chunks = [
+        dataclasses.replace(whole, **{name: getattr(whole, name)[lo:hi] for name in rows})
+        for lo, hi in ((0, 1024), (1024, 2048), (2048, n))
+    ]
     comment = "tool=ldplab digest=0123456789abcdef M=0.6"
     header = ["run_index", "diverged", "clip_events", "hit_0.18", "hit_0.5"]
 
-    block_path = tmp_path / "block.csv"
-    cli._write_csv(str(block_path), comment, header, columns=[run_index, diverged, clip_events, *hits.T])
+    chunk_path = tmp_path / "chunks.csv"
+    with open(chunk_path, "w", encoding="utf-8", newline="") as fh:
+        cli._write_head(fh, comment, header)
+        for part in chunks:
+            fh.write(cli._summary_rows(part))
     # reference: one csv.writer row per run, as the summary was first written
     row_path = tmp_path / "rows.csv"
     with open(row_path, "w", encoding="utf-8", newline="") as fh:
@@ -656,15 +729,60 @@ def test_block_writer_matches_row_writer_and_reader(tmp_path):
         writer.writerow(header)
         for i in range(n):
             writer.writerow(
-                [int(run_index[i]), "1" if diverged[i] else "0", int(clip_events[i])] + [int(h) for h in hits[i]]
+                [i, "1" if diverged[i] else "0", int(whole.clip_events[i])] + [-1 if h > T else int(h) for h in hits[i]]
             )
-    assert block_path.read_bytes() == row_path.read_bytes()
+    assert chunk_path.read_bytes() == row_path.read_bytes()
 
-    meta, got_header, body = cli._read_csv(str(block_path))
+    meta, got_header, body = cli._read_csv(str(chunk_path), np.int32)
     assert meta == {"tool": "ldplab", "digest": "0123456789abcdef", "M": "0.6"}
     assert got_header == header
-    assert body.dtype == np.int64
-    np.testing.assert_array_equal(body, np.column_stack([run_index, diverged, clip_events, hits]))
+    assert body.dtype == np.int32
+    np.testing.assert_array_equal(
+        body, np.column_stack([np.arange(n), diverged, whole.clip_events, np.where(hits > T, -1, hits)])
+    )
+
+
+# Starts argv[1:] and prints its exit code and ru_maxrss from os.wait4.  The
+# kernel counts in a process's ru_maxrss the resident set of the process that
+# started it, as it was at exec, so simulate is started from this small
+# launcher, not from the test process, whose resident set grows with the suite.
+_PEAK_RSS_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(proc.returncode, usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_simulate_peak_memory_is_bounded_in_the_run_count(tmp_path):
+    # simulate holds one chunk of at most 2^14 runs at a time, so 16 times as
+    # many runs on one worker add less than 7 MiB to its peak resident set.
+    # About 4 MiB of that is paid once, from the second chunk on: glibc raises
+    # its mmap threshold when the first chunk's arrays are freed, and later
+    # chunks come from the heap.  Holding every chunk's summaries would add
+    # about 12 MiB here.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    peak_mib = {}
+    for n_runs in (2**14, 2**18):
+        doc = preset_config("appendix-f")
+        doc["ensemble"]["n_runs"] = n_runs
+        config_path = tmp_path / f"{n_runs}.json"
+        config_path.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / str(n_runs)), "--workers", "1"]
+        cli_main = "import sys; from ldplab.cli import main; sys.exit(main())"
+        run = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-c", cli_main, *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        code, maxrss_kib = map(int, run.stdout.split())
+        assert code == 0
+        peak_mib[n_runs] = maxrss_kib / 1024
+    assert peak_mib[2**18] - peak_mib[2**14] < 7.0, peak_mib
 
 
 def test_commands_run_without_scipy(tiny_config):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -179,10 +180,12 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            self.chunks.extend((lo, hi) for _, lo, hi, _ in jobs)
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            _, lo, hi, _ = job
+            self.chunks.append((lo, hi))
+            future = Future()
+            future.set_result(fn(job))
+            return future
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)

@@ -293,11 +293,15 @@ class TestTrajectories:
             dataclasses.replace(arrays, hit=np.full_like(arrays.hit, 14)),
             dataclasses.replace(arrays, diverged=arrays.hit[:, 0] <= 12),
             dataclasses.replace(arrays, hit=late),
+            dataclasses.replace(arrays, clip_events=np.full_like(arrays.clip_events, -1)),
+            dataclasses.replace(arrays, clip_events=np.full_like(arrays.clip_events, 12)),
         ]
-        messages = ["outside", "outside", "diverged run hit", "exceedance disagree"]
+        messages = ["outside", "outside", "diverged run hit", "exceedance disagree", "clip count", "clip count"]
         for bad, message in zip(broken, messages):
             with pytest.raises(ValueError, match=message):
                 optimizers._assert_invariants(bad)
+        # T - 1 = 11 updates: a run clipped at every one of them is valid
+        optimizers._assert_invariants(dataclasses.replace(arrays, clip_events=np.full_like(arrays.clip_events, 11)))
         two = simulate_runs(solvable_instance(T=12, n_eps=(0.1, 0.2)), range(64))
         later = np.tile(np.array([[2, 3]], dtype=np.int32), (64, 1))
         with pytest.raises(ValueError, match="larger epsilon was hit later"):
