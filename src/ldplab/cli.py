@@ -39,13 +39,14 @@ from .montecarlo import (
     TailEstimate,
     check_t_grid,
     ensemble_chunks,
-    estimate_tail,
+    epsilon_index,
     fit_decay,
     tail_from_counts,
+    tail_from_first_hits,
     verify_lemma_suite,
     verify_request,
 )
-from .optimizers import MAX_HORIZON, EnsembleArrays, _assert_invariants
+from .optimizers import MAX_HORIZON, EnsembleArrays
 from .svgplot import PALETTE, line_chart
 from .theory import (
     DECAY_FAMILIES,
@@ -120,23 +121,30 @@ def _write_csv(path: str, comment: str, header: list, rows) -> None:
             writer.writerow([_fmt_cell(v) for v in row])
 
 
+def _read_comments(fh) -> tuple[dict, str]:
+    """(key/value dict of the '#' comment lines at the head of an open text
+    file, the first line after them)."""
+    meta = {}
+    line = fh.readline()
+    while line.startswith("#"):
+        for token in line[1:].split():
+            if "=" in token:
+                k, v = token.split("=", 1)
+                meta[k] = v
+        line = fh.readline()
+    return meta, line
+
+
 def _read_csv(path: str, dtype=np.int64):
     """(comment key/value dict, header list, body as a 2-D ``dtype`` array).
 
-    The body is parsed in one pass by np.loadtxt straight into ``dtype``, so
-    an integer body costs its itemsize per cell; a ragged row, a row whose
-    length is not the header's, or a cell that is not a ``dtype`` number
-    (one beyond an integer dtype's range included) raises ValueError.
+    The body is parsed in one pass by np.loadtxt straight into ``dtype``; a
+    ragged row, a row whose length is not the header's, or a cell that is not
+    a ``dtype`` number (one beyond an integer dtype's range included) raises
+    ValueError.
     """
-    meta = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    k, v = token.split("=", 1)
-                    meta[k] = v
-            line = fh.readline()
+        meta, line = _read_comments(fh)
         header = next(csv.reader([line]), None)
         if not header:
             raise OSError(f"{path}: no CSV header found")
@@ -186,6 +194,11 @@ def _read_manifest(meta_path: str) -> dict:
 def _summary_header(epsilon_grid) -> list:
     """The header of trajsummary.csv: the one simulate writes and a read expects."""
     return ["run_index", "diverged", "clip_events"] + [f"hit_{float(e)!r}" for e in epsilon_grid]
+
+
+def _steps_header(epsilon_grid) -> list:
+    """The header of steps.csv: the one simulate writes and a read expects."""
+    return ["t", "diverged", "clipped"] + [f"first_hit_{float(e)!r}" for e in epsilon_grid]
 
 
 def _summary_rows(arrays: EnsembleArrays) -> str:
@@ -244,25 +257,32 @@ def _cmd_simulate(args) -> int:
             return EXIT_IO
 
     rc = exp.run_config
+    T = rc.horizon_T
+    comment = _provenance_comment(exp.digest, rc.certified_constants())
     chunks = ensemble_chunks(rc, exp.n_runs, workers=args.workers)  # checks --workers before any work
     os.makedirs(outdir, exist_ok=True)
-    diverged = 0
-    # each file replaces its old one whole, summary first, manifest last; a
-    # summary whose digest is not the manifest's is rejected on load, so an
-    # interrupted write never mixes old and new.  The summary is written one
-    # chunk at a time as the chunks finish, and a failed write cancels the
-    # chunks not yet started.
+    table = np.zeros((T, 2 + rc.epsilon_grid.size), dtype=np.int64)
+    # each file replaces its old one whole: the summary, then the step table,
+    # then the manifest.  A summary or table whose digest is not the
+    # manifest's is rejected on load, so an interrupted write never mixes old
+    # and new.  The summary is written one chunk at a time as the chunks
+    # finish, and a failed write cancels the chunks not yet started.
     with contextlib.closing(chunks), _atomic_write(os.path.join(outdir, "trajsummary.csv")) as fh:
-        _write_head(fh, _provenance_comment(exp.digest, rc.certified_constants()), _summary_header(rc.epsilon_grid))
+        _write_head(fh, comment, _summary_header(rc.epsilon_grid))
         for part in chunks:
             fh.write(_summary_rows(part))
-            diverged += part.diverged_count
+            table += part.step_table()
+    steps = np.column_stack([np.arange(1, T + 1), table]).tolist()
+    _write_csv(os.path.join(outdir, "steps.csv"), comment, _steps_header(rc.epsilon_grid), steps)
+    diverged, clipped = (int(n) for n in table[:, :2].sum(axis=0))
     with _atomic_write(meta_path) as fh:
         json.dump(_manifest(exp, diverged), fh, sort_keys=True, indent=2)
         fh.write("\n")
+    clip_steps = np.flatnonzero(table[:, 1])
+    last_clip_t = int(clip_steps[-1]) + 1 if clip_steps.size else "none"
     print(
-        f"simulated {exp.n_runs} runs (T={rc.horizon_T}, digest={exp.digest}, "
-        f"diverged={diverged}) -> {outdir}"
+        f"simulated {exp.n_runs} runs (T={T}, digest={exp.digest}, diverged={diverged}, "
+        f"clipped={clipped}, last_clip_t={last_clip_t}) -> {outdir}"
     )
     return EXIT_OK
 
@@ -272,21 +292,23 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
-    """(manifest, re-parsed Experiment, ensemble arrays) of a results directory.
+def _load_results(results_dir: str) -> tuple[dict, Experiment, np.ndarray]:
+    """(manifest, re-parsed Experiment, per-step table) of a results directory;
+    the table is ``EnsembleArrays.step_table``'s, read from steps.csv.
 
-    A summary that does not parse as integers (int32 while n_runs <= 2^31,
-    which holds every valid cell; int64 above), whose rows are not the
-    header's width, whose header is not the config's, whose row count is not
-    the config's n_runs, whose run_index column is not 0..n_runs-1 in order,
-    whose digest is not the manifest's, with a diverged cell other than 0 or
-    1, a hitting time other than -1 outside [1, horizon_T], a clip count
-    other than 0 for a config without a clip schedule, or clip counts and
-    hitting times that break the ensemble invariants is corrupt, and so is
-    a manifest whose config does not parse or with any field besides its
-    config that is not, in canonical JSON, the one simulate writes for that
-    config and summary: an OSError.  The parsed body is dropped before the
-    run indices are built, so the peak holds one compact copy of the summary.
+    Of trajsummary.csv only the provenance line is read: a summary whose
+    digest is not the manifest's is corrupt, the mark of a simulate
+    interrupted between its renames.  steps.csv is corrupt when a cell is not
+    an int64, its header is not the config's, its t column is not
+    1..horizon_T, a count is negative or above n_runs, the diverged column
+    and one epsilon's first-hit column together sum above n_runs, a larger
+    epsilon has fewer hits than a smaller one by some t, an update
+    at t = horizon_T or under a config without a clip schedule is clipped,
+    or its digest is not the manifest's.  A manifest whose config does not
+    parse, or with any field besides its config that is not, in canonical
+    JSON, the one simulate writes for that config and table (its
+    diverged_runs the table's diverged sum), is corrupt too.  Each is an
+    OSError.
     """
     meta_path = os.path.join(results_dir, "meta.json")
     meta = _read_manifest(meta_path)
@@ -300,45 +322,52 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, EnsembleArrays]:
     except ConfigError as e:
         raise OSError(f"{meta_path}: corrupt run manifest: config: {e}") from e
     rc = exp.run_config
+    T, n_runs, digest = rc.horizon_T, exp.n_runs, meta.get("config_digest")
+
     summary_path = os.path.join(results_dir, "trajsummary.csv")
     try:
-        comment, header, body = _read_csv(summary_path, np.int32 if exp.n_runs <= 2**31 else np.int64)
-        if header != _summary_header(rc.epsilon_grid):
-            raise ValueError(f"header {header} is not {_summary_header(rc.epsilon_grid)}")
-        if body.shape[0] != exp.n_runs:
-            raise ValueError(f"{body.shape[0]} rows, the config has {exp.n_runs} runs")
-        if not np.array_equal(body[:, 0], np.arange(exp.n_runs, dtype=body.dtype)):
-            raise ValueError(f"run_index is not 0..{exp.n_runs - 1} in order")
-        if comment.get("digest") != meta.get("config_digest"):
-            raise ValueError(f"digest {comment.get('digest')} is not the manifest's {meta.get('config_digest')}")
-        T = rc.horizon_T
-        if not np.all((body[:, 1] == 0) | (body[:, 1] == 1)):
-            raise ValueError("a diverged cell is neither 0 nor 1")
-        if rc.clip_schedule is None and np.any(body[:, 2] != 0):
-            raise ValueError("a clip count is not 0, and the config clips nothing")
-        raw_hit = body[:, 3:]
-        if not np.all((raw_hit == -1) | ((raw_hit >= 1) & (raw_hit <= T))):
-            raise ValueError(f"a hitting time is neither in [1, {T}] nor -1")
-        hit = np.where(raw_hit == -1, T + 1, raw_hit).astype(np.int32, copy=False)
-        diverged, clip_events = body[:, 1].astype(bool), body[:, 2].astype(np.int64)
-        del body, raw_hit
-        arrays = EnsembleArrays(
-            run_indices=np.arange(exp.n_runs),
-            epsilon_grid=rc.epsilon_grid,
-            horizon_T=T,
-            diverged=diverged,
-            clip_events=clip_events,
-            hit=hit,
-        )
-        _assert_invariants(arrays)
+        with open(summary_path, "r", encoding="utf-8", newline="") as fh:
+            found = _read_comments(fh)[0].get("digest")
+        if found != digest:
+            raise ValueError(f"digest {found} is not the manifest's {digest}")
     except ValueError as e:
         raise OSError(f"{summary_path}: corrupt trajsummary: {e}") from e
-    expected = _manifest(exp, arrays.diverged_count)
+
+    steps_path = os.path.join(results_dir, "steps.csv")
+    try:
+        comment, header, body = _read_csv(steps_path)
+        if header != _steps_header(rc.epsilon_grid):
+            raise ValueError(f"header {header} is not {_steps_header(rc.epsilon_grid)}")
+        if body.shape[0] != T or not np.array_equal(body[:, 0], np.arange(1, T + 1)):
+            raise ValueError(f"the t column is not 1..{T}")
+        table = body[:, 1:]
+        if np.any(table < 0):
+            raise ValueError("a count is negative")
+        if np.any(table > n_runs):
+            raise ValueError(f"a count is above n_runs = {n_runs}")
+        # a run diverges at most once and, unless it diverged, first hits
+        # each epsilon at most once; counts of at most n_runs each keep the
+        # int64 sums exact
+        diverged, first_hits = table[:, 0], table[:, 2:]
+        if np.any(diverged.sum() + first_hits.sum(axis=0) > n_runs):
+            raise ValueError(f"the diverged runs and one epsilon's first hits sum above n_runs = {n_runs}")
+        if np.any(np.diff(np.cumsum(first_hits, axis=0), axis=1) < 0):
+            raise ValueError("a larger epsilon has fewer hits than a smaller one by some t")
+        if table[-1, 1] != 0:
+            raise ValueError(f"an update is clipped at t = {T}, which has none")
+        if rc.clip_schedule is None and np.any(table[:, 1] != 0):
+            raise ValueError("a clipped count is not 0, and the config clips nothing")
+        if comment.get("digest") != digest:
+            raise ValueError(f"digest {comment.get('digest')} is not the manifest's {digest}")
+    except ValueError as e:
+        raise OSError(f"{steps_path}: corrupt step table: {e}") from e
+
+    expected = _manifest(exp, int(table[:, 0].sum()))
     for key in sorted((meta.keys() | expected.keys()) - {"config"}):
         found, want = (json.dumps(d[key], sort_keys=True) if key in d else "absent" for d in (meta, expected))
         if found != want:
             raise OSError(f"{meta_path}: corrupt run manifest: {key} is {found}, not {want}")
-    return meta, exp, arrays
+    return meta, exp, table
 
 
 def _anchored_curve(law: RateSpec, epsilon: float, t_grid: np.ndarray, p_anchor: float, t_anchor: int):
@@ -353,9 +382,11 @@ def _anchored_curve(law: RateSpec, epsilon: float, t_grid: np.ndarray, p_anchor:
     return ts, p_anchor * np.exp(slope * (nt - nt0))
 
 
-def _write_tail(path: str, meta: dict, arrays: EnsembleArrays, epsilon: float, t_grid) -> TailEstimate:
-    """Estimate one epsilon's tail from a results directory's arrays and write it as a tail CSV."""
-    tail = estimate_tail(arrays, epsilon, t_grid)
+def _write_tail(path: str, meta: dict, exp: Experiment, table: np.ndarray, epsilon: float, t_grid) -> TailEstimate:
+    """Estimate one recorded epsilon's tail from a results directory's step
+    table, as estimate_tail does from the runs, and write it as a tail CSV."""
+    j = epsilon_index(exp.run_config.epsilon_grid, epsilon)
+    tail = tail_from_first_hits(table[:, 2 + j], exp.n_runs, float(exp.run_config.epsilon_grid[j]), t_grid)
     _write_csv(
         path,
         _provenance_comment(meta["config_digest"], meta["certified"]),
@@ -371,7 +402,7 @@ def _write_tail(path: str, meta: dict, arrays: EnsembleArrays, epsilon: float, t
 
 
 def _cmd_tail(args) -> int:
-    meta, exp, arrays = _load_results(args.results_dir)
+    meta, exp, table = _load_results(args.results_dir)
     digest = meta["config_digest"]
     if args.t_grid is None:
         t_grid = exp.t_grid
@@ -380,7 +411,7 @@ def _cmd_tail(args) -> int:
             args.t_grid, exp.run_config.horizon_T, lambda lo, hi: np.arange(lo, hi + 1, dtype=np.int64)
         )
     out_csv = os.path.join(args.results_dir, "tail.csv")
-    tail = _write_tail(out_csv, meta, arrays, args.epsilon, t_grid)
+    tail = _write_tail(out_csv, meta, exp, table, args.epsilon, t_grid)
     print(f"wrote {out_csv}")
 
     if not args.no_svg:
@@ -596,17 +627,17 @@ def _cmd_compare_sota(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    meta, exp, arrays = _load_results(args.results_dir)
+    meta, exp, table = _load_results(args.results_dir)
     lines = [
         f"{TOOL_NAME} {TOOL_VERSION} report",
         f"results: {os.path.abspath(args.results_dir)}",
         f"config digest: {meta['config_digest']}",
-        f"runs: {arrays.n_runs}  horizon T: {exp.run_config.horizon_T}  diverged: {arrays.diverged_count}",
+        f"runs: {exp.n_runs}  horizon T: {exp.run_config.horizon_T}  diverged: {int(table[:, 0].sum())}",
         "",
     ]
     for j, eps in enumerate(exp.run_config.epsilon_grid.tolist()):
         path = os.path.join(args.results_dir, f"tail_eps{j}.csv")
-        tail = _write_tail(path, meta, arrays, eps, exp.t_grid)
+        tail = _write_tail(path, meta, exp, table, eps, exp.t_grid)
         lines.append(f"epsilon = {eps:g}:")
         shown = list(zip(tail.t_grid, tail.p_hat))[:12]
         lines.extend(f"  t={int(t):>5d}  p_hat={p:.6g}" for t, p in shown)

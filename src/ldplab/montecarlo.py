@@ -32,7 +32,7 @@ from .oracles import (
     _mgf_grid_moments,
     _unit_rows,
 )
-from .optimizers import MAX_HORIZON, EnsembleArrays, RunConfig, simulate_runs
+from .optimizers import MAX_HORIZON, EnsembleArrays, RunConfig, first_hit_counts, simulate_runs
 from .rng import run_generator
 from .theory import (
     DECAY_T_MIN,
@@ -76,10 +76,8 @@ def ensemble_chunks(config: RunConfig, N: int, workers: int = 1, record_full: bo
     taken, so the caller holds O(chunk) results at a time whatever N is;
     closing the generator cancels the chunks that have not started.
     """
-    if not is_int(N):
-        raise ValueError("N must be a positive integer")
-    if not is_int(workers):
-        raise ValueError(f"workers must be a positive integer, got {workers}")
+    int_param("N", N)
+    int_param("workers", workers)
     usable = min(workers, os.cpu_count() or 1)
     bounds = [*range(0, N, ENSEMBLE_CHUNK), N]
     if len(bounds) - 1 < usable and N * config.horizon_T >= _SPLIT_MIN_RUN_STEPS:
@@ -201,6 +199,19 @@ def check_t_grid(t_grid, horizon_T: int) -> np.ndarray:
     return steps.astype(np.int64)
 
 
+def tail_from_first_hits(first_hits, n_runs: int, epsilon: float, t_grid=None) -> TailEstimate:
+    """Tail estimate from first-hit counts: first_hits[t - 1] of the n_runs
+    runs first hit epsilon at step t = 1..T, so F_t > eps for the n_runs
+    minus those hit by t.  t_grid None means every step 1..T; any other
+    grid must pass ``check_t_grid`` up to T."""
+    n_runs = int_param("n_runs", n_runs)
+    first_hits = np.asarray(first_hits, dtype=np.int64)
+    T = first_hits.size
+    t_grid = check_t_grid(np.arange(1, T + 1) if t_grid is None else t_grid, T)
+    exceed = n_runs - np.cumsum(first_hits)[t_grid - 1]
+    return tail_from_counts(t_grid, exceed, n_runs, epsilon)
+
+
 def tail_from_hitting_times(
     hit: np.ndarray,
     horizon_T: int,
@@ -209,15 +220,14 @@ def tail_from_hitting_times(
 ) -> TailEstimate:
     """Tail estimate from one epsilon's hitting-time column.
 
-    ``hit`` holds first hitting times with horizon_T + 1 (or any value > T)
-    meaning "never within T"; F_t > eps iff hit > t.
+    ``hit`` holds integer first hitting times with horizon_T + 1 (or any
+    value > T) meaning "never within T"; F_t > eps iff hit > t.  The times
+    are counted per step up to the grid's last, as ``first_hit_counts``
+    does for steps.csv, and go through ``tail_from_first_hits``.
     """
     t_grid = check_t_grid(t_grid, horizon_T)
     hit = np.asarray(hit)
-    n = hit.size
-    # number of runs with hit > t == n - (#hit <= t)
-    exceed = n - np.searchsorted(np.sort(hit), t_grid, side="right")
-    return tail_from_counts(t_grid, exceed, n, epsilon)
+    return tail_from_first_hits(first_hit_counts(hit, int(t_grid[-1])), hit.size, epsilon, t_grid)
 
 
 def epsilon_index(recorded, epsilon: float) -> int:
@@ -525,8 +535,7 @@ def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801,
     """
     if suite not in _LEMMA_SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {LEMMA_SUITES}")
-    if not is_int(n_samples):
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    int_param("n_samples", n_samples)
     return _LEMMA_SUITE_RUNNERS[suite][0](n_samples, seed, **params)
 
 

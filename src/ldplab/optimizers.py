@@ -188,9 +188,10 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleArrays:
-    """Per-run summaries, the record ``trajsummary.csv`` holds, plus every
-    step's ||grad f(x_t)||^2 in full mode.  One run is one row:
-    ``simulate_runs(config, [i], record_full=True)`` is run i's whole record."""
+    """Per-run summaries, the record ``trajsummary.csv`` holds, two per-step
+    counts over the runs, and every step's ||grad f(x_t)||^2 in full mode.
+    One run is one row: ``simulate_runs(config, [i], record_full=True)`` is
+    run i's whole record."""
 
     run_indices: np.ndarray  # (B,) int64
     epsilon_grid: np.ndarray
@@ -198,20 +199,26 @@ class EnsembleArrays:
     diverged: np.ndarray  # (B,) bool
     clip_events: np.ndarray  # (B,) int64
     hit: np.ndarray  # (B, n_eps) int32; horizon_T + 1 means "never within T"
+    diverged_steps: np.ndarray  # (T,) int64: runs newly flagged diverged at step t = 1..T
+    clipped_steps: np.ndarray  # (T,) int64: runs whose update at step t was clipped; 0 at t = T
     grad_norm_sq: np.ndarray | None = None  # (B, T) in full mode
 
     # the fields with one row per run; the first four are trajsummary.csv's columns
     PER_RUN = ("run_indices", "diverged", "clip_events", "hit", "grad_norm_sq")
+    # the fields with one entry per step, summed over the parts of an ensemble
+    PER_STEP = ("diverged_steps", "clipped_steps")
 
     @classmethod
     def concatenate(cls, parts) -> EnsembleArrays:
-        """The runs of parts of one ensemble, in order."""
+        """The runs of parts of one ensemble, in order, and their per-step
+        counts summed in int64."""
         rows = {
             name: np.concatenate([getattr(p, name) for p in parts])
             for name in cls.PER_RUN
             if getattr(parts[0], name) is not None
         }
-        return dataclasses.replace(parts[0], **rows)
+        steps = {name: np.sum([getattr(p, name) for p in parts], axis=0, dtype=np.int64) for name in cls.PER_STEP}
+        return dataclasses.replace(parts[0], **rows, **steps)
 
     @property
     def n_runs(self) -> int:
@@ -220,6 +227,15 @@ class EnsembleArrays:
     @property
     def diverged_count(self) -> int:
         return int(self.diverged.sum())
+
+    def step_table(self) -> np.ndarray:
+        """The (T, 2 + n_eps) int64 per-step table that ``steps.csv`` holds:
+        row t - 1 counts the runs newly diverged at t, the runs whose update
+        at t was clipped, and, for each epsilon, the runs whose first hit of
+        it is t (a diverged run hits none)."""
+        T = self.horizon_T
+        first_hits = [first_hit_counts(self.hit[:, j], T) for j in range(self.epsilon_grid.size)]
+        return np.column_stack([self.diverged_steps, self.clipped_steps, *first_hits])
 
     def _full(self) -> np.ndarray:
         if self.grad_norm_sq is None:
@@ -237,6 +253,14 @@ class EnsembleArrays:
         gns = self._full()
         # a sequential sum, divided by t: the same bits as a running sum per step
         return np.cumsum(gns, axis=1) / np.arange(1, gns.shape[1] + 1)
+
+
+def first_hit_counts(hit, horizon_T: int) -> np.ndarray:
+    """(horizon_T,) int64: how many of the hitting times ``hit`` are each step
+    t = 1..horizon_T.  A time after horizon_T ("never within T") is counted
+    at no step, and one below 1 at step 1."""
+    hit = np.clip(np.asarray(hit, dtype=np.int64), 1, horizon_T + 1)
+    return np.bincount(hit, minlength=horizon_T + 2)[1 : horizon_T + 1]
 
 
 def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> EnsembleArrays:
@@ -265,6 +289,8 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
     x = np.repeat(x0, B, axis=1)  # (d, B)
     diverged = np.zeros(B, dtype=bool)
     clip_events = np.zeros(B, dtype=np.int64)
+    diverged_steps = np.zeros(T, dtype=np.int64)
+    clipped_steps = np.zeros(T, dtype=np.int64)
     hit = np.full((n_eps, B), T + 1, dtype=np.int32)
     gns_steps = np.empty((T, B)) if record_full else None
 
@@ -275,6 +301,7 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
             newly_bad = ~np.isfinite(norms_sq) | (norms_sq > DIVERGENCE_LIMIT**2)
             newly_bad &= ~diverged
             if np.any(newly_bad):
+                diverged_steps[t - 1] = np.count_nonzero(newly_bad)
                 diverged |= newly_bad
                 x[:, newly_bad] = x0  # frozen placeholder, excluded below
 
@@ -290,7 +317,9 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
                 g = config.oracle.gradients(x, randomness[t - 1], grad)
                 if clipped_method:
                     g, over = clip_rows(g, gammas[t - 1], axis=0)
-                    clip_events += over & ~diverged
+                    over &= ~diverged
+                    clip_events += over
+                    clipped_steps[t - 1] = np.count_nonzero(over)
                 x_new = x - alphas[t - 1] * g
                 x = np.where(diverged, x, x_new)
 
@@ -303,6 +332,8 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
         diverged=diverged,
         clip_events=clip_events,
         hit=np.ascontiguousarray(hit.T),
+        diverged_steps=diverged_steps,
+        clipped_steps=clipped_steps,
         grad_norm_sq=None if gns_steps is None else np.ascontiguousarray(gns_steps.T),
     )
     _assert_invariants(out)
@@ -313,7 +344,8 @@ def _assert_invariants(arrays: EnsembleArrays) -> None:
     """Hard checks, kept under python -O: every clip count lies in
     [0, horizon_T - 1], one per update at most; every hitting time lies in
     [1, horizon_T + 1], is no later for a larger epsilon and is horizon_T + 1
-    for a diverged run; in full mode the running minimum exceeds epsilon
+    for a diverged run; the per-step counts sum to the diverged runs and to
+    the clip events; in full mode the running minimum exceeds epsilon
     exactly before the hitting time.  Raises ValueError on the first violation."""
 
     def require(ok, message):
@@ -327,6 +359,9 @@ def _assert_invariants(arrays: EnsembleArrays) -> None:
     require(np.all((hit >= 1) & (hit <= T + 1)), "hitting time outside [1, horizon_T + 1]")
     require(np.all(np.diff(hit, axis=1) <= 0), "a larger epsilon was hit later")
     require(np.all(hit[arrays.diverged] == T + 1), "a diverged run hit a threshold")
+    diverged_sum_ok = arrays.diverged_steps.sum() == arrays.diverged_count
+    require(diverged_sum_ok, "per-step diverged counts do not sum to the diverged runs")
+    require(arrays.clipped_steps.sum() == clips.sum(), "per-step clip counts do not sum to the clip events")
     if arrays.grad_norm_sq is not None:
         ok = ~arrays.diverged
         rmin = arrays.running_min[ok]

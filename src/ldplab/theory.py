@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import is_int, moment_order_param, positive_param, real_param
+from .costs import int_param, moment_order_param, positive_param, real_param
 
 DECAY_T_MIN = 3  # the first step t the decay sequences are meant for
 
@@ -252,9 +252,7 @@ def transform_consistency(rate: RateSpec) -> float:
 def lower_bound_exact_prob(t: int) -> float:
     """Probability 2^(1-t) that the exactly solvable instance has not moved
     from its initialization through time t."""
-    if not is_int(t):
-        raise ValueError("t must be a positive integer")
-    return 2.0 ** (1 - int(t))
+    return 2.0 ** (1 - int_param("t", t))
 
 
 # sota kind -> its parameters; the first is the one only that kind takes

@@ -87,7 +87,7 @@ def test_simulate_byte_identical_across_workers(tiny_config, tmp_path, monkeypat
     assert main(["simulate", "--config", config_path, "--out", out2, "--workers", "3"]) == 0
     pids = _chunk_pids(marks)
     assert len(os.listdir(marks)) == 4 and len(pids) >= 2 and str(parent) not in pids
-    for name in ("trajsummary.csv", "meta.json"):
+    for name in ("trajsummary.csv", "steps.csv", "meta.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
@@ -395,7 +395,7 @@ def test_simulate_workers_below_one_exit_code(workers, tiny_config, monkeypatch,
     monkeypatch.setattr(ldplab.montecarlo, "_chunk_job", no_work)
     config_path, doc = tiny_config
     assert main(["simulate", "--config", config_path, "--workers", workers]) == 2
-    assert capsys.readouterr().err == f"error: workers must be a positive integer, got {workers}\n"
+    assert capsys.readouterr().err == f"error: workers must be an integer >= 1, got {workers}\n"
     assert not os.path.exists(doc["output"]["directory"])
 
 
@@ -503,21 +503,17 @@ def test_cli_tail_equals_library_estimate(tiny_config):
 
 
 def test_load_results_returns_the_simulated_arrays(tiny_config):
+    # tail and report read steps.csv: the per-step table of the simulated runs
     config_path, doc = tiny_config
     out = doc["output"]["directory"]
     assert main(["simulate", "--config", config_path]) == 0
-    meta, exp, arrays = cli._load_results(out)
+    meta, exp, table = cli._load_results(out)
     want = run_ensemble(exp.run_config, exp.n_runs)
-    assert meta["n_runs"] == arrays.n_runs == want.n_runs == 2048
-    assert arrays.horizon_T == want.horizon_T == 10
-    assert arrays.epsilon_grid.tobytes() == want.epsilon_grid.tobytes()
-    assert np.any(want.hit == 11) and np.any(want.hit <= 10)  # both codes are exercised
-    for name in ldplab.EnsembleArrays.PER_RUN:
-        got, expected = getattr(arrays, name), getattr(want, name)
-        if expected is None:
-            assert got is None, name
-        else:
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    assert meta["n_runs"] == exp.n_runs == want.n_runs == 2048
+    assert np.any(want.hit == 11) and np.any(want.hit <= 10)  # runs that never hit are in no column
+    expected = want.step_table()
+    assert expected.shape == (10, 4) and expected[:, 2:].sum() < 2 * 2048
+    assert table.dtype == expected.dtype and table.tobytes() == expected.tobytes()
 
 
 def test_tail_epsilon_near_a_recorded_one_writes_the_recorded_value(tiny_config):
@@ -571,74 +567,185 @@ def test_env_var_output_root(tiny_config, tmp_path, monkeypatch):
     assert (root / "rel" / "results" / "trajsummary.csv").exists()
 
 
-def _summary_lines(out):
-    with open(os.path.join(out, "trajsummary.csv"), encoding="utf-8") as fh:
+def _lines(out, name):
+    with open(os.path.join(out, name), encoding="utf-8") as fh:
         return fh.readlines()
+
+
+def _rewrite(out, name, lines):
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+
+
+def _edit_cell(lines, t, column, change):
+    """steps.csv's lines with the cell of step t in ``column`` (0 is t) replaced by change(cell)."""
+    cells = lines[t + 1].rstrip("\n").split(",")
+    cells[column] = str(change(int(cells[column])))
+    return lines[: t + 1] + [",".join(cells) + "\n"] + lines[t + 2 :]
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda lines: lines[:10] + [lines[10].rsplit(",", 1)[0] + "\n"] + lines[11:],
-        lambda lines: lines[: len(lines) // 2],
-        lambda lines: lines[:10] + [lines[10].replace(",", ",x", 1)] + lines[11:],
-        lambda lines: [lines[0], lines[1].replace("hit_0.18", "hit_0.5")] + lines[2:],
-        lambda lines: [lines[0], lines[1].replace("hit_0.09,hit_0.18", "hit_0.18,hit_0.09")] + lines[2:],
-        lambda lines: [lines[0], lines[1].replace("hit_0.18", "hit_0.18000000000000002")] + lines[2:],
-        lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",12,12\n"] + lines[11:],
-        lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",2,3\n"] + lines[11:],
-        # a diverged run never hits, so only the cell itself is wrong
-        lambda lines: lines[:10] + [re.sub(r"^(\d+),\d+,(\d+),.*", r"\1,2,\2,-1,-1", lines[10])] + lines[11:],
-        lambda lines: lines[:10] + [lines[10].rsplit(",", 2)[0] + ",11,11\n"] + lines[11:],
-        lambda lines: lines[:7] + [re.sub(r"^\d+,", "7,", lines[7])] + lines[8:],  # row 5
-        lambda lines: lines[:10] + [re.sub(r"^(\d+),(\d+),\d+,", r"\1,\2,-5,", lines[10])] + lines[11:],
-        # T = 10 allows at most 9 clipped updates
-        lambda lines: lines[:10] + [re.sub(r"^(\d+),(\d+),\d+,", r"\1,\2,10,", lines[10])] + lines[11:],
-        lambda lines: lines[:10] + [lines[10].rsplit(",", 1)[0] + ",2147483648\n"] + lines[11:],
-        lambda lines: lines[:10] + [lines[10].rsplit(",", 1)[0] + ",99999999999999999999\n"] + lines[11:],
+        lambda lines: [lines[0].replace("digest=", "digest=0")] + lines[1:],
+        lambda lines: lines[1:],
     ],
-    ids=["truncated-row", "cut-off-file", "non-integer-cell", "hit-header-not-the-grid",
-         "hit-headers-swapped", "hit-header-near-the-grid", "hit-after-horizon", "larger-epsilon-hit-later",
-         "diverged-cell-two", "hit-raw-horizon-plus-one", "run-index-not-in-order",
-         "clip-events-negative", "clip-events-beyond-horizon", "cell-beyond-int32", "cell-beyond-int64"],
+    ids=["digest-not-the-manifests", "no-provenance-line"],
 )
 def test_corrupt_trajsummary_is_io_error(corrupt, tiny_config, capsys):
+    # of the summary, tail and report read the provenance line only
     config_path, doc = tiny_config
     out = doc["output"]["directory"]
     assert main(["simulate", "--config", config_path]) == 0
-    lines = corrupt(_summary_lines(out))
-    with open(os.path.join(out, "trajsummary.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
+    _rewrite(out, "trajsummary.csv", corrupt(_lines(out, "trajsummary.csv")))
     capsys.readouterr()
     assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 3
     assert main(["report", out]) == 3
     err = capsys.readouterr().err
-    assert err.count("corrupt trajsummary") == 2 and "Traceback" not in err
+    assert err.count("corrupt trajsummary: digest") == 2 and "Traceback" not in err
+
+
+@pytest.fixture
+def clipped_config(tmp_path):
+    """A clipped-SGD config of 256 runs over T = 40 whose updates are clipped up to t = 39."""
+    doc = preset_config("csgd-pareto")
+    doc["ensemble"].update(n_runs=256, horizon_T=40)
+    doc["output"]["directory"] = str(tmp_path / "clipped")
+    path = tmp_path / "clipped.json"
+    path.write_text(json.dumps(doc))
+    return str(path), doc
+
+
+# In tiny_config's table (vanilla, 2048 runs, T = 10) the first hits of 0.09
+# and 0.18 sum to 2015 and 2046, and the first-hit columns are 3 and 4;
+# clipped_config's is clipped (column 2) at t = 39.
+@pytest.mark.parametrize(
+    "results, corrupt, message",
+    [
+        ("tiny", lambda lines: [lines[0], lines[1].replace("first_hit_0.18", "first_hit_0.5")] + lines[2:], "header"),
+        ("tiny", lambda lines: [lines[0], lines[1].replace("first_hit_0.09,first_hit_0.18",
+                                                           "first_hit_0.18,first_hit_0.09")] + lines[2:], "header"),
+        ("tiny", lambda lines: [lines[0], lines[1].replace("first_hit_0.18", "first_hit_0.18000000000000002")]
+         + lines[2:], "header"),
+        ("tiny", lambda lines: lines[: len(lines) // 2], "the t column is not 1..10"),
+        ("tiny", lambda lines: lines + ["11,0,0,0,1\n"], "the t column is not 1..10"),
+        ("tiny", lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:], "the t column is not 1..10"),
+        ("tiny", lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + "\n"] + lines[6:], "columns"),
+        ("tiny", lambda lines: lines[:5] + [lines[5].replace(",", ",x", 1)] + lines[6:], "corrupt step table"),
+        ("tiny", lambda lines: _edit_cell(lines, 5, 4, lambda c: 99999999999999999999), "corrupt step table"),
+        ("clipped", lambda lines: _edit_cell(lines, 5, 2, lambda c: -5), "a count is negative"),
+        ("clipped", lambda lines: _edit_cell(lines, 5, 2, lambda c: 257), "a count is above n_runs = 256"),
+        ("tiny", lambda lines: _edit_cell(lines, 10, 4, lambda c: c + 3), "first hits sum above n_runs = 2048"),
+        ("tiny", lambda lines: _edit_cell(lines, 3, 1, lambda c: 3), "first hits sum above n_runs = 2048"),
+        ("tiny", lambda lines: _edit_cell(_edit_cell(lines, 2, 3, lambda c: c + 1), 3, 3, lambda c: c - 1),
+         "a larger epsilon has fewer hits than a smaller one by some t"),
+        ("clipped", lambda lines: _edit_cell(lines, 40, 2, lambda c: 1), "an update is clipped at t = 40"),
+        ("tiny", lambda lines: [lines[0].replace("digest=", "digest=0")] + lines[1:], "corrupt step table: digest"),
+        ("tiny", lambda lines: _edit_cell(lines, 3, 1, lambda c: 1), "diverged_runs is 0, not 1"),
+    ],
+    ids=["hit-header-not-the-grid", "hit-headers-swapped", "hit-header-near-the-grid", "cut-off-file",
+         "row-after-horizon", "t-not-in-order", "truncated-row", "non-integer-cell", "cell-beyond-int64",
+         "clipped-count-negative", "clipped-count-above-n", "first-hit-column-above-n",
+         "diverged-and-hits-above-n", "larger-epsilon-hit-later", "clipped-at-horizon",
+         "digest-not-the-manifests", "diverged-not-the-manifests"],
+)
+def test_corrupt_step_table_is_io_error(results, corrupt, message, tiny_config, clipped_config, capsys):
+    config_path, doc = tiny_config if results == "tiny" else clipped_config
+    out = doc["output"]["directory"]
+    epsilon = str(doc["ensemble"]["epsilon_grid"][-1])
+    assert main(["simulate", "--config", config_path]) == 0
+    assert main(["tail", out, "--epsilon", epsilon, "--no-svg"]) == 0  # the table as written loads
+    _rewrite(out, "steps.csv", corrupt(_lines(out, "steps.csv")))
+    capsys.readouterr()
+    assert main(["tail", out, "--epsilon", epsilon, "--no-svg"]) == 3
+    assert main(["report", out]) == 3
+    err = capsys.readouterr().err
+    assert err.count(message) == 2 and err.count("io error: ") == 2 and "Traceback" not in err
 
 
 def test_clip_count_without_a_clip_schedule_is_io_error(tmp_path, capsys):
-    doc = preset_config("sgd-bounded")  # vanilla SGD: every clip count is 0
+    doc = preset_config("sgd-bounded")  # vanilla SGD: every clipped count is 0
     doc["ensemble"].update(n_runs=64, horizon_T=40)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc))
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", str(config_path), "--out", out]) == 0
     assert main(["tail", out, "--epsilon", "0.02", "--no-svg"]) == 0
-    lines = _summary_lines(out)
-    lines[5] = re.sub(r"^(\d+),(\d+),0,", r"\1,\2,1,", lines[5])
-    with open(os.path.join(out, "trajsummary.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
+    _rewrite(out, "steps.csv", _edit_cell(_lines(out, "steps.csv"), 5, 2, lambda c: 1))
     capsys.readouterr()
     assert main(["tail", out, "--epsilon", "0.02", "--no-svg"]) == 3
-    assert "corrupt trajsummary: a clip count is not 0, and the config clips nothing" in capsys.readouterr().err
+    assert "corrupt step table: a clipped count is not 0, and the config clips nothing" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("failing_replace", [1, 2], ids=["summary-replace-fails", "manifest-replace-fails"])
+def test_tail_and_report_do_not_read_the_summary_body(tiny_config):
+    # a summary cut down to its comment and header gives the same outputs
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    outputs = []
+    for cut in (False, True):
+        if cut:
+            _rewrite(out, "trajsummary.csv", _lines(out, "trajsummary.csv")[:2])
+        assert main(["tail", out, "--epsilon", "0.09"]) == 0
+        assert main(["report", out]) == 0
+        names = ["tail.csv", "tail.svg", "tail_eps0.csv", "tail_eps1.csv", "report.txt"]
+        outputs.append({name: open(os.path.join(out, name), "rb").read() for name in names})
+    assert outputs[0] == outputs[1]
+
+
+def _diverging_doc():
+    """Vanilla SGD under Pareto noise of tail index 1.05: 405 of the first 2048 runs diverge by T = 200."""
+    doc = preset_config("csgd-pareto")
+    doc["method"] = {"kind": "vanilla", "step": {"kind": "sgd-sqrt", "a": 1.0}}
+    doc["oracle"]["noise"].update(x_m=1e7, tail_index=1.05, moment_order=1.02)
+    doc["ensemble"]["horizon_T"] = 200
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make_doc, n_runs",
+    [(lambda: preset_config("appendix-f"), 4096), (lambda: preset_config("csgd-pareto"), 1024), (_diverging_doc, 2048)],
+    ids=["appendix-f", "csgd-pareto", "diverging"],
+)
+def test_step_table_is_worker_invariant_and_agrees_with_the_runs(make_doc, n_runs, tmp_path, monkeypatch):
+    # chunks of 384 runs, forked to two workers with --workers 2
+    monkeypatch.setattr(montecarlo, "ENSEMBLE_CHUNK", 384)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    doc = make_doc()
+    doc["ensemble"]["n_runs"] = n_runs
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["simulate", "--config", str(config_path), "--out", str(out), "--workers", workers]) == 0
+        tables.append((out / "steps.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+    out = str(tmp_path / "2")
+    meta, exp, table = cli._load_results(out)
+    _, _, summary = cli._read_csv(os.path.join(out, "trajsummary.csv"))
+    assert table[:, 0].sum() == summary[:, 1].sum() == meta["diverged_runs"]
+    assert table[:, 1].sum() == summary[:, 2].sum()
+    if doc["ensemble"]["horizon_T"] == 200:
+        assert meta["diverged_runs"] == 405
+    arrays = run_ensemble(exp.run_config, n_runs)
+    for j, eps in enumerate(exp.run_config.epsilon_grid):
+        got = montecarlo.tail_from_first_hits(table[:, 2 + j], n_runs, float(eps))
+        want = estimate_tail(arrays, eps)
+        for name in ("t_grid", "exceed_count", "p_hat", "ci_low", "ci_high"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (eps, name)
+
+
+@pytest.mark.parametrize(
+    "failing_replace", [1, 2, 3], ids=["summary-replace-fails", "table-replace-fails", "manifest-replace-fails"]
+)
 def test_interrupted_simulate_never_mixes_results(failing_replace, tiny_config, tmp_path, monkeypatch, capsys):
     config_path, doc = tiny_config
     out = doc["output"]["directory"]
     assert main(["simulate", "--config", config_path]) == 0
-    names = ("meta.json", "trajsummary.csv")
+    names = ("meta.json", "steps.csv", "trajsummary.csv")
     old = {name: open(os.path.join(out, name), "rb").read() for name in names}
     doc["ensemble"]["seed"] += 1
     config2 = tmp_path / "config2.json"
@@ -655,14 +762,15 @@ def test_interrupted_simulate_never_mixes_results(failing_replace, tiny_config, 
     monkeypatch.setattr(os, "replace", replace)
     assert main(["simulate", "--config", str(config2), "--force"]) == 3
     monkeypatch.undo()
-    assert targets == ["trajsummary.csv", "meta.json"][:failing_replace]
+    assert targets == ["trajsummary.csv", "steps.csv", "meta.json"][:failing_replace]
     assert sorted(os.listdir(out)) == sorted(names)  # no temp file left behind
     assert open(os.path.join(out, "meta.json"), "rb").read() == old["meta.json"]
     capsys.readouterr()
     if failing_replace == 1:  # nothing replaced: the old results load
-        assert open(os.path.join(out, "trajsummary.csv"), "rb").read() == old["trajsummary.csv"]
+        for name in names:
+            assert open(os.path.join(out, name), "rb").read() == old[name], name
         assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 0
-    else:  # a new summary beside the old manifest is refused
+    else:  # a new summary, and a new table or not, beside the old manifest is refused
         assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 3
         assert "corrupt trajsummary" in capsys.readouterr().err
 
@@ -684,7 +792,7 @@ def test_interrupted_report_leaves_no_partial_file(tiny_config, monkeypatch, cap
     monkeypatch.undo()
     assert targets == ["tail_eps0.csv", "tail_eps1.csv"]
     # the first file is whole, the second and report.txt were never placed
-    assert sorted(os.listdir(out)) == ["meta.json", "tail_eps0.csv", "trajsummary.csv"]
+    assert sorted(os.listdir(out)) == ["meta.json", "steps.csv", "tail_eps0.csv", "trajsummary.csv"]
     with open(os.path.join(out, "tail_eps0.csv"), "rb") as fh:
         first = fh.read()
     assert main(["report", out]) == 0
@@ -707,6 +815,8 @@ def test_chunk_rows_match_row_writer_and_reader(tmp_path):
         diverged=diverged,
         clip_events=rng.integers(0, T, n),
         hit=hits,
+        diverged_steps=np.zeros(T, dtype=np.int64),
+        clipped_steps=np.zeros(T, dtype=np.int64),
     )
     rows = ("run_indices", "diverged", "clip_events", "hit")
     chunks = [
@@ -783,6 +893,36 @@ def test_simulate_peak_memory_is_bounded_in_the_run_count(tmp_path):
         assert code == 0
         peak_mib[n_runs] = maxrss_kib / 1024
     assert peak_mib[2**18] - peak_mib[2**14] < 7.0, peak_mib
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_tail_and_report_peak_memory_is_flat_in_the_run_count(tmp_path):
+    # tail and report read the O(T) step table and one line of the summary,
+    # so 16 times as many runs move their peaks by less than 2 MiB; parsing
+    # the summary body added about 10 MiB per 2^18 runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    cli_main = "import sys; from ldplab.cli import main; sys.exit(main())"
+    peak_mib = {}
+    for n_runs in (2**14, 2**18):
+        doc = preset_config("appendix-f")
+        doc["ensemble"]["n_runs"] = n_runs
+        config_path = tmp_path / f"{n_runs}.json"
+        config_path.write_text(json.dumps(doc))
+        out = str(tmp_path / str(n_runs))
+        assert main(["simulate", "--config", str(config_path), "--out", out, "--workers", "2"]) == 0
+        for argv in (["tail", out, "--epsilon", "0.18"], ["report", out]):
+            run = subprocess.run(
+                [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-c", cli_main, *argv],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+            )
+            assert run.returncode == 0, run.stderr
+            code, maxrss_kib = map(int, run.stdout.split())
+            assert code == 0
+            peak_mib[argv[0], n_runs] = maxrss_kib / 1024
+    for command in ("tail", "report"):
+        assert abs(peak_mib[command, 2**18] - peak_mib[command, 2**14]) < 2.0, peak_mib
 
 
 def test_commands_run_without_scipy(tiny_config):

@@ -28,7 +28,7 @@ from ldplab.montecarlo import (
     verify_lemma_suite,
     wilson_interval,
 )
-from ldplab.optimizers import EnsembleArrays, RunConfig, ScheduleSpec, simulate_runs
+from ldplab.optimizers import EnsembleArrays, RunConfig, ScheduleSpec, first_hit_counts, simulate_runs
 from ldplab.oracles import AdditiveOracle, ClippingBiasProbe, SphereNoise, TwoPointNoise
 from ldplab.theory import decay_family, lower_bound_exact_prob
 
@@ -100,6 +100,10 @@ class TestEnsemble:
                     assert got is None and not record_full
                 else:
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            # the per-step counts are summed over the parts
+            for name in EnsembleArrays.PER_STEP:
+                got, want = getattr(joined, name), getattr(whole, name)
+                assert got.dtype == want.dtype == np.int64 and got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     def test_workers_below_one_rejected_before_any_work(self, workers, monkeypatch):
@@ -108,7 +112,7 @@ class TestEnsemble:
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_work)
         monkeypatch.setattr(montecarlo, "_chunk_job", no_work)
-        with pytest.raises(ValueError, match="workers must be a positive integer"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1, got"):
             run_ensemble(solvable_instance(T=4), 2 * montecarlo.ENSEMBLE_CHUNK, workers=workers)
 
     def test_same_seed_same_summaries(self):
@@ -262,6 +266,22 @@ class TestEstimateTail:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         np.testing.assert_array_equal(from_counts.exceed_count, [5, 5, 3, 3, 2, 2, 2, 2])
 
+    def test_first_hits_give_the_hitting_times_estimate(self):
+        # steps.csv's first-hit counts and the hitting times go through one path
+        hit = np.array([1, 3, 3, 5, 9, 9, 2**40])  # 9 and 2^40: never within T = 8
+        first_hits = first_hit_counts(hit, 8)
+        np.testing.assert_array_equal(first_hits, [1, 0, 2, 0, 1, 0, 0, 0])
+        for t_grid in (None, np.arange(1, 9), [2, 5, 6]):
+            from_first_hits = montecarlo.tail_from_first_hits(first_hits, hit.size, 0.1, t_grid)
+            from_hits = tail_from_hitting_times(hit, 8, 0.1, np.arange(1, 9) if t_grid is None else t_grid)
+            for name in ("t_grid", "exceed_count", "p_hat", "ci_low", "ci_high"):
+                a, b = getattr(from_first_hits, name), getattr(from_hits, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        with pytest.raises(ValueError, match=r"within \[1, 8\]"):
+            montecarlo.tail_from_first_hits(first_hits, hit.size, 0.1, [1, 9])
+        with pytest.raises(ValueError, match="n_runs must be an integer >= 1"):
+            montecarlo.tail_from_first_hits(first_hits, "7", 0.1)
+
     @pytest.mark.parametrize(
         "t_grid, exceed, n_runs, message",
         [
@@ -402,9 +422,9 @@ class TestEnumeration:
         # a bool is not a count: True used to run as 1
         with pytest.raises(ValueError, match="t_max must be an integer"):
             appendix_f_enumeration(True)
-        with pytest.raises(ValueError, match="t must be a positive integer"):
+        with pytest.raises(ValueError, match="t must be an integer >= 1, got True"):
             lower_bound_exact_prob(True)
-        with pytest.raises(ValueError, match="N must be a positive integer"):
+        with pytest.raises(ValueError, match="N must be an integer >= 1, got True"):
             run_ensemble(solvable_instance(T=4), True)
 
 

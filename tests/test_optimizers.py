@@ -295,13 +295,19 @@ class TestTrajectories:
             dataclasses.replace(arrays, hit=late),
             dataclasses.replace(arrays, clip_events=np.full_like(arrays.clip_events, -1)),
             dataclasses.replace(arrays, clip_events=np.full_like(arrays.clip_events, 12)),
+            dataclasses.replace(arrays, diverged_steps=np.eye(12, dtype=np.int64)[3]),
+            dataclasses.replace(arrays, clipped_steps=np.eye(12, dtype=np.int64)[3]),
         ]
-        messages = ["outside", "outside", "diverged run hit", "exceedance disagree", "clip count", "clip count"]
+        messages = ["outside", "outside", "diverged run hit", "exceedance disagree", "clip count", "clip count",
+                    "per-step diverged counts", "per-step clip counts"]
         for bad, message in zip(broken, messages):
             with pytest.raises(ValueError, match=message):
                 optimizers._assert_invariants(bad)
         # T - 1 = 11 updates: a run clipped at every one of them is valid
-        optimizers._assert_invariants(dataclasses.replace(arrays, clip_events=np.full_like(arrays.clip_events, 11)))
+        every_update = np.append(np.full(11, 64), 0)
+        optimizers._assert_invariants(
+            dataclasses.replace(arrays, clip_events=np.full_like(arrays.clip_events, 11), clipped_steps=every_update)
+        )
         two = simulate_runs(solvable_instance(T=12, n_eps=(0.1, 0.2)), range(64))
         later = np.tile(np.array([[2, 3]], dtype=np.int32), (64, 1))
         with pytest.raises(ValueError, match="larger epsilon was hit later"):
@@ -478,6 +484,27 @@ def pinned_float_digests() -> dict:
         name: _digest(simulate_runs(make_config(), np.arange(512), record_full=True).grad_norm_sq)
         for name, make_config in _PINNED_CONFIGS
     }
+
+
+@pytest.mark.parametrize("name,make_config", _PINNED_CONFIGS, ids=[n for n, _ in _PINNED_CONFIGS])
+def test_step_counts_count_each_event_at_its_step(name, make_config):
+    # a run diverges at the first step whose ||grad f(x_t)||^2 is recorded as
+    # inf, first hits each epsilon at its hitting time, and the clipped
+    # counts of a set of runs are the sums over any split of it
+    config = make_config()
+    T = config.horizon_T
+    arrays = simulate_runs(config, np.arange(300), record_full=True)
+    onset = np.argmax(np.isinf(arrays.grad_norm_sq[arrays.diverged]), axis=1) + 1
+    np.testing.assert_array_equal(arrays.diverged_steps, np.bincount(onset, minlength=T + 1)[1:])
+    table = arrays.step_table()
+    assert table.dtype == np.int64 and table.shape == (T, 2 + config.epsilon_grid.size)
+    np.testing.assert_array_equal(table[:, :2], np.column_stack([arrays.diverged_steps, arrays.clipped_steps]))
+    for j in range(config.epsilon_grid.size):
+        np.testing.assert_array_equal(table[:, 2 + j], [np.sum(arrays.hit[:, j] == t) for t in range(1, T + 1)])
+    parts = [simulate_runs(config, np.arange(lo, lo + 100)) for lo in (0, 100, 200)]
+    np.testing.assert_array_equal(sum(p.clipped_steps for p in parts), arrays.clipped_steps)
+    assert arrays.clipped_steps[-1] == 0
+    assert (arrays.diverged_count > 0) == (name == "diverged")
 
 
 def at_baseline_dispatch(module: str, function: str):

@@ -30,9 +30,10 @@ def _raise_texts(path):
 
 
 def test_range_rules_are_raised_in_costs_only():
-    # costs.positive_param and costs.moment_order_param own the positive and
-    # (1, 2] rules; a hand-written copy elsewhere would drift from them
-    phrases = ("must be positive", "must be non-negative", "requires positive", "(1, 2]")
+    # costs.positive_param, costs.moment_order_param and costs.int_param own
+    # the positive, (1, 2] and count rules; a hand-written copy elsewhere
+    # would drift from them
+    phrases = ("must be positive", "must be non-negative", "requires positive", "(1, 2]", "must be a positive integer")
     found = [
         f"{path.name}:{line}"
         for path in sorted(SOURCE.glob("*.py"))
