@@ -41,6 +41,7 @@ from .montecarlo import (
     ensemble_chunks,
     epsilon_index,
     fit_decay,
+    predraw_bytes,
     tail_from_counts,
     tail_from_first_hits,
     verify_lemma_suite,
@@ -184,7 +185,7 @@ def _read_manifest(meta_path: str) -> dict:
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # a manifest that is not UTF-8 JSON
         raise OSError(f"{meta_path}: corrupt run manifest: {e}") from e
     if not isinstance(meta, dict):
         raise OSError(f"{meta_path}: corrupt run manifest: not an object")
@@ -269,9 +270,11 @@ def _cmd_simulate(args) -> int:
     # finish, and a failed write cancels the chunks not yet started.
     with contextlib.closing(chunks), _atomic_write(os.path.join(outdir, "trajsummary.csv")) as fh:
         _write_head(fh, comment, _summary_header(rc.epsilon_grid))
+        n_chunks = largest = 0
         for part in chunks:
             fh.write(_summary_rows(part))
             table += part.step_table()
+            n_chunks, largest = n_chunks + 1, max(largest, part.n_runs)
     steps = np.column_stack([np.arange(1, T + 1), table]).tolist()
     _write_csv(os.path.join(outdir, "steps.csv"), comment, _steps_header(rc.epsilon_grid), steps)
     diverged, clipped = (int(n) for n in table[:, :2].sum(axis=0))
@@ -282,7 +285,8 @@ def _cmd_simulate(args) -> int:
     last_clip_t = int(clip_steps[-1]) + 1 if clip_steps.size else "none"
     print(
         f"simulated {exp.n_runs} runs (T={T}, digest={exp.digest}, diverged={diverged}, "
-        f"clipped={clipped}, last_clip_t={last_clip_t}) -> {outdir}"
+        f"clipped={clipped}, last_clip_t={last_clip_t}, chunks={n_chunks}, "
+        f"predraw_mib_per_chunk={predraw_bytes(rc, largest) / 2**20:.1f}) -> {outdir}"
     )
     return EXIT_OK
 

@@ -92,15 +92,19 @@ def sq_norms(x: np.ndarray, axis: int = -1) -> np.ndarray:
     Both layouts give the bits of ``np.sum(x * x, axis=-1)`` over rows.  numpy
     adds a row of fewer than ``_SEQUENTIAL_SUM_TERMS`` terms in order, at the
     cost of one inner loop per row, so for such points the squares are added
-    one coordinate at a time over strided views of either layout.  Longer rows
-    are summed pairwise, so for those, columns are transposed to rows.
+    one coordinate at a time: columns by one reduction over their leading
+    axis, which numpy adds row after row, and rows over strided views.
+    Longer rows are summed pairwise, so for those, columns are transposed to
+    rows.
     """
     if axis not in (-1, 0):
         raise ValueError(f"coordinate axis must be -1 or 0, got {axis}")
     sq = x * x
-    coords = sq if axis == 0 else np.moveaxis(sq, -1, 0)
-    if not 0 < len(coords) < _SEQUENTIAL_SUM_TERMS:
+    if not 0 < x.shape[axis] < _SEQUENTIAL_SUM_TERMS:
         return np.sum(sq if axis == -1 else np.ascontiguousarray(np.moveaxis(sq, 0, -1)), axis=-1)
+    if axis == 0:
+        return np.add.reduce(sq, axis=0)
+    coords = np.moveaxis(sq, -1, 0)
     return sum(coords[1:], coords[0])  # in order, from the first coordinate on
 
 

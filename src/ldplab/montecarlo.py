@@ -43,7 +43,11 @@ from .theory import (
     transform_consistency,
 )
 
-ENSEMBLE_CHUNK = 1 << 14  # most runs per chunk; bounds a chunk's pre-drawn randomness
+ENSEMBLE_CHUNK = 1 << 14  # most runs per chunk
+# most bytes a chunk pre-draws, counted by predraw_bytes: at long horizons
+# this, not ENSEMBLE_CHUNK, bounds a worker's memory, e.g. 786 runs of a
+# 4-dimensional additive-noise ensemble at T = 4000
+CHUNK_PREDRAW_BYTES = 96 << 20
 # An ensemble of at least this many run-steps (runs x horizon_T, a few tenths
 # of a second of serial work) is split into a chunk per usable worker when it
 # has fewer chunks; a smaller one stays serial, since starting a pool costs
@@ -61,30 +65,56 @@ def _chunk_job(args):
     return simulate_runs(config, np.arange(lo, hi), record_full=record_full)
 
 
-def ensemble_chunks(config: RunConfig, N: int, workers: int = 1, record_full: bool = False):
-    """The runs 0..N-1 as a generator of ensemble-array chunks in run order,
-    each yielded once it and every earlier chunk have finished.
+def predraw_bytes(config: RunConfig, n_runs: int, record_full: bool = False) -> int:
+    """Bytes that ``simulate_runs`` holds in proportion to the horizon for
+    n_runs runs: the block ``randomness_block`` pre-draws, n_runs x
+    (horizon_T - 1) queries, plus in full mode two n_runs x horizon_T
+    float64 arrays, ``grad_norm_sq`` and the running minimum that the
+    invariant check takes of it once the block is freed."""
+    T = config.horizon_T
+    return n_runs * ((T - 1) * config.oracle.query_nbytes() + (16 * T if record_full else 0))
 
-    N and workers are checked when it is called, before any chunk runs.  The
-    runs are cut into chunks of at most ENSEMBLE_CHUNK.  When that gives
-    fewer chunks than min(workers, CPUs) and the ensemble has at least
-    _SPLIT_MIN_RUN_STEPS run-steps, it is cut evenly into one chunk per usable
-    worker instead.  Streams are derived from (config.seed, run_index) only,
-    so the runs are bit-identical for every chunk layout and ``workers``
-    setting.  At most min(workers, chunks, CPUs) worker processes are started,
-    and at most two chunks per worker, plus one, are submitted and not yet
-    taken, so the caller holds O(chunk) results at a time whatever N is;
-    closing the generator cancels the chunks that have not started.
+
+def chunk_plan(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> tuple[list, int]:
+    """The chunk plan of ``ensemble_chunks`` as (bounds, processes): chunk k
+    is the runs bounds[k]..bounds[k + 1] - 1, run by min(workers, CPUs,
+    chunks) processes.
+
+    A chunk holds at most ENSEMBLE_CHUNK runs and CHUNK_PREDRAW_BYTES of
+    ``predraw_bytes`` (one run at least, whatever its bytes).  One chunk
+    that fits is the plan, unless the ensemble has at least
+    _SPLIT_MIN_RUN_STEPS run-steps.  Otherwise the runs are cut evenly into
+    the fewest chunks that fit whose number is a multiple of min(workers,
+    CPUs), so that no worker gets an extra chunk, or into N chunks of one
+    run if there are fewer runs.  N and workers are checked first.
     """
     int_param("N", N)
     int_param("workers", workers)
     usable = min(workers, os.cpu_count() or 1)
-    bounds = [*range(0, N, ENSEMBLE_CHUNK), N]
-    if len(bounds) - 1 < usable and N * config.horizon_T >= _SPLIT_MIN_RUN_STEPS:
-        n_chunks = min(usable, N)
-        bounds = [N * k // n_chunks for k in range(n_chunks + 1)]
+    per_run = max(1, predraw_bytes(config, 1, record_full))
+    most = max(1, min(ENSEMBLE_CHUNK, CHUNK_PREDRAW_BYTES // per_run))
+    n_chunks = -(-N // most)
+    if n_chunks > 1 or N * config.horizon_T >= _SPLIT_MIN_RUN_STEPS:
+        n_chunks = min(N, -(-n_chunks // usable) * usable)
+    return [N * k // n_chunks for k in range(n_chunks + 1)], min(usable, n_chunks)
+
+
+def ensemble_chunks(config: RunConfig, N: int, workers: int = 1, record_full: bool = False):
+    """The runs 0..N-1 as a generator of ensemble-array chunks in run order,
+    each yielded once it and every earlier chunk have finished.
+
+    The chunks and the number of worker processes are those of
+    ``chunk_plan(config, N, workers, record_full)``, which checks N and
+    workers when this is called, before any chunk runs.  Streams are derived
+    from (config.seed, run_index) only, so the runs are bit-identical for
+    every chunk layout and ``workers`` setting.  At most two chunks per
+    worker, plus one, are submitted and not yet taken, so the caller holds
+    O(chunk) results at a time whatever N is; closing the generator cancels
+    the chunks that have not started.
+    """
+    bounds, processes = chunk_plan(config, N, workers, record_full)
     jobs = [(config, lo, hi, record_full) for lo, hi in zip(bounds, bounds[1:])]
-    return _chunk_results(jobs, min(usable, len(jobs)))
+    return _chunk_results(jobs, processes)
 
 
 def _chunk_results(jobs, workers: int):

@@ -270,8 +270,9 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
     ``randomness_block`` (the randomness is state-independent), after which
     the recursion is deterministic.  Diverged runs (an iterate exceeding
     DIVERGENCE_LIMIT in norm, or going non-finite) are frozen, flagged, and
-    reported as never hitting any threshold.  The result's invariants are
-    checked before it is returned.
+    reported as never hitting any threshold; while no run has diverged, the
+    step loop skips their masks and updates in place.  The result's
+    invariants are checked before it is returned.
     """
     idx = np.asarray(run_indices, dtype=np.int64)
     B = idx.size
@@ -288,41 +289,54 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
     x0 = config.init_x1[:, None]
     x = np.repeat(x0, B, axis=1)  # (d, B)
     diverged = np.zeros(B, dtype=bool)
+    any_diverged = False  # while no run has diverged, the masks below are skipped
     clip_events = np.zeros(B, dtype=np.int64)
     diverged_steps = np.zeros(T, dtype=np.int64)
     clipped_steps = np.zeros(T, dtype=np.int64)
     hit = np.full((n_eps, B), T + 1, dtype=np.int32)
-    gns_steps = np.empty((T, B)) if record_full else None
+    eps_col = eps[:, None]
+    gns_steps = np.empty((B, T)) if record_full else None  # filled a column per step, so never transposed
 
     # a norm that overflows to inf is handled (divergence check, clipping), not warned of
     with np.errstate(over="ignore"):
         for t in range(1, T + 1):
-            norms_sq = sq_norms(x, axis=0)
-            newly_bad = ~np.isfinite(norms_sq) | (norms_sq > DIVERGENCE_LIMIT**2)
-            newly_bad &= ~diverged
-            if np.any(newly_bad):
-                diverged_steps[t - 1] = np.count_nonzero(newly_bad)
+            # one compare: a NaN or infinite norm is not <= the limit either
+            newly_bad = ~(sq_norms(x, axis=0) <= DIVERGENCE_LIMIT**2)
+            if any_diverged:
+                newly_bad &= ~diverged
+            n_bad = np.count_nonzero(newly_bad)
+            if n_bad:
+                diverged_steps[t - 1] = n_bad
                 diverged |= newly_bad
+                any_diverged = True
                 x[:, newly_bad] = x0  # frozen placeholder, excluded below
 
             grad = config.cost.gradient(x, axis=0)
             gns = sq_norms(grad, axis=0)
-            gns[diverged] = np.inf
+            if any_diverged:
+                gns[diverged] = np.inf
             if record_full:
-                gns_steps[t - 1] = gns
-            newly_hit = (hit == T + 1) & (gns <= eps[:, None])
+                gns_steps[:, t - 1] = gns
+            newly_hit = (hit == T + 1) & (gns <= eps_col)
             hit[newly_hit] = t
 
             if t < T:
                 g = config.oracle.gradients(x, randomness[t - 1], grad)
                 if clipped_method:
                     g, over = clip_rows(g, gammas[t - 1], axis=0)
-                    over &= ~diverged
-                    clip_events += over
-                    clipped_steps[t - 1] = np.count_nonzero(over)
-                x_new = x - alphas[t - 1] * g
-                x = np.where(diverged, x, x_new)
+                    if any_diverged:
+                        over &= ~diverged
+                    n_over = np.count_nonzero(over)
+                    if n_over:
+                        clip_events += over
+                        clipped_steps[t - 1] = n_over
+                if any_diverged:
+                    x = np.where(diverged, x, x - alphas[t - 1] * g)
+                else:  # g is this step's own array, so it is scaled in place
+                    g *= alphas[t - 1]
+                    x -= g
 
+    del randomness  # freed before the invariant check, which holds a running minimum in full mode
     hit[:, diverged] = T + 1  # diverged runs count as exceeding every threshold
 
     out = EnsembleArrays(
@@ -334,7 +348,7 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
         hit=np.ascontiguousarray(hit.T),
         diverged_steps=diverged_steps,
         clipped_steps=clipped_steps,
-        grad_norm_sq=None if gns_steps is None else np.ascontiguousarray(gns_steps.T),
+        grad_norm_sq=gns_steps,
     )
     _assert_invariants(out)
     return out
@@ -363,11 +377,11 @@ def _assert_invariants(arrays: EnsembleArrays) -> None:
     require(diverged_sum_ok, "per-step diverged counts do not sum to the diverged runs")
     require(arrays.clipped_steps.sum() == clips.sum(), "per-step clip counts do not sum to the clip events")
     if arrays.grad_norm_sq is not None:
+        # one (B, T) running minimum: diverged runs are dropped from the
+        # boolean result, so no float copy of its rows is made
         ok = ~arrays.diverged
-        rmin = arrays.running_min[ok]
+        rmin = arrays.running_min
         t_axis = np.arange(1, T + 1)
         for j, e in enumerate(arrays.epsilon_grid):
-            require(
-                np.array_equal(hit[ok, j][:, None] > t_axis[None, :], rmin > e),
-                "hitting time and exceedance disagree",
-            )
+            disagree = (hit[:, j][:, None] > t_axis[None, :]) != (rmin > e)
+            require(not disagree[ok].any(), "hitting time and exceedance disagree")

@@ -298,6 +298,12 @@ class OracleSpec:
             out[..., lo : lo + slab] = block
         return out
 
+    def query_nbytes(self) -> int:
+        """Bytes of one query's randomness: ``randomness_block`` holds n_steps
+        of them per run."""
+        n_normals, n_uniforms = self.raw_widths()
+        return self.transform(np.zeros((1, n_normals)), np.zeros((1, n_uniforms))).nbytes
+
     def gradients(self, x: np.ndarray, randomness: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """One step's oracle outputs at points held dimension-major, shape (dim, n).
 
@@ -426,14 +432,17 @@ def clip_rows(g: np.ndarray, gamma: float, axis: int = -1) -> tuple[np.ndarray, 
     a finite one is divided by its largest magnitude first, and one with
     infinite entries points along their signs.  A row with a NaN is left as is.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a row of infinite norm is set below
+    # a norm that overflows, and its scale gamma / inf, are set by the fix-up below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         norms = np.sqrt(sq_norms(g, axis))
-        scale = np.ones_like(norms)
         over = norms > gamma
-        scale[over] = gamma / norms[over]
-        out = g * np.expand_dims(scale, axis)
+        if not np.count_nonzero(over):
+            return g.copy(), over
+        # the rows not clipped are multiplied by 1.0, which keeps their bits
+        scale = np.where(over, gamma / norms, 1.0)
+        out = g * (scale[None] if axis == 0 else scale[..., None])
     huge = np.isinf(norms)
-    if np.any(huge):
+    if np.count_nonzero(huge):
         rows = np.moveaxis(g, axis, -1)[huge]  # one row per infinite norm
         rows = np.where(np.isinf(rows).any(axis=-1, keepdims=True), np.sign(rows) * np.isinf(rows), rows)
         unit = rows / np.abs(rows).max(axis=-1, keepdims=True)

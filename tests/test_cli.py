@@ -57,9 +57,9 @@ def test_simulate_tail_fit_roundtrip(tiny_config, tmp_path):
 
 
 def test_simulate_byte_identical_across_workers(tiny_config, tmp_path, monkeypatch):
-    # chunks of 512 runs and 3 CPUs whatever the machine, so --workers 3 forks
-    # three workers for the four chunks; every chunk leaves a mark named after
-    # the process that ran it
+    # chunks of at most 342 runs and 3 CPUs whatever the machine, so both runs
+    # cut the 2048 runs into six chunks, and --workers 3 forks three workers
+    # for them; every chunk leaves a mark named after the process that ran it
     config_path, doc = tiny_config
     marks = tmp_path / "chunks"
     marks.mkdir()
@@ -75,20 +75,38 @@ def test_simulate_byte_identical_across_workers(tiny_config, tmp_path, monkeypat
             time.sleep(0.005)
         return simulate_runs(config, run_indices, record_full=record_full)
 
-    monkeypatch.setattr(montecarlo, "ENSEMBLE_CHUNK", 512)
+    monkeypatch.setattr(montecarlo, "ENSEMBLE_CHUNK", 342)
     monkeypatch.setattr(montecarlo, "simulate_runs", marking_simulate_runs)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
     assert main(["simulate", "--config", config_path, "--out", out1, "--workers", "1"]) == 0
-    assert _chunk_pids(marks) == {str(parent)} and len(os.listdir(marks)) == 4
+    assert _chunk_pids(marks) == {str(parent)} and len(os.listdir(marks)) == 6
     for mark in marks.iterdir():
         mark.unlink()
     assert main(["simulate", "--config", config_path, "--out", out2, "--workers", "3"]) == 0
     pids = _chunk_pids(marks)
-    assert len(os.listdir(marks)) == 4 and len(pids) >= 2 and str(parent) not in pids
+    assert len(os.listdir(marks)) == 6 and len(pids) >= 2 and str(parent) not in pids
     for name in ("trajsummary.csv", "steps.csv", "meta.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_byte_budget_chunks_write_the_bytes_of_one_chunk(tmp_path, monkeypatch, capsys):
+    # 1024 csgd-pareto runs over T = 400 pre-draw 12.5 MiB: one chunk at the
+    # default budget and --workers 1; under a 1 MiB budget 13 chunks fit,
+    # and --workers 2 forks two workers for 14
+    doc = preset_config("csgd-pareto")
+    doc["ensemble"]["n_runs"] = 1024
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "one"), "--workers", "1"]) == 0
+    assert "chunks=1, predraw_mib_per_chunk=12.5)" in capsys.readouterr().out
+    monkeypatch.setattr(montecarlo, "CHUNK_PREDRAW_BYTES", 1 << 20)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "many"), "--workers", "2"]) == 0
+    assert "chunks=14, predraw_mib_per_chunk=0.9)" in capsys.readouterr().out
+    for name in ("trajsummary.csv", "steps.csv", "meta.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes(), name
 
 
 def _chunk_pids(marks) -> set:
@@ -168,6 +186,22 @@ def test_missing_or_corrupt_results_exit_code(tiny_config, tmp_path):
     with open(os.path.join(out, "meta.json"), "w") as fh:
         fh.write("{broken")
     assert main(["tail", out, "--epsilon", "0.18"]) == 3
+
+
+def test_non_utf8_manifest_is_io_error_naming_it(tiny_config, capsys):
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    meta_path = os.path.join(out, "meta.json")
+    with open(meta_path, "wb") as fh:
+        fh.write(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 3
+    assert main(["report", out]) == 3
+    assert main(["simulate", "--config", config_path]) == 3  # the old manifest is read without --force
+    err = capsys.readouterr().err
+    assert err.count(f"{meta_path}: corrupt run manifest") == 3, err
+    assert main(["simulate", "--config", config_path, "--force"]) == 0
 
 
 def test_analysis_ignores_manifest_output_block(tiny_config):
@@ -865,6 +899,24 @@ _PEAK_RSS_LAUNCHER = (
 )
 
 
+def _peak_rss_mib(argv) -> float:
+    """The peak resident set, in MiB, of ``ldplab <argv>`` run to exit 0 in a
+    fresh interpreter; measured by _PEAK_RSS_LAUNCHER, so the test process's
+    own high-water mark does not count."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    cli_main = "import sys; from ldplab.cli import main; sys.exit(main())"
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-c", cli_main, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    code, maxrss_kib = map(int, run.stdout.split())
+    assert code == 0, run.stderr
+    return maxrss_kib / 1024
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_simulate_peak_memory_is_bounded_in_the_run_count(tmp_path):
     # simulate holds one chunk of at most 2^14 runs at a time, so 16 times as
@@ -873,7 +925,6 @@ def test_simulate_peak_memory_is_bounded_in_the_run_count(tmp_path):
     # its mmap threshold when the first chunk's arrays are freed, and later
     # chunks come from the heap.  Holding every chunk's summaries would add
     # about 12 MiB here.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
     peak_mib = {}
     for n_runs in (2**14, 2**18):
         doc = preset_config("appendix-f")
@@ -881,18 +932,21 @@ def test_simulate_peak_memory_is_bounded_in_the_run_count(tmp_path):
         config_path = tmp_path / f"{n_runs}.json"
         config_path.write_text(json.dumps(doc))
         argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / str(n_runs)), "--workers", "1"]
-        cli_main = "import sys; from ldplab.cli import main; sys.exit(main())"
-        run = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-c", cli_main, *argv],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-        )
-        assert run.returncode == 0, run.stderr
-        code, maxrss_kib = map(int, run.stdout.split())
-        assert code == 0
-        peak_mib[n_runs] = maxrss_kib / 1024
+        peak_mib[n_runs] = _peak_rss_mib(argv)
     assert peak_mib[2**18] - peak_mib[2**14] < 7.0, peak_mib
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_simulate_peak_memory_is_bounded_in_the_horizon(tmp_path):
+    # 2048 runs of 4-dimensional noise over T = 4000 pre-draw 262 MB in one
+    # chunk of runs; chunks bounded by the bytes they pre-draw keep the peak
+    # within the budget plus the interpreter, numpy and the step loop
+    doc = preset_config("csgd-pareto")
+    doc["ensemble"].update(n_runs=2048, horizon_T=4000)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "out"), "--workers", "1"]
+    assert _peak_rss_mib(argv) < montecarlo.CHUNK_PREDRAW_BYTES / 2**20 + 64
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
@@ -900,8 +954,6 @@ def test_tail_and_report_peak_memory_is_flat_in_the_run_count(tmp_path):
     # tail and report read the O(T) step table and one line of the summary,
     # so 16 times as many runs move their peaks by less than 2 MiB; parsing
     # the summary body added about 10 MiB per 2^18 runs
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
-    cli_main = "import sys; from ldplab.cli import main; sys.exit(main())"
     peak_mib = {}
     for n_runs in (2**14, 2**18):
         doc = preset_config("appendix-f")
@@ -911,16 +963,7 @@ def test_tail_and_report_peak_memory_is_flat_in_the_run_count(tmp_path):
         out = str(tmp_path / str(n_runs))
         assert main(["simulate", "--config", str(config_path), "--out", out, "--workers", "2"]) == 0
         for argv in (["tail", out, "--epsilon", "0.18"], ["report", out]):
-            run = subprocess.run(
-                [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-c", cli_main, *argv],
-                env=dict(os.environ, PYTHONPATH=src),
-                capture_output=True,
-                text=True,
-            )
-            assert run.returncode == 0, run.stderr
-            code, maxrss_kib = map(int, run.stdout.split())
-            assert code == 0
-            peak_mib[argv[0], n_runs] = maxrss_kib / 1024
+            peak_mib[argv[0], n_runs] = _peak_rss_mib(argv)
     for command in ("tail", "report"):
         assert abs(peak_mib[command, 2**18] - peak_mib[command, 2**14]) < 2.0, peak_mib
 

@@ -204,6 +204,25 @@ class TestDimensionMajor:
         assert sq_norms(x.T[:, ::2], axis=0).tobytes() == rows[::2].tobytes()
         assert sq_norms(x[0], axis=0) == sq_norms(x[0]) == rows[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 7),
+        width=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        special_frac=st.sampled_from([0.0, 0.01, 0.3]),
+    )
+    def test_sq_norms_of_few_columns_is_the_row_sum(self, d, width, seed, special_frac):
+        # one reduction over the leading axis gives numpy's row sums bit for bit,
+        # also with inf, NaN, subnormal, overflowing and signed-zero coordinates
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((d, width)) * 10.0 ** rng.integers(-8, 9, (d, width))
+        specials = np.array([np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e200, 0.0, -0.0])
+        mask = rng.random((d, width)) < special_frac
+        x[mask] = rng.choice(specials, mask.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.sum(x.T * x.T, axis=-1)
+            assert sq_norms(x, 0).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("cost", all_costs() + [HuberCost(1.0, 9)], ids=lambda c: f"{c.name}-{c.dim}")
     def test_gradient_of_columns_equals_rows(self, cost):
         # points inside and outside the Huber ball

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldplab
-from ldplab import montecarlo
+from ldplab import montecarlo, oracles
 from ldplab.config import parse_config, preset_config
 from ldplab.costs import HuberCost
 from ldplab.montecarlo import (
@@ -138,12 +139,78 @@ class TestEnsemble:
         flagged = dataclasses.replace(res, diverged=np.arange(8) % 3 == 0)
         assert flagged.diverged_count == 3
 
-    def test_worker_count_bounded_by_chunks_and_cpus(self, inline_pool):
+    def test_worker_count_bounded_by_chunks_and_cpus(self, inline_pool, monkeypatch):
         config = solvable_instance(T=2)
-        n = montecarlo.ENSEMBLE_CHUNK + 1  # two chunks
+        # the runs need two chunks: they are cut evenly into one per CPU, 8
+        n = montecarlo.ENSEMBLE_CHUNK + 1
         res = run_ensemble(config, n, workers=10**4)
-        assert inline_pool == [(2, [(0, montecarlo.ENSEMBLE_CHUNK), (montecarlo.ENSEMBLE_CHUNK, n)])]
+        assert inline_pool == [(8, [(n * k // 8, n * (k + 1) // 8) for k in range(8)])]
         np.testing.assert_array_equal(res.hit, run_ensemble(config, n).hit)
+        # three runs in chunks of one run are three chunks, on three workers
+        monkeypatch.setattr(montecarlo, "ENSEMBLE_CHUNK", 1)
+        run_ensemble(config, 3, workers=10**4)
+        assert inline_pool[1] == (3, [(0, 1), (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            {"mode": "additive-noise", "noise": {"kind": "sphere-bounded", "radius": 0.5}},
+            {"mode": "additive-noise", "noise": {"kind": "two-point", "v": [0.5, 0.0, 0.0, 0.5]}},
+            {
+                "mode": "additive-noise",
+                "noise": {"kind": "symmetrized-pareto", "x_m": 0.5, "tail_index": 2.0, "moment_order": 1.5},
+            },
+            {"mode": "additive-noise", "noise": {"kind": "gaussian", "scale": 0.5}},
+            {"mode": "batch-subsample", "batch_size": 5},
+        ],
+        ids=["sphere-bounded", "two-point", "symmetrized-pareto", "gaussian", "batch-subsample"],
+    )
+    def test_chunk_plan_bounds_the_predrawn_bytes(self, oracle, monkeypatch):
+        # a 40 KiB budget: a chunk holds 32 of these runs (batch: 26), fewer in full mode
+        monkeypatch.setattr(montecarlo, "CHUNK_PREDRAW_BYTES", 40 << 10)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        doc = preset_config("sgd-bounded")
+        doc["oracle"] = oracle
+        if oracle["mode"] == "batch-subsample":
+            doc["cost"] = {"name": "batch-logistic", "m": 12, "dim": 4, "dataset_seed": 4}
+            doc["method"] = {"kind": "vanilla", "step": {"kind": "constant", "c": 0.2}}
+        doc["ensemble"]["horizon_T"] = 40
+        config = parse_config(doc).run_config
+        for N, workers, record_full in [(5, 2, False), (100, 1, False), (100, 3, False), (100, 8, True), (7, 8, True)]:
+            bounds, processes = montecarlo.chunk_plan(config, N, workers, record_full)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == N and sizes.min() >= sizes.max() - 1 >= 0
+            if len(sizes) > 1:  # a split plan gives every worker as many chunks
+                assert len(sizes) % workers == 0
+            assert processes == min(workers, 8, len(sizes))
+            for lo, hi in zip(bounds, bounds[1:]):
+                block = config.oracle.randomness_block(config.seed, np.arange(lo, hi), 39)
+                predrawn = montecarlo.predraw_bytes(config, hi - lo, record_full)
+                assert predrawn == block.nbytes + (16 * 40 * (hi - lo) if record_full else 0)
+                assert predrawn <= montecarlo.CHUNK_PREDRAW_BYTES
+        assert montecarlo.chunk_plan(config, 5, 2) == ([0, 5], 1)  # one small chunk stays serial
+        assert len(montecarlo.chunk_plan(config, 100, 3)[0]) - 1 == 6  # 4 chunks fit, 6 share 3 workers
+
+    def test_full_mode_holds_no_more_than_predraw_bytes_counts(self, monkeypatch):
+        # full mode adds grad_norm_sq and, in the invariant check, its running
+        # minimum; a transposed copy of it, or the block kept alive through
+        # the check, would go beyond what predraw_bytes adds for it.  Small
+        # slabs keep randomness_block's own buffers out of both peaks.
+        monkeypatch.setattr(oracles, "_SLAB_RAW_BYTES", 1 << 14)
+        doc = preset_config("csgd-pareto")
+        doc["ensemble"]["horizon_T"] = 2000
+        config = parse_config(doc).run_config
+        n = 128
+        peak = {}
+        for record_full in (False, True):
+            tracemalloc.start()
+            try:
+                simulate_runs(config, np.arange(n), record_full=record_full)
+                peak[record_full] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        added = montecarlo.predraw_bytes(config, n, True) - montecarlo.predraw_bytes(config, n)
+        assert peak[True] - peak[False] <= added, (peak, added)
 
     def test_large_single_chunk_ensemble_runs_one_chunk_per_worker(self, inline_pool):
         T = 1024

@@ -338,6 +338,45 @@ def test_row_sums_equal_numpy_mean_and_var_bitwise(n, d):
     assert _row_sums(zeros).tobytes() == zeros.sum(axis=0).tobytes()
 
 
+def _clip_by_scale(g, gamma, axis=-1):
+    """Clipping as one product with a scale of 1.0 for the rows not clipped,
+    and the infinite-norm fix-up; clip_rows must give these bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.sum(np.moveaxis(g, axis, -1) ** 2, axis=-1))
+        scale = np.ones_like(norms)
+        over = norms > gamma
+        scale[over] = gamma / norms[over]
+        out = g * np.expand_dims(scale, axis)
+    huge = np.isinf(norms)
+    if np.any(huge):
+        rows = np.moveaxis(g, axis, -1)[huge]
+        rows = np.where(np.isinf(rows).any(axis=-1, keepdims=True), np.sign(rows) * np.isinf(rows), rows)
+        unit = rows / np.abs(rows).max(axis=-1, keepdims=True)
+        np.moveaxis(out, axis, -1)[huge] = unit * (gamma / np.sqrt(np.sum(unit * unit, axis=-1)))[:, None]
+    return out, over
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 9])
+@pytest.mark.parametrize("gamma", [0.5, 3.0, 1e6])
+def test_clip_rows_equals_the_scale_product_bit_for_bit(d, gamma):
+    # clip_rows' bits are those of the product with a scale that is 1.0 on
+    # the rows not clipped, rows of infinite norm, with NaN and with -0.0 included
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((5000, d)) * 10.0 ** rng.integers(-3, 4, (5000, 1))
+    specials = np.array([np.inf, -np.inf, np.nan, 1e200, -0.0, 5e-324])
+    mask = rng.random(g.shape) < 0.02
+    g[mask] = rng.choice(specials, mask.sum())
+    before = g.tobytes()
+    want, want_over = _clip_by_scale(g, gamma)
+    for axis, data in ((-1, g), (0, np.ascontiguousarray(g.T))):
+        out, over = clip_rows(data, gamma, axis=axis)
+        got = out if axis == -1 else out.T
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), axis
+        np.testing.assert_array_equal(over, want_over)
+    assert g.tobytes() == before  # the input is not changed
+    assert 0 < want_over.sum() < len(g)
+
+
 @pytest.mark.parametrize("d", [2, 4, 9])
 def test_clip_rows_of_columns_equals_rows(d):
     rng = np.random.default_rng(d)
