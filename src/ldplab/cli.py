@@ -1,7 +1,9 @@
 """Command-line orchestration: simulate, tail, fit, verify, rates, compare-sota, report.
 
 Exit codes: 0 success, 2 configuration/usage error (any argument the
-library rejects), 3 IO error, 4 insufficient data, 5 verification failure.
+library rejects, and a request too large for memory), 3 IO error, 4
+insufficient data, 5 verification failure, 128 + n when stopped by signal n
+(SIGINT, SIGTERM or SIGHUP), after removing any temporary file.
 
 All CSV output is UTF-8 with a header row, '.' decimal separator and LF line
 endings; the first line is a '#' comment carrying the tool version, the
@@ -17,6 +19,7 @@ import contextlib
 import csv
 import json
 import os
+import signal
 import sys
 import warnings
 
@@ -740,11 +743,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the signals that stop a command: each unwinds like Ctrl-C, so temporary
+# files are removed and an ensemble's workers are stopped
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+
+
+class _Interrupted(KeyboardInterrupt):
+    """A stop signal, raised in the main thread wherever it was; args[0] is its number."""
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted(signum)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    previous = {}  # the handlers to restore; a signal ignored from the start (nohup) stays ignored
+    for sig in _STOP_SIGNALS:
+        if signal.getsignal(sig) not in (signal.SIG_IGN, None):
+            previous[sig] = signal.signal(sig, _interrupt)
     try:
         return args.func(args)
+    except _Interrupted as e:
+        print(f"interrupted by {signal.Signals(e.args[0]).name}", file=sys.stderr)
+        return 128 + e.args[0]
+    except MemoryError as e:
+        request = " ".join(sys.argv[1:] if argv is None else argv)
+        print(f"error: not enough memory for {request!r}: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except InsufficientDataError as e:
         print(f"insufficient data: {e}", file=sys.stderr)
         return EXIT_INSUFFICIENT
@@ -754,6 +781,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import collections
 import math
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,12 +110,21 @@ def ensemble_chunks(config: RunConfig, N: int, workers: int = 1, record_full: bo
     from (config.seed, run_index) only, so the runs are bit-identical for
     every chunk layout and ``workers`` setting.  At most two chunks per
     worker, plus one, are submitted and not yet taken, so the caller holds
-    O(chunk) results at a time whatever N is; closing the generator cancels
-    the chunks that have not started.
+    O(chunk) results at a time whatever N is; closing the generator, or an
+    exception while it waits, stops the workers and every chunk not done.
     """
     bounds, processes = chunk_plan(config, N, workers, record_full)
     jobs = [(config, lo, hi, record_full) for lo, hi in zip(bounds, bounds[1:])]
     return _chunk_results(jobs, processes)
+
+
+def _leave_signals_to_parent():
+    """A chunk worker's initializer: the parent handles Ctrl-C and stops its
+    workers, so a worker ignores SIGINT and ends at once, with no traceback,
+    on SIGTERM or SIGHUP, whose handlers it inherited from the parent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for sig in (signal.SIGTERM, signal.SIGHUP):
+        signal.signal(sig, signal.SIG_DFL)
 
 
 def _chunk_results(jobs, workers: int):
@@ -123,7 +133,7 @@ def _chunk_results(jobs, workers: int):
             yield _chunk_job(job)
         return
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx, initializer=_leave_signals_to_parent) as pool:
         pending = collections.deque()
         try:
             for job in jobs:
@@ -133,9 +143,14 @@ def _chunk_results(jobs, workers: int):
                     yield pending.popleft().result()
             while pending:
                 yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+        except BaseException:
+            # an interrupt, a failed chunk or a caller that closed the
+            # generator: the running chunks are stopped, not waited for, and
+            # the broken pool fails the rest (the executor has no public way
+            # to stop its workers before Python 3.14)
+            for proc in list(pool._processes.values()):
+                proc.terminate()
+            raise
 
 
 def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> EnsembleArrays:
@@ -385,8 +400,10 @@ def _suite_mgf_bounded(n_samples, seed) -> LemmaSuiteReport:
     checks = []
     for k, noise in enumerate(_MGF_NOISES):
         M = noise.noise_constants()["M"]
-        z = noise.sample_block(run_generator(seed, k), n_samples)
-        vals = np.exp(sq_norms(z) / M**2)
+        # drawn chunk by chunk into the one (n,) array numpy's mean and std reduce
+        vals = np.empty(n_samples)
+        for lo, z in noise.sample_chunks(run_generator(seed, k), n_samples):
+            vals[lo : lo + len(z)] = np.exp(sq_norms(z) / M**2)
         est = float(vals.mean())
         se = float(vals.std() / math.sqrt(n_samples))
         checks.append(_check(f"{noise.kind} M={M:g}", est, math.e, se))
@@ -401,10 +418,11 @@ def _suite_mgf_inner(n_samples, seed) -> LemmaSuiteReport:
         M = noise.noise_constants()["M"]
         rng = run_generator(seed, 1000 + k)
         dirs = _unit_rows(rng.standard_normal((_MGF_DIRECTIONS, noise.dim)))
-        z = noise.sample_block(rng, n_samples)
-        proj = z @ dirs.T  # (n, _MGF_DIRECTIONS)
+        z = np.empty((n_samples, noise.dim))
+        for lo, block in noise.sample_chunks(rng, n_samples):
+            z[lo : lo + len(block)] = block
         radii = [mult / M for mult in _MGF_NORM_MULTIPLIERS]
-        means, stds = _mgf_grid_moments(proj, radii)
+        means, stds = _mgf_grid_moments(z, dirs, radii)
         for mult, r, est, std in zip(_MGF_NORM_MULTIPLIERS, radii, means, stds):
             se = std / math.sqrt(n_samples)
             worst = int(np.argmax(est - 5.0 * se))
@@ -492,10 +510,11 @@ def _suite_batch_bound(n_queries, seed) -> LemmaSuiteReport:
         violations = 0
         total = 0
         for x in x_points:
-            g = oracle.query_block(x, rng, per_combo)
-            dev = np.linalg.norm(g - cost.gradient(x), axis=1)
-            worst = max(worst, float(dev.max()))
-            violations += int(np.sum(dev > bound))
+            grad = cost.gradient(x)
+            for _, g in oracle.output_blocks(x, rng, per_combo):
+                dev = np.linalg.norm(g - grad, axis=1)
+                worst = max(worst, float(dev.max()))
+                violations += int(np.sum(dev > bound))
             total += per_combo
         checks.append(
             _check(

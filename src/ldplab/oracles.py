@@ -12,16 +12,17 @@ Every model carries a certified statistical property: an almost-sure norm
 bound M, or a closed-form bound sigma^p on the p-th moment.
 
 ``OracleSpec`` draws every query: ``randomness_block`` an ensemble's, each
-run from its own stream, and ``query_block`` n at one point, for the probes;
-a mode only sizes, transforms and applies them.  A draw is split in two.
-The *raw draw* fills float64 buffers from a stream, always in the same
-order: every standard normal of the block first, then every uniform on
-[0, 1).  ``raw_widths`` says how many of each one query consumes.  The
-*transform* (unit rows, signs, Pareto radii, argsort) is a pure function of
-those buffers and works over any leading shape, so a slab of many runs,
-each filled from its own stream, is transformed in one call with the same
-bytes as transforming each run alone.  ``NoiseModel.sample_block`` is the
-same split, for the suites that audit a noise model alone.
+run from its own stream, and ``output_blocks`` n at one point, block by
+block, for the probes; a mode only sizes, transforms and applies them.
+A draw is split in two.  The *raw draw* fills float64 buffers from a
+stream, always in the same order: every standard normal of the block
+first, then every uniform on [0, 1).  ``raw_widths`` says how many of each
+one query consumes.  The *transform* (unit rows, signs, Pareto radii,
+argsort) is a pure function of those buffers and works over any leading
+shape, so a slab of many runs, each filled from its own stream, is
+transformed in one call with the same bytes as transforming each run
+alone.  ``NoiseModel.sample_block`` is the same split, for the suites that
+audit a noise model alone.
 """
 
 from __future__ import annotations
@@ -43,12 +44,19 @@ from .costs import (
 )
 from .rng import StreamPool
 
-_PROBE_CHUNK = 1 << 16  # queries per draw of query_block
+_PROBE_CHUNK = 1 << 16  # queries per draw of output_blocks and sample_chunks
+# raw variate bytes per row sub-block of a probe chunk: bounds its transform's
+# and outputs' temporaries, such as the batch oracle's argsort and gather
+_OUTPUT_BLOCK_BYTES = 1 << 20
 # raw variate bytes per slab of runs in randomness_block: bounds the slab's
 # buffers and its transform's temporaries, not the block it returns
 _SLAB_RAW_BYTES = 1 << 22
 _SUM_BLOCK_ROWS = 1 << 14  # rows per block of _row_sums
 _MGF_BLOCK_ROWS = 2048  # rows of the MGF grid per block: (2048, 6, 8) float64 is 768 KiB
+# rows per projection block of _mgf_grid_moments, (2^13, 8) float64 or 512 KiB:
+# OpenBLAS runs a product this small on one thread, where the whole (n, 8)
+# product woke a second thread that spun for about as long as the first worked
+_PROJECTION_ROWS = 1 << 13
 PROBE_MIN_SAMPLES = 10**5  # fewest samples clipping_bias_probe accepts
 _PROBE_DIRECTIONS = 8  # directions of clipping_bias_probe's MGF grid
 
@@ -94,6 +102,16 @@ class NoiseModel:
         of different sizes need not share a prefix, since symmetrized-pareto
         draws all n normals before the n uniforms."""
         return self.transform(*_raw_draw(rng, self.raw_widths(), n))
+
+    def sample_chunks(self, rng: np.random.Generator, n: int):
+        """``sample_block(rng, n)`` as (lo, block) pairs in order, each block
+        rows lo.. of it, of at most _PROBE_CHUNK rows, bit for bit.  The
+        stream continues across draws, so only a noise that draws one kind of
+        variate can be split: ValueError for one that draws both normals and
+        uniforms, whose one draw takes every normal before any uniform."""
+        if min(self.raw_widths()) > 0:
+            raise ValueError(f"{self.kind} noise draws normals and uniforms, so its draw cannot be split")
+        return ((lo, self.sample_block(rng, min(_PROBE_CHUNK, n - lo))) for lo in range(0, n, _PROBE_CHUNK))
 
     def noise_constants(self) -> dict:
         """The certified constants: {'M': a.s. bound on ||z||} or
@@ -313,16 +331,31 @@ class OracleSpec:
         """
         raise NotImplementedError
 
-    def query_block(self, x, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent oracle outputs at a fixed point; shape (n, dim).
-        Each chunk of _PROBE_CHUNK queries is one ``_raw_draw`` from ``rng``."""
+    def output_blocks(self, x, rng: np.random.Generator, n: int):
+        """n independent oracle outputs at a fixed point, as (lo, block) pairs
+        in order: block holds outputs lo.., shape (rows, dim).
+
+        Each chunk of _PROBE_CHUNK queries is one ``_raw_draw`` from ``rng``.
+        Its transform and outputs are computed in row sub-blocks of about
+        _OUTPUT_BLOCK_BYTES of raw variates; every step is row-wise, so the
+        bits do not depend on the blocks.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.cost.dim,):
             raise ValueError(f"query point must have shape ({self.cost.dim},)")
-        out = np.empty((n, self.cost.dim))
+        widths = self.raw_widths()
+        rows = max(1, _OUTPUT_BLOCK_BYTES // (8 * sum(widths)))
         for lo in range(0, n, _PROBE_CHUNK):
-            hi = min(lo + _PROBE_CHUNK, n)
-            out[lo:hi] = self.outputs_at(x, self.transform(*_raw_draw(rng, self.raw_widths(), hi - lo)))
+            normals, uniforms = _raw_draw(rng, widths, min(_PROBE_CHUNK, n - lo))
+            for a in range(0, len(normals), rows):
+                yield lo + a, self.outputs_at(x, self.transform(normals[a : a + rows], uniforms[a : a + rows]))
+
+    def query_block(self, x, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n independent oracle outputs at a fixed point; shape (n, dim): the
+        blocks of ``output_blocks`` in one array."""
+        out = np.empty((n, self.cost.dim))
+        for lo, block in self.output_blocks(x, rng, n):
+            out[lo : lo + len(block)] = block
         return out
 
     def outputs_at(self, x: np.ndarray, randomness: np.ndarray) -> np.ndarray:
@@ -467,32 +500,42 @@ def _row_sums(rows: np.ndarray, square: bool = False) -> np.ndarray:
     return buf[:, 0].copy()
 
 
-def _mgf_grid_moments(proj: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard deviation over the rows of exp(s * proj), per scale s.
+def _mgf_grid_moments(rows: np.ndarray, dirs: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation over the rows of exp(s * rows @ dirs.T), per scale s.
 
-    ``proj`` has shape (n, d); both results have shape (len(scales), d), and
-    row j equals ``np.exp(scales[j] * proj).mean(axis=0)`` and ``.std(axis=0)``
-    bit for bit: row blocks streamed through one cache-sized buffer, with the
-    running sum carried in its row 0, are added in order, as numpy adds rows.
-    The second pass recomputes exp to sum the squared deviations from the
-    mean, as numpy's var does, instead of storing the (n, scales, d) grid.
+    ``rows`` has shape (n, dim) and ``dirs`` (k, dim); both results have
+    shape (len(scales), k), and row j equals
+    ``np.exp(scales[j] * (rows @ dirs.T)).mean(axis=0)`` and ``.std(axis=0)``
+    bit for bit.  Each pass projects one block of _PROJECTION_ROWS rows at a
+    time, so no (n, k) array is held.  No block has a single row unless n is
+    1: a one-row product takes BLAS's matrix-vector path, whose bits differ
+    from the rows of a matrix product.  A block's rows stream through one
+    cache-sized buffer, with the running sum carried in its row 0, and are
+    added in order, as numpy adds rows.  The second pass recomputes exp to
+    sum the squared deviations from the mean, as numpy's var does, instead
+    of storing the (n, scales, k) grid.
     """
-    n, d = proj.shape
+    n = len(rows)
     scales = np.asarray(scales, dtype=np.float64)
-    buf = np.empty((min(n, _MGF_BLOCK_ROWS) + 1, scales.size, d))
+    bounds = list(range(0, n, _PROJECTION_ROWS)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]  # a last block of one row joins the block before it
+    buf = np.empty((min(n, _MGF_BLOCK_ROWS) + 1, scales.size, len(dirs)))
 
     def column_mean(center=None):
         buf[0] = 0.0
-        for lo in range(0, n, _MGF_BLOCK_ROWS):
-            m = min(_MGF_BLOCK_ROWS, n - lo)
-            block = buf[1 : m + 1]
-            for j, s in enumerate(scales):  # one (m, d) product per scale beats a 3-D broadcast
-                np.multiply(proj[lo : lo + m], s, out=block[:, j])
-            np.exp(block, out=block)
-            if center is not None:
-                np.subtract(block, center, out=block)
-                np.multiply(block, block, out=block)
-            buf[0] = buf[: m + 1].sum(axis=0)
+        for block_lo, block_hi in zip(bounds, bounds[1:]):
+            proj = rows[block_lo:block_hi] @ dirs.T
+            for lo in range(0, len(proj), _MGF_BLOCK_ROWS):
+                m = min(_MGF_BLOCK_ROWS, len(proj) - lo)
+                block = buf[1 : m + 1]
+                for j, s in enumerate(scales):  # one (m, k) product per scale beats a 3-D broadcast
+                    np.multiply(proj[lo : lo + m], s, out=block[:, j])
+                np.exp(block, out=block)
+                if center is not None:
+                    np.subtract(block, center, out=block)
+                    np.multiply(block, block, out=block)
+                buf[0] = buf[: m + 1].sum(axis=0)
         return buf[0] / n
 
     mean = column_mean()
@@ -537,7 +580,9 @@ def clipping_bias_probe(
     directions, so the bias fields equal the full probe's on the same stream;
     ``margins`` then has shape (_PROBE_DIRECTIONS, 0).  The mean and variance
     of the clipped outputs are those of numpy's ``mean``/``var(axis=0)``, bit
-    for bit, summed by ``_row_sums``.
+    for bit, summed by ``_row_sums``.  The probe holds one (num_samples, dim)
+    array: each block of ``output_blocks`` is clipped into it, and it is
+    centred in place.
     """
     positive_param("gamma", gamma)
     if num_samples < PROBE_MIN_SAMPLES:
@@ -558,18 +603,18 @@ def clipping_bias_probe(
     dirs = _unit_rows(rng.standard_normal((_PROBE_DIRECTIONS, oracle.cost.dim)))
     scales = np.asarray(scale_multipliers, dtype=np.float64) / (2.0 * gamma)
 
-    clipped = clip_rows(oracle.query_block(x, rng, num_samples), gamma)[0]
-
-    mean_clipped = _row_sums(clipped) / num_samples
-    theta = clipped - mean_clipped
+    theta = np.empty((num_samples, oracle.cost.dim))
+    for lo, block in oracle.output_blocks(x, rng, num_samples):
+        theta[lo : lo + len(block)] = clip_rows(block, gamma)[0]
+    mean_clipped = _row_sums(theta) / num_samples
+    theta -= mean_clipped  # the centred outputs, with the bits of clipped - mean_clipped
     bias_norm = float(np.linalg.norm(mean_clipped - grad))
     bias_se = float(np.sqrt(np.sum(_row_sums(theta, square=True) / num_samples) / num_samples))
 
     margins = np.empty((_PROBE_DIRECTIONS, scales.size))
     margin_ses = np.empty_like(margins)
     if scales.size:
-        proj = theta @ dirs.T  # (n, _PROBE_DIRECTIONS)
-        est, std = _mgf_grid_moments(proj, scales)
+        est, std = _mgf_grid_moments(theta, dirs, scales)
         for j, s in enumerate(scales):
             margins[:, j] = np.log(est[j]) - 3.0 * gamma**2 * s**2
             margin_ses[:, j] = std[j] / (est[j] * np.sqrt(num_samples))

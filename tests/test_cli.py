@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -461,6 +462,16 @@ def test_verify_bad_enum_t_max_rejected_before_any_suite(t_max, tmp_path, capsys
     assert "==" not in captured.out  # no suite header
     assert captured.err.startswith("error: --enum-t-max") and captured.err.count("\n") == 1
     assert not vdir.exists()
+
+
+def test_verify_request_too_large_for_memory_is_exit_2(tmp_path, capsys):
+    # 10^15 samples need petabytes, which no machine can allocate
+    argv = ["verify", "mgf-bounded", "--samples", str(10**15), "--out", str(tmp_path / "verify")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: not enough memory for 'verify mgf-bounded --samples {10**15} --out ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "verify").exists()
 
 
 def test_verify_help_names_the_registry_suites(monkeypatch, capsys):
@@ -966,6 +977,88 @@ def test_tail_and_report_peak_memory_is_flat_in_the_run_count(tmp_path):
             peak_mib[argv[0], n_runs] = _peak_rss_mib(argv)
     for command in ("tail", "report"):
         assert abs(peak_mib[command, 2**18] - peak_mib[command, 2**14]) < 2.0, peak_mib
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_verify_peak_memory_is_bounded_in_the_sample_count():
+    # the MGF suites hold the d = 2 coordinates of each sample, 16 bytes, so
+    # 7 * 10^5 more samples add about 11 MiB; an (n, 8) projection and
+    # full-size draw temporaries added about 107 MiB
+    argv = ["verify", "mgf-inner", "mgf-bounded", "--samples"]
+    small, large = (_peak_rss_mib([*argv, str(n)]) for n in (10**5, 8 * 10**5))
+    assert large - small < 24.0, (small, large)
+
+
+def _children(pid: int) -> list:
+    """The pids whose parent is pid, read from /proc."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # not a process, or one that has exited
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(entry))
+    return kids
+
+
+def _is_running(pid: int) -> bool:
+    """True while pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the worker pids from /proc")
+@pytest.mark.parametrize("signame", ["SIGTERM", "SIGHUP", "SIGINT"])
+def test_stop_signal_unwinds_simulate(signame, tmp_path):
+    # a signal after the first chunk of 64 at --workers 2: one line and exit
+    # 128 + n, no temporary file, the earlier result untouched and no worker
+    # left running
+    signum = getattr(signal, signame)
+    out = tmp_path / "out"
+    doc = preset_config("appendix-f")
+    for n_runs in (2**12, 2**20):
+        doc["ensemble"]["n_runs"] = n_runs
+        (tmp_path / f"{n_runs}.json").write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(tmp_path / "4096.json"), "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    argv = ["simulate", "--config", str(tmp_path / f"{2**20}.json"), "--out", str(out), "--workers", "2", "--force"]
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from ldplab.cli import main; sys.exit(main())", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL,
+            stderr=err,
+            start_new_session=True,
+        )
+        try:
+            tmp = out / "trajsummary.csv.tmp"
+            deadline = time.monotonic() + 30
+            while not (tmp.exists() and tmp.stat().st_size > 1000):  # more than the head: a chunk's rows
+                assert proc.poll() is None and time.monotonic() < deadline, "no chunk was written"
+                time.sleep(0.002)
+            workers = _children(proc.pid)
+            proc.send_signal(signum)
+            assert proc.wait(timeout=5) == 128 + signum
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        err.seek(0)
+        assert err.read() == f"interrupted by {signame}\n"
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+    deadline = time.monotonic() + 2
+    while any(_is_running(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    running = [pid for pid in workers if _is_running(pid)]
+    for pid in running:  # an orphan would outlive the test
+        os.kill(pid, signal.SIGKILL)
+    assert running == []
 
 
 def test_commands_run_without_scipy(tiny_config):

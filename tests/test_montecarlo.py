@@ -241,7 +241,7 @@ def inline_pool(monkeypatch):
     started = []
 
     class InlinePool:
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer):
             self.chunks = []
             started.append((max_workers, self.chunks))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ldplab.oracles import (
     SymmetrizedParetoNoise,
     TwoPointNoise,
     _MGF_BLOCK_ROWS,
+    _PROBE_CHUNK,
+    _PROJECTION_ROWS,
     _SCALE_MULTIPLIERS,
     _SUM_BLOCK_ROWS,
     _mgf_grid_moments,
@@ -203,6 +206,23 @@ class TestQuery:
         if mode == "additive-noise":  # one draw of 150 takes the uniforms later in the stream
             assert not np.array_equal(got, chunk(run_generator(6, 0), 150))
 
+    @pytest.mark.parametrize("mode", ["additive-noise", "batch-subsample"])
+    def test_outputs_in_row_sub_blocks_equal_one_block(self, mode, monkeypatch):
+        # sub-blocks of 3 rows, the last of a 100-query chunk a single row,
+        # against each chunk transformed whole
+        monkeypatch.setattr(oracles, "_PROBE_CHUNK", 100)
+        x = np.array([0.4, -0.1, 0.3])
+        if mode == "additive-noise":
+            noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=3.0, moment_order=1.5, dim=3)
+            oracle = AdditiveOracle(cost=HuberCost(1.0, 3), noise=noise)
+        else:
+            oracle = BatchSubsampleOracle(cost=synthetic_logistic_cost(m=12, dim=3, dataset_seed=8), batch_size=4)
+        whole = oracle.query_block(x, run_generator(6, 1), 250)
+        monkeypatch.setattr(oracles, "_OUTPUT_BLOCK_BYTES", 3 * 8 * sum(oracle.raw_widths()))
+        blocks = list(oracle.output_blocks(x, run_generator(6, 1), 250))
+        assert [lo for lo, _ in blocks][:3] == [0, 3, 6] and blocks[33][0] == 99
+        assert np.concatenate([b for _, b in blocks]).tobytes() == whole.tobytes()
+
     def test_batch_size_must_be_proper_subset(self):
         cost = synthetic_logistic_cost(m=4, dim=2, dataset_seed=3)
         with pytest.raises(ValueError):
@@ -227,6 +247,26 @@ class TestQuery:
             outs = oracle.query_block(x, rng, 2000)
             dev = np.linalg.norm(outs - cost.gradient(x), axis=1)
             assert np.all(dev <= oracle.noise_constants()["M"])
+
+
+@pytest.mark.parametrize("model", [m for m in _NOISE_MODELS if min(m.raw_widths()) == 0], ids=lambda m: m.kind)
+@pytest.mark.parametrize("chunk", [100, _PROBE_CHUNK])
+def test_sample_chunks_equal_one_sample_block(model, chunk, monkeypatch):
+    # a noise that draws one kind of variate continues its stream across
+    # draws, so chunks of it are one sample_block bit for bit
+    monkeypatch.setattr(oracles, "_PROBE_CHUNK", chunk)
+    n = 2 * chunk + 3
+    chunks = list(model.sample_chunks(run_generator(12, 0), n))
+    assert [lo for lo, _ in chunks] == [0, chunk, 2 * chunk]
+    whole = model.sample_block(run_generator(12, 0), n)
+    assert np.concatenate([z for _, z in chunks]).tobytes() == whole.tobytes()
+
+
+def test_sample_chunks_reject_a_noise_of_two_widths():
+    # a Pareto draw takes every normal before any uniform
+    pareto = SymmetrizedParetoNoise(x_m=1.0, tail_index=3.0, moment_order=1.5, dim=2)
+    with pytest.raises(ValueError, match="symmetrized-pareto noise draws normals and uniforms"):
+        pareto.sample_chunks(run_generator(0, 0), 10)
 
 
 class TestClippingBiasProbe:
@@ -285,22 +325,42 @@ class TestClippingBiasProbe:
             assert getattr(bias, name) == getattr(full, name)
         assert bias.margins.shape == bias.margin_ses.shape == (8, 0)
 
+    def test_memory_grows_by_one_clipped_row_per_sample(self):
+        # the probe holds only its (n, 2) clipped outputs, 16 bytes a sample;
+        # an (n, 8) projection and full-size draws took about 90
+        noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=1.7, moment_order=1.2, dim=2)
+        oracle = self._oracle(noise)
+        peak = {}
+        for n in (10**5, 4 * 10**5):
+            tracemalloc.start()
+            try:
+                clipping_bias_probe(oracle, np.zeros(2), 2.0, n, run_generator(0, 6))
+                peak[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak[4 * 10**5] - peak[10**5]) / (3 * 10**5) <= 24, peak
+
 
 class TestMgfGridMoments:
+    # n = 1, and n = 0, 1, 2 and -1 mod the projection block: a last block of
+    # one row would go through BLAS's matrix-vector path, whose bits differ
     @pytest.mark.parametrize(
-        "n", [1, _MGF_BLOCK_ROWS - 1, _MGF_BLOCK_ROWS, _MGF_BLOCK_ROWS + 1, 10**5 + 3]
+        "n",
+        [1, _MGF_BLOCK_ROWS - 1, _MGF_BLOCK_ROWS, _MGF_BLOCK_ROWS + 1, 10**5 + 3]
+        + [2 * _PROJECTION_ROWS + k for k in (-1, 0, 1, 2)],
     )
     def test_equals_numpy_mean_and_std_bitwise(self, n):
-        # projections of the clipped, centred Pareto output, as in the probe
+        # the clipped, centred Pareto output and its directions, as in the probe
         noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=1.7, moment_order=1.2, dim=2)
         rng = run_generator(7, n)
         dirs = rng.standard_normal((8, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         clipped, _ = clip_rows(noise.sample_block(rng, n), 2.0)
-        proj = (clipped - clipped.mean(axis=0)) @ dirs.T
+        rows = clipped - clipped.mean(axis=0)
         scales = np.asarray(_SCALE_MULTIPLIERS) / (2.0 * 2.0)
-        mean, std = _mgf_grid_moments(proj, scales)
+        mean, std = _mgf_grid_moments(rows, dirs, scales)
         assert mean.shape == std.shape == (len(scales), 8)
+        proj = rows @ dirs.T  # the (n, 8) product in one piece
         for j, s in enumerate(scales):
             vals = np.exp(s * proj)
             assert np.array_equal(mean[j], vals.mean(axis=0))
