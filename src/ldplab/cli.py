@@ -1,9 +1,10 @@
 """Command-line orchestration: simulate, tail, fit, verify, rates, compare-sota, report.
 
 Exit codes: 0 success, 2 configuration/usage error (any argument the
-library rejects, and a request too large for memory), 3 IO error, 4
-insufficient data, 5 verification failure, 128 + n when stopped by signal n
-(SIGINT, SIGTERM or SIGHUP), after removing any temporary file.
+library rejects, a request too large for memory, and a worker process
+killed, as the out-of-memory killer does), 3 IO error, 4 insufficient data,
+5 verification failure, 128 + n when stopped by signal n (SIGINT, SIGTERM
+or SIGHUP), after removing any temporary file.
 
 All CSV output is UTF-8 with a header row, '.' decimal separator and LF line
 endings; the first line is a '#' comment carrying the tool version, the
@@ -17,11 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import os
 import signal
 import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -38,13 +41,16 @@ from .config import (
 from .costs import positive_param
 from .montecarlo import (
     LEMMA_SUITES,
+    STOP_SIGNALS,
     InsufficientDataError,
     TailEstimate,
     check_t_grid,
     ensemble_chunks,
     epsilon_index,
     fit_decay,
+    ordered_map,
     predraw_bytes,
+    suite_jobs,
     tail_from_counts,
     tail_from_first_hits,
     verify_lemma_suite,
@@ -527,23 +533,43 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _suite_job(job):
+    """One verify job, (suite, verify_lemma_suite keyword arguments), run in
+    this process: what a pool worker runs."""
+    suite, params = job
+    return verify_lemma_suite(suite, **params)
+
+
 def _cmd_verify(args) -> int:
     # the whole request is checked first, so a bad one prints no header and writes nothing
-    plan = verify_request(args.suites, args.samples, args.seed, args.enum_t_max)
+    suites = verify_request(args.suites, args.samples, args.seed, args.enum_t_max)
+    plan = [(suite, suite_jobs(suite, params)) for suite, params in suites]
+    # every job of the request goes through one pool, on up to the usable
+    # CPUs; each job draws from its own streams, so the output is the same
+    # on any number of processes
+    jobs = [(suite, params) for suite, suite_params in plan for params in suite_params]
+    ends = set(itertools.accumulate(len(suite_params) for _, suite_params in plan))  # each suite's last job
     all_pass = True
     csv_rows = []
-    for suite, params in plan:
-        print(f"== {suite}")
-        report = verify_lemma_suite(suite, **params)
-        for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            slack = f"{(c.empirical - c.bound) / c.se:+.2f} SE" if c.se > 0 else "hard"
-            print(
-                f"  [{status}] {c.label}: empirical={c.empirical:.6g} "
-                f"bound={c.bound:.6g} ({slack})"
-            )
-            csv_rows.append([suite, c.label, c.empirical, c.bound, c.se, c.passed])
-        all_pass &= report.passed
+    checks = []
+    reports = ordered_map(_suite_job, jobs, len(jobs))
+    # reports first: zip then runs the pool's generator to its end, which shuts the pool down
+    with contextlib.closing(reports):
+        for n, (report, (suite, _)) in enumerate(zip(reports, jobs), start=1):
+            checks += report.checks
+            if n not in ends:
+                continue
+            print(f"== {suite}")
+            for c in checks:
+                status = "PASS" if c.passed else "FAIL"
+                slack = f"{(c.empirical - c.bound) / c.se:+.2f} SE" if c.se > 0 else "hard"
+                print(
+                    f"  [{status}] {c.label}: empirical={c.empirical:.6g} "
+                    f"bound={c.bound:.6g} ({slack})"
+                )
+                csv_rows.append([suite, c.label, c.empirical, c.bound, c.se, c.passed])
+                all_pass &= c.passed
+            checks = []
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -743,11 +769,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the signals that stop a command: each unwinds like Ctrl-C, so temporary
-# files are removed and an ensemble's workers are stopped
-_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
-
-
 class _Interrupted(KeyboardInterrupt):
     """A stop signal, raised in the main thread wherever it was; args[0] is its number."""
 
@@ -759,8 +780,9 @@ def _interrupt(signum, frame):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    request = " ".join(sys.argv[1:] if argv is None else argv)
     previous = {}  # the handlers to restore; a signal ignored from the start (nohup) stays ignored
-    for sig in _STOP_SIGNALS:
+    for sig in STOP_SIGNALS:  # each unwinds like Ctrl-C: temporary files are removed, workers stopped
         if signal.getsignal(sig) not in (signal.SIG_IGN, None):
             previous[sig] = signal.signal(sig, _interrupt)
     try:
@@ -769,8 +791,10 @@ def main(argv=None) -> int:
         print(f"interrupted by {signal.Signals(e.args[0]).name}", file=sys.stderr)
         return 128 + e.args[0]
     except MemoryError as e:
-        request = " ".join(sys.argv[1:] if argv is None else argv)
         print(f"error: not enough memory for {request!r}: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenProcessPool:  # the out-of-memory killer, or a signal to a worker alone
+        print(f"error: a worker process of {request!r} was killed", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientDataError as e:
         print(f"insufficient data: {e}", file=sys.stderr)

@@ -11,13 +11,17 @@ with Wilson score intervals.
 from __future__ import annotations
 
 import collections
+import ctypes
 import math
 import os
 import signal
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from fractions import Fraction
 import multiprocessing
+import multiprocessing.connection
 
 import numpy as np
 
@@ -55,6 +59,10 @@ CHUNK_PREDRAW_BYTES = 96 << 20
 # tens of milliseconds.
 _SPLIT_MIN_RUN_STEPS = 1 << 20
 _WILSON_Z = 1.959963984540054  # Wilson 95% z: the float64 normal quantile ndtri(0.5 + 0.95 / 2.0), bit for bit
+_PR_SET_PDEATHSIG = 1  # prctl option from <linux/prctl.h>: the signal a process gets when its parent dies
+# the signals that stop a command; a pool's workers leave them to the parent
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+_WORKER_POLL_S = 0.1  # how often a wait for a pool's result checks that its workers live
 
 
 class InsufficientDataError(ValueError):
@@ -76,22 +84,30 @@ def predraw_bytes(config: RunConfig, n_runs: int, record_full: bool = False) -> 
     return n_runs * ((T - 1) * config.oracle.query_nbytes() + (16 * T if record_full else 0))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` and cgroup cpusets narrow it), else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def chunk_plan(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> tuple[list, int]:
     """The chunk plan of ``ensemble_chunks`` as (bounds, processes): chunk k
-    is the runs bounds[k]..bounds[k + 1] - 1, run by min(workers, CPUs,
-    chunks) processes.
+    is the runs bounds[k]..bounds[k + 1] - 1, run by min(workers,
+    usable_cpus(), chunks) processes.
 
     A chunk holds at most ENSEMBLE_CHUNK runs and CHUNK_PREDRAW_BYTES of
     ``predraw_bytes`` (one run at least, whatever its bytes).  One chunk
     that fits is the plan, unless the ensemble has at least
     _SPLIT_MIN_RUN_STEPS run-steps.  Otherwise the runs are cut evenly into
     the fewest chunks that fit whose number is a multiple of min(workers,
-    CPUs), so that no worker gets an extra chunk, or into N chunks of one
-    run if there are fewer runs.  N and workers are checked first.
+    usable_cpus()), so that no worker gets an extra chunk, or into N chunks
+    of one run if there are fewer runs.  N and workers are checked first.
     """
     int_param("N", N)
     int_param("workers", workers)
-    usable = min(workers, os.cpu_count() or 1)
+    usable = min(workers, usable_cpus())
     per_run = max(1, predraw_bytes(config, 1, record_full))
     most = max(1, min(ENSEMBLE_CHUNK, CHUNK_PREDRAW_BYTES // per_run))
     n_chunks = -(-N // most)
@@ -108,49 +124,108 @@ def ensemble_chunks(config: RunConfig, N: int, workers: int = 1, record_full: bo
     ``chunk_plan(config, N, workers, record_full)``, which checks N and
     workers when this is called, before any chunk runs.  Streams are derived
     from (config.seed, run_index) only, so the runs are bit-identical for
-    every chunk layout and ``workers`` setting.  At most two chunks per
-    worker, plus one, are submitted and not yet taken, so the caller holds
-    O(chunk) results at a time whatever N is; closing the generator, or an
-    exception while it waits, stops the workers and every chunk not done.
+    every chunk layout and ``workers`` setting.  The chunks go through
+    ``ordered_map``, so the caller holds O(chunk) results at a time whatever
+    N is, and closing the generator stops the workers.
     """
     bounds, processes = chunk_plan(config, N, workers, record_full)
     jobs = [(config, lo, hi, record_full) for lo, hi in zip(bounds, bounds[1:])]
-    return _chunk_results(jobs, processes)
+    return ordered_map(_chunk_job, jobs, processes)
 
 
-def _leave_signals_to_parent():
-    """A chunk worker's initializer: the parent handles Ctrl-C and stops its
+def _leave_signals_to_parent(parent: int):
+    """A pool worker's initializer: the parent handles Ctrl-C and stops its
     workers, so a worker ignores SIGINT and ends at once, with no traceback,
-    on SIGTERM or SIGHUP, whose handlers it inherited from the parent."""
+    on SIGTERM or SIGHUP.  It is forked with STOP_SIGNALS blocked and
+    unblocks them only once it has set these, so a signal that came sooner
+    is taken this way too, never by the parent's handlers it inherited.
+
+    On Linux the kernel also sends the worker SIGTERM when the thread that
+    forked it exits, which covers a parent killed by SIGKILL; the executor
+    forks its workers from the thread of the first submit, the main thread
+    here.  A parent (pid ``parent``) that died before the worker asked for
+    that signal shows in os.getppid().  Should prctl fail, the worker is
+    stopped by its parent only.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for sig in (signal.SIGTERM, signal.SIGHUP):
-        signal.signal(sig, signal.SIG_DFL)
+        if signal.getsignal(sig) != signal.SIG_IGN:  # one the parent ignores (nohup) stays ignored
+            signal.signal(sig, signal.SIG_DFL)
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != parent:
+        os.kill(os.getpid(), signal.SIGTERM)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
 
 
-def _chunk_results(jobs, workers: int):
-    if workers == 1:
+def ordered_map(fn, jobs, workers: int):
+    """fn(job) for each job, as a generator of the results in job order, each
+    yielded once it and every earlier job have finished.
+
+    The jobs run on min(workers, usable_cpus(), len(jobs)) processes: one
+    runs them here, one at a time as the results are taken; more are forked
+    workers, to which fn is sent by name and each job and result pickled.
+    At most two jobs per worker, plus one, are submitted and not yet taken,
+    so the caller holds O(job) results at a time whatever the number of
+    jobs.  Closing the generator, or an exception while it waits, stops the
+    workers and every job not done.  A worker that dies, killed by a signal
+    or the out-of-memory killer, raises BrokenProcessPool.
+    """
+    jobs = list(jobs)
+    processes = min(workers, usable_cpus(), len(jobs))
+    if processes <= 1:
         for job in jobs:
-            yield _chunk_job(job)
+            yield fn(job)
         return
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx, initializer=_leave_signals_to_parent) as pool:
+    with ProcessPoolExecutor(
+        max_workers=processes, mp_context=ctx, initializer=_leave_signals_to_parent, initargs=(os.getpid(),)
+    ) as pool:
         pending = collections.deque()
         try:
-            for job in jobs:
-                pending.append(pool.submit(_chunk_job, job))
-                # two chunks per worker keep every worker busy while the caller takes the oldest
-                if len(pending) > 2 * workers:
-                    yield pending.popleft().result()
+            # the first submit forks the workers, with the stop signals
+            # blocked here for the moment, so that they start blocked
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+            try:
+                pending.append(pool.submit(fn, jobs[0]))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            sentinels = [proc.sentinel for proc in pool._processes.values()]
+            for job in jobs[1:]:
+                pending.append(pool.submit(fn, job))
+                # two jobs per worker keep every worker busy while the caller takes the oldest
+                if len(pending) > 2 * processes:
+                    yield _result(pending.popleft(), sentinels)
             while pending:
-                yield pending.popleft().result()
+                yield _result(pending.popleft(), sentinels)
         except BaseException:
-            # an interrupt, a failed chunk or a caller that closed the
-            # generator: the running chunks are stopped, not waited for, and
+            # an interrupt, a failed job or a caller that closed the
+            # generator: the running jobs are stopped, not waited for, and
             # the broken pool fails the rest (the executor has no public way
-            # to stop its workers before Python 3.14)
-            for proc in list(pool._processes.values()):
+            # to stop its workers before Python 3.14).  A worker stopped in
+            # the middle of sending a result cuts its message short; once
+            # this process closes its own copy of the result pipe's write
+            # end, the executor's reader gets EOF instead of waiting forever
+            # for the rest, and the pool can shut down.
+            for proc in list((pool._processes or {}).values()):
                 proc.terminate()
+            pool._result_queue._writer.close()
             raise
+
+
+def _result(future, sentinels):
+    """future.result(), or BrokenProcessPool as soon as a worker has exited
+    (its sentinel is ready).  The executor notices a dead worker only
+    between results, so one killed while it sent a result would leave the
+    executor waiting for the rest of the message, and this wait with it."""
+    while True:
+        try:
+            return future.result(timeout=_WORKER_POLL_S)
+        except TimeoutError:
+            if multiprocessing.connection.wait(sentinels, timeout=0):
+                raise BrokenProcessPool("a worker process exited while its jobs ran") from None
 
 
 def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> EnsembleArrays:
@@ -438,59 +513,63 @@ def _suite_mgf_inner(n_samples, seed) -> LemmaSuiteReport:
     return LemmaSuiteReport("mgf-inner", checks)
 
 
-def _clip_probe_grid(grad_fracs, n_samples, seed, **probe_options):
-    """Clipped-oracle probes over (p, gamma, ||grad||/gamma) combinations.
+def _clip_grid(grad_fracs) -> list:
+    """The (p, gamma, ||grad||/gamma) combinations of a clip suite, in order."""
+    return [(p, gamma, frac) for p in _CLIP_P for gamma in _CLIP_GAMMAS for frac in grad_fracs]
+
+
+def _clip_probes(grad_fracs, n_samples, seed, probe, **probe_options):
+    """Clipped-oracle probes over ``_clip_grid(grad_fracs)``, as (p, gamma,
+    frac, probe result) in grid order; probe k draws from its own
+    stream, run_generator(seed, 3000 + k), so each can run alone.  ``probe``
+    None runs them all, an index k only the k-th.
 
     ``probe_options`` go to every probe; ``scale_multipliers=()`` skips its
     MGF grid and keeps only the bias fields.
     """
-    probes = []
-    k = 0
-    for p in _CLIP_P:
+    grid = _clip_grid(grad_fracs)
+    if probe is not None and not (is_int(probe, 0) and probe < len(grid)):
+        raise ValueError(f"probe must be an integer in [0, {len(grid)}), got {probe!r}")
+    for k in range(len(grid)) if probe is None else [probe]:
+        p, gamma, frac = grid[k]
         noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=p + 0.5, moment_order=p, dim=_CLIP_DIM)
         # a ball of radius 50 holds every grid point, so grad f(x) = x exactly
         oracle = AdditiveOracle(cost=HuberCost(threshold_G=50.0, dim=_CLIP_DIM), noise=noise)
-        for gamma in _CLIP_GAMMAS:
-            for frac in grad_fracs:
-                x = np.zeros(_CLIP_DIM)
-                x[0] = frac * gamma
-                probe = clipping_bias_probe(
-                    oracle, x, gamma, n_samples, run_generator(seed, 3000 + k), **probe_options
-                )
-                probes.append((p, gamma, frac, probe))
-                k += 1
-    return probes
+        x = np.zeros(_CLIP_DIM)
+        x[0] = frac * gamma
+        yield p, gamma, frac, clipping_bias_probe(
+            oracle, x, gamma, n_samples, run_generator(seed, 3000 + k), **probe_options
+        )
 
 
-def _suite_clip_bias(n_samples, seed) -> LemmaSuiteReport:
+def _suite_clip_bias(n_samples, seed, probe=None) -> LemmaSuiteReport:
     """||E[clipped] - grad f(x)|| <= 4 sigma^p gamma^(1-p) when ||grad|| <= gamma/2."""
     checks = []
-    probes = _clip_probe_grid(_CLIP_BIAS_FRACS, n_samples, seed, scale_multipliers=())
-    for p, gamma, frac, probe in probes:
+    for p, gamma, frac, result in _clip_probes(_CLIP_BIAS_FRACS, n_samples, seed, probe, scale_multipliers=()):
         checks.append(
             _check(
                 f"p={p:g} gamma={gamma:g} ||grad||={frac:g}*gamma",
-                probe.bias_norm_estimate,
-                probe.bias_bound,
-                probe.bias_se,
+                result.bias_norm_estimate,
+                result.bias_bound,
+                result.bias_se,
             )
         )
     return LemmaSuiteReport("clip-bias", checks)
 
 
-def _suite_clip_subgauss(n_samples, seed) -> LemmaSuiteReport:
+def _suite_clip_subgauss(n_samples, seed, probe=None) -> LemmaSuiteReport:
     """log E[exp(s <u, theta>)] <= 3 gamma^2 s^2 for the centred clipped output."""
     checks = []
-    for p, gamma, frac, probe in _clip_probe_grid(_CLIP_SUBGAUSS_FRACS, n_samples, seed):
-        slack = probe.margins - 5.0 * probe.margin_ses
-        worst = np.unravel_index(int(np.argmax(slack)), probe.margins.shape)
+    for p, gamma, frac, result in _clip_probes(_CLIP_SUBGAUSS_FRACS, n_samples, seed, probe):
+        slack = result.margins - 5.0 * result.margin_ses
+        worst = np.unravel_index(int(np.argmax(slack)), result.margins.shape)
         checks.append(
             _check(
                 f"p={p:g} gamma={gamma:g} ||grad||={frac:g}*gamma "
-                f"(worst of {probe.margins.size} grid points)",
-                float(probe.margins[worst]),
+                f"(worst of {result.margins.size} grid points)",
+                float(result.margins[worst]),
                 0.0,
-                float(probe.margin_ses[worst]),
+                float(result.margin_ses[worst]),
             )
         )
     return LemmaSuiteReport("clip-subgauss", checks)
@@ -557,16 +636,18 @@ def _suite_rates(n_samples, seed) -> LemmaSuiteReport:
     return LemmaSuiteReport("rates", checks)
 
 
-# suite -> (runner, fewest samples it accepts); the only list of verify suites,
-# in the order ``verify all`` runs them
+# suite -> (runner, fewest samples it accepts, jobs); the only list of verify
+# suites, in the order ``verify all`` runs them.  A suite of n > 1 jobs is
+# one probe per job: its runner takes probe=k, k < n, to run the k-th alone.
 _LEMMA_SUITE_RUNNERS = {
-    "mgf-bounded": (_suite_mgf_bounded, 1),
-    "mgf-inner": (_suite_mgf_inner, 1),
-    "clip-bias": (_suite_clip_bias, PROBE_MIN_SAMPLES),
-    "clip-subgauss": (_suite_clip_subgauss, PROBE_MIN_SAMPLES),
-    "batch-bound": (_suite_batch_bound, 1),
-    "appendix-f-enum": (_suite_appendix_f_enum, 1),
-    "rates": (_suite_rates, 1),
+    "mgf-bounded": (_suite_mgf_bounded, 1, 1),
+    "mgf-inner": (_suite_mgf_inner, 1, 1),
+    "clip-bias": (_suite_clip_bias, PROBE_MIN_SAMPLES, len(_clip_grid(_CLIP_BIAS_FRACS))),
+    "clip-subgauss": (_suite_clip_subgauss, PROBE_MIN_SAMPLES, len(_clip_grid(_CLIP_SUBGAUSS_FRACS))),
+    # batch-bound draws every combination from one stream, so it cannot be split
+    "batch-bound": (_suite_batch_bound, 1, 1),
+    "appendix-f-enum": (_suite_appendix_f_enum, 1, 1),
+    "rates": (_suite_rates, 1, 1),
 }
 LEMMA_SUITES = tuple(_LEMMA_SUITE_RUNNERS)
 
@@ -580,7 +661,9 @@ def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801,
     'appendix-f-enum' (exact stuck-at-x_1 law, parameter t_max) and 'rates'
     (closed-form rate functions vs numerical conjugates); the last two draw
     no samples.  Precondition violations raise rather than count as
-    statistical failures.
+    statistical failures.  The suite's jobs (``suite_jobs``) run in this
+    process, one after another; the probe suites take probe=k to run only
+    their k-th probe, whose one check is the k-th of the whole suite.
     """
     if suite not in _LEMMA_SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {LEMMA_SUITES}")
@@ -613,6 +696,17 @@ def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tup
             params["t_max"] = enum_t_max
         plan.append((suite, params))
     return plan
+
+
+def suite_jobs(suite: str, params: dict) -> list[dict]:
+    """The ``verify_lemma_suite(suite, **job)`` keyword arguments of each job
+    of one suite of a ``verify_request`` plan, in order: a probe suite's n
+    probes one each, probe=0..n-1, and any other suite one job, ``params``.
+    The suite's report is its jobs' checks concatenated in this order, and
+    each job draws from its own streams, so the jobs may run in any process.
+    """
+    n_jobs = _LEMMA_SUITE_RUNNERS[suite][2]
+    return [params] if n_jobs == 1 else [dict(params, probe=k) for k in range(n_jobs)]
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,13 @@ def _raw_draw(rng: np.random.Generator, widths: tuple[int, int], n: int):
     return rng.standard_normal((n, widths[0])), rng.random((n, widths[1]))
 
 
+def _splittable(widths: tuple[int, int]) -> bool:
+    """Whether a ``_raw_draw`` of these widths may be split into consecutive
+    draws with the same bits: only one that draws one kind of variate, since
+    a stream continues across draws but one draw takes every normal first."""
+    return min(widths) == 0
+
+
 class NoiseModel:
     """Zero-mean noise with a certified bound (a.s. or moment)."""
 
@@ -109,7 +116,7 @@ class NoiseModel:
         stream continues across draws, so only a noise that draws one kind of
         variate can be split: ValueError for one that draws both normals and
         uniforms, whose one draw takes every normal before any uniform."""
-        if min(self.raw_widths()) > 0:
+        if not _splittable(self.raw_widths()):
             raise ValueError(f"{self.kind} noise draws normals and uniforms, so its draw cannot be split")
         return ((lo, self.sample_block(rng, min(_PROBE_CHUNK, n - lo))) for lo in range(0, n, _PROBE_CHUNK))
 
@@ -335,18 +342,21 @@ class OracleSpec:
         """n independent oracle outputs at a fixed point, as (lo, block) pairs
         in order: block holds outputs lo.., shape (rows, dim).
 
-        Each chunk of _PROBE_CHUNK queries is one ``_raw_draw`` from ``rng``.
-        Its transform and outputs are computed in row sub-blocks of about
-        _OUTPUT_BLOCK_BYTES of raw variates; every step is row-wise, so the
-        bits do not depend on the blocks.
+        Each chunk of _PROBE_CHUNK queries is drawn as one ``_raw_draw`` from
+        ``rng``, and its transform and outputs are computed in row sub-blocks
+        of about _OUTPUT_BLOCK_BYTES of raw variates; every step is row-wise,
+        so the bits do not depend on the blocks.  A query whose draw is
+        ``_splittable``, such as the batch oracle's, draws its chunk one
+        sub-block at a time, with the same bits.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.cost.dim,):
             raise ValueError(f"query point must have shape ({self.cost.dim},)")
         widths = self.raw_widths()
         rows = max(1, _OUTPUT_BLOCK_BYTES // (8 * sum(widths)))
-        for lo in range(0, n, _PROBE_CHUNK):
-            normals, uniforms = _raw_draw(rng, widths, min(_PROBE_CHUNK, n - lo))
+        draw = rows if _splittable(widths) else _PROBE_CHUNK
+        for lo in range(0, n, draw):
+            normals, uniforms = _raw_draw(rng, widths, min(draw, n - lo))
             for a in range(0, len(normals), rows):
                 yield lo + a, self.outputs_at(x, self.transform(normals[a : a + rows], uniforms[a : a + rows]))
 

@@ -78,7 +78,7 @@ def test_simulate_byte_identical_across_workers(tiny_config, tmp_path, monkeypat
 
     monkeypatch.setattr(montecarlo, "ENSEMBLE_CHUNK", 342)
     monkeypatch.setattr(montecarlo, "simulate_runs", marking_simulate_runs)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
     assert main(["simulate", "--config", config_path, "--out", out1, "--workers", "1"]) == 0
@@ -103,7 +103,7 @@ def test_byte_budget_chunks_write_the_bytes_of_one_chunk(tmp_path, monkeypatch, 
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "one"), "--workers", "1"]) == 0
     assert "chunks=1, predraw_mib_per_chunk=12.5)" in capsys.readouterr().out
     monkeypatch.setattr(montecarlo, "CHUNK_PREDRAW_BYTES", 1 << 20)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "many"), "--workers", "2"]) == 0
     assert "chunks=14, predraw_mib_per_chunk=0.9)" in capsys.readouterr().out
     for name in ("trajsummary.csv", "steps.csv", "meta.json"):
@@ -132,7 +132,7 @@ def test_failed_summary_write_cancels_the_chunks_not_started(workers, tiny_confi
 
     monkeypatch.setattr(montecarlo, "ENSEMBLE_CHUNK", 128)
     monkeypatch.setattr(montecarlo, "simulate_runs", marking_simulate_runs)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_summary_rows", failing_rows)
     out = doc["output"]["directory"]
     assert main(["simulate", "--config", config_path, "--workers", workers]) == 3
@@ -474,6 +474,60 @@ def test_verify_request_too_large_for_memory_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "verify").exists()
 
 
+def test_verify_request_too_large_for_memory_in_a_worker_is_exit_2(tmp_path, monkeypatch, capsys):
+    # verify all runs its jobs on two forked workers; the MemoryError of the
+    # first job is raised in a worker and reported like one raised here
+    started = []
+
+    class RecordingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+    argv = ["verify", "all", "--samples", str(10**15), "--out", str(tmp_path / "verify")]
+    assert main(argv) == 2
+    assert started == [2]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: not enough memory for 'verify all --samples {10**15} --out ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "verify").exists()
+
+
+@pytest.mark.parametrize("suite", ["rates", "appendix-f-enum"])
+def test_one_job_verify_starts_no_process(suite, tmp_path, monkeypatch):
+    # a request of one job runs in this process, whatever the CPUs
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no process may start")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+    assert main(["verify", suite, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
+def test_one_cpu_affinity_keeps_every_pool_serial():
+    # under an affinity mask of one CPU, as taskset -c 0 sets, neither the
+    # chunk plan nor verify's pool starts a worker, whatever os.cpu_count() is
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    code = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from ldplab import montecarlo\n"
+        "from ldplab.cli import main\n"
+        "from ldplab.config import parse_config, preset_config\n"
+        "def no_pool(*args, **kwargs):\n"
+        "    raise AssertionError('no process may start')\n"
+        "montecarlo.ProcessPoolExecutor = no_pool\n"
+        "assert montecarlo.usable_cpus() == 1\n"
+        "assert montecarlo.chunk_plan(parse_config(preset_config('appendix-f')).run_config, 2**20, 2)[1] == 1\n"
+        "sys.exit(main(['verify', 'mgf-bounded', 'rates', '--samples', '1000']))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_verify_help_names_the_registry_suites(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "500")  # one help line: argparse wraps at hyphens
     with pytest.raises(SystemExit) as exit_info:
@@ -755,7 +809,7 @@ def _diverging_doc():
 def test_step_table_is_worker_invariant_and_agrees_with_the_runs(make_doc, n_runs, tmp_path, monkeypatch):
     # chunks of 384 runs, forked to two workers with --workers 2
     monkeypatch.setattr(montecarlo, "ENSEMBLE_CHUNK", 384)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     doc = make_doc()
     doc["ensemble"]["n_runs"] = n_runs
     config_path = tmp_path / "config.json"
@@ -1012,6 +1066,63 @@ def _is_running(pid: int) -> bool:
         return False
 
 
+def _start_cli(argv, stderr) -> subprocess.Popen:
+    """ldplab <argv> in a fresh interpreter and a session of its own, on two
+    usable CPUs whatever the machine has, so that its pools fork workers."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    code = "import sys; from ldplab import cli, montecarlo; montecarlo.usable_cpus = lambda: 2; sys.exit(cli.main())"
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL,
+        stderr=stderr,
+        start_new_session=True,
+    )
+
+
+def _await(proc, ready, what: str) -> None:
+    """Poll until ready() while proc runs, for at most 30 s."""
+    deadline = time.monotonic() + 30
+    while not ready():
+        assert proc.poll() is None and time.monotonic() < deadline, what
+        time.sleep(0.002)
+
+
+def _await_work(proc, command: str, out) -> list:
+    """The worker pids of a running simulate or verify once it is under way:
+    simulate has written a chunk's rows, verify's two workers have run a
+    little."""
+    if command == "simulate":
+        tmp = out / "trajsummary.csv.tmp"
+        _await(proc, lambda: tmp.exists() and tmp.stat().st_size > 1000, "no chunk was written")  # more than the head
+    else:
+        _await(proc, lambda: len(_children(proc.pid)) == 2, "no worker started")
+        time.sleep(0.2)
+    return _children(proc.pid)
+
+
+def _assert_gone_within_2_s(pids) -> None:
+    deadline = time.monotonic() + 2
+    while any(_is_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    running = [pid for pid in pids if _is_running(pid)]
+    for pid in running:  # an orphan would outlive the test
+        os.kill(pid, signal.SIGKILL)
+    assert running == []
+
+
+def _long_argv(command: str, tmp_path) -> list:
+    """A simulate of 2^20 appendix-f runs at --workers 2, or verify all at 2e5
+    samples, each a few seconds of work, writing to tmp_path / 'out'."""
+    out = str(tmp_path / "out")
+    if command == "verify":
+        return ["verify", "all", "--samples", "200000", "--out", out]
+    doc = preset_config("appendix-f")
+    doc["ensemble"]["n_runs"] = 2**20
+    (tmp_path / "long.json").write_text(json.dumps(doc))
+    return ["simulate", "--config", str(tmp_path / "long.json"), "--out", out, "--workers", "2", "--force"]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the worker pids from /proc")
 @pytest.mark.parametrize("signame", ["SIGTERM", "SIGHUP", "SIGINT"])
 def test_stop_signal_unwinds_simulate(signame, tmp_path):
@@ -1021,28 +1132,14 @@ def test_stop_signal_unwinds_simulate(signame, tmp_path):
     signum = getattr(signal, signame)
     out = tmp_path / "out"
     doc = preset_config("appendix-f")
-    for n_runs in (2**12, 2**20):
-        doc["ensemble"]["n_runs"] = n_runs
-        (tmp_path / f"{n_runs}.json").write_text(json.dumps(doc))
+    doc["ensemble"]["n_runs"] = 2**12
+    (tmp_path / "4096.json").write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(tmp_path / "4096.json"), "--out", str(out)]) == 0
     before = {name: (out / name).read_bytes() for name in os.listdir(out)}
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
-    argv = ["simulate", "--config", str(tmp_path / f"{2**20}.json"), "--out", str(out), "--workers", "2", "--force"]
     with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-c", "import sys; from ldplab.cli import main; sys.exit(main())", *argv],
-            env=dict(os.environ, PYTHONPATH=src),
-            stdout=subprocess.DEVNULL,
-            stderr=err,
-            start_new_session=True,
-        )
+        proc = _start_cli(_long_argv("simulate", tmp_path), err)
         try:
-            tmp = out / "trajsummary.csv.tmp"
-            deadline = time.monotonic() + 30
-            while not (tmp.exists() and tmp.stat().st_size > 1000):  # more than the head: a chunk's rows
-                assert proc.poll() is None and time.monotonic() < deadline, "no chunk was written"
-                time.sleep(0.002)
-            workers = _children(proc.pid)
+            workers = _await_work(proc, "simulate", out)
             proc.send_signal(signum)
             assert proc.wait(timeout=5) == 128 + signum
         finally:
@@ -1052,13 +1149,66 @@ def test_stop_signal_unwinds_simulate(signame, tmp_path):
         err.seek(0)
         assert err.read() == f"interrupted by {signame}\n"
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
-    deadline = time.monotonic() + 2
-    while any(_is_running(pid) for pid in workers) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    running = [pid for pid in workers if _is_running(pid)]
-    for pid in running:  # an orphan would outlive the test
-        os.kill(pid, signal.SIGKILL)
-    assert running == []
+    _assert_gone_within_2_s(workers)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the worker pids from /proc")
+@pytest.mark.parametrize("signame", ["SIGTERM", "SIGHUP", "SIGINT"])
+def test_stop_signal_unwinds_verify(signame, tmp_path):
+    # a signal while verify all's two workers run its jobs: one line and exit
+    # 128 + n, nothing written and no worker left running
+    signum = getattr(signal, signame)
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+        proc = _start_cli(_long_argv("verify", tmp_path), err)
+        try:
+            workers = _await_work(proc, "verify", tmp_path / "out")
+            proc.send_signal(signum)
+            assert proc.wait(timeout=5) == 128 + signum
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        err.seek(0)
+        assert err.read() == f"interrupted by {signame}\n"
+    assert not (tmp_path / "out").exists()
+    _assert_gone_within_2_s(workers)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the worker pids from /proc")
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_killed_worker_is_one_error_line(command, tmp_path):
+    # SIGKILL to one worker, as the out-of-memory killer sends: exit 2 with
+    # one line naming the request, no temporary file, the other worker stopped
+    argv = _long_argv(command, tmp_path)
+    out = tmp_path / "out"
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+        proc = _start_cli(argv, err)
+        try:
+            workers = _await_work(proc, command, out)
+            os.kill(workers[0], signal.SIGKILL)
+            assert proc.wait(timeout=10) == 2
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        err.seek(0)
+        assert err.read() == f"error: a worker process of {' '.join(argv)!r} was killed\n"
+    assert not out.exists() or os.listdir(out) == []
+    _assert_gone_within_2_s(workers)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers ask Linux for a signal when the parent dies")
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_workers_die_with_a_parent_killed_by_sigkill(command, tmp_path):
+    # SIGKILL runs no handler in the parent, so its workers must end by themselves
+    proc = _start_cli(_long_argv(command, tmp_path), subprocess.DEVNULL)
+    try:
+        workers = _await_work(proc, command, tmp_path / "out")
+        assert len(workers) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    _assert_gone_within_2_s(workers)
 
 
 def test_commands_run_without_scipy(tiny_config):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldplab
-from ldplab import montecarlo, oracles
+from ldplab import cli, montecarlo, oracles
 from ldplab.config import parse_config, preset_config
 from ldplab.costs import HuberCost
 from ldplab.montecarlo import (
@@ -168,7 +169,7 @@ class TestEnsemble:
     def test_chunk_plan_bounds_the_predrawn_bytes(self, oracle, monkeypatch):
         # a 40 KiB budget: a chunk holds 32 of these runs (batch: 26), fewer in full mode
         monkeypatch.setattr(montecarlo, "CHUNK_PREDRAW_BYTES", 40 << 10)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
         doc = preset_config("sgd-bounded")
         doc["oracle"] = oracle
         if oracle["mode"] == "batch-subsample":
@@ -233,6 +234,26 @@ class TestEnsemble:
         assert inline_pool == []
 
 
+def _signal_state(_job):
+    """A pool job: the stop signals' handlers in the process that runs it,
+    and which of them it blocks."""
+    handlers = [signal.getsignal(sig) for sig in montecarlo.STOP_SIGNALS]
+    return handlers, signal.pthread_sigmask(signal.SIG_BLOCK, []) & set(montecarlo.STOP_SIGNALS)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="needs POSIX signal masks")
+def test_pool_workers_leave_the_stop_signals_to_the_parent(monkeypatch):
+    # a worker ignores SIGINT, dies of SIGTERM and SIGHUP unless the parent
+    # ignores them (nohup), and blocks none of them once it runs jobs
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    try:
+        states = list(montecarlo.ordered_map(_signal_state, range(4), 2))
+    finally:
+        signal.signal(signal.SIGHUP, previous)
+    assert states == [([signal.SIG_IGN, signal.SIG_DFL, signal.SIG_IGN], set())] * 4
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """A stub pool that records (max_workers, chunk bounds) of every pool
@@ -241,7 +262,9 @@ def inline_pool(monkeypatch):
     started = []
 
     class InlinePool:
-        def __init__(self, max_workers, mp_context, initializer):
+        _processes = {}  # the executor's worker processes, by pid: none here
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             self.chunks = []
             started.append((max_workers, self.chunks))
 
@@ -259,7 +282,7 @@ def inline_pool(monkeypatch):
             return future
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
     return started
 
 
@@ -608,3 +631,41 @@ class TestVerifySuites:
         report = verify_lemma_suite(suite, n_samples=10**5, seed=5)
         assert len(seen) == len(report.checks) == calls
         assert all(kwargs == grid for kwargs in seen)
+
+    @pytest.mark.parametrize("probe", [27, -1, True, 1.0])
+    def test_probe_out_of_range_rejected(self, probe):
+        with pytest.raises(ValueError, match=r"probe must be an integer in \[0, 27\)"):
+            verify_lemma_suite("clip-bias", n_samples=10**5, probe=probe)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_request_jobs_through_the_pool_equal_each_suite_alone(self, processes, suites_alone, monkeypatch):
+        # every job of verify all, through the one pool map on one process and
+        # on two forked workers, gives each suite's checks bit for bit
+        started = []
+
+        class RecordingPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+        plan, want = suites_alone
+        jobs = [(suite, job) for suite, params in plan for job in montecarlo.suite_jobs(suite, params)]
+        assert len(jobs) == 5 + 27 + 18
+        reports = iter(montecarlo.ordered_map(cli._suite_job, jobs, processes))
+        for suite, params in plan:
+            got = [c for _ in montecarlo.suite_jobs(suite, params) for c in next(reports).checks]
+            assert [repr(dataclasses.astuple(c)) for c in got] == want[suite], suite
+        assert started == ([2] if processes == 2 else [])
+
+
+@pytest.fixture(scope="module")
+def suites_alone():
+    """(plan, suite -> the repr of each check's fields) of verify all at 10^5
+    samples, each suite run alone by verify_lemma_suite."""
+    plan = montecarlo.verify_request(["all"], 10**5, 7, 12)
+    return plan, {
+        suite: [repr(dataclasses.astuple(c)) for c in verify_lemma_suite(suite, **params).checks]
+        for suite, params in plan
+    }

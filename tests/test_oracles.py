@@ -223,6 +223,24 @@ class TestQuery:
         assert [lo for lo, _ in blocks][:3] == [0, 3, 6] and blocks[33][0] == 99
         assert np.concatenate([b for _, b in blocks]).tobytes() == whole.tobytes()
 
+    def test_batch_outputs_drawn_by_sub_block_equal_one_draw(self, monkeypatch):
+        # the batch oracle draws uniforms only, so it draws a sub-block of 5
+        # rows at a time, not a whole chunk, and its outputs are one draw's
+        monkeypatch.setattr(oracles, "_OUTPUT_BLOCK_BYTES", 5 * 8 * 12)
+        oracle = BatchSubsampleOracle(cost=synthetic_logistic_cost(m=12, dim=3, dataset_seed=8), batch_size=4)
+        x = np.array([0.4, -0.1, 0.3])
+        raw_draw, sizes = oracles._raw_draw, []
+
+        def counting_draw(rng, widths, n):
+            sizes.append(n)
+            return raw_draw(rng, widths, n)
+
+        monkeypatch.setattr(oracles, "_raw_draw", counting_draw)
+        got = oracle.query_block(x, run_generator(6, 2), 23)
+        assert sizes == [5, 5, 5, 5, 3]
+        want = oracle.outputs_at(x, oracle.transform(*raw_draw(run_generator(6, 2), oracle.raw_widths(), 23)))
+        assert got.tobytes() == want.tobytes()
+
     def test_batch_size_must_be_proper_subset(self):
         cost = synthetic_logistic_cost(m=4, dim=2, dataset_seed=3)
         with pytest.raises(ValueError):
