@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import os
 import signal
@@ -48,12 +47,10 @@ from .montecarlo import (
     ensemble_chunks,
     epsilon_index,
     fit_decay,
-    ordered_map,
     predraw_bytes,
-    suite_jobs,
     tail_from_counts,
     tail_from_first_hits,
-    verify_lemma_suite,
+    verify_reports,
     verify_request,
 )
 from .optimizers import MAX_HORIZON, EnsembleArrays
@@ -533,34 +530,16 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_job(job):
-    """One verify job, (suite, verify_lemma_suite keyword arguments), run in
-    this process: what a pool worker runs."""
-    suite, params = job
-    return verify_lemma_suite(suite, **params)
-
-
 def _cmd_verify(args) -> int:
     # the whole request is checked first, so a bad one prints no header and writes nothing
-    suites = verify_request(args.suites, args.samples, args.seed, args.enum_t_max)
-    plan = [(suite, suite_jobs(suite, params)) for suite, params in suites]
-    # every job of the request goes through one pool, on up to the usable
-    # CPUs; each job draws from its own streams, so the output is the same
-    # on any number of processes
-    jobs = [(suite, params) for suite, suite_params in plan for params in suite_params]
-    ends = set(itertools.accumulate(len(suite_params) for _, suite_params in plan))  # each suite's last job
+    plan = verify_request(args.suites, args.samples, args.seed, args.enum_t_max)
     all_pass = True
     csv_rows = []
-    checks = []
-    reports = ordered_map(_suite_job, jobs, len(jobs))
-    # reports first: zip then runs the pool's generator to its end, which shuts the pool down
-    with contextlib.closing(reports):
-        for n, (report, (suite, _)) in enumerate(zip(reports, jobs), start=1):
-            checks += report.checks
-            if n not in ends:
-                continue
+    # the request's jobs run on up to the usable CPUs; the output is the same on any number
+    with contextlib.closing(verify_reports(plan)) as reports:
+        for suite, report in reports:
             print(f"== {suite}")
-            for c in checks:
+            for c in report.checks:
                 status = "PASS" if c.passed else "FAIL"
                 slack = f"{(c.empirical - c.bound) / c.se:+.2f} SE" if c.se > 0 else "hard"
                 print(
@@ -569,7 +548,6 @@ def _cmd_verify(args) -> int:
                 )
                 csv_rows.append([suite, c.label, c.empirical, c.bound, c.se, c.passed])
                 all_pass &= c.passed
-            checks = []
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -11,6 +11,8 @@ with Wilson score intervals.
 from __future__ import annotations
 
 import collections
+import concurrent.futures
+import contextlib
 import ctypes
 import math
 import os
@@ -140,12 +142,13 @@ def _leave_signals_to_parent(parent: int):
     unblocks them only once it has set these, so a signal that came sooner
     is taken this way too, never by the parent's handlers it inherited.
 
-    On Linux the kernel also sends the worker SIGTERM when the thread that
-    forked it exits, which covers a parent killed by SIGKILL; the executor
-    forks its workers from the thread of the first submit, the main thread
-    here.  A parent (pid ``parent``) that died before the worker asked for
-    that signal shows in os.getppid().  Should prctl fail, the worker is
-    stopped by its parent only.
+    On Linux the kernel also sends the worker SIGKILL, which no inherited
+    disposition can ignore, when the thread that forked it exits; this
+    covers a parent killed by SIGKILL.  The executor forks its workers from
+    the thread that submits, the main thread here.  A parent (pid
+    ``parent``) that died before the worker asked for that signal shows in
+    os.getppid().  A worker holds no file, so it needs no cleanup.  Should
+    prctl fail, the worker is stopped by its parent only.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for sig in (signal.SIGTERM, signal.SIGHUP):
@@ -154,9 +157,9 @@ def _leave_signals_to_parent(parent: int):
     if sys.platform.startswith("linux"):
         prctl = ctypes.CDLL(None, use_errno=True).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:
-        os.kill(os.getpid(), signal.SIGTERM)
+        os.kill(os.getpid(), signal.SIGKILL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
 
 
@@ -185,21 +188,13 @@ def ordered_map(fn, jobs, workers: int):
     ) as pool:
         pending = collections.deque()
         try:
-            # the first submit forks the workers, with the stop signals
-            # blocked here for the moment, so that they start blocked
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
-            try:
-                pending.append(pool.submit(fn, jobs[0]))
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            sentinels = [proc.sentinel for proc in pool._processes.values()]
-            for job in jobs[1:]:
-                pending.append(pool.submit(fn, job))
+            for job in jobs:
+                pending.append(_submit(pool, fn, job))
                 # two jobs per worker keep every worker busy while the caller takes the oldest
                 if len(pending) > 2 * processes:
-                    yield _result(pending.popleft(), sentinels)
+                    yield _result(pending.popleft(), pool)
             while pending:
-                yield _result(pending.popleft(), sentinels)
+                yield _result(pending.popleft(), pool)
         except BaseException:
             # an interrupt, a failed job or a caller that closed the
             # generator: the running jobs are stopped, not waited for, and
@@ -215,15 +210,29 @@ def ordered_map(fn, jobs, workers: int):
             raise
 
 
-def _result(future, sentinels):
-    """future.result(), or BrokenProcessPool as soon as a worker has exited
-    (its sentinel is ready).  The executor notices a dead worker only
-    between results, so one killed while it sent a result would leave the
-    executor waiting for the rest of the message, and this wait with it."""
+def _submit(pool, fn, job):
+    """pool.submit(fn, job) with the stop signals blocked for the moment: a
+    submit may fork workers, and a worker starts with its parent's signal
+    mask.  Python 3.11's executor forks all its fork-context workers in the
+    first submit; some earlier ones fork each worker once it is needed."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+    try:
+        return pool.submit(fn, job)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _result(future, pool):
+    """future.result(), or BrokenProcessPool as soon as one of the pool's
+    workers has exited (its sentinel is ready).  The executor notices a dead
+    worker only between results, so one killed while it sent a result would
+    leave the executor waiting for the rest of the message, and this wait
+    with it."""
     while True:
         try:
             return future.result(timeout=_WORKER_POLL_S)
-        except TimeoutError:
+        except concurrent.futures.TimeoutError:  # the builtin TimeoutError is this class only from Python 3.11
+            sentinels = [proc.sentinel for proc in list((pool._processes or {}).values())]
             if multiprocessing.connection.wait(sentinels, timeout=0):
                 raise BrokenProcessPool("a worker process exited while its jobs ran") from None
 
@@ -661,7 +670,7 @@ def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801,
     'appendix-f-enum' (exact stuck-at-x_1 law, parameter t_max) and 'rates'
     (closed-form rate functions vs numerical conjugates); the last two draw
     no samples.  Precondition violations raise rather than count as
-    statistical failures.  The suite's jobs (``suite_jobs``) run in this
+    statistical failures.  The suite's jobs (``_suite_jobs``) run in this
     process, one after another; the probe suites take probe=k to run only
     their k-th probe, whose one check is the k-th of the whole suite.
     """
@@ -698,7 +707,7 @@ def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tup
     return plan
 
 
-def suite_jobs(suite: str, params: dict) -> list[dict]:
+def _suite_jobs(suite: str, params: dict) -> list[dict]:
     """The ``verify_lemma_suite(suite, **job)`` keyword arguments of each job
     of one suite of a ``verify_request`` plan, in order: a probe suite's n
     probes one each, probe=0..n-1, and any other suite one job, ``params``.
@@ -707,6 +716,32 @@ def suite_jobs(suite: str, params: dict) -> list[dict]:
     """
     n_jobs = _LEMMA_SUITE_RUNNERS[suite][2]
     return [params] if n_jobs == 1 else [dict(params, probe=k) for k in range(n_jobs)]
+
+
+def _verify_job(job) -> LemmaSuiteReport:
+    """One verify job, (suite, verify_lemma_suite keyword arguments): what a
+    pool worker runs."""
+    suite, params = job
+    return verify_lemma_suite(suite, **params)
+
+
+def verify_reports(plan):
+    """(suite, its LemmaSuiteReport) for each suite of a ``verify_request``
+    plan, as a generator in plan order, each yielded once the suite's last
+    job is in.
+
+    Every job of the whole plan goes through one ``ordered_map`` on up to
+    the usable CPUs; each job draws from its own streams, so every report is
+    ``verify_lemma_suite``'s bit for bit on any number of processes, and a
+    one-job plan starts none.  Closing the generator stops the workers.
+    """
+    plan = [(suite, _suite_jobs(suite, params)) for suite, params in plan]
+    jobs = [(suite, job) for suite, suite_jobs in plan for job in suite_jobs]
+    with contextlib.closing(ordered_map(_verify_job, jobs, usable_cpus())) as reports:
+        for suite, suite_jobs in plan:
+            yield suite, LemmaSuiteReport(suite, [c for _ in suite_jobs for c in next(reports).checks])
+        # drawn to its end, the pool shuts down without terminating its idle workers
+        next(reports, None)
 
 
 # ---------------------------------------------------------------------------

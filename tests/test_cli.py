@@ -332,13 +332,12 @@ def test_verify_fast_suites_and_report(tiny_config, tmp_path):
 
 
 def test_verify_failure_exit_code(monkeypatch):
-    import ldplab.cli as cli_mod
     from ldplab.montecarlo import LemmaCheck, LemmaSuiteReport
 
     def failing_suite(suite, n_samples=0, seed=0, **kw):
         return LemmaSuiteReport(suite, [LemmaCheck("forced", 2.0, 1.0, 0.0, False)])
 
-    monkeypatch.setattr(cli_mod, "verify_lemma_suite", failing_suite)
+    monkeypatch.setattr(montecarlo, "verify_lemma_suite", failing_suite)
     assert main(["verify", "mgf-bounded", "--samples", "1000"]) == 5
 
 
@@ -1066,11 +1065,14 @@ def _is_running(pid: int) -> bool:
         return False
 
 
-def _start_cli(argv, stderr) -> subprocess.Popen:
+def _start_cli(argv, stderr, nohup: bool = False) -> subprocess.Popen:
     """ldplab <argv> in a fresh interpreter and a session of its own, on two
-    usable CPUs whatever the machine has, so that its pools fork workers."""
+    usable CPUs whatever the machine has, so that its pools fork workers;
+    with nohup, started ignoring SIGTERM and SIGHUP."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
     code = "import sys; from ldplab import cli, montecarlo; montecarlo.usable_cpus = lambda: 2; sys.exit(cli.main())"
+    if nohup:
+        code = "import signal; signal.signal(signal.SIGTERM, signal.SIG_IGN); signal.signal(signal.SIGHUP, signal.SIG_IGN); " + code
     return subprocess.Popen(
         [sys.executable, "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=src),
@@ -1198,10 +1200,15 @@ def test_killed_worker_is_one_error_line(command, tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers ask Linux for a signal when the parent dies")
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_workers_die_with_a_parent_killed_by_sigkill(command, tmp_path):
-    # SIGKILL runs no handler in the parent, so its workers must end by themselves
-    proc = _start_cli(_long_argv(command, tmp_path), subprocess.DEVNULL)
+@pytest.mark.parametrize(
+    "command, nohup",
+    [("simulate", False), ("verify", False), ("simulate", True), ("verify", True)],
+    ids=["simulate", "verify", "simulate-nohup", "verify-nohup"],
+)
+def test_workers_die_with_a_parent_killed_by_sigkill(command, nohup, tmp_path):
+    # SIGKILL runs no handler in the parent, so its workers must end by
+    # themselves, also when they were started ignoring SIGTERM and SIGHUP
+    proc = _start_cli(_long_argv(command, tmp_path), subprocess.DEVNULL, nohup)
     try:
         workers = _await_work(proc, command, tmp_path / "out")
         assert len(workers) == 2

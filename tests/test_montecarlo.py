@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldplab
-from ldplab import cli, montecarlo, oracles
+from ldplab import montecarlo, oracles
 from ldplab.config import parse_config, preset_config
 from ldplab.costs import HuberCost
 from ldplab.montecarlo import (
@@ -639,8 +639,8 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_request_jobs_through_the_pool_equal_each_suite_alone(self, processes, suites_alone, monkeypatch):
-        # every job of verify all, through the one pool map on one process and
-        # on two forked workers, gives each suite's checks bit for bit
+        # every job of verify all, through the one pool on one process and on
+        # two forked workers, gives each suite's checks bit for bit
         started = []
 
         class RecordingPool(montecarlo.ProcessPoolExecutor):
@@ -649,14 +649,13 @@ class TestVerifySuites:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: processes)
         plan, want = suites_alone
-        jobs = [(suite, job) for suite, params in plan for job in montecarlo.suite_jobs(suite, params)]
-        assert len(jobs) == 5 + 27 + 18
-        reports = iter(montecarlo.ordered_map(cli._suite_job, jobs, processes))
-        for suite, params in plan:
-            got = [c for _ in montecarlo.suite_jobs(suite, params) for c in next(reports).checks]
-            assert [repr(dataclasses.astuple(c)) for c in got] == want[suite], suite
+        reports = list(montecarlo.verify_reports(plan))
+        assert [suite for suite, _ in reports] == [suite for suite, _ in plan]
+        for suite, report in reports:
+            assert report.suite == suite
+            assert [repr(dataclasses.astuple(c)) for c in report.checks] == want[suite], suite
         assert started == ([2] if processes == 2 else [])
 
 
