@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
+import itertools
 import json
 import os
 import signal
 import sys
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .montecarlo import (
     STOP_SIGNALS,
     InsufficientDataError,
     TailEstimate,
+    WorkerDiedError,
     check_t_grid,
     ensemble_chunks,
     epsilon_index,
@@ -54,7 +56,6 @@ from .montecarlo import (
     verify_request,
 )
 from .optimizers import MAX_HORIZON, EnsembleArrays
-from .svgplot import PALETTE, line_chart
 from .theory import (
     DECAY_FAMILIES,
     DECAY_T_MIN,
@@ -79,14 +80,20 @@ EXIT_VERIFY = 5
 # ---------------------------------------------------------------------------
 
 
+def _cell_format(kind: type) -> tuple:
+    """(%-format, conversion) of a CSV cell of type ``kind``: %d of int() for
+    ints and bools (a bool writes 1 or 0), %r of float() for floats, and %s
+    of str() for anything else."""
+    if issubclass(kind, (bool, np.bool_, int, np.integer)):
+        return "%d", int
+    if issubclass(kind, (float, np.floating)):
+        return "%r", float
+    return "%s", str
+
+
 def _fmt_cell(v) -> str:
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    fmt, convert = _cell_format(type(v))
+    return fmt % convert(v)
 
 
 def _provenance_comment(digest: str, certified: dict) -> str:
@@ -110,22 +117,82 @@ def _atomic_write(path: str):
             os.remove(tmp)
 
 
-def _write_head(fh, comment: str, header: list):
-    """Write a provenance comment (as a '# ' line) and a header row; returns
-    the csv.writer that wrote the header."""
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """Make the directory ``path``, and any parent it lacks, for the block to
+    write in.  When the block fails, each directory made here is removed
+    again if it is still empty, so a failed command leaves none behind."""
+    made = []
+    missing = os.path.abspath(path)
+    while not os.path.lexists(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in made:  # deepest first
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
+
+
+def _write_head(fh, comment: str, header: list) -> None:
+    """Write a provenance comment (as a '# ' line) and a header row."""
     fh.write("# " + comment + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    return writer
+    csv.writer(fh, lineterminator="\n").writerow(header)
+
+
+def _lines(formats, cells: tuple) -> str:
+    """CSV lines of len(formats) cells each, cell k of a line written by
+    formats[k]: the rows of ``cells``, flat in row order, through one
+    %-format."""
+    return (",".join(formats) + "\n") * (len(cells) // len(formats)) % cells
+
+
+def _csv_fields(texts, alone: bool) -> dict:
+    """{text: the field csv.writer writes for it} for each of ``texts``,
+    quoted where its minimal quoting quotes it; ``alone``: the field is its
+    row's only one, where csv.writer also quotes an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = {}
+    for text in texts:
+        row = [text] if alone else [text, ""]
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        fields[text] = buf.getvalue()[: -len(row)]  # less "\n", or the ",\n" of the empty field
+    return fields
+
+
+def _column_cells(column, alone: bool) -> tuple[str, list]:
+    """(%-format, converted cells) of one CSV column, by the one
+    ``_cell_format`` of its cells' types; a string is quoted by
+    ``_csv_fields``.  TypeError when the cells need different formats."""
+    formats = {_cell_format(kind) for kind in set(map(type, column))}
+    if len(formats) != 1:
+        raise TypeError(f"a CSV column mixes cell formats {sorted(fmt for fmt, _ in formats)}")
+    ((fmt, convert),) = formats
+    cells = list(map(convert, column))
+    if fmt == "%s":
+        cells = list(map(_csv_fields(set(cells), alone).__getitem__, cells))
+    return fmt, cells
 
 
 def _write_csv(path: str, comment: str, header: list, rows) -> None:
-    """Write a provenance comment, a header and one row per item of ``rows``
-    (any cells); the file is replaced atomically."""
+    """Write a provenance comment, a header and one row per item of ``rows``;
+    the file is replaced atomically.  Each column's format is decided once,
+    by ``_column_cells``, and the rows written through one %-format: the
+    bytes csv.writer writes for ``_fmt_cell`` of every cell."""
+    columns = list(zip(*rows, strict=True))
+    body = ""
+    if columns:
+        formats, cells = zip(*(_column_cells(column, len(columns) == 1) for column in columns))
+        body = _lines(formats, tuple(itertools.chain.from_iterable(zip(*cells))))
     with _atomic_write(path) as fh:
-        writer = _write_head(fh, comment, header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        _write_head(fh, comment, header)
+        fh.write(body)
 
 
 def _read_comments(fh) -> tuple[dict, str]:
@@ -209,14 +276,13 @@ def _steps_header(epsilon_grid) -> list:
 
 
 def _summary_rows(arrays: EnsembleArrays) -> str:
-    """trajsummary.csv's rows for the runs of ``arrays``, formatted with one
-    %-format over the whole chunk; the same bytes csv.writer gives for the
+    """trajsummary.csv's rows for the runs of ``arrays``, formatted by
+    ``_lines`` over the whole chunk; the same bytes csv.writer gives for the
     same cells.  A hitting time after horizon_T is written as -1."""
     T = arrays.horizon_T
     hit = np.where(arrays.hit <= T, arrays.hit, -1)  # -1 encodes "never within T"
     cells = np.column_stack([arrays.run_indices, arrays.diverged, arrays.clip_events, hit]).astype(np.int64)
-    line = ",".join(["%d"] * cells.shape[1]) + "\n"
-    return line * len(cells) % tuple(cells.ravel().tolist())
+    return _lines(["%d"] * cells.shape[1], tuple(cells.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +458,32 @@ def _anchored_curve(law: RateSpec, epsilon: float, t_grid: np.ndarray, p_anchor:
     return ts, p_anchor * np.exp(slope * (nt - nt0))
 
 
+def _tail_lines(tail: TailEstimate) -> str:
+    """The rows of a tail CSV, (t, epsilon, N, exceed, p_hat, ci_low,
+    ci_high) at each step of the estimate.  p_hat and its interval are
+    elementwise functions of the count at a fixed N, so what follows t is
+    formatted once per distinct count, and the rows are ``_lines`` of
+    (t, that text) pairs."""
+    counts, first, inverse = np.unique(tail.exceed_count, return_index=True, return_inverse=True)
+    after_t = "%r,%d," % (float(tail.epsilon), tail.n_runs) + "%d,%r,%r,%r"
+    estimates = (a[first].tolist() for a in (tail.p_hat, tail.ci_low, tail.ci_high))
+    texts = [after_t % row for row in zip(counts.tolist(), *estimates)]
+    rows = zip(tail.t_grid.tolist(), map(texts.__getitem__, inverse.tolist()))
+    return _lines(("%d", "%s"), tuple(itertools.chain.from_iterable(rows)))
+
+
 def _write_tail(path: str, meta: dict, exp: Experiment, table: np.ndarray, epsilon: float, t_grid) -> TailEstimate:
     """Estimate one recorded epsilon's tail from a results directory's step
     table, as estimate_tail does from the runs, and write it as a tail CSV."""
     j = epsilon_index(exp.run_config.epsilon_grid, epsilon)
     tail = tail_from_first_hits(table[:, 2 + j], exp.n_runs, float(exp.run_config.epsilon_grid[j]), t_grid)
-    _write_csv(
-        path,
-        _provenance_comment(meta["config_digest"], meta["certified"]),
-        ["t", "epsilon", "N", "exceed", "p_hat", "ci_low", "ci_high"],
-        (
-            [int(t), tail.epsilon, tail.n_runs, int(c), p, lo, hi]
-            for t, c, p, lo, hi in zip(
-                tail.t_grid, tail.exceed_count, tail.p_hat, tail.ci_low, tail.ci_high
-            )
-        ),
-    )
+    with _atomic_write(path) as fh:
+        _write_head(
+            fh,
+            _provenance_comment(meta["config_digest"], meta["certified"]),
+            ["t", "epsilon", "N", "exceed", "p_hat", "ci_low", "ci_high"],
+        )
+        fh.write(_tail_lines(tail))
     return tail
 
 
@@ -425,6 +501,8 @@ def _cmd_tail(args) -> int:
     print(f"wrote {out_csv}")
 
     if not args.no_svg:
+        from .svgplot import PALETTE, line_chart  # only a chart needs it
+
         series = [
             {
                 "x": tail.t_grid,
@@ -535,8 +613,13 @@ def _cmd_verify(args) -> int:
     plan = verify_request(args.suites, args.samples, args.seed, args.enum_t_max)
     all_pass = True
     csv_rows = []
-    # the request's jobs run on up to the usable CPUs; the output is the same on any number
-    with contextlib.closing(verify_reports(plan)) as reports:
+    # --out is made before any suite runs, so a path that cannot be a directory
+    # fails at once; the request's jobs run on up to the usable CPUs, and the
+    # output is the same on any number
+    with (
+        _output_dir(args.out) if args.out else contextlib.nullcontext(),
+        contextlib.closing(verify_reports(plan)) as reports,
+    ):
         for suite, report in reports:
             print(f"== {suite}")
             for c in report.checks:
@@ -549,16 +632,15 @@ def _cmd_verify(args) -> int:
                 csv_rows.append([suite, c.label, c.empirical, c.bound, c.se, c.passed])
                 all_pass &= c.passed
 
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        out_csv = os.path.join(args.out, "verify.csv")
-        _write_csv(
-            out_csv,
-            _provenance_comment("verification", {}),
-            ["suite", "check", "empirical", "bound", "se", "passed"],
-            csv_rows,
-        )
-        print(f"wrote {out_csv}")
+        if args.out:
+            out_csv = os.path.join(args.out, "verify.csv")
+            _write_csv(
+                out_csv,
+                _provenance_comment("verification", {}),
+                ["suite", "check", "empirical", "bound", "se", "passed"],
+                csv_rows,
+            )
+            print(f"wrote {out_csv}")
     print("verification: " + ("ALL PASS" if all_pass else "FAILURES PRESENT"))
     return EXIT_OK if all_pass else EXIT_VERIFY
 
@@ -771,7 +853,7 @@ def main(argv=None) -> int:
     except MemoryError as e:
         print(f"error: not enough memory for {request!r}: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except BrokenProcessPool:  # the out-of-memory killer, or a signal to a worker alone
+    except WorkerDiedError:  # the out-of-memory killer, or a signal to a worker alone
         print(f"error: a worker process of {request!r} was killed", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientDataError as e:

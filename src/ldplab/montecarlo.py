@@ -11,19 +11,13 @@ with Wilson score intervals.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import contextlib
 import ctypes
 import math
 import os
 import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from fractions import Fraction
-import multiprocessing
-import multiprocessing.connection
 
 import numpy as np
 
@@ -69,6 +63,11 @@ _WORKER_POLL_S = 0.1  # how often a wait for a pool's result checks that its wor
 
 class InsufficientDataError(ValueError):
     """Too few estimable tail points to fit a decay rate."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A worker process of ``ordered_map`` exited while its jobs ran: killed
+    by a signal or by the out-of-memory killer."""
 
 
 def _chunk_job(args):
@@ -163,18 +162,34 @@ def _leave_signals_to_parent(parent: int):
     signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
 
 
+def _process_pool(processes: int):
+    """A fork-context ProcessPoolExecutor of ``processes`` workers, each
+    started by ``_leave_signals_to_parent``.  Its modules are imported once a
+    pool first starts, so a command that starts none never loads them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=processes,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_leave_signals_to_parent,
+        initargs=(os.getpid(),),
+    )
+
+
 def ordered_map(fn, jobs, workers: int):
     """fn(job) for each job, as a generator of the results in job order, each
     yielded once it and every earlier job have finished.
 
     The jobs run on min(workers, usable_cpus(), len(jobs)) processes: one
     runs them here, one at a time as the results are taken; more are forked
-    workers, to which fn is sent by name and each job and result pickled.
-    At most two jobs per worker, plus one, are submitted and not yet taken,
-    so the caller holds O(job) results at a time whatever the number of
-    jobs.  Closing the generator, or an exception while it waits, stops the
-    workers and every job not done.  A worker that dies, killed by a signal
-    or the out-of-memory killer, raises BrokenProcessPool.
+    workers of ``_process_pool``, to which fn is sent by name and each job
+    and result pickled.  At most two jobs per worker, plus one, are
+    submitted and not yet taken, so the caller holds O(job) results at a
+    time whatever the number of jobs.  Closing the generator, or an
+    exception while it waits, stops the workers and every job not done.  A
+    worker that dies, killed by a signal or the out-of-memory killer,
+    raises WorkerDiedError.
     """
     jobs = list(jobs)
     processes = min(workers, usable_cpus(), len(jobs))
@@ -182,10 +197,9 @@ def ordered_map(fn, jobs, workers: int):
         for job in jobs:
             yield fn(job)
         return
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        max_workers=processes, mp_context=ctx, initializer=_leave_signals_to_parent, initargs=(os.getpid(),)
-    ) as pool:
+    from concurrent.futures.process import BrokenProcessPool  # the pool's modules load only here
+
+    with _process_pool(processes) as pool:
         pending = collections.deque()
         try:
             for job in jobs:
@@ -195,7 +209,7 @@ def ordered_map(fn, jobs, workers: int):
                     yield _result(pending.popleft(), pool)
             while pending:
                 yield _result(pending.popleft(), pool)
-        except BaseException:
+        except BaseException as e:
             # an interrupt, a failed job or a caller that closed the
             # generator: the running jobs are stopped, not waited for, and
             # the broken pool fails the rest (the executor has no public way
@@ -207,6 +221,8 @@ def ordered_map(fn, jobs, workers: int):
             for proc in list((pool._processes or {}).values()):
                 proc.terminate()
             pool._result_queue._writer.close()
+            if isinstance(e, BrokenProcessPool):  # the executor saw a worker die
+                raise WorkerDiedError(str(e)) from e
             raise
 
 
@@ -223,18 +239,21 @@ def _submit(pool, fn, job):
 
 
 def _result(future, pool):
-    """future.result(), or BrokenProcessPool as soon as one of the pool's
+    """future.result(), or WorkerDiedError as soon as one of the pool's
     workers has exited (its sentinel is ready).  The executor notices a dead
     worker only between results, so one killed while it sent a result would
     leave the executor waiting for the rest of the message, and this wait
     with it."""
+    import concurrent.futures
+    import multiprocessing.connection
+
     while True:
         try:
             return future.result(timeout=_WORKER_POLL_S)
         except concurrent.futures.TimeoutError:  # the builtin TimeoutError is this class only from Python 3.11
             sentinels = [proc.sentinel for proc in list((pool._processes or {}).values())]
             if multiprocessing.connection.wait(sentinels, timeout=0):
-                raise BrokenProcessPool("a worker process exited while its jobs ran") from None
+                raise WorkerDiedError("a worker process exited while its jobs ran") from None
 
 
 def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> EnsembleArrays:
@@ -620,7 +639,8 @@ def _suite_appendix_f_enum(n_samples, seed, t_max=20) -> LemmaSuiteReport:
     checks = []
     for t, prob in appendix_f_enumeration(t_max).items():
         closed = lower_bound_exact_prob(t)
-        checks.append(LemmaCheck(f"t={t}", float(prob), closed, 0.0, prob == Fraction(closed)))
+        # a Fraction and a float compare by their exact values
+        checks.append(LemmaCheck(f"t={t}", float(prob), closed, 0.0, prob == closed))
     return LemmaSuiteReport("appendix-f-enum", checks)
 
 
@@ -767,6 +787,8 @@ def appendix_f_enumeration(t_max: int, x1_norm: float = 0.6, G: float = 1.0) -> 
         raise ValueError(f"t_max must be an integer in [1, {ENUM_T_MAX}]")
     if not 0.0 < x1_norm <= G:
         raise ValueError("x1_norm must lie in (0, G]")
+    from fractions import Fraction  # only the enumeration needs it
+
     ratio = G / x1_norm  # ball radius in units of ||x_1||
 
     # state: coordinate c along x_1 (iterate = c * x_1) of the paths whose

@@ -65,7 +65,21 @@ class _Frame:
         return self.px0 + (x - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
 
     def ty(self, y):
-        return self.py0 + (math.log10(y) - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
+        return self.ty_log10(math.log10(y))
+
+    def ty_log10(self, log_y):
+        """ty of a y whose log10 is ``log_y``, a float or an array."""
+        return self.py0 + (log_y - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
+
+    def points(self, x, y) -> str:
+        """An SVG points list of the data points (x[k], y[k]), float64 arrays:
+        "px,py" of each.  The pixels are tx and ty on whole arrays, with
+        their operations in the same order, so each bit is the same; log10
+        is math.log10 of each value, since np.log10 may differ in the last
+        bit."""
+        px = self.tx(x)
+        py = self.ty_log10(np.fromiter(map(math.log10, y.tolist()), np.float64, y.size))
+        return " ".join(["%.2f,%.2f"] * px.size) % tuple(np.column_stack([px, py]).ravel().tolist())
 
 
 def line_chart(series, band, title: str, xlabel: str, ylabel: str, comment: str = "") -> str:
@@ -152,14 +166,12 @@ def line_chart(series, band, title: str, xlabel: str, ylabel: str, comment: str 
             f'font-family="sans-serif" font-size="11">{_tick_label(v)}</text>'
         )
 
-    if bx.size:
-        pts_hi = [(fr.tx(x), fr.ty(y)) for x, y in zip(bx, bhi)]
-        pts_lo = [(fr.tx(x), fr.ty(y)) for x, y in zip(bx[::-1], blo[::-1])]
-        path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts_hi + pts_lo)
+    if bx.size:  # the upper edge left to right, then the lower edge back
+        path = fr.points(np.concatenate([bx, bx[::-1]]), np.concatenate([bhi, blo[::-1]]))
         out.append(f'<polygon points="{path}" fill="{PALETTE[0]}" fill-opacity="0.18"/>')
 
     for s in clean:
-        pts = " ".join(f"{_fmt(fr.tx(x))},{_fmt(fr.ty(y))}" for x, y in zip(s["x"], s["y"]))
+        pts = fr.points(s["x"], s["y"])
         dash = f' stroke-dasharray="{s["dash"]}"' if s["dash"] else ""
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{s["color"]}" stroke-width="1.8"{dash}/>'

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import signal
@@ -425,7 +426,7 @@ def test_simulate_workers_below_one_exit_code(workers, tiny_config, monkeypatch,
     def no_work(*args, **kwargs):
         raise AssertionError("no chunk may run and no process may start")
 
-    monkeypatch.setattr(ldplab.montecarlo, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(ldplab.montecarlo, "_process_pool", no_work)
     monkeypatch.setattr(ldplab.montecarlo, "_chunk_job", no_work)
     config_path, doc = tiny_config
     assert main(["simulate", "--config", config_path, "--workers", workers]) == 2
@@ -476,14 +477,13 @@ def test_verify_request_too_large_for_memory_is_exit_2(tmp_path, capsys):
 def test_verify_request_too_large_for_memory_in_a_worker_is_exit_2(tmp_path, monkeypatch, capsys):
     # verify all runs its jobs on two forked workers; the MemoryError of the
     # first job is raised in a worker and reported like one raised here
-    started = []
+    started, process_pool = [], montecarlo._process_pool
 
-    class RecordingPool(montecarlo.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording_pool(processes):
+        started.append(processes)
+        return process_pool(processes)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_process_pool", recording_pool)
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     argv = ["verify", "all", "--samples", str(10**15), "--out", str(tmp_path / "verify")]
     assert main(argv) == 2
@@ -494,13 +494,35 @@ def test_verify_request_too_large_for_memory_in_a_worker_is_exit_2(tmp_path, mon
     assert not (tmp_path / "verify").exists()
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_verify_out_that_cannot_be_a_directory_fails_before_any_suite(under, tmp_path, capsys):
+    # --out is made before any suite runs, so a file in its way costs no suite's time
+    blocker = tmp_path / "verify"
+    blocker.write_text("a file")
+    assert main(["verify", "rates", "--out", os.path.join(blocker, under)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no suite header
+    assert captured.err.startswith("io error: ") and captured.err.count("\n") == 1
+    assert blocker.read_text() == "a file"
+    assert list(tmp_path.rglob("verify.csv")) == []
+
+
+def test_failed_verify_removes_the_directories_it_made(tmp_path, capsys):
+    # --out and its missing parent are made before the suites run, and
+    # removed again when a suite fails, as a request too large for memory does
+    out = tmp_path / "new" / "verify"
+    assert main(["verify", "mgf-bounded", "--samples", str(10**15), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: not enough memory")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("suite", ["rates", "appendix-f-enum"])
 def test_one_job_verify_starts_no_process(suite, tmp_path, monkeypatch):
     # a request of one job runs in this process, whatever the CPUs
     def no_pool(*args, **kwargs):
         raise AssertionError("no process may start")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(montecarlo, "_process_pool", no_pool)
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     assert main(["verify", suite, "--out", str(tmp_path)]) == 0
 
@@ -518,7 +540,7 @@ def test_one_cpu_affinity_keeps_every_pool_serial():
         "from ldplab.config import parse_config, preset_config\n"
         "def no_pool(*args, **kwargs):\n"
         "    raise AssertionError('no process may start')\n"
-        "montecarlo.ProcessPoolExecutor = no_pool\n"
+        "montecarlo._process_pool = no_pool\n"
         "assert montecarlo.usable_cpus() == 1\n"
         "assert montecarlo.chunk_plan(parse_config(preset_config('appendix-f')).run_config, 2**20, 2)[1] == 1\n"
         "sys.exit(main(['verify', 'mgf-bounded', 'rates', '--samples', '1000']))\n"
@@ -898,6 +920,88 @@ def test_interrupted_report_leaves_no_partial_file(tiny_config, monkeypatch, cap
         assert fh.read() == first
 
 
+def _fmt_cell_reference(v) -> str:
+    """One cell as the CSV writer formatted each cell before it formatted whole tables."""
+    if isinstance(v, bool) or isinstance(v, np.bool_):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _write_csv_reference(path, comment, header, rows):
+    """A table written one csv.writer row per row, one _fmt_cell_reference per cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# " + comment + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt_cell_reference(v) for v in row])
+
+
+# the cells of each kind of column the table writer tells apart
+_CELLS = {
+    "int": [0, 1, -1, 2**63 - 1, -(2**63), 10**30, True, np.int64(7), np.int32(-3), np.uint64(2**64 - 1)],
+    "bool": [True, False, np.True_, np.False_],
+    "float": [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e308, np.float64(1 / 3), np.float32(0.1)],
+    "str": ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " spaced ", "\u00fcn\u00efcode", 'x,"y"\n'],
+    "other": [None, (1, 2), "text"],
+}
+
+
+@pytest.mark.parametrize(
+    "kinds, n_rows",
+    [
+        (("int", "bool", "float", "str", "other", "float", "int"), 60),
+        (("str", "int", "float", "bool"), 0),
+        (("str",), 30),
+        (("float",), 30),
+    ],
+    ids=["every-kind", "zero-rows", "one-str-column", "one-float-column"],
+)
+def test_table_writer_equals_one_csv_row_per_row(kinds, n_rows, tmp_path):
+    # every column is formatted in the one format its cells share, the whole
+    # table with one %-format, and the bytes are those of the per-cell writer
+    rng = np.random.default_rng(len(kinds) + n_rows)
+    columns = [[_CELLS[kind][i] for i in rng.integers(0, len(_CELLS[kind]), n_rows)] for kind in kinds]
+    rows = [list(row) for row in zip(*columns)] if n_rows else []
+    header = [f"{kind}_{k}" for k, kind in enumerate(kinds)]
+    comment = "tool=ldplab digest=0123456789abcdef"
+    cli._write_csv(str(tmp_path / "table.csv"), comment, header, rows)
+    _write_csv_reference(tmp_path / "reference.csv", comment, header, rows)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_table_writer_rejects_a_column_of_two_formats(tmp_path):
+    with pytest.raises(TypeError, match="mixes cell formats"):
+        cli._write_csv(str(tmp_path / "table.csv"), "c", ["a", "b"], [[1, 0.5], [2, 1]])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("counts", ["distinct", "equal", "mixed"])
+def test_tail_rows_per_distinct_count_equal_one_repr_per_cell(counts):
+    n, rng = 4096, np.random.default_rng(5)
+    t_grid = np.arange(1, 4001)
+    if counts == "distinct":
+        t_grid = t_grid[:n]
+        exceed = n - t_grid
+    elif counts == "equal":
+        exceed = np.full(t_grid.size, 17)
+    else:
+        t_grid = np.sort(rng.choice(t_grid, 1500, replace=False))
+        exceed = np.sort(rng.integers(0, n + 1, t_grid.size))[::-1]
+    tail = montecarlo.tail_from_counts(t_grid, exceed, n, 0.05)
+    want = "".join(
+        f"{int(t)},{float(tail.epsilon)!r},{n},{int(c)},{float(p)!r},{float(lo)!r},{float(hi)!r}\n"
+        for t, c, p, lo, hi in zip(tail.t_grid, tail.exceed_count, tail.p_hat, tail.ci_low, tail.ci_high)
+    )
+    assert cli._tail_lines(tail).splitlines() == want.splitlines()
+    distinct = len(np.unique(exceed))
+    assert {"distinct": distinct == exceed.size, "equal": distinct == 1, "mixed": 1 < distinct < exceed.size}[counts]
+
+
 def test_chunk_rows_match_row_writer_and_reader(tmp_path):
     # simulate writes the summary's head, then each chunk's rows as it arrives
     rng = np.random.default_rng(3)
@@ -1219,25 +1323,31 @@ def test_workers_die_with_a_parent_killed_by_sigkill(command, nohup, tmp_path):
 
 
 def test_commands_run_without_scipy(tiny_config):
-    # numpy is the one runtime dependency: no command may load scipy
+    # numpy is the one runtime dependency: no command may load scipy.  A
+    # command that starts no pool loads none of the pool's modules, nor the
+    # enumeration's fractions, and only a tail with its chart loads svgplot
     config_path, doc = tiny_config
     out = doc["output"]["directory"]
     src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
     commands = [
-        ["simulate", "--config", config_path],
-        ["tail", out, "--epsilon", "0.18"],
+        ["simulate", "--config", config_path],  # one chunk
+        ["tail", out, "--epsilon", "0.18", "--no-svg"],
         ["report", out],
         ["fit", os.path.join(out, "tail.csv")],
     ]
+    unloaded = ["multiprocessing", "concurrent.futures.process", "fractions", "ldplab.svgplot"]
     code = (
         "import sys\n"
         "from ldplab.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"loaded = [m for m in {unloaded!r} if m in sys.modules]\n"
+        f"assert main({['tail', out, '--epsilon', '0.18']!r}) == 0\n"
+        "print(scipy, loaded, 'ldplab.svgplot' in sys.modules)\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().splitlines()[-1] == "[]"
+    assert run.stdout.strip().splitlines()[-1] == "[] [] True"

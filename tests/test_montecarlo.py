@@ -112,7 +112,7 @@ class TestEnsemble:
         def no_work(*args, **kwargs):
             raise AssertionError("no chunk may run and no process may start")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(montecarlo, "_process_pool", no_work)
         monkeypatch.setattr(montecarlo, "_chunk_job", no_work)
         with pytest.raises(ValueError, match="workers must be an integer >= 1, got"):
             run_ensemble(solvable_instance(T=4), 2 * montecarlo.ENSEMBLE_CHUNK, workers=workers)
@@ -256,7 +256,7 @@ def test_pool_workers_leave_the_stop_signals_to_the_parent(monkeypatch):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """A stub pool that records (max_workers, chunk bounds) of every pool
+    """A stub pool that records (processes, chunk bounds) of every pool
     started and runs the chunks inline, so no worker process is ever
     started; the machine reports 8 CPUs."""
     started = []
@@ -264,9 +264,9 @@ def inline_pool(monkeypatch):
     class InlinePool:
         _processes = {}  # the executor's worker processes, by pid: none here
 
-        def __init__(self, max_workers, mp_context, initializer, initargs):
+        def __init__(self, processes):
             self.chunks = []
-            started.append((max_workers, self.chunks))
+            started.append((processes, self.chunks))
 
         def __enter__(self):
             return self
@@ -281,7 +281,7 @@ def inline_pool(monkeypatch):
             future.set_result(fn(job))
             return future
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo, "_process_pool", InlinePool)
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
     return started
 
@@ -641,14 +641,13 @@ class TestVerifySuites:
     def test_request_jobs_through_the_pool_equal_each_suite_alone(self, processes, suites_alone, monkeypatch):
         # every job of verify all, through the one pool on one process and on
         # two forked workers, gives each suite's checks bit for bit
-        started = []
+        started, process_pool = [], montecarlo._process_pool
 
-        class RecordingPool(montecarlo.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def recording_pool(processes):
+            started.append(processes)
+            return process_pool(processes)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "_process_pool", recording_pool)
         monkeypatch.setattr(montecarlo, "usable_cpus", lambda: processes)
         plan, want = suites_alone
         reports = list(montecarlo.verify_reports(plan))
