@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import itertools
 import json
 import os
@@ -80,20 +79,14 @@ EXIT_VERIFY = 5
 # ---------------------------------------------------------------------------
 
 
-def _cell_format(kind: type) -> tuple:
-    """(%-format, conversion) of a CSV cell of type ``kind``: %d of int() for
-    ints and bools (a bool writes 1 or 0), %r of float() for floats, and %s
-    of str() for anything else."""
-    if issubclass(kind, (bool, np.bool_, int, np.integer)):
-        return "%d", int
-    if issubclass(kind, (float, np.floating)):
-        return "%r", float
-    return "%s", str
-
-
 def _fmt_cell(v) -> str:
-    fmt, convert = _cell_format(type(v))
-    return fmt % convert(v)
+    if isinstance(v, bool) or isinstance(v, np.bool_):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
 
 
 def _provenance_comment(digest: str, certified: dict) -> str:
@@ -137,10 +130,13 @@ def _output_dir(path: str):
         raise
 
 
-def _write_head(fh, comment: str, header: list) -> None:
-    """Write a provenance comment (as a '# ' line) and a header row."""
+def _write_head(fh, comment: str, header: list):
+    """Write a provenance comment (as a '# ' line) and a header row; returns
+    the csv.writer that wrote the header."""
     fh.write("# " + comment + "\n")
-    csv.writer(fh, lineterminator="\n").writerow(header)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    return writer
 
 
 def _lines(formats, cells: tuple) -> str:
@@ -150,49 +146,13 @@ def _lines(formats, cells: tuple) -> str:
     return (",".join(formats) + "\n") * (len(cells) // len(formats)) % cells
 
 
-def _csv_fields(texts, alone: bool) -> dict:
-    """{text: the field csv.writer writes for it} for each of ``texts``,
-    quoted where its minimal quoting quotes it; ``alone``: the field is its
-    row's only one, where csv.writer also quotes an empty field."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    fields = {}
-    for text in texts:
-        row = [text] if alone else [text, ""]
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow(row)
-        fields[text] = buf.getvalue()[: -len(row)]  # less "\n", or the ",\n" of the empty field
-    return fields
-
-
-def _column_cells(column, alone: bool) -> tuple[str, list]:
-    """(%-format, converted cells) of one CSV column, by the one
-    ``_cell_format`` of its cells' types; a string is quoted by
-    ``_csv_fields``.  TypeError when the cells need different formats."""
-    formats = {_cell_format(kind) for kind in set(map(type, column))}
-    if len(formats) != 1:
-        raise TypeError(f"a CSV column mixes cell formats {sorted(fmt for fmt, _ in formats)}")
-    ((fmt, convert),) = formats
-    cells = list(map(convert, column))
-    if fmt == "%s":
-        cells = list(map(_csv_fields(set(cells), alone).__getitem__, cells))
-    return fmt, cells
-
-
 def _write_csv(path: str, comment: str, header: list, rows) -> None:
-    """Write a provenance comment, a header and one row per item of ``rows``;
-    the file is replaced atomically.  Each column's format is decided once,
-    by ``_column_cells``, and the rows written through one %-format: the
-    bytes csv.writer writes for ``_fmt_cell`` of every cell."""
-    columns = list(zip(*rows, strict=True))
-    body = ""
-    if columns:
-        formats, cells = zip(*(_column_cells(column, len(columns) == 1) for column in columns))
-        body = _lines(formats, tuple(itertools.chain.from_iterable(zip(*cells))))
+    """Write a provenance comment, a header and one row per item of ``rows``
+    (any cells); the file is replaced atomically."""
     with _atomic_write(path) as fh:
-        _write_head(fh, comment, header)
-        fh.write(body)
+        writer = _write_head(fh, comment, header)
+        for row in rows:
+            writer.writerow([_fmt_cell(v) for v in row])
 
 
 def _read_comments(fh) -> tuple[dict, str]:

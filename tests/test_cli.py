@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-import math
 import os
 import re
 import signal
@@ -920,66 +919,6 @@ def test_interrupted_report_leaves_no_partial_file(tiny_config, monkeypatch, cap
         assert fh.read() == first
 
 
-def _fmt_cell_reference(v) -> str:
-    """One cell as the CSV writer formatted each cell before it formatted whole tables."""
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv_reference(path, comment, header, rows):
-    """A table written one csv.writer row per row, one _fmt_cell_reference per cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# " + comment + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell_reference(v) for v in row])
-
-
-# the cells of each kind of column the table writer tells apart
-_CELLS = {
-    "int": [0, 1, -1, 2**63 - 1, -(2**63), 10**30, True, np.int64(7), np.int32(-3), np.uint64(2**64 - 1)],
-    "bool": [True, False, np.True_, np.False_],
-    "float": [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e308, np.float64(1 / 3), np.float32(0.1)],
-    "str": ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " spaced ", "\u00fcn\u00efcode", 'x,"y"\n'],
-    "other": [None, (1, 2), "text"],
-}
-
-
-@pytest.mark.parametrize(
-    "kinds, n_rows",
-    [
-        (("int", "bool", "float", "str", "other", "float", "int"), 60),
-        (("str", "int", "float", "bool"), 0),
-        (("str",), 30),
-        (("float",), 30),
-    ],
-    ids=["every-kind", "zero-rows", "one-str-column", "one-float-column"],
-)
-def test_table_writer_equals_one_csv_row_per_row(kinds, n_rows, tmp_path):
-    # every column is formatted in the one format its cells share, the whole
-    # table with one %-format, and the bytes are those of the per-cell writer
-    rng = np.random.default_rng(len(kinds) + n_rows)
-    columns = [[_CELLS[kind][i] for i in rng.integers(0, len(_CELLS[kind]), n_rows)] for kind in kinds]
-    rows = [list(row) for row in zip(*columns)] if n_rows else []
-    header = [f"{kind}_{k}" for k, kind in enumerate(kinds)]
-    comment = "tool=ldplab digest=0123456789abcdef"
-    cli._write_csv(str(tmp_path / "table.csv"), comment, header, rows)
-    _write_csv_reference(tmp_path / "reference.csv", comment, header, rows)
-    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-
-
-def test_table_writer_rejects_a_column_of_two_formats(tmp_path):
-    with pytest.raises(TypeError, match="mixes cell formats"):
-        cli._write_csv(str(tmp_path / "table.csv"), "c", ["a", "b"], [[1, 0.5], [2, 1]])
-    assert os.listdir(tmp_path) == []
-
-
 @pytest.mark.parametrize("counts", ["distinct", "equal", "mixed"])
 def test_tail_rows_per_distinct_count_equal_one_repr_per_cell(counts):
     n, rng = 4096, np.random.default_rng(5)
@@ -997,7 +936,7 @@ def test_tail_rows_per_distinct_count_equal_one_repr_per_cell(counts):
         f"{int(t)},{float(tail.epsilon)!r},{n},{int(c)},{float(p)!r},{float(lo)!r},{float(hi)!r}\n"
         for t, c, p, lo, hi in zip(tail.t_grid, tail.exceed_count, tail.p_hat, tail.ci_low, tail.ci_high)
     )
-    assert cli._tail_lines(tail).splitlines() == want.splitlines()
+    assert cli._tail_lines(tail) == want
     distinct = len(np.unique(exceed))
     assert {"distinct": distinct == exceed.size, "equal": distinct == 1, "mixed": 1 < distinct < exceed.size}[counts]
 
@@ -1341,9 +1280,9 @@ def test_commands_run_without_scipy(tiny_config):
         "from ldplab.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         f"loaded = [m for m in {unloaded!r} if m in sys.modules]\n"
         f"assert main({['tail', out, '--epsilon', '0.18']!r}) == 0\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(scipy, loaded, 'ldplab.svgplot' in sys.modules)\n"
     )
     run = subprocess.run(
