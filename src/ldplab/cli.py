@@ -41,6 +41,9 @@ from .costs import positive_param
 from .montecarlo import (
     LEMMA_SUITES,
     STOP_SIGNALS,
+    VERIFY_ENUM_T_MAX,
+    VERIFY_SAMPLES,
+    VERIFY_SEED,
     InsufficientDataError,
     TailEstimate,
     WorkerDiedError,
@@ -293,14 +296,14 @@ def _cmd_simulate(args) -> int:
     T = rc.horizon_T
     comment = _provenance_comment(exp.digest, rc.certified_constants())
     chunks = ensemble_chunks(rc, exp.n_runs, workers=args.workers)  # checks --workers before any work
-    os.makedirs(outdir, exist_ok=True)
     table = np.zeros((T, 2 + rc.epsilon_grid.size), dtype=np.int64)
     # each file replaces its old one whole: the summary, then the step table,
     # then the manifest.  A summary or table whose digest is not the
     # manifest's is rejected on load, so an interrupted write never mixes old
-    # and new.  The summary is written one chunk at a time as the chunks
-    # finish, and a failed write cancels the chunks not yet started.
-    with contextlib.closing(chunks), _atomic_write(os.path.join(outdir, "trajsummary.csv")) as fh:
+    # and new, and a failed summary leaves no directory made for it.  The
+    # summary is written one chunk at a time as the chunks finish, and a
+    # failed write cancels the chunks not yet started.
+    with _output_dir(outdir), contextlib.closing(chunks), _atomic_write(os.path.join(outdir, "trajsummary.csv")) as fh:
         _write_head(fh, comment, _summary_header(rc.epsilon_grid))
         n_chunks = largest = 0
         for part in chunks:
@@ -754,9 +757,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "suites", nargs="*", help=f"one or more of {', '.join(LEMMA_SUITES)}; or 'all' (the default)"
     )
-    p_ver.add_argument("--samples", type=int, default=10**6)
-    p_ver.add_argument("--seed", type=int, default=20260801)
-    p_ver.add_argument("--enum-t-max", dest="enum_t_max", type=int, default=20)
+    p_ver.add_argument("--samples", type=int, default=VERIFY_SAMPLES)
+    p_ver.add_argument("--seed", type=int, default=VERIFY_SEED)
+    p_ver.add_argument("--enum-t-max", dest="enum_t_max", type=int, default=VERIFY_ENUM_T_MAX)
     p_ver.add_argument("--out", help="directory for verify.csv")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -71,18 +71,15 @@ class WorkerDiedError(RuntimeError):
 
 
 def _chunk_job(args):
-    config, lo, hi, record_full = args
-    return simulate_runs(config, np.arange(lo, hi), record_full=record_full)
+    config, lo, hi = args
+    return simulate_runs(config, np.arange(lo, hi))
 
 
-def predraw_bytes(config: RunConfig, n_runs: int, record_full: bool = False) -> int:
-    """Bytes that ``simulate_runs`` holds in proportion to the horizon for
-    n_runs runs: the block ``randomness_block`` pre-draws, n_runs x
-    (horizon_T - 1) queries, plus in full mode two n_runs x horizon_T
-    float64 arrays, ``grad_norm_sq`` and the running minimum that the
-    invariant check takes of it once the block is freed."""
-    T = config.horizon_T
-    return n_runs * ((T - 1) * config.oracle.query_nbytes() + (16 * T if record_full else 0))
+def predraw_bytes(config: RunConfig, n_runs: int) -> int:
+    """Bytes that a lean ``simulate_runs`` of n_runs runs holds in proportion
+    to the horizon: the block ``randomness_block`` pre-draws, n_runs x
+    (horizon_T - 1) queries."""
+    return n_runs * (config.horizon_T - 1) * config.oracle.query_nbytes()
 
 
 def usable_cpus() -> int:
@@ -93,10 +90,9 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def chunk_plan(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> tuple[list, int]:
-    """The chunk plan of ``ensemble_chunks`` as (bounds, processes): chunk k
-    is the runs bounds[k]..bounds[k + 1] - 1, run by min(workers,
-    usable_cpus(), chunks) processes.
+def chunk_plan(config: RunConfig, N: int, workers: int = 1) -> list:
+    """The chunk bounds of ``ensemble_chunks``: chunk k is the runs
+    bounds[k]..bounds[k + 1] - 1.
 
     A chunk holds at most ENSEMBLE_CHUNK runs and CHUNK_PREDRAW_BYTES of
     ``predraw_bytes`` (one run at least, whatever its bytes).  One chunk
@@ -109,29 +105,28 @@ def chunk_plan(config: RunConfig, N: int, workers: int = 1, record_full: bool = 
     int_param("N", N)
     int_param("workers", workers)
     usable = min(workers, usable_cpus())
-    per_run = max(1, predraw_bytes(config, 1, record_full))
+    per_run = max(1, predraw_bytes(config, 1))
     most = max(1, min(ENSEMBLE_CHUNK, CHUNK_PREDRAW_BYTES // per_run))
     n_chunks = -(-N // most)
     if n_chunks > 1 or N * config.horizon_T >= _SPLIT_MIN_RUN_STEPS:
         n_chunks = min(N, -(-n_chunks // usable) * usable)
-    return [N * k // n_chunks for k in range(n_chunks + 1)], min(usable, n_chunks)
+    return [N * k // n_chunks for k in range(n_chunks + 1)]
 
 
-def ensemble_chunks(config: RunConfig, N: int, workers: int = 1, record_full: bool = False):
-    """The runs 0..N-1 as a generator of ensemble-array chunks in run order,
-    each yielded once it and every earlier chunk have finished.
+def ensemble_chunks(config: RunConfig, N: int, workers: int = 1):
+    """The runs 0..N-1 as a generator of lean ensemble-array chunks in run
+    order, each yielded once it and every earlier chunk have finished.
 
-    The chunks and the number of worker processes are those of
-    ``chunk_plan(config, N, workers, record_full)``, which checks N and
-    workers when this is called, before any chunk runs.  Streams are derived
-    from (config.seed, run_index) only, so the runs are bit-identical for
-    every chunk layout and ``workers`` setting.  The chunks go through
-    ``ordered_map``, so the caller holds O(chunk) results at a time whatever
-    N is, and closing the generator stops the workers.
+    The chunks are those of ``chunk_plan(config, N, workers)``, which checks
+    N and workers when this is called, before any chunk runs.  Streams are
+    derived from (config.seed, run_index) only, so the runs are
+    bit-identical for every chunk layout and ``workers`` setting.  The
+    chunks go through ``ordered_map`` on up to ``workers`` processes, so the
+    caller holds O(chunk) results at a time whatever N is, and closing the
+    generator stops the workers.
     """
-    bounds, processes = chunk_plan(config, N, workers, record_full)
-    jobs = [(config, lo, hi, record_full) for lo, hi in zip(bounds, bounds[1:])]
-    return ordered_map(_chunk_job, jobs, processes)
+    bounds = chunk_plan(config, N, workers)
+    return ordered_map(_chunk_job, [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])], workers)
 
 
 def _leave_signals_to_parent(parent: int):
@@ -256,11 +251,11 @@ def _result(future, pool):
                 raise WorkerDiedError("a worker process exited while its jobs ran") from None
 
 
-def run_ensemble(config: RunConfig, N: int, workers: int = 1, record_full: bool = False) -> EnsembleArrays:
-    """N independent runs with indices 0..N-1, as one set of ensemble arrays:
-    the concatenation of ``ensemble_chunks(config, N, workers, record_full)``,
+def run_ensemble(config: RunConfig, N: int, workers: int = 1) -> EnsembleArrays:
+    """N independent runs with indices 0..N-1, as one set of lean ensemble
+    arrays: the concatenation of ``ensemble_chunks(config, N, workers)``,
     bit-identical for every ``workers`` setting."""
-    return EnsembleArrays.concatenate(list(ensemble_chunks(config, N, workers, record_full)))
+    return EnsembleArrays.concatenate(list(ensemble_chunks(config, N, workers)))
 
 
 def wilson_interval(count, n: int):
@@ -449,6 +444,8 @@ def fit_decay(tail: TailEstimate, candidates) -> list[DecayFit]:
 # statistical verification suites
 # ---------------------------------------------------------------------------
 
+# a verify request's defaults: samples per suite, master seed, appendix-f-enum's largest t
+VERIFY_SAMPLES, VERIFY_SEED, VERIFY_ENUM_T_MAX = 10**6, 20260801, 20
 _MGF_NORM_MULTIPLIERS = (0.1, 1.0, 4.0 / 3.0, 2.0, 5.0)
 
 
@@ -634,7 +631,7 @@ def _suite_batch_bound(n_queries, seed) -> LemmaSuiteReport:
     return LemmaSuiteReport("batch-bound", checks)
 
 
-def _suite_appendix_f_enum(n_samples, seed, t_max=20) -> LemmaSuiteReport:
+def _suite_appendix_f_enum(n_samples, seed, t_max=VERIFY_ENUM_T_MAX) -> LemmaSuiteReport:
     """P(x_1 = ... = x_t) of the solvable instance equals 2^(1-t) exactly, t <= t_max."""
     checks = []
     for t, prob in appendix_f_enumeration(t_max).items():
@@ -681,7 +678,9 @@ _LEMMA_SUITE_RUNNERS = {
 LEMMA_SUITES = tuple(_LEMMA_SUITE_RUNNERS)
 
 
-def verify_lemma_suite(suite: str, n_samples: int = 10**6, seed: int = 20260801, **params) -> LemmaSuiteReport:
+def verify_lemma_suite(
+    suite: str, n_samples: int = VERIFY_SAMPLES, seed: int = VERIFY_SEED, **params
+) -> LemmaSuiteReport:
     """Run one verification suite and report margins.
 
     Suites: 'mgf-bounded', 'mgf-inner' (bounded-noise MGF bounds),

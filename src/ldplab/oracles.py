@@ -13,7 +13,8 @@ bound M, or a closed-form bound sigma^p on the p-th moment.
 
 ``OracleSpec`` draws every query: ``randomness_block`` an ensemble's, each
 run from its own stream, and ``output_blocks`` n at one point, block by
-block, for the probes; a mode only sizes, transforms and applies them.
+block of ``_raw_blocks``, for the probes; a mode only sizes, transforms and
+applies them.
 A draw is split in two.  The *raw draw* fills float64 buffers from a
 stream, always in the same order: every standard normal of the block
 first, then every uniform on [0, 1).  ``raw_widths`` says how many of each
@@ -44,19 +45,18 @@ from .costs import (
 )
 from .rng import StreamPool
 
-_PROBE_CHUNK = 1 << 16  # queries per draw of output_blocks and sample_chunks
-# raw variate bytes per row sub-block of a probe chunk: bounds its transform's
+_PROBE_CHUNK = 1 << 16  # queries per draw of _raw_blocks, unless the draw is _splittable
+# raw variate bytes per row block of _raw_blocks: bounds a block's transform's
 # and outputs' temporaries, such as the batch oracle's argsort and gather
 _OUTPUT_BLOCK_BYTES = 1 << 20
 # raw variate bytes per slab of runs in randomness_block: bounds the slab's
 # buffers and its transform's temporaries, not the block it returns
 _SLAB_RAW_BYTES = 1 << 22
 _SUM_BLOCK_ROWS = 1 << 14  # rows per block of _row_sums
-_MGF_BLOCK_ROWS = 2048  # rows of the MGF grid per block: (2048, 6, 8) float64 is 768 KiB
-# rows per projection block of _mgf_grid_moments, (2^13, 8) float64 or 512 KiB:
-# OpenBLAS runs a product this small on one thread, where the whole (n, 8)
+# rows per block of _mgf_grid_moments: its (2048, 6, 8) float64 grid is 768 KiB,
+# and OpenBLAS runs a (2048, 8) projection on one thread, where the whole (n, 8)
 # product woke a second thread that spun for about as long as the first worked
-_PROJECTION_ROWS = 1 << 13
+_MGF_BLOCK_ROWS = 2048
 PROBE_MIN_SAMPLES = 10**5  # fewest samples clipping_bias_probe accepts
 _PROBE_DIRECTIONS = 8  # directions of clipping_bias_probe's MGF grid
 
@@ -89,6 +89,21 @@ def _splittable(widths: tuple[int, int]) -> bool:
     return min(widths) == 0
 
 
+def _raw_blocks(rng: np.random.Generator, widths: tuple[int, int], n: int):
+    """The one chunker of a probe draw: n queries' raw variates from ``rng``
+    as (lo, (normals, uniforms)) row blocks of queries lo.., in order, each
+    about _OUTPUT_BLOCK_BYTES.  Each chunk of _PROBE_CHUNK queries is one
+    ``_raw_draw``, cut into blocks; a ``_splittable`` draw is drawn one
+    block at a time, with the same bits.  Every transform is row-wise, so
+    its bits do not depend on the blocks."""
+    rows = max(1, _OUTPUT_BLOCK_BYTES // (8 * sum(widths)))
+    draw = rows if _splittable(widths) else _PROBE_CHUNK
+    for lo in range(0, n, draw):
+        normals, uniforms = _raw_draw(rng, widths, min(draw, n - lo))
+        for a in range(0, len(normals), rows):
+            yield lo + a, (normals[a : a + rows], uniforms[a : a + rows])
+
+
 class NoiseModel:
     """Zero-mean noise with a certified bound (a.s. or moment)."""
 
@@ -112,13 +127,13 @@ class NoiseModel:
 
     def sample_chunks(self, rng: np.random.Generator, n: int):
         """``sample_block(rng, n)`` as (lo, block) pairs in order, each block
-        rows lo.. of it, of at most _PROBE_CHUNK rows, bit for bit.  The
+        rows lo.. of it, one block of ``_raw_blocks`` each, bit for bit.  The
         stream continues across draws, so only a noise that draws one kind of
         variate can be split: ValueError for one that draws both normals and
         uniforms, whose one draw takes every normal before any uniform."""
         if not _splittable(self.raw_widths()):
             raise ValueError(f"{self.kind} noise draws normals and uniforms, so its draw cannot be split")
-        return ((lo, self.sample_block(rng, min(_PROBE_CHUNK, n - lo))) for lo in range(0, n, _PROBE_CHUNK))
+        return ((lo, self.transform(*raw)) for lo, raw in _raw_blocks(rng, self.raw_widths(), n))
 
     def noise_constants(self) -> dict:
         """The certified constants: {'M': a.s. bound on ||z||} or
@@ -340,33 +355,13 @@ class OracleSpec:
 
     def output_blocks(self, x, rng: np.random.Generator, n: int):
         """n independent oracle outputs at a fixed point, as (lo, block) pairs
-        in order: block holds outputs lo.., shape (rows, dim).
-
-        Each chunk of _PROBE_CHUNK queries is drawn as one ``_raw_draw`` from
-        ``rng``, and its transform and outputs are computed in row sub-blocks
-        of about _OUTPUT_BLOCK_BYTES of raw variates; every step is row-wise,
-        so the bits do not depend on the blocks.  A query whose draw is
-        ``_splittable``, such as the batch oracle's, draws its chunk one
-        sub-block at a time, with the same bits.
-        """
+        in order: block holds outputs lo.., shape (rows, dim), the outputs of
+        one block of ``_raw_blocks(rng, raw_widths(), n)``.  The point is
+        checked when this is called."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.cost.dim,):
             raise ValueError(f"query point must have shape ({self.cost.dim},)")
-        widths = self.raw_widths()
-        rows = max(1, _OUTPUT_BLOCK_BYTES // (8 * sum(widths)))
-        draw = rows if _splittable(widths) else _PROBE_CHUNK
-        for lo in range(0, n, draw):
-            normals, uniforms = _raw_draw(rng, widths, min(draw, n - lo))
-            for a in range(0, len(normals), rows):
-                yield lo + a, self.outputs_at(x, self.transform(normals[a : a + rows], uniforms[a : a + rows]))
-
-    def query_block(self, x, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent oracle outputs at a fixed point; shape (n, dim): the
-        blocks of ``output_blocks`` in one array."""
-        out = np.empty((n, self.cost.dim))
-        for lo, block in self.output_blocks(x, rng, n):
-            out[lo : lo + len(block)] = block
-        return out
+        return ((lo, self.outputs_at(x, self.transform(*raw))) for lo, raw in _raw_blocks(rng, self.raw_widths(), n))
 
     def outputs_at(self, x: np.ndarray, randomness: np.ndarray) -> np.ndarray:
         """Oracle outputs at the point x from rows of transformed randomness."""
@@ -516,36 +511,35 @@ def _mgf_grid_moments(rows: np.ndarray, dirs: np.ndarray, scales) -> tuple[np.nd
     ``rows`` has shape (n, dim) and ``dirs`` (k, dim); both results have
     shape (len(scales), k), and row j equals
     ``np.exp(scales[j] * (rows @ dirs.T)).mean(axis=0)`` and ``.std(axis=0)``
-    bit for bit.  Each pass projects one block of _PROJECTION_ROWS rows at a
-    time, so no (n, k) array is held.  No block has a single row unless n is
-    1: a one-row product takes BLAS's matrix-vector path, whose bits differ
-    from the rows of a matrix product.  A block's rows stream through one
-    cache-sized buffer, with the running sum carried in its row 0, and are
-    added in order, as numpy adds rows.  The second pass recomputes exp to
-    sum the squared deviations from the mean, as numpy's var does, instead
-    of storing the (n, scales, k) grid.
+    bit for bit.  Each pass projects and reduces one block of
+    _MGF_BLOCK_ROWS rows at a time, so no (n, k) array is held.  No block
+    has a single row unless n is 1: a one-row product takes BLAS's
+    matrix-vector path, whose bits differ from the rows of a matrix product,
+    so a last block of one row joins the block before it.  A block's grid
+    fills one cache-sized buffer, with the running sum carried in its row 0,
+    and its rows are added in order, as numpy adds rows.  The second pass
+    recomputes exp to sum the squared deviations from the mean, as numpy's
+    var does, instead of storing the (n, scales, k) grid.
     """
     n = len(rows)
     scales = np.asarray(scales, dtype=np.float64)
-    bounds = list(range(0, n, _PROJECTION_ROWS)) + [n]
+    bounds = list(range(0, n, _MGF_BLOCK_ROWS)) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
-        del bounds[-2]  # a last block of one row joins the block before it
-    buf = np.empty((min(n, _MGF_BLOCK_ROWS) + 1, scales.size, len(dirs)))
+        del bounds[-2]
+    buf = np.empty((min(n, _MGF_BLOCK_ROWS + 1) + 1, scales.size, len(dirs)))
 
     def column_mean(center=None):
         buf[0] = 0.0
-        for block_lo, block_hi in zip(bounds, bounds[1:]):
-            proj = rows[block_lo:block_hi] @ dirs.T
-            for lo in range(0, len(proj), _MGF_BLOCK_ROWS):
-                m = min(_MGF_BLOCK_ROWS, len(proj) - lo)
-                block = buf[1 : m + 1]
-                for j, s in enumerate(scales):  # one (m, k) product per scale beats a 3-D broadcast
-                    np.multiply(proj[lo : lo + m], s, out=block[:, j])
-                np.exp(block, out=block)
-                if center is not None:
-                    np.subtract(block, center, out=block)
-                    np.multiply(block, block, out=block)
-                buf[0] = buf[: m + 1].sum(axis=0)
+        for lo, hi in zip(bounds, bounds[1:]):
+            proj = rows[lo:hi] @ dirs.T
+            block = buf[1 : hi - lo + 1]
+            for j, s in enumerate(scales):  # one (m, k) product per scale beats a 3-D broadcast
+                np.multiply(proj, s, out=block[:, j])
+            np.exp(block, out=block)
+            if center is not None:
+                np.subtract(block, center, out=block)
+                np.multiply(block, block, out=block)
+            buf[0] = buf[: hi - lo + 1].sum(axis=0)
         return buf[0] / n
 
     mean = column_mean()

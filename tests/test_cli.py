@@ -138,7 +138,7 @@ def test_failed_summary_write_cancels_the_chunks_not_started(workers, tiny_confi
     assert main(["simulate", "--config", config_path, "--workers", workers]) == 3
     assert "no space left on device" in capsys.readouterr().err
     assert 1 <= len(os.listdir(marks)) <= 2 * int(workers) + 1
-    assert os.listdir(out) == []  # no summary, temporary file or manifest
+    assert not os.path.exists(out)  # no summary, temporary file or manifest, nor the directory it made
 
 
 def test_simulate_refuses_differing_digest(tiny_config, tmp_path):
@@ -515,6 +515,27 @@ def test_failed_verify_removes_the_directories_it_made(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_failed_simulate_removes_the_directories_it_made(tiny_config, tmp_path, monkeypatch, capsys):
+    # a chunk that fails leaves none of the directories simulate made, and
+    # leaves the complete results of an earlier simulate as they were
+    def failing_chunk(job):
+        raise OSError("a chunk failed")
+
+    config_path, doc = tiny_config
+    out = tmp_path / "new" / "sub"
+    monkeypatch.setattr(montecarlo, "_chunk_job", failing_chunk)
+    assert main(["simulate", "--config", config_path, "--out", str(out)]) == 3
+    assert not (tmp_path / "new").exists()
+    monkeypatch.undo()
+    results = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    old = {name: open(os.path.join(results, name), "rb").read() for name in os.listdir(results)}
+    monkeypatch.setattr(montecarlo, "_chunk_job", failing_chunk)
+    assert main(["simulate", "--config", config_path, "--force"]) == 3
+    assert {name: open(os.path.join(results, name), "rb").read() for name in os.listdir(results)} == old
+    assert capsys.readouterr().err.count("io error: a chunk failed") == 2
+
+
 @pytest.mark.parametrize("suite", ["rates", "appendix-f-enum"])
 def test_one_job_verify_starts_no_process(suite, tmp_path, monkeypatch):
     # a request of one job runs in this process, whatever the CPUs
@@ -541,7 +562,9 @@ def test_one_cpu_affinity_keeps_every_pool_serial():
         "    raise AssertionError('no process may start')\n"
         "montecarlo._process_pool = no_pool\n"
         "assert montecarlo.usable_cpus() == 1\n"
-        "assert montecarlo.chunk_plan(parse_config(preset_config('appendix-f')).run_config, 2**20, 2)[1] == 1\n"
+        "montecarlo.ENSEMBLE_CHUNK = 2\n"
+        "rc = parse_config(preset_config('appendix-f')).run_config\n"
+        "assert len(list(montecarlo.ensemble_chunks(rc, 8, 2))) == 4  # four chunks, run here\n"
         "sys.exit(main(['verify', 'mgf-bounded', 'rates', '--samples', '1000']))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)

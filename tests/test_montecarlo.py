@@ -70,24 +70,27 @@ class TestWilson:
         np.testing.assert_array_equal(hi, np.maximum(np.clip(center + half, 0.0, 1.0), p_hat))
 
 
+def _assert_same_arrays(got, want):
+    """Every per-run field of two ensembles is equal, dtype and bytes; a lean
+    one's grad_norm_sq is None in both."""
+    for name in EnsembleArrays.PER_RUN:
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestEnsemble:
     def test_single_run_equals_trajectory(self):
         config = solvable_instance(T=10)
-        res = run_ensemble(config, 1, record_full=True)
-        run = simulate_runs(config, [0], record_full=True)
-        for name in EnsembleArrays.PER_RUN:
-            got, want = getattr(res, name), getattr(run, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        _assert_same_arrays(run_ensemble(config, 1), simulate_runs(config, [0]))
 
     def test_worker_invariance(self):
         # two chunks, so workers=4 really runs them in two worker processes
         config = solvable_instance(T=8)
         n = montecarlo.ENSEMBLE_CHUNK + 1500
-        a = run_ensemble(config, n, workers=1, record_full=True)
-        b = run_ensemble(config, n, workers=4, record_full=True)
-        for name in EnsembleArrays.PER_RUN:
-            got, want = getattr(b, name), getattr(a, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        _assert_same_arrays(run_ensemble(config, n, workers=4), run_ensemble(config, n, workers=1))
 
     def test_concatenate_joins_every_per_run_field(self):
         config = solvable_instance(T=8)
@@ -166,10 +169,9 @@ class TestEnsemble:
         ],
         ids=["sphere-bounded", "two-point", "symmetrized-pareto", "gaussian", "batch-subsample"],
     )
-    def test_chunk_plan_bounds_the_predrawn_bytes(self, oracle, monkeypatch):
-        # a 40 KiB budget: a chunk holds 32 of these runs (batch: 26), fewer in full mode
+    def test_chunk_plan_bounds_the_predrawn_bytes(self, oracle, inline_pool, monkeypatch):
+        # a 40 KiB budget: a chunk holds 32 of these runs (batch: 26)
         monkeypatch.setattr(montecarlo, "CHUNK_PREDRAW_BYTES", 40 << 10)
-        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
         doc = preset_config("sgd-bounded")
         doc["oracle"] = oracle
         if oracle["mode"] == "batch-subsample":
@@ -177,29 +179,33 @@ class TestEnsemble:
             doc["method"] = {"kind": "vanilla", "step": {"kind": "constant", "c": 0.2}}
         doc["ensemble"]["horizon_T"] = 40
         config = parse_config(doc).run_config
-        for N, workers, record_full in [(5, 2, False), (100, 1, False), (100, 3, False), (100, 8, True), (7, 8, True)]:
-            bounds, processes = montecarlo.chunk_plan(config, N, workers, record_full)
+        for N, workers in [(5, 2), (100, 1), (100, 3), (100, 8), (7, 8)]:
+            bounds = montecarlo.chunk_plan(config, N, workers)
             sizes = np.diff(bounds)
             assert bounds[0] == 0 and bounds[-1] == N and sizes.min() >= sizes.max() - 1 >= 0
             if len(sizes) > 1:  # a split plan gives every worker as many chunks
                 assert len(sizes) % workers == 0
-            assert processes == min(workers, 8, len(sizes))
+            # the plan's chunks run on min(workers, CPUs, chunks) processes; one starts no pool
+            started = len(inline_pool)
+            run_ensemble(config, N, workers)
+            processes = min(workers, 8, len(sizes))
+            assert inline_pool[started:] == ([(processes, list(zip(bounds, bounds[1:])))] if processes > 1 else [])
             for lo, hi in zip(bounds, bounds[1:]):
                 block = config.oracle.randomness_block(config.seed, np.arange(lo, hi), 39)
-                predrawn = montecarlo.predraw_bytes(config, hi - lo, record_full)
-                assert predrawn == block.nbytes + (16 * 40 * (hi - lo) if record_full else 0)
-                assert predrawn <= montecarlo.CHUNK_PREDRAW_BYTES
-        assert montecarlo.chunk_plan(config, 5, 2) == ([0, 5], 1)  # one small chunk stays serial
-        assert len(montecarlo.chunk_plan(config, 100, 3)[0]) - 1 == 6  # 4 chunks fit, 6 share 3 workers
+                predrawn = montecarlo.predraw_bytes(config, hi - lo)
+                assert predrawn == block.nbytes <= montecarlo.CHUNK_PREDRAW_BYTES
+        assert montecarlo.chunk_plan(config, 5, 2) == [0, 5]  # one small chunk stays serial
+        assert len(montecarlo.chunk_plan(config, 100, 3)) - 1 == 6  # 4 chunks fit, 6 share 3 workers
 
     def test_full_mode_holds_no_more_than_predraw_bytes_counts(self, monkeypatch):
         # full mode adds grad_norm_sq and, in the invariant check, its running
-        # minimum; a transposed copy of it, or the block kept alive through
-        # the check, would go beyond what predraw_bytes adds for it.  Small
-        # slabs keep randomness_block's own buffers out of both peaks.
+        # minimum, two (n, T) float64 arrays or 16 T n bytes; a transposed
+        # copy of it, or the block kept alive through the check, would go
+        # beyond that.  Small slabs keep randomness_block's own buffers out of
+        # both peaks.
         monkeypatch.setattr(oracles, "_SLAB_RAW_BYTES", 1 << 14)
         doc = preset_config("csgd-pareto")
-        doc["ensemble"]["horizon_T"] = 2000
+        T = doc["ensemble"]["horizon_T"] = 2000
         config = parse_config(doc).run_config
         n = 128
         peak = {}
@@ -210,20 +216,17 @@ class TestEnsemble:
                 peak[record_full] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        added = montecarlo.predraw_bytes(config, n, True) - montecarlo.predraw_bytes(config, n)
-        assert peak[True] - peak[False] <= added, (peak, added)
+        assert peak[True] - peak[False] <= 16 * T * n, peak
 
     def test_large_single_chunk_ensemble_runs_one_chunk_per_worker(self, inline_pool):
         T = 1024
         n = montecarlo._SPLIT_MIN_RUN_STEPS // T  # one chunk with just enough run-steps
         config = solvable_instance(T=T)
-        split = run_ensemble(config, n, workers=2, record_full=True)
+        split = run_ensemble(config, n, workers=2)
         assert inline_pool == [(2, [(0, n // 2), (n // 2, n)])]
-        serial = run_ensemble(config, n, workers=1, record_full=True)
+        serial = run_ensemble(config, n, workers=1)
         assert len(inline_pool) == 1
-        for name in EnsembleArrays.PER_RUN:
-            got, want = getattr(split, name), getattr(serial, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        _assert_same_arrays(split, serial)
 
     def test_small_ensembles_start_no_pool(self, inline_pool):
         # verify-all's ensemble, the appendix-f preset at 4096 runs x T = 16,
@@ -275,7 +278,7 @@ def inline_pool(monkeypatch):
             return False
 
         def submit(self, fn, job):
-            _, lo, hi, _ = job
+            _, lo, hi = job
             self.chunks.append((lo, hi))
             future = Future()
             future.set_result(fn(job))

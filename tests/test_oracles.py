@@ -16,7 +16,6 @@ from ldplab.oracles import (
     TwoPointNoise,
     _MGF_BLOCK_ROWS,
     _PROBE_CHUNK,
-    _PROJECTION_ROWS,
     _SCALE_MULTIPLIERS,
     _SUM_BLOCK_ROWS,
     _mgf_grid_moments,
@@ -143,12 +142,19 @@ class TestCertifyMoment:
         assert m.moment_bound(2.0) == pytest.approx(2.0)
 
 
+def _outputs(oracle, x, rng, n):
+    """The blocks of ``oracle.output_blocks(x, rng, n)`` in one (n, dim) array."""
+    blocks = list(oracle.output_blocks(x, rng, n))
+    assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
+    return np.concatenate([b for _, b in blocks])
+
+
 class TestQuery:
     def test_noiseless_oracle_returns_gradient(self):
         cost = HuberCost(1.0, 2)
         oracle = AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.0, dim=2))
         x = np.array([0.3, -0.2])
-        np.testing.assert_array_equal(oracle.query_block(x, run_generator(0, 0), 1)[0], cost.gradient(x))
+        np.testing.assert_array_equal(_outputs(oracle, x, run_generator(0, 0), 1)[0], cost.gradient(x))
 
     def test_solvable_instance_outputs(self):
         # inside the ball: g = x + z with z = +/- x1
@@ -156,7 +162,7 @@ class TestQuery:
         x1 = np.array([0.6, 0.0])
         oracle = AdditiveOracle(cost=cost, noise=TwoPointNoise(v=x1))
         x = np.array([0.2, 0.1])
-        outs = oracle.query_block(x, run_generator(1, 0), 500)
+        outs = _outputs(oracle, x, run_generator(1, 0), 500)
         expected = {tuple(x + x1), tuple(x - x1)}
         assert set(map(tuple, outs)) <= expected
 
@@ -164,7 +170,7 @@ class TestQuery:
         cost = HuberCost(1.0, 2)
         oracle = AdditiveOracle(cost=cost, noise=SphereNoise(radius=0.1, dim=2))
         with pytest.raises(ValueError):
-            oracle.query_block(np.zeros(3), run_generator(0, 0), 1)
+            oracle.output_blocks(np.zeros(3), run_generator(0, 0), 1)
 
     def test_noise_cost_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -175,14 +181,14 @@ class TestQuery:
         oracle = BatchSubsampleOracle(cost=cost, batch_size=1)
         x = np.array([0.4, -0.1])
         per_sample = cost.per_sample_gradients(x)
-        outs = oracle.query_block(x, run_generator(2, 0), 10**5)
+        outs = _outputs(oracle, x, run_generator(2, 0), 10**5)
         freq0 = np.mean(np.all(np.isclose(outs, per_sample[0]), axis=1))
         freq1 = np.mean(np.all(np.isclose(outs, per_sample[1]), axis=1))
         assert freq0 + freq1 == pytest.approx(1.0)
         assert abs(freq0 - 0.5) <= 0.01
 
     @pytest.mark.parametrize("mode", ["additive-noise", "batch-subsample"])
-    def test_query_block_draws_in_chunks(self, mode, monkeypatch):
+    def test_output_blocks_draw_in_chunks(self, mode, monkeypatch):
         # n spanning two chunks: each chunk draws its normals, then its uniforms
         monkeypatch.setattr(oracles, "_PROBE_CHUNK", 100)
         x = np.array([0.4, -0.1, 0.3])
@@ -200,7 +206,7 @@ class TestQuery:
                 subsets = np.argsort(rng.random((k, 12)), axis=1)[:, :4]
                 return cost.per_sample_gradients(x)[subsets].mean(axis=1)
 
-        got = oracle.query_block(x, run_generator(6, 0), 150)
+        got = _outputs(oracle, x, run_generator(6, 0), 150)
         rng = run_generator(6, 0)
         np.testing.assert_array_equal(got, np.concatenate([chunk(rng, 100), chunk(rng, 50)]))
         if mode == "additive-noise":  # one draw of 150 takes the uniforms later in the stream
@@ -217,7 +223,7 @@ class TestQuery:
             oracle = AdditiveOracle(cost=HuberCost(1.0, 3), noise=noise)
         else:
             oracle = BatchSubsampleOracle(cost=synthetic_logistic_cost(m=12, dim=3, dataset_seed=8), batch_size=4)
-        whole = oracle.query_block(x, run_generator(6, 1), 250)
+        whole = _outputs(oracle, x, run_generator(6, 1), 250)
         monkeypatch.setattr(oracles, "_OUTPUT_BLOCK_BYTES", 3 * 8 * sum(oracle.raw_widths()))
         blocks = list(oracle.output_blocks(x, run_generator(6, 1), 250))
         assert [lo for lo, _ in blocks][:3] == [0, 3, 6] and blocks[33][0] == 99
@@ -236,7 +242,7 @@ class TestQuery:
             return raw_draw(rng, widths, n)
 
         monkeypatch.setattr(oracles, "_raw_draw", counting_draw)
-        got = oracle.query_block(x, run_generator(6, 2), 23)
+        got = _outputs(oracle, x, run_generator(6, 2), 23)
         assert sizes == [5, 5, 5, 5, 3]
         want = oracle.outputs_at(x, oracle.transform(*raw_draw(run_generator(6, 2), oracle.raw_widths(), 23)))
         assert got.tobytes() == want.tobytes()
@@ -253,7 +259,7 @@ class TestQuery:
         oracle = BatchSubsampleOracle(cost=cost, batch_size=4)
         x = np.array([0.5, -0.7, 0.2])
         n = 10**6
-        outs = oracle.query_block(x, run_generator(3, 0), n)
+        outs = _outputs(oracle, x, run_generator(3, 0), n)
         se = outs.std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(outs.mean(axis=0) - cost.gradient(x)) <= 5.0 * np.maximum(se, 1e-15))
 
@@ -262,7 +268,7 @@ class TestQuery:
         oracle = BatchSubsampleOracle(cost=cost, batch_size=3)
         rng = run_generator(4, 0)
         for x in 3.0 * np.random.default_rng(5).standard_normal((5, 3)):
-            outs = oracle.query_block(x, rng, 2000)
+            outs = _outputs(oracle, x, rng, 2000)
             dev = np.linalg.norm(outs - cost.gradient(x), axis=1)
             assert np.all(dev <= oracle.noise_constants()["M"])
 
@@ -272,12 +278,32 @@ class TestQuery:
 def test_sample_chunks_equal_one_sample_block(model, chunk, monkeypatch):
     # a noise that draws one kind of variate continues its stream across
     # draws, so chunks of it are one sample_block bit for bit
-    monkeypatch.setattr(oracles, "_PROBE_CHUNK", chunk)
+    monkeypatch.setattr(oracles, "_OUTPUT_BLOCK_BYTES", chunk * 8 * sum(model.raw_widths()))
     n = 2 * chunk + 3
     chunks = list(model.sample_chunks(run_generator(12, 0), n))
     assert [lo for lo, _ in chunks] == [0, chunk, 2 * chunk]
     whole = model.sample_block(run_generator(12, 0), n)
     assert np.concatenate([z for _, z in chunks]).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [AdditiveOracle(cost=HuberCost(1.0, m.dim), noise=m) for m in _NOISE_MODELS]
+    + [BatchSubsampleOracle(cost=synthetic_logistic_cost(m=12, dim=3, dataset_seed=8), batch_size=4)],
+    ids=[m.kind for m in _NOISE_MODELS] + ["batch-subsample"],
+)
+def test_raw_blocks_give_the_same_outputs_at_any_block_size(oracle, monkeypatch):
+    # 250 queries span three draws of a 100-query chunk; blocks of 1 and 7
+    # rows give the outputs of the default blocks, bit for bit
+    monkeypatch.setattr(oracles, "_PROBE_CHUNK", 100)
+    x = np.linspace(0.1, 0.4, oracle.cost.dim)
+    want = _outputs(oracle, x, run_generator(9, 0), 250)
+    assert want.shape == (250, oracle.cost.dim)
+    for rows in (1, 7):
+        monkeypatch.setattr(oracles, "_OUTPUT_BLOCK_BYTES", rows * 8 * sum(oracle.raw_widths()))
+        blocks = list(oracles._raw_blocks(run_generator(9, 0), oracle.raw_widths(), 250))
+        assert max(len(normals) for _, (normals, _) in blocks) == rows
+        assert _outputs(oracle, x, run_generator(9, 0), 250).tobytes() == want.tobytes(), rows
 
 
 def test_sample_chunks_reject_a_noise_of_two_widths():
@@ -360,12 +386,12 @@ class TestClippingBiasProbe:
 
 
 class TestMgfGridMoments:
-    # n = 1, and n = 0, 1, 2 and -1 mod the projection block: a last block of
+    # n = 1, and n = 0, 1, 2 and -1 mod the block: a last block of
     # one row would go through BLAS's matrix-vector path, whose bits differ
     @pytest.mark.parametrize(
         "n",
         [1, _MGF_BLOCK_ROWS - 1, _MGF_BLOCK_ROWS, _MGF_BLOCK_ROWS + 1, 10**5 + 3]
-        + [2 * _PROJECTION_ROWS + k for k in (-1, 0, 1, 2)],
+        + [8 * _MGF_BLOCK_ROWS + k for k in (-1, 0, 1, 2)],
     )
     def test_equals_numpy_mean_and_std_bitwise(self, n):
         # the clipped, centred Pareto output and its directions, as in the probe

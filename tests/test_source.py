@@ -65,3 +65,39 @@ def test_numpy_is_the_only_declared_runtime_dependency():
     project = tomllib.loads((SOURCE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     # a requirement's name is its leading run of name characters (PEP 508)
     assert [re.match(r"[A-Za-z0-9._-]+", req).group() for req in project["dependencies"]] == ["numpy"]
+
+
+def _referenced_names(tree) -> set:
+    """The names a module refers to: each Name, Attribute, imported name, and
+    string constant that is an identifier (a name passed to getattr or
+    monkeypatch)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_every_function_is_used_outside_the_tests():
+    # a function or method that nothing but its own tests calls is a wrapper
+    # to delete, not to keep; a def is not a reference to itself
+    repo = SOURCE.parents[1]
+    users = sorted((repo / "demos").rglob("*.py")) + sorted((repo / "benchmarks").rglob("*.py"))
+    defined, used = [], set()
+    for path in sorted(SOURCE.glob("*.py")) + users:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _referenced_names(tree)
+        if path.parent == SOURCE:
+            defined += [
+                (f"{path.name}:{node.lineno}", node.name)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    dunder = re.compile(r"__\w+__")
+    assert [f"{where}: {name}" for where, name in defined if not dunder.fullmatch(name) and name not in used] == []
