@@ -63,7 +63,7 @@ from .theory import (
     DECAY_T_MIN,
     SOTA_KINDS,
     RateSpec,
-    decay_family,
+    decay_families,
     rate_csgd,
     rate_csgd_generalC,
     rate_sgd,
@@ -545,11 +545,15 @@ def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
 
 
 def _cmd_fit(args) -> int:
-    names = args.candidates.split(",") if args.candidates else ["sqrt-t", "t-over-log", "linear-t"]
+    names = ["sqrt-t", "t-over-log", "linear-t"] if args.candidates is None else args.candidates.split(",")
     if args.p is not None and "power-over-log" not in names:
         raise ConfigError("fit: --p applies only when --candidates lists 'power-over-log'")
+    try:
+        candidates = decay_families(names, p=args.p)
+    except ValueError as e:
+        raise ConfigError(f"--candidates: {e}") from e
     digest, tail = _tail_from_csv(args.tail_csv)
-    fits = fit_decay(tail, [decay_family(name, p=args.p) for name in names])
+    fits = fit_decay(tail, candidates)
     out_csv = os.path.join(os.path.dirname(os.path.abspath(args.tail_csv)), "fit.csv")
     _write_csv(
         out_csv,

@@ -27,7 +27,7 @@ from .costs import COSTS, CostSpec, int_param
 from .montecarlo import check_t_grid
 from .oracles import _NOISE_KINDS, ORACLE_MODES, OracleSpec
 from .optimizers import CLIP_KINDS, METHODS, STEP_KINDS, ClipSpec, RunConfig, ScheduleSpec
-from .theory import SOTA_KINDS, RateSpec, decay_family, rate_csgd, rate_csgd_generalC, rate_sgd, sota_curves
+from .theory import SOTA_KINDS, RateSpec, decay_families, rate_csgd, rate_csgd_generalC, rate_sgd, sota_curves
 
 TOOL_NAME = "ldplab"
 TOOL_VERSION = "0.1.0"
@@ -155,7 +155,7 @@ def _build_analysis(ana: dict) -> tuple:
     if "candidate_p" in ana and "power-over-log" not in names:
         raise ConfigError("analysis.candidate_p: applies only when analysis.candidates lists 'power-over-log'")
     try:
-        candidates = tuple(decay_family(name, p=ana.get("candidate_p")) for name in names)
+        candidates = decay_families(names, p=ana.get("candidate_p"))
     except ValueError as e:
         raise ConfigError(f"analysis.candidates: {e}") from e
     entries = ana.get("sota", [])

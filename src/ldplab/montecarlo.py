@@ -10,7 +10,6 @@ with Wilson score intervals.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import math
@@ -58,7 +57,6 @@ _WILSON_Z = 1.959963984540054  # Wilson 95% z: the float64 normal quantile ndtri
 _PR_SET_PDEATHSIG = 1  # prctl option from <linux/prctl.h>: the signal a process gets when its parent dies
 # the signals that stop a command; a pool's workers leave them to the parent
 STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
-_WORKER_POLL_S = 0.1  # how often a wait for a pool's result checks that its workers live
 
 
 class InsufficientDataError(ValueError):
@@ -67,7 +65,7 @@ class InsufficientDataError(ValueError):
 
 class WorkerDiedError(RuntimeError):
     """A worker process of ``ordered_map`` exited while its jobs ran: killed
-    by a signal or by the out-of-memory killer."""
+    by a signal or by the out-of-memory killer, or ended by a job."""
 
 
 def _chunk_job(args):
@@ -130,7 +128,7 @@ def ensemble_chunks(config: RunConfig, N: int, workers: int = 1):
 
 
 def _leave_signals_to_parent(parent: int):
-    """A pool worker's initializer: the parent handles Ctrl-C and stops its
+    """A pool worker's first step: the parent handles Ctrl-C and stops its
     workers, so a worker ignores SIGINT and ends at once, with no traceback,
     on SIGTERM or SIGHUP.  It is forked with STOP_SIGNALS blocked and
     unblocks them only once it has set these, so a signal that came sooner
@@ -138,10 +136,10 @@ def _leave_signals_to_parent(parent: int):
 
     On Linux the kernel also sends the worker SIGKILL, which no inherited
     disposition can ignore, when the thread that forked it exits; this
-    covers a parent killed by SIGKILL.  The executor forks its workers from
-    the thread that submits, the main thread here.  A parent (pid
+    covers a parent killed by SIGKILL.  ``_forked_map`` forks its workers
+    from the thread that iterates it, the main thread here.  A parent (pid
     ``parent``) that died before the worker asked for that signal shows in
-    os.getppid().  A worker holds no file, so it needs no cleanup.  Should
+    os.getppid().  A worker writes no file, so it needs no cleanup.  Should
     prctl fail, the worker is stopped by its parent only.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -157,34 +155,14 @@ def _leave_signals_to_parent(parent: int):
     signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
 
 
-def _process_pool(processes: int):
-    """A fork-context ProcessPoolExecutor of ``processes`` workers, each
-    started by ``_leave_signals_to_parent``.  Its modules are imported once a
-    pool first starts, so a command that starts none never loads them."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(
-        max_workers=processes,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_leave_signals_to_parent,
-        initargs=(os.getpid(),),
-    )
-
-
 def ordered_map(fn, jobs, workers: int):
     """fn(job) for each job, as a generator of the results in job order, each
     yielded once it and every earlier job have finished.
 
     The jobs run on min(workers, usable_cpus(), len(jobs)) processes: one
-    runs them here, one at a time as the results are taken; more are forked
-    workers of ``_process_pool``, to which fn is sent by name and each job
-    and result pickled.  At most two jobs per worker, plus one, are
-    submitted and not yet taken, so the caller holds O(job) results at a
-    time whatever the number of jobs.  Closing the generator, or an
-    exception while it waits, stops the workers and every job not done.  A
-    worker that dies, killed by a signal or the out-of-memory killer,
-    raises WorkerDiedError.
+    runs them here, one at a time as the results are taken; more are the
+    forked workers of ``_forked_map``.  Closing the generator, or an
+    exception while it waits, stops the workers and every job not done.
     """
     jobs = list(jobs)
     processes = min(workers, usable_cpus(), len(jobs))
@@ -192,63 +170,71 @@ def ordered_map(fn, jobs, workers: int):
         for job in jobs:
             yield fn(job)
         return
-    from concurrent.futures.process import BrokenProcessPool  # the pool's modules load only here
-
-    with _process_pool(processes) as pool:
-        pending = collections.deque()
-        try:
-            for job in jobs:
-                pending.append(_submit(pool, fn, job))
-                # two jobs per worker keep every worker busy while the caller takes the oldest
-                if len(pending) > 2 * processes:
-                    yield _result(pending.popleft(), pool)
-            while pending:
-                yield _result(pending.popleft(), pool)
-        except BaseException as e:
-            # an interrupt, a failed job or a caller that closed the
-            # generator: the running jobs are stopped, not waited for, and
-            # the broken pool fails the rest (the executor has no public way
-            # to stop its workers before Python 3.14).  A worker stopped in
-            # the middle of sending a result cuts its message short; once
-            # this process closes its own copy of the result pipe's write
-            # end, the executor's reader gets EOF instead of waiting forever
-            # for the rest, and the pool can shut down.
-            for proc in list((pool._processes or {}).values()):
-                proc.terminate()
-            pool._result_queue._writer.close()
-            if isinstance(e, BrokenProcessPool):  # the executor saw a worker die
-                raise WorkerDiedError(str(e)) from e
-            raise
+    yield from _forked_map(fn, jobs, processes)
 
 
-def _submit(pool, fn, job):
-    """pool.submit(fn, job) with the stop signals blocked for the moment: a
-    submit may fork workers, and a worker starts with its parent's signal
-    mask.  Python 3.11's executor forks all its fork-context workers in the
-    first submit; some earlier ones fork each worker once it is needed."""
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+def _forked_map(fn, jobs: list, processes: int):
+    """``ordered_map`` on ``processes`` workers forked with STOP_SIGNALS
+    blocked; they inherit fn and the jobs, so only results are pickled.
+
+    An idle worker reads the next job index from one shared pipe (4-byte
+    reads are atomic) and sends (index, finished, result or exception) on
+    its own pipe.  At most two jobs per worker, plus one, are handed out and
+    not yet taken, so the caller holds O(job) results at a time.  A job's
+    exception is raised here; a worker's pipe that ends while jobs are owed
+    (a worker killed, or ended by its job) raises WorkerDiedError at once.
+    The workers are killed and reaped when the generator ends.
+    """
+    from multiprocessing.connection import Pipe, wait  # the pool's modules load only here
+
+    todo_r, todo_w = os.pipe()
+    parent, pids, readers = os.getpid(), [], []
     try:
-        return pool.submit(fn, job)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _result(future, pool):
-    """future.result(), or WorkerDiedError as soon as one of the pool's
-    workers has exited (its sentinel is ready).  The executor notices a dead
-    worker only between results, so one killed while it sent a result would
-    leave the executor waiting for the rest of the message, and this wait
-    with it."""
-    import concurrent.futures
-    import multiprocessing.connection
-
-    while True:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
         try:
-            return future.result(timeout=_WORKER_POLL_S)
-        except concurrent.futures.TimeoutError:  # the builtin TimeoutError is this class only from Python 3.11
-            sentinels = [proc.sentinel for proc in list((pool._processes or {}).values())]
-            if multiprocessing.connection.wait(sentinels, timeout=0):
-                raise WorkerDiedError("a worker process exited while its jobs ran") from None
+            for _ in range(processes):
+                reader, writer = Pipe(duplex=False)
+                if (pid := os.fork()) == 0:
+                    try:
+                        os.close(todo_w)
+                        _leave_signals_to_parent(parent)
+                        while index := os.read(todo_r, 4):
+                            k = int.from_bytes(index, "little")
+                            try:
+                                writer.send((k, True, fn(jobs[k])))
+                            except Exception as e:  # the job's, or its result's pickling
+                                writer.send((k, False, e))
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+                readers.append(reader)
+                writer.close()  # the worker's copy alone is left, so its end is the pipe's
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        handed, done = 0, {}
+        for k in range(len(jobs)):
+            new = range(handed, min(len(jobs), k + 2 * processes + 1))
+            os.write(todo_w, b"".join(i.to_bytes(4, "little") for i in new))
+            handed = new.stop
+            while k not in done:
+                for reader in wait(readers):
+                    try:
+                        i, finished, value = reader.recv()
+                    except (EOFError, OSError):  # OSError: the pipe ended within a message
+                        raise WorkerDiedError("a worker process exited while its jobs ran") from None
+                    done[i] = finished, value
+            finished, value = done.pop(k)
+            if not finished:
+                raise value
+            yield value
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (todo_r, todo_w):
+            os.close(fd)
+        for reader in readers:
+            reader.close()
 
 
 def run_ensemble(config: RunConfig, N: int, workers: int = 1) -> EnsembleArrays:
@@ -703,15 +689,17 @@ def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tup
     """(suite, verify_lemma_suite keyword arguments) for each suite of a
     ``verify`` request, in run order; no suites, or only 'all', means all.
 
-    The whole request is checked before any suite runs: an unknown suite,
-    --samples below a requested suite's floor (1, or PROBE_MIN_SAMPLES for
-    the probe suites) and, with appendix-f-enum, --enum-t-max outside
-    [1, ENUM_T_MAX] raise ValueError.
+    The whole request is checked before any suite runs: an unknown or a
+    repeated suite, --samples below a requested suite's floor (1, or
+    PROBE_MIN_SAMPLES for the probe suites) and, with appendix-f-enum,
+    --enum-t-max outside [1, ENUM_T_MAX] raise ValueError.
     """
     names = list(LEMMA_SUITES) if list(suites) in ([], ["all"]) else list(suites)
     for suite in names:
         if suite not in _LEMMA_SUITE_RUNNERS:
             raise ValueError(f"unknown suite {suite!r}; expected {LEMMA_SUITES} or 'all'")
+        if names.count(suite) > 1:
+            raise ValueError(f"suite {suite!r} is requested twice")
         floor = _LEMMA_SUITE_RUNNERS[suite][1]
         if not is_int(samples, floor):
             raise ValueError(f"--samples must be at least {floor} for {suite}, got {samples}")
@@ -759,8 +747,6 @@ def verify_reports(plan):
     with contextlib.closing(ordered_map(_verify_job, jobs, usable_cpus())) as reports:
         for suite, suite_jobs in plan:
             yield suite, LemmaSuiteReport(suite, [c for _ in suite_jobs for c in next(reports).checks])
-        # drawn to its end, the pool shuts down without terminating its idle workers
-        next(reports, None)
 
 
 # ---------------------------------------------------------------------------

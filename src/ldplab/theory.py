@@ -128,6 +128,14 @@ def decay_family(kind: str, p: float | None = None) -> RateSpec:
     return RateSpec(kind, power, log_pow, params=params)
 
 
+def decay_families(names, p: float | None = None) -> tuple:
+    """``decay_family`` of each of a list of distinct names; ValueError on a repeated one."""
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"decay family {name!r} is listed twice")
+    return tuple(decay_family(name, p=p) for name in names)
+
+
 def rate_sgd(M: float, G: float) -> RateSpec:
     """Vanilla-SGD tail law under an a.s. noise bound M: n_t = t/log t,
     I(x) = x^2 / (24 M^2 G^2)."""

@@ -346,6 +346,8 @@ def test_verify_failure_exit_code(monkeypatch):
     [
         ["tail", "{R}", "--epsilon", "0.18", "--t-grid", "0:99"],
         ["fit", "{R}/tail.csv", "--candidates", "bogus"],
+        ["fit", "{R}/tail.csv", "--candidates", ""],
+        ["fit", "{R}/tail.csv", "--candidates", "sqrt-t,linear-t,sqrt-t"],
         ["verify", "clip-bias", "--samples", "1000"],
         ["rates", "--epsilon", "0.1", "--p", "3"],
         ["rates", "--epsilon", "0.1", "--M", "1", "--t-grid", "abc"],
@@ -386,7 +388,8 @@ def test_verify_failure_exit_code(monkeypatch):
         ["tail", "{R}", "--epsilon", "0.18", "--t-grid", "5,3"],
         ["rates", "--epsilon", "1", "--M", "1", "--t-grid", "9,3,3"],
     ],
-    ids=["tail-t-grid-below-1", "fit-unknown-family", "verify-too-few-samples",
+    ids=["tail-t-grid-below-1", "fit-unknown-family", "fit-no-family", "fit-repeated-family",
+         "verify-too-few-samples",
          "rates-p-out-of-range", "rates-bad-t-grid", "rates-t-grid-from-0",
          "rates-t-grid-no-t-from-3", "rates-t-grid-reversed", "sota-t-grid-from-0",
          "rates-t-grid-list-no-t-from-3", "rates-t-grid-list-from-0",
@@ -416,6 +419,9 @@ def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, c
         assert err.startswith("error: --epsilon must be positive")
     if "--t-grid" in argv:
         assert err.startswith("error: --t-grid")
+    if "--candidates" in argv:
+        assert err.startswith("error: --candidates: ")
+        assert not os.path.exists(os.path.join(out, "fit.csv"))
     assert not os.path.exists("rates.csv") and not os.path.exists("sota.csv")
 
 
@@ -425,7 +431,7 @@ def test_simulate_workers_below_one_exit_code(workers, tiny_config, monkeypatch,
     def no_work(*args, **kwargs):
         raise AssertionError("no chunk may run and no process may start")
 
-    monkeypatch.setattr(ldplab.montecarlo, "_process_pool", no_work)
+    monkeypatch.setattr(ldplab.montecarlo, "_forked_map", no_work)
     monkeypatch.setattr(ldplab.montecarlo, "_chunk_job", no_work)
     config_path, doc = tiny_config
     assert main(["simulate", "--config", config_path, "--workers", workers]) == 2
@@ -449,6 +455,16 @@ def test_verify_bad_samples_rejected_before_any_suite(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "==" not in captured.out  # no suite header
     assert captured.err.startswith("error: --samples") and captured.err.count("\n") == 1
+    assert not vdir.exists()
+
+
+def test_verify_repeated_suite_rejected_before_any_suite(tmp_path, capsys):
+    # each suite of a request runs once, so a repeated one is an error, not a second report
+    vdir = tmp_path / "verify"
+    assert main(["verify", "rates", "rates", "--out", str(vdir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no suite header
+    assert captured.err == "error: suite 'rates' is requested twice\n"
     assert not vdir.exists()
 
 
@@ -476,13 +492,13 @@ def test_verify_request_too_large_for_memory_is_exit_2(tmp_path, capsys):
 def test_verify_request_too_large_for_memory_in_a_worker_is_exit_2(tmp_path, monkeypatch, capsys):
     # verify all runs its jobs on two forked workers; the MemoryError of the
     # first job is raised in a worker and reported like one raised here
-    started, process_pool = [], montecarlo._process_pool
+    started, forked_map = [], montecarlo._forked_map
 
-    def recording_pool(processes):
+    def recording_map(fn, jobs, processes):
         started.append(processes)
-        return process_pool(processes)
+        return forked_map(fn, jobs, processes)
 
-    monkeypatch.setattr(montecarlo, "_process_pool", recording_pool)
+    monkeypatch.setattr(montecarlo, "_forked_map", recording_map)
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     argv = ["verify", "all", "--samples", str(10**15), "--out", str(tmp_path / "verify")]
     assert main(argv) == 2
@@ -542,7 +558,7 @@ def test_one_job_verify_starts_no_process(suite, tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("no process may start")
 
-    monkeypatch.setattr(montecarlo, "_process_pool", no_pool)
+    monkeypatch.setattr(montecarlo, "_forked_map", no_pool)
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     assert main(["verify", suite, "--out", str(tmp_path)]) == 0
 
@@ -560,7 +576,7 @@ def test_one_cpu_affinity_keeps_every_pool_serial():
         "from ldplab.config import parse_config, preset_config\n"
         "def no_pool(*args, **kwargs):\n"
         "    raise AssertionError('no process may start')\n"
-        "montecarlo._process_pool = no_pool\n"
+        "montecarlo._forked_map = no_pool\n"
         "assert montecarlo.usable_cpus() == 1\n"
         "montecarlo.ENSEMBLE_CHUNK = 2\n"
         "rc = parse_config(preset_config('appendix-f')).run_config\n"
@@ -1313,3 +1329,26 @@ def test_commands_run_without_scipy(tiny_config):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().splitlines()[-1] == "[] [] True"
+
+
+def test_pools_run_without_concurrent_futures(tiny_config):
+    # the pool forks its own workers: a simulate split over two workers and
+    # verify all on two start the pool and never load concurrent.futures
+    config_path, doc = tiny_config
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    code = (
+        "import sys\n"
+        "from ldplab import montecarlo\n"
+        "from ldplab.cli import main\n"
+        "montecarlo.usable_cpus = lambda: 2\n"
+        "montecarlo.ENSEMBLE_CHUNK = 256\n"
+        f"assert main({['simulate', '--config', config_path, '--workers', '2']!r}) == 0\n"
+        "assert main(['verify', 'all', '--samples', '100000']) == 0\n"
+        "print('multiprocessing.connection' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert "chunks=8," in run.stdout
+    assert run.stdout.strip().splitlines()[-1] == "True False"

@@ -165,6 +165,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cubed-t"):
             parse_config(base_doc)
 
+    def test_candidates_are_distinct_families(self, base_doc):
+        # a repeated family would be fitted and reported twice; no family at all fits nothing
+        base_doc["analysis"]["candidates"] = ["sqrt-t", "linear-t", "sqrt-t"]
+        with pytest.raises(ConfigError, match=r"^analysis\.candidates: decay family 'sqrt-t' is listed twice$"):
+            parse_config(base_doc)
+        base_doc["analysis"]["candidates"] = []
+        assert parse_config(base_doc).candidates == ()
+
     def test_sota_curve_missing_parameter(self, base_doc):
         base_doc["analysis"]["sota"] = [{"kind": "liu-sgd"}]
         with pytest.raises(ConfigError, match=r"^analysis\.sota\[0\]: .*\['B'\]"):

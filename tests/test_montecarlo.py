@@ -5,7 +5,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -115,7 +114,7 @@ class TestEnsemble:
         def no_work(*args, **kwargs):
             raise AssertionError("no chunk may run and no process may start")
 
-        monkeypatch.setattr(montecarlo, "_process_pool", no_work)
+        monkeypatch.setattr(montecarlo, "_forked_map", no_work)
         monkeypatch.setattr(montecarlo, "_chunk_job", no_work)
         with pytest.raises(ValueError, match="workers must be an integer >= 1, got"):
             run_ensemble(solvable_instance(T=4), 2 * montecarlo.ENSEMBLE_CHUNK, workers=workers)
@@ -257,6 +256,56 @@ def test_pool_workers_leave_the_stop_signals_to_the_parent(monkeypatch):
     assert states == [([signal.SIG_IGN, signal.SIG_DFL, signal.SIG_IGN], set())] * 4
 
 
+def test_a_job_that_ends_its_worker_raises_worker_died_at_once():
+    # a worker that exits with status 0 while its jobs are owed is one error
+    # within 2 s, not a hang; a timeout bounds the child should it hang
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ldplab.__file__)))
+    code = (
+        "import os, time\n"
+        "from ldplab import montecarlo\n"
+        "montecarlo.usable_cpus = lambda: 2\n"
+        "def job(k):\n"
+        "    if k == 2:\n"
+        "        os._exit(0)\n"
+        "    return k\n"
+        "start = time.monotonic()\n"
+        "try:\n"
+        "    list(montecarlo.ordered_map(job, range(8), 2))\n"
+        "except montecarlo.WorkerDiedError:\n"
+        "    print(time.monotonic() - start)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 2
+
+
+def _fails_at_3(k):
+    """A pool job that raises at job 3."""
+    if k == 3:
+        raise LookupError("job 3 failed")
+    return k
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_leaves_no_child_process(monkeypatch):
+    # a generator closed after its first result, and one whose job raised,
+    # have killed and reaped every worker; the job's exception reaches the caller
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+    results = montecarlo.ordered_map(_fails_at_3, range(8), 2)
+    assert next(results) == 0
+    results.close()
+    _assert_no_child_left()
+    with pytest.raises(LookupError, match=r"^job 3 failed$"):
+        list(montecarlo.ordered_map(_fails_at_3, range(8), 2))
+    _assert_no_child_left()
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """A stub pool that records (processes, chunk bounds) of every pool
@@ -264,27 +313,11 @@ def inline_pool(monkeypatch):
     started; the machine reports 8 CPUs."""
     started = []
 
-    class InlinePool:
-        _processes = {}  # the executor's worker processes, by pid: none here
+    def inline_map(fn, jobs, processes):
+        started.append((processes, [(lo, hi) for _, lo, hi in jobs]))
+        return map(fn, jobs)
 
-        def __init__(self, processes):
-            self.chunks = []
-            started.append((processes, self.chunks))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, job):
-            _, lo, hi = job
-            self.chunks.append((lo, hi))
-            future = Future()
-            future.set_result(fn(job))
-            return future
-
-    monkeypatch.setattr(montecarlo, "_process_pool", InlinePool)
+    monkeypatch.setattr(montecarlo, "_forked_map", inline_map)
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
     return started
 
@@ -594,6 +627,7 @@ class TestVerifySuites:
         [
             (["mgf-bounded", "bogus"], 10, 20, "unknown suite 'bogus'"),
             (["all", "rates"], 10, 20, "unknown suite 'all'"),
+            (["rates", "mgf-bounded", "rates"], 10, 20, "^suite 'rates' is requested twice$"),
             (["rates"], 0, 20, "--samples must be at least 1 for rates"),
             (["batch-bound", "clip-subgauss"], 99999, 20, "at least 100000 for clip-subgauss"),
             (["appendix-f-enum"], 10, 1076, "--enum-t-max"),
@@ -601,7 +635,7 @@ class TestVerifySuites:
             (["rates"], True, 20, "--samples must be at least 1 for rates"),
             (["appendix-f-enum"], 10, True, "--enum-t-max"),
         ],
-        ids=["unknown", "all-with-others", "zero-samples", "probe-floor", "t-max-1076", "t-max-0", "bool-samples", "bool-t-max"],
+        ids=["unknown", "all-with-others", "repeated", "zero-samples", "probe-floor", "t-max-1076", "t-max-0", "bool-samples", "bool-t-max"],
     )
     def test_request_rejected_whole(self, suites, samples, t_max, message):
         with pytest.raises(ValueError, match=message):
@@ -644,13 +678,13 @@ class TestVerifySuites:
     def test_request_jobs_through_the_pool_equal_each_suite_alone(self, processes, suites_alone, monkeypatch):
         # every job of verify all, through the one pool on one process and on
         # two forked workers, gives each suite's checks bit for bit
-        started, process_pool = [], montecarlo._process_pool
+        started, forked_map = [], montecarlo._forked_map
 
-        def recording_pool(processes):
+        def recording_map(fn, jobs, processes):
             started.append(processes)
-            return process_pool(processes)
+            return forked_map(fn, jobs, processes)
 
-        monkeypatch.setattr(montecarlo, "_process_pool", recording_pool)
+        monkeypatch.setattr(montecarlo, "_forked_map", recording_map)
         monkeypatch.setattr(montecarlo, "usable_cpus", lambda: processes)
         plan, want = suites_alone
         reports = list(montecarlo.verify_reports(plan))
