@@ -37,7 +37,7 @@ from .config import (
     parse_config,
     preset_config,
 )
-from .costs import positive_param
+from .costs import moment_order_param, positive_param
 from .montecarlo import (
     LEMMA_SUITES,
     STOP_SIGNALS,
@@ -548,8 +548,9 @@ def _cmd_fit(args) -> int:
     names = ["sqrt-t", "t-over-log", "linear-t"] if args.candidates is None else args.candidates.split(",")
     if args.p is not None and "power-over-log" not in names:
         raise ConfigError("fit: --p applies only when --candidates lists 'power-over-log'")
+    p = None if args.p is None else moment_order_param("--p", args.p)
     try:
-        candidates = decay_families(names, p=args.p)
+        candidates = decay_families(names, p=p)
     except ValueError as e:
         raise ConfigError(f"--candidates: {e}") from e
     digest, tail = _tail_from_csv(args.tail_csv)

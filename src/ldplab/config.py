@@ -23,7 +23,7 @@ import json
 
 import numpy as np
 
-from .costs import COSTS, CostSpec, int_param
+from .costs import COSTS, CostSpec, int_param, moment_order_param
 from .montecarlo import check_t_grid
 from .oracles import _NOISE_KINDS, ORACLE_MODES, OracleSpec
 from .optimizers import CLIP_KINDS, METHODS, STEP_KINDS, ClipSpec, RunConfig, ScheduleSpec
@@ -155,7 +155,11 @@ def _build_analysis(ana: dict) -> tuple:
     if "candidate_p" in ana and "power-over-log" not in names:
         raise ConfigError("analysis.candidate_p: applies only when analysis.candidates lists 'power-over-log'")
     try:
-        candidates = decay_families(names, p=ana.get("candidate_p"))
+        p = moment_order_param("p", ana["candidate_p"]) if "candidate_p" in ana else None
+    except ValueError as e:
+        raise ConfigError(f"analysis.candidate_p: {e}") from e
+    try:
+        candidates = decay_families(names, p=p)
     except ValueError as e:
         raise ConfigError(f"analysis.candidates: {e}") from e
     entries = ana.get("sota", [])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import math
 import os
 import signal
@@ -469,130 +470,105 @@ def _check(label: str, empirical: float, bound: float, se: float) -> LemmaCheck:
     return LemmaCheck(label, float(empirical), float(bound), float(se), bool(ok))
 
 
-# the a.s. M-bounded noises of the MGF suites (M = 1, dimension 2) and the
-# number of directions x in mgf-inner's grid
+# the a.s. M-bounded noises of the MGF suites (M = 1, dimension 2), one job
+# each, and the number of directions x in mgf-inner's grid
 _MGF_NOISES = (TwoPointNoise(v=np.array([1.0, 0.0])), SphereNoise(radius=1.0, dim=2))
 _MGF_DIRECTIONS = 8
-# the clip suites' grid in dimension _CLIP_DIM: moment orders p (Pareto tail
-# index p + 0.5), thresholds gamma, and each suite's ||grad f(x)||/gamma
+# the clip suites' grids in dimension _CLIP_DIM, one probe each: (moment order
+# p, with Pareto tail index p + 0.5; threshold gamma; ||grad f(x)||/gamma)
 _CLIP_P, _CLIP_GAMMAS, _CLIP_DIM = (1.2, 1.5, 2.0), (2.0, 4.0, 8.0), 2
-_CLIP_BIAS_FRACS, _CLIP_SUBGAUSS_FRACS = (0.0, 0.25, 0.5), (0.0, 0.5)
+_CLIP_BIAS_GRID = tuple(itertools.product(_CLIP_P, _CLIP_GAMMAS, (0.0, 0.25, 0.5)))
+_CLIP_SUBGAUSS_GRID = tuple(itertools.product(_CLIP_P, _CLIP_GAMMAS, (0.0, 0.5)))
 # batch-bound: a synthetic logistic cost of _BATCH_M samples in dimension _BATCH_DIM
 _BATCH_M, _BATCH_DIM, _BATCH_SIZES = 64, 4, (1, 8, 32)
 
 
-def _suite_mgf_bounded(n_samples, seed) -> LemmaSuiteReport:
-    """E[exp(||z||^2 / M^2)] <= e for a.s. M-bounded noise."""
-    checks = []
-    for k, noise in enumerate(_MGF_NOISES):
-        M = noise.noise_constants()["M"]
-        # drawn chunk by chunk into the one (n,) array numpy's mean and std reduce
-        vals = np.empty(n_samples)
-        for lo, z in noise.sample_chunks(run_generator(seed, k), n_samples):
-            vals[lo : lo + len(z)] = np.exp(sq_norms(z) / M**2)
-        est = float(vals.mean())
-        se = float(vals.std() / math.sqrt(n_samples))
-        checks.append(_check(f"{noise.kind} M={M:g}", est, math.e, se))
-    return LemmaSuiteReport("mgf-bounded", checks)
+def _mgf_bounded_job(k, n_samples, seed) -> list:
+    """E[exp(||z||^2 / M^2)] <= e for the a.s. M-bounded noise k."""
+    noise = _MGF_NOISES[k]
+    M = noise.noise_constants()["M"]
+    # drawn chunk by chunk into the one (n,) array numpy's mean and std reduce
+    vals = np.empty(n_samples)
+    for lo, z in noise.sample_chunks(run_generator(seed, k), n_samples):
+        vals[lo : lo + len(z)] = np.exp(sq_norms(z) / M**2)
+    se = float(vals.std() / math.sqrt(n_samples))
+    return [_check(f"{noise.kind} M={M:g}", float(vals.mean()), math.e, se)]
 
 
-def _suite_mgf_inner(n_samples, seed) -> LemmaSuiteReport:
-    """E[exp(<x, z>)] <= exp(3 M^2 ||x||^2 / 4) on a grid spanning both
-    concentration regimes (||x|| below and above 4/(3M))."""
+def _mgf_inner_job(k, n_samples, seed) -> list:
+    """E[exp(<x, z>)] <= exp(3 M^2 ||x||^2 / 4) for the noise k on a grid
+    spanning both concentration regimes (||x|| below and above 4/(3M))."""
+    noise = _MGF_NOISES[k]
+    M = noise.noise_constants()["M"]
+    rng = run_generator(seed, 1000 + k)
+    dirs = _unit_rows(rng.standard_normal((_MGF_DIRECTIONS, noise.dim)))
+    z = np.empty((n_samples, noise.dim))
+    for lo, block in noise.sample_chunks(rng, n_samples):
+        z[lo : lo + len(block)] = block
+    radii = [mult / M for mult in _MGF_NORM_MULTIPLIERS]
+    means, stds = _mgf_grid_moments(z, dirs, radii)
     checks = []
-    for k, noise in enumerate(_MGF_NOISES):
-        M = noise.noise_constants()["M"]
-        rng = run_generator(seed, 1000 + k)
-        dirs = _unit_rows(rng.standard_normal((_MGF_DIRECTIONS, noise.dim)))
-        z = np.empty((n_samples, noise.dim))
-        for lo, block in noise.sample_chunks(rng, n_samples):
-            z[lo : lo + len(block)] = block
-        radii = [mult / M for mult in _MGF_NORM_MULTIPLIERS]
-        means, stds = _mgf_grid_moments(z, dirs, radii)
-        for mult, r, est, std in zip(_MGF_NORM_MULTIPLIERS, radii, means, stds):
-            se = std / math.sqrt(n_samples)
-            worst = int(np.argmax(est - 5.0 * se))
-            bound = math.exp(3.0 * M**2 * r**2 / 4.0)
-            checks.append(
-                _check(
-                    f"{noise.kind} ||x||={mult:g}/M (worst of {_MGF_DIRECTIONS} dirs)",
-                    float(est[worst]),
-                    bound,
-                    float(se[worst]),
-                )
+    for mult, r, est, std in zip(_MGF_NORM_MULTIPLIERS, radii, means, stds):
+        se = std / math.sqrt(n_samples)
+        worst = int(np.argmax(est - 5.0 * se))
+        bound = math.exp(3.0 * M**2 * r**2 / 4.0)
+        checks.append(
+            _check(
+                f"{noise.kind} ||x||={mult:g}/M (worst of {_MGF_DIRECTIONS} dirs)",
+                float(est[worst]),
+                bound,
+                float(se[worst]),
             )
-    return LemmaSuiteReport("mgf-inner", checks)
+        )
+    return checks
 
 
-def _clip_grid(grad_fracs) -> list:
-    """The (p, gamma, ||grad||/gamma) combinations of a clip suite, in order."""
-    return [(p, gamma, frac) for p in _CLIP_P for gamma in _CLIP_GAMMAS for frac in grad_fracs]
+def _clip_probe(grid, k, n_samples, seed, **probe_options):
+    """(label, clipped-oracle probe result) of point k of a clip suite's grid;
+    it draws from its own stream, run_generator(seed, 3000 + k).
 
-
-def _clip_probes(grad_fracs, n_samples, seed, probe, **probe_options):
-    """Clipped-oracle probes over ``_clip_grid(grad_fracs)``, as (p, gamma,
-    frac, probe result) in grid order; probe k draws from its own
-    stream, run_generator(seed, 3000 + k), so each can run alone.  ``probe``
-    None runs them all, an index k only the k-th.
-
-    ``probe_options`` go to every probe; ``scale_multipliers=()`` skips its
+    ``probe_options`` go to the probe; ``scale_multipliers=()`` skips its
     MGF grid and keeps only the bias fields.
     """
-    grid = _clip_grid(grad_fracs)
-    if probe is not None and not (is_int(probe, 0) and probe < len(grid)):
-        raise ValueError(f"probe must be an integer in [0, {len(grid)}), got {probe!r}")
-    for k in range(len(grid)) if probe is None else [probe]:
-        p, gamma, frac = grid[k]
-        noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=p + 0.5, moment_order=p, dim=_CLIP_DIM)
-        # a ball of radius 50 holds every grid point, so grad f(x) = x exactly
-        oracle = AdditiveOracle(cost=HuberCost(threshold_G=50.0, dim=_CLIP_DIM), noise=noise)
-        x = np.zeros(_CLIP_DIM)
-        x[0] = frac * gamma
-        yield p, gamma, frac, clipping_bias_probe(
-            oracle, x, gamma, n_samples, run_generator(seed, 3000 + k), **probe_options
-        )
+    p, gamma, frac = grid[k]
+    noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=p + 0.5, moment_order=p, dim=_CLIP_DIM)
+    # a ball of radius 50 holds every grid point, so grad f(x) = x exactly
+    oracle = AdditiveOracle(cost=HuberCost(threshold_G=50.0, dim=_CLIP_DIM), noise=noise)
+    x = np.zeros(_CLIP_DIM)
+    x[0] = frac * gamma
+    result = clipping_bias_probe(oracle, x, gamma, n_samples, run_generator(seed, 3000 + k), **probe_options)
+    return f"p={p:g} gamma={gamma:g} ||grad||={frac:g}*gamma", result
 
 
-def _suite_clip_bias(n_samples, seed, probe=None) -> LemmaSuiteReport:
+def _clip_bias_job(k, n_samples, seed) -> list:
     """||E[clipped] - grad f(x)|| <= 4 sigma^p gamma^(1-p) when ||grad|| <= gamma/2."""
-    checks = []
-    for p, gamma, frac, result in _clip_probes(_CLIP_BIAS_FRACS, n_samples, seed, probe, scale_multipliers=()):
-        checks.append(
-            _check(
-                f"p={p:g} gamma={gamma:g} ||grad||={frac:g}*gamma",
-                result.bias_norm_estimate,
-                result.bias_bound,
-                result.bias_se,
-            )
-        )
-    return LemmaSuiteReport("clip-bias", checks)
+    label, result = _clip_probe(_CLIP_BIAS_GRID, k, n_samples, seed, scale_multipliers=())
+    return [_check(label, result.bias_norm_estimate, result.bias_bound, result.bias_se)]
 
 
-def _suite_clip_subgauss(n_samples, seed, probe=None) -> LemmaSuiteReport:
+def _clip_subgauss_job(k, n_samples, seed) -> list:
     """log E[exp(s <u, theta>)] <= 3 gamma^2 s^2 for the centred clipped output."""
-    checks = []
-    for p, gamma, frac, result in _clip_probes(_CLIP_SUBGAUSS_FRACS, n_samples, seed, probe):
-        slack = result.margins - 5.0 * result.margin_ses
-        worst = np.unravel_index(int(np.argmax(slack)), result.margins.shape)
-        checks.append(
-            _check(
-                f"p={p:g} gamma={gamma:g} ||grad||={frac:g}*gamma "
-                f"(worst of {result.margins.size} grid points)",
-                float(result.margins[worst]),
-                0.0,
-                float(result.margin_ses[worst]),
-            )
+    label, result = _clip_probe(_CLIP_SUBGAUSS_GRID, k, n_samples, seed)
+    slack = result.margins - 5.0 * result.margin_ses
+    worst = np.unravel_index(int(np.argmax(slack)), result.margins.shape)
+    return [
+        _check(
+            f"{label} (worst of {result.margins.size} grid points)",
+            float(result.margins[worst]),
+            0.0,
+            float(result.margin_ses[worst]),
         )
-    return LemmaSuiteReport("clip-subgauss", checks)
+    ]
 
 
-def _suite_batch_bound(n_queries, seed) -> LemmaSuiteReport:
-    """Hard bound ||g - grad f(x)|| <= 2 G_ell for the subsample oracle."""
+def _batch_bound_job(k, n_samples, seed) -> list:
+    """Hard bound ||g - grad f(x)|| <= 2 G_ell for the subsample oracle, over
+    about n_samples queries."""
     cost = synthetic_logistic_cost(m=_BATCH_M, dim=_BATCH_DIM, dataset_seed=seed)
     bound = 2.0 * cost.per_sample_grad_bound
     rng = run_generator(seed, 4000)
     x_points = 2.0 * rng.standard_normal((8, _BATCH_DIM))
-    per_combo = max(1, int(math.ceil(n_queries / (len(_BATCH_SIZES) * len(x_points)))))
+    per_combo = max(1, int(math.ceil(n_samples / (len(_BATCH_SIZES) * len(x_points)))))
     checks = []
     for b in _BATCH_SIZES:
         oracle = BatchSubsampleOracle(cost=cost, batch_size=b)
@@ -614,23 +590,23 @@ def _suite_batch_bound(n_queries, seed) -> LemmaSuiteReport:
                 0.0,
             )
         )
-    return LemmaSuiteReport("batch-bound", checks)
+    return checks
 
 
-def _suite_appendix_f_enum(n_samples, seed, t_max=VERIFY_ENUM_T_MAX) -> LemmaSuiteReport:
+def _appendix_f_enum_job(k, n_samples, seed, t_max=VERIFY_ENUM_T_MAX) -> list:
     """P(x_1 = ... = x_t) of the solvable instance equals 2^(1-t) exactly, t <= t_max."""
     checks = []
     for t, prob in appendix_f_enumeration(t_max).items():
         closed = lower_bound_exact_prob(t)
         # a Fraction and a float compare by their exact values
         checks.append(LemmaCheck(f"t={t}", float(prob), closed, 0.0, prob == closed))
-    return LemmaSuiteReport("appendix-f-enum", checks)
+    return checks
 
 
 _RATE_TOLERANCE = 1e-3
 
 
-def _suite_rates(n_samples, seed) -> LemmaSuiteReport:
+def _rates_job(k, n_samples, seed) -> list:
     """Closed-form rate functions vs the numerical convex conjugate of their
     generating functions: max relative error <= 1e-3."""
     cases = [
@@ -645,21 +621,23 @@ def _suite_rates(n_samples, seed) -> LemmaSuiteReport:
     for label, rate in cases:
         err = transform_consistency(rate)
         checks.append(LemmaCheck(label, err, _RATE_TOLERANCE, 0.0, err <= _RATE_TOLERANCE))
-    return LemmaSuiteReport("rates", checks)
+    return checks
 
 
-# suite -> (runner, fewest samples it accepts, jobs); the only list of verify
-# suites, in the order ``verify all`` runs them.  A suite of n > 1 jobs is
-# one probe per job: its runner takes probe=k, k < n, to run the k-th alone.
+# suite -> (job runner, fewest samples it accepts, number of jobs); the only
+# list of verify suites, in the order ``verify all`` runs them.  Job k of a
+# suite is runner(k, n_samples, seed, **params) and returns its own checks;
+# the suite's report is its jobs' checks in job order.  Each job draws from
+# streams of its own, so the jobs may run in any order and in any process.
 _LEMMA_SUITE_RUNNERS = {
-    "mgf-bounded": (_suite_mgf_bounded, 1, 1),
-    "mgf-inner": (_suite_mgf_inner, 1, 1),
-    "clip-bias": (_suite_clip_bias, PROBE_MIN_SAMPLES, len(_clip_grid(_CLIP_BIAS_FRACS))),
-    "clip-subgauss": (_suite_clip_subgauss, PROBE_MIN_SAMPLES, len(_clip_grid(_CLIP_SUBGAUSS_FRACS))),
-    # batch-bound draws every combination from one stream, so it cannot be split
-    "batch-bound": (_suite_batch_bound, 1, 1),
-    "appendix-f-enum": (_suite_appendix_f_enum, 1, 1),
-    "rates": (_suite_rates, 1, 1),
+    "mgf-bounded": (_mgf_bounded_job, 1, len(_MGF_NOISES)),
+    "mgf-inner": (_mgf_inner_job, 1, len(_MGF_NOISES)),
+    "clip-bias": (_clip_bias_job, PROBE_MIN_SAMPLES, len(_CLIP_BIAS_GRID)),
+    "clip-subgauss": (_clip_subgauss_job, PROBE_MIN_SAMPLES, len(_CLIP_SUBGAUSS_GRID)),
+    # batch-bound draws every combination from one stream, so it is one job
+    "batch-bound": (_batch_bound_job, 1, 1),
+    "appendix-f-enum": (_appendix_f_enum_job, 1, 1),
+    "rates": (_rates_job, 1, 1),
 }
 LEMMA_SUITES = tuple(_LEMMA_SUITE_RUNNERS)
 
@@ -675,14 +653,15 @@ def verify_lemma_suite(
     'appendix-f-enum' (exact stuck-at-x_1 law, parameter t_max) and 'rates'
     (closed-form rate functions vs numerical conjugates); the last two draw
     no samples.  Precondition violations raise rather than count as
-    statistical failures.  The suite's jobs (``_suite_jobs``) run in this
-    process, one after another; the probe suites take probe=k to run only
-    their k-th probe, whose one check is the k-th of the whole suite.
+    statistical failures.  The suite's jobs (one per noise of the MGF suites,
+    one per probe of the clip suites, one for each other suite) run in this
+    process, in order, and their checks make the one report.
     """
     if suite not in _LEMMA_SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {LEMMA_SUITES}")
-    int_param("n_samples", n_samples)
-    return _LEMMA_SUITE_RUNNERS[suite][0](n_samples, seed, **params)
+    params = dict(params, n_samples=int_param("n_samples", n_samples), seed=seed)
+    n_jobs = _LEMMA_SUITE_RUNNERS[suite][2]
+    return LemmaSuiteReport(suite, [c for k in range(n_jobs) for c in _verify_job((suite, k, params))])
 
 
 def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tuple[str, dict]]:
@@ -714,22 +693,11 @@ def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tup
     return plan
 
 
-def _suite_jobs(suite: str, params: dict) -> list[dict]:
-    """The ``verify_lemma_suite(suite, **job)`` keyword arguments of each job
-    of one suite of a ``verify_request`` plan, in order: a probe suite's n
-    probes one each, probe=0..n-1, and any other suite one job, ``params``.
-    The suite's report is its jobs' checks concatenated in this order, and
-    each job draws from its own streams, so the jobs may run in any process.
-    """
-    n_jobs = _LEMMA_SUITE_RUNNERS[suite][2]
-    return [params] if n_jobs == 1 else [dict(params, probe=k) for k in range(n_jobs)]
-
-
-def _verify_job(job) -> LemmaSuiteReport:
-    """One verify job, (suite, verify_lemma_suite keyword arguments): what a
-    pool worker runs."""
-    suite, params = job
-    return verify_lemma_suite(suite, **params)
+def _verify_job(job) -> list:
+    """The checks of one verify job, (suite, k, its runner's keyword
+    arguments): what ``verify_lemma_suite`` and a pool worker run."""
+    suite, k, params = job
+    return _LEMMA_SUITE_RUNNERS[suite][0](k, **params)
 
 
 def verify_reports(plan):
@@ -742,11 +710,11 @@ def verify_reports(plan):
     ``verify_lemma_suite``'s bit for bit on any number of processes, and a
     one-job plan starts none.  Closing the generator stops the workers.
     """
-    plan = [(suite, _suite_jobs(suite, params)) for suite, params in plan]
-    jobs = [(suite, job) for suite, suite_jobs in plan for job in suite_jobs]
-    with contextlib.closing(ordered_map(_verify_job, jobs, usable_cpus())) as reports:
-        for suite, suite_jobs in plan:
-            yield suite, LemmaSuiteReport(suite, [c for _ in suite_jobs for c in next(reports).checks])
+    jobs = [(suite, k, params) for suite, params in plan for k in range(_LEMMA_SUITE_RUNNERS[suite][2])]
+    with contextlib.closing(ordered_map(_verify_job, jobs, usable_cpus())) as checks:
+        for suite, _ in plan:
+            n_jobs = _LEMMA_SUITE_RUNNERS[suite][2]
+            yield suite, LemmaSuiteReport(suite, [c for _ in range(n_jobs) for c in next(checks)])
 
 
 # ---------------------------------------------------------------------------

@@ -332,12 +332,11 @@ def test_verify_fast_suites_and_report(tiny_config, tmp_path):
 
 
 def test_verify_failure_exit_code(monkeypatch):
-    from ldplab.montecarlo import LemmaCheck, LemmaSuiteReport
+    # every job of a verify request runs through _verify_job, in this process or a worker
+    def failing_job(job):
+        return [montecarlo.LemmaCheck("forced", 2.0, 1.0, 0.0, False)]
 
-    def failing_suite(suite, n_samples=0, seed=0, **kw):
-        return LemmaSuiteReport(suite, [LemmaCheck("forced", 2.0, 1.0, 0.0, False)])
-
-    monkeypatch.setattr(montecarlo, "verify_lemma_suite", failing_suite)
+    monkeypatch.setattr(montecarlo, "_verify_job", failing_job)
     assert main(["verify", "mgf-bounded", "--samples", "1000"]) == 5
 
 
@@ -423,6 +422,16 @@ def test_library_rejection_exit_code(argv, tiny_config, tmp_path, monkeypatch, c
         assert err.startswith("error: --candidates: ")
         assert not os.path.exists(os.path.join(out, "fit.csv"))
     assert not os.path.exists("rates.csv") and not os.path.exists("sota.csv")
+
+
+@pytest.mark.parametrize(
+    "p, message", [("3", "expected --p in (1, 2], got 3.0"), ("nan", "--p must be a finite number, got nan")]
+)
+def test_fit_bad_moment_order_names_p(p, message, tmp_path, capsys):
+    # a bad --p is blamed on --p, not on the family list, before the tail is read
+    argv = ["fit", str(tmp_path / "tail.csv"), "--candidates", "power-over-log", "--p", p]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -186,6 +186,18 @@ class TestValidation:
         base_doc["analysis"]["candidate_p"] = 1.5
         assert [c.name for c in parse_config(base_doc).candidates] == ["power-over-log"]
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [(3, r"expected p in \(1, 2\], got 3\.0"), ("x", "p must be a finite number, got 'x'"),
+         (None, "p must be a finite number, got None")],
+        ids=["above-2", "string", "null"],
+    )
+    def test_bad_candidate_p_is_anchored_at_candidate_p(self, base_doc, p, message):
+        base_doc["analysis"]["candidates"] = ["power-over-log"]
+        base_doc["analysis"]["candidate_p"] = p
+        with pytest.raises(ConfigError, match=rf"^analysis\.candidate_p: {message}$"):
+            parse_config(base_doc)
+
 
     @pytest.mark.parametrize(
         "preset, edit, message",

@@ -669,10 +669,15 @@ class TestVerifySuites:
         assert len(seen) == len(report.checks) == calls
         assert all(kwargs == grid for kwargs in seen)
 
-    @pytest.mark.parametrize("probe", [27, -1, True, 1.0])
-    def test_probe_out_of_range_rejected(self, probe):
-        with pytest.raises(ValueError, match=r"probe must be an integer in \[0, 27\)"):
-            verify_lemma_suite("clip-bias", n_samples=10**5, probe=probe)
+    @pytest.mark.parametrize("suite", montecarlo.LEMMA_SUITES)
+    def test_jobs_in_reverse_order_equal_the_suite(self, suite, suites_alone):
+        # each job draws from streams of its own, so the pool may run a suite's
+        # jobs in any order: run one at a time backwards and put back in job
+        # order, their checks are the suite's bit for bit
+        plan, want = suites_alone
+        params, n_jobs = dict(plan)[suite], montecarlo._LEMMA_SUITE_RUNNERS[suite][2]
+        backwards = {k: montecarlo._verify_job((suite, k, params)) for k in reversed(range(n_jobs))}
+        assert [repr(dataclasses.astuple(c)) for k in range(n_jobs) for c in backwards[k]] == want[suite]
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_request_jobs_through_the_pool_equal_each_suite_alone(self, processes, suites_alone, monkeypatch):
