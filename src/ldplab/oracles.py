@@ -14,7 +14,8 @@ bound M, or a closed-form bound sigma^p on the p-th moment.
 ``OracleSpec`` draws every query: ``randomness_block`` an ensemble's, each
 run from its own stream, and ``output_blocks`` n at one point, block by
 block of ``_raw_blocks``, for the probes; a mode only sizes, transforms and
-applies them.
+applies them.  ``randomness_block`` draws a slab's short uniform-only buffers
+by one ``rng.philox_random``, and any other by a stream reset per run.
 A draw is split in two.  The *raw draw* fills float64 buffers from a
 stream, always in the same order: every standard normal of the block
 first, then every uniform on [0, 1).  ``raw_widths`` says how many of each
@@ -43,14 +44,15 @@ from .costs import (
     real_vector,
     sq_norms,
 )
-from .rng import StreamPool
+from .rng import PHILOX_SLAB_WORDS, StreamPool, philox_random
 
 _PROBE_CHUNK = 1 << 16  # queries per draw of _raw_blocks, unless the draw is _splittable
 # raw variate bytes per row block of _raw_blocks: bounds a block's transform's
 # and outputs' temporaries, such as the batch oracle's argsort and gather
 _OUTPUT_BLOCK_BYTES = 1 << 20
 # raw variate bytes per slab of runs in randomness_block: bounds the slab's
-# buffers and its transform's temporaries, not the block it returns
+# buffers and its transform's temporaries, not the block it returns;
+# philox_random's scratch is bounded apart, by its own blocks of runs
 _SLAB_RAW_BYTES = 1 << 22
 _SUM_BLOCK_ROWS = 1 << 14  # rows per block of _row_sums
 # rows per block of _mgf_grid_moments: its (2048, 6, 8) float64 grid is 768 KiB,
@@ -311,12 +313,14 @@ class OracleSpec:
         first and runs last, as ``gradients`` reads them.
 
         Column i is what ``run_generator(seed, run_indices[i])`` draws alone:
-        one pool is reset once per run to fill that run's rows of a slab's
-        raw buffers, and each slab is transformed in one call.
+        a slab's raw buffers are filled by one ``philox_random`` if a query
+        draws only uniforms, at most PHILOX_SLAB_WORDS of them per run, and
+        else by one pool reset per run.  Each slab is transformed in one call.
         """
         idx = np.asarray(run_indices, dtype=np.int64)
         n_normals, n_uniforms = self.raw_widths()
         slab = max(1, _SLAB_RAW_BYTES // (8 * max(1, n_steps * (n_normals + n_uniforms))))
+        whole_slab = not n_normals and n_steps * n_uniforms <= PHILOX_SLAB_WORDS
         pool = StreamPool(seed)
         # raw buffers reused by every slab: allocating them per slab made the draw ~30% slower
         normals = np.empty((min(slab, idx.size), n_steps, n_normals))
@@ -325,13 +329,15 @@ class OracleSpec:
         # one slab at least: with no runs, an empty slab still sets the shape
         for lo in range(0, max(idx.size, 1), slab):
             runs = idx[lo : lo + slab]
-            # with no steps nothing is drawn, so no stream is reset
-            for i, key_word in enumerate(pool.key_words(runs) if n_steps else ()):
-                rng = pool.reset(key_word)
-                if n_normals:  # the order of _raw_draw: normals, then uniforms
-                    rng.standard_normal(out=normals[i])
-                if n_uniforms:
-                    rng.random(out=uniforms[i])
+            if whole_slab:
+                philox_random(seed, runs, uniforms[: runs.size])
+            elif n_steps:  # with no steps nothing is drawn, so no stream is reset
+                for i, key_word in enumerate(pool.key_words(runs)):
+                    rng = pool.reset(key_word)
+                    if n_normals:  # the order of _raw_draw: normals, then uniforms
+                        rng.standard_normal(out=normals[i])
+                    if n_uniforms:
+                        rng.random(out=uniforms[i])
             block = np.moveaxis(self.transform(normals[: runs.size], uniforms[: runs.size]), 0, -1)
             if out is None:
                 out = np.empty(block.shape[:-1] + (idx.size,), dtype=block.dtype)

@@ -894,8 +894,6 @@ def test_step_table_is_worker_invariant_and_agrees_with_the_runs(make_doc, n_run
     _, _, summary = cli._read_csv(os.path.join(out, "trajsummary.csv"))
     assert table[:, 0].sum() == summary[:, 1].sum() == meta["diverged_runs"]
     assert table[:, 1].sum() == summary[:, 2].sum()
-    if doc["ensemble"]["horizon_T"] == 200:
-        assert meta["diverged_runs"] == 405
     arrays = run_ensemble(exp.run_config, n_runs)
     for j, eps in enumerate(exp.run_config.epsilon_grid):
         got = montecarlo.tail_from_first_hits(table[:, 2 + j], n_runs, float(eps))
@@ -903,6 +901,18 @@ def test_step_table_is_worker_invariant_and_agrees_with_the_runs(make_doc, n_run
         for name in ("t_grid", "exceed_count", "p_hat", "ci_low", "ci_high"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (eps, name)
+
+
+def test_diverged_runs_pinned(tmp_path):
+    # a count tied to today's draws, apart from the worker-invariance check
+    # above, so that -k "not pinned" keeps that check when the draws change
+    doc = _diverging_doc()
+    doc["ensemble"]["n_runs"] = 2048
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    assert cli._load_results(str(out))[0]["diverged_runs"] == 405
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from ldplab.oracles import (
     clip_rows,
     clipping_bias_probe,
 )
-from ldplab.rng import run_generator
+from ldplab.rng import PHILOX_SLAB_WORDS, run_generator
 
 
 _NOISE_MODELS = [
@@ -91,27 +91,64 @@ class TestRawDrawAndTransform:
     # column i of randomness_block is the block that run_indices[i] draws
     # alone from a fresh generator of its stream, whatever the slabs and order
 
+    # a uniform-only draw of at most PHILOX_SLAB_WORDS words per run is one
+    # philox_random per slab, and one step more a pool reset per run: the
+    # two-point noise's 1 and the batch oracle's 12 uniforms per step fill
+    # the limit at PHILOX_SLAB_WORDS and PHILOX_SLAB_WORDS // 12 steps
+
     @pytest.mark.parametrize("model", _NOISE_MODELS, ids=lambda m: m.kind)
     def test_slab_rows_equal_single_run_blocks(self, model, monkeypatch):
         oracle = AdditiveOracle(cost=HuberCost(1.0, model.dim), noise=model)
-        for runs in _RUN_SETS:
-            block = _block_in_slabs_of_4(oracle, 11, runs, 9, monkeypatch)
-            assert block.shape == (9, model.dim, runs.size)
-            for i, run in enumerate(runs):
-                np.testing.assert_array_equal(block[..., i], model.sample_block(run_generator(11, int(run)), 9))
+        for n_steps in (9, PHILOX_SLAB_WORDS, PHILOX_SLAB_WORDS + 1):
+            for runs in _RUN_SETS:
+                block = _block_in_slabs_of_4(oracle, 11, runs, n_steps, monkeypatch)
+                assert block.shape == (n_steps, model.dim, runs.size)
+                for i, run in enumerate(runs):
+                    want = model.sample_block(run_generator(11, int(run)), n_steps)
+                    np.testing.assert_array_equal(block[..., i], want)
         assert oracle.randomness_block(11, [], 9).shape == (9, model.dim, 0)
 
     def test_batch_slab_rows_equal_single_run_draws(self, monkeypatch):
         cost = synthetic_logistic_cost(m=12, dim=3, dataset_seed=8)
         oracle = BatchSubsampleOracle(cost=cost, batch_size=4)
-        for runs in _RUN_SETS:
-            block = _block_in_slabs_of_4(oracle, 3, runs, 7, monkeypatch)
-            assert block.shape == (7, 4, runs.size)
-            for i, run in enumerate(runs):
-                u = run_generator(3, int(run)).random((7, 12))
-                np.testing.assert_array_equal(block[..., i], np.argsort(u, axis=1)[:, :4])
+        for n_steps in (7, PHILOX_SLAB_WORDS // 12, PHILOX_SLAB_WORDS // 12 + 1):
+            for runs in _RUN_SETS:
+                block = _block_in_slabs_of_4(oracle, 3, runs, n_steps, monkeypatch)
+                assert block.shape == (n_steps, 4, runs.size)
+                for i, run in enumerate(runs):
+                    u = run_generator(3, int(run)).random((n_steps, 12))
+                    np.testing.assert_array_equal(block[..., i], np.argsort(u, axis=1)[:, :4])
         empty = oracle.randomness_block(3, [], 7)
         assert empty.shape == (7, 4, 0) and empty.dtype == np.intp
+
+
+def test_short_two_point_draw_holds_at_most_1_mib_of_philox_scratch(monkeypatch):
+    # appendix-f's draw for one 2^14-run chunk: 15 steps, one slab
+    oracle = AdditiveOracle(cost=HuberCost(1.0, 2), noise=TwoPointNoise(v=np.array([0.6, 0.0])))
+    runs, n_steps = np.arange(1 << 14), 15
+    scratch = []
+    real_philox = oracles.philox_random
+
+    def measured_philox(seed, run_indices, out):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        real_philox(seed, run_indices, out)
+        scratch.append(tracemalloc.get_traced_memory()[1] - held)
+
+    monkeypatch.setattr(oracles, "philox_random", measured_philox)
+    raw = np.zeros((runs.size, n_steps, 1))
+    tracemalloc.start()
+    try:
+        oracle.transform(raw[..., :0], raw)
+        transform_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        block = oracle.randomness_block(0, runs, n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scratch) == 1 and scratch[0] <= 1 << 20, scratch
+    # the block, the slab's raw buffer and its transform, and the Philox scratch
+    assert peak <= block.nbytes + raw.nbytes + transform_peak + (1 << 20), (peak, block.nbytes, transform_peak)
 
 
 class TestCertifyMoment:
