@@ -11,7 +11,9 @@ bound with a 5-standard-error slack (hard almost-sure bounds get none):
   batch-bound   ||g - grad f|| <= 2 G_ell for the subsample oracle (hard)
 
 This demo runs at 10^5 samples for speed; `ldplab verify all` and the
-acceptance tests run the same suites at 10^6.
+acceptance tests run the same suites at 10^6.  Each `verify_lemma_suite`
+call is a one-suite `verify` request: it runs the command's code, with its
+checks, and spreads a suite's jobs over the usable CPUs.
 """
 
 from ldplab import verify_lemma_suite

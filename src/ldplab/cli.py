@@ -55,7 +55,6 @@ from .montecarlo import (
     tail_from_counts,
     tail_from_first_hits,
     verify_reports,
-    verify_request,
 )
 from .optimizers import MAX_HORIZON, EnsembleArrays
 from .theory import (
@@ -421,12 +420,15 @@ def _anchored_curve(law: RateSpec, epsilon: float, t_grid: np.ndarray, p_anchor:
     return ts, p_anchor * np.exp(slope * (nt - nt0))
 
 
+# a tail CSV's columns; the first four are what fit rebuilds an estimate from
+_TAIL_COLUMNS = ["t", "epsilon", "N", "exceed", "p_hat", "ci_low", "ci_high"]
+
+
 def _tail_lines(tail: TailEstimate) -> str:
-    """The rows of a tail CSV, (t, epsilon, N, exceed, p_hat, ci_low,
-    ci_high) at each step of the estimate.  p_hat and its interval are
-    elementwise functions of the count at a fixed N, so what follows t is
-    formatted once per distinct count, and the rows are ``_lines`` of
-    (t, that text) pairs."""
+    """The rows of a tail CSV, _TAIL_COLUMNS at each step of the estimate.
+    p_hat and its interval are elementwise functions of the count at a fixed
+    N, so what follows t is formatted once per distinct count, and the rows
+    are ``_lines`` of (t, that text) pairs."""
     counts, first, inverse = np.unique(tail.exceed_count, return_index=True, return_inverse=True)
     after_t = "%r,%d," % (float(tail.epsilon), tail.n_runs) + "%d,%r,%r,%r"
     estimates = (a[first].tolist() for a in (tail.p_hat, tail.ci_low, tail.ci_high))
@@ -441,11 +443,7 @@ def _write_tail(path: str, meta: dict, exp: Experiment, table: np.ndarray, epsil
     j = epsilon_index(exp.run_config.epsilon_grid, epsilon)
     tail = tail_from_first_hits(table[:, 2 + j], exp.n_runs, float(exp.run_config.epsilon_grid[j]), t_grid)
     with _atomic_write(path) as fh:
-        _write_head(
-            fh,
-            _provenance_comment(meta["config_digest"], meta["certified"]),
-            ["t", "epsilon", "N", "exceed", "p_hat", "ci_low", "ci_high"],
-        )
+        _write_head(fh, _provenance_comment(meta["config_digest"], meta["certified"]), _TAIL_COLUMNS)
         fh.write(_tail_lines(tail))
     return tail
 
@@ -518,7 +516,7 @@ def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
     try:
         comment, header, body = _read_csv(path, dtype=str)
         cols = {name: i for i, name in enumerate(header)}
-        for needed in ("t", "epsilon", "N", "exceed"):
+        for needed in _TAIL_COLUMNS[:4]:
             if needed not in cols:
                 raise ValueError(f"missing column {needed!r}")
         if body.shape[0] == 0:
@@ -577,16 +575,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the whole request is checked first, so a bad one prints no header and writes nothing
-    plan = verify_request(args.suites, args.samples, args.seed, args.enum_t_max)
+    # the whole request is checked by this call, so a bad one prints no header and writes nothing
+    reports = verify_reports(args.suites, args.samples, args.seed, args.enum_t_max)
     all_pass = True
     csv_rows = []
-    # --out is made before any suite runs, so a path that cannot be a directory
-    # fails at once; the request's jobs run on up to the usable CPUs, and the
-    # output is the same on any number
+    # --out is made before any job runs, so a path that cannot be a directory fails at once
     with (
         _output_dir(args.out) if args.out else contextlib.nullcontext(),
-        contextlib.closing(verify_reports(plan)) as reports,
+        contextlib.closing(reports),
     ):
         for suite, report in reports:
             print(f"== {suite}")

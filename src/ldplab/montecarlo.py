@@ -626,9 +626,12 @@ def _rates_job(k, n_samples, seed) -> list:
 
 # suite -> (job runner, fewest samples it accepts, number of jobs); the only
 # list of verify suites, in the order ``verify all`` runs them.  Job k of a
-# suite is runner(k, n_samples, seed, **params) and returns its own checks;
-# the suite's report is its jobs' checks in job order.  Each job draws from
-# streams of its own, so the jobs may run in any order and in any process.
+# suite is runner(k, n_samples, seed), with t_max for appendix-f-enum, and
+# returns its own checks, which the suite's report lists in job order.  Each
+# job builds fresh generators, so the jobs may run in any order and in any
+# process, but not every job's keys are its own: batch-bound's dataset reads
+# run_generator(seed, 0), mgf-bounded job 0's stream, and probe k of both clip
+# suites reads run_generator(seed, 3000 + k).
 _LEMMA_SUITE_RUNNERS = {
     "mgf-bounded": (_mgf_bounded_job, 1, len(_MGF_NOISES)),
     "mgf-inner": (_mgf_inner_job, 1, len(_MGF_NOISES)),
@@ -643,35 +646,46 @@ LEMMA_SUITES = tuple(_LEMMA_SUITE_RUNNERS)
 
 
 def verify_lemma_suite(
-    suite: str, n_samples: int = VERIFY_SAMPLES, seed: int = VERIFY_SEED, **params
+    suite: str, n_samples: int = VERIFY_SAMPLES, seed: int = VERIFY_SEED, t_max: int = VERIFY_ENUM_T_MAX
 ) -> LemmaSuiteReport:
     """Run one verification suite and report margins.
 
     Suites: 'mgf-bounded', 'mgf-inner' (bounded-noise MGF bounds),
     'clip-bias', 'clip-subgauss' (clipped-oracle bias bound and
     concentration), 'batch-bound' (hard subsample-noise bound),
-    'appendix-f-enum' (exact stuck-at-x_1 law, parameter t_max) and 'rates'
-    (closed-form rate functions vs numerical conjugates); the last two draw
-    no samples.  Precondition violations raise rather than count as
-    statistical failures.  The suite's jobs (one per noise of the MGF suites,
-    one per probe of the clip suites, one for each other suite) run in this
-    process, in order, and their checks make the one report.
+    'appendix-f-enum' (exact stuck-at-x_1 law up to t_max, which every other
+    suite ignores) and 'rates' (closed-form rate functions vs numerical
+    conjugates); the last two draw no samples.  Precondition violations
+    raise rather than count as statistical failures.  This is the one-suite
+    request of ``verify_reports``: the same checks, messages and pool.
     """
     if suite not in _LEMMA_SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {LEMMA_SUITES}")
-    params = dict(params, n_samples=int_param("n_samples", n_samples), seed=seed)
-    n_jobs = _LEMMA_SUITE_RUNNERS[suite][2]
-    return LemmaSuiteReport(suite, [c for k in range(n_jobs) for c in _verify_job((suite, k, params))])
+    ((_, report),) = verify_reports([suite], n_samples, seed, t_max)
+    return report
 
 
-def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tuple[str, dict]]:
-    """(suite, verify_lemma_suite keyword arguments) for each suite of a
-    ``verify`` request, in run order; no suites, or only 'all', means all.
+def _verify_job(job) -> list:
+    """The checks of one verify job, (suite, k, its runner's keyword
+    arguments): what ``verify_reports`` runs here or in a pool worker."""
+    suite, k, params = job
+    return _LEMMA_SUITE_RUNNERS[suite][0](k, **params)
 
-    The whole request is checked before any suite runs: an unknown or a
-    repeated suite, --samples below a requested suite's floor (1, or
-    PROBE_MIN_SAMPLES for the probe suites) and, with appendix-f-enum,
-    --enum-t-max outside [1, ENUM_T_MAX] raise ValueError.
+
+def verify_reports(
+    suites, samples: int = VERIFY_SAMPLES, seed: int = VERIFY_SEED, enum_t_max: int = VERIFY_ENUM_T_MAX
+):
+    """(suite, its LemmaSuiteReport) for each suite of a ``verify`` request
+    (no suites, or only 'all', means all), as a generator in run order, each
+    yielded once the suite's last job is in.
+
+    The whole request is checked when this is called: an unknown or a
+    repeated suite, samples below a suite's floor (1, or PROBE_MIN_SAMPLES
+    for the probe suites), with appendix-f-enum an enum_t_max outside
+    [1, ENUM_T_MAX], and a seed that is not an integer raise ValueError
+    before any job runs.  The jobs then go through one ``ordered_map`` on up
+    to the usable CPUs, which gives the same bits on any number of processes
+    and starts none for one job; closing the generator stops the workers.
     """
     names = list(LEMMA_SUITES) if list(suites) in ([], ["all"]) else list(suites)
     for suite in names:
@@ -682,39 +696,22 @@ def verify_request(suites, samples: int, seed: int, enum_t_max: int) -> list[tup
         floor = _LEMMA_SUITE_RUNNERS[suite][1]
         if not is_int(samples, floor):
             raise ValueError(f"--samples must be at least {floor} for {suite}, got {samples}")
-    if "appendix-f-enum" in names and not (is_int(enum_t_max) and enum_t_max <= ENUM_T_MAX):
-        raise ValueError(f"--enum-t-max must lie in [1, {ENUM_T_MAX}], got {enum_t_max}")
-    plan = []
-    for suite in names:
-        params = {"n_samples": samples, "seed": seed}
-        if suite == "appendix-f-enum":
-            params["t_max"] = enum_t_max
-        plan.append((suite, params))
-    return plan
+    if "appendix-f-enum" in names:
+        _enum_t_max_param("--enum-t-max", enum_t_max)
+    params = {"n_samples": samples, "seed": int_param("seed", seed, minimum=None)}
+    n_jobs = {suite: _LEMMA_SUITE_RUNNERS[suite][2] for suite in names}
+    jobs = [
+        (suite, k, dict(params, t_max=enum_t_max) if suite == "appendix-f-enum" else params)
+        for suite in names
+        for k in range(n_jobs[suite])
+    ]
 
+    def reports(checks):
+        with contextlib.closing(checks):
+            for suite in names:
+                yield suite, LemmaSuiteReport(suite, [c for _ in range(n_jobs[suite]) for c in next(checks)])
 
-def _verify_job(job) -> list:
-    """The checks of one verify job, (suite, k, its runner's keyword
-    arguments): what ``verify_lemma_suite`` and a pool worker run."""
-    suite, k, params = job
-    return _LEMMA_SUITE_RUNNERS[suite][0](k, **params)
-
-
-def verify_reports(plan):
-    """(suite, its LemmaSuiteReport) for each suite of a ``verify_request``
-    plan, as a generator in plan order, each yielded once the suite's last
-    job is in.
-
-    Every job of the whole plan goes through one ``ordered_map`` on up to
-    the usable CPUs; each job draws from its own streams, so every report is
-    ``verify_lemma_suite``'s bit for bit on any number of processes, and a
-    one-job plan starts none.  Closing the generator stops the workers.
-    """
-    jobs = [(suite, k, params) for suite, params in plan for k in range(_LEMMA_SUITE_RUNNERS[suite][2])]
-    with contextlib.closing(ordered_map(_verify_job, jobs, usable_cpus())) as checks:
-        for suite, _ in plan:
-            n_jobs = _LEMMA_SUITE_RUNNERS[suite][2]
-            yield suite, LemmaSuiteReport(suite, [c for _ in range(n_jobs) for c in next(checks)])
+    return reports(ordered_map(_verify_job, jobs, usable_cpus()))
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +720,13 @@ def verify_reports(plan):
 
 
 ENUM_T_MAX = 1075  # largest t at which the closed form 2^(1-t) is exact in float64
+
+
+def _enum_t_max_param(name: str, value) -> int:
+    """The enumeration's t_max as an int in [1, ENUM_T_MAX], or a ValueError naming ``name``."""
+    if not (is_int(value) and value <= ENUM_T_MAX):
+        raise ValueError(f"{name} must be an integer in [1, {ENUM_T_MAX}], got {value!r}")
+    return int(value)
 
 
 def appendix_f_enumeration(t_max: int, x1_norm: float = 0.6, G: float = 1.0) -> dict:
@@ -736,8 +740,7 @@ def appendix_f_enumeration(t_max: int, x1_norm: float = 0.6, G: float = 1.0) -> 
     Returns {t: P(x_t = ... = x_1)} as exact dyadic Fractions for
     t = 1..t_max; the closed form is 2^(1-t).
     """
-    if not (is_int(t_max) and t_max <= ENUM_T_MAX):
-        raise ValueError(f"t_max must be an integer in [1, {ENUM_T_MAX}]")
+    t_max = _enum_t_max_param("t_max", t_max)
     if not 0.0 < x1_norm <= G:
         raise ValueError("x1_norm must lie in (0, G]")
     from fractions import Fraction  # only the enumeration needs it
@@ -750,7 +753,7 @@ def appendix_f_enumeration(t_max: int, x1_norm: float = 0.6, G: float = 1.0) -> 
     counts = np.array([1], dtype=np.int64)
     result = {1: Fraction(1, 1)}
 
-    for t in range(1, int(t_max)):
+    for t in range(1, t_max):
         alpha = 0.5 / math.sqrt(t + 1.0)
         grad = np.where(np.abs(cs) <= ratio, cs, ratio * np.sign(cs))
         children = np.concatenate([cs - alpha * (grad + 1.0), cs - alpha * (grad - 1.0)])

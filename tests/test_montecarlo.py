@@ -31,6 +31,7 @@ from ldplab.montecarlo import (
 )
 from ldplab.optimizers import EnsembleArrays, RunConfig, ScheduleSpec, first_hit_counts, simulate_runs
 from ldplab.oracles import AdditiveOracle, ClippingBiasProbe, SphereNoise, TwoPointNoise
+from ldplab.rng import run_generator
 from ldplab.theory import decay_family, lower_bound_exact_prob
 
 from test_optimizers import _digest, at_baseline_dispatch, solvable_instance
@@ -586,10 +587,23 @@ def test_verify_values_pinned(suite, baseline_verify_digests):
     assert baseline_verify_digests[suite] == _PINNED_VERIFY_DIGESTS[suite]
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("no job may run")
+
+
+def _job_params(suite, n_samples, seed, t_max) -> dict:
+    """The keyword arguments of suite's runner in a verify request."""
+    params = {"n_samples": n_samples, "seed": seed}
+    return dict(params, t_max=t_max) if suite == "appendix-f-enum" else params
+
+
 class TestVerifySuites:
-    def test_unknown_suite(self):
-        with pytest.raises(ValueError):
-            verify_lemma_suite("mgf-everything")
+    def test_unknown_suite(self, monkeypatch):
+        # 'all' is a request, not a suite; both are rejected before any job runs
+        monkeypatch.setattr(montecarlo, "ordered_map", _no_pool)
+        for suite in ("mgf-everything", "all"):
+            with pytest.raises(ValueError, match=f"unknown suite {suite!r}"):
+                verify_lemma_suite(suite)
 
     def test_mgf_bounded_small(self):
         report = verify_lemma_suite("mgf-bounded", n_samples=10**5, seed=5)
@@ -614,39 +628,64 @@ class TestVerifySuites:
         assert len(rates.checks) == 6 and rates.passed
         assert all(c.bound == 1e-3 and c.se == 0.0 for c in rates.checks)
 
-    def test_request_covers_every_suite_in_registry_order(self):
-        plan = montecarlo.verify_request([], 10**5, 3, 7)
-        assert [suite for suite, _ in plan] == list(montecarlo.LEMMA_SUITES)
-        assert montecarlo.verify_request(["all"], 10**5, 3, 7) == plan
-        params = dict(plan)
-        assert params["rates"] == {"n_samples": 10**5, "seed": 3}
-        assert params["appendix-f-enum"] == {"n_samples": 10**5, "seed": 3, "t_max": 7}
+    def test_request_covers_every_suite_in_registry_order(self, monkeypatch):
+        # no suites and 'all' both mean every suite, each job with its runner's arguments
+        jobs = []
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_verify_job", lambda job: jobs.append(job) or [])
+        for request in ([], ["all"]):
+            jobs.clear()
+            reports = list(montecarlo.verify_reports(request, 10**5, 3, 7))
+            assert [suite for suite, _ in reports] == list(montecarlo.LEMMA_SUITES)
+            assert jobs == [
+                (suite, k, _job_params(suite, 10**5, 3, 7))
+                for suite in montecarlo.LEMMA_SUITES
+                for k in range(montecarlo._LEMMA_SUITE_RUNNERS[suite][2])
+            ]
 
     @pytest.mark.parametrize(
-        "suites, samples, t_max, message",
+        "suites, samples, seed, t_max, message",
         [
-            (["mgf-bounded", "bogus"], 10, 20, "unknown suite 'bogus'"),
-            (["all", "rates"], 10, 20, "unknown suite 'all'"),
-            (["rates", "mgf-bounded", "rates"], 10, 20, "^suite 'rates' is requested twice$"),
-            (["rates"], 0, 20, "--samples must be at least 1 for rates"),
-            (["batch-bound", "clip-subgauss"], 99999, 20, "at least 100000 for clip-subgauss"),
-            (["appendix-f-enum"], 10, 1076, "--enum-t-max"),
-            (["appendix-f-enum"], 10, 0, "--enum-t-max"),
-            (["rates"], True, 20, "--samples must be at least 1 for rates"),
-            (["appendix-f-enum"], 10, True, "--enum-t-max"),
+            (["mgf-bounded", "bogus"], 10, 1, 20, "unknown suite 'bogus'"),
+            (["all", "rates"], 10, 1, 20, "unknown suite 'all'"),
+            (["rates", "mgf-bounded", "rates"], 10, 1, 20, "^suite 'rates' is requested twice$"),
+            (["rates"], 0, 1, 20, "--samples must be at least 1 for rates"),
+            (["batch-bound", "clip-subgauss"], 99999, 1, 20, "at least 100000 for clip-subgauss"),
+            (["appendix-f-enum"], 10, 1, 1076, "--enum-t-max"),
+            (["appendix-f-enum"], 10, 1, 0, "--enum-t-max"),
+            (["rates"], True, 1, 20, "--samples must be at least 1 for rates"),
+            (["appendix-f-enum"], 10, 1, True, "--enum-t-max"),
+            (["mgf-bounded"], 1000, 1.5, 20, "^seed must be an integer, got 1.5$"),
+            (["mgf-bounded"], 1000, "3", 20, "^seed must be an integer, got '3'$"),
+            (["mgf-bounded"], 1000, True, 20, "^seed must be an integer, got True$"),
         ],
-        ids=["unknown", "all-with-others", "repeated", "zero-samples", "probe-floor", "t-max-1076", "t-max-0", "bool-samples", "bool-t-max"],
+        ids=[
+            "unknown", "all-with-others", "repeated", "zero-samples", "probe-floor", "t-max-1076", "t-max-0",
+            "bool-samples", "bool-t-max", "float-seed", "str-seed", "bool-seed",
+        ],
     )
-    def test_request_rejected_whole(self, suites, samples, t_max, message):
+    def test_request_rejected_whole(self, suites, samples, seed, t_max, message, monkeypatch):
+        # the request is checked when verify_reports is called, before any job runs
+        monkeypatch.setattr(montecarlo, "ordered_map", _no_pool)
         with pytest.raises(ValueError, match=message):
-            montecarlo.verify_request(suites, samples, 1, t_max)
+            montecarlo.verify_reports(suites, samples, seed, t_max)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True])
+    def test_one_suite_with_a_seed_that_is_not_an_integer_rejected(self, seed, monkeypatch):
+        # 1.5, "3" and True used to run silently on the streams of seed 1 or 3
+        monkeypatch.setattr(montecarlo, "ordered_map", _no_pool)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            verify_lemma_suite("mgf-bounded", n_samples=1000, seed=seed)
 
     def test_enum_t_max_ignored_without_enum_suite(self):
-        assert montecarlo.verify_request(["rates"], 1, 1, 99) == [("rates", {"n_samples": 1, "seed": 1})]
+        # as --enum-t-max without appendix-f-enum: not checked and not passed on
+        rates = [verify_lemma_suite("rates", t_max=t_max) for t_max in (6, 0)]
+        ((_, request),) = montecarlo.verify_reports(["rates"], 1, 1, 99)
+        assert rates[0] == rates[1] == request == verify_lemma_suite("rates", 1, 1)
 
     @pytest.mark.parametrize("n_samples", [0, -5, True])
     def test_nonpositive_samples_rejected(self, n_samples):
-        with pytest.raises(ValueError, match="n_samples"):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
             verify_lemma_suite("mgf-bounded", n_samples=n_samples)
 
     @pytest.mark.parametrize(
@@ -656,7 +695,8 @@ class TestVerifySuites:
     )
     def test_clip_suites_call_the_probe_once_per_grid_point(self, suite, calls, grid, monkeypatch):
         # a stub in place of the probe: the suites must keep calling it once per
-        # (p, gamma, ||grad||/gamma) point, and clip-bias must ask for no MGF grid
+        # (p, gamma, ||grad||/gamma) point, and clip-bias must ask for no MGF grid;
+        # on one CPU the jobs run here, where the calls can be counted
         seen = []
 
         def counting_probe(oracle, x, gamma, num_samples, rng, **kwargs):
@@ -664,6 +704,7 @@ class TestVerifySuites:
             shape = (8, len(kwargs.get("scale_multipliers", range(6))))
             return ClippingBiasProbe(0.0, 1.0, 0.0, np.zeros(shape), np.zeros(shape))
 
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 1)
         monkeypatch.setattr(montecarlo, "clipping_bias_probe", counting_probe)
         report = verify_lemma_suite(suite, n_samples=10**5, seed=5)
         assert len(seen) == len(report.checks) == calls
@@ -671,18 +712,18 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("suite", montecarlo.LEMMA_SUITES)
     def test_jobs_in_reverse_order_equal_the_suite(self, suite, suites_alone):
-        # each job draws from streams of its own, so the pool may run a suite's
+        # each job builds its own generators, so the pool may run a suite's
         # jobs in any order: run one at a time backwards and put back in job
         # order, their checks are the suite's bit for bit
-        plan, want = suites_alone
-        params, n_jobs = dict(plan)[suite], montecarlo._LEMMA_SUITE_RUNNERS[suite][2]
+        params, n_jobs = _job_params(suite, 10**5, 7, 12), montecarlo._LEMMA_SUITE_RUNNERS[suite][2]
         backwards = {k: montecarlo._verify_job((suite, k, params)) for k in reversed(range(n_jobs))}
-        assert [repr(dataclasses.astuple(c)) for k in range(n_jobs) for c in backwards[k]] == want[suite]
+        assert [repr(dataclasses.astuple(c)) for k in range(n_jobs) for c in backwards[k]] == suites_alone[suite]
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_request_jobs_through_the_pool_equal_each_suite_alone(self, processes, suites_alone, monkeypatch):
-        # every job of verify all, through the one pool on one process and on
-        # two forked workers, gives each suite's checks bit for bit
+        # every job of verify all, and each suite's one-suite request, through
+        # the one pool on one process and on two forked workers, gives each
+        # suite's checks bit for bit
         started, forked_map = [], montecarlo._forked_map
 
         def recording_map(fn, jobs, processes):
@@ -691,21 +732,49 @@ class TestVerifySuites:
 
         monkeypatch.setattr(montecarlo, "_forked_map", recording_map)
         monkeypatch.setattr(montecarlo, "usable_cpus", lambda: processes)
-        plan, want = suites_alone
-        reports = list(montecarlo.verify_reports(plan))
-        assert [suite for suite, _ in reports] == [suite for suite, _ in plan]
+        reports = list(montecarlo.verify_reports(["all"], 10**5, 7, 12))
+        assert [suite for suite, _ in reports] == list(montecarlo.LEMMA_SUITES)
         for suite, report in reports:
             assert report.suite == suite
-            assert [repr(dataclasses.astuple(c)) for c in report.checks] == want[suite], suite
-        assert started == ([2] if processes == 2 else [])
+            assert [repr(dataclasses.astuple(c)) for c in report.checks] == suites_alone[suite], suite
+            alone = verify_lemma_suite(suite, 10**5, 7, t_max=12)
+            assert alone.suite == suite
+            assert [repr(dataclasses.astuple(c)) for c in alone.checks] == suites_alone[suite], suite
+        # verify all, then each suite of more than one job
+        many = [suite for suite in montecarlo.LEMMA_SUITES if montecarlo._LEMMA_SUITE_RUNNERS[suite][2] > 1]
+        assert started == ([2] * (1 + len(many)) if processes == 2 else [])
+
+    def test_mgf_inner_estimates_match_their_exact_values(self):
+        # E exp(r <x, z>) for a unit direction x is cosh(r <x, v>) for the
+        # two-point noise +/- v and I0(r M) for the circle of radius M; every
+        # one of the 5 radii x 8 directions of each noise lies within 5 SE
+        seed, n = 11, 2 * 10**5
+        for k, noise in enumerate(montecarlo._MGF_NOISES):
+            # drawn as _mgf_inner_job draws: the directions, then the samples
+            rng = run_generator(seed, 1000 + k)
+            dirs = oracles._unit_rows(rng.standard_normal((montecarlo._MGF_DIRECTIONS, noise.dim)))
+            z = np.concatenate([block for _, block in noise.sample_chunks(rng, n)])
+            M = noise.noise_constants()["M"]
+            radii = np.array(montecarlo._MGF_NORM_MULTIPLIERS) / M
+            means, stds = oracles._mgf_grid_moments(z, dirs, radii)
+            if isinstance(noise, TwoPointNoise):
+                exact = np.cosh(radii[:, None] * (dirs @ noise.v))
+            else:
+                exact = np.broadcast_to(np.i0(radii * M)[:, None], means.shape)
+            assert means.shape == exact.shape == (5, 8)
+            assert np.all(np.abs(means - exact) <= 5.0 * stds / math.sqrt(n) + 1e-12 * exact), noise.kind
 
 
 @pytest.fixture(scope="module")
 def suites_alone():
-    """(plan, suite -> the repr of each check's fields) of verify all at 10^5
-    samples, each suite run alone by verify_lemma_suite."""
-    plan = montecarlo.verify_request(["all"], 10**5, 7, 12)
-    return plan, {
-        suite: [repr(dataclasses.astuple(c)) for c in verify_lemma_suite(suite, **params).checks]
-        for suite, params in plan
+    """suite -> the repr of each check's fields of verify all at 10^5 samples,
+    seed 7 and t_max 12: the serial reference, each suite's jobs run here in
+    job order through _verify_job."""
+    return {
+        suite: [
+            repr(dataclasses.astuple(c))
+            for k in range(montecarlo._LEMMA_SUITE_RUNNERS[suite][2])
+            for c in montecarlo._verify_job((suite, k, _job_params(suite, 10**5, 7, 12)))
+        ]
+        for suite in montecarlo.LEMMA_SUITES
     }

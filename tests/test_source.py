@@ -44,6 +44,21 @@ def test_range_rules_are_raised_in_costs_only():
     assert found == []
 
 
+def test_suite_reports_are_built_by_verify_reports_only():
+    # montecarlo.verify_reports owns the request's checks and puts each
+    # suite's report together from its jobs' checks; a report built elsewhere
+    # would be a second verify runner, with checks of its own
+    found = [
+        f"{path.name}:{getattr(top, 'name', top.lineno)}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "LemmaSuiteReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == ["montecarlo.py:verify_reports"]
+
+
 def test_package_imports_numpy_and_the_standard_library_only():
     # numpy is the one runtime dependency; scipy is a reference for the tests only
     allowed = {"numpy", *sys.stdlib_module_names}
