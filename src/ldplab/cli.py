@@ -81,19 +81,9 @@ EXIT_VERIFY = 5
 # ---------------------------------------------------------------------------
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _provenance_comment(digest: str, certified: dict) -> str:
     parts = [f"tool={TOOL_NAME}", f"version={TOOL_VERSION}", f"digest={digest}"]
-    parts += [f"{k}={_fmt_cell(certified[k])}" for k in sorted(certified)]
+    parts += [f"{k}={float(certified[k])!r}" for k in sorted(certified)]
     return " ".join(parts)
 
 
@@ -149,12 +139,10 @@ def _lines(formats, cells: tuple) -> str:
 
 
 def _write_csv(path: str, comment: str, header: list, rows) -> None:
-    """Write a provenance comment, a header and one row per item of ``rows``
-    (any cells); the file is replaced atomically."""
+    """Write a provenance comment, a header and one row per item of ``rows``,
+    each cell as csv.writer writes it; the file is replaced atomically."""
     with _atomic_write(path) as fh:
-        writer = _write_head(fh, comment, header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        _write_head(fh, comment, header).writerows(rows)
 
 
 def _read_comments(fh) -> tuple[dict, str]:
@@ -228,7 +216,7 @@ def _read_manifest(meta_path: str) -> dict:
 
 
 def _summary_header(epsilon_grid) -> list:
-    """The header of trajsummary.csv: the one simulate writes and a read expects."""
+    """The header of trajsummary.csv, the one simulate writes."""
     return ["run_index", "diverged", "clip_events"] + [f"hit_{float(e)!r}" for e in epsilon_grid]
 
 
@@ -593,7 +581,7 @@ def _cmd_verify(args) -> int:
                     f"  [{status}] {c.label}: empirical={c.empirical:.6g} "
                     f"bound={c.bound:.6g} ({slack})"
                 )
-                csv_rows.append([suite, c.label, c.empirical, c.bound, c.se, c.passed])
+                csv_rows.append([suite, c.label, c.empirical, c.bound, c.se, int(c.passed)])
                 all_pass &= c.passed
 
         if args.out:

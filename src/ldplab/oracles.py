@@ -23,8 +23,9 @@ one query consumes.  The *transform* (unit rows, signs, Pareto radii,
 argsort) is a pure function of those buffers and works over any leading
 shape, so a slab of many runs, each filled from its own stream, is
 transformed in one call with the same bytes as transforming each run
-alone.  ``NoiseModel.sample_block`` is the same split, for the suites that
-audit a noise model alone.
+alone.  ``NoiseModel.sample_block`` is the same split in one draw, demos/01's
+draw and the reference for ``randomness_block``'s columns and for
+``sample_chunks``, through which the suites audit a noise model alone.
 """
 
 from __future__ import annotations

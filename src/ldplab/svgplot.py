@@ -17,8 +17,9 @@ _WIDTH, _HEIGHT = 720, 480  # the chart's size in pixels
 _MARGINS = (64.0, 16.0, 44.0, 52.0)  # left, right, top, bottom
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _fmt(v) -> str:
+    """A pixel coordinate: a float to two decimals, an int as it is."""
+    return str(v) if isinstance(v, int) else f"{v:.2f}"
 
 
 def _nice_step(span: float) -> float:
@@ -136,10 +137,7 @@ def line_chart(series, band, title: str, xlabel: str, ylabel: str, comment: str 
     if comment:
         out.append(f"<!-- {_escape(comment)} -->")
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
-    out.append(
-        f'<text x="{_fmt(_WIDTH / 2)}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
-    )
+    out.append(_text(_WIDTH / 2, 22, title, 15, "middle"))
 
     # gridlines and ticks
     lo_d, hi_d = math.floor(ylo), math.ceil(yhi)
@@ -147,24 +145,12 @@ def line_chart(series, band, title: str, xlabel: str, ylabel: str, comment: str 
     y_ticks = [(10.0**d, f"1e{d:d}") for d in range(lo_d, hi_d + 1, step) if ylo <= d <= yhi]
     for v, label in y_ticks:
         py = fr.ty(v)
-        out.append(
-            f'<line x1="{_fmt(fr.px0)}" y1="{_fmt(py)}" x2="{_fmt(fr.px1)}" y2="{_fmt(py)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(fr.px0 - 6)}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        out.append(_line(fr.px0, py, fr.px1, py, "#dddddd", 1))
+        out.append(_text(fr.px0 - 6, py + 4, label, 11, "end"))
     for v in _linear_ticks(xlo, xhi):
         px = fr.tx(v)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(fr.py0)}" x2="{_fmt(px)}" y2="{_fmt(fr.py1)}" '
-            f'stroke="#eeeeee" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(fr.py0 + 16)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(v)}</text>'
-        )
+        out.append(_line(px, fr.py0, px, fr.py1, "#eeeeee", 1))
+        out.append(_text(px, fr.py0 + 16, _tick_label(v), 11, "middle"))
 
     if bx.size:  # the upper edge left to right, then the lower edge back
         path = fr.points(np.concatenate([bx, bx[::-1]]), np.concatenate([bhi, blo[::-1]]))
@@ -178,23 +164,11 @@ def line_chart(series, band, title: str, xlabel: str, ylabel: str, comment: str 
         )
 
     # axes on top of grid
-    out.append(
-        f'<line x1="{_fmt(fr.px0)}" y1="{_fmt(fr.py0)}" x2="{_fmt(fr.px1)}" y2="{_fmt(fr.py0)}" '
-        f'stroke="#000000" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{_fmt(fr.px0)}" y1="{_fmt(fr.py0)}" x2="{_fmt(fr.px0)}" y2="{_fmt(fr.py1)}" '
-        f'stroke="#000000" stroke-width="1"/>'
-    )
-    out.append(
-        f'<text x="{_fmt((fr.px0 + fr.px1) / 2)}" y="{_fmt(fr.py0 + 34)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>'
-    )
+    out.append(_line(fr.px0, fr.py0, fr.px1, fr.py0, "#000000", 1))
+    out.append(_line(fr.px0, fr.py0, fr.px0, fr.py1, "#000000", 1))
+    out.append(_text((fr.px0 + fr.px1) / 2, fr.py0 + 34, xlabel, 12, "middle"))
     cx, cy = fr.px0 - 44, (fr.py0 + fr.py1) / 2
-    out.append(
-        f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{_escape(ylabel)}</text>'
-    )
+    out.append(_text(cx, cy, ylabel, 12, "middle", f' transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})"'))
 
     # legend
     entries = [(s["label"], s["color"], s["dash"]) for s in clean]
@@ -202,15 +176,8 @@ def line_chart(series, band, title: str, xlabel: str, ylabel: str, comment: str 
         entries.append((band["label"], PALETTE[0], None))
     ly = fr.py1 + 10
     for label, color, dash in entries:
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        out.append(
-            f'<line x1="{_fmt(fr.px1 - 150)}" y1="{_fmt(ly)}" x2="{_fmt(fr.px1 - 126)}" '
-            f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="2.5"{dash_attr}/>'
-        )
-        out.append(
-            f'<text x="{_fmt(fr.px1 - 120)}" y="{_fmt(ly + 4)}" font-family="sans-serif" '
-            f'font-size="11">{_escape(label)}</text>'
-        )
+        out.append(_line(fr.px1 - 150, ly, fr.px1 - 126, ly, color, 2.5, dash))
+        out.append(_text(fr.px1 - 120, ly + 4, label, 11))
         ly += 16
 
     out.append("</svg>")
@@ -219,3 +186,21 @@ def line_chart(series, band, title: str, xlabel: str, ylabel: str, comment: str 
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _line(x1, y1, x2, y2, stroke: str, width, dash=None) -> str:
+    """A <line> element from (x1, y1) to (x2, y2) in pixels, dashed by ``dash`` if given."""
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"{dash_attr}/>'
+    )
+
+
+def _text(x, y, body: str, size: int, anchor: str | None = None, extra: str = "") -> str:
+    """A sans-serif <text> element of ``body``, escaped, at (x, y) in pixels, plus the attributes ``extra``."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor_attr} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{_escape(body)}</text>'
+    )

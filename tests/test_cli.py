@@ -999,6 +999,20 @@ def test_tail_rows_per_distinct_count_equal_one_repr_per_cell(counts):
     assert {"distinct": distinct == exceed.size, "equal": distinct == 1, "mixed": 1 < distinct < exceed.size}[counts]
 
 
+def test_write_csv_writes_each_cell_by_the_one_rule(tmp_path):
+    # an int in decimal, a float (np.float64 too) as its shortest repr, a
+    # cell with a comma or a quote quoted as the csv module does, and a
+    # check's passed flag as 0/1
+    path = tmp_path / "cells.csv"
+    row = [7, 0.1, 1e-05, 1e16, -0.0, np.float64(np.sqrt(3)), 'n=3, "x"', int(True)]
+    cli._write_csv(str(path), "tool=ldplab digest=cells", list("abcdefgh"), [row])
+    assert path.read_bytes() == (
+        b"# tool=ldplab digest=cells\n"
+        b"a,b,c,d,e,f,g,h\n"
+        b'7,0.1,1e-05,1e+16,-0.0,1.7320508075688772,"n=3, ""x""",1\n'
+    )
+
+
 def test_chunk_rows_match_row_writer_and_reader(tmp_path):
     # simulate writes the summary's head, then each chunk's rows as it arrives
     rng = np.random.default_rng(3)

@@ -59,6 +59,13 @@ def test_suite_reports_are_built_by_verify_reports_only():
     assert found == ["montecarlo.py:verify_reports"]
 
 
+def test_svg_line_and_text_markup_is_written_once():
+    # svgplot's <line> and <text> writers spell out each element once; a
+    # hand-written copy elsewhere in the chart could drift from them
+    source = (SOURCE / "svgplot.py").read_text(encoding="utf-8")
+    assert {tag: source.count(tag) for tag in ("<line ", "<text ")} == {"<line ": 1, "<text ": 1}
+
+
 def test_package_imports_numpy_and_the_standard_library_only():
     # numpy is the one runtime dependency; scipy is a reference for the tests only
     allowed = {"numpy", *sys.stdlib_module_names}

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -32,6 +33,8 @@ def test_chart_from_arrays_equals_the_chart_drawn_point_by_point(monkeypatch):
     args = (series, band, "tail", "t", "P(F_t > eps)", "digest=0123456789abcdef")
 
     svg = svgplot.line_chart(*args)
+    # recorded when every <line> and <text> element was written out by hand
+    assert hashlib.sha256(svg.encode()).hexdigest() == "9817b3af6b38ea9e0ff9afe938e96b2845a7fea10197bef0cd9fd6310ccf4096"
     monkeypatch.setattr(svgplot._Frame, "points", _points_one_by_one)
     assert svg.splitlines() == svgplot.line_chart(*args).splitlines()
 
