@@ -44,7 +44,6 @@ from .optimizers import (
     EnsembleArrays,
     RunConfig,
     ScheduleSpec,
-    clip_bias_onset,
     clip_threshold,
     simulate_runs,
     step_size,

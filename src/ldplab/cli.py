@@ -397,11 +397,11 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, np.ndarray]:
 
 
 def _anchored_curve(law: RateSpec, epsilon: float, t_grid: np.ndarray, p_anchor: float, t_anchor: int):
-    """exp(-I(epsilon) n_t) of a law, scaled to pass through the anchor point;
-    None when no step t >= 3 is drawn or I(epsilon) is infinite."""
+    """exp(-I(epsilon) n_t) of a law at the steps t >= 3, scaled to pass
+    through the anchor point; None when I(epsilon) is infinite."""
     ts = t_grid[t_grid >= DECAY_T_MIN].astype(np.float64)
     slope = -law.rate_function_I(epsilon)
-    if ts.size == 0 or t_anchor < DECAY_T_MIN or not np.isfinite(slope):
+    if not np.isfinite(slope):
         return None
     nt = np.asarray(law.decay_rate_nt(ts), dtype=np.float64)
     nt0 = float(law.decay_rate_nt(float(t_anchor)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import run_generator
+from .rng import STREAM_KEYS, run_generator
 
 
 # numpy adds a contiguous run of fewer terms than this in order, longer runs pairwise
@@ -316,7 +316,7 @@ def synthetic_logistic_cost(m: int, dim: int, dataset_seed: int) -> LogisticBatc
     """
     int_param("m", m)
     int_param("dim", dim)
-    rng = run_generator(int_param("dataset_seed", dataset_seed, minimum=None), 0)
+    rng = run_generator(int_param("dataset_seed", dataset_seed, minimum=None), STREAM_KEYS["logistic-dataset"])
     features = rng.standard_normal((m, dim))
     direction = rng.standard_normal(dim)
     score = features @ direction + 0.5 * rng.standard_normal(m)

@@ -34,7 +34,7 @@ from .oracles import (
     _unit_rows,
 )
 from .optimizers import MAX_HORIZON, EnsembleArrays, RunConfig, first_hit_counts, simulate_runs
-from .rng import run_generator
+from .rng import STREAM_KEYS, run_generator
 from .theory import (
     DECAY_T_MIN,
     lower_bound_exact_prob,
@@ -477,8 +477,10 @@ _MGF_DIRECTIONS = 8
 # the clip suites' grids in dimension _CLIP_DIM, one probe each: (moment order
 # p, with Pareto tail index p + 0.5; threshold gamma; ||grad f(x)||/gamma)
 _CLIP_P, _CLIP_GAMMAS, _CLIP_DIM = (1.2, 1.5, 2.0), (2.0, 4.0, 8.0), 2
-_CLIP_BIAS_GRID = tuple(itertools.product(_CLIP_P, _CLIP_GAMMAS, (0.0, 0.25, 0.5)))
-_CLIP_SUBGAUSS_GRID = tuple(itertools.product(_CLIP_P, _CLIP_GAMMAS, (0.0, 0.5)))
+_CLIP_GRIDS = {
+    "clip-bias": tuple(itertools.product(_CLIP_P, _CLIP_GAMMAS, (0.0, 0.25, 0.5))),
+    "clip-subgauss": tuple(itertools.product(_CLIP_P, _CLIP_GAMMAS, (0.0, 0.5))),
+}
 # batch-bound: a synthetic logistic cost of _BATCH_M samples in dimension _BATCH_DIM
 _BATCH_M, _BATCH_DIM, _BATCH_SIZES = 64, 4, (1, 8, 32)
 
@@ -489,7 +491,7 @@ def _mgf_bounded_job(k, n_samples, seed) -> list:
     M = noise.noise_constants()["M"]
     # drawn chunk by chunk into the one (n,) array numpy's mean and std reduce
     vals = np.empty(n_samples)
-    for lo, z in noise.sample_chunks(run_generator(seed, k), n_samples):
+    for lo, z in noise.sample_chunks(run_generator(seed, STREAM_KEYS["mgf-bounded"] + k), n_samples):
         vals[lo : lo + len(z)] = np.exp(sq_norms(z) / M**2)
     se = float(vals.std() / math.sqrt(n_samples))
     return [_check(f"{noise.kind} M={M:g}", float(vals.mean()), math.e, se)]
@@ -500,7 +502,7 @@ def _mgf_inner_job(k, n_samples, seed) -> list:
     spanning both concentration regimes (||x|| below and above 4/(3M))."""
     noise = _MGF_NOISES[k]
     M = noise.noise_constants()["M"]
-    rng = run_generator(seed, 1000 + k)
+    rng = run_generator(seed, STREAM_KEYS["mgf-inner"] + k)
     dirs = _unit_rows(rng.standard_normal((_MGF_DIRECTIONS, noise.dim)))
     z = np.empty((n_samples, noise.dim))
     for lo, block in noise.sample_chunks(rng, n_samples):
@@ -523,32 +525,32 @@ def _mgf_inner_job(k, n_samples, seed) -> list:
     return checks
 
 
-def _clip_probe(grid, k, n_samples, seed, **probe_options):
-    """(label, clipped-oracle probe result) of point k of a clip suite's grid;
-    it draws from its own stream, run_generator(seed, 3000 + k).
+def _clip_probe(suite, k, n_samples, seed, **probe_options):
+    """(label, clipped-oracle probe result) of point k of a clip suite's grid.
 
     ``probe_options`` go to the probe; ``scale_multipliers=()`` skips its
     MGF grid and keeps only the bias fields.
     """
-    p, gamma, frac = grid[k]
+    p, gamma, frac = _CLIP_GRIDS[suite][k]
     noise = SymmetrizedParetoNoise(x_m=1.0, tail_index=p + 0.5, moment_order=p, dim=_CLIP_DIM)
     # a ball of radius 50 holds every grid point, so grad f(x) = x exactly
     oracle = AdditiveOracle(cost=HuberCost(threshold_G=50.0, dim=_CLIP_DIM), noise=noise)
     x = np.zeros(_CLIP_DIM)
     x[0] = frac * gamma
-    result = clipping_bias_probe(oracle, x, gamma, n_samples, run_generator(seed, 3000 + k), **probe_options)
+    rng = run_generator(seed, STREAM_KEYS[suite] + k)
+    result = clipping_bias_probe(oracle, x, gamma, n_samples, rng, **probe_options)
     return f"p={p:g} gamma={gamma:g} ||grad||={frac:g}*gamma", result
 
 
 def _clip_bias_job(k, n_samples, seed) -> list:
     """||E[clipped] - grad f(x)|| <= 4 sigma^p gamma^(1-p) when ||grad|| <= gamma/2."""
-    label, result = _clip_probe(_CLIP_BIAS_GRID, k, n_samples, seed, scale_multipliers=())
+    label, result = _clip_probe("clip-bias", k, n_samples, seed, scale_multipliers=())
     return [_check(label, result.bias_norm_estimate, result.bias_bound, result.bias_se)]
 
 
 def _clip_subgauss_job(k, n_samples, seed) -> list:
     """log E[exp(s <u, theta>)] <= 3 gamma^2 s^2 for the centred clipped output."""
-    label, result = _clip_probe(_CLIP_SUBGAUSS_GRID, k, n_samples, seed)
+    label, result = _clip_probe("clip-subgauss", k, n_samples, seed)
     slack = result.margins - 5.0 * result.margin_ses
     worst = np.unravel_index(int(np.argmax(slack)), result.margins.shape)
     return [
@@ -566,7 +568,7 @@ def _batch_bound_job(k, n_samples, seed) -> list:
     about n_samples queries."""
     cost = synthetic_logistic_cost(m=_BATCH_M, dim=_BATCH_DIM, dataset_seed=seed)
     bound = 2.0 * cost.per_sample_grad_bound
-    rng = run_generator(seed, 4000)
+    rng = run_generator(seed, STREAM_KEYS["batch-bound"] + k)
     x_points = 2.0 * rng.standard_normal((8, _BATCH_DIM))
     per_combo = max(1, int(math.ceil(n_samples / (len(_BATCH_SIZES) * len(x_points)))))
     checks = []
@@ -629,14 +631,12 @@ def _rates_job(k, n_samples, seed) -> list:
 # suite is runner(k, n_samples, seed), with t_max for appendix-f-enum, and
 # returns its own checks, which the suite's report lists in job order.  Each
 # job builds fresh generators, so the jobs may run in any order and in any
-# process, but not every job's keys are its own: batch-bound's dataset reads
-# run_generator(seed, 0), mgf-bounded job 0's stream, and probe k of both clip
-# suites reads run_generator(seed, 3000 + k).
+# process.
 _LEMMA_SUITE_RUNNERS = {
     "mgf-bounded": (_mgf_bounded_job, 1, len(_MGF_NOISES)),
     "mgf-inner": (_mgf_inner_job, 1, len(_MGF_NOISES)),
-    "clip-bias": (_clip_bias_job, PROBE_MIN_SAMPLES, len(_CLIP_BIAS_GRID)),
-    "clip-subgauss": (_clip_subgauss_job, PROBE_MIN_SAMPLES, len(_CLIP_SUBGAUSS_GRID)),
+    "clip-bias": (_clip_bias_job, PROBE_MIN_SAMPLES, len(_CLIP_GRIDS["clip-bias"])),
+    "clip-subgauss": (_clip_subgauss_job, PROBE_MIN_SAMPLES, len(_CLIP_GRIDS["clip-subgauss"])),
     # batch-bound draws every combination from one stream, so it is one job
     "batch-bound": (_batch_bound_job, 1, 1),
     "appendix-f-enum": (_appendix_f_enum_job, 1, 1),

@@ -20,7 +20,6 @@ returned one row per run.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,22 +117,6 @@ def clip_threshold(clip: ClipSpec, t) -> float:
     if clip.p == 2.0:
         return float(clip.coefficient * np.sqrt(np.log(t + 1.0)))
     return float(clip.coefficient * (t + 1.0) ** ((2.0 - clip.p) / (6.0 * clip.p - 4.0)))
-
-
-def clip_bias_onset(clip: ClipSpec, grad_bound_G: float) -> float:
-    """First t at which the threshold guarantees gamma_t >= 2G.
-
-    From then on the clipped-mean bias bound 4 sigma^p gamma_t^(1-p) applies
-    at every iterate of a cost with gradient bound G.  For the 2G-coefficient
-    schedule this is t = 1 when p < 2; for a general coefficient C it is
-    (2G/C)^((6p-4)/(2-p)) when p in (1,2) and 2^(4G^2/C^2) - 1 when p = 2.
-    """
-    if clip.kind == "constant":
-        return 1.0 if clip.G_or_C >= 2.0 * grad_bound_G else math.inf
-    c = clip.coefficient
-    if clip.p == 2.0:
-        return 2.0 ** (4.0 * grad_bound_G**2 / c**2) - 1.0
-    return (2.0 * grad_bound_G / c) ** ((6.0 * clip.p - 4.0) / (2.0 - clip.p))
 
 
 @dataclass(frozen=True, eq=False)

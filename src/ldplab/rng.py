@@ -25,6 +25,20 @@ PHILOX_SLAB_WORDS = 40
 # arrays of this length (0.83 MiB), stays in cache; 2^14 runs unblocked took
 # 1.3-1.6x as long
 _PHILOX_BLOCK = 1 << 13
+# purpose -> the first key its streams read under a master seed: job k of a
+# verify suite reads run_generator(seed, STREAM_KEYS[suite] + k), and the
+# logistic dataset its one key under its dataset_seed.  Two pairs share
+# streams: probe k of clip-bias and of clip-subgauss, and mgf-bounded job 0
+# with batch-bound's dataset, whose dataset_seed is verify's seed.  Run i of
+# an ensemble reads key i under the config's seed.
+STREAM_KEYS = {
+    "mgf-bounded": 0,
+    "mgf-inner": 1000,
+    "clip-bias": 3000,
+    "clip-subgauss": 3000,
+    "batch-bound": 4000,
+    "logistic-dataset": 0,
+}
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

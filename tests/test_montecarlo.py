@@ -31,7 +31,7 @@ from ldplab.montecarlo import (
 )
 from ldplab.optimizers import EnsembleArrays, RunConfig, ScheduleSpec, first_hit_counts, simulate_runs
 from ldplab.oracles import AdditiveOracle, ClippingBiasProbe, SphereNoise, TwoPointNoise
-from ldplab.rng import run_generator
+from ldplab.rng import STREAM_KEYS, run_generator
 from ldplab.theory import decay_family, lower_bound_exact_prob
 
 from test_optimizers import _digest, at_baseline_dispatch, solvable_instance
@@ -751,7 +751,7 @@ class TestVerifySuites:
         seed, n = 11, 2 * 10**5
         for k, noise in enumerate(montecarlo._MGF_NOISES):
             # drawn as _mgf_inner_job draws: the directions, then the samples
-            rng = run_generator(seed, 1000 + k)
+            rng = run_generator(seed, STREAM_KEYS["mgf-inner"] + k)
             dirs = oracles._unit_rows(rng.standard_normal((montecarlo._MGF_DIRECTIONS, noise.dim)))
             z = np.concatenate([block for _, block in noise.sample_chunks(rng, n)])
             M = noise.noise_constants()["M"]

@@ -20,7 +20,6 @@ from ldplab.optimizers import (
     EnsembleArrays,
     RunConfig,
     ScheduleSpec,
-    clip_bias_onset,
     clip_threshold,
     simulate_runs,
     step_size,
@@ -94,15 +93,6 @@ class TestClipThreshold:
     def test_constant(self):
         spec = ClipSpec(kind="constant", G_or_C=2.0)
         assert clip_threshold(spec, 5) == 2.0
-
-    def test_onset_matches_definition(self):
-        # (2G/C)^((6p-4)/(2-p)) for p < 2, 2^(4G^2/C^2) - 1 at p = 2
-        spec = ClipSpec(kind="general-C", G_or_C=1.0, p=1.5)
-        assert clip_bias_onset(spec, 1.0) == pytest.approx(2.0**10.0)
-        spec2 = ClipSpec(kind="general-C", G_or_C=2.0, p=2.0)
-        assert clip_bias_onset(spec2, 1.0) == pytest.approx(2.0 - 1.0)
-        eq5 = ClipSpec(kind="paper-eq5", G_or_C=1.0, p=1.5)
-        assert clip_bias_onset(eq5, 1.0) == pytest.approx(1.0)
 
 
 def _clip_one(g, gamma):
@@ -370,6 +360,17 @@ def _diverging_config():
     )
 
 
+def _diverging_clipped_config():
+    # clipped steps of 0.8e9 to 1.2e9: 57 of runs 0..63 diverge, at t = 2, 4
+    # and 6, and each clipped update of a run is counted until it diverges
+    return dataclasses.replace(
+        _diverging_config(),
+        horizon_T=8,
+        step_schedule=ScheduleSpec(kind="constant", value=1.6e9),
+        clip_schedule=ClipSpec(kind="constant", G_or_C=0.75),
+    )
+
+
 @pytest.mark.parametrize(
     "make_config",
     [c for _, c in _INVARIANCE_CONFIGS] + [_diverging_config],
@@ -588,7 +589,11 @@ def _reference_runs(config, run_indices) -> dict:
     return out
 
 
-@pytest.mark.parametrize("name,make_config", _PINNED_CONFIGS, ids=[n for n, _ in _PINNED_CONFIGS])
+# the pinned configs, and one whose runs diverge after clipped steps
+_REFERENCE_CONFIGS = _PINNED_CONFIGS + [("diverged-clipped", _diverging_clipped_config)]
+
+
+@pytest.mark.parametrize("name,make_config", _REFERENCE_CONFIGS, ids=[n for n, _ in _REFERENCE_CONFIGS])
 def test_runs_equal_the_one_run_reference(name, make_config):
     # the recursion against a loop that shares none of its layout or masks;
     # unlike the digests above, this holds after a change of the draws
@@ -606,4 +611,25 @@ def test_runs_equal_the_one_run_reference(name, make_config):
     # apart at most on these 64 runs, 11 on 2048, when measured
     ulps = np.abs(got.grad_norm_sq.view(np.int64) - want["grad_norm_sq"].view(np.int64))
     assert ulps.max() <= (16 if isinstance(config.cost, LogisticBatchCost) else 0)
-    assert (got.diverged_count > 0) == (name == "diverged")
+    assert (got.diverged_count > 0) == name.startswith("diverged")
+
+
+def test_a_diverged_run_stays_at_x1(monkeypatch):
+    # from the step at which a run is found diverged, the cost sees it at its
+    # placeholder x_1: it neither keeps its diverged iterate nor steps on
+    # from x_1.  No output shows this, as a diverged run's records are masked
+    seen = []
+    gradient = PseudoHuberCost.gradient
+
+    def recording_gradient(self, x, axis=-1):
+        seen.append(x.copy())
+        return gradient(self, x, axis)
+
+    monkeypatch.setattr(PseudoHuberCost, "gradient", recording_gradient)
+    config = _diverging_clipped_config()
+    arrays = simulate_runs(config, np.arange(64), record_full=True)
+    assert len(seen) == config.horizon_T and arrays.diverged.any()
+    onset = np.argmax(np.isinf(arrays.grad_norm_sq), axis=1)  # the step index, from 0
+    for run in np.flatnonzero(arrays.diverged):
+        for x in seen[onset[run] :]:
+            np.testing.assert_array_equal(x[:, run], config.init_x1)

@@ -57,6 +57,16 @@ class TestNoiseModels:
         z = m.sample_block(run_generator(0, 3), 5000)
         assert np.all(np.linalg.norm(z, axis=1) >= 1.5 - 1e-12)
 
+    def test_pareto_radii_follow_their_law(self):
+        # two-sided, unlike a moment bound: the radii's empirical CDF lies in
+        # the DKW band of F(r) = 1 - (x_m / r)^a at delta = 1e-6, 0.0105 wide
+        m = SymmetrizedParetoNoise(x_m=0.5, tail_index=2.0, moment_order=1.5, dim=4)
+        n = 2**16
+        r = np.sort(np.linalg.norm(m.sample_block(run_generator(7, 0), n), axis=1))
+        cdf = np.clip(1.0 - (0.5 / r) ** 2.0, 0.0, 1.0)
+        above = np.arange(1, n + 1) / n - cdf
+        assert max(above.max(), (cdf - np.arange(n) / n).max()) <= math.sqrt(math.log(2.0 / 1e-6) / (2 * n))
+
     def test_pareto_requires_finite_moment(self):
         with pytest.raises(ValueError):
             SymmetrizedParetoNoise(x_m=1.0, tail_index=1.4, moment_order=1.5, dim=2)

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ldplab import rng
+from ldplab import montecarlo, rng
 from ldplab.costs import HuberCost, PseudoHuberCost
 from ldplab.oracles import AdditiveOracle, SymmetrizedParetoNoise, TwoPointNoise
 from ldplab.rng import PHILOX_SLAB_WORDS, StreamPool, _splitmix64, philox_random, run_generator
@@ -86,3 +88,14 @@ def test_randomness_block_resets_once_per_run(monkeypatch):
     assert resets == []
     two_point.randomness_block(1, runs, PHILOX_SLAB_WORDS + 1)
     assert resets == _splitmix64(np.array(runs, dtype=np.uint64)).tolist()
+
+
+def test_stream_keys_share_only_the_listed_pairs():
+    # job k of a verify suite reads key STREAM_KEYS[suite] + k, and the
+    # logistic dataset reads one key; the table lists exactly two shared pairs
+    assert set(montecarlo.LEMMA_SUITES) - set(rng.STREAM_KEYS) == {"appendix-f-enum", "rates"}
+    jobs = {suite: runner[2] for suite, runner in montecarlo._LEMMA_SUITE_RUNNERS.items()}
+    jobs["logistic-dataset"] = 1
+    keys = {purpose: set(range(first, first + jobs[purpose])) for purpose, first in rng.STREAM_KEYS.items()}
+    shared = {frozenset((a, b)) for a, b in itertools.combinations(keys, 2) if keys[a] & keys[b]}
+    assert shared == {frozenset({"clip-bias", "clip-subgauss"}), frozenset({"mgf-bounded", "logistic-dataset"})}

@@ -59,6 +59,27 @@ def test_suite_reports_are_built_by_verify_reports_only():
     assert found == ["montecarlo.py:verify_reports"]
 
 
+def test_stream_keys_are_read_from_the_table():
+    # rng.STREAM_KEYS owns every stream's key; a number written into a key
+    # elsewhere could share a stream with another purpose unseen
+    keys = [
+        (f"{path.name}:{node.lineno}", key)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "run_generator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for key in node.args[1:] + [kw.value for kw in node.keywords if kw.arg == "run_index"]
+    ]
+    assert len(keys) >= 5
+    found = [
+        where
+        for where, key in keys
+        for c in ast.walk(key)
+        if isinstance(c, ast.Constant) and type(c.value) in (int, float)
+    ]
+    assert found == []
+
+
 def test_svg_line_and_text_markup_is_written_once():
     # svgplot's <line> and <text> writers spell out each element once; a
     # hand-written copy elsewhere in the chart could drift from them
@@ -108,13 +129,15 @@ def _referenced_names(tree) -> set:
 
 def test_every_function_is_used_outside_the_tests():
     # a function or method that nothing but its own tests calls is a wrapper
-    # to delete, not to keep; a def is not a reference to itself
+    # to delete, not to keep; a def is not a reference to itself, and neither
+    # is the package's re-export of it
     repo = SOURCE.parents[1]
     users = sorted((repo / "demos").rglob("*.py")) + sorted((repo / "benchmarks").rglob("*.py"))
     defined, used = [], set()
     for path in sorted(SOURCE.glob("*.py")) + users:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        used |= _referenced_names(tree)
+        if path != SOURCE / "__init__.py":
+            used |= _referenced_names(tree)
         if path.parent == SOURCE:
             defined += [
                 (f"{path.name}:{node.lineno}", node.name)
