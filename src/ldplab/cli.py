@@ -33,6 +33,7 @@ from .config import (
     TOOL_VERSION,
     ConfigError,
     Experiment,
+    anchored,
     load_config,
     parse_config,
     preset_config,
@@ -194,24 +195,19 @@ def _parse_t_grid(spec: str, horizon: int, expand_range) -> np.ndarray:
     """A --t-grid value: 'lo:hi' through expand_range(lo, hi), or a comma list
     taken in the order given; the list, or lo and hi, must pass check_t_grid
     up to horizon, checked first."""
-    try:
+    with anchored(f"--t-grid {spec!r}"):
         if ":" not in spec:
             return check_t_grid([int(tok) for tok in spec.split(",")], horizon)
         lo, hi = (int(tok) for tok in spec.split(":", 1))
         check_t_grid([lo] if lo == hi else [lo, hi], horizon)
-    except ValueError as e:
-        raise ConfigError(f"--t-grid {spec!r}: {e}") from e
     return expand_range(lo, hi)
 
 
 def _read_manifest(meta_path: str) -> dict:
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # a manifest that is not UTF-8 JSON
-        raise OSError(f"{meta_path}: corrupt run manifest: {e}") from e
-    if not isinstance(meta, dict):
-        raise OSError(f"{meta_path}: corrupt run manifest: not an object")
+    with anchored(f"{meta_path}: corrupt run manifest", OSError), open(meta_path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)  # a manifest that is not UTF-8 JSON raises ValueError
+        if not isinstance(meta, dict):
+            raise ValueError("not an object")
     return meta
 
 
@@ -343,24 +339,20 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, np.ndarray]:
         raise OSError(f"{meta_path}: corrupt run manifest: no config object")
     # analysis never uses the output block (nor does the digest), so an
     # output key this version no longer accepts must not block it
-    try:
+    with anchored(f"{meta_path}: corrupt run manifest: config", OSError):
         exp = parse_config({k: v for k, v in config.items() if k != "output"})
-    except ConfigError as e:
-        raise OSError(f"{meta_path}: corrupt run manifest: config: {e}") from e
     rc = exp.run_config
     T, n_runs, digest = rc.horizon_T, exp.n_runs, meta.get("config_digest")
 
     summary_path = os.path.join(results_dir, "trajsummary.csv")
-    try:
+    with anchored(f"{summary_path}: corrupt trajsummary", OSError):
         with open(summary_path, "r", encoding="utf-8", newline="") as fh:
             found = _read_comments(fh)[0].get("digest")
         if found != digest:
             raise ValueError(f"digest {found} is not the manifest's {digest}")
-    except ValueError as e:
-        raise OSError(f"{summary_path}: corrupt trajsummary: {e}") from e
 
     steps_path = os.path.join(results_dir, "steps.csv")
-    try:
+    with anchored(f"{steps_path}: corrupt step table", OSError):
         comment, header, body = _read_csv(steps_path)
         if header != _steps_header(rc.epsilon_grid):
             raise ValueError(f"header {header} is not {_steps_header(rc.epsilon_grid)}")
@@ -385,8 +377,6 @@ def _load_results(results_dir: str) -> tuple[dict, Experiment, np.ndarray]:
             raise ValueError("a clipped count is not 0, and the config clips nothing")
         if comment.get("digest") != digest:
             raise ValueError(f"digest {comment.get('digest')} is not the manifest's {digest}")
-    except ValueError as e:
-        raise OSError(f"{steps_path}: corrupt step table: {e}") from e
 
     expected = _manifest(exp, int(table[:, 0].sum()))
     for key in sorted((meta.keys() | expected.keys()) - {"config"}):
@@ -501,7 +491,7 @@ def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
     a tail CSV.  Every row must carry the first row's N and epsilon, and
     tail_from_counts must accept the steps and counts; anything else is a
     ConfigError naming the file."""
-    try:
+    with anchored(path):
         comment, header, body = _read_csv(path, dtype=str)
         cols = {name: i for i, name in enumerate(header)}
         for needed in _TAIL_COLUMNS[:4]:
@@ -525,8 +515,6 @@ def _tail_from_csv(path: str) -> tuple[str, TailEstimate]:
             one[name] = values[0]
         # rebuild the estimate from counts so intervals are always consistent
         tail = tail_from_counts(column("t"), column("exceed"), one["N"], one["epsilon"])
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
     return comment.get("digest", "unknown"), tail
 
 
@@ -535,10 +523,8 @@ def _cmd_fit(args) -> int:
     if args.p is not None and "power-over-log" not in names:
         raise ConfigError("fit: --p applies only when --candidates lists 'power-over-log'")
     p = None if args.p is None else moment_order_param("--p", args.p)
-    try:
+    with anchored("--candidates"):
         candidates = decay_families(names, p=p)
-    except ValueError as e:
-        raise ConfigError(f"--candidates: {e}") from e
     digest, tail = _tail_from_csv(args.tail_csv)
     fits = fit_decay(tail, candidates)
     out_csv = os.path.join(os.path.dirname(os.path.abspath(args.tail_csv)), "fit.csv")

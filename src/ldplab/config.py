@@ -8,7 +8,8 @@ epsilon or a moment order invalidates an experiment.  This module checks the
 document's shape: objects, kind tags and keys.  The values are checked by the
 constructors that own them, whose ValueErrors become ConfigErrors here, so a
 library caller gets the same errors.  Every error message is anchored to the
-JSON path of the offending entry.
+JSON path of the offending entry: ``anchored`` owns that rule, here and for
+the CLI's flags and results files.
 
 The config digest covers the whole document except its ``output`` block,
 which only says where results go.
@@ -16,6 +17,7 @@ which only says where results go.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -35,6 +37,18 @@ TOOL_VERSION = "0.1.0"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the JSON path."""
+
+
+@contextlib.contextmanager
+def anchored(where: str, error=ConfigError):
+    """A block whose ValueError becomes ``error(f"{where}: {e}")``, chained to
+    it; an ``error`` raised in the block, already anchored, passes through."""
+    try:
+        yield
+    except error:
+        raise
+    except ValueError as e:
+        raise error(f"{where}: {e}") from e
 
 
 def _require_keys(block: dict, path: str, required: tuple, optional: tuple = ()) -> None:
@@ -92,12 +106,8 @@ def _kind_block(block: dict, path: str, build):
     unused = sorted(set(block) - {tag} - set(params))
     if unused:
         raise ConfigError(f"{path}: keys {unused} do not apply to kind {kind!r}")
-    try:
+    with anchored(path):
         return build(kind, {k: block[k] for k in params})
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
 
 
 def _build_oracle(block: dict, cost: CostSpec) -> OracleSpec:
@@ -154,14 +164,10 @@ def _build_analysis(ana: dict) -> tuple:
         raise ConfigError("analysis.candidates: expected a list of family names")
     if "candidate_p" in ana and "power-over-log" not in names:
         raise ConfigError("analysis.candidate_p: applies only when analysis.candidates lists 'power-over-log'")
-    try:
+    with anchored("analysis.candidate_p"):
         p = moment_order_param("p", ana["candidate_p"]) if "candidate_p" in ana else None
-    except ValueError as e:
-        raise ConfigError(f"analysis.candidate_p: {e}") from e
-    try:
+    with anchored("analysis.candidates"):
         candidates = decay_families(names, p=p)
-    except ValueError as e:
-        raise ConfigError(f"analysis.candidates: {e}") from e
     entries = ana.get("sota", [])
     if not isinstance(entries, list):
         raise ConfigError("analysis.sota: expected a list of curve specs")
@@ -169,10 +175,8 @@ def _build_analysis(ana: dict) -> tuple:
     for i, entry in enumerate(entries):
         path = f"analysis.sota[{i}]"
         _kind_of(entry, path, "kind", SOTA_KINDS)
-        try:  # the keys and values a curve kind takes are theory's to check
+        with anchored(path):  # the keys and values a curve kind takes are theory's to check
             sota.append(sota_curves(**entry))
-        except ValueError as e:
-            raise ConfigError(f"{path}: {e}") from e
     return candidates, tuple(sota)
 
 
@@ -206,7 +210,7 @@ def parse_config(doc: dict) -> Experiment:
         ("n_runs", "horizon_T", "seed", "init_x1", "epsilon_grid"),
         ("t_grid",),
     )
-    try:
+    with anchored("ensemble/method"):
         n_runs = int_param("n_runs", ens["n_runs"])
         run_config = RunConfig(
             cost=cost,
@@ -219,14 +223,10 @@ def parse_config(doc: dict) -> Experiment:
             epsilon_grid=ens["epsilon_grid"],
         )
         law = _paper_law(run_config)
-    except ValueError as e:
-        raise ConfigError(f"ensemble/method: {e}") from e
     t_grid = None
     if "t_grid" in ens:
-        try:
+        with anchored("ensemble.t_grid"):
             t_grid = check_t_grid(ens["t_grid"], run_config.horizon_T)
-        except ValueError as e:
-            raise ConfigError(f"ensemble.t_grid: {e}") from e
 
     candidates, sota = _build_analysis(doc.get("analysis", {}))
 
@@ -260,15 +260,14 @@ def _non_finite(name: str):
 def load_config(path: str) -> dict:
     """Parse a JSON config file; syntax errors carry line/column anchors, and
     NaN, Infinity and -Infinity are errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_non_finite)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
-    except OSError as e:
-        raise ConfigError(f"{path}: cannot read config: {e}") from e
+    with anchored(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh, parse_constant=_non_finite)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+        except OSError as e:
+            raise ConfigError(f"{path}: cannot read config: {e}") from e
 
 
 # built-in, fully populated experiment configurations

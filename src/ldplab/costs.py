@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import STREAM_KEYS, run_generator
-
 
 # numpy adds a contiguous run of fewer terms than this in order, longer runs pairwise
 _SEQUENTIAL_SUM_TERMS = 8
@@ -66,6 +64,20 @@ def int_param(name: str, value, minimum: int | None = 1) -> int:
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
     return int(value)
+
+
+def int_array(name: str, values, dtype=None) -> np.ndarray:
+    """``np.asarray(values, dtype)``, or a ValueError naming ``name`` unless they are integers: an array
+    by its dtype, a list or tuple by ``is_int`` on each element (no bool), a range always.  The rule of
+    every sequence of steps or run indices the library takes."""
+    integral = isinstance(values, range)
+    if isinstance(values, np.ndarray):
+        integral = values.dtype.kind in "iu"
+    elif isinstance(values, (list, tuple)):
+        integral = all(is_int(v, None) for v in values)
+    if not integral:
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return np.asarray(values, dtype)
 
 
 def real_vector(name: str, value) -> np.ndarray:
@@ -274,9 +286,9 @@ class LogisticBatchCost(CostSpec):
         x = _as_points(x, self.dim, axis)
         if axis == 0 and x.ndim == 2:  # the row layout's products, transposed back
             return np.ascontiguousarray(self.gradient(np.ascontiguousarray(x.T)).T)
-        margins = x @ self.features.T * self.labels
+        margins = _row_products(x, self.features.T) * self.labels
         w = -self.labels * _sigmoid(-margins)  # (..., m)
-        return w @ self.features / self.n_samples
+        return _row_products(w, self.features) / self.n_samples
 
     def per_sample_gradients(self, x) -> np.ndarray:
         """Gradients of every sample's loss at a single point; shape (m, dim)."""
@@ -293,10 +305,16 @@ class LogisticBatchCost(CostSpec):
         x_batch: (n, dim) points; idx: (n, b) sample indices.  Returns (n, dim).
         """
         x_batch = _as_points(x_batch, self.dim)
-        margins = x_batch @ self.features.T * self.labels  # (n, m)
+        margins = _row_products(x_batch, self.features.T) * self.labels  # (n, m)
         w = -self.labels * _sigmoid(-margins)
         w_sub = np.take_along_axis(w, idx, axis=1)  # (n, b)
         return np.einsum("nb,nbd->nd", w_sub, self.features[idx]) / idx.shape[1]
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, each row of a 2-D ``a`` with the bits it has in a batch of any size: BLAS takes its
+    matrix-vector path for one row, so that is the first row of the product on two copies of it."""
+    return (np.concatenate([a, a]) @ b)[:1] if a.ndim == 2 and len(a) == 1 else a @ b
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -314,6 +332,7 @@ def synthetic_logistic_cost(m: int, dim: int, dataset_seed: int) -> LogisticBatc
     Features are standard normal, labels are the sign of a noisy linear
     score, so the problem is neither separable nor degenerate.
     """
+    from .rng import STREAM_KEYS, run_generator  # rng takes its count rule from this module
     int_param("m", m)
     int_param("dim", dim)
     rng = run_generator(int_param("dataset_seed", dataset_seed, minimum=None), STREAM_KEYS["logistic-dataset"])

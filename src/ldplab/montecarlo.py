@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import HuberCost, int_param, is_int, real_param, sq_norms, synthetic_logistic_cost
+from .costs import HuberCost, int_array, int_param, is_int, real_param, sq_norms, synthetic_logistic_cost
 from .oracles import (
     PROBE_MIN_SAMPLES,
     AdditiveOracle,
@@ -312,17 +312,9 @@ def tail_from_counts(
 
 
 def check_t_grid(t_grid, horizon_T: int) -> np.ndarray:
-    """The steps of a tail grid as int64; ValueError unless they are integers
-    (an array by its dtype, a list or tuple by is_int on each step: no bool),
-    non-empty, strictly increasing and in [1, horizon_T], compared before the
-    conversion."""
-    if isinstance(t_grid, np.ndarray):
-        integral = t_grid.dtype.kind in "iu"
-    else:
-        integral = isinstance(t_grid, (list, tuple)) and all(is_int(t, None) for t in t_grid)
-    if not integral:
-        raise ValueError(f"t_grid steps must be integers, got {t_grid!r}")
-    steps = np.asarray(t_grid)
+    """The steps of a tail grid as int64; ValueError unless ``int_array`` takes them and they are
+    non-empty, strictly increasing and in [1, horizon_T], compared before the conversion."""
+    steps = int_array("t_grid steps", t_grid)
     increasing = steps.ndim == 1 and steps.size > 0 and not np.any(steps[1:] <= steps[:-1])
     if not (increasing and 1 <= steps[0] and steps[-1] <= horizon_T):
         raise ValueError(f"t_grid must be non-empty, strictly increasing and within [1, {horizon_T}]")
@@ -434,6 +426,7 @@ def fit_decay(tail: TailEstimate, candidates) -> list[DecayFit]:
 # a verify request's defaults: samples per suite, master seed, appendix-f-enum's largest t
 VERIFY_SAMPLES, VERIFY_SEED, VERIFY_ENUM_T_MAX = 10**6, 20260801, 20
 _MGF_NORM_MULTIPLIERS = (0.1, 1.0, 4.0 / 3.0, 2.0, 5.0)
+_SE_SLACK = 5.0  # SEs by which a check may exceed its bound; a suite reports its grid point with least slack
 
 
 @dataclass(frozen=True)
@@ -441,9 +434,9 @@ class LemmaCheck:
     """One empirical quantity against its asserted bound.
 
     In the statistical suites slack is measured in standard errors: pass iff
-    empirical <= bound + 5 se (exactly empirical <= bound when se = 0, e.g.
-    hard a.s. bounds).  appendix-f-enum passes on exact equality with the
-    closed form, rates on an error at most its tolerance.
+    empirical <= bound + _SE_SLACK * se (exactly empirical <= bound when
+    se = 0, e.g. hard a.s. bounds).  appendix-f-enum passes on exact
+    equality with the closed form, rates on an error at most its tolerance.
     """
 
     label: str
@@ -466,7 +459,7 @@ class LemmaSuiteReport:
 def _check(label: str, empirical: float, bound: float, se: float) -> LemmaCheck:
     # 1e-12 relative guard absorbs round-off when a bound is saturated
     # exactly (e.g. constant-norm noise), where the SE collapses to ~0
-    ok = empirical <= bound + 5.0 * se + 1e-12 * abs(bound)
+    ok = empirical <= bound + _SE_SLACK * se + 1e-12 * abs(bound)
     return LemmaCheck(label, float(empirical), float(bound), float(se), bool(ok))
 
 
@@ -512,7 +505,7 @@ def _mgf_inner_job(k, n_samples, seed) -> list:
     checks = []
     for mult, r, est, std in zip(_MGF_NORM_MULTIPLIERS, radii, means, stds):
         se = std / math.sqrt(n_samples)
-        worst = int(np.argmax(est - 5.0 * se))
+        worst = int(np.argmax(est - _SE_SLACK * se))
         bound = math.exp(3.0 * M**2 * r**2 / 4.0)
         checks.append(
             _check(
@@ -551,7 +544,7 @@ def _clip_bias_job(k, n_samples, seed) -> list:
 def _clip_subgauss_job(k, n_samples, seed) -> list:
     """log E[exp(s <u, theta>)] <= 3 gamma^2 s^2 for the centred clipped output."""
     label, result = _clip_probe("clip-subgauss", k, n_samples, seed)
-    slack = result.margins - 5.0 * result.margin_ses
+    slack = result.margins - _SE_SLACK * result.margin_ses
     worst = np.unravel_index(int(np.argmax(slack)), result.margins.shape)
     return [
         _check(
@@ -633,8 +626,8 @@ def _rates_job(k, n_samples, seed) -> list:
 # job builds fresh generators, so the jobs may run in any order and in any
 # process.
 _LEMMA_SUITE_RUNNERS = {
-    "mgf-bounded": (_mgf_bounded_job, 1, len(_MGF_NOISES)),
-    "mgf-inner": (_mgf_inner_job, 1, len(_MGF_NOISES)),
+    "mgf-bounded": (_mgf_bounded_job, PROBE_MIN_SAMPLES, len(_MGF_NOISES)),
+    "mgf-inner": (_mgf_inner_job, PROBE_MIN_SAMPLES, len(_MGF_NOISES)),
     "clip-bias": (_clip_bias_job, PROBE_MIN_SAMPLES, len(_CLIP_GRIDS["clip-bias"])),
     "clip-subgauss": (_clip_subgauss_job, PROBE_MIN_SAMPLES, len(_CLIP_GRIDS["clip-subgauss"])),
     # batch-bound draws every combination from one stream, so it is one job
@@ -680,8 +673,8 @@ def verify_reports(
     yielded once the suite's last job is in.
 
     The whole request is checked when this is called: an unknown or a
-    repeated suite, samples below a suite's floor (1, or PROBE_MIN_SAMPLES
-    for the probe suites), with appendix-f-enum an enum_t_max outside
+    repeated suite, samples below a suite's floor (PROBE_MIN_SAMPLES for
+    the MGF and clip suites, else 1), with appendix-f-enum an enum_t_max outside
     [1, ENUM_T_MAX], and a seed that is not an integer raise ValueError
     before any job runs.  The jobs then go through one ``ordered_map`` on up
     to the usable CPUs, which gives the same bits on any number of processes

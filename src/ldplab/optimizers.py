@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, int_param, moment_order_param, positive_param, real_param, real_vector, sq_norms
+from .costs import CostSpec, int_array, int_param, moment_order_param, positive_param, real_param, real_vector, sq_norms
 from .oracles import OracleSpec, clip_rows
 
 DIVERGENCE_LIMIT = 1e9
@@ -257,7 +257,7 @@ def simulate_runs(config: RunConfig, run_indices, record_full: bool = False) -> 
     step loop skips their masks and updates in place.  The result's
     invariants are checked before it is returned.
     """
-    idx = np.asarray(run_indices, dtype=np.int64)
+    idx = int_array("run_indices", run_indices, np.int64)
     B = idx.size
     T = config.horizon_T
     eps = config.epsilon_grid

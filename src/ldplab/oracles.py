@@ -38,6 +38,7 @@ import numpy as np
 from .costs import (
     CostSpec,
     LogisticBatchCost,
+    int_array,
     int_param,
     moment_order_param,
     positive_param,
@@ -60,7 +61,7 @@ _SUM_BLOCK_ROWS = 1 << 14  # rows per block of _row_sums
 # and OpenBLAS runs a (2048, 8) projection on one thread, where the whole (n, 8)
 # product woke a second thread that spun for about as long as the first worked
 _MGF_BLOCK_ROWS = 2048
-PROBE_MIN_SAMPLES = 10**5  # fewest samples clipping_bias_probe accepts
+PROBE_MIN_SAMPLES = 10**5  # fewest samples of a check judged in SEs: on a handful the SE is near 0
 _PROBE_DIRECTIONS = 8  # directions of clipping_bias_probe's MGF grid
 
 
@@ -318,7 +319,7 @@ class OracleSpec:
         draws only uniforms, at most PHILOX_SLAB_WORDS of them per run, and
         else by one pool reset per run.  Each slab is transformed in one call.
         """
-        idx = np.asarray(run_indices, dtype=np.int64)
+        idx = int_array("run_indices", run_indices, np.int64)
         n_normals, n_uniforms = self.raw_widths()
         slab = max(1, _SLAB_RAW_BYTES // (8 * max(1, n_steps * (n_normals + n_uniforms))))
         whole_slab = not n_normals and n_steps * n_uniforms <= PHILOX_SLAB_WORDS
@@ -596,10 +597,7 @@ def clipping_bias_probe(
     centred in place.
     """
     positive_param("gamma", gamma)
-    if num_samples < PROBE_MIN_SAMPLES:
-        raise ValueError(
-            f"num_samples must be at least {PROBE_MIN_SAMPLES} for a meaningful probe"
-        )
+    int_param("num_samples", num_samples, minimum=PROBE_MIN_SAMPLES)
     x = np.asarray(x, dtype=np.float64)
     grad = np.asarray(oracle.cost.gradient(x), dtype=np.float64)
     grad_norm = float(np.linalg.norm(grad))

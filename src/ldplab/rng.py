@@ -1,7 +1,8 @@
 """Deterministic, parallel-safe random streams.
 
 Every Monte Carlo run owns a private counter-based stream: run i of seed s
-draws from Philox key (SplitMix64(s), SplitMix64(i)), both taken mod 2^64.
+draws from Philox key (SplitMix64(s), SplitMix64(i)), both integers (no
+bool) taken mod 2^64.
 Distinct runs use distinct keys, so any number of runs can be generated
 concurrently, in any order and on any number of workers, with bit-identical
 results.  ``StreamPool`` builds every stream; ``run_generator`` is a pool reset.
@@ -12,6 +13,8 @@ Philox is counter-based, each word a function of (key, counter), so
 from __future__ import annotations
 
 import numpy as np
+
+from .costs import int_param
 
 _MASK64 = (1 << 64) - 1
 _LO32 = 0xFFFFFFFF
@@ -82,7 +85,7 @@ def philox_random(master_seed: int, run_indices, out: np.ndarray) -> np.ndarray:
     rows = out.reshape(len(out), n, copy=False)
     n_ctr = -(-n // 4)
     per_block = max(1, _PHILOX_BLOCK // max(1, n_ctr))
-    k0 = StreamPool.key_words([int(master_seed) & _MASK64])[0]
+    k0 = StreamPool.key_words([int_param("master_seed", master_seed, minimum=None) & _MASK64])[0]
     for lo in range(0, len(out) if n else 0, per_block):
         # each word wraps mod 2^64 on arrays (a 0-d wrap warns); k0 stays a Python int
         c0, c1, c2, c3 = np.arange(1, n_ctr + 1, dtype=np.uint64)[None], 0, np.zeros((1, 1), np.uint64), 0
@@ -101,7 +104,8 @@ def philox_random(master_seed: int, run_indices, out: np.ndarray) -> np.ndarray:
 
 def run_generator(master_seed: int, run_index: int) -> np.random.Generator:
     """Fresh generator for one run's private stream: a new pool reset to it."""
-    return StreamPool(master_seed).reset(StreamPool.key_words([int(run_index) & _MASK64])[0])
+    run_index = int_param("run_index", run_index, minimum=None)
+    return StreamPool(master_seed).reset(StreamPool.key_words([run_index & _MASK64])[0])
 
 
 class StreamPool:
@@ -119,7 +123,7 @@ class StreamPool:
         # The state of a fresh stream: zero counter, empty buffer.  The setter
         # copies it into the bit generator, so only the run's key word changes
         # between resets; plain ints convert about 2x faster than uint64 arrays.
-        self._key = [*self.key_words([int(master_seed) & _MASK64]), 0]
+        self._key = [*self.key_words([int_param("master_seed", master_seed, minimum=None) & _MASK64]), 0]
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": self._key},

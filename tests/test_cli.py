@@ -205,6 +205,21 @@ def test_non_utf8_manifest_is_io_error_naming_it(tiny_config, capsys):
     assert main(["simulate", "--config", config_path, "--force"]) == 0
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="needs the int digit limit")
+def test_manifest_json_the_reader_rejects_is_io_error_naming_it(tiny_config, capsys):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for an
+    # integer beyond the digit limit; it used to exit 2 without naming the file
+    config_path, doc = tiny_config
+    out = doc["output"]["directory"]
+    assert main(["simulate", "--config", config_path]) == 0
+    meta_path = os.path.join(out, "meta.json")
+    with open(meta_path, "w") as fh:
+        fh.write('{"n_runs": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}")
+    capsys.readouterr()
+    assert main(["tail", out, "--epsilon", "0.18", "--no-svg"]) == 3
+    assert capsys.readouterr().err.startswith(f"io error: {meta_path}: corrupt run manifest: Exceeds the limit")
+
+
 def test_analysis_ignores_manifest_output_block(tiny_config):
     # results whose recorded output block has a key the schema no longer knows stay readable
     config_path, doc = tiny_config
@@ -337,7 +352,7 @@ def test_verify_failure_exit_code(monkeypatch):
         return [montecarlo.LemmaCheck("forced", 2.0, 1.0, 0.0, False)]
 
     monkeypatch.setattr(montecarlo, "_verify_job", failing_job)
-    assert main(["verify", "mgf-bounded", "--samples", "1000"]) == 5
+    assert main(["verify", "mgf-bounded", "--samples", "100000"]) == 5
 
 
 @pytest.mark.parametrize(
@@ -477,10 +492,23 @@ def test_verify_repeated_suite_rejected_before_any_suite(tmp_path, capsys):
     assert not vdir.exists()
 
 
+def test_verify_mgf_suite_below_the_sample_floor_rejected_before_any_job(monkeypatch, capsys):
+    # on one sample the SE is 0, so the checks compared exactly and a true
+    # lemma failed with exit 5
+    def no_job(job):
+        raise AssertionError("no job may run")
+
+    monkeypatch.setattr(montecarlo, "_verify_job", no_job)
+    assert main(["verify", "mgf-inner", "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --samples must be at least 100000 for mgf-inner, got 1\n"
+
+
 @pytest.mark.parametrize("t_max", ["1076", "0"])
 def test_verify_bad_enum_t_max_rejected_before_any_suite(t_max, tmp_path, capsys):
     vdir = tmp_path / "verify"
-    argv = ["mgf-bounded", "appendix-f-enum", "--samples", "10", "--enum-t-max", t_max]
+    argv = ["mgf-bounded", "appendix-f-enum", "--samples", "100000", "--enum-t-max", t_max]
     assert main(["verify", *argv, "--out", str(vdir)]) == 2
     captured = capsys.readouterr()
     assert "==" not in captured.out  # no suite header
@@ -590,7 +618,7 @@ def test_one_cpu_affinity_keeps_every_pool_serial():
         "montecarlo.ENSEMBLE_CHUNK = 2\n"
         "rc = parse_config(preset_config('appendix-f')).run_config\n"
         "assert len(list(montecarlo.ensemble_chunks(rc, 8, 2))) == 4  # four chunks, run here\n"
-        "sys.exit(main(['verify', 'mgf-bounded', 'rates', '--samples', '1000']))\n"
+        "sys.exit(main(['verify', 'mgf-bounded', 'rates', '--samples', '100000']))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

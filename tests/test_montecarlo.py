@@ -646,7 +646,7 @@ class TestVerifySuites:
     @pytest.mark.parametrize(
         "suites, samples, seed, t_max, message",
         [
-            (["mgf-bounded", "bogus"], 10, 1, 20, "unknown suite 'bogus'"),
+            (["mgf-bounded", "bogus"], 10**5, 1, 20, "unknown suite 'bogus'"),
             (["all", "rates"], 10, 1, 20, "unknown suite 'all'"),
             (["rates", "mgf-bounded", "rates"], 10, 1, 20, "^suite 'rates' is requested twice$"),
             (["rates"], 0, 1, 20, "--samples must be at least 1 for rates"),
@@ -655,9 +655,9 @@ class TestVerifySuites:
             (["appendix-f-enum"], 10, 1, 0, "--enum-t-max"),
             (["rates"], True, 1, 20, "--samples must be at least 1 for rates"),
             (["appendix-f-enum"], 10, 1, True, "--enum-t-max"),
-            (["mgf-bounded"], 1000, 1.5, 20, "^seed must be an integer, got 1.5$"),
-            (["mgf-bounded"], 1000, "3", 20, "^seed must be an integer, got '3'$"),
-            (["mgf-bounded"], 1000, True, 20, "^seed must be an integer, got True$"),
+            (["mgf-bounded"], 10**5, 1.5, 20, "^seed must be an integer, got 1.5$"),
+            (["mgf-bounded"], 10**5, "3", 20, "^seed must be an integer, got '3'$"),
+            (["mgf-bounded"], 10**5, True, 20, "^seed must be an integer, got True$"),
         ],
         ids=[
             "unknown", "all-with-others", "repeated", "zero-samples", "probe-floor", "t-max-1076", "t-max-0",
@@ -675,7 +675,7 @@ class TestVerifySuites:
         # 1.5, "3" and True used to run silently on the streams of seed 1 or 3
         monkeypatch.setattr(montecarlo, "ordered_map", _no_pool)
         with pytest.raises(ValueError, match="^seed must be an integer"):
-            verify_lemma_suite("mgf-bounded", n_samples=1000, seed=seed)
+            verify_lemma_suite("mgf-bounded", n_samples=10**5, seed=seed)
 
     def test_enum_t_max_ignored_without_enum_suite(self):
         # as --enum-t-max without appendix-f-enum: not checked and not passed on

@@ -330,7 +330,8 @@ def _summaries(*parts):
 @pytest.mark.parametrize("make_config", [c for _, c in _INVARIANCE_CONFIGS], ids=[n for n, _ in _INVARIANCE_CONFIGS])
 def test_results_independent_of_chunks_and_slabs(make_config, monkeypatch):
     # streams are keyed per run, so neither the runs per call nor the runs
-    # per drawing slab may change a single bit
+    # per drawing slab may change a single bit, down to a one-run call, which
+    # README and EnsembleArrays name as run i's reference
     config = make_config()
     # full mode: every step of every run, not only the per-run summaries
     whole = _summaries(simulate_runs(config, np.arange(3000), record_full=True))
@@ -344,6 +345,22 @@ def test_results_independent_of_chunks_and_slabs(make_config, monkeypatch):
     for name in _SUMMARIES:
         np.testing.assert_array_equal(whole[name], pieces[name], err_msg=name)
         np.testing.assert_array_equal(whole[name], slabs[name], err_msg=name)
+    for i in (0, 777, 2999):
+        alone = _summaries(simulate_runs(config, [i], record_full=True))
+        for name in _SUMMARIES:
+            np.testing.assert_array_equal(whole[name][i : i + 1], alone[name], err_msg=f"run {i}: {name}")
+
+
+@pytest.mark.parametrize(
+    "runs", [[1.5, 2.9], [True, False], np.array([0.0, 1.0])], ids=["floats", "bools", "float-array"]
+)
+def test_run_indices_are_integers(runs):
+    # these used to run, and record, runs 1 and 2, or 1 and 0
+    config = solvable_instance(T=4)
+    with pytest.raises(ValueError, match="^run_indices must be integers, got"):
+        simulate_runs(config, runs)
+    with pytest.raises(ValueError, match="^run_indices must be integers, got"):
+        config.oracle.randomness_block(config.seed, runs, 3)
 
 
 def _diverging_config():

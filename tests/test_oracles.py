@@ -399,9 +399,11 @@ class TestClippingBiasProbe:
             clipping_bias_probe(oracle, np.array([3.0, 0.0]), 4.0, 10**5, run_generator(0, 3))
 
     def test_sample_floor(self):
+        # a count is an integer: 1e5 used to pass a hand-written floor and die in np.empty with a TypeError
         oracle = self._oracle(SphereNoise(radius=1.0, dim=2))
-        with pytest.raises(ValueError):
-            clipping_bias_probe(oracle, np.zeros(2), 4.0, 10**4, run_generator(0, 4))
+        for n in (10**4, 10**5 - 1, 1e5, True):
+            with pytest.raises(ValueError, match=f"^num_samples must be an integer >= 100000, got {n!r}$"):
+                clipping_bias_probe(oracle, np.zeros(2), 4.0, n, run_generator(0, 4))
 
     def test_bias_only_probe_matches_full_probe(self):
         # an empty grid still draws the directions first, so the samples, and

@@ -36,6 +36,19 @@ def test_run_generator_is_the_philox_of_its_key(seed):
         assert got.random(3).tobytes() == want.random(3).tobytes()
 
 
+@pytest.mark.parametrize(
+    "seed, run_index, name",
+    [(7, 1.5, "run_index"), (7, True, "run_index"), (1.9, 0, "master_seed"), (True, 0, "master_seed")],
+)
+def test_a_stream_is_keyed_by_integers_only(seed, run_index, name):
+    # int() used to read run 1's stream for run_index 1.5, and seed 1's for 1.9 and True
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        run_generator(seed, run_index)
+    if name == "master_seed":
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got"):
+            philox_random(seed, np.arange(2), np.empty((2, 3)))
+
+
 @pytest.mark.parametrize("seed", _EDGES)
 def test_philox_random_gives_numpys_bits(seed):
     # every length up to the word limit and past it, multiples of 4 or not

@@ -80,6 +80,36 @@ def test_stream_keys_are_read_from_the_table():
     assert found == []
 
 
+def _names(node) -> set:
+    """The Name ids and Attribute attrs within an expression (none for None)."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)} if node else set()
+
+
+def test_rejected_values_are_anchored_by_config_anchored_only():
+    # config.anchored owns the rule that a rejected value's error names where
+    # the value came from: an except handler that catches ValueError or
+    # ConfigError and raises ConfigError or OSError outside it could drift
+    # from it in its prefix, its chain or its pass-through of an error
+    # already anchored
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = [d for d in ast.walk(tree) if (path.name, getattr(d, "name", None)) == ("config.py", "anchored")]
+        owner = {h for d in owners for h in ast.walk(d)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler) or node in owner:
+                continue
+            raised = {
+                name
+                for r in ast.walk(node)
+                if isinstance(r, ast.Raise)
+                for name in _names(r.exc.func if isinstance(r.exc, ast.Call) else r.exc)
+            }
+            if _names(node.type) & {"ValueError", "ConfigError"} and raised & {"ConfigError", "OSError"}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_svg_line_and_text_markup_is_written_once():
     # svgplot's <line> and <text> writers spell out each element once; a
     # hand-written copy elsewhere in the chart could drift from them
